@@ -18,11 +18,13 @@ potential well and Reissner-Nordstrom satisfies G_ij = (8 pi k / c^4) T^f_ij.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet
+from .exprlang import Const
+from .jets import Jet, derivative_arrays
 from .spacetime import SpacetimeModel, metric_jet, potential_jet
 from .tensors import TensorValue, jet_values
 
@@ -427,7 +429,69 @@ def cem_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
     return raise_both_indices(cem, ginv)
 
 
-# -- fast float-level helpers (hot paths in dynamics) ------------------------------
+# -- float point kernel (hot paths in dynamics) ------------------------------------
+
+
+@dataclass
+class PointFields:
+    """Float metric, Levi-Civita and Faraday values at one base point.
+
+    Derivative indices come first: ``dg[m,i,j] = d_m g_ij``.  At order 2 the
+    kernel adds ``dgamma[m,i,j,k] = d_m gamma^i_jk`` and ``df_mix[m,i,j] =
+    d_m F^i_j``.  The Faraday entries are None when the potential was skipped.
+    """
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    gamma: np.ndarray
+    f_low: np.ndarray | None = None
+    f_mix: np.ndarray | None = None
+    dgamma: np.ndarray | None = None
+    df_mix: np.ndarray | None = None
+
+
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk from dg[k,h,j] = d_k g_hj."""
+    return np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - dg
+
+
+def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True,
+                 check: bool = False) -> PointFields:
+    """Christoffel symbols and Faraday tensor at x from one metric_jet and at
+    most one potential_jet evaluation, by forward-mode chain rules on value,
+    gradient and Hessian arrays; ``order=2`` adds their first derivatives."""
+    g, dg, *ddg = derivative_arrays(metric_jet(model, x, order=order, check=check).components, order)
+    ginv = np.linalg.inv(g)
+    s = _first_kind(dg)
+    out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
+    if order >= 2:
+        dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
+        ds = np.stack([_first_kind(d) for d in ddg[0]])
+        out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, ds))
+    if potential:
+        a = potential_jet(model, x, order=order, check=False).components
+        _, da, *dda = derivative_arrays(a, order)  # da[i,j] = d_i A_j
+        out.f_low = da - da.T
+        out.f_mix = ginv @ out.f_low
+        if order >= 2:
+            df_low = dda[0] - dda[0].transpose(0, 2, 1)
+            out.df_mix = np.einsum("mih,hj->mij", dginv, out.f_low) + np.einsum("ih,mhj->mij", ginv, df_low)
+    return out
+
+
+def has_field(model: SpacetimeModel, coupling: float) -> bool:
+    """False when F cannot enter the dynamics: zero coupling or a potential
+    whose components are all the literal 0."""
+    return coupling != 0.0 and not all(isinstance(e, Const) and e.value == 0.0 for e in model.a_exprs)
+
+
+def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
+    """|y| = sqrt(g_ij y^i y^j); fails fast unless y is timelike."""
+    n2 = float(y @ g @ y)
+    if n2 <= 0:
+        raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
+    return math.sqrt(n2)
 
 
 def metric_and_inverse_values(model: SpacetimeModel, x, check: bool = False):
@@ -436,35 +500,18 @@ def metric_and_inverse_values(model: SpacetimeModel, x, check: bool = False):
 
 
 def christoffel_values(model: SpacetimeModel, x, check: bool = False) -> np.ndarray:
-    """gamma^i_jk as a float array (einsum on first metric derivatives)."""
-    gj = metric_jet(model, x, order=1, check=check).components
-    g = jet_values(gj)
-    dg = np.empty((4, 4, 4))  # dg[k,i,j]
-    for i in range(4):
-        for j in range(i, 4):
-            grad = gj[i, j].gradient()
-            dg[:, i, j] = dg[:, j, i] = grad
-    ginv = np.linalg.inv(g)
-    s = np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - np.einsum("hjk->hjk", dg)
-    return 0.5 * np.einsum("ih,hjk->ijk", ginv, s)
+    """gamma^i_jk as a float array."""
+    return point_fields(model, x, potential=False, check=check).gamma
 
 
 def faraday_values(model: SpacetimeModel, x, check: bool = False):
     """(F_ij, F^i_j) as float arrays."""
-    aj = potential_jet(model, x, order=1, check=check).components
-    g = metric_jet(model, x, order=0, check=check).values()
-    da = np.empty((4, 4))  # da[i,j] = d_i A_j
-    for j in range(4):
-        da[:, j] = aj[j].gradient()
-    f_low = da - da.T
-    f_mix = np.linalg.inv(g) @ f_low
-    return f_low, f_mix
+    fields = point_fields(model, x, check=check)
+    return fields.f_low, fields.f_mix
 
 
 def classical_lorentz_rhs(model: SpacetimeModel, x, y, charge_ratio: float) -> np.ndarray:
     """a^i = -gamma^i_jk y^j y^k + (q/(m c^2)) F^i_j y^j  (unit-speed gauge)."""
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gamma = christoffel_values(model, x)
-    _, f_mix = faraday_values(model, x)
-    return -np.einsum("ijk,j,k->i", gamma, y, y) + charge_ratio * f_mix @ y
+    fields = point_fields(model, x)
+    return -np.einsum("ijk,j,k->i", fields.gamma, y, y) + charge_ratio * fields.f_mix @ y

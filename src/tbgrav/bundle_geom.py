@@ -462,13 +462,7 @@ def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None, route: 
 
 def berwald_coeffs(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
     """G^i_jk values (fiber Hessian of the spray), symmetric in (j,k)."""
-    geo = BundleGeometry(model, p, order=1, alpha=alpha)
-    out = np.empty((4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                out[i, j, k] = geo.berwald[i, j, k].value
-    return out
+    return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).berwald)
 
 
 def adapted_derivative(model: SpacetimeModel, p, field: FiberField, order: int = 2,
@@ -525,14 +519,7 @@ def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) ->
 
 def b_scalar_and_hessian(model: SpacetimeModel, p, alpha: float | None = None):
     """(scalar, fiber Hessian) of the quadratic spray invariant."""
-    geo = BundleGeometry(model, p, order=3, alpha=alpha)
-    b = geo.b_scalar
-    hess = np.empty((4, 4))
-    for i in range(4):
-        di = b.partial(Y_SLOT0 + i)
-        for j in range(i, 4):
-            hess[i, j] = hess[j, i] = di.partial(Y_SLOT0 + j).value
-    return b.value, hess
+    return _b_hessian(BundleGeometry(model, p, order=3, alpha=alpha))
 
 
 def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
@@ -587,81 +574,44 @@ def _b_hessian(geo: BundleGeometry):
 
 
 def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
-    """(N^i_j, E^i_j) as float arrays via explicit chain rules.
+    """(N^i_j, E^i_j, -2 G^i) as floats from one order-2 ``point_fields`` call.
 
-    Float twin of the jet route (cross-checked in the test suite); used in the
-    deviation-equation hot path where jet evaluation would dominate.
+    Float twin of ``BundleGeometry.n_conn``, ``.tidal`` and ``-2 .spray`` for the
+    deviation and neighbour-oracle right-hand sides, cross-checked against that
+    jet route in the tests.  B^i_.j and B^i_.jk use the closed forms above, and
+    delta_k N^i_j = d_k N^i_j - N^l_k (gamma^i_jl + B^i_.jl).
     """
     alpha = model.alpha if alpha is None else float(alpha)
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gj = metric_jet(model, x, order=2, check=False).components
-    aj = potential_jet(model, x, order=2, check=False).components
-
-    g = np.empty((4, 4))
-    dg = np.empty((4, 4, 4))  # dg[m,i,j] = d_m g_ij
-    ddg = np.empty((4, 4, 4, 4))  # ddg[m,k,i,j] = d_m d_k g_ij
-    for i in range(4):
-        for j in range(i, 4):
-            jet = gj[i, j]
-            g[i, j] = g[j, i] = jet.value
-            grad = jet.gradient()
-            hess = jet.hessian()
-            dg[:, i, j] = dg[:, j, i] = grad
-            ddg[:, :, i, j] = ddg[:, :, j, i] = hess
-    da = np.empty((4, 4))  # da[i,j] = d_i A_j
-    dda = np.empty((4, 4, 4))  # dda[m,i,j] = d_m d_i A_j
-    for j in range(4):
-        da[:, j] = aj[j].gradient()
-        dda[:, :, j] = aj[j].hessian()
-
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
-    s = np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - dg
-    gamma = 0.5 * np.einsum("ih,hjk->ijk", ginv, s)
-    ds = (
-        np.einsum("mkhj->mhjk", ddg)
-        + np.einsum("mjhk->mhjk", ddg)
-        - np.einsum("mhjk->mhjk", ddg)
-    )
-    dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, ds))
-
-    f_low = da - da.T
-    df_low = dda - dda.transpose(0, 2, 1)
-    f_mix = ginv @ f_low
-    df_mix = np.einsum("mih,hj->mij", dginv, f_low) + np.einsum("ih,mhj->mij", ginv, df_low)
-
-    n2 = float(y @ g @ y)
-    if n2 <= 0:
-        raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
-    norm = math.sqrt(n2)
-    dnorm = np.einsum("mij,i,j->m", dg, y, y) / (2.0 * norm)
-    l_low = (g @ y) / norm
-    dl_low = np.einsum("mja,a->mj", dg, y) / norm - np.outer(dnorm, l_low) / norm
-    phi = f_mix @ y
-    dphi = np.einsum("mia,a->mi", df_mix, y)
-
-    b_j = -0.5 * alpha * (np.outer(phi, l_low) + norm * f_mix)
-    db_j = -0.5 * alpha * (
-        np.einsum("mi,j->mij", dphi, l_low)
-        + np.einsum("i,mj->mij", phi, dl_low)
-        + np.einsum("m,ij->mij", dnorm, f_mix)
-        + norm * df_mix
-    )
-    n_conn = np.einsum("ijk,k->ij", gamma, y) + b_j
-    dn = np.einsum("mijk,k->mij", dgamma, y) + db_j
-
-    l_hess = (g - np.outer(l_low, l_low)) / norm
-    b_jk = -0.5 * alpha * (
-        np.einsum("jk,i->ijk", l_hess, phi)
-        + np.einsum("j,ik->ijk", l_low, f_mix)
-        + np.einsum("k,ij->ijk", l_low, f_mix)
-    )
-    n_fiber = gamma + b_jk  # dN^i_j/dy^l at slot [i,j,l]
+    f = base_geom.point_fields(model, x, order=2, potential=base_geom.has_field(model, alpha))
+    norm = base_geom.timelike_norm(f.g, y)
+    n_conn = np.einsum("ijk,k->ij", f.gamma, y)
+    dn = np.einsum("mijk,k->mij", f.dgamma, y)  # d_m N^i_j
+    n_fiber = f.gamma  # N^i_j.l at [i, j, l]
+    if f.f_mix is not None:
+        coef = -0.5 * alpha
+        dnorm = np.einsum("mij,i,j->m", f.dg, y, y) / (2.0 * norm)
+        l_low = (f.g @ y) / norm
+        dl_low = np.einsum("mja,a->mj", f.dg, y) / norm - np.outer(dnorm, l_low) / norm
+        phi = f.f_mix @ y
+        dphi = f.df_mix @ y
+        n_conn = n_conn + coef * (np.outer(phi, l_low) + norm * f.f_mix)
+        dn = dn + coef * (
+            np.einsum("mi,j->mij", dphi, l_low)
+            + np.einsum("i,mj->mij", phi, dl_low)
+            + np.einsum("m,ij->mij", dnorm, f.f_mix)
+            + norm * f.df_mix
+        )
+        l_hess = (f.g - np.outer(l_low, l_low)) / norm
+        n_fiber = n_fiber + coef * (
+            np.einsum("jk,i->ijk", l_hess, phi)
+            + np.einsum("j,ik->ijk", l_low, f.f_mix)
+            + np.einsum("k,ij->ijk", l_low, f.f_mix)
+        )
     delta_n = dn.transpose(1, 2, 0) - np.einsum("lk,ijl->ijk", n_conn, n_fiber)  # delta_k N^i_j
-    r3 = delta_n - delta_n.transpose(0, 2, 1)  # R^i_jk
-    e = np.einsum("ijk,k->ij", r3, y)
-    return n_conn, e
+    tidal = np.einsum("ijk,k->ij", delta_n - delta_n.transpose(0, 2, 1), y)
+    # the spray is 2-homogeneous in y, so -2 G^i = -N^i_j y^j
+    return n_conn, tidal, -(n_conn @ y)
 
 
 def homogeneity_ratio(model: SpacetimeModel, p, values_fn, degree: int, lam: float = 2.0,

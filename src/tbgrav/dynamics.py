@@ -25,28 +25,30 @@ below the integrator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import base_geom
-from .bundle_geom import BundleGeometry, BundlePoint
+from .bundle_geom import connection_and_tidal_values
 from .errors import IntegrationError, SingularEvaluationError, UsageError
-from .spacetime import SpacetimeModel, metric_jet, potential_jet
-from .tensors import jet_values
+from .spacetime import SpacetimeModel, metric_jet
 
 NULL_CONE_GUARD = 1e-6
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    np.array(row)
+    for row in (
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    )
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
@@ -133,7 +135,7 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
         k[0] = f
         failed = False
         for i in range(1, 7):
-            yi = y + h * (np.array(_DP_A[i]) @ k[:i])
+            yi = y + h * (_DP_A[i] @ k[:i])
             try:
                 k[i] = rhs(t + _DP_C[i] * h, yi)
             except (SingularEvaluationError, IntegrationError) as err:
@@ -186,49 +188,24 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     alpha = model.alpha if alpha is None else float(alpha)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = metric_jet(model, x, order=0).values()
-    n2 = float(y @ g @ y)
-    if n2 <= 0:
-        raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
+    norm = base_geom.timelike_norm(metric_jet(model, x, order=0).values(), y)
     env = model.coord_env(x, order=0)
     from .exprlang import evaluate
 
     a_vals = np.array([evaluate(e, env).value for e in model.a_exprs])
-    return math.sqrt(n2) + alpha * float(a_vals @ y)
+    return norm + alpha * float(a_vals @ y)
 
 
 def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
     """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
     alpha = model.alpha if alpha is None else float(alpha)
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gj = metric_jet(model, x, order=1, check=False).components
-    g = np.empty((4, 4))
-    dg = np.empty((4, 4, 4))  # dg[m,i,j]
-    for i in range(4):
-        for j in range(i, 4):
-            g[i, j] = g[j, i] = gj[i, j].value
-            grad = gj[i, j].gradient()
-            dg[:, i, j] = dg[:, j, i] = grad
-    n2 = float(y @ g @ y)
-    if n2 <= 0:
-        raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
-    ginv = np.linalg.inv(g)
-    s = np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - dg
-    gamma = 0.5 * np.einsum("ih,hjk->ijk", ginv, s)
-    acc = -np.einsum("ijk,j,k->i", gamma, y, y)
-    if alpha != 0.0 and any(_nonzero_expr(e) for e in model.a_exprs):
-        aj = potential_jet(model, x, order=1, check=False).components
-        da = np.array([aj[j].gradient() for j in range(4)]).T  # da[i,j] = d_i A_j
-        f_mix = ginv @ (da - da.T)
-        acc += alpha * math.sqrt(n2) * (f_mix @ y)
+    fields = base_geom.point_fields(model, x, potential=base_geom.has_field(model, alpha))
+    norm = base_geom.timelike_norm(fields.g, y)
+    acc = -np.einsum("ijk,j,k->i", fields.gamma, y, y)
+    if fields.f_mix is not None:
+        acc += alpha * norm * (fields.f_mix @ y)
     return acc
-
-
-def _nonzero_expr(e) -> bool:
-    from .exprlang import Const
-
-    return not (isinstance(e, Const) and e.value == 0.0)
 
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
@@ -346,9 +323,8 @@ def compare_classical(
 # -- worldline deviation ----------------------------------------------------------------
 
 
-def _connection_and_tidal(model: SpacetimeModel, x, y, alpha: float | None):
-    geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
-    return jet_values(geo.n_conn), jet_values(geo.tidal)
+# (N^i_j, E^i_j, dy^i/dt) along the base worldline: the float point kernel
+_connection_and_tidal = connection_and_tidal_values
 
 
 def integrate_deviation(
@@ -368,7 +344,7 @@ def integrate_deviation(
     """
     w0 = np.asarray(w0, dtype=float)
     s0 = base.sample(0.0)
-    n0, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
+    n0, _, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
     if W0 is None and dw0 is None:
         raise UsageError("provide either W0 (covariant rate) or dw0 (coordinate rate)")
     if W0 is None:
@@ -379,7 +355,7 @@ def integrate_deviation(
     def rhs(t, state):
         s = base.sample(t)
         x, y = s[:4], s[4:8]
-        n, e = _connection_and_tidal(model, x, y, alpha)
+        n, e, _ = _connection_and_tidal(model, x, y, alpha)
         w, bigw = state[:4], state[4:8]
         return np.concatenate([bigw - n @ w, e @ w - n @ bigw])
 
@@ -411,7 +387,7 @@ def neighbor_oracle(
     y0 = normalize_unit_speed(model, x0, y0)
     w0 = np.asarray(w0, dtype=float)
     W0 = np.asarray(W0, dtype=float)
-    n0, _ = _connection_and_tidal(model, x0, y0, alpha)
+    n0, _, _ = _connection_and_tidal(model, x0, y0, alpha)
     x0_eps = x0 + eps * w0
     y0_eps = y0 + eps * (W0 - n0 @ w0)
 
@@ -419,11 +395,11 @@ def neighbor_oracle(
         x, y = state[:4], state[4:8]
         xe, ye = state[8:12], state[12:16]
         w, bigw = state[16:20], state[20:24]
-        n, e = _connection_and_tidal(model, x, y, alpha)
+        n, e, acc = _connection_and_tidal(model, x, y, alpha)
         return np.concatenate(
             [
                 y,
-                worldline_rhs(model, x, y, alpha=alpha),
+                acc,
                 ye,
                 worldline_rhs(model, xe, ye, alpha=alpha),
                 bigw - n @ w,

@@ -15,7 +15,7 @@ the strict same-order contract is enforced by :func:`jet_arith`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +81,24 @@ class JetSpace:
                         ib.append(j)
                         ic.append(k)
         return np.array(ia), np.array(ib), np.array(ic)
+
+    @cached_property
+    def first_index(self) -> np.ndarray:
+        """Coefficient slot of d/dx_v for v = 0..nvars-1 (its factorial is 1)."""
+        return np.array([self.index[tuple(int(i == v) for i in range(self.nvars))]
+                         for v in range(self.nvars)])
+
+    @cached_property
+    def second_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, factorial) arrays of shape (nvars, nvars) for d2/dx_a dx_b."""
+        slot = np.empty((self.nvars, self.nvars), dtype=int)
+        for a in range(self.nvars):
+            for b in range(self.nvars):
+                multi = [0] * self.nvars
+                multi[a] += 1
+                multi[b] += 1
+                slot[a, b] = self.index[tuple(multi)]
+        return slot, self.factorials[slot]
 
     def shift_table(self, var: int):
         """Arrays (dst, src, factor) mapping coefficients of f to those of df/dx_var
@@ -160,25 +178,14 @@ class Jet:
         """First partials with respect to all variables."""
         if self.order < 1:
             raise UsageError("gradient requires order >= 1")
-        out = np.empty(self.nvars)
-        for v in range(self.nvars):
-            unit = tuple(1 if i == v else 0 for i in range(self.nvars))
-            out[v] = self.c[self.space.index[unit]]
-        return out
+        return self.c[self.space.first_index]
 
     def hessian(self) -> np.ndarray:
         """Matrix of second partials."""
         if self.order < 2:
             raise UsageError("hessian requires order >= 2")
-        out = np.empty((self.nvars, self.nvars))
-        for a in range(self.nvars):
-            for b in range(a, self.nvars):
-                multi = [0] * self.nvars
-                multi[a] += 1
-                multi[b] += 1
-                i = self.space.index[tuple(multi)]
-                out[a, b] = out[b, a] = self.c[i] * self.space.factorials[i]
-        return out
+        slot, fac = self.space.second_index
+        return self.c[slot] * fac
 
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
@@ -382,6 +389,23 @@ _ELEMENTARY = {
 def seed_variable(index: int, value: float, order: int, nvars: int) -> Jet:
     """Jet of the coordinate function x_index at the given value."""
     return Jet.variable(index, value, order, nvars)
+
+
+def derivative_arrays(jets: np.ndarray, order: int) -> list[np.ndarray]:
+    """[values, first partials, second partials] up to ``order`` of an array of
+    jets sharing one space, as float arrays with the derivative axes first."""
+    jets = np.asarray(jets, dtype=object)
+    space = jets.flat[0].space
+    if order > space.order:
+        raise UsageError(f"derivative order {order} exceeds jet order {space.order}")
+    coeffs = np.array([jet.c for jet in jets.flat]).T  # (space.size, n)
+    out = [coeffs[0].reshape(jets.shape)]
+    if order >= 1:
+        out.append(coeffs[space.first_index].reshape(space.nvars, *jets.shape))
+    if order >= 2:
+        slot, fac = space.second_index
+        out.append((coeffs[slot] * fac[..., None]).reshape(space.nvars, space.nvars, *jets.shape))
+    return out
 
 
 def jet_arith(a: Jet, b: Jet, op: str) -> Jet:

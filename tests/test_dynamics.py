@@ -14,9 +14,10 @@ import pytest
 
 from tbgrav import bundle_geom as bun
 from tbgrav import dynamics as dyn
-from tbgrav.bundle_geom import BundlePoint
+from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import IntegrationError, SingularEvaluationError
-from tbgrav.spacetime import catalog
+from tbgrav.spacetime import catalog, metric_jet
+from tbgrav.tensors import jet_values
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -190,11 +191,72 @@ def test_deviation_linearity():
 
 def test_deviation_accepts_coordinate_rate():
     base = dyn.integrate_worldline(SCHW, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=2.0)
-    n0, _ = dyn._connection_and_tidal(SCHW, base.states[0][:4], base.states[0][4:8], 0.0)
+    n0, _, _ = dyn._connection_and_tidal(SCHW, base.states[0][:4], base.states[0][4:8], 0.0)
     w0 = np.array([0, 0.1, 0.0, 0.0])
     via_W = dyn.integrate_deviation(SCHW, base, w0, W0=n0 @ w0, alpha=0.0)
     via_dw = dyn.integrate_deviation(SCHW, base, w0, dw0=[0, 0, 0, 0], alpha=0.0)
     assert np.allclose(via_W.sample(2.0), via_dw.sample(2.0), atol=1e-12)
+
+
+KERNEL_MODELS = {
+    "schwarzschild": SCHW,
+    "reissner_nordstrom": RN,
+    "uniform_field": UNI,
+    "weak_field": catalog("weak_field", {"M": 1.0}),
+}
+
+
+def _timelike_point(model, rng):
+    if model.coords[1] == "r":
+        x = np.array([rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.4, 2.7), rng.uniform(0, 6.2)])
+    else:
+        x = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(3, 8, size=3)])
+    g = metric_jet(model, x, order=0).values()
+    y = np.empty(4)
+    y[0] = 1.2 / math.sqrt(g[0, 0])
+    y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
+    return x, y
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_float_kernel_matches_jet_route(name, alpha):
+    # the deviation and oracle RHS use the float kernel; the jet route is the reference
+    model = KERNEL_MODELS[name]
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x, y = _timelike_point(model, rng)
+        n, e, acc = dyn._connection_and_tidal(model, x, y, alpha)
+        geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
+        pairs = (
+            (n, jet_values(geo.n_conn)),
+            (e, jet_values(geo.tidal)),
+            (acc, -2 * jet_values(geo.spray)),
+            (acc, dyn.worldline_rhs(model, x, y, alpha=alpha)),
+        )
+        for fast, ref in pairs:
+            assert np.max(np.abs(fast - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("model", [MINK, UNI], ids=["minkowski", "uniform_field"])
+def test_float_kernel_rejects_null_vector(model):
+    with pytest.raises(SingularEvaluationError):
+        dyn._connection_and_tidal(model, [0, 0, 0, 0], [1, 1, 0, 0], 0.5)
+
+
+def test_deviation_hot_path_builds_no_bundle_geometry(monkeypatch):
+    base = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BundleGeometry built on the deviation hot path")
+
+    monkeypatch.setattr(BundleGeometry, "__init__", forbidden)
+    dev = dyn.integrate_deviation(RN, base, w0=[0, 0.1, 0.05, 0], W0=[0, 0, 0, 0.001], alpha=0.5)
+    assert dev.t_end == pytest.approx(1.0)
+    err = dyn.neighbor_oracle(
+        RN, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
+    )
+    assert math.isfinite(err)
 
 
 def test_neighbor_oracle_flat_exact():
