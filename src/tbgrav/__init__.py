@@ -58,7 +58,7 @@ from .errors import (
     UsageError,
 )
 from .exprlang import evaluate, free_symbols, parse, print_expr
-from .jets import Jet, extract_derivative, jet_arith, jet_elementary, seed_variable
+from .jets import Jet, seed_variable
 from .spacetime import (
     SpacetimeModel,
     alpha_star,

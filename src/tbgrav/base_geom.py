@@ -38,54 +38,21 @@ EM_STRESS_SIGN = +1.0
 def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     """Inverse of a 4x4 jet matrix via the truncated Neumann series around the
     inverse of its value part."""
-    order = g[0, 0].order
     g0 = jet_values(g)
     try:
         g0inv = np.linalg.inv(g0)
     except np.linalg.LinAlgError:
         raise SingularEvaluationError("metric value matrix is singular") from None
-    # X = -g0inv . (g - g0); value part of X is zero
-    x = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for m in range(4):
-                term = (g[m, j] - g0[m, j]) * (-g0inv[i, m])
-                acc = term if acc is None else acc + term
-            x[i, j] = acc
-    # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
-    s = np.empty((4, 4), dtype=object)
-    power = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            s[i, j] = x[i, j] + (1.0 if i == j else 0.0)
-            power[i, j] = x[i, j]
-    for _ in range(order - 1):
-        power = _matmul(power, x)
-        for i in range(4):
-            for j in range(4):
-                s[i, j] = s[i, j] + power[i, j]
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for m in range(4):
-                term = s[i, m] * g0inv[m, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for m in range(4):
-                term = a[i, m] * b[m, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
+    # X = -g0inv . (g - g0) has zero value part, so X^(order+1) truncates away;
+    # it is formed transposed so that every product is jet * float
+    x = ((g - g0).T @ -g0inv.T).T
+    s = x.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
+    s[range(4), range(4)] += 1.0
+    power = x
+    for _ in range(g[0, 0].order - 1):
+        power = power @ x
+        s = s + power
+    return s @ g0inv
 
 
 def det_jet_matrix(g: np.ndarray) -> Jet:
@@ -99,19 +66,24 @@ def det_jet_matrix(g: np.ndarray) -> Jet:
             + m[r0, c2] * (m[r1, c0] * m[r2, c1] - m[r1, c1] * m[r2, c0])
         )
 
-    rows = (1, 2, 3)
-    total = None
+    cofactors = np.empty(4, dtype=object)
     for j in range(4):
-        cols = tuple(c for c in range(4) if c != j)
-        term = g[0, j] * det3(g, rows, cols)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+        minor = det3(g, (1, 2, 3), tuple(c for c in range(4) if c != j))
+        cofactors[j] = -minor if j % 2 else minor
+    return g[0] @ cofactors
 
 
 def sqrt_minus_det(g: np.ndarray) -> Jet:
     return (-det_jet_matrix(g)).sqrt()
+
+
+def _symmetric(row) -> np.ndarray:
+    """4x4 object array filled from its upper triangle, ``row(i)`` giving the
+    entries j >= i; mirrored entries share one jet."""
+    out = np.empty((4, 4), dtype=object)
+    for i in range(4):
+        out[i, i:] = out[i:, i] = row(i)
+    return out
 
 
 # -- connection and curvature kernels --------------------------------------------
@@ -129,12 +101,8 @@ def christoffel_jets(g: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarra
     gamma = np.empty((4, 4, 4), dtype=object)
     for j in range(4):
         for k in range(j, 4):
-            for i in range(4):
-                acc = None
-                for h in range(4):
-                    term = ginv[i, h] * (dg[k, h, j] + dg[j, h, k] - dg[h, j, k])
-                    acc = term if acc is None else acc + term
-                gamma[i, j, k] = gamma[i, k, j] = acc * 0.5
+            first_kind = dg[k, :, j] + dg[j, :, k] - dg[:, j, k]  # 2 gamma_hjk over h
+            gamma[:, j, k] = gamma[:, k, j] = (ginv @ first_kind) * 0.5
     return gamma
 
 
@@ -148,31 +116,18 @@ def riemann_jets(gamma: np.ndarray) -> np.ndarray:
                     dgam[k, i, j, l] = dgam[k, i, l, j] = gamma[i, j, l].partial(k)
     riem = np.empty((4, 4, 4, 4), dtype=object)
     zero = gamma[0, 0, 0] * 0.0
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                riem[i, j, k, k] = zero
-            for k in range(4):
-                for l in range(k + 1, 4):
-                    acc = dgam[k, i, j, l] - dgam[l, i, j, k]
-                    for m in range(4):
-                        acc = acc + gamma[i, m, k] * gamma[m, j, l]
-                        acc = acc - gamma[i, m, l] * gamma[m, j, k]
-                    riem[i, j, k, l] = acc
-                    riem[i, j, l, k] = -acc
+    for k in range(4):
+        riem[:, :, k, k] = zero
+        for l in range(k + 1, 4):
+            r = (dgam[k, :, :, l] - dgam[l, :, :, k]
+                 + gamma[:, :, k] @ gamma[:, :, l] - gamma[:, :, l] @ gamma[:, :, k])
+            riem[:, :, k, l] = r
+            riem[:, :, l, k] = -r
     return riem
 
 
 def ricci_jets(riem: np.ndarray) -> np.ndarray:
-    ric = np.empty((4, 4), dtype=object)
-    for j in range(4):
-        for l in range(4):
-            acc = None
-            for i in range(4):
-                term = riem[i, j, i, l]
-                acc = term if acc is None else acc + term
-            ric[j, l] = acc
-    return ric
+    return np.trace(riem, axis1=0, axis2=2)
 
 
 def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,15 +140,15 @@ def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
             fij = a[j].partial(i) - a[i].partial(j)
             f_low[i, j] = fij
             f_low[j, i] = -fij
-    f_mix = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for h in range(4):
-                term = ginv[i, h] * f_low[h, j]
-                acc = term if acc is None else acc + term
-            f_mix[i, j] = acc
-    return f_low, f_mix
+    return f_low, ginv @ f_low
+
+
+def _em_fields(model: SpacetimeModel, x, order: int):
+    """(g_ij, g^ij, F_ij, F^i_j) as jets at x carrying ``order`` levels."""
+    g = metric_jet(model, x, order=order).components
+    a = potential_jet(model, x, order=order, check=False).components
+    ginv = invert_jet_matrix(g)
+    return (g, ginv, *faraday_jets(a, ginv))
 
 
 # -- public operations -----------------------------------------------------------
@@ -232,10 +187,7 @@ def ricci_scalar(model: SpacetimeModel, x) -> float:
 def faraday(model: SpacetimeModel, x, order: int = 1) -> tuple[TensorValue, TensorValue]:
     """Field tensor (F_ij, F^i_j) at x."""
     x = np.asarray(x, dtype=float)
-    g = metric_jet(model, x, order=order + 1)
-    a = potential_jet(model, x, order=order + 1, check=False)
-    ginv = invert_jet_matrix(g.components)
-    f_low, f_mix = faraday_jets(a.components, ginv)
+    _, _, f_low, f_mix = _em_fields(model, x, order + 1)
     return TensorValue(f_low, "ll", point=x), TensorValue(f_mix, "ul", point=x)
 
 
@@ -246,11 +198,8 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
     J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij) uses the densitized form.
     """
     x = np.asarray(x, dtype=float)
-    g = metric_jet(model, x, order=3)
-    a = potential_jet(model, x, order=3, check=False)
-    ginv = invert_jet_matrix(g.components)
-    gamma = christoffel_jets(g.components, ginv)
-    f_low, f_mix = faraday_jets(a.components, ginv)
+    g, ginv, f_low, f_mix = _em_fields(model, x, 3)
+    gamma = christoffel_jets(g, ginv)
 
     def cov_dF(i, j, k):
         acc = f_low[j, k].partial(i)
@@ -265,15 +214,8 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
             for k in range(4):
                 h[i, j, k] = (cov_dF(i, j, k) + cov_dF(k, i, j) + cov_dF(j, k, i)).value
 
-    s = sqrt_minus_det(g.components)
-    f_up = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for b in range(4):
-                term = f_mix[i, b] * ginv[j, b]
-                acc = term if acc is None else acc + term
-            f_up[i, j] = acc
+    s = sqrt_minus_det(g)
+    f_up = f_mix @ ginv.T
     j_vec = np.zeros(4)
     coeff = -model.c / (4.0 * math.pi)
     for i in range(4):
@@ -285,69 +227,38 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
 
 
 def em_stress_energy_jets(g, ginv, f_low, f_mix) -> np.ndarray:
-    # F^{lm} F_lm with F^{lm} = F^l_a g^{am}
-    f2 = None
-    for l in range(4):
-        for m in range(4):
-            fup = None
-            for a_ in range(4):
-                t = f_mix[l, a_] * ginv[a_, m]
-                fup = t if fup is None else fup + t
-            term = fup * f_low[l, m]
-            f2 = term if f2 is None else f2 + term
-    t = np.empty((4, 4), dtype=object)
+    quarter_f2 = np.sum((f_mix @ ginv) * f_low) * 0.25  # F^{lm} F_lm / 4, F^{lm} = F^l_a g^{am}
     coeff = EM_STRESS_SIGN / (4.0 * math.pi)
-    for i in range(4):
-        for j in range(i, 4):
-            acc = None
-            for l in range(4):
-                term = f_low[i, l] * f_mix[l, j]  # -F_il F_j^l = +F_il F^l_j
-                acc = term if acc is None else acc + term
-            acc = acc + g[i, j] * f2 * 0.25
-            t[i, j] = t[j, i] = acc * coeff
-    return t
+    # -F_il F_j^l = +F_il F^l_j
+    return _symmetric(lambda i: (f_low[i] @ f_mix[:, i:] + g[i, i:] * quarter_f2) * coeff)
 
 
 def em_stress_energy(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
     """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
     x = np.asarray(x, dtype=float)
-    g = metric_jet(model, x, order=order + 1)
-    a = potential_jet(model, x, order=order + 1, check=False)
-    ginv = invert_jet_matrix(g.components)
-    f_low, f_mix = faraday_jets(a.components, ginv)
-    t = em_stress_energy_jets(g.components, ginv, f_low, f_mix)
+    t = em_stress_energy_jets(*_em_fields(model, x, order + 1))
     return TensorValue(t, "ll", point=x, symmetry=(0, 1))
 
 
-def einstein_jets(g, ginv, order_used: int) -> np.ndarray:
-    gamma = christoffel_jets(g, ginv)
-    ric = ricci_jets(riemann_jets(gamma))
-    scalar = None
-    for j in range(4):
-        for l in range(4):
-            term = ginv[j, l] * ric[j, l]
-            scalar = term if scalar is None else scalar + term
-    gt = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(i, 4):
-            gt[i, j] = gt[j, i] = ric[i, j] - g[i, j] * scalar * 0.5
-    return gt
+def einstein_jets(g, ginv) -> np.ndarray:
+    ric = ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
+    half_scalar = np.sum(ginv * ric) * 0.5
+    return _symmetric(lambda i: ric[i, i:] - g[i, i:] * half_scalar)
+
+
+def _einstein_maxwell_jets(model: SpacetimeModel, x, order: int):
+    """(CEM_ij, g^ij) with CEM_ij = G_ij - (8 pi k / c^4) T^f_ij."""
+    g, ginv, f_low, f_mix = _em_fields(model, x, order)
+    gt = einstein_jets(g, ginv)
+    t = em_stress_energy_jets(g, ginv, f_low, f_mix)
+    kappa = 8.0 * math.pi * model.k / model.c**4
+    return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa), ginv
 
 
 def classical_einstein_maxwell(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
     """CEM_ij = G_ij - (8 pi k / c^4) T^f_ij; zero on electrovacuum solutions."""
     x = np.asarray(x, dtype=float)
-    g = metric_jet(model, x, order=order + 2)
-    a = potential_jet(model, x, order=order + 2, check=False)
-    ginv = invert_jet_matrix(g.components)
-    gt = einstein_jets(g.components, ginv, order)
-    f_low, f_mix = faraday_jets(a.components, ginv)
-    t = em_stress_energy_jets(g.components, ginv, f_low, f_mix)
-    kappa = 8.0 * math.pi * model.k / model.c**4
-    cem = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(i, 4):
-            cem[i, j] = cem[j, i] = gt[i, j] - t[i, j] * kappa
+    cem, _ = _einstein_maxwell_jets(model, x, order + 2)
     return TensorValue(cem, "ll", point=x, symmetry=(0, 1))
 
 
@@ -378,17 +289,8 @@ def covariant_divergence(model: SpacetimeModel, x, field, order: int = 3) -> np.
 
 
 def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """S^{ij} = g^{ia} g^{jb} S_ab for 4x4 object arrays."""
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for a in range(4):
-                for b in range(4):
-                    term = ginv[i, a] * ginv[j, b] * s_low[a, b]
-                    acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
+    """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 object array."""
+    return _symmetric(lambda i: ginv[i:] @ (ginv[i] @ s_low))
 
 
 # Re-evaluable S^{ij} handles for covariant_divergence -----------------------------
@@ -399,34 +301,19 @@ def inverse_metric_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
 
 
 def em_stress_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    g = metric_jet(model, x, order=order)
-    a = potential_jet(model, x, order=order, check=False)
-    ginv = invert_jet_matrix(g.components)
-    f_low, f_mix = faraday_jets(a.components, ginv)
-    t = em_stress_energy_jets(g.components, ginv, f_low, f_mix)
-    return raise_both_indices(t, ginv)
+    g, ginv, f_low, f_mix = _em_fields(model, x, order)
+    return raise_both_indices(em_stress_energy_jets(g, ginv, f_low, f_mix), ginv)
 
 
 def einstein_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
     g = metric_jet(model, x, order=order)
     ginv = invert_jet_matrix(g.components)
-    return raise_both_indices(einstein_jets(g.components, ginv, order), ginv)
+    return raise_both_indices(einstein_jets(g.components, ginv), ginv)
 
 
 def cem_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
     """Upper-index classical Einstein-Maxwell combination as a field handle."""
-    g = metric_jet(model, x, order=order)
-    a = potential_jet(model, x, order=order, check=False)
-    ginv = invert_jet_matrix(g.components)
-    gt = einstein_jets(g.components, ginv, order)
-    f_low, f_mix = faraday_jets(a.components, ginv)
-    t = em_stress_energy_jets(g.components, ginv, f_low, f_mix)
-    kappa = 8.0 * math.pi * model.k / model.c**4
-    cem = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            cem[i, j] = gt[i, j] - t[i, j] * kappa
-    return raise_both_indices(cem, ginv)
+    return raise_both_indices(*_einstein_maxwell_jets(model, x, order))
 
 
 # -- float point kernel (hot paths in dynamics) ------------------------------------

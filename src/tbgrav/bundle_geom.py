@@ -13,7 +13,12 @@ and the curvature ladder is built from the tidal tensor
 
 Everything is evaluated on joint 8-variable jets (x in slots 0-3, y in slots
 4-7).  Fiber derivatives of B use the explicit closed forms; the pure jet
-route is kept alongside as a cross-check (``fiber_derivs_B``).
+route is kept alongside as a cross-check (``fiber_derivs_B``).  Contractions
+of jet arrays are NumPy object-array products (``@``, ``np.tensordot``,
+``np.sum``, ``np.trace``), which multiply and add jets in the same
+left-to-right order as an explicit loop; ``np.einsum`` is used on float arrays
+only, because on object arrays it starts every output from ``0 + jet``, one
+extra coerced addition per entry.
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -122,12 +127,7 @@ class BundleGeometry:
 
     @cached_property
     def norm2(self) -> Jet:
-        acc = None
-        for i in range(4):
-            for j in range(4):
-                term = self.g[i, j] * self.yj[i] * self.yj[j]
-                acc = term if acc is None else acc + term
-        return acc
+        return self.yj @ self.g @ self.yj
 
     @cached_property
     def norm(self) -> Jet:
@@ -145,14 +145,7 @@ class BundleGeometry:
 
     @cached_property
     def l_low(self) -> np.ndarray:
-        out = np.empty(4, dtype=object)
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                term = self.g[i, j] * self.l_up[j]
-                acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+        return self.g @ self.l_up
 
     @cached_property
     def l_hess(self) -> np.ndarray:
@@ -168,14 +161,7 @@ class BundleGeometry:
     def f_vec(self) -> np.ndarray:
         """F^i = F^i_j y^j."""
         _, f_mix = self.faraday
-        out = np.empty(4, dtype=object)
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                term = f_mix[i, j] * self.yj[j]
-                acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+        return f_mix @ self.yj
 
     # -- spray family -----------------------------------------------------------
 
@@ -188,15 +174,7 @@ class BundleGeometry:
     @cached_property
     def spray(self) -> np.ndarray:
         """G^i = (1/2) gamma^i_jk y^j y^k + B^i."""
-        out = np.empty(4, dtype=object)
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                for k in range(4):
-                    term = self.gamma[i, j, k] * self.yj[j] * self.yj[k]
-                    acc = term if acc is None else acc + term
-            out[i] = acc * 0.5 + self.b_up[i]
-        return out
+        return (self.n_conn0 @ self.yj) * 0.5 + self.b_up
 
     @cached_property
     def b_j(self) -> np.ndarray:
@@ -229,27 +207,12 @@ class BundleGeometry:
     @cached_property
     def n_conn(self) -> np.ndarray:
         """N^i_j = gamma^i_jk y^k + B^i_.j."""
-        out = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                acc = self.b_j[i, j]
-                for k in range(4):
-                    acc = acc + self.gamma[i, j, k] * self.yj[k]
-                out[i, j] = acc
-        return out
+        return self.n_conn0 + self.b_j
 
     @cached_property
     def n_conn0(self) -> np.ndarray:
-        """alpha=0 connection gamma^i_jk y^k (used by the frozen divergence term)."""
-        out = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                acc = None
-                for k in range(4):
-                    term = self.gamma[i, j, k] * self.yj[k]
-                    acc = term if acc is None else acc + term
-                out[i, j] = acc
-        return out
+        """alpha=0 connection gamma^i_jk y^k (alone in the frozen divergence term)."""
+        return self.gamma @ self.yj
 
     @cached_property
     def berwald(self) -> np.ndarray:
@@ -293,15 +256,7 @@ class BundleGeometry:
     @cached_property
     def tidal(self) -> np.ndarray:
         """E^i_j = R^i_jk y^k."""
-        out = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                acc = None
-                for k in range(4):
-                    term = self.n_curvature[i, j, k] * self.yj[k]
-                    acc = term if acc is None else acc + term
-                out[i, j] = acc
-        return out
+        return self.n_curvature @ self.yj
 
     @cached_property
     def d_riemann(self) -> np.ndarray:
@@ -318,9 +273,7 @@ class BundleGeometry:
     @cached_property
     def d_ricci(self) -> np.ndarray:
         """R_jl = -(1/2)(E^i_i)_.jl as float values (a fiber Hessian, symmetric)."""
-        trace = None
-        for i in range(4):
-            trace = self.tidal[i, i] if trace is None else trace + self.tidal[i, i]
+        trace = np.trace(self.tidal)
         out = np.empty((4, 4))
         for j in range(4):
             dj = trace.partial(Y_SLOT0 + j)
@@ -352,14 +305,7 @@ class BundleGeometry:
     @cached_property
     def div_term(self) -> float:
         """delta0-divergence of X^i = g^{jk} B^i_.jk (frozen convention)."""
-        x_vec = np.empty(4, dtype=object)
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                for k in range(4):
-                    term = self.ginv[j, k] * self.b_jk[i, j, k]
-                    acc = term if acc is None else acc + term
-            x_vec[i] = acc
+        x_vec = np.tensordot(self.ginv, self.b_jk, axes=((0, 1), (1, 2)))
         total = 0.0
         for i in range(4):
             di = self.delta(x_vec[i], i, connection=self.n_conn0)
@@ -369,17 +315,17 @@ class BundleGeometry:
         return total
 
     @cached_property
+    def b_trace2(self) -> Jet:
+        """B^i_.h B^h_.i."""
+        return np.sum(self.b_j * self.b_j.T)
+
+    @cached_property
     def quad_term(self) -> float:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
-        s = None
-        for i in range(4):
-            for h in range(4):
-                term = self.b_j[i, h] * self.b_j[h, i]
-                s = term if s is None else s + term
         ginv = jet_values(self.ginv)
         total = 0.0
         for j in range(4):
-            dj = s.partial(Y_SLOT0 + j)
+            dj = self.b_trace2.partial(Y_SLOT0 + j)
             for k in range(4):
                 total += -0.5 * ginv[j, k] * dj.partial(Y_SLOT0 + k).value
         return total
@@ -387,23 +333,8 @@ class BundleGeometry:
     @cached_property
     def b_scalar(self) -> Jet:
         """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a jet."""
-        b_low = np.empty(4, dtype=object)
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                term = self.g[i, j] * self.b_up[j]
-                acc = term if acc is None else acc + term
-            b_low[i] = acc
-        bb = None
-        for l in range(4):
-            term = self.b_up[l] * b_low[l]
-            bb = term if bb is None else bb + term
-        s = None
-        for i in range(4):
-            for h in range(4):
-                term = self.b_j[i, h] * self.b_j[h, i]
-                s = term if s is None else s + term
-        return bb / self.norm2 * 1.5 + s * 0.5
+        bb = self.b_up @ (self.g @ self.b_up)
+        return bb / self.norm2 * 1.5 + self.b_trace2 * 0.5
 
 
 # -- public operations ------------------------------------------------------------
@@ -535,17 +466,11 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     geo = BundleGeometry(model, p, order=4, alpha=alpha)
     a = geo.alpha
 
-    g = metric_jet(model, p.x, order=2)
-    ginv = base_geom.invert_jet_matrix(g.components)
-    gt = base_geom.einstein_jets(g.components, ginv, 0)
-    apot = potential_jet(model, p.x, order=2, check=False)
-    f_low, f_mix = base_geom.faraday_jets(apot.components, ginv)
-    t_em = base_geom.em_stress_energy_jets(g.components, ginv, f_low, f_mix)
+    g, ginv, f_low, f_mix = base_geom._em_fields(model, p.x, 2)
+    gt = base_geom.einstein_jets(g, ginv)
+    t_em = base_geom.em_stress_energy_jets(g, ginv, f_low, f_mix)
     coupling = 8.0 * math.pi * (1.5 * a**2)
-    variational = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            variational[i, j] = gt[i, j].value - coupling * t_em[i, j].value
+    variational = jet_values(gt) - coupling * jet_values(t_em)
 
     r_tilde = geo.base_ricci_scalar + 1.5 * a**2 * geo.f_squared
     _, b_hess = _b_hessian(geo)

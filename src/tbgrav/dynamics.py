@@ -31,8 +31,8 @@ import numpy as np
 
 from . import base_geom
 from .bundle_geom import connection_and_tidal_values
-from .errors import IntegrationError, SingularEvaluationError, UsageError
-from .spacetime import SpacetimeModel, metric_jet
+from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
+from .spacetime import SpacetimeModel, metric_jet, potential_jet
 
 NULL_CONE_GUARD = 1e-6
 
@@ -189,10 +189,7 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = base_geom.timelike_norm(metric_jet(model, x, order=0).values(), y)
-    env = model.coord_env(x, order=0)
-    from .exprlang import evaluate
-
-    a_vals = np.array([evaluate(e, env).value for e in model.a_exprs])
+    a_vals = potential_jet(model, x, order=0, check=False).values()
     return norm + alpha * float(a_vals @ y)
 
 
@@ -221,12 +218,10 @@ def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
 def _chart_and_cone_guard(model: SpacetimeModel):
     def guard(t, state):
         x, y = state[:4], state[4:8]
-        if model.chart_guard is not None:
-            from .exprlang import evaluate
-
-            val = evaluate(model.chart_guard, model.coord_env(x, order=0)).value
-            if not val > 0:
-                raise IntegrationError(f"worldline left the chart at t={t} (guard {val})")
+        try:
+            model.check_chart(x)
+        except ChartError as err:
+            raise IntegrationError(f"worldline left the chart at t={t} ({err})") from None
         g = metric_jet(model, x, order=0, check=False).values()
         n2 = float(y @ g @ y)
         if n2 < NULL_CONE_GUARD:

@@ -9,7 +9,7 @@ or by shifting jet coefficients (``partial``), never by finite differences.
 Coefficients are Taylor coefficients (derivative / multi-index factorial),
 stored densely in graded-lexicographic order.  Arithmetic between jets of the
 same variable count but different orders truncates to the coarser operand;
-the strict same-order contract is enforced by :func:`jet_arith`.
+jets of different variable counts do not mix.
 """
 
 from __future__ import annotations
@@ -374,16 +374,7 @@ class Jet:
         return self._compose(taylor)
 
 
-# -- spec-level functional surface ------------------------------------------
-
-_ELEMENTARY = {
-    "sqrt": Jet.sqrt,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "exp": Jet.exp,
-    "ln": Jet.ln,
-    "abs": Jet.abs,
-}
+# -- seeding and derivative arrays ---------------------------------------------
 
 
 def seed_variable(index: int, value: float, order: int, nvars: int) -> Jet:
@@ -406,38 +397,3 @@ def derivative_arrays(jets: np.ndarray, order: int) -> list[np.ndarray]:
         slot, fac = space.second_index
         out.append((coeffs[slot] * fac[..., None]).reshape(space.nvars, space.nvars, *jets.shape))
     return out
-
-
-def jet_arith(a: Jet, b: Jet, op: str) -> Jet:
-    """Strict arithmetic: both jets must share (order, nvars)."""
-    if not isinstance(a, Jet) or not isinstance(b, Jet):
-        raise UsageError("jet_arith expects two Jet operands")
-    if (a.order, a.nvars) != (b.order, b.nvars):
-        raise UsageError(
-            f"jet space mismatch: ({a.order},{a.nvars}) vs ({b.order},{b.nvars})"
-        )
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise UsageError(f"unknown jet operation {op!r}")
-
-
-def jet_elementary(a: Jet, fn: str, exponent: float | None = None) -> Jet:
-    """Apply a univariate elementary function to a jet."""
-    if fn == "pow_const":
-        if exponent is None:
-            raise UsageError("pow_const requires an exponent")
-        return a.pow_const(exponent)
-    try:
-        return _ELEMENTARY[fn](a)
-    except KeyError:
-        raise UsageError(f"unknown elementary function {fn!r}") from None
-
-
-def extract_derivative(a: Jet, multi: tuple[int, ...]) -> float:
-    return a.derivative(multi)

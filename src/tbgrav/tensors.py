@@ -45,12 +45,7 @@ class TensorValue:
 
     def values(self) -> np.ndarray:
         """Float array of jet values (or the components themselves if numeric)."""
-        if self.components.dtype != object:
-            return self.components.astype(float)
-        out = np.empty(self.components.shape)
-        for idx in np.ndindex(self.components.shape):
-            out[idx] = self.components[idx].value
-        return out
+        return jet_values(self.components)
 
 
 def _close(a, b) -> bool:

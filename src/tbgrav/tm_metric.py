@@ -13,6 +13,7 @@ reproduces its base integral.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -161,6 +162,18 @@ def fiber_integral(
     return total
 
 
+def _box_rule(box, base_nodes: int):
+    """Yield (x, weight) of the tensor-product Gauss-Legendre rule over a box of
+    four (lo, hi) coordinate intervals, first coordinate outermost."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    if len(box) != 4:
+        raise UsageError("box must give four coordinate intervals")
+    bx, bw = np.polynomial.legendre.leggauss(base_nodes)
+    axes = [zip(0.5 * (hi - lo) * (bx + 1.0) + lo, 0.5 * (hi - lo) * bw) for lo, hi in box]
+    for (x0, w0), (x1, w1), (x2, w2), (x3, w3) in itertools.product(*axes):
+        yield np.array([x0, x1, x2, x3]), w0 * w1 * w2 * w3
+
+
 def tm_integral(
     model: SpacetimeModel,
     box,
@@ -173,46 +186,21 @@ def tm_integral(
     ``box`` is a sequence of four (lo, hi) coordinate intervals inside the
     chart.  For y-independent f this equals the base integral of f sqrt(-g).
     """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != 4:
-        raise UsageError("box must give four coordinate intervals")
-    bx, bw = np.polynomial.legendre.leggauss(base_nodes)
-    axes, weights = [], []
-    for lo, hi in box:
-        axes.append(0.5 * (hi - lo) * (bx + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * bw)
     total = 0.0
-    for i0, x0 in enumerate(axes[0]):
-        for i1, x1 in enumerate(axes[1]):
-            for i2, x2 in enumerate(axes[2]):
-                for i3, x3 in enumerate(axes[3]):
-                    x = np.array([x0, x1, x2, x3])
-                    wx = weights[0][i0] * weights[1][i1] * weights[2][i2] * weights[3][i3]
-                    g = metric_jet(model, x, order=0).values()
-                    det = np.linalg.det(g)
-                    fib = fiber_integral(model, x, lambda y: f(x, y), nodes=fiber_nodes)
-                    total += wx * math.sqrt(-det) * fib
+    for x, wx in _box_rule(box, base_nodes):
+        det = np.linalg.det(metric_jet(model, x, order=0).values())
+        fib = fiber_integral(model, x, lambda y: f(x, y), nodes=fiber_nodes)
+        total += wx * math.sqrt(-det) * fib
     return total
 
 
 def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
     """Reference rule: integral of f(x) sqrt(-g) over the box (same base rule
     as tm_integral)."""
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    bx, bw = np.polynomial.legendre.leggauss(base_nodes)
-    axes, weights = [], []
-    for lo, hi in box:
-        axes.append(0.5 * (hi - lo) * (bx + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * bw)
     total = 0.0
-    for i0, x0 in enumerate(axes[0]):
-        for i1, x1 in enumerate(axes[1]):
-            for i2, x2 in enumerate(axes[2]):
-                for i3, x3 in enumerate(axes[3]):
-                    x = np.array([x0, x1, x2, x3])
-                    wx = weights[0][i0] * weights[1][i1] * weights[2][i2] * weights[3][i3]
-                    det = np.linalg.det(metric_jet(model, x, order=0).values())
-                    total += wx * math.sqrt(-det) * f(x)
+    for x, wx in _box_rule(box, base_nodes):
+        det = np.linalg.det(metric_jet(model, x, order=0).values())
+        total += wx * math.sqrt(-det) * f(x)
     return total
 
 

@@ -142,20 +142,19 @@ def sample_bundle_points(model: SpacetimeModel, rng, n: int, box=None) -> list[B
 
 
 
-def _map_points(items, fn):
-    """Per-point evaluation; singular points are recorded, not fatal."""
+def _map_points(items, fn, notes: str = ""):
+    """Per-point evaluation; singular points are counted, not fatal."""
     residuals, skipped = [], 0
     for item in items:
         try:
             residuals.append(float(fn(item)))
         except EngineError:
             skipped += 1
-    note = f"{skipped} point(s) skipped: singular evaluation; " if skipped else ""
-    return residuals, note
+    return residuals, skipped, notes
 
 
 # -- individual checks ------------------------------------------------------------------
-# each returns (list of per-point residuals, optional notes)
+# each returns (list of per-point residuals, number of skipped points, notes)
 
 
 def _check_metric_symmetry(model, rng, n):
@@ -165,8 +164,11 @@ def _check_metric_symmetry(model, rng, n):
         signature_ok = int(np.sum(eig > 0)) == 1 and int(np.sum(eig < 0)) == 3
         return np.max(np.abs(g - g.T)) + (0.0 if signature_ok else 1.0)
 
-    res, skip = _map_points(sample_points(model, rng, n), residual)
-    return res, skip + "symmetry defect plus a unit penalty unless signature is (+,-,-,-)"
+    return _map_points(
+        sample_points(model, rng, n),
+        residual,
+        "symmetry defect plus a unit penalty unless signature is (+,-,-,-)",
+    )
 
 
 def _check_riemann_symmetries(model, rng, n):
@@ -205,11 +207,11 @@ def _check_maxwell_homogeneous(model, rng, n):
 
 
 def _check_maxwell_current(model, rng, n):
-    res, skip = _map_points(
+    return _map_points(
         sample_points(model, rng, n),
         lambda x: np.max(np.abs(base_geom.maxwell_residuals(model, x)[1])),
+        "source-free potentials only",
     )
-    return res, skip + "source-free potentials only"
 
 
 def _check_stress_trace(model, rng, n):
@@ -230,11 +232,11 @@ def _check_homogeneity_ladder(model, rng, n):
         (lambda m, q, a: bundle_geom.d_curvature(m, q, alpha=a)[1], 0),
         (lambda m, q, a: bundle_geom.b_scalar_and_hessian(m, q, alpha=a)[1], 0),
     ]
-    res, skip = _map_points(
+    return _map_points(
         sample_bundle_points(model, rng, n),
         lambda p: max(bundle_geom.homogeneity_ratio(model, p, fn, deg) for fn, deg in cases),
+        "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)",
     )
-    return res, skip + "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)"
 
 
 def _check_fiber_derivs_agreement(model, rng, n):
@@ -309,11 +311,11 @@ def _check_theorem1_residual(model, rng, n):
 
 
 def _check_gen_einstein_comparison(model, rng, n):
-    res, skip = _map_points(
+    return _map_points(
         sample_bundle_points(model, rng, n),
         lambda p: bundle_geom.generalized_einstein(model, p)["difference"],
+        "reported only: literal bundle assembly vs variational tensor",
     )
-    return res, skip + "reported only: literal bundle assembly vs variational tensor"
 
 
 def _check_det_fiber_metric(model, rng, n):
@@ -351,20 +353,16 @@ def _check_divergence_lift(model, rng, n):
         base = tm_metric.base_divergence_values(model, p.x, components)
         return abs(lifted - base) / (abs(base) + 1.0)
 
-    res, skip = _map_points(sample_bundle_points(model, rng, min(n, 5)), residual)
-    return res, skip + "random affine base fields"
+    return _map_points(
+        sample_bundle_points(model, rng, min(n, 5)), residual, "random affine base fields"
+    )
 
 
 def _gen_einstein_upper_field(model, x, order):
     """Upper-index variational tensor G^{ij} - 12 pi alpha^2 T^f{}^{ij}."""
     gt = base_geom.einstein_upper_field(model, x, order)
     tf = base_geom.em_stress_upper_field(model, x, order)
-    coupling = 12.0 * math.pi * model.alpha**2
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = gt[i, j] - tf[i, j] * coupling
-    return out
+    return gt - tf * (12.0 * math.pi * model.alpha**2)
 
 
 def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
@@ -373,11 +371,11 @@ def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
 
 
 def _check_conservation(model, rng, n):
-    res, skip = _map_points(
+    return _map_points(
         sample_points(model, rng, n),
         lambda x: np.max(np.abs(conservation_residual(model, x))),
+        "source-free models: the variational tensor is divergence-free",
     )
-    return res, skip + "source-free models: the variational tensor is divergence-free"
 
 
 REGISTRY = [
@@ -427,18 +425,19 @@ def run_suite(
             continue
         rng = np.random.default_rng([seed, index])
         try:
-            residuals, notes = fn(model, rng, n_points)
-            failures = ""
+            residuals, skipped, notes = fn(model, rng, n_points)
         except EngineError as err:
-            residuals, notes = [], ""
-            failures = f"check aborted: {err}"
+            residuals, skipped, notes = [], 0, f"check aborted: {err}"
+        if skipped:
+            notes = f"{skipped} point(s) skipped: singular evaluation; {notes}"
         if name in _FIXED_TOLERANCES:
             tolerance = _FIXED_TOLERANCES[name]
         else:
             tolerance = tiers[tier]
         max_res = float(np.max(residuals)) if residuals else float("nan")
         mean_res = float(np.mean(residuals)) if residuals else float("nan")
-        passed = bool(residuals) and (tolerance is None or max_res <= tolerance)
+        # a check passes only on every requested point: a skipped point fails it
+        passed = bool(residuals) and not skipped and (tolerance is None or max_res <= tolerance)
         reports.append(
             ResidualReport(
                 check=name,
@@ -451,7 +450,7 @@ def run_suite(
                 mean_residual=mean_res,
                 seed=seed,
                 conventions=_conventions(model),
-                notes=failures or notes,
+                notes=notes,
             )
         )
     return reports

@@ -432,6 +432,31 @@ def test_generalized_einstein_minkowski():
     assert ge["difference"] <= 1e-12
 
 
+def test_jet_operation_budget(monkeypatch):
+    """Jet products and operand coercions of one ricci_decomposition plus one
+    generalized_einstein call stay at or below the counts measured at commit
+    f0b4d304e21142718c391faa789324e45169f608 (hand-rolled contraction loops)."""
+    counts = {"mul": 0, "coerce": 0}
+    mul, coerce = Jet.__mul__, Jet._coerce
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_coerce(self, other):
+        counts["coerce"] += 1
+        return coerce(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    monkeypatch.setattr(Jet, "__rmul__", counted_mul)
+    monkeypatch.setattr(Jet, "_coerce", counted_coerce)
+    p = BundlePoint(X_RN, Y_RN)
+    bun.ricci_decomposition(RN, p)
+    bun.generalized_einstein(RN, p)
+    assert counts["mul"] <= 5582
+    assert counts["coerce"] <= 11371
+
+
 # -- homogeneity ladder ------------------------------------------------------------------------
 
 

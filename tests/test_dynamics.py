@@ -136,6 +136,13 @@ def test_chart_exit_detected():
         dyn.integrate_worldline(SCHW, [0.0, 3.0, math.pi / 2, 0.0], y0, alpha=0.0, t_end=50.0)
 
 
+def test_chart_guard_reports_chart_exit():
+    guard = dyn._chart_and_cone_guard(SCHW)
+    guard(0.5, np.array([0.0, 3.0, math.pi / 2, 0.0, 2.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(IntegrationError, match=r"worldline left the chart at t=0.5 \("):
+        guard(0.5, np.array([0.0, 1.5, math.pi / 2, 0.0, 2.0, 0.0, 0.0, 0.0]))
+
+
 def test_compare_classical_neutral_geodesic():
     assert dyn.compare_classical(SCHW, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=10.0) <= 1e-10
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbgrav import verify
+from tbgrav.errors import SingularEvaluationError
 from tbgrav.spacetime import catalog, metric_jet
 
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
@@ -109,14 +110,28 @@ def test_singular_points_recorded_not_fatal():
     def flaky(x):
         calls.append(x)
         if len(calls) % 2 == 0:
-            from tbgrav.errors import SingularEvaluationError
-
             raise SingularEvaluationError("boom", value=0.0)
         return 1e-12
 
-    residuals, note = verify._map_points(range(6), flaky)
+    residuals, skipped, _ = verify._map_points(range(6), flaky)
     assert residuals == [1e-12] * 3
-    assert "3 point(s) skipped" in note
+    assert skipped == 3
+
+
+def test_skipped_point_fails_check(monkeypatch):
+    def one_singular(model, rng, n):
+        def residual(x):
+            if x[0] == 0:
+                raise SingularEvaluationError("boom", value=0.0)
+            return 0.0
+
+        return verify._map_points([[k] for k in range(n)], residual, "stub check")
+
+    monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, one_singular)])
+    (report,) = verify.run_suite(MINK, seed=0, n_points=5, selection=["metric_symmetry"])
+    assert report.residuals == [0.0] * 4
+    assert report.notes == "1 point(s) skipped: singular evaluation; stub check"
+    assert report.passed is False
 
 
 def test_reports_carry_conventions_and_seed():
