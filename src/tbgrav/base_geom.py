@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .exprlang import Const
 from .jets import Jet, derivative_arrays
-from .spacetime import SpacetimeModel, metric_jet, potential_jet
+from .spacetime import SpacetimeModel, metric_jet, metric_values, potential_jet
 from .tensors import TensorValue, jet_values
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
@@ -201,18 +200,15 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
     g, ginv, f_low, f_mix = _em_fields(model, x, 3)
     gamma = christoffel_jets(g, ginv)
 
-    def cov_dF(i, j, k):
+    cov_df = np.empty((4, 4, 4), dtype=object)  # cov_df[i,j,k] = nabla_i F_jk
+    for i, j, k in np.ndindex(4, 4, 4):
         acc = f_low[j, k].partial(i)
         for m in range(4):
             acc = acc - gamma[m, i, j] * f_low[m, k]
             acc = acc - gamma[m, i, k] * f_low[j, m]
-        return acc
-
-    h = np.zeros((4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                h[i, j, k] = (cov_dF(i, j, k) + cov_dF(k, i, j) + cov_dF(j, k, i)).value
+        cov_df[i, j, k] = acc
+    # h[i,j,k] = nabla_i F_jk + nabla_k F_ij + nabla_j F_ki
+    h = jet_values(cov_df + cov_df.transpose(1, 2, 0) + cov_df.transpose(2, 0, 1))
 
     s = sqrt_minus_det(g)
     f_up = f_mix @ ginv.T
@@ -369,8 +365,8 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
 
 def has_field(model: SpacetimeModel, coupling: float) -> bool:
     """False when F cannot enter the dynamics: zero coupling or a potential
-    whose components are all the literal 0."""
-    return coupling != 0.0 and not all(isinstance(e, Const) and e.value == 0.0 for e in model.a_exprs)
+    whose every component folds to 0 on its compiled tape."""
+    return coupling != 0.0 and not all(v == 0.0 for v in model.potential_tape.constants)
 
 
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
@@ -382,7 +378,7 @@ def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
 
 
 def metric_and_inverse_values(model: SpacetimeModel, x, check: bool = False):
-    g = metric_jet(model, x, order=0, check=check).values()
+    g = metric_values(model, x, check=check)
     return g, np.linalg.inv(g)
 
 

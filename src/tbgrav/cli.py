@@ -27,7 +27,7 @@ from .errors import (
     SingularEvaluationError,
     UsageError,
 )
-from .spacetime import alpha_star, catalog, load_model, metric_jet, potential_jet, signature_signs
+from .spacetime import alpha_star, catalog, load_model, metric_values, potential_jet, signature_signs
 from .tensors import jet_values
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
@@ -110,7 +110,7 @@ def _cmd_inspect(args) -> int:
     }
     if args.x is not None:
         x = _vec(args.x, "--x")
-        g = metric_jet(model, x, order=0).values()
+        g = metric_values(model, x)
         a = jet_values(potential_jet(model, x, order=0).components)
         f_low, _ = base_geom.faraday_values(model, x)
         payload["at"] = {
@@ -210,7 +210,7 @@ def _cmd_integrate_volume(args) -> int:
     model = _resolve_model(args)
     x = _vec(args.x, "--x")
     fm = tm_metric.fiber_metric(model, x)
-    g = metric_jet(model, x, order=0).values()
+    g = metric_values(model, x)
     vol, report = tm_metric.fiber_integral(model, x, lambda y: 1.0, return_report=True)
     payload = {
         "x": x.tolist(),

@@ -32,7 +32,7 @@ import numpy as np
 from . import base_geom
 from .bundle_geom import connection_and_tidal_values
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
-from .spacetime import SpacetimeModel, metric_jet, potential_jet
+from .spacetime import SpacetimeModel, metric_values, potential_jet
 
 NULL_CONE_GUARD = 1e-6
 
@@ -71,13 +71,19 @@ class DeviationState:
 
 @dataclass
 class Trajectory:
-    """Accepted steps with cubic Hermite dense output."""
+    """Accepted steps with cubic Hermite dense output, and the integrator's
+    counts: accepted steps, RHS calls, steps rejected by the error test,
+    attempts abandoned on a singular stage, and the smallest accepted step
+    (inf when none was accepted)."""
 
     times: np.ndarray  # accepted step times, shape (n,)
     states: np.ndarray  # shape (n, dim)
     derivs: np.ndarray  # shape (n, dim)
     n_steps: int
     n_rhs: int
+    n_rejected: int
+    n_singular_retries: int
+    h_min: float
 
     @property
     def t_end(self) -> float:
@@ -124,7 +130,8 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
     if np.max(np.abs(f)) > 0:
         h = min(h, 0.1 * scale0 / np.max(np.abs(f)))
     times, states, derivs = [t], [y.copy()], [f.copy()]
-    n_steps = 0
+    n_steps = n_rejected = n_singular_retries = 0
+    h_min = math.inf
     err_prev = 1.0
     consecutive_failures = 0
     k = np.empty((7, y.size))
@@ -149,6 +156,7 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
                 break
             n_rhs += 1
         if failed:
+            n_singular_retries += 1
             h *= 0.25
             continue
         consecutive_failures = 0
@@ -164,12 +172,14 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
             states.append(y.copy())
             derivs.append(f.copy())
             n_steps += 1
+            h_min = min(h_min, h)
             if guard is not None:
                 guard(t, y)
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
             h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
         else:
+            n_rejected += 1
             h *= max(0.2, 0.9 * err ** (-1.0 / 5.0))
     return Trajectory(
         times=np.array(times),
@@ -177,6 +187,9 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
         derivs=np.array(derivs),
         n_steps=n_steps,
         n_rhs=n_rhs,
+        n_rejected=n_rejected,
+        n_singular_retries=n_singular_retries,
+        h_min=h_min,
     )
 
 
@@ -188,7 +201,7 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     alpha = model.alpha if alpha is None else float(alpha)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    norm = base_geom.timelike_norm(metric_jet(model, x, order=0).values(), y)
+    norm = base_geom.timelike_norm(metric_values(model, x), y)
     a_vals = potential_jet(model, x, order=0, check=False).values()
     return norm + alpha * float(a_vals @ y)
 
@@ -207,7 +220,7 @@ def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
     """Scale y so that g(y,y) = 1 (the affine gauge used throughout)."""
-    g = metric_jet(model, x, order=0).values()
+    g = metric_values(model, x)
     y = np.asarray(y, dtype=float)
     n2 = float(y @ g @ y)
     if n2 <= 0:
@@ -222,7 +235,7 @@ def _chart_and_cone_guard(model: SpacetimeModel):
             model.check_chart(x)
         except ChartError as err:
             raise IntegrationError(f"worldline left the chart at t={t} ({err})") from None
-        g = metric_jet(model, x, order=0, check=False).values()
+        g = metric_values(model, x, check=False)
         n2 = float(y @ g @ y)
         if n2 < NULL_CONE_GUARD:
             raise IntegrationError(f"worldline approached the null cone at t={t} (g(y,y) = {n2})")
@@ -271,7 +284,7 @@ def norm_drift(model: SpacetimeModel, traj: Trajectory, samples: int = 50) -> fl
     vals = []
     for t in ts:
         s = traj.sample(t)
-        g = metric_jet(model, s[:4], order=0, check=False).values()
+        g = metric_values(model, s[:4], check=False)
         vals.append(float(s[4:8] @ g @ s[4:8]))
     vals = np.array(vals)
     return float(np.max(np.abs(vals - vals[0])))

@@ -15,6 +15,7 @@ jets of different variable counts do not mix.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -119,6 +120,70 @@ class JetSpace:
 @lru_cache(maxsize=None)
 def jet_space(order: int, nvars: int) -> JetSpace:
     return JetSpace(order, nvars)
+
+
+# -- order-0 rules ------------------------------------------------------------
+#
+# Each function below is a Jet operation at order 0, on a plain float.  The
+# Jet methods take their singular-value checks and their value from it, so a
+# float program built from these functions matches order-0 jets bit for bit.
+
+
+def mul_value(a: float, b: float) -> float:
+    """A product's coefficients are sums that start from +0.0 (np.bincount)."""
+    return 0.0 + a * b
+
+
+def reciprocal_value(v: float) -> float:
+    if v == 0.0:
+        raise SingularEvaluationError("division by jet with zero value", value=v)
+    return 1.0 / v
+
+
+def sqrt_value(v: float) -> float:
+    if v <= 0.0:
+        raise SingularEvaluationError(f"sqrt of non-positive jet value {v}", value=v)
+    return math.sqrt(v)
+
+
+def ln_value(v: float) -> float:
+    if v <= 0.0:
+        raise SingularEvaluationError(f"ln of non-positive jet value {v}", value=v)
+    return math.log(v)
+
+
+def abs_value(v: float) -> float:
+    if v == 0.0:
+        raise SingularEvaluationError("abs of jet with zero value", value=v)
+    return v if v > 0 else -v
+
+
+def _is_integer(exponent) -> bool:
+    return isinstance(exponent, (int, np.integer)) or float(exponent).is_integer()
+
+
+def _power_by_squaring(base, n: int, one, mul):
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
+def pow_value(v: float, exponent: float) -> float:
+    if _is_integer(exponent):
+        n = int(exponent)
+        if n >= 0:
+            return _power_by_squaring(v, n, 1.0, mul_value)
+        if v == 0.0:
+            raise SingularEvaluationError("negative power of zero jet value", value=v)
+        return reciprocal_value(pow_value(v, -n))
+    if v <= 0.0:
+        raise SingularEvaluationError(f"non-integer power of non-positive jet value {v}", value=v)
+    return v**exponent
 
 
 class Jet:
@@ -293,17 +358,13 @@ class Jet:
 
     def _reciprocal(self) -> "Jet":
         v = self.value
-        if v == 0.0:
-            raise SingularEvaluationError("division by jet with zero value", value=v)
-        taylor = np.array([(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)])
+        taylor = np.array([reciprocal_value(v)] + [(-1.0) ** k / v ** (k + 1) for k in range(1, self.order + 1)])
         return self._compose(taylor)
 
     def sqrt(self) -> "Jet":
         v = self.value
-        if v <= 0.0:
-            raise SingularEvaluationError(f"sqrt of non-positive jet value {v}", value=v)
         taylor = np.empty(self.order + 1)
-        taylor[0] = math.sqrt(v)
+        taylor[0] = sqrt_value(v)
         coeff = 0.5
         for k in range(1, self.order + 1):
             taylor[k] = taylor[k - 1] * coeff / (k * v)
@@ -317,10 +378,8 @@ class Jet:
 
     def ln(self) -> "Jet":
         v = self.value
-        if v <= 0.0:
-            raise SingularEvaluationError(f"ln of non-positive jet value {v}", value=v)
         taylor = np.empty(self.order + 1)
-        taylor[0] = math.log(v)
+        taylor[0] = ln_value(v)
         for k in range(1, self.order + 1):
             taylor[k] = (-1.0) ** (k - 1) / (k * v**k)
         return self._compose(taylor)
@@ -338,35 +397,18 @@ class Jet:
         return self._compose(taylor)
 
     def abs(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise SingularEvaluationError("abs of jet with zero value", value=v)
-        return self if v > 0 else -self
+        abs_value(self.value)  # raises at 0
+        return self if self.value > 0 else -self
 
     def pow_const(self, exponent: float) -> "Jet":
+        if _is_integer(exponent) and exponent >= 0:
+            return _power_by_squaring(self, int(exponent), Jet.constant(1.0, self.order, self.nvars), operator.mul)
+        value = pow_value(self.value, exponent)  # raises where the power is singular
+        if _is_integer(exponent):
+            return self.pow_const(-int(exponent))._reciprocal()
         v = self.value
-        if isinstance(exponent, (int, np.integer)) or float(exponent).is_integer():
-            n = int(exponent)
-            if n >= 0:
-                result = Jet.constant(1.0, self.order, self.nvars)
-                base = self
-                k = n
-                while k:
-                    if k & 1:
-                        result = result * base
-                    k >>= 1
-                    if k:
-                        base = base * base
-                return result
-            if v == 0.0:
-                raise SingularEvaluationError("negative power of zero jet value", value=v)
-            return self.pow_const(-n)._reciprocal()
-        if v <= 0.0:
-            raise SingularEvaluationError(
-                f"non-integer power of non-positive jet value {v}", value=v
-            )
         taylor = np.empty(self.order + 1)
-        taylor[0] = v**exponent
+        taylor[0] = value
         coeff = float(exponent)
         for k in range(1, self.order + 1):
             taylor[k] = taylor[k - 1] * coeff / (k * v)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
-from .exprlang import Expr, evaluate, free_symbols, parse, print_expr
+from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
 from .jets import Jet, seed_variable
-from .tensors import TensorValue
+from .tensors import TensorValue, jet_values
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -29,6 +30,15 @@ def alpha_star(c: float, k: float) -> float:
 
 @dataclass
 class SpacetimeModel:
+    """A spacetime and its expressions.
+
+    The metric's upper triangle, the potential and the chart guard are each
+    compiled to a ``Tape`` on first use and cached.  Nothing changes a model's
+    coordinates, parameters or expressions after construction (only ``alpha``
+    is reassigned, by the CLI); a model whose expressions were changed would
+    keep evaluating its old tapes.
+    """
+
     name: str
     coords: tuple[str, str, str, str]
     params: dict[str, float]
@@ -52,11 +62,24 @@ class SpacetimeModel:
             env[name] = seed_variable(slot, float(xi), order, nvars)
         return env
 
+    @cached_property
+    def metric_tape(self) -> Tape:
+        """g_ij for j >= i, row by row."""
+        roots = [self.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
+        return Tape(roots, self.coords, self.params)
+
+    @cached_property
+    def potential_tape(self) -> Tape:
+        return Tape(self.a_exprs, self.coords, self.params)
+
+    @cached_property
+    def guard_tape(self) -> Tape | None:
+        return None if self.chart_guard is None else Tape([self.chart_guard], self.coords, self.params)
+
     def check_chart(self, x) -> None:
-        if self.chart_guard is None:
+        if self.guard_tape is None:
             return
-        env = self.coord_env(x, order=0)
-        guard = evaluate(self.chart_guard, env).value
+        (guard,) = self.guard_tape.values(x)
         if not guard > 0.0:
             raise ChartError(
                 f"point {np.asarray(x).tolist()} outside chart of {self.name!r} "
@@ -309,6 +332,14 @@ def print_model(model: SpacetimeModel) -> str:
 
 # -- jet-valued evaluation ------------------------------------------------------
 
+_UPPER = np.triu_indices(4)  # row-major (i, j >= i), the metric tape's root order
+
+
+def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
+    det = np.linalg.det(g)
+    if not det < 0.0:
+        raise SingularEvaluationError(f"metric determinant {det} is not negative at {x.tolist()}", value=det)
+
 
 def metric_jet(
     model: SpacetimeModel,
@@ -322,17 +353,10 @@ def metric_jet(
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    env = model.coord_env(x, order, nvars, slots)
     comps = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(i, 4):
-            comps[i, j] = comps[j, i] = evaluate(model.g_exprs[i][j], env)
+    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order, nvars, slots)
     if check:
-        det = np.linalg.det(np.array([[comps[i, j].value for j in range(4)] for i in range(4)]))
-        if not det < 0.0:
-            raise SingularEvaluationError(
-                f"metric determinant {det} is not negative at {x.tolist()}", value=det
-            )
+        _check_determinant(jet_values(comps), x)
     return TensorValue(comps, "ll", point=x)
 
 
@@ -348,16 +372,21 @@ def potential_jet(
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    env = model.coord_env(x, order, nvars, slots)
     comps = np.empty(4, dtype=object)
-    for i in range(4):
-        comps[i] = evaluate(model.a_exprs[i], env)
+    comps[:] = model.potential_tape.jets(x, order, nvars, slots)
     return TensorValue(comps, "l", point=x)
 
 
 def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
-    """Plain float matrix g_ij(x)."""
-    return metric_jet(model, x, order=0, check=check).values()
+    """Plain float matrix g_ij(x), from the metric tape's float evaluator."""
+    x = np.asarray(x, dtype=float)
+    if check:
+        model.check_chart(x)
+    g = np.empty((4, 4))
+    g[_UPPER] = g.T[_UPPER] = model.metric_tape.values(x)
+    if check:
+        _check_determinant(g, x)
+    return g
 
 
 def signature_signs(model: SpacetimeModel, x) -> tuple[int, int]:

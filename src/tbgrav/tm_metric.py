@@ -22,7 +22,7 @@ import numpy as np
 from .bundle_geom import BundleGeometry, BundlePoint, FiberField, Y_SLOT0
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet
-from .spacetime import SpacetimeModel, metric_jet
+from .spacetime import SpacetimeModel, metric_jet, metric_values
 from .tensors import jet_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
@@ -56,7 +56,7 @@ def fiber_metric(model: SpacetimeModel, x, u=None) -> FiberMetric:
     """Positive-definite completion of g at x along the timelike direction u
     (default: the normalized coordinate time axis)."""
     x = np.asarray(x, dtype=float)
-    g = metric_jet(model, x, order=0).values()
+    g = metric_values(model, x)
     if u is None:
         if g[0, 0] <= 0.0:
             raise SingularEvaluationError(
@@ -145,7 +145,7 @@ def fiber_integral(
     x = np.asarray(x, dtype=float)
     if ball is None:
         ball = fiber_ball(model, x)
-    g = metric_jet(model, x, order=0).values()
+    g = metric_values(model, x)
     z, w = _ball_nodes(ball.radius, nodes)
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
     linv_t = np.linalg.inv(ball.metric.cholesky).T
@@ -188,7 +188,7 @@ def tm_integral(
     """
     total = 0.0
     for x, wx in _box_rule(box, base_nodes):
-        det = np.linalg.det(metric_jet(model, x, order=0).values())
+        det = np.linalg.det(metric_values(model, x))
         fib = fiber_integral(model, x, lambda y: f(x, y), nodes=fiber_nodes)
         total += wx * math.sqrt(-det) * fib
     return total
@@ -199,7 +199,7 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
     as tm_integral)."""
     total = 0.0
     for x, wx in _box_rule(box, base_nodes):
-        det = np.linalg.det(metric_jet(model, x, order=0).values())
+        det = np.linalg.det(metric_values(model, x))
         total += wx * math.sqrt(-det) * f(x)
     return total
 

@@ -14,6 +14,7 @@ import pytest
 
 from tbgrav import bundle_geom as bun
 from tbgrav import dynamics as dyn
+from tbgrav import exprlang, spacetime
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import IntegrationError, SingularEvaluationError
 from tbgrav.spacetime import catalog, metric_jet
@@ -264,6 +265,49 @@ def test_deviation_hot_path_builds_no_bundle_geometry(monkeypatch):
         RN, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
     )
     assert math.isfinite(err)
+
+
+def test_hot_paths_walk_no_tree(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("expression tree walked on a hot path")
+
+    monkeypatch.setattr(exprlang, "evaluate", forbidden)
+    monkeypatch.setattr(spacetime, "evaluate", forbidden)
+    schw = catalog("schwarzschild", {"M": 1.0})  # fresh models: their tapes compile under the patch
+    rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    assert dyn.integrate_worldline(schw, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=1.0).t_end == pytest.approx(1.0)
+    assert dyn.compare_classical(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0) <= 1e-9
+    err = dyn.neighbor_oracle(
+        rn, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
+    )
+    assert math.isfinite(err)
+    rn.check_chart(X0_ORBIT)
+
+
+def test_integrator_counts_smooth_orbit():
+    traj = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
+    assert traj.n_singular_retries == 0
+    # the first stage, then six per attempted step (first same as last)
+    assert traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
+    assert traj.h_min == pytest.approx(np.diff(traj.times).min(), rel=1e-6)
+
+
+def test_integrator_counts_rejections_and_singular_retries():
+    chirp = dyn._integrate(lambda t, y: np.array([math.cos(10 * t * t)]), np.array([0.0]), 5.0, 1e-9, 1e-9)
+    assert chirp.n_rejected > 0 and chirp.n_singular_retries == 0
+    assert chirp.n_rhs == 1 + 6 * (chirp.n_steps + chirp.n_rejected)
+
+    failed = []
+
+    def rhs(t, y):
+        if t > 0.5 and not failed:
+            failed.append(t)
+            raise SingularEvaluationError("probe singularity")
+        return -y
+
+    decay = dyn._integrate(rhs, np.array([1.0]), 1.0, 1e-8, 1e-8)
+    assert decay.n_singular_retries == 1
+    assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
 
 
 def test_neighbor_oracle_flat_exact():

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from tbgrav.errors import ChartError, ConfigError, ModelError, SingularEvaluationError
+from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
+from tbgrav.exprlang import evaluate
 from tbgrav.spacetime import (
+    CATALOG_NAMES,
     alpha_star,
     catalog,
     load_model,
@@ -194,3 +196,123 @@ def test_degenerate_metric_detected():
     m = load_model(json.dumps(doc))
     with pytest.raises(SingularEvaluationError):
         metric_jet(m, SCHW_POINT, order=0)
+
+
+# -- compiled tapes against the tree walk -------------------------------------------
+
+# sqrt, sin, cos, exp, ln, abs, pi, unary minus, a parameter exponent, a
+# non-constant exponent, a shared subexpression and a folded -0.0
+TAPE_DOC = {
+    "name": "tape-probe",
+    "coords": ["t", "r", "theta", "phi"],
+    "params": {"M": 1.0, "n": 3.0, "a": 0.5},
+    "metric": [
+        ["1 - 2*M/r + a*exp(-r/(10*M))*abs(cos(theta))/r^n", "-theta - 1", "-(2*pi - pi*2)", "a*M*sin(theta)^2/r"],
+        ["", "-1/(1 - 2*M/r) - sqrt(r)*a^2/r^theta", "0*r", "-(a - a) - 0*r"],
+        ["", "", "-r^2*(1 + a*ln(t + 1)/r^2)", "r/(10*M)"],
+        ["", "", "", "-r^2*sin(theta)^2 + (1 - 2*M/r)*0.01"],
+    ],
+    "potential": ["M/r - a*cos(theta)^n", "-(M - M)*r", "a*abs(phi)", "(r/M)^(a*pi)"],
+    "chart_guard": "(r - 2*M)*sin(theta)",
+}
+# signed zeros that only order 0 shows: sin(-0.0) = -0.0 while a jet of
+# order >= 1 returns 0.0 + sin(-0.0), and a power of -0.0 is a product
+# 0.0 + a*b, never -0.0
+ZERO_SIGN_DOC = {
+    "name": "zero-signs",
+    "coords": ["t", "r", "theta", "phi"],
+    "params": {"a": 0.5},
+    "metric": [
+        ["1", "sin(-(a - a))", "(-(a - a))^3", "sin(-(t - t))"],
+        ["", "-1", "(-(t - t))^3", "-(a - a)"],
+        ["", "", "-1", "0"],
+        ["", "", "", "-1"],
+    ],
+    "potential": ["sin(-(r - r))", "(-(r - r))^2", "0", "0"],
+}
+TAPE_POINTS = {
+    "minkowski": [0.1, 0.2, -0.3, 0.4],
+    "uniform_field": [0.0, 2.0, 0.5, 0.1],
+    "schwarzschild": [0.1, 7.0, 1.1, 0.4],
+    "reissner_nordstrom": [0.0, 5.0, 1.2, 0.3],
+    "weak_field": [0.0, 4.0, 3.0, 1.0],
+    "tape-probe": [0.2, 6.0, 1.1, 0.7],
+    "zero-signs": [0.2, 6.0, 1.1, 0.7],
+}
+# division by r = 0, sqrt(0) (weak_field), ln(-1) and abs(0) (tape-probe)
+SINGULAR_POINTS = [[0.0, 0.0, 1.1, 0.4], [0.0, 0.0, 0.0, 0.0], [-2.0, 6.0, 1.1, 0.7], [0.0, 6.0, 1.1, 0.0]]
+
+
+def _tape_models():
+    params = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
+              "reissner_nordstrom": {"M": 1.0, "Q": 0.3}, "weak_field": {"M": 1.0}}
+    docs = [load_model(json.dumps(doc)) for doc in (TAPE_DOC, ZERO_SIGN_DOC)]
+    return [catalog(name, params.get(name)) for name in CATALOG_NAMES] + docs
+
+
+def _tree_jets(model, x, order, nvars, slots):
+    env = model.coord_env(x, order, nvars, slots)
+    upper = [model.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
+    return [evaluate(e, env) for e in upper + model.a_exprs]
+
+
+def _tape_jets(model, x, order, nvars, slots):
+    g = metric_jet(model, x, order, nvars, slots, check=False).components
+    a = potential_jet(model, x, order, nvars, slots, check=False).components
+    return [g[i, j] for i in range(4) for j in range(i, 4)] + list(a)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("model", _tape_models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("nvars,slots", [(4, (0, 1, 2, 3)), (8, (0, 1, 2, 3))], ids=["v4", "v8"])
+def test_tape_matches_tree_bit_for_bit(model, order, nvars, slots):
+    x = TAPE_POINTS[model.name]
+    tape, tree = _tape_jets(model, x, order, nvars, slots), _tree_jets(model, x, order, nvars, slots)
+    for got, want in zip(tape, tree, strict=True):
+        assert (got.order, got.nvars) == (want.order, want.nvars)
+        assert np.array_equal(got.c, want.c)
+        assert got.c.tobytes() == want.c.tobytes()  # the sign of every zero as well
+    if order == 0:
+        upper, g = np.triu_indices(4), np.empty((4, 4))
+        g[upper] = g.T[upper] = [jet.value for jet in tree[:10]]
+        assert metric_values(model, x, check=False).tobytes() == g.tobytes()
+    for x_bad in SINGULAR_POINTS:
+        want = _outcome(_tree_jets, model, x_bad, order, nvars, slots)
+        got = _outcome(_tape_jets, model, x_bad, order, nvars, slots)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert all(a.c.tobytes() == b.c.tobytes() for a, b in zip(got, want, strict=True))
+
+
+def test_tape_singular_points_raise():
+    probe, weak = load_model(json.dumps(TAPE_DOC)), catalog("weak_field", {"M": 1.0})
+    for model, x, reason in zip((probe, weak, probe, probe), SINGULAR_POINTS, ("division", "sqrt", "ln", "abs")):
+        for order in (0, 2):
+            with pytest.raises(SingularEvaluationError, match=reason):
+                _tape_jets(model, x, order, 4, (0, 1, 2, 3))
+
+
+def test_chart_guard_text_matches_tree():
+    schw = catalog("schwarzschild", {"M": 1.0})
+    rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    for model, x in ((schw, [0.0, 1.5, math.pi / 2, 0.0]), (schw, [0.0, 10.0, 0.0, 0.0]),
+                     (rn, [0.0, 1.9, math.pi / 2, 0.0])):
+        guard = evaluate(model.chart_guard, model.coord_env(x, order=0)).value
+        with pytest.raises(ChartError) as err:
+            model.check_chart(x)
+        assert str(err.value) == f"point {x} outside chart of {model.name!r} (guard value {guard})"
+
+
+def test_potential_tape_folds_zero_components():
+    assert catalog("schwarzschild", {"M": 1.0}).potential_tape.constants == (0.0, 0.0, 0.0, 0.0)
+    assert catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3}).potential_tape.constants == (None, 0.0, 0.0, 0.0)
+    probe = load_model(json.dumps(TAPE_DOC))
+    assert probe.potential_tape.constants[1] is None  # -(M - M)*r depends on r, though it is 0
