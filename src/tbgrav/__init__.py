@@ -10,7 +10,8 @@ from .base_geom import (
     covariant_divergence,
     em_stress_energy,
     faraday,
-    maxwell_residuals,
+    maxwell_current,
+    maxwell_cyclic_residual,
     ricci,
     ricci_scalar,
     riemann,
@@ -18,7 +19,6 @@ from .base_geom import (
 from .bundle_geom import (
     BundleGeometry,
     BundlePoint,
-    FiberField,
     adapted_derivative,
     b_scalar_and_hessian,
     berwald_coeffs,
@@ -34,9 +34,7 @@ from .bundle_geom import (
     tidal_tensor,
 )
 from .dynamics import (
-    DeviationState,
     Trajectory,
-    WorldlineState,
     compare_classical,
     integrate_deviation,
     integrate_worldline,
@@ -58,7 +56,7 @@ from .errors import (
     UsageError,
 )
 from .exprlang import evaluate, free_symbols, parse, print_expr
-from .jets import Jet, seed_variable
+from .jets import Jet, jet_values, seed_variable
 from .spacetime import (
     SpacetimeModel,
     alpha_star,
@@ -68,7 +66,6 @@ from .spacetime import (
     potential_jet,
     print_model,
 )
-from .tensors import TensorValue
 from .tm_metric import (
     FiberBall,
     FiberMetric,

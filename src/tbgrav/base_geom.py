@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, derivative_arrays
-from .spacetime import SpacetimeModel, metric_jet, metric_values, potential_jet
-from .tensors import TensorValue, jet_values
+from .jets import Jet, derivative_arrays, jet_values
+from .spacetime import SpacetimeModel, metric_jet, potential_jet
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
 EM_STRESS_SIGN = +1.0
@@ -144,38 +143,36 @@ def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _em_fields(model: SpacetimeModel, x, order: int):
     """(g_ij, g^ij, F_ij, F^i_j) as jets at x carrying ``order`` levels."""
-    g = metric_jet(model, x, order=order).components
-    a = potential_jet(model, x, order=order, check=False).components
+    g = metric_jet(model, x, order=order)
+    a = potential_jet(model, x, order=order, check=False)
     ginv = invert_jet_matrix(g)
     return (g, ginv, *faraday_jets(a, ginv))
 
 
 # -- public operations -----------------------------------------------------------
+# Each returns a NumPy object array of jets, indexed as its symbol is written;
+# ``jets.jet_values`` extracts the float values.
 
 
-def christoffel(model: SpacetimeModel, x, order: int = 1) -> TensorValue:
-    """Levi-Civita coefficients as jets carrying ``order`` derivative levels."""
-    g = metric_jet(model, x, order=order + 1)
-    gamma = christoffel_jets(g.components)
-    return TensorValue(gamma, "ull", point=np.asarray(x, dtype=float), symmetry=(1, 2))
+def christoffel(model: SpacetimeModel, x, order: int = 1) -> np.ndarray:
+    """Levi-Civita coefficients gamma^i_jk as jets carrying ``order`` derivative levels."""
+    return christoffel_jets(metric_jet(model, x, order=order + 1))
 
 
-def riemann(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
-    g = metric_jet(model, x, order=order + 2)
-    riem = riemann_jets(christoffel_jets(g.components))
-    return TensorValue(riem, "ulll", point=np.asarray(x, dtype=float))
+def riemann(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
+    """r^i_jkl as jets carrying ``order`` derivative levels."""
+    return riemann_jets(christoffel_jets(metric_jet(model, x, order=order + 2)))
 
 
-def ricci(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
-    g = metric_jet(model, x, order=order + 2)
-    ric = ricci_jets(riemann_jets(christoffel_jets(g.components)))
-    return TensorValue(ric, "ll", point=np.asarray(x, dtype=float))
+def ricci(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
+    """r_jl as jets carrying ``order`` derivative levels."""
+    return ricci_jets(riemann_jets(christoffel_jets(metric_jet(model, x, order=order + 2))))
 
 
 def ricci_scalar(model: SpacetimeModel, x) -> float:
     g = metric_jet(model, x, order=2)
-    ginv = invert_jet_matrix(g.components)
-    ric = ricci_jets(riemann_jets(christoffel_jets(g.components, ginv)))
+    ginv = invert_jet_matrix(g)
+    ric = ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
     total = 0.0
     for j in range(4):
         for l in range(4):
@@ -183,21 +180,16 @@ def ricci_scalar(model: SpacetimeModel, x) -> float:
     return total
 
 
-def faraday(model: SpacetimeModel, x, order: int = 1) -> tuple[TensorValue, TensorValue]:
+def faraday(model: SpacetimeModel, x, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Field tensor (F_ij, F^i_j) at x."""
-    x = np.asarray(x, dtype=float)
     _, _, f_low, f_mix = _em_fields(model, x, order + 1)
-    return TensorValue(f_low, "ll", point=x), TensorValue(f_mix, "ul", point=x)
+    return f_low, f_mix
 
 
-def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """(H_ijk, J^i): the cyclic identity residual and the source current.
-
-    H uses explicit covariant derivatives (the Christoffel terms must cancel);
-    J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij) uses the densitized form.
-    """
-    x = np.asarray(x, dtype=float)
-    g, ginv, f_low, f_mix = _em_fields(model, x, 3)
+def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
+    """H_ijk = nabla_i F_jk + nabla_k F_ij + nabla_j F_ki from explicit
+    covariant derivatives (the Christoffel terms must cancel)."""
+    g, ginv, f_low, _ = _em_fields(model, x, 3)
     gamma = christoffel_jets(g, ginv)
 
     cov_df = np.empty((4, 4, 4), dtype=object)  # cov_df[i,j,k] = nabla_i F_jk
@@ -207,9 +199,12 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
             acc = acc - gamma[m, i, j] * f_low[m, k]
             acc = acc - gamma[m, i, k] * f_low[j, m]
         cov_df[i, j, k] = acc
-    # h[i,j,k] = nabla_i F_jk + nabla_k F_ij + nabla_j F_ki
-    h = jet_values(cov_df + cov_df.transpose(1, 2, 0) + cov_df.transpose(2, 0, 1))
+    return jet_values(cov_df + cov_df.transpose(1, 2, 0) + cov_df.transpose(2, 0, 1))
 
+
+def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
+    """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized form."""
+    g, ginv, _, f_mix = _em_fields(model, x, 3)
     s = sqrt_minus_det(g)
     f_up = f_mix @ ginv.T
     j_vec = np.zeros(4)
@@ -219,7 +214,7 @@ def maxwell_residuals(model: SpacetimeModel, x) -> tuple[np.ndarray, np.ndarray]
         for j in range(4):
             acc += (s * f_up[i, j]).partial(j).value
         j_vec[i] = coeff * acc / s.value
-    return h, j_vec
+    return j_vec
 
 
 def em_stress_energy_jets(g, ginv, f_low, f_mix) -> np.ndarray:
@@ -229,11 +224,9 @@ def em_stress_energy_jets(g, ginv, f_low, f_mix) -> np.ndarray:
     return _symmetric(lambda i: (f_low[i] @ f_mix[:, i:] + g[i, i:] * quarter_f2) * coeff)
 
 
-def em_stress_energy(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
+def em_stress_energy(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
     """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
-    x = np.asarray(x, dtype=float)
-    t = em_stress_energy_jets(*_em_fields(model, x, order + 1))
-    return TensorValue(t, "ll", point=x, symmetry=(0, 1))
+    return em_stress_energy_jets(*_em_fields(model, x, order + 1))
 
 
 def einstein_jets(g, ginv) -> np.ndarray:
@@ -251,11 +244,10 @@ def _einstein_maxwell_jets(model: SpacetimeModel, x, order: int):
     return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa), ginv
 
 
-def classical_einstein_maxwell(model: SpacetimeModel, x, order: int = 0) -> TensorValue:
+def classical_einstein_maxwell(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
     """CEM_ij = G_ij - (8 pi k / c^4) T^f_ij; zero on electrovacuum solutions."""
-    x = np.asarray(x, dtype=float)
     cem, _ = _einstein_maxwell_jets(model, x, order + 2)
-    return TensorValue(cem, "ll", point=x, symmetry=(0, 1))
+    return cem
 
 
 def covariant_divergence(model: SpacetimeModel, x, field, order: int = 3) -> np.ndarray:
@@ -270,8 +262,7 @@ def covariant_divergence(model: SpacetimeModel, x, field, order: int = 3) -> np.
         raise UsageError("field handle must return a 4x4 object array of jets")
     if s[0, 0].order < 1:
         raise UsageError("field handle jets carry no derivative level")
-    g = metric_jet(model, x, order=max(2, s[0, 0].order))
-    gamma = christoffel_jets(g.components)
+    gamma = christoffel_jets(metric_jet(model, x, order=max(2, s[0, 0].order)))
     out = np.zeros(4)
     for i in range(4):
         acc = 0.0
@@ -293,7 +284,7 @@ def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    return invert_jet_matrix(metric_jet(model, x, order=order).components)
+    return invert_jet_matrix(metric_jet(model, x, order=order))
 
 
 def em_stress_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
@@ -303,8 +294,8 @@ def em_stress_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
 
 def einstein_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
     g = metric_jet(model, x, order=order)
-    ginv = invert_jet_matrix(g.components)
-    return raise_both_indices(einstein_jets(g.components, ginv), ginv)
+    ginv = invert_jet_matrix(g)
+    return raise_both_indices(einstein_jets(g, ginv), ginv)
 
 
 def cem_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
@@ -344,7 +335,7 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
     """Christoffel symbols and Faraday tensor at x from one metric_jet and at
     most one potential_jet evaluation, by forward-mode chain rules on value,
     gradient and Hessian arrays; ``order=2`` adds their first derivatives."""
-    g, dg, *ddg = derivative_arrays(metric_jet(model, x, order=order, check=check).components, order)
+    g, dg, *ddg = derivative_arrays(metric_jet(model, x, order=order, check=check), order)
     ginv = np.linalg.inv(g)
     s = _first_kind(dg)
     out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
@@ -353,7 +344,7 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
         ds = np.stack([_first_kind(d) for d in ddg[0]])
         out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, ds))
     if potential:
-        a = potential_jet(model, x, order=order, check=False).components
+        a = potential_jet(model, x, order=order, check=False)
         _, da, *dda = derivative_arrays(a, order)  # da[i,j] = d_i A_j
         out.f_low = da - da.T
         out.f_mix = ginv @ out.f_low
@@ -375,11 +366,6 @@ def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     if n2 <= 0:
         raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
     return math.sqrt(n2)
-
-
-def metric_and_inverse_values(model: SpacetimeModel, x, check: bool = False):
-    g = metric_values(model, x, check=check)
-    return g, np.linalg.inv(g)
 
 
 def christoffel_values(model: SpacetimeModel, x, check: bool = False) -> np.ndarray:

@@ -41,9 +41,8 @@ import numpy as np
 
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, seed_variable
+from .jets import Jet, jet_values, seed_variable
 from .spacetime import SpacetimeModel, metric_jet, potential_jet
-from .tensors import jet_values
 
 X_SLOTS = (0, 1, 2, 3)
 Y_SLOT0 = 4
@@ -59,23 +58,6 @@ class BundlePoint:
         self.y = np.asarray(y, dtype=float)
         if self.x.shape != (4,) or self.y.shape != (4,):
             raise UsageError("bundle point needs 4 base and 4 fiber components")
-
-
-class FiberField:
-    """Evaluation procedure (model, point, order) -> jets in the joint 8-variable
-    space; optionally declares a homogeneity degree in y (checked by tests)."""
-
-    def __init__(self, func, homogeneity: int | None = None):
-        self.func = func
-        self.homogeneity = homogeneity
-
-    def __call__(self, model: SpacetimeModel, p: BundlePoint, order: int):
-        out = self.func(model, p, order)
-        if isinstance(out, Jet):
-            arr = np.empty((), dtype=object)
-            arr[()] = out
-            return arr
-        return np.asarray(out, dtype=object)
 
 
 class BundleGeometry:
@@ -96,7 +78,7 @@ class BundleGeometry:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return metric_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS).components
+        return metric_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -104,7 +86,7 @@ class BundleGeometry:
 
     @cached_property
     def a_pot(self) -> np.ndarray:
-        return potential_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS, check=False).components
+        return potential_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS, check=False)
 
     @cached_property
     def yj(self) -> np.ndarray:
@@ -302,17 +284,19 @@ class BundleGeometry:
         fl = jet_values(f_low)
         return float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl))
 
-    @cached_property
-    def div_term(self) -> float:
-        """delta0-divergence of X^i = g^{jk} B^i_.jk (frozen convention)."""
-        x_vec = np.tensordot(self.ginv, self.b_jk, axes=((0, 1), (1, 2)))
+    def divergence(self, x_vec: np.ndarray, connection: np.ndarray) -> float:
+        """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
         total = 0.0
         for i in range(4):
-            di = self.delta(x_vec[i], i, connection=self.n_conn0)
-            total += di.value
+            total += self.delta(x_vec[i], i, connection).value
             for j in range(4):
                 total += self.gamma[j, j, i].value * x_vec[i].value
         return total
+
+    @cached_property
+    def div_term(self) -> float:
+        """delta0-divergence of X^i = g^{jk} B^i_.jk (frozen convention)."""
+        return self.divergence(np.tensordot(self.ginv, self.b_jk, axes=((0, 1), (1, 2))), self.n_conn0)
 
     @cached_property
     def b_trace2(self) -> Jet:
@@ -338,10 +322,6 @@ class BundleGeometry:
 
 
 # -- public operations ------------------------------------------------------------
-
-
-def geometry(model: SpacetimeModel, p, order: int = 2, alpha: float | None = None) -> BundleGeometry:
-    return BundleGeometry(model, p, order=order, alpha=alpha)
 
 
 def supporting_element(model: SpacetimeModel, p, order: int = 1):
@@ -396,11 +376,13 @@ def berwald_coeffs(model: SpacetimeModel, p, alpha: float | None = None) -> np.n
     return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).berwald)
 
 
-def adapted_derivative(model: SpacetimeModel, p, field: FiberField, order: int = 2,
+def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
                        alpha: float | None = None) -> np.ndarray:
-    """delta_i applied componentwise to a fiber field; returns jets one order down."""
+    """delta_i applied componentwise to a fiber field ``field(model, point, order)``,
+    which returns a jet or an array of jets on the joint 8-variable space;
+    returns jets one order down, indexed [i, *field index]."""
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    values = field(model, geo.p, order)
+    values = np.asarray(field(model, geo.p, order), dtype=object)
     out = np.empty((4, *values.shape), dtype=object)
     for idx in np.ndindex(values.shape):
         f = values[idx]

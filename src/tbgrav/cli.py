@@ -27,8 +27,8 @@ from .errors import (
     SingularEvaluationError,
     UsageError,
 )
+from .jets import jet_values
 from .spacetime import alpha_star, catalog, load_model, metric_values, potential_jet, signature_signs
-from .tensors import jet_values
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
 SINGULAR_ERRORS = (SingularEvaluationError, ChartError, IntegrationError)
@@ -111,7 +111,7 @@ def _cmd_inspect(args) -> int:
     if args.x is not None:
         x = _vec(args.x, "--x")
         g = metric_values(model, x)
-        a = jet_values(potential_jet(model, x, order=0).components)
+        a = jet_values(potential_jet(model, x, order=0))
         f_low, _ = base_geom.faraday_values(model, x)
         payload["at"] = {
             "x": x.tolist(),

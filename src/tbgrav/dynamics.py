@@ -32,6 +32,7 @@ import numpy as np
 from . import base_geom
 from .bundle_geom import connection_and_tidal_values
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
+from .jets import jet_values
 from .spacetime import SpacetimeModel, metric_values, potential_jet
 
 NULL_CONE_GUARD = 1e-6
@@ -57,19 +58,6 @@ _DP_B4 = np.array(
 
 
 @dataclass
-class WorldlineState:
-    t: float
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
-class DeviationState:
-    w: np.ndarray
-    W: np.ndarray
-
-
-@dataclass
 class Trajectory:
     """Accepted steps with cubic Hermite dense output, and the integrator's
     counts: accepted steps, RHS calls, steps rejected by the error test,
@@ -89,14 +77,6 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def state_at(self, t: float) -> WorldlineState:
-        s = self.sample(t)
-        return WorldlineState(t=float(t), x=s[:4], y=s[4:8])
-
-    def deviation_at(self, t: float) -> DeviationState:
-        s = self.sample(t)
-        return DeviationState(w=s[:4], W=s[4:8])
-
     def sample(self, t: float) -> np.ndarray:
         """Cubic Hermite interpolation between accepted steps."""
         times = self.times
@@ -114,9 +94,6 @@ class Trajectory:
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
         return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-
-    def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(t) for t in np.asarray(ts, dtype=float)])
 
 
 def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Trajectory:
@@ -202,7 +179,7 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = base_geom.timelike_norm(metric_values(model, x), y)
-    a_vals = potential_jet(model, x, order=0, check=False).values()
+    a_vals = jet_values(potential_jet(model, x, order=0, check=False))
     return norm + alpha * float(a_vals @ y)
 
 
@@ -246,18 +223,14 @@ def _chart_and_cone_guard(model: SpacetimeModel):
 def integrate_worldline(
     model: SpacetimeModel,
     x0,
-    y0=None,
+    y0,
     alpha: float | None = None,
     t_end: float = 10.0,
     rtol: float = 1e-10,
     atol: float = 1e-10,
     normalize: bool = True,
 ) -> Trajectory:
-    """Integrate the worldline ODE from (x0, y0) or a WorldlineState."""
-    if isinstance(x0, WorldlineState):
-        x0, y0 = x0.x, x0.y
-    if y0 is None:
-        raise UsageError("initial velocity y0 is required")
+    """Integrate the worldline ODE from (x0, y0)."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     model.check_chart(x0)

@@ -439,3 +439,11 @@ def derivative_arrays(jets: np.ndarray, order: int) -> list[np.ndarray]:
         slot, fac = space.second_index
         out.append((coeffs[slot] * fac[..., None]).reshape(space.nvars, space.nvars, *jets.shape))
     return out
+
+
+def jet_values(arr: np.ndarray) -> np.ndarray:
+    """Float array of the values of an object array of jets."""
+    out = np.empty(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = arr[idx].value
+    return out

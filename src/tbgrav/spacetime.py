@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
-from .jets import Jet, seed_variable
-from .tensors import TensorValue, jet_values
+from .jets import Jet, jet_values, seed_variable
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -348,8 +347,9 @@ def metric_jet(
     nvars: int = 4,
     slots=(0, 1, 2, 3),
     check: bool = True,
-) -> TensorValue:
-    """Symmetric 4x4 jets of g_ij at x, seeded in base coordinates only."""
+) -> np.ndarray:
+    """Symmetric 4x4 object array of g_ij jets at x, seeded in base
+    coordinates only; mirrored entries are one jet."""
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
@@ -357,7 +357,7 @@ def metric_jet(
     comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order, nvars, slots)
     if check:
         _check_determinant(jet_values(comps), x)
-    return TensorValue(comps, "ll", point=x)
+    return comps
 
 
 def potential_jet(
@@ -367,14 +367,14 @@ def potential_jet(
     nvars: int = 4,
     slots=(0, 1, 2, 3),
     check: bool = True,
-) -> TensorValue:
-    """Covariant potential components A_i as jets at x."""
+) -> np.ndarray:
+    """Covariant potential components A_i as an object array of jets at x."""
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
     comps = np.empty(4, dtype=object)
     comps[:] = model.potential_tape.jets(x, order, nvars, slots)
-    return TensorValue(comps, "l", point=x)
+    return comps
 
 
 def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle_geom import BundleGeometry, BundlePoint, FiberField, Y_SLOT0
+from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet
 from .spacetime import SpacetimeModel, metric_jet, metric_values
-from .tensors import jet_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
 
@@ -207,34 +206,29 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
 # -- horizontal divergence -----------------------------------------------------------
 
 
-def horizontal_divergence(model: SpacetimeModel, p, x_field: FiberField, order: int = 2,
+def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
                           alpha: float | None = None) -> float:
-    """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y)."""
+    """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y),
+    given as ``x_field(model, point, order)`` returning 4 joint-space jets."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    comps = x_field(model, p, order)
+    comps = np.asarray(x_field(model, p, order), dtype=object)
     if comps.shape != (4,):
         raise UsageError("horizontal field must evaluate to 4 components")
-    total = 0.0
-    for i in range(4):
-        xi = comps[i]
-        if not isinstance(xi, Jet):
-            raise UsageError("horizontal field must evaluate to jets")
-        total += geo.delta(xi, i).value
-        for j in range(4):
-            total += geo.gamma[j, j, i].value * xi.value
-    return total
+    if not all(isinstance(xi, Jet) for xi in comps):
+        raise UsageError("horizontal field must evaluate to jets")
+    return geo.divergence(comps, geo.n_conn)
 
 
-def lift_base_field(component_fn) -> FiberField:
-    """Horizontal lift of a base vector field Y^i(x): evaluates Y on the joint
-    jet space (no fiber dependence)."""
+def lift_base_field(component_fn):
+    """Horizontal lift of a base vector field Y^i(x): a fiber field that
+    evaluates Y on the joint jet space (no fiber dependence)."""
 
     def evaluate(model: SpacetimeModel, p: BundlePoint, order: int):
         env = model.coord_env(p.x, order, nvars=8, slots=(0, 1, 2, 3))
-        return np.asarray(component_fn(env), dtype=object)
+        return component_fn(env)
 
-    return FiberField(evaluate)
+    return evaluate
 
 
 def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float:
@@ -243,8 +237,7 @@ def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float:
 
     env = model.coord_env(x, order=1, nvars=4)
     comps = component_fn(env)
-    g = metric_jet(model, x, order=1).components
-    s = (-det_jet_matrix(g)).sqrt()
+    s = (-det_jet_matrix(metric_jet(model, x, order=1))).sqrt()
     total = 0.0
     for i in range(4):
         total += (s * comps[i]).partial(i).value

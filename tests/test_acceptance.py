@@ -14,9 +14,8 @@ import pytest
 from tbgrav import base_geom, bundle_geom, dynamics, exprlang, tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
-from tbgrav.jets import Jet, seed_variable
+from tbgrav.jets import Jet, jet_values, seed_variable
 from tbgrav.spacetime import alpha_star, catalog, metric_jet
-from tbgrav.tensors import jet_values
 
 MODELS = {
     "minkowski": catalog("minkowski"),
@@ -122,7 +121,7 @@ def test_criterion_4_alpha_zero_collapse():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 5):
             gamma = base_geom.christoffel_values(model, p.x)
-            riem = jet_values(base_geom.riemann(model, p.x).components)
+            riem = jet_values(base_geom.riemann(model, p.x))
             n_conn = bundle_geom.nonlinear_connection(model, p, alpha=0.0)
             berw = bundle_geom.berwald_coeffs(model, p, alpha=0.0)
             e = bundle_geom.tidal_tensor(model, p, alpha=0.0)
@@ -131,7 +130,7 @@ def test_criterion_4_alpha_zero_collapse():
                 np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
                 np.max(np.abs(berw - gamma)),
                 np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-                np.max(np.abs(ric - jet_values(base_geom.ricci(model, p.x).components))),
+                np.max(np.abs(ric - jet_values(base_geom.ricci(model, p.x)))),
                 abs(scal - base_geom.ricci_scalar(model, p.x)),
             ]
             worst = max(worst, float(max(defects)))
@@ -177,7 +176,7 @@ def test_criterion_6_volume_structure():
     for model in MODELS.values():
         for x in verify.sample_points(model, rng, 10):
             fm = tm_metric.fiber_metric(model, x)
-            g = metric_jet(model, x, order=0).values()
+            g = jet_values(metric_jet(model, x, order=0))
             worst_det = max(worst_det, abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
 
     schw = MODELS["schwarzschild"]

@@ -14,11 +14,11 @@ import pytest
 
 from tbgrav import base_geom as bg
 from tbgrav import bundle_geom as bun
-from tbgrav.bundle_geom import BundleGeometry, BundlePoint, FiberField, Y_SLOT0
-from tbgrav.errors import SingularEvaluationError
-from tbgrav.jets import Jet
+from tbgrav import tm_metric
+from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
+from tbgrav.errors import SingularEvaluationError, UsageError
+from tbgrav.jets import Jet, jet_values
 from tbgrav.spacetime import catalog, metric_jet
-from tbgrav.tensors import jet_values
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -38,7 +38,7 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
             x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6.2)]
         else:
             x = rng.uniform(-1, 1, size=4).tolist()
-        g = metric_jet(model, x, order=0).values()
+        g = jet_values(metric_jet(model, x, order=0))
         # timelike y: normalized time direction plus a small spatial part
         y = np.array([1.0 / math.sqrt(g[0, 0]), 0.0, 0.0, 0.0])
         y[1:] = rng.uniform(-boost, boost, size=3) / np.sqrt(-np.diag(g)[1:])
@@ -100,7 +100,7 @@ def test_spray_B_uniform_field_closed_form():
 def test_spray_perturbation_orthogonal_to_y():
     rng = np.random.default_rng(23)
     for p in _rand_bundle_points(RN, rng, 5):
-        g = metric_jet(RN, p.x, order=0).values()
+        g = jet_values(metric_jet(RN, p.x, order=0))
         b = bun.spray_B(RN, p)
         assert abs(b @ g @ p.y) <= 1e-12
 
@@ -190,7 +190,9 @@ def test_berwald_symmetry_and_hessian_consistency():
 
 def test_adapted_derivative_base_function():
     # for f = f(x) the fiber correction drops: delta_i f = d_i f
-    field = FiberField(lambda m, p, o: metric_jet(m, p.x, order=o, nvars=8).components[0, 0])
+    def field(m, p, o):
+        return metric_jet(m, p.x, order=o, nvars=8)[0, 0]
+
     out = bun.adapted_derivative(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [2, 0, 0, 0]), field)
     # d_r g_00 = 2M/r^2 = 0.02
     assert out[1].value == pytest.approx(0.02, rel=1e-12)
@@ -201,10 +203,10 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
     p = BundlePoint(X_RN, Y_RN)
 
     def log_sqrt_det(model, pt, order):
-        g = metric_jet(model, pt.x, order=order, nvars=8).components
+        g = metric_jet(model, pt.x, order=order, nvars=8)
         return (-bg.det_jet_matrix(g)).sqrt().ln()
 
-    out = bun.adapted_derivative(RN, p, FiberField(log_sqrt_det))
+    out = bun.adapted_derivative(RN, p, log_sqrt_det)
     gamma = bg.christoffel_values(RN, p.x)
     for i in range(4):
         assert out[i].value == pytest.approx(np.einsum("jji->i", gamma)[i], rel=1e-10, abs=1e-13)
@@ -212,16 +214,32 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
 
 def test_adapted_derivative_norm_squared_two_paths():
     p = BundlePoint(X_RN, Y_RN)
-    field = FiberField(lambda m, pt, o: BundleGeometry(m, pt, order=o).norm2, homogeneity=2)
-    out = bun.adapted_derivative(RN, p, field)
+    def norm2(m, pt, o):
+        return BundleGeometry(m, pt, order=o).norm2
+
+    out = bun.adapted_derivative(RN, p, norm2)
     geo = BundleGeometry(RN, p, order=2)
-    gj = metric_jet(RN, p.x, order=1).components
+    gj = metric_jet(RN, p.x, order=1)
     n = jet_values(geo.n_conn)
     g = jet_values(geo.g)
     for i in range(4):
         dg = np.array([[gj[a, b].gradient()[i] for b in range(4)] for a in range(4)])
         hand = p.y @ dg @ p.y - 2.0 * (p.y @ g @ n[:, i])
         assert out[i].value == pytest.approx(hand, rel=1e-10, abs=1e-13)
+
+
+def test_fiber_fields_are_plain_callables():
+    p = BundlePoint(X_RN, Y_RN)
+    out = bun.adapted_derivative(RN, p, lambda m, pt, o: BundleGeometry(m, pt, order=o).l_low)
+    assert out.shape == (4, 4) and out.dtype == object
+    with pytest.raises(UsageError, match="must evaluate to jets"):
+        bun.adapted_derivative(RN, p, lambda m, pt, o: [1.0, 2.0])
+    lifted = tm_metric.lift_base_field(lambda env: [env["r"]] * 4)
+    assert np.isfinite(tm_metric.horizontal_divergence(RN, p, lifted))
+    with pytest.raises(UsageError, match="4 components"):
+        tm_metric.horizontal_divergence(RN, p, lambda m, pt, o: lifted(m, pt, o)[:3])
+    with pytest.raises(UsageError, match="must evaluate to jets"):
+        tm_metric.horizontal_divergence(RN, p, lambda m, pt, o: np.zeros(4))
 
 
 # -- curvature of N and tidal tensor ---------------------------------------------------
@@ -237,7 +255,7 @@ def test_tidal_alpha_zero_matches_base_riemann():
     for model in (SCHW, RN):
         for p in _rand_bundle_points(model, rng, 3):
             e = bun.tidal_tensor(model, p, alpha=0.0)
-            riem = jet_values(bg.riemann(model, p.x).components)
+            riem = jet_values(bg.riemann(model, p.x))
             expected = np.einsum("iabl,a,b->il", riem, p.y, p.y)
             scale = np.max(np.abs(expected)) + 1e-12
             assert np.max(np.abs(e - expected)) <= 1e-10 * scale
@@ -264,7 +282,7 @@ def test_schwarzschild_static_tidal_eigenvalues():
 def test_d_curvature_alpha_zero_collapse():
     p = BundlePoint(X_RN, Y_RN)
     _, ric, scalar = bun.d_curvature(RN, p, alpha=0.0)
-    assert np.max(np.abs(ric - bg.ricci(RN, p.x).values())) <= 1e-10
+    assert np.max(np.abs(ric - jet_values(bg.ricci(RN, p.x)))) <= 1e-10
     assert abs(scalar - bg.ricci_scalar(RN, p.x)) <= 1e-10
 
 
@@ -328,8 +346,6 @@ def test_decomposition_divergence_convention_frozen():
     # the split closes only with the coupling-free adapted basis; using the
     # alpha-adapted basis leaves exactly (5 alpha^2/4) F^2 uncancelled in flat
     # space with constant F (hand derivation), which pins the frozen choice
-    from tbgrav import tm_metric
-
     alpha = 1.0
     p = BundlePoint(X_FLAT, [2.0, 0.3, -0.2, 0.1])
 
@@ -345,9 +361,8 @@ def test_decomposition_divergence_convention_frozen():
             out[i] = acc
         return out
 
-    field = bun.FiberField(b_contraction)
-    div_frozen = tm_metric.horizontal_divergence(UNI, p, field, order=3, alpha=0.0)
-    div_variant = tm_metric.horizontal_divergence(UNI, p, field, order=3, alpha=alpha)
+    div_frozen = tm_metric.horizontal_divergence(UNI, p, b_contraction, order=3, alpha=0.0)
+    div_variant = tm_metric.horizontal_divergence(UNI, p, b_contraction, order=3, alpha=alpha)
     dec = bun.ricci_decomposition(UNI, p, alpha=alpha)
     assert div_frozen == pytest.approx(dec["div_term"], abs=1e-14)
     assert abs(dec["R"] - dec["r"] - div_variant - dec["quad_term"]) > 1e-4

@@ -17,8 +17,8 @@ from tbgrav import dynamics as dyn
 from tbgrav import exprlang, spacetime
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import IntegrationError, SingularEvaluationError
+from tbgrav.jets import jet_values
 from tbgrav.spacetime import catalog, metric_jet
-from tbgrav.tensors import jet_values
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -62,7 +62,7 @@ def test_rhs_equals_minus_twice_spray():
         x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6)]
         from tbgrav.spacetime import metric_jet
 
-        g = metric_jet(RN, x, order=0).values()
+        g = jet_values(metric_jet(RN, x, order=0))
         y = np.array([1.2 / math.sqrt(g[0, 0]), 0, 0, 0])
         y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
         rhs = dyn.worldline_rhs(RN, x, y, alpha=0.6)
@@ -180,7 +180,7 @@ def test_schwarzschild_tidal_stretch_and_compression():
 
     def proper(dev, t, idx):
         xb = base.sample(t)[:4]
-        g = metric_jet(SCHW, xb, order=0).values()
+        g = jet_values(metric_jet(SCHW, xb, order=0))
         return math.sqrt(-g[idx, idx]) * dev.sample(t)[idx]
 
     assert proper(dev_r, 8.0, 1) > proper(dev_r, 0.0, 1)  # stretched
@@ -219,7 +219,7 @@ def _timelike_point(model, rng):
         x = np.array([rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.4, 2.7), rng.uniform(0, 6.2)])
     else:
         x = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(3, 8, size=3)])
-    g = metric_jet(model, x, order=0).values()
+    g = jet_values(metric_jet(model, x, order=0))
     y = np.empty(4)
     y[0] = 1.2 / math.sqrt(g[0, 0])
     y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])

@@ -27,7 +27,7 @@ RN_POINT = [0.0, 5.0, math.pi / 2, 0.3]
 def test_schwarzschild_lapse():
     m = catalog("schwarzschild", {"M": 1.0})
     g = metric_jet(m, SCHW_POINT, order=0)
-    assert g.components[0, 0].value == pytest.approx(0.8)
+    assert g[0, 0].value == pytest.approx(0.8)
 
 
 def test_minkowski_everywhere():
@@ -39,8 +39,8 @@ def test_minkowski_everywhere():
 def test_rn_potential_value():
     m = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
     a = potential_jet(m, RN_POINT, order=1)
-    assert a.components[0].value == pytest.approx(0.06)
-    assert a.components[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.012)
+    assert a[0].value == pytest.approx(0.06)
+    assert a[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.012)
 
 
 def test_catalog_errors():
@@ -61,14 +61,14 @@ def test_metric_jet_constant_for_minkowski():
     g = metric_jet(m, [0.1, 0.2, 0.3, 0.4], order=2)
     for i in range(4):
         for j in range(4):
-            assert not g.components[i, j].c[1:].any()
+            assert not g[i, j].c[1:].any()
 
 
 def test_schwarzschild_metric_radial_derivative():
     m = catalog("schwarzschild", {"M": 1.0})
     g = metric_jet(m, SCHW_POINT, order=1)
     # d g_00 / dr = 2M/r^2
-    assert g.components[0, 0].derivative((0, 1, 0, 0)) == pytest.approx(0.02)
+    assert g[0, 0].derivative((0, 1, 0, 0)) == pytest.approx(0.02)
 
 
 def test_signature():
@@ -87,7 +87,7 @@ def test_metric_symmetry_shared_storage():
     g = metric_jet(m, SCHW_POINT, order=2)
     for i in range(4):
         for j in range(4):
-            assert g.components[i, j] is g.components[j, i]
+            assert g[i, j] is g[j, i]
 
 
 def test_chart_guard():
@@ -140,7 +140,7 @@ def test_empty_potential_defaults_to_zero():
     doc = {k: v for k, v in SCHW_DOC.items() if k != "potential"}
     m = load_model(json.dumps(doc))
     a = potential_jet(m, SCHW_POINT, order=1)
-    assert all(a.components[i].value == 0.0 for i in range(4))
+    assert all(a[i].value == 0.0 for i in range(4))
 
 
 def test_unknown_keys_rejected():
@@ -185,8 +185,8 @@ def test_print_load_round_trip():
 def test_uniform_field_potential_gradient():
     m = catalog("uniform_field", {"E0": 0.1})
     a = potential_jet(m, [0.0, 2.0, 0.0, 0.0], order=1)
-    assert a.components[0].value == pytest.approx(-0.2)
-    assert a.components[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.1)
+    assert a[0].value == pytest.approx(-0.2)
+    assert a[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.1)
 
 
 def test_degenerate_metric_detected():
@@ -257,8 +257,8 @@ def _tree_jets(model, x, order, nvars, slots):
 
 
 def _tape_jets(model, x, order, nvars, slots):
-    g = metric_jet(model, x, order, nvars, slots, check=False).components
-    a = potential_jet(model, x, order, nvars, slots, check=False).components
+    g = metric_jet(model, x, order, nvars, slots, check=False)
+    a = potential_jet(model, x, order, nvars, slots, check=False)
     return [g[i, j] for i in range(4) for j in range(i, 4)] + list(a)
 
 
