@@ -7,24 +7,24 @@ of the expression, which is how every tensor in the engine is differentiated.
 
 import math
 
-from tbgrav import Jet, evaluate, free_symbols, parse, print_expr, seed_variable
+from tbgrav import Jet, evaluate, free_symbols, parse, print_expr
 
 # -- jet arithmetic ----------------------------------------------------------
 
 # f(x) = x^2 at x = 3, carrying two derivative levels
-x = seed_variable(0, 3.0, order=2, nvars=1)
+x = Jet.variable(0, 3.0, order=2, nvars=1)
 f = x * x
 print("f(3) =", f.value)                      # 9
 print("f'(3) =", f.derivative((1,)))          # 6
 print("f''(3) =", f.derivative((2,)))         # 2
 
 # chain rule through sqrt: d/dx sqrt(x) at 4 is 1/4
-s = (seed_variable(0, 4.0, order=2, nvars=1)).sqrt()
+s = (Jet.variable(0, 4.0, order=2, nvars=1)).sqrt()
 print("sqrt'(4) =", s.derivative((1,)))
 
 # mixed partials in two variables
-u = seed_variable(0, 1.5, order=2, nvars=2)
-v = seed_variable(1, -0.5, order=2, nvars=2)
+u = Jet.variable(0, 1.5, order=2, nvars=2)
+v = Jet.variable(1, -0.5, order=2, nvars=2)
 print("d2(uv)/dudv =", (u * v).derivative((1, 1)))
 
 # -- expressions -------------------------------------------------------------
@@ -37,7 +37,7 @@ print("canonical form:", print_expr(tree))
 env = {
     "M": Jet.constant(1.0, 1, 1),
     "Q": Jet.constant(0.3, 1, 1),
-    "r": seed_variable(0, 5.0, 1, 1),
+    "r": Jet.variable(0, 5.0, 1, 1),
 }
 val = evaluate(tree, env)
 print("f(5) =", val.value)

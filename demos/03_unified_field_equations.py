@@ -13,34 +13,31 @@ import math
 import numpy as np
 
 from tbgrav import (
+    BundleGeometry,
     BundlePoint,
     alpha_star,
     catalog,
-    d_curvature,
     generalized_einstein,
-    nonlinear_connection,
+    jet_values,
     ricci_decomposition,
-    spray_B,
-    supporting_element,
-    tidal_tensor,
 )
 
 rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
 print("distinguished coupling alpha* =", alpha_star(1.0, 1.0))
 
 p = BundlePoint([0.0, 5.0, math.pi / 2, 0.3], [1.4, 0.0, 0.0, 0.02])
-norm, l_up, _ = supporting_element(rn, p)
-print("|y| =", norm, " supporting element:", l_up)
+# every object of the connection's ladder is read off one geometry at (x, y)
+geo = BundleGeometry(rn, p)
+print("|y| =", geo.norm.value, " supporting element:", jet_values(geo.l_up))
 
 # the spray perturbation is metrically orthogonal to y
-print("B^i =", spray_B(rn, p))
-print("N^i_j nonzero entries:", int(np.count_nonzero(np.abs(nonlinear_connection(rn, p)) > 1e-14)))
+print("B^i =", jet_values(geo.b_up))
+print("N^i_j nonzero entries:", int(np.count_nonzero(np.abs(jet_values(geo.n_conn)) > 1e-14)))
 
 # tidal tensor and its curvature ladder
-e = tidal_tensor(rn, p)
+e = jet_values(geo.tidal)
 print("tidal tensor diagonal:", np.diag(e))
-riem, ric, scal = d_curvature(rn, p)
-print("bundle Ricci scalar R(x,y) =", scal)
+print("bundle Ricci scalar R(x,y) =", geo.d_ricci_scalar)
 
 # the scalar-curvature split closes pointwise
 dec = ricci_decomposition(rn, p)
@@ -59,5 +56,5 @@ print("literal bundle assembly differs by", ge["difference"], "(reported, not as
 schw = catalog("schwarzschild", {"M": 1.0})
 f = 0.8
 hover = BundlePoint([0.0, 10.0, math.pi / 2, 0.0], [1.0 / math.sqrt(f), 0.0, 0.0, 0.0])
-eigs = np.diag(tidal_tensor(schw, hover, alpha=0.0))[1:]
+eigs = np.diag(jet_values(BundleGeometry(schw, hover, alpha=0.0).tidal))[1:]
 print("Schwarzschild tidal eigenvalues:", eigs, " (2M/r^3, -M/r^3, -M/r^3)")

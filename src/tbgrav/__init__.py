@@ -20,18 +20,9 @@ from .bundle_geom import (
     BundleGeometry,
     BundlePoint,
     adapted_derivative,
-    b_scalar_and_hessian,
-    berwald_coeffs,
-    d_curvature,
     fiber_derivs_B,
     generalized_einstein,
-    n_curvature,
-    nonlinear_connection,
     ricci_decomposition,
-    spray,
-    spray_B,
-    supporting_element,
-    tidal_tensor,
 )
 from .dynamics import (
     Trajectory,
@@ -56,7 +47,7 @@ from .errors import (
     UsageError,
 )
 from .exprlang import evaluate, free_symbols, parse, print_expr
-from .jets import Jet, jet_values, seed_variable
+from .jets import Jet, jet_values
 from .spacetime import (
     SpacetimeModel,
     alpha_star,

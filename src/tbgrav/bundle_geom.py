@@ -41,7 +41,7 @@ import numpy as np
 
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, jet_values, seed_variable
+from .jets import MAX_ORDER, Jet, jet_values
 from .spacetime import SpacetimeModel, metric_jet, potential_jet
 
 X_SLOTS = (0, 1, 2, 3)
@@ -64,11 +64,14 @@ class BundleGeometry:
     """Lazy cache of all jet-valued objects at one bundle point.
 
     ``order`` is the total derivative budget of the carrier jets; each object
-    below consumes shift levels as annotated.  Order 4 supports every op
-    including the fiber Hessians of the tidal-tensor trace.
+    below consumes shift levels as annotated.  The default, ``MAX_ORDER`` (4),
+    supports every object including the fiber Hessians of the tidal-tensor
+    trace; an object's values are the same at every carrier order that holds
+    it, so a lower order only saves work for callers that read few objects.
     """
 
-    def __init__(self, model: SpacetimeModel, p: BundlePoint, order: int = 2, alpha: float | None = None):
+    def __init__(self, model: SpacetimeModel, p: BundlePoint, order: int = MAX_ORDER,
+                 alpha: float | None = None):
         self.model = model
         self.p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
         self.order = order
@@ -92,7 +95,7 @@ class BundleGeometry:
     def yj(self) -> np.ndarray:
         out = np.empty(4, dtype=object)
         for i in range(4):
-            out[i] = seed_variable(Y_SLOT0 + i, self.p.y[i], self.order, 8)
+            out[i] = Jet.variable(Y_SLOT0 + i, self.p.y[i], self.order, 8)
         return out
 
     # -- one shift consumed ----------------------------------------------------
@@ -320,60 +323,37 @@ class BundleGeometry:
         bb = self.b_up @ (self.g @ self.b_up)
         return bb / self.norm2 * 1.5 + self.b_trace2 * 0.5
 
+    @cached_property
+    def b_hessian(self) -> np.ndarray:
+        """Fiber Hessian of ``b_scalar`` as float values (y-independent)."""
+        hess = np.empty((4, 4))
+        for i in range(4):
+            di = self.b_scalar.partial(Y_SLOT0 + i)
+            for j in range(i, 4):
+                hess[i, j] = hess[j, i] = di.partial(Y_SLOT0 + j).value
+        return hess
+
 
 # -- public operations ------------------------------------------------------------
 
 
-def supporting_element(model: SpacetimeModel, p, order: int = 1):
-    """(|y|, l^i, l_i) with g(l,l) = 1; requires timelike y."""
-    geo = BundleGeometry(model, p, order=order)
-    return geo.norm.value, jet_values(geo.l_up), jet_values(geo.l_low)
-
-
-def spray_B(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).b_up)
-
-
-def spray(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).spray)
-
-
-def nonlinear_connection(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).n_conn)
-
-
-def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None, route: str = "closed"):
-    """(B^i_.j, B^i_.jk, B^i_.jkl) values, via closed forms or pure fiber jets."""
-    if route not in ("closed", "jets"):
-        raise UsageError(f"route must be 'closed' or 'jets', got {route!r}")
-    geo = BundleGeometry(model, p, order=4, alpha=alpha)
-    b1 = np.empty((4, 4))
-    b2 = np.empty((4, 4, 4))
-    b3 = np.empty((4, 4, 4, 4))
-    if route == "closed":
-        b1[:] = jet_values(geo.b_j)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    b2[i, j, k] = geo.b_jk[i, j, k].value
-                    for l in range(4):
-                        b3[i, j, k, l] = geo.b_jk[i, j, k].partial(Y_SLOT0 + l).value
-        return b1, b2, b3
+def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
+    """(B^i_.j, B^i_.jk, B^i_.jkl) values from one geometry, twice: via the
+    closed forms and via pure fiber jets of B^i, returned as (closed, jets)."""
+    geo = BundleGeometry(model, p, alpha=alpha)
+    closed = (jet_values(geo.b_j), jet_values(geo.b_jk), np.empty((4, 4, 4, 4)))
+    jets = (np.empty((4, 4)), np.empty((4, 4, 4)), np.empty((4, 4, 4, 4)))
     for i in range(4):
         firsts = [geo.b_up[i].partial(Y_SLOT0 + j) for j in range(4)]
         for j in range(4):
-            b1[i, j] = firsts[j].value
+            jets[0][i, j] = firsts[j].value
             seconds = [firsts[j].partial(Y_SLOT0 + k) for k in range(4)]
             for k in range(4):
-                b2[i, j, k] = seconds[k].value
+                jets[1][i, j, k] = seconds[k].value
                 for l in range(4):
-                    b3[i, j, k, l] = seconds[k].partial(Y_SLOT0 + l).value
-    return b1, b2, b3
-
-
-def berwald_coeffs(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    """G^i_jk values (fiber Hessian of the spray), symmetric in (j,k)."""
-    return jet_values(BundleGeometry(model, p, order=1, alpha=alpha).berwald)
+                    closed[2][i, j, k, l] = geo.b_jk[i, j, k].partial(Y_SLOT0 + l).value
+                    jets[2][i, j, k, l] = seconds[k].partial(Y_SLOT0 + l).value
+    return closed, jets
 
 
 def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
@@ -393,28 +373,10 @@ def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
     return out
 
 
-def n_curvature(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    """R^i_jk values, antisymmetric in (j,k)."""
-    geo = BundleGeometry(model, p, order=2, alpha=alpha)
-    return jet_values(geo.n_curvature)
-
-
-def tidal_tensor(model: SpacetimeModel, p, alpha: float | None = None) -> np.ndarray:
-    """E^i_j values."""
-    geo = BundleGeometry(model, p, order=2, alpha=alpha)
-    return jet_values(geo.tidal)
-
-
-def d_curvature(model: SpacetimeModel, p, alpha: float | None = None):
-    """(R_j^i_kl, R_jl, R) of the Berwald-type connection at the bundle point."""
-    geo = BundleGeometry(model, p, order=4, alpha=alpha)
-    return geo.d_riemann, geo.d_ricci, geo.d_ricci_scalar
-
-
 def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
     """Split of the bundle Ricci scalar into base curvature, a divergence term,
     and the quadratic field-strength term; residual should vanish pointwise."""
-    geo = BundleGeometry(model, p, order=4, alpha=alpha)
+    geo = BundleGeometry(model, p, alpha=alpha)
     r_bundle = geo.d_ricci_scalar
     r_base = geo.base_ricci_scalar
     div_term = geo.div_term
@@ -430,11 +392,6 @@ def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) ->
     }
 
 
-def b_scalar_and_hessian(model: SpacetimeModel, p, alpha: float | None = None):
-    """(scalar, fiber Hessian) of the quadratic spray invariant."""
-    return _b_hessian(BundleGeometry(model, p, order=3, alpha=alpha))
-
-
 def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
     """Generalized Einstein tensor.
 
@@ -445,7 +402,7 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     reported, not asserted.
     """
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
-    geo = BundleGeometry(model, p, order=4, alpha=alpha)
+    geo = BundleGeometry(model, p, alpha=alpha)
     a = geo.alpha
 
     g, ginv, f_low, f_mix = base_geom._em_fields(model, p.x, 2)
@@ -455,10 +412,9 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     variational = jet_values(gt) - coupling * jet_values(t_em)
 
     r_tilde = geo.base_ricci_scalar + 1.5 * a**2 * geo.f_squared
-    _, b_hess = _b_hessian(geo)
     gvals = jet_values(geo.g)
     ric = geo.d_ricci
-    assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + b_hess
+    assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + geo.b_hessian
 
     return {
         "variational": variational,
@@ -468,16 +424,6 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
         "alpha": a,
         "r_tilde": r_tilde,
     }
-
-
-def _b_hessian(geo: BundleGeometry):
-    b = geo.b_scalar
-    hess = np.empty((4, 4))
-    for i in range(4):
-        di = b.partial(Y_SLOT0 + i)
-        for j in range(i, 4):
-            hess[i, j] = hess[j, i] = di.partial(Y_SLOT0 + j).value
-    return b.value, hess
 
 
 def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
@@ -520,13 +466,3 @@ def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None
     # the spray is 2-homogeneous in y, so -2 G^i = -N^i_j y^j
     return n_conn, tidal, -(n_conn @ y)
 
-
-def homogeneity_ratio(model: SpacetimeModel, p, values_fn, degree: int, lam: float = 2.0,
-                      alpha: float | None = None) -> float:
-    """Max relative Euler-scaling defect of values_fn under y -> lam*y."""
-    p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
-    base = np.asarray(values_fn(model, p, alpha), dtype=float)
-    scaled = np.asarray(values_fn(model, BundlePoint(p.x, lam * p.y), alpha), dtype=float)
-    expect = lam**degree * base
-    scale = np.max(np.abs(expect)) + 1.0
-    return float(np.max(np.abs(scaled - expect)) / scale)

@@ -43,11 +43,6 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", default=None, help='coupling: a number or "star"')
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-
-
 def _vec(text: str, flag: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
@@ -136,7 +131,7 @@ def _cmd_verify(args) -> int:
     if args.tol_tier3 is not None:
         tiers[3] = args.tol_tier3
     reports = verify.run_suite(model, seed=args.seed, n_points=args.samples, tiers=tiers)
-    if (args.format or "json") == "json":
+    if args.format == "json":
         print(verify.reports_to_json(reports))
     else:
         print(verify.reports_to_csv(reports), end="")
@@ -243,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print model data and fields at a point")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x", help="evaluation point, 4 comma-separated numbers")
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser("verify", help="run the residual check suite")
     _add_model_args(p)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--samples", type=int, default=5, help="points per check")
     p.add_argument("--tol-tier1", type=float, default=None, help="first-derivative tolerance")
     p.add_argument("--tol-tier2", type=float, default=None, help="curvature tolerance")
@@ -258,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic", help="integrate a charged-particle worldline (CSV)")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--y0", required=True)
     p.add_argument("--t-end", type=float, default=10.0)
@@ -269,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deviation", help="integrate worldline + deviation field (CSV)")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--y0", required=True)
     p.add_argument("--w0", required=True)
@@ -283,21 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem1", help="scalar-curvature split at a bundle point")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(fn=_cmd_theorem1)
 
     p = sub.add_parser("efe", help="generalized Einstein tensor at a bundle point")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(fn=_cmd_efe)
 
     p = sub.add_parser("integrate-volume", help="fiber-ball volume and metric determinants")
     _add_model_args(p)
-    _add_common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--box", default=None, help="4 comma-separated lo:hi spans for a box integral")
     p.set_defaults(fn=_cmd_integrate_volume)

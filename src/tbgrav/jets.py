@@ -206,6 +206,7 @@ class Jet:
 
     @staticmethod
     def variable(index: int, value: float, order: int, nvars: int) -> "Jet":
+        """Jet of the coordinate function x_index at the given value."""
         sp = jet_space(order, nvars)
         if not (0 <= index < nvars):
             raise ConfigError(f"variable slot {index} out of range for nvars={nvars}")
@@ -416,12 +417,7 @@ class Jet:
         return self._compose(taylor)
 
 
-# -- seeding and derivative arrays ---------------------------------------------
-
-
-def seed_variable(index: int, value: float, order: int, nvars: int) -> Jet:
-    """Jet of the coordinate function x_index at the given value."""
-    return Jet.variable(index, value, order, nvars)
+# -- derivative arrays ---------------------------------------------------------
 
 
 def derivative_arrays(jets: np.ndarray, order: int) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
-from .jets import Jet, jet_values, seed_variable
+from .jets import Jet, jet_values
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -58,7 +58,7 @@ class SpacetimeModel:
         """Environment with coordinates seeded in the given variable slots."""
         env = self.param_env(order, nvars)
         for slot, name, xi in zip(slots, self.coords, np.asarray(x, dtype=float)):
-            env[name] = seed_variable(slot, float(xi), order, nvars)
+            env[name] = Jet.variable(slot, float(xi), order, nvars)
         return env
 
     @cached_property

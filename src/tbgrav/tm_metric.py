@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base_geom import sqrt_minus_det
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet
@@ -233,11 +234,9 @@ def lift_base_field(component_fn):
 
 def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float:
     """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets."""
-    from .base_geom import det_jet_matrix
-
     env = model.coord_env(x, order=1, nvars=4)
     comps = component_fn(env)
-    s = (-det_jet_matrix(metric_jet(model, x, order=1))).sqrt()
+    s = sqrt_minus_det(metric_jet(model, x, order=1))
     total = 0.0
     for i in range(4):
         total += (s * comps[i]).partial(i).value

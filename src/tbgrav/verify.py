@@ -222,26 +222,35 @@ def _check_stress_trace(model, rng, n):
     return _map_points(sample_points(model, rng, n), residual)
 
 
+def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
+    """Relative Euler-scaling defect of each ladder object under y -> 2y:
+    spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)."""
+
+    def ladder(geo):
+        return [jet_values(geo.spray), jet_values(geo.n_conn), jet_values(geo.berwald),
+                jet_values(geo.tidal), geo.d_ricci, geo.b_hessian]
+
+    lam = 2.0
+    base = ladder(BundleGeometry(model, p))
+    scaled = ladder(BundleGeometry(model, BundlePoint(p.x, lam * p.y)))
+    defects = []
+    for values, scaled_values, degree in zip(base, scaled, (2, 1, 0, 2, 0, 0)):
+        expect = lam**degree * values
+        defects.append(float(np.max(np.abs(scaled_values - expect)) / (np.max(np.abs(expect)) + 1.0)))
+    return defects
+
+
 def _check_homogeneity_ladder(model, rng, n):
-    cases = [
-        (lambda m, q, a: bundle_geom.spray(m, q, alpha=a), 2),
-        (lambda m, q, a: bundle_geom.nonlinear_connection(m, q, alpha=a), 1),
-        (lambda m, q, a: bundle_geom.berwald_coeffs(m, q, alpha=a), 0),
-        (lambda m, q, a: bundle_geom.tidal_tensor(m, q, alpha=a), 2),
-        (lambda m, q, a: bundle_geom.d_curvature(m, q, alpha=a)[1], 0),
-        (lambda m, q, a: bundle_geom.b_scalar_and_hessian(m, q, alpha=a)[1], 0),
-    ]
     return _map_points(
         sample_bundle_points(model, rng, n),
-        lambda p: max(bundle_geom.homogeneity_ratio(model, p, fn, deg) for fn, deg in cases),
+        lambda p: max(homogeneity_defects(model, p)),
         "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)",
     )
 
 
 def _check_fiber_derivs_agreement(model, rng, n):
     def residual(p):
-        closed = bundle_geom.fiber_derivs_B(model, p, route="closed")
-        jets = bundle_geom.fiber_derivs_B(model, p, route="jets")
+        closed, jets = bundle_geom.fiber_derivs_B(model, p)
         return max(
             np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0) for c, j in zip(closed, jets)
         )
@@ -251,7 +260,7 @@ def _check_fiber_derivs_agreement(model, rng, n):
 
 def _check_tidal_reconstruction(model, rng, n):
     def residual(p):
-        geo = BundleGeometry(model, p, order=4)
+        geo = BundleGeometry(model, p)
         e = jet_values(geo.tidal)
         scale = np.max(np.abs(e)) + 1e-12
         recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
@@ -264,11 +273,12 @@ def _check_tidal_reconstruction(model, rng, n):
 def _check_alpha_zero_collapse(model, rng, n):
     def residual(p):
         gamma = base_geom.christoffel_values(model, p.x)
-        n_conn = bundle_geom.nonlinear_connection(model, p, alpha=0.0)
-        berw = bundle_geom.berwald_coeffs(model, p, alpha=0.0)
-        e = bundle_geom.tidal_tensor(model, p, alpha=0.0)
+        geo = BundleGeometry(model, p, alpha=0.0)
+        n_conn = jet_values(geo.n_conn)
+        berw = jet_values(geo.berwald)
+        e = jet_values(geo.tidal)
         riem = jet_values(base_geom.riemann(model, p.x))
-        _, ric, scal = bundle_geom.d_curvature(model, p, alpha=0.0)
+        ric, scal = geo.d_ricci, geo.d_ricci_scalar
         ric_base = jet_values(base_geom.ricci(model, p.x))
         scal_base = base_geom.ricci_scalar(model, p.x)
         return max(
@@ -287,7 +297,7 @@ def _check_theorem1_quad_y_independent(model, rng, n):
         quads = []
         for _ in range(3):
             y = sample_timelike(model, rng, x)
-            quads.append(bundle_geom.ricci_decomposition(model, BundlePoint(x, y))["quad_term"])
+            quads.append(BundleGeometry(model, BundlePoint(x, y)).quad_term)
         return (max(quads) - min(quads)) / (abs(quads[0]) + 1.0)
 
     return _map_points(sample_points(model, rng, n), residual)
@@ -295,9 +305,9 @@ def _check_theorem1_quad_y_independent(model, rng, n):
 
 def _check_theorem1_quad_closed_form(model, rng, n):
     def residual(p):
-        dec = bundle_geom.ricci_decomposition(model, p)
-        expect = 1.5 * dec["alpha"] ** 2 * dec["f_squared"]
-        return abs(dec["quad_term"] - expect) / (abs(expect) + 1.0)
+        geo = BundleGeometry(model, p)
+        expect = 1.5 * geo.alpha**2 * geo.f_squared
+        return abs(geo.quad_term - expect) / (abs(expect) + 1.0)
 
     return _map_points(sample_bundle_points(model, rng, n), residual)
 

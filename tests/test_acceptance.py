@@ -14,7 +14,7 @@ import pytest
 from tbgrav import base_geom, bundle_geom, dynamics, exprlang, tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
-from tbgrav.jets import Jet, jet_values, seed_variable
+from tbgrav.jets import Jet, jet_values
 from tbgrav.spacetime import alpha_star, catalog, metric_jet
 
 MODELS = {
@@ -122,16 +122,13 @@ def test_criterion_4_alpha_zero_collapse():
         for p in verify.sample_bundle_points(model, rng, 5):
             gamma = base_geom.christoffel_values(model, p.x)
             riem = jet_values(base_geom.riemann(model, p.x))
-            n_conn = bundle_geom.nonlinear_connection(model, p, alpha=0.0)
-            berw = bundle_geom.berwald_coeffs(model, p, alpha=0.0)
-            e = bundle_geom.tidal_tensor(model, p, alpha=0.0)
-            _, ric, scal = bundle_geom.d_curvature(model, p, alpha=0.0)
+            geo = BundleGeometry(model, p, alpha=0.0)
             defects = [
-                np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
-                np.max(np.abs(berw - gamma)),
-                np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-                np.max(np.abs(ric - jet_values(base_geom.ricci(model, p.x)))),
-                abs(scal - base_geom.ricci_scalar(model, p.x)),
+                np.max(np.abs(jet_values(geo.n_conn) - np.einsum("ijk,k->ij", gamma, p.y))),
+                np.max(np.abs(jet_values(geo.berwald) - gamma)),
+                np.max(np.abs(jet_values(geo.tidal) - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
+                np.max(np.abs(geo.d_ricci - jet_values(base_geom.ricci(model, p.x)))),
+                abs(geo.d_ricci_scalar - base_geom.ricci_scalar(model, p.x)),
             ]
             worst = max(worst, float(max(defects)))
     _report(4, "alpha=0 collapse to Levi-Civita objects", worst <= 1e-10, f"max defect {worst:.2e}")
@@ -142,22 +139,12 @@ def test_criterion_5_homogeneity_ladder():
     connection, Berwald coefficients, tidal tensor, d-Ricci, B-Hessian), plus
     closed-form vs fiber-jet agreement for the spray-perturbation derivatives."""
     rng = np.random.default_rng(1005)
-    cases = [
-        (lambda m, q, a: bundle_geom.spray(m, q, alpha=a), 2),
-        (lambda m, q, a: bundle_geom.nonlinear_connection(m, q, alpha=a), 1),
-        (lambda m, q, a: bundle_geom.berwald_coeffs(m, q, alpha=a), 0),
-        (lambda m, q, a: bundle_geom.tidal_tensor(m, q, alpha=a), 2),
-        (lambda m, q, a: bundle_geom.d_curvature(m, q, alpha=a)[1], 0),
-        (lambda m, q, a: bundle_geom.b_scalar_and_hessian(m, q, alpha=a)[1], 0),
-    ]
     worst_euler = worst_agree = 0.0
     for name in ("uniform_field", "reissner_nordstrom", "schwarzschild"):
         model = MODELS[name]
         for p in verify.sample_bundle_points(model, rng, 3):
-            for fn, degree in cases:
-                worst_euler = max(worst_euler, bundle_geom.homogeneity_ratio(model, p, fn, degree))
-            closed = bundle_geom.fiber_derivs_B(model, p, route="closed")
-            jets = bundle_geom.fiber_derivs_B(model, p, route="jets")
+            worst_euler = max(worst_euler, *verify.homogeneity_defects(model, p))
+            closed, jets = bundle_geom.fiber_derivs_B(model, p)
             for c, j in zip(closed, jets):
                 worst_agree = max(worst_agree, np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0))
     _report(
@@ -285,7 +272,7 @@ def test_criterion_9_infrastructure():
         return (v * v + 1.0).sqrt() * v.sin() + (v * 0.3 + 2.0).ln()
 
     x0, h1, h2 = 0.8, 1e-5, 1e-4
-    jet = fn(seed_variable(0, x0, 2, 1))
+    jet = fn(Jet.variable(0, x0, 2, 1))
     f = lambda t: fn(Jet.constant(t, 0, 1)).value
     fd1 = (f(x0 + h1) - f(x0 - h1)) / (2 * h1)
     fd2 = (f(x0 + h2) - 2 * f(x0) + f(x0 - h2)) / h2**2

@@ -14,11 +14,11 @@ import pytest
 
 from tbgrav import base_geom as bg
 from tbgrav import bundle_geom as bun
-from tbgrav import tm_metric
+from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.jets import Jet, jet_values
-from tbgrav.spacetime import catalog, metric_jet
+from tbgrav.jets import MAX_ORDER, Jet, jet_values
+from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -52,28 +52,28 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
 
 
 def test_supporting_element_minkowski():
-    norm, l_up, l_low = bun.supporting_element(MINK, BundlePoint(X_FLAT, Y_TIME))
-    assert norm == pytest.approx(2.0)
-    assert np.allclose(l_up, [1, 0, 0, 0])
-    assert np.allclose(l_low, [1, 0, 0, 0])
+    geo = BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME))
+    assert geo.norm.value == pytest.approx(2.0)
+    assert np.allclose(jet_values(geo.l_up), [1, 0, 0, 0])
+    assert np.allclose(jet_values(geo.l_low), [1, 0, 0, 0])
 
 
 def test_supporting_element_null_rejected():
     with pytest.raises(SingularEvaluationError, match="g\\(y,y\\)"):
-        bun.supporting_element(MINK, BundlePoint(X_FLAT, [1.0, 1.0, 0.0, 0.0]))
+        BundleGeometry(MINK, BundlePoint(X_FLAT, [1.0, 1.0, 0.0, 0.0])).l_up
 
 
 def test_supporting_element_schwarzschild():
-    norm, l_up, _ = bun.supporting_element(SCHW, BundlePoint([0, 10, math.pi / 2, 0], [1, 0, 0, 0]))
-    assert norm == pytest.approx(math.sqrt(0.8))
-    assert l_up[0] == pytest.approx(1 / math.sqrt(0.8))
+    geo = BundleGeometry(SCHW, BundlePoint([0, 10, math.pi / 2, 0], [1, 0, 0, 0]))
+    assert geo.norm.value == pytest.approx(math.sqrt(0.8))
+    assert geo.l_up[0].value == pytest.approx(1 / math.sqrt(0.8))
 
 
 def test_unit_supporting_element_everywhere():
     rng = np.random.default_rng(21)
     for p in _rand_bundle_points(RN, rng, 5):
-        _, l_up, l_low = bun.supporting_element(RN, p)
-        assert float(l_up @ l_low) == pytest.approx(1.0, abs=1e-13)
+        geo = BundleGeometry(RN, p)
+        assert float(jet_values(geo.l_up) @ jet_values(geo.l_low)) == pytest.approx(1.0, abs=1e-13)
 
 
 # -- spray family -----------------------------------------------------------------
@@ -82,15 +82,16 @@ def test_unit_supporting_element_everywhere():
 def test_spray_alpha_zero_reduces_to_geodesic():
     rng = np.random.default_rng(22)
     for p in _rand_bundle_points(SCHW, rng, 3):
-        assert np.max(np.abs(bun.spray_B(SCHW, p, alpha=0.0))) == 0.0
-        n = bun.nonlinear_connection(SCHW, p, alpha=0.0)
+        geo = BundleGeometry(SCHW, p, alpha=0.0)
+        assert np.max(np.abs(jet_values(geo.b_up))) == 0.0
+        n = jet_values(geo.n_conn)
         gamma = bg.christoffel_values(SCHW, p.x)
         assert np.allclose(n, np.einsum("ijk,k->ij", gamma, p.y), atol=1e-12)
 
 
 def test_spray_B_uniform_field_closed_form():
     p = BundlePoint(X_FLAT, Y_TIME)
-    b = bun.spray_B(UNI, p, alpha=1.0)
+    b = jet_values(BundleGeometry(UNI, p, alpha=1.0).b_up)
     # B^i = -(1/2)*|y|*F^i_j y^j = -2 F^i_0 at y=(2,0,0,0)
     _, f_mix = bg.faraday_values(UNI, X_FLAT)
     assert np.allclose(b, -2.0 * f_mix[:, 0] * 2.0 * 0.5)
@@ -101,7 +102,7 @@ def test_spray_perturbation_orthogonal_to_y():
     rng = np.random.default_rng(23)
     for p in _rand_bundle_points(RN, rng, 5):
         g = jet_values(metric_jet(RN, p.x, order=0))
-        b = bun.spray_B(RN, p)
+        b = jet_values(BundleGeometry(RN, p).b_up)
         assert abs(b @ g @ p.y) <= 1e-12
 
 
@@ -120,8 +121,8 @@ def test_nonlinear_connection_matches_spray_fiber_jets():
 
 def test_fiber_derivs_euler_identities():
     p = BundlePoint(X_RN, Y_RN)
-    b = bun.spray_B(RN, p)
-    b1, b2, b3 = bun.fiber_derivs_B(RN, p)
+    b = jet_values(BundleGeometry(RN, p).b_up)
+    (b1, b2, b3), _ = bun.fiber_derivs_B(RN, p)
     y = p.y
     assert np.allclose(b1 @ y, 2 * b, rtol=1e-10)
     assert np.allclose(np.einsum("ijk,k->ij", b2, y), b1, rtol=1e-10)
@@ -131,7 +132,7 @@ def test_fiber_derivs_euler_identities():
 def test_fiber_derivs_trace_vanishes():
     # B^j_.ij = 0, hence N^j_.ij = gamma^j_ij
     p = BundlePoint(X_RN, Y_RN)
-    _, b2, _ = bun.fiber_derivs_B(RN, p)
+    (_, b2, _), _ = bun.fiber_derivs_B(RN, p)
     assert np.max(np.abs(np.einsum("jij->i", b2))) <= 1e-12
     geo = BundleGeometry(RN, p, order=2)
     gamma = jet_values(geo.gamma)
@@ -142,7 +143,7 @@ def test_fiber_derivs_trace_vanishes():
 
 
 def test_fiber_derivs_alpha_zero():
-    b1, b2, b3 = bun.fiber_derivs_B(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
+    (b1, b2, b3), _ = bun.fiber_derivs_B(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
     assert np.max(np.abs(b1)) == np.max(np.abs(b2)) == np.max(np.abs(b3)) == 0.0
 
 
@@ -150,9 +151,8 @@ def test_fiber_derivs_closed_vs_jets():
     rng = np.random.default_rng(24)
     for model in (UNI, RN):
         for p in _rand_bundle_points(model, rng, 3):
-            c1, c2, c3 = bun.fiber_derivs_B(model, p, route="closed")
-            j1, j2, j3 = bun.fiber_derivs_B(model, p, route="jets")
-            for c, j in ((c1, j1), (c2, j2), (c3, j3)):
+            closed, jets = bun.fiber_derivs_B(model, p)
+            for c, j in zip(closed, jets):
                 scale = np.max(np.abs(c)) + 1.0
                 assert np.max(np.abs(c - j)) <= 1e-10 * scale
 
@@ -162,15 +162,15 @@ def test_fiber_derivs_closed_vs_jets():
 
 def test_berwald_alpha_zero_is_christoffel():
     p = BundlePoint(X_RN, Y_RN)
-    gb = bun.berwald_coeffs(RN, p, alpha=0.0)
+    gb = jet_values(BundleGeometry(RN, p, alpha=0.0).berwald)
     gamma = bg.christoffel_values(RN, p.x)
     assert np.max(np.abs(gb - gamma)) <= 1e-10
 
 
 def test_berwald_euler_identity():
     p = BundlePoint(X_RN, Y_RN)
-    gb = bun.berwald_coeffs(RN, p)
-    n = bun.nonlinear_connection(RN, p)
+    geo = BundleGeometry(RN, p)
+    gb, n = jet_values(geo.berwald), jet_values(geo.n_conn)
     assert np.allclose(np.einsum("ijk,k->ij", gb, p.y), n, rtol=1e-10, atol=1e-12)
 
 
@@ -246,7 +246,7 @@ def test_fiber_fields_are_plain_callables():
 
 
 def test_n_curvature_antisymmetry_exact():
-    r3 = bun.n_curvature(RN, BundlePoint(X_RN, Y_RN))
+    r3 = jet_values(BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).n_curvature)
     assert np.array_equal(r3, -np.swapaxes(r3, 1, 2))
 
 
@@ -254,7 +254,7 @@ def test_tidal_alpha_zero_matches_base_riemann():
     rng = np.random.default_rng(25)
     for model in (SCHW, RN):
         for p in _rand_bundle_points(model, rng, 3):
-            e = bun.tidal_tensor(model, p, alpha=0.0)
+            e = jet_values(BundleGeometry(model, p, alpha=0.0).tidal)
             riem = jet_values(bg.riemann(model, p.x))
             expected = np.einsum("iabl,a,b->il", riem, p.y, p.y)
             scale = np.max(np.abs(expected)) + 1e-12
@@ -262,14 +262,15 @@ def test_tidal_alpha_zero_matches_base_riemann():
 
 
 def test_tidal_minkowski_zero():
-    assert np.max(np.abs(bun.tidal_tensor(MINK, BundlePoint(X_FLAT, Y_TIME), alpha=0.0))) == 0.0
+    e = jet_values(BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME), alpha=0.0).tidal)
+    assert np.max(np.abs(e)) == 0.0
 
 
 def test_schwarzschild_static_tidal_eigenvalues():
     r = 10.0
     f = 1 - 2 / r
     p = BundlePoint([0, r, math.pi / 2, 0.3], [1 / math.sqrt(f), 0, 0, 0])
-    e = bun.tidal_tensor(SCHW, p, alpha=0.0)
+    e = jet_values(BundleGeometry(SCHW, p, alpha=0.0).tidal)
     assert e[1, 1] == pytest.approx(2 / r**3, rel=1e-12)
     assert e[2, 2] == pytest.approx(-1 / r**3, rel=1e-12)
     assert e[3, 3] == pytest.approx(-1 / r**3, rel=1e-12)
@@ -281,7 +282,8 @@ def test_schwarzschild_static_tidal_eigenvalues():
 
 def test_d_curvature_alpha_zero_collapse():
     p = BundlePoint(X_RN, Y_RN)
-    _, ric, scalar = bun.d_curvature(RN, p, alpha=0.0)
+    geo = BundleGeometry(RN, p, alpha=0.0)
+    ric, scalar = geo.d_ricci, geo.d_ricci_scalar
     assert np.max(np.abs(ric - jet_values(bg.ricci(RN, p.x)))) <= 1e-10
     assert abs(scalar - bg.ricci_scalar(RN, p.x)) <= 1e-10
 
@@ -311,8 +313,10 @@ def test_d_ricci_contraction_relations():
 
 def test_d_ricci_homogeneity_degree_zero():
     p = BundlePoint(X_RN, Y_RN)
-    _, ric1, r1 = bun.d_curvature(RN, p)
-    _, ric2, r2 = bun.d_curvature(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN)))
+    geo1 = BundleGeometry(RN, p)
+    geo2 = BundleGeometry(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN)))
+    ric1, r1 = geo1.d_ricci, geo1.d_ricci_scalar
+    ric2, r2 = geo2.d_ricci, geo2.d_ricci_scalar
     scale = np.max(np.abs(ric1)) + 1.0
     assert np.max(np.abs(ric1 - ric2)) <= 1e-9 * scale
     assert abs(r1 - r2) <= 1e-9 * (abs(r1) + 1.0)
@@ -380,13 +384,14 @@ def test_decomposition_quad_term_y_independent():
 
 
 def test_b_scalar_alpha_zero():
-    val, hess = bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
+    geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
+    val, hess = geo.b_scalar.value, geo.b_hessian
     assert val == 0.0 and np.max(np.abs(hess)) == 0.0
 
 
 def test_b_scalar_uniform_field_hand_oracle():
     # y=(2,0,0,0): B-scalar = (3/2)(-4 a^2 E0^2)/4 + (1/2)(4 a^2 E0^2) = a^2 E0^2 / 2
-    val, _ = bun.b_scalar_and_hessian(UNI, BundlePoint(X_FLAT, Y_TIME), alpha=1.0)
+    val = BundleGeometry(UNI, BundlePoint(X_FLAT, Y_TIME), alpha=1.0).b_scalar.value
     assert val == pytest.approx(0.005, rel=1e-12)
 
 
@@ -394,8 +399,8 @@ def test_b_scalar_homogeneity_degree_two():
     # B^i is degree-2 homogeneous, so the B-scalar is an exact quadratic form in y
     # (closed form alpha^2/8 (phi^2 - |y|^2 F^2)); the reference text's degree-0
     # claim miscounts.  The degree-0 object is the fiber Hessian below.
-    v1, _ = bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, Y_RN))
-    v2, _ = bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN)))
+    v1 = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_scalar.value
+    v2 = BundleGeometry(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN))).b_scalar.value
     assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
 
@@ -408,13 +413,13 @@ def test_b_scalar_closed_form_quadratic():
     f2 = np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)
     y = np.asarray(Y_RN)
     closed = RN.alpha**2 / 8 * (phi @ g @ phi - (y @ g @ y) * f2)
-    val, _ = bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, Y_RN))
+    val = geo.b_scalar.value
     assert val == pytest.approx(closed, rel=1e-12)
 
 
 def test_b_hessian_y_independent():
     hs = [
-        bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, y))[1]
+        BundleGeometry(RN, BundlePoint(X_RN, y)).b_hessian
         for y in ([1.4, 0.05, 0.01, 0.02], [1.7, 0, 0, 0], [1.3, 0.2, -0.1, 0.05])
     ]
     scale = np.max(np.abs(hs[0])) + 1e-12
@@ -422,7 +427,7 @@ def test_b_hessian_y_independent():
 
 
 def test_b_hessian_symmetric():
-    _, hess = bun.b_scalar_and_hessian(RN, BundlePoint(X_RN, Y_RN))
+    hess = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_hessian
     assert np.array_equal(hess, hess.T)
 
 
@@ -472,18 +477,45 @@ def test_jet_operation_budget(monkeypatch):
     assert counts["coerce"] <= 11371
 
 
+# -- carrier order ------------------------------------------------------------------------------
+
+CATALOG_PARAMS = {
+    "minkowski": {},
+    "uniform_field": {"E0": 0.1},
+    "schwarzschild": {"M": 1.0},
+    "reissner_nordstrom": {"M": 1.0, "Q": 0.3},
+    "weak_field": {"M": 1.0},
+}
+# (object, lowest carrier order that holds it)
+LADDER_OBJECTS = (("spray", 1), ("n_conn", 1), ("berwald", 1), ("b_up", 1), ("tidal", 2), ("b_hessian", 3))
+
+
+def _value_bytes(geo, attr):
+    value = getattr(geo, attr)
+    return (jet_values(value) if value.dtype == object else value).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_values_independent_of_carrier_order(name):
+    """BundleGeometry defaults to MAX_ORDER because no object's values depend
+    on the carrier order: every lower order that holds an object gives the
+    MAX_ORDER bytes."""
+    model = catalog(name, CATALOG_PARAMS[name])
+    rng = np.random.default_rng(28)
+    for alpha in (0.0, 0.5):
+        for p in verify.sample_bundle_points(model, rng, 2):
+            full = BundleGeometry(model, p, alpha=alpha)
+            assert full.order == MAX_ORDER
+            for order in range(1, MAX_ORDER):
+                geo = BundleGeometry(model, p, order=order, alpha=alpha)
+                for attr, lowest in LADDER_OBJECTS:
+                    if order >= lowest:
+                        assert _value_bytes(geo, attr) == _value_bytes(full, attr), (attr, order, alpha)
+
+
 # -- homogeneity ladder ------------------------------------------------------------------------
 
 
 def test_homogeneity_ladder():
-    p = BundlePoint(X_RN, Y_RN)
-    cases = [
-        (lambda m, q, a: bun.spray(m, q, alpha=a), 2),
-        (lambda m, q, a: bun.nonlinear_connection(m, q, alpha=a), 1),
-        (lambda m, q, a: bun.berwald_coeffs(m, q, alpha=a), 0),
-        (lambda m, q, a: bun.tidal_tensor(m, q, alpha=a), 2),
-        (lambda m, q, a: bun.d_curvature(m, q, alpha=a)[1], 0),
-        (lambda m, q, a: bun.b_scalar_and_hessian(m, q, alpha=a)[1], 0),
-    ]
-    for fn, degree in cases:
-        assert bun.homogeneity_ratio(RN, p, fn, degree) <= 1e-9
+    defects = verify.homogeneity_defects(RN, BundlePoint(X_RN, Y_RN))
+    assert len(defects) == 6 and max(defects) <= 1e-9

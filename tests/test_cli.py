@@ -195,3 +195,10 @@ def test_help_lists_flags(capsys):
     text = out + err
     for flag in ("--catalog", "--model", "--x0", "--y0", "--t-end", "--samples", "--alpha"):
         assert flag in text
+
+
+def test_seed_and_format_belong_to_verify_only(capsys):
+    geodesic = ("geodesic", "--catalog", "minkowski", "--x0", "0,0,0,0", "--y0", "1,0,0,0")
+    assert run_cli(capsys, *geodesic, "--format", "json")[0] == 2
+    theorem1 = ("theorem1", "--catalog", "minkowski", "--x", "0,0,0,0", "--y", "2,0,0,0")
+    assert run_cli(capsys, *theorem1, "--seed", "1")[0] == 2

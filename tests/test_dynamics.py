@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from tbgrav import bundle_geom as bun
 from tbgrav import dynamics as dyn
 from tbgrav import exprlang, spacetime
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
@@ -66,7 +65,7 @@ def test_rhs_equals_minus_twice_spray():
         y = np.array([1.2 / math.sqrt(g[0, 0]), 0, 0, 0])
         y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
         rhs = dyn.worldline_rhs(RN, x, y, alpha=0.6)
-        spray = bun.spray(RN, BundlePoint(x, y), alpha=0.6)
+        spray = jet_values(BundleGeometry(RN, BundlePoint(x, y), alpha=0.6).spray)
         assert np.max(np.abs(rhs + 2 * spray)) <= 1e-12 * (np.max(np.abs(rhs)) + 1)
 
 

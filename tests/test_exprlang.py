@@ -18,14 +18,14 @@ from tbgrav.exprlang import (
     parse,
     print_expr,
 )
-from tbgrav.jets import Jet, seed_variable
+from tbgrav.jets import Jet
 
 
 def _env(order=1, **values):
     env = {}
     slots = sorted(values)
     for i, name in enumerate(slots):
-        env[name] = seed_variable(i, values[name], order, max(len(slots), 1))
+        env[name] = Jet.variable(i, values[name], order, max(len(slots), 1))
     return env
 
 
@@ -64,21 +64,21 @@ def test_negative_exponent():
 
 
 def test_evaluate_with_parameter_and_seeded_coordinate():
-    env = {"M": Jet.constant(1.0, 1, 1), "r": seed_variable(0, 10.0, 1, 1)}
+    env = {"M": Jet.constant(1.0, 1, 1), "r": Jet.variable(0, 10.0, 1, 1)}
     val = evaluate(parse("2*M/r"), env)
     assert val.value == pytest.approx(0.2)
     assert val.derivative((1,)) == pytest.approx(-0.02)
 
 
 def test_schwarzschild_lapse_derivative():
-    env = {"M": Jet.constant(1.0, 1, 1), "r": seed_variable(0, 10.0, 1, 1)}
+    env = {"M": Jet.constant(1.0, 1, 1), "r": Jet.variable(0, 10.0, 1, 1)}
     val = evaluate(parse("1-2*M/r"), env)
     assert val.value == pytest.approx(0.8)
     assert val.derivative((1,)) == pytest.approx(0.02)
 
 
 def test_coulomb_term():
-    env = {"Q": Jet.constant(0.3, 1, 1), "r": seed_variable(0, 5.0, 1, 1)}
+    env = {"Q": Jet.constant(0.3, 1, 1), "r": Jet.variable(0, 5.0, 1, 1)}
     val = evaluate(parse("Q/r"), env)
     assert val.value == pytest.approx(0.06)
     assert val.derivative((1,)) == pytest.approx(-0.012)

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
-from tbgrav.jets import Jet, seed_variable
+from tbgrav.jets import Jet
 
 
 def test_seed_identity_function():
-    j = seed_variable(0, 3.0, order=2, nvars=1)
+    j = Jet.variable(0, 3.0, order=2, nvars=1)
     assert j.derivative((0,)) == 3.0
     assert j.derivative((1,)) == 1.0
     assert j.derivative((2,)) == 0.0
 
 
 def test_square_of_seed():
-    j = seed_variable(0, 3.0, order=2, nvars=1)
+    j = Jet.variable(0, 3.0, order=2, nvars=1)
     sq = j * j
     assert sq.derivative((0,)) == 9.0
     assert sq.derivative((1,)) == 6.0
@@ -27,14 +27,14 @@ def test_square_of_seed():
 
 
 def test_gradient_of_sum_of_two_seeds():
-    a = seed_variable(0, 1.5, order=1, nvars=4)
-    b = seed_variable(1, 0.5, order=1, nvars=4)
+    a = Jet.variable(0, 1.5, order=1, nvars=4)
+    b = Jet.variable(1, 0.5, order=1, nvars=4)
     s = a + b
     assert np.allclose(s.gradient(), [1.0, 1.0, 0.0, 0.0])
 
 
 def test_mul_at_two():
-    x = seed_variable(0, 2.0, order=2, nvars=1)
+    x = Jet.variable(0, 2.0, order=2, nvars=1)
     p = x * x
     assert p.value == 4.0
     assert p.derivative((1,)) == 4.0
@@ -42,7 +42,7 @@ def test_mul_at_two():
 
 
 def test_reciprocal_quotient_rule():
-    x = seed_variable(0, 2.0, order=2, nvars=1)
+    x = Jet.variable(0, 2.0, order=2, nvars=1)
     one = Jet.constant(1.0, 2, 1)
     r = one / x
     assert r.value == 0.5
@@ -51,7 +51,7 @@ def test_reciprocal_quotient_rule():
 
 
 def test_x_over_x_is_constant_one():
-    x = seed_variable(0, 5.0, order=3, nvars=1)
+    x = Jet.variable(0, 5.0, order=3, nvars=1)
     r = x / x
     assert r.value == pytest.approx(1.0, rel=1e-15)
     assert abs(r.derivative((1,))) < 1e-15
@@ -60,7 +60,7 @@ def test_x_over_x_is_constant_one():
 
 def test_sqrt_chain_rule():
     # value 4 with unit slope: d sqrt = 1/(2 sqrt v), d2 = -1/(4 v^(3/2))
-    x = seed_variable(0, 4.0, order=2, nvars=1)
+    x = Jet.variable(0, 4.0, order=2, nvars=1)
     s = x.sqrt()
     assert s.value == 2.0
     assert s.derivative((1,)) == pytest.approx(0.25)
@@ -68,7 +68,7 @@ def test_sqrt_chain_rule():
 
 
 def test_sin_at_zero():
-    x = seed_variable(0, 0.0, order=2, nvars=1)
+    x = Jet.variable(0, 0.0, order=2, nvars=1)
     s = x.sin()
     assert s.value == 0.0
     assert s.derivative((1,)) == 1.0
@@ -76,7 +76,7 @@ def test_sin_at_zero():
 
 
 def test_exp_ln_inverse_composition():
-    x = seed_variable(0, 3.0, order=3, nvars=1)
+    x = Jet.variable(0, 3.0, order=3, nvars=1)
     y = x.ln().exp()
     assert y.value == pytest.approx(3.0, rel=1e-14)
     assert y.derivative((1,)) == pytest.approx(1.0, rel=1e-13)
@@ -92,16 +92,16 @@ def test_extract_from_constant():
 
 
 def test_cross_derivative():
-    x = seed_variable(0, 1.3, order=2, nvars=2)
-    y = seed_variable(1, -0.7, order=2, nvars=2)
+    x = Jet.variable(0, 1.3, order=2, nvars=2)
+    y = Jet.variable(1, -0.7, order=2, nvars=2)
     assert (x * y).derivative((1, 1)) == pytest.approx(1.0)
 
 
 def test_errors():
     with pytest.raises(ConfigError):
-        seed_variable(4, 1.0, order=2, nvars=4)
+        Jet.variable(4, 1.0, order=2, nvars=4)
     with pytest.raises(UsageError):
-        seed_variable(0, 1.0, order=2, nvars=2).derivative((2, 1))
+        Jet.variable(0, 1.0, order=2, nvars=2).derivative((2, 1))
     with pytest.raises(SingularEvaluationError):
         Jet.constant(0.0, 2, 1)._reciprocal()
     with pytest.raises(SingularEvaluationError):
@@ -152,7 +152,7 @@ def test_polynomial_derivatives_exact(nvars):
     rng = np.random.default_rng(42 + nvars)
     mons, coeffs = _random_cubic(rng, nvars)
     x = rng.uniform(0.5, 1.5, size=nvars)
-    jets = [seed_variable(i, x[i], 3, nvars) for i in range(nvars)]
+    jets = [Jet.variable(i, x[i], 3, nvars) for i in range(nvars)]
     val = Jet.constant(0.0, 3, nvars)
     for m, c in zip(mons, coeffs):
         term = Jet.constant(float(c), 3, nvars)
@@ -184,7 +184,7 @@ def _smooth(j):
 
 def test_first_derivative_matches_central_difference():
     x0 = 0.8
-    j = _smooth(seed_variable(0, x0, 2, 1))
+    j = _smooth(Jet.variable(0, x0, 2, 1))
     h = 1e-5
     fd = (_smooth(Jet.constant(x0 + h, 0, 1)).value - _smooth(Jet.constant(x0 - h, 0, 1)).value) / (
 
@@ -195,7 +195,7 @@ def test_first_derivative_matches_central_difference():
 
 def test_second_derivative_matches_central_difference():
     x0 = 0.8
-    j = _smooth(seed_variable(0, x0, 2, 1))
+    j = _smooth(Jet.variable(0, x0, 2, 1))
     h = 1e-4
     f = lambda t: _smooth(Jet.constant(t, 0, 1)).value
     fd2 = (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
@@ -208,8 +208,8 @@ finite = st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=Fa
 @given(a=finite, b=finite, c=finite)
 @settings(max_examples=50, deadline=None)
 def test_multiplication_associative(a, b, c):
-    ja = seed_variable(0, a, 3, 2) + 0.5
-    jb = seed_variable(1, b, 3, 2) - 0.25
+    ja = Jet.variable(0, a, 3, 2) + 0.5
+    jb = Jet.variable(1, b, 3, 2) - 0.25
     jc = Jet.constant(c, 3, 2) + ja * 0.1
     left = (ja * jb) * jc
     right = ja * (jb * jc)
@@ -220,15 +220,15 @@ def test_multiplication_associative(a, b, c):
 @given(a=finite, b=finite)
 @settings(max_examples=50, deadline=None)
 def test_multiplication_commutative(a, b):
-    ja = seed_variable(0, a, 2, 2)
-    jb = seed_variable(1, b, 2, 2) * 0.7 + 0.2
+    ja = Jet.variable(0, a, 2, 2)
+    jb = Jet.variable(1, b, 2, 2) * 0.7 + 0.2
     assert np.array_equal((ja * jb).c, (jb * ja).c)
 
 
 def test_partial_shift_consistency():
     # d/dx of x^2 y at (1.2, -0.5): 2xy; second mixed partial 2x
-    x = seed_variable(0, 1.2, 3, 2)
-    y = seed_variable(1, -0.5, 3, 2)
+    x = Jet.variable(0, 1.2, 3, 2)
+    y = Jet.variable(1, -0.5, 3, 2)
     f = x * x * y
     fx = f.partial(0)
     assert fx.value == pytest.approx(2 * 1.2 * -0.5)
@@ -237,13 +237,13 @@ def test_partial_shift_consistency():
 
 
 def test_pow_const_integer_and_fractional():
-    x = seed_variable(0, 2.0, 3, 1)
+    x = Jet.variable(0, 2.0, 3, 1)
     assert (x**3).value == 8.0
     assert (x**3).derivative((1,)) == 12.0
     assert (x ** (-2)).value == 0.25
     assert (x ** (-2)).derivative((1,)) == pytest.approx(-2 / 8)
     assert x.pow_const(0.5).value == pytest.approx(math.sqrt(2))
-    neg = seed_variable(0, -2.0, 3, 1)
+    neg = Jet.variable(0, -2.0, 3, 1)
     assert (neg**2).value == 4.0  # integer powers fine on negative base
     with pytest.raises(SingularEvaluationError):
         neg.pow_const(0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbgrav import verify
+from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
 from tbgrav.jets import jet_values
 from tbgrav.spacetime import catalog, metric_jet
@@ -140,3 +141,23 @@ def test_reports_carry_conventions_and_seed():
     assert r.seed == 13
     assert r.conventions["signature"] == "+---"
     assert r.conventions["em_stress_sign"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "check, per_point",
+    [("alpha_zero_collapse", 1), ("fiber_derivs_agreement", 1), ("homogeneity_ladder", 2)],
+)
+def test_geometry_builds_per_point(monkeypatch, check, per_point):
+    """One BundleGeometry per bundle point (two for the y -> 2y ladder)."""
+    builds = []
+    init = BundleGeometry.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(check)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BundleGeometry, "__init__", counted_init)
+    n = 2
+    [report] = verify.run_suite(RN, seed=42, n_points=n, selection=[check])
+    assert report.passed
+    assert len(builds) == per_point * n
