@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, derivative_arrays, jet_values
-from .spacetime import SpacetimeModel, metric_jet, potential_jet
+from .jets import Jet, jet_values
+from .spacetime import SpacetimeModel, metric_derivatives, metric_jet, potential_jet
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
 EM_STRESS_SIGN = +1.0
@@ -172,7 +172,11 @@ def ricci(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
 def ricci_scalar(model: SpacetimeModel, x) -> float:
     g = metric_jet(model, x, order=2)
     ginv = invert_jet_matrix(g)
-    ric = ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
+    return scalar_curvature(ginv, ricci_jets(riemann_jets(christoffel_jets(g, ginv))))
+
+
+def scalar_curvature(ginv: np.ndarray, ric: np.ndarray) -> float:
+    """g^jl r_jl from the values of jet arrays, summed row by row."""
     total = 0.0
     for j in range(4):
         for l in range(4):
@@ -332,10 +336,11 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
 
 def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True,
                  check: bool = False) -> PointFields:
-    """Christoffel symbols and Faraday tensor at x from one metric_jet and at
-    most one potential_jet evaluation, by forward-mode chain rules on value,
-    gradient and Hessian arrays; ``order=2`` adds their first derivatives."""
-    g, dg, *ddg = derivative_arrays(metric_jet(model, x, order=order, check=check), order)
+    """Christoffel symbols and Faraday tensor at x from one run of the metric
+    tape's float kernel and at most one of the potential tape's, by forward-mode
+    chain rules on value, gradient and Hessian arrays; ``order=2`` adds their
+    first derivatives.  No jet is built."""
+    g, dg, *ddg = metric_derivatives(model, x, order, check=check)
     ginv = np.linalg.inv(g)
     s = _first_kind(dg)
     out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
@@ -344,8 +349,7 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
         ds = np.stack([_first_kind(d) for d in ddg[0]])
         out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, ds))
     if potential:
-        a = potential_jet(model, x, order=order, check=False)
-        _, da, *dda = derivative_arrays(a, order)  # da[i,j] = d_i A_j
+        _, da, *dda = model.potential_tape.derivatives(x, order)  # da[i,j] = d_i A_j
         out.f_low = da - da.T
         out.f_mix = ginv @ out.f_low
         if order >= 2:

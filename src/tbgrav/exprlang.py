@@ -29,10 +29,14 @@ program compiled once from a list of root trees (Griewank & Walther,
   division is a product with the reciprocal, as ``Jet.__truediv__`` forms
   it, so ``x / 10`` is ``x * 0.1``.
 
-A tape runs on plain floats (``Tape.values``) and on jets of any order
-(``Tape.jets``).  Both match ``evaluate`` bit for bit,
-coefficient by coefficient down to the sign of a zero, and raise the same
-errors at the same points.
+A tape runs on jets of any order (``Tape.jets``), and on plain floats
+through kernels it writes for itself: ``Tape.derivatives`` returns the values
+and the first and second partials in four variables from one straight-line
+function over the Taylor coefficients, compiled once per order, and
+``Tape.values`` is the order-0 kernel.  A kernel makes, on floats, the
+operations ``Tape.jets`` makes on coefficient arrays, in the same order, so
+every route matches ``evaluate`` bit for bit, coefficient by coefficient
+down to the sign of a zero, and raises the same errors at the same points.
 """
 
 from __future__ import annotations
@@ -44,8 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, SingularEvaluationError
-from .jets import MAX_ORDER, Jet, abs_value, jet_space, ln_value, mul_value, pow_value, reciprocal_value, sqrt_value
+from .errors import EvaluationError, ParseError, SingularEvaluationError, UsageError
+from .jets import (
+    MAX_ORDER, Jet, _is_integer, _power_by_squaring, abs_value, cos_series, exp_series, jet_space, ln_series,
+    ln_value, mul_value, pow_value, power_series, reciprocal_series, reciprocal_value, sin_series, sqrt_series,
+    sqrt_value,
+)
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln", "abs")
 
@@ -315,9 +323,9 @@ class Tape:
         self._code: list[tuple] = []
         self._seeds: set[int] = set()  # the coordinates the roots use
         self._jet_regs: dict = {}  # JetSpace -> registers with the constants as its jets
+        self._kernels: dict = {}  # order -> compiled float kernel
         memo: dict[Expr, tuple | int] = {}
         self.outputs = [self._reg(self._lower(root, memo)) for root in roots]
-        self._fcode = [(_FLOAT_OPS[op], out, a, b) for op, out, a, b in self._code]
         self._jcode = [(_JET_OPS[op], out, a, b) for op, out, a, b in self._code]
 
     # -- compiler -----------------------------------------------------------------
@@ -384,12 +392,29 @@ class Tape:
 
     def values(self, x) -> list[float]:
         """Root values at the coordinate values x, on plain floats."""
-        regs = self._regs.copy()
-        for k in self._seeds:
-            regs[k] = float(x[k])
-        for fn, out, a, b in self._fcode:
-            regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-        return [regs[r] for r in self.outputs]
+        return self._kernel(0)(x)
+
+    def derivatives(self, x, order: int) -> list[np.ndarray]:
+        """[values, first partials, second partials] of the roots up to
+        ``order`` (0, 1 or 2), as float arrays with the derivative axes first,
+        coordinate k seeded in variable k.  The numbers are the coefficients
+        ``jets(x, order)`` holds, bit for bit: the kernel makes the same
+        floating-point operations in the same order."""
+        if not 0 <= order <= 2:
+            raise UsageError(f"derivative order must be 0, 1 or 2, got {order}")
+        flat, n = np.array(self._kernel(order)(x)), len(self.outputs)
+        out = [flat[:n]]
+        if order >= 1:
+            out.append(flat[n : (1 + KERNEL_NVARS) * n].reshape(KERNEL_NVARS, n))
+        if order >= 2:
+            out.append(flat[(1 + KERNEL_NVARS) * n :].reshape(KERNEL_NVARS, KERNEL_NVARS, n))
+        return out
+
+    def _kernel(self, order: int):
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            kernel = self._kernels[order] = _KernelWriter(order).write(self)
+        return kernel
 
     def jets(self, x, order: int, nvars: int = 4, slots=(0, 1, 2, 3)) -> list[Jet]:
         """Root jets with coordinate k seeded in variable ``slots[k]``.  A
@@ -409,6 +434,161 @@ class Tape:
         for fn, out, a, b in self._jcode:
             regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         return [regs[r] for r in self.outputs]
+
+
+# -- float derivative kernels --------------------------------------------------
+
+KERNEL_NVARS = 4
+_SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "ln": ln_series,
+           "sin": sin_series, "cos": cos_series}
+
+
+class _KernelWriter:
+    """Writes a tape as one straight-line Python function over the Taylor
+    coefficients of ``jet_space(order, KERNEL_NVARS)`` (Fike & Alonso's
+    hyper-dual numbers, AIAA 2011-886, in this engine's coefficient layout).
+
+    Each statement repeats, on floats, an operation ``Tape.jets`` makes on a
+    coefficient array: a product adds its terms from +0.0 in the pair order of
+    the multiplication table (the order ``np.bincount`` adds them in), a
+    univariate function takes its series from ``jets`` and composes it by
+    ``Jet._compose``'s Horner scheme, and every singular value raises through
+    the same order-0 rule.  A coefficient known when the kernel is written (of
+    a constant or of a seed's derivative) is a float here, and the writer
+    folds the operations between known floats.  It also leaves out what
+    changes no bit for any input: a factor 1.0, and a known zero added to a
+    sum that started from +0.0 (such a sum is never -0.0).  A product of a
+    known zero with a run-time coefficient stays, because it makes the sum NaN
+    where that coefficient is infinite, as in the jet route.  At order 0 the
+    kernel is the float program of the jets' order-0 rules.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.space = jet_space(order, KERNEL_NVARS)
+        self.pairs = list(zip(*(t.tolist() for t in self.space._mul_table)))
+        self.lines: list[str] = []
+        self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets}
+
+    def write(self, tape: "Tape"):
+        size = self.space.size
+        regs = tape._regs.copy()
+        for r, jet in tape._consts.items():
+            regs[r] = [regs[r] if self.order == 0 else float(jet.c[0])] + [float(jet.c[1])] * (size - 1)
+        for k in tape._seeds:
+            regs[k] = [self.let(f"float(x[{k}])")] + [0.0] * (size - 1)
+            if self.order >= 1:
+                regs[k][self.space.first_index[k]] = 1.0
+        for op, out, a, b in tape._code:
+            regs[out] = self.emit(op, regs[a], None if b is None else regs[b])
+        roots = [regs[r] for r in tape.outputs]
+        flat = [c[0] for c in roots]  # values, then d/dx_v by v, then d2/dx_a dx_b by (a, b)
+        if self.order >= 1:
+            flat += [c[k] for k in self.space.first_index for c in roots]
+        if self.order >= 2:
+            slot, fac = self.space.second_index
+            for k, f in zip(slot.ravel().tolist(), fac.ravel().tolist()):  # derivative = coefficient * factorial
+                flat += [self.product(c[k], f) for c in roots]
+        source = "\n    ".join(["def kernel(x):", *self.lines, f"return [{', '.join(map(self.ref, flat))}]"])
+        exec(compile(source, f"<tape kernel, order {self.order}>", "exec"), self.namespace)
+        return self.namespace["kernel"]
+
+    # -- statements -------------------------------------------------------------------
+
+    def let(self, expr: str) -> str:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def unpack(self, expr: str, count: int) -> list[str]:
+        names = [f"u{len(self.lines)}_{k}" for k in range(count)]
+        self.lines.append(f"{', '.join(names)}, = {expr}")
+        return names
+
+    def ref(self, c) -> str:
+        if isinstance(c, str):
+            return c
+        if math.isfinite(c):
+            return repr(c) if math.copysign(1.0, c) > 0 else f"({c!r})"
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = c
+        return name
+
+    def call(self, fn, *args) -> str:
+        self.namespace[fn.__name__] = fn
+        return f"{fn.__name__}({', '.join(self.ref(a) for a in args)})"
+
+    # -- operations on coefficient lists ----------------------------------------------
+
+    def emit(self, op: str, a: list, b: list | None) -> list:
+        if op in ("+", "-"):
+            fold = operator.add if op == "+" else operator.sub
+            return [fold(p, q) if isinstance(p, float) and isinstance(q, float)
+                    else self.let(f"{self.ref(p)} {op} {self.ref(q)}") for p, q in zip(a, b)]
+        if op == "neg":
+            return [-p if isinstance(p, float) else self.let(f"-{p}") for p in a]
+        if op == "*":
+            return self.mul(a, b)
+        if self.order == 0:
+            return [self.let(self.call(_FLOAT_OPS[op], a[0], *(() if b is None else (b[0],))))]
+        if op == "abs":
+            self.lines.append(self.call(abs_value, a[0]))
+            positive = self.let(f"{self.ref(a[0])} > 0")
+            return [self.let(f"{self.ref(p)} if {positive} else -{self.ref(p)}") for p in a]
+        if op == "^":
+            return self.power(a, b)
+        return self.compose(_SERIES[op], a)
+
+    def mul(self, a: list, b: list) -> list:
+        terms = [[] for _ in range(self.space.size)]
+        for i, j, k in self.pairs:
+            terms[k].append(self.product(a[i], b[j]))
+        return [self.total(t) for t in terms]
+
+    def product(self, p, q):
+        if isinstance(p, float) and isinstance(q, float):
+            return p * q
+        if p == 1.0 or q == 1.0:  # 1.0 * q == q for every q
+            return q if p == 1.0 else p
+        return f"{self.ref(p)}*{self.ref(q)}"
+
+    def total(self, terms: list):
+        acc = 0.0
+        for t in terms:
+            if isinstance(acc, float) and isinstance(t, float):
+                acc += t
+            elif not isinstance(t, float) or t != 0.0:
+                acc = f"{self.ref(acc)} + {self.ref(t)}"
+        return acc if isinstance(acc, float) else self.let(acc)
+
+    def compose(self, series, a: list, *args) -> list:
+        n = self.order
+        taylor = self.unpack(self.call(series, a[0], *args, n), n + 1)
+        u = [0.0, *a[1:]]
+        result = [taylor[n]] + [0.0] * (self.space.size - 1)
+        for k in range(n - 1, -1, -1):
+            result = self.mul(result, u)
+            result[0] = self.let(f"{self.ref(result[0])} + {taylor[k]}")
+        return result
+
+    def power(self, a: list, b: list) -> list:
+        """``_jet_pow``: ``Jet.pow_const`` unrolled for a folded exponent,
+        ``_jet_pow`` itself on rebuilt jets for any other."""
+        if not all(isinstance(q, float) for q in b) or any(b[1:]):
+            return self.unpack(f"_pow_jets(space, [{', '.join(map(self.ref, a))}], [{', '.join(map(self.ref, b))}])",
+                               self.space.size)
+        exponent = b[0]
+        one = [1.0] + [0.0] * (self.space.size - 1)
+        if _is_integer(exponent) and exponent >= 0:
+            return _power_by_squaring(a, int(exponent), one, self.mul)
+        if _is_integer(exponent):
+            self.lines.append(self.call(pow_value, a[0], exponent))  # raises where the power is singular
+            return self.compose(reciprocal_series, _power_by_squaring(a, -int(exponent), one, self.mul))
+        return self.compose(power_series, a, exponent)
+
+
+def _pow_jets(space, base: list, exponent: list) -> list[float]:
+    return _jet_pow(Jet(space, np.array(base)), Jet(space, np.array(exponent))).c.tolist()
 
 
 def _constant(value: float) -> tuple[float, Jet]:

@@ -186,6 +186,58 @@ def pow_value(v: float, exponent: float) -> float:
     return v**exponent
 
 
+# -- Taylor series ------------------------------------------------------------
+#
+# Each function below gives the Taylor coefficients f(v), f'(v), f''(v)/2, ...
+# up to ``order`` of one univariate function, its first entry from the order-0
+# rule above.  ``Jet._compose`` and the tape's compiled kernels both take a
+# series from here, so each is written once.
+
+
+def reciprocal_series(v: float, order: int) -> list[float]:
+    return [reciprocal_value(v)] + [(-1.0) ** k / v ** (k + 1) for k in range(1, order + 1)]
+
+
+def _binomial_series(value: float, v: float, exponent: float, order: int) -> list[float]:
+    """Series of v^exponent from its value."""
+    taylor = [value]
+    coeff = float(exponent)
+    for k in range(1, order + 1):
+        taylor.append(taylor[k - 1] * coeff / (k * v))
+        coeff -= 1.0
+    return taylor
+
+
+def sqrt_series(v: float, order: int) -> list[float]:
+    return _binomial_series(sqrt_value(v), v, 0.5, order)
+
+
+def power_series(v: float, exponent: float, order: int) -> list[float]:
+    """Series of v^exponent for a non-integer exponent."""
+    return _binomial_series(pow_value(v, exponent), v, exponent, order)
+
+
+def exp_series(v: float, order: int) -> list[float]:
+    e = math.exp(v)
+    return [e / math.factorial(k) for k in range(order + 1)]
+
+
+def ln_series(v: float, order: int) -> list[float]:
+    return [ln_value(v)] + [(-1.0) ** (k - 1) / (k * v**k) for k in range(1, order + 1)]
+
+
+def sin_series(v: float, order: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
+    cycle = [s, c, -s, -c]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+def cos_series(v: float, order: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
+    cycle = [c, -s, -c, s]
+    return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
 class Jet:
     """Value plus partial derivatives to fixed total order, in nvars variables."""
 
@@ -347,7 +399,7 @@ class Jet:
 
     # -- composition with univariate functions ------------------------------
 
-    def _compose(self, taylor: np.ndarray) -> "Jet":
+    def _compose(self, taylor: list[float]) -> "Jet":
         """Evaluate sum_k taylor[k] * (self - value)^k by Horner's scheme."""
         u = Jet(self.space, self.c.copy())
         u.c[0] = 0.0
@@ -358,44 +410,22 @@ class Jet:
         return result
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        taylor = np.array([reciprocal_value(v)] + [(-1.0) ** k / v ** (k + 1) for k in range(1, self.order + 1)])
-        return self._compose(taylor)
+        return self._compose(reciprocal_series(self.value, self.order))
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        taylor = np.empty(self.order + 1)
-        taylor[0] = sqrt_value(v)
-        coeff = 0.5
-        for k in range(1, self.order + 1):
-            taylor[k] = taylor[k - 1] * coeff / (k * v)
-            coeff -= 1.0
-        return self._compose(taylor)
+        return self._compose(sqrt_series(self.value, self.order))
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        taylor = np.array([e / math.factorial(k) for k in range(self.order + 1)])
-        return self._compose(taylor)
+        return self._compose(exp_series(self.value, self.order))
 
     def ln(self) -> "Jet":
-        v = self.value
-        taylor = np.empty(self.order + 1)
-        taylor[0] = ln_value(v)
-        for k in range(1, self.order + 1):
-            taylor[k] = (-1.0) ** (k - 1) / (k * v**k)
-        return self._compose(taylor)
+        return self._compose(ln_series(self.value, self.order))
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [s, c, -s, -c]
-        taylor = np.array([cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)])
-        return self._compose(taylor)
+        return self._compose(sin_series(self.value, self.order))
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
-        cycle = [c, -s, -c, s]
-        taylor = np.array([cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)])
-        return self._compose(taylor)
+        return self._compose(cos_series(self.value, self.order))
 
     def abs(self) -> "Jet":
         abs_value(self.value)  # raises at 0
@@ -404,37 +434,10 @@ class Jet:
     def pow_const(self, exponent: float) -> "Jet":
         if _is_integer(exponent) and exponent >= 0:
             return _power_by_squaring(self, int(exponent), Jet.constant(1.0, self.order, self.nvars), operator.mul)
-        value = pow_value(self.value, exponent)  # raises where the power is singular
         if _is_integer(exponent):
+            pow_value(self.value, exponent)  # raises where the power is singular
             return self.pow_const(-int(exponent))._reciprocal()
-        v = self.value
-        taylor = np.empty(self.order + 1)
-        taylor[0] = value
-        coeff = float(exponent)
-        for k in range(1, self.order + 1):
-            taylor[k] = taylor[k - 1] * coeff / (k * v)
-            coeff -= 1.0
-        return self._compose(taylor)
-
-
-# -- derivative arrays ---------------------------------------------------------
-
-
-def derivative_arrays(jets: np.ndarray, order: int) -> list[np.ndarray]:
-    """[values, first partials, second partials] up to ``order`` of an array of
-    jets sharing one space, as float arrays with the derivative axes first."""
-    jets = np.asarray(jets, dtype=object)
-    space = jets.flat[0].space
-    if order > space.order:
-        raise UsageError(f"derivative order {order} exceeds jet order {space.order}")
-    coeffs = np.array([jet.c for jet in jets.flat]).T  # (space.size, n)
-    out = [coeffs[0].reshape(jets.shape)]
-    if order >= 1:
-        out.append(coeffs[space.first_index].reshape(space.nvars, *jets.shape))
-    if order >= 2:
-        slot, fac = space.second_index
-        out.append((coeffs[slot] * fac[..., None]).reshape(space.nvars, space.nvars, *jets.shape))
-    return out
+        return self._compose(power_series(self.value, exponent, self.order))
 
 
 def jet_values(arr: np.ndarray) -> np.ndarray:

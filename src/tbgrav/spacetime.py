@@ -332,6 +332,8 @@ def print_model(model: SpacetimeModel) -> str:
 # -- jet-valued evaluation ------------------------------------------------------
 
 _UPPER = np.triu_indices(4)  # row-major (i, j >= i), the metric tape's root order
+_ROOT = np.empty((4, 4), dtype=int)  # _ROOT[i, j]: the metric tape's root for g_ij
+_ROOT[_UPPER] = _ROOT.T[_UPPER] = range(10)
 
 
 def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
@@ -377,16 +379,22 @@ def potential_jet(
     return comps
 
 
-def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
-    """Plain float matrix g_ij(x), from the metric tape's float evaluator."""
+def metric_derivatives(model: SpacetimeModel, x, order: int, check: bool = True) -> list[np.ndarray]:
+    """[g_ij, d_m g_ij, d_m d_n g_ij] at x up to ``order`` (0, 1 or 2), as
+    float arrays with the derivative axes first, from the metric tape's float
+    kernel (the coefficients ``metric_jet`` holds, bit for bit)."""
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    g = np.empty((4, 4))
-    g[_UPPER] = g.T[_UPPER] = model.metric_tape.values(x)
+    out = [upper[..., _ROOT] for upper in model.metric_tape.derivatives(x, order)]
     if check:
-        _check_determinant(g, x)
-    return g
+        _check_determinant(out[0], x)
+    return out
+
+
+def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
+    """Plain float matrix g_ij(x)."""
+    return metric_derivatives(model, x, 0, check)[0]
 
 
 def signature_signs(model: SpacetimeModel, x) -> tuple[int, int]:

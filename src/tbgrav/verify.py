@@ -277,10 +277,14 @@ def _check_alpha_zero_collapse(model, rng, n):
         n_conn = jet_values(geo.n_conn)
         berw = jet_values(geo.berwald)
         e = jet_values(geo.tidal)
-        riem = jet_values(base_geom.riemann(model, p.x))
+        g = metric_jet(model, p.x, order=2)  # the base curvature, built once
+        ginv = base_geom.invert_jet_matrix(g)
+        riem_jets = base_geom.riemann_jets(base_geom.christoffel_jets(g, ginv))
+        riem = jet_values(riem_jets)
         ric, scal = geo.d_ricci, geo.d_ricci_scalar
-        ric_base = jet_values(base_geom.ricci(model, p.x))
-        scal_base = base_geom.ricci_scalar(model, p.x)
+        ric_jets = base_geom.ricci_jets(riem_jets)
+        ric_base = jet_values(ric_jets)
+        scal_base = base_geom.scalar_curvature(ginv, ric_jets)
         return max(
             np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
             np.max(np.abs(berw - gamma)),

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from tbgrav import base_geom, exprlang, spacetime
 from tbgrav import dynamics as dyn
-from tbgrav import exprlang, spacetime
-from tbgrav.bundle_geom import BundleGeometry, BundlePoint
+from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
 from tbgrav.errors import IntegrationError, SingularEvaluationError
-from tbgrav.jets import jet_values
+from tbgrav.jets import Jet, jet_values
 from tbgrav.spacetime import catalog, metric_jet
 
 MINK = catalog("minkowski")
@@ -281,6 +281,29 @@ def test_hot_paths_walk_no_tree(monkeypatch):
     )
     assert math.isfinite(err)
     rn.check_chart(X0_ORBIT)
+
+
+def test_hot_paths_build_no_jet(monkeypatch):
+    rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    # compile the tapes and whatever each right-hand side compiles on first use
+    dyn.worldline_rhs(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5)
+    base_geom.classical_lorentz_rhs(rn, X0_ORBIT, Y0_PERTURBED, 0.5)
+    connection_and_tidal_values(rn, X0_ORBIT, Y0_PERTURBED, 0.5)
+    spacetime.metric_values(rn, X0_ORBIT)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("Jet built on a hot path")
+
+    monkeypatch.setattr(Jet, "__init__", forbidden)
+    base = dyn.integrate_worldline(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0)
+    assert base.t_end == pytest.approx(1.0)
+    assert dyn.compare_classical(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0) <= 1e-9
+    dev = dyn.integrate_deviation(rn, base, [0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], alpha=0.5)
+    assert np.all(np.isfinite(dev.states))
+    err = dyn.neighbor_oracle(
+        rn, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
+    )
+    assert math.isfinite(err)
 
 
 def test_integrator_counts_smooth_orbit():

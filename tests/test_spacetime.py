@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
+from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError, UsageError
 from tbgrav.exprlang import evaluate
 from tbgrav.spacetime import (
     CATALOG_NAMES,
@@ -230,6 +230,21 @@ ZERO_SIGN_DOC = {
     ],
     "potential": ["sin(-(r - r))", "(-(r - r))^2", "0", "0"],
 }
+# every branch of the power rule: integer exponents of either sign (unrolled
+# by squaring), a zero exponent, a non-integer one, and exponents that depend
+# on a coordinate, with derivatives that vanish (t - t) or not (2*t)
+POWER_DOC = {
+    "name": "powers",
+    "coords": ["t", "r", "theta", "phi"],
+    "params": {},
+    "metric": [
+        ["1 + r^-2", "r^0", "0.01*theta^-3", "(r - r)^2"],
+        ["", "-1 - r^(t - t)", "0.01*sin(theta)^-1", "0.001*abs(r - 7)^3"],
+        ["", "", "-r^2 + r^0.5", "0*exp(-r)^-2"],
+        ["", "", "", "-1 - (theta*r)^-1"],
+    ],
+    "potential": ["r^(2*t)", "theta^(phi - phi)", "(-r)^2", "r^-1 + 0^0"],
+}
 TAPE_POINTS = {
     "minkowski": [0.1, 0.2, -0.3, 0.4],
     "uniform_field": [0.0, 2.0, 0.5, 0.1],
@@ -238,6 +253,7 @@ TAPE_POINTS = {
     "weak_field": [0.0, 4.0, 3.0, 1.0],
     "tape-probe": [0.2, 6.0, 1.1, 0.7],
     "zero-signs": [0.2, 6.0, 1.1, 0.7],
+    "powers": [0.2, 6.0, 1.1, 0.7],
 }
 # division by r = 0, sqrt(0) (weak_field), ln(-1) and abs(0) (tape-probe)
 SINGULAR_POINTS = [[0.0, 0.0, 1.1, 0.4], [0.0, 0.0, 0.0, 0.0], [-2.0, 6.0, 1.1, 0.7], [0.0, 6.0, 1.1, 0.0]]
@@ -246,7 +262,7 @@ SINGULAR_POINTS = [[0.0, 0.0, 1.1, 0.4], [0.0, 0.0, 0.0, 0.0], [-2.0, 6.0, 1.1, 
 def _tape_models():
     params = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
               "reissner_nordstrom": {"M": 1.0, "Q": 0.3}, "weak_field": {"M": 1.0}}
-    docs = [load_model(json.dumps(doc)) for doc in (TAPE_DOC, ZERO_SIGN_DOC)]
+    docs = [load_model(json.dumps(doc)) for doc in (TAPE_DOC, ZERO_SIGN_DOC, POWER_DOC)]
     return [catalog(name, params.get(name)) for name in CATALOG_NAMES] + docs
 
 
@@ -260,6 +276,24 @@ def _tape_jets(model, x, order, nvars, slots):
     g = metric_jet(model, x, order, nvars, slots, check=False)
     a = potential_jet(model, x, order, nvars, slots, check=False)
     return [g[i, j] for i in range(4) for j in range(i, 4)] + list(a)
+
+
+def _kernel_arrays(model, x, order):
+    """[values, first, second partials] of the metric then the potential roots
+    from the tapes' float kernels."""
+    return model.metric_tape.derivatives(x, order) + model.potential_tape.derivatives(x, order)
+
+
+def _tree_arrays(model, x, order):
+    """The same arrays read from the coefficients of the tree-walk jets."""
+    jets = _tree_jets(model, x, order, 4, (0, 1, 2, 3))
+    space, n = jets[0].space, 10
+    c = np.array([jet.c for jet in jets]).T
+    arrays = [c[0], c[space.first_index]] if order >= 1 else [c[0]]
+    if order >= 2:
+        slot, fac = space.second_index
+        arrays.append(c[slot] * fac[..., None])
+    return [a[..., :n] for a in arrays] + [a[..., n:] for a in arrays]
 
 
 def _outcome(fn, *args):
@@ -283,6 +317,13 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars, slots):
         upper, g = np.triu_indices(4), np.empty((4, 4))
         g[upper] = g.T[upper] = [jet.value for jet in tree[:10]]
         assert metric_values(model, x, check=False).tobytes() == g.tobytes()
+    kernel = nvars == 4 and order <= 2  # Tape.derivatives: the float kernel of the same program
+    if kernel:
+        for got, want in zip(_kernel_arrays(model, x, order), _tree_arrays(model, x, order), strict=True):
+            assert got.tobytes() == want.tobytes()
+    elif order > 2:
+        with pytest.raises(UsageError, match="derivative order"):
+            model.metric_tape.derivatives(x, order)
     for x_bad in SINGULAR_POINTS:
         want = _outcome(_tree_jets, model, x_bad, order, nvars, slots)
         got = _outcome(_tape_jets, model, x_bad, order, nvars, slots)
@@ -290,6 +331,13 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars, slots):
             assert got == want
         else:
             assert all(a.c.tobytes() == b.c.tobytes() for a, b in zip(got, want, strict=True))
+        if kernel:
+            got = _outcome(_kernel_arrays, model, x_bad, order)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                want = _tree_arrays(model, x_bad, order)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
 
 
 def test_tape_singular_points_raise():
@@ -298,6 +346,8 @@ def test_tape_singular_points_raise():
         for order in (0, 2):
             with pytest.raises(SingularEvaluationError, match=reason):
                 _tape_jets(model, x, order, 4, (0, 1, 2, 3))
+            with pytest.raises(SingularEvaluationError, match=reason):
+                _kernel_arrays(model, x, order)
 
 
 def test_chart_guard_text_matches_tree():
