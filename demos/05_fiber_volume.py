@@ -22,19 +22,19 @@ print("det v =", np.linalg.det(fm.v), " -det g =", -(-10000.0) if False else 100
 
 ball = fiber_ball(schw, x)
 print("ball bound c =", ball.bound, " radius =", ball.radius)
-print("ball volume =", fiber_integral(schw, x, lambda y: 1.0), " (unit by construction)")
+print("ball volume =", fiber_integral(schw, x, lambda ys: np.ones(len(ys))), " (unit by construction)")
 
 # quadratic moment against the closed form pi^2 R^6 / 3
-moment = fiber_integral(schw, x, lambda y: float(y @ fm.v @ y))
+moment = fiber_integral(schw, x, lambda ys: np.einsum("ni,ij,nj->n", ys, fm.v, ys))
 print("quadratic moment =", moment, " closed form:", 2 * math.sqrt(2) / (3 * math.pi))
 
 # odd integrands vanish by symmetry
-print("odd integrand ->", fiber_integral(schw, x, lambda y: y[1] ** 3))
+print("odd integrand ->", fiber_integral(schw, x, lambda ys: ys[:, 1] ** 3))
 
 # integrating a base function over box x ball = base integral
 box = [(0.0, 0.5), (9.0, 11.0), (1.2, 1.8), (0.0, 0.5)]
 f = lambda xx: 1.0 + 0.1 * xx[1]
-lhs = tm_integral(schw, box, lambda xx, yy: f(xx))
+lhs = tm_integral(schw, box, lambda xx, ys: np.full(len(ys), f(xx)))
 rhs = base_integral(schw, box, f)
 print("bundle integral =", lhs, " base integral =", rhs, " rel diff =", abs(lhs - rhs) / rhs)
 

@@ -172,7 +172,7 @@ def ricci(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
 def ricci_scalar(model: SpacetimeModel, x) -> float:
     g = metric_jet(model, x, order=2)
     ginv = invert_jet_matrix(g)
-    return scalar_curvature(ginv, ricci_jets(riemann_jets(christoffel_jets(g, ginv))))
+    return scalar_curvature(ginv, levi_civita_ricci_jets(g, ginv))
 
 
 def scalar_curvature(ginv: np.ndarray, ric: np.ndarray) -> float:
@@ -233,8 +233,13 @@ def em_stress_energy(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
     return em_stress_energy_jets(*_em_fields(model, x, order + 1))
 
 
-def einstein_jets(g, ginv) -> np.ndarray:
-    ric = ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
+def levi_civita_ricci_jets(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """r_jl of the Levi-Civita connection of a jet-valued metric."""
+    return ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
+
+
+def einstein_jets(g, ginv, ric) -> np.ndarray:
+    """G_jl = r_jl - (1/2) g_jl g^ab r_ab from the Ricci jets."""
     half_scalar = np.sum(ginv * ric) * 0.5
     return _symmetric(lambda i: ric[i, i:] - g[i, i:] * half_scalar)
 
@@ -242,7 +247,7 @@ def einstein_jets(g, ginv) -> np.ndarray:
 def _einstein_maxwell_jets(model: SpacetimeModel, x, order: int):
     """(CEM_ij, g^ij) with CEM_ij = G_ij - (8 pi k / c^4) T^f_ij."""
     g, ginv, f_low, f_mix = _em_fields(model, x, order)
-    gt = einstein_jets(g, ginv)
+    gt = einstein_jets(g, ginv, levi_civita_ricci_jets(g, ginv))
     t = em_stress_energy_jets(g, ginv, f_low, f_mix)
     kappa = 8.0 * math.pi * model.k / model.c**4
     return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa), ginv
@@ -299,7 +304,7 @@ def em_stress_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
 def einstein_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
     g = metric_jet(model, x, order=order)
     ginv = invert_jet_matrix(g)
-    return raise_both_indices(einstein_jets(g, ginv), ginv)
+    return raise_both_indices(einstein_jets(g, ginv, levi_civita_ricci_jets(g, ginv)), ginv)
 
 
 def cem_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:

@@ -12,13 +12,15 @@ and the curvature ladder is built from the tidal tensor
     R_j^i_kl = (1/2) (E^i_k)_.jl,                R_jl = -(1/2) (E^i_i)_.jl.
 
 Everything is evaluated on joint 8-variable jets (x in slots 0-3, y in slots
-4-7).  Fiber derivatives of B use the explicit closed forms; the pure jet
-route is kept alongside as a cross-check (``fiber_derivs_B``).  Contractions
-of jet arrays are NumPy object-array products (``@``, ``np.tensordot``,
-``np.sum``, ``np.trace``), which multiply and add jets in the same
-left-to-right order as an explicit loop; ``np.einsum`` is used on float arrays
-only, because on object arrays it starts every output from ``0 + jet``, one
-extra coerced addition per entry.
+4-7); the base fields g, g^-1, gamma, A and F are built on 4-variable jets
+and lifted (``jets.lift_jets``), which gives the coefficients an 8-variable
+evaluation gives, up to the sign of zero y coefficients.  Fiber derivatives
+of B use the explicit closed forms; the pure jet route is kept alongside as a
+cross-check (``fiber_derivs_B``).  Contractions of jet arrays are NumPy
+object-array products (``@``, ``np.tensordot``, ``np.sum``, ``np.trace``),
+which multiply and add jets in the same left-to-right order as an explicit
+loop; ``np.einsum`` is used on float arrays only, because on object arrays it
+starts every output from ``0 + jet``, one extra coerced addition per entry.
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -41,10 +43,9 @@ import numpy as np
 
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
-from .jets import MAX_ORDER, Jet, jet_values
+from .jets import MAX_ORDER, Jet, jet_values, lift_jets
 from .spacetime import SpacetimeModel, metric_jet, potential_jet
 
-X_SLOTS = (0, 1, 2, 3)
 Y_SLOT0 = 4
 
 
@@ -77,19 +78,34 @@ class BundleGeometry:
         self.order = order
         self.alpha = model.alpha if alpha is None else float(alpha)
 
-    # -- base fields on the joint space (full carrier order) ------------------
+    # -- base fields (full carrier order) ----------------------------------------
+    #
+    # g, A and what they give depend on x alone: each is built on 4-variable
+    # jets and lifted to the joint space, where its y coefficients are zero.
+
+    @cached_property
+    def _g4(self) -> np.ndarray:
+        return metric_jet(self.model, self.p.x, order=self.order)
+
+    @cached_property
+    def _ginv4(self) -> np.ndarray:
+        return base_geom.invert_jet_matrix(self._g4)
+
+    @cached_property
+    def _a_pot4(self) -> np.ndarray:
+        return potential_jet(self.model, self.p.x, order=self.order, check=False)
 
     @cached_property
     def g(self) -> np.ndarray:
-        return metric_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS)
+        return lift_jets(self._g4, 8)
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return base_geom.invert_jet_matrix(self.g)
+        return lift_jets(self._ginv4, 8)
 
     @cached_property
     def a_pot(self) -> np.ndarray:
-        return potential_jet(self.model, self.p.x, order=self.order, nvars=8, slots=X_SLOTS, check=False)
+        return lift_jets(self._a_pot4, 8)
 
     @cached_property
     def yj(self) -> np.ndarray:
@@ -102,11 +118,11 @@ class BundleGeometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return base_geom.christoffel_jets(self.g, self.ginv)
+        return lift_jets(base_geom.christoffel_jets(self._g4, self._ginv4), 8)
 
     @cached_property
     def faraday(self) -> tuple[np.ndarray, np.ndarray]:
-        return base_geom.faraday_jets(self.a_pot, self.ginv)
+        return tuple(lift_jets(f, 8) for f in base_geom.faraday_jets(self._a_pot4, self._ginv4))
 
     # -- fiber algebra (no shifts) ----------------------------------------------
 
@@ -274,12 +290,6 @@ class BundleGeometry:
     # -- scalar-curvature split ----------------------------------------------------
 
     @cached_property
-    def base_ricci_scalar(self) -> float:
-        ric = base_geom.ricci_jets(base_geom.riemann_jets(self.gamma))
-        ginv = jet_values(self.ginv)
-        return float(sum(ginv[j, l] * ric[j, l].value for j in range(4) for l in range(4)))
-
-    @cached_property
     def f_squared(self) -> float:
         """F_ij F^ij at the base point."""
         f_low, f_mix = self.faraday
@@ -378,7 +388,7 @@ def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) ->
     and the quadratic field-strength term; residual should vanish pointwise."""
     geo = BundleGeometry(model, p, alpha=alpha)
     r_bundle = geo.d_ricci_scalar
-    r_base = geo.base_ricci_scalar
+    r_base = base_geom.ricci_scalar(model, geo.p.x)
     div_term = geo.div_term
     quad_term = geo.quad_term
     return {
@@ -406,12 +416,14 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     a = geo.alpha
 
     g, ginv, f_low, f_mix = base_geom._em_fields(model, p.x, 2)
-    gt = base_geom.einstein_jets(g, ginv)
+    base_ric = base_geom.levi_civita_ricci_jets(g, ginv)
+    gt = base_geom.einstein_jets(g, ginv, base_ric)
     t_em = base_geom.em_stress_energy_jets(g, ginv, f_low, f_mix)
     coupling = 8.0 * math.pi * (1.5 * a**2)
     variational = jet_values(gt) - coupling * jet_values(t_em)
 
-    r_tilde = geo.base_ricci_scalar + 1.5 * a**2 * geo.f_squared
+    # r as base_geom.ricci_scalar gives it, from the Ricci jets G_jl is built on
+    r_tilde = base_geom.scalar_curvature(ginv, base_ric) + 1.5 * a**2 * geo.f_squared
     gvals = jet_values(geo.g)
     ric = geo.d_ricci
     assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + geo.b_hessian

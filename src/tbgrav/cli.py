@@ -206,7 +206,7 @@ def _cmd_integrate_volume(args) -> int:
     x = _vec(args.x, "--x")
     fm = tm_metric.fiber_metric(model, x)
     g = metric_values(model, x)
-    vol, report = tm_metric.fiber_integral(model, x, lambda y: 1.0, return_report=True)
+    vol, report = tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys)), return_report=True)
     payload = {
         "x": x.tolist(),
         "ball_bound": tm_metric.BALL_BOUND,
@@ -223,7 +223,7 @@ def _cmd_integrate_volume(args) -> int:
             box.append((float(lo), float(hi)))
         if len(box) != 4:
             raise UsageError("--box expects 4 comma-separated lo:hi spans")
-        payload["tm_integral_const"] = tm_metric.tm_integral(model, box, lambda x_, y_: 1.0)
+        payload["tm_integral_const"] = tm_metric.tm_integral(model, box, lambda x_, ys: np.ones(len(ys)))
         payload["base_integral_const"] = tm_metric.base_integral(model, box, lambda x_: 1.0)
     _dump(payload)
     return 0

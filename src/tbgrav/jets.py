@@ -241,11 +241,12 @@ def cos_series(v: float, order: int) -> list[float]:
 class Jet:
     """Value plus partial derivatives to fixed total order, in nvars variables."""
 
-    __slots__ = ("space", "c")
+    __slots__ = ("space", "c", "_truncated")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
+        self._truncated = None  # order -> the jet truncate() returned for it
 
     # -- constructors -------------------------------------------------------
 
@@ -306,12 +307,19 @@ class Jet:
         return self.c[slot] * fac
 
     def truncate(self, order: int) -> "Jet":
+        """This jet at a lower order; each order's copy is made once and then
+        returned again (jets are not changed in place)."""
         if order == self.order:
             return self
         if order > self.order:
             raise UsageError(f"cannot extend jet of order {self.order} to {order}")
-        sp = jet_space(order, self.nvars)
-        return Jet(sp, self.c[: sp.size].copy())
+        if self._truncated is None:
+            self._truncated = {}
+        out = self._truncated.get(order)
+        if out is None:
+            sp = jet_space(order, self.nvars)
+            out = self._truncated[order] = Jet(sp, self.c[: sp.size].copy())
+        return out
 
     def partial(self, var: int) -> "Jet":
         """Derivative with respect to variable ``var`` as a jet of order-1."""
@@ -327,12 +335,12 @@ class Jet:
 
     def _coerce(self, other) -> "tuple[Jet, Jet] | None":
         if isinstance(other, Jet):
+            if other.space is self.space:
+                return self, other
             if other.nvars != self.nvars:
                 raise UsageError(
                     f"jet nvars mismatch: {self.nvars} vs {other.nvars}"
                 )
-            if other.order == self.order:
-                return self, other
             m = min(self.order, other.order)
             return self.truncate(m), other.truncate(m)
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -438,6 +446,31 @@ class Jet:
             pow_value(self.value, exponent)  # raises where the power is singular
             return self.pow_const(-int(exponent))._reciprocal()
         return self._compose(power_series(self.value, exponent, self.order))
+
+
+@lru_cache(maxsize=None)
+def _lift_slots(order: int, nvars: int, to_nvars: int) -> np.ndarray:
+    """Slots in jet_space(order, to_nvars) of the monomials of jet_space(order, nvars)."""
+    pad = (0,) * (to_nvars - nvars)
+    index = jet_space(order, to_nvars).index
+    return np.array([index[m + pad] for m in jet_space(order, nvars).monomials])
+
+
+def lift_jets(arr: np.ndarray, nvars: int) -> np.ndarray:
+    """The jets of an object array as jets in ``nvars`` variables: variable k
+    stays in slot k, and every monomial in the added variables gets a +0.0
+    coefficient.  Entries that are one jet stay one jet."""
+    out = np.empty(arr.shape, dtype=object)
+    lifted: dict[int, Jet] = {}
+    for idx, jet in np.ndenumerate(arr):
+        new = lifted.get(id(jet))
+        if new is None:
+            space = jet_space(jet.order, nvars)
+            c = np.zeros(space.size)
+            c[_lift_slots(jet.order, jet.nvars, nvars)] = jet.c
+            new = lifted[id(jet)] = Jet(space, c)
+        out[idx] = new
+    return out
 
 
 def jet_values(arr: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ which is positive definite with det v = -det g.  The canonical fiber ball
 {y : v_ij y^i y^j <= c} with c = sqrt(2)/pi has unit Euclidean 4-volume in
 v-orthonormal coordinates, so integrating a base function over box x ball
 reproduces its base integral.
+
+Fiber integrands are vectorised: one call maps the (n, 4) array of quadrature
+nodes to the (n,) float array of the integrand's values at them.
 """
 
 from __future__ import annotations
@@ -139,8 +142,10 @@ def fiber_integral(
     """Integral of f(y) over the canonical fiber ball with the fiber volume
     density (constants integrate to themselves).
 
-    ``f`` maps a fiber 4-vector to a float.  Quadrature nodes that land on the
-    null cone of g are shifted radially by 1e-9 and counted in the report.
+    ``f`` maps the (n, 4) array of fiber nodes, one 4-vector per row, to the
+    (n,) float array of its values there; any other return raises
+    ``UsageError``.  Quadrature nodes that land on the null cone of g are
+    shifted radially by 1e-9 and counted in the report.
     """
     x = np.asarray(x, dtype=float)
     if ball is None:
@@ -156,7 +161,12 @@ def fiber_integral(
     n_shifted = int(np.count_nonzero(on_cone))
     if n_shifted:
         ys[on_cone] *= 1.0 + 1e-9
-    total = float(np.sum(w * np.fromiter((f(y) for y in ys), dtype=float, count=len(ys))))
+    values = f(ys)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.shape == (len(ys),)):
+        raise UsageError(
+            f"fiber integrand must return a float array of shape ({len(ys)},), got shape {np.shape(values)}"
+        )
+    total = float(np.sum(w * values))
     if return_report:
         return total, {"nodes": len(ys), "null_cone_shifted": n_shifted}
     return total
@@ -183,13 +193,15 @@ def tm_integral(
 ) -> float:
     """Integral of f(x, y) over box x fiber ball with density sqrt(-g v).
 
-    ``box`` is a sequence of four (lo, hi) coordinate intervals inside the
-    chart.  For y-independent f this equals the base integral of f sqrt(-g).
+    ``f(x, ys)`` takes a base point and the (n, 4) array of fiber nodes and
+    returns the (n,) float array of values, as ``fiber_integral``'s integrand
+    does.  ``box`` is a sequence of four (lo, hi) coordinate intervals inside
+    the chart.  For y-independent f this equals the base integral of f sqrt(-g).
     """
     total = 0.0
     for x, wx in _box_rule(box, base_nodes):
         det = np.linalg.det(metric_values(model, x))
-        fib = fiber_integral(model, x, lambda y: f(x, y), nodes=fiber_nodes)
+        fib = fiber_integral(model, x, lambda ys: f(x, ys), nodes=fiber_nodes)
         total += wx * math.sqrt(-det) * fib
     return total
 

@@ -343,7 +343,7 @@ def _check_det_fiber_metric(model, rng, n):
 def _check_ball_volume(model, rng, n):
     return _map_points(
         sample_points(model, rng, min(n, 3)),
-        lambda x: abs(tm_metric.fiber_integral(model, x, lambda y: 1.0) - 1.0),
+        lambda x: abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0),
     )
 
 

@@ -171,11 +171,11 @@ def test_criterion_6_volume_structure():
     for model_name in ("minkowski", "schwarzschild", "reissner_nordstrom"):
         model = MODELS[model_name]
         for x in verify.sample_points(model, rng, 2):
-            worst_vol = max(worst_vol, abs(tm_metric.fiber_integral(model, x, lambda y: 1.0) - 1.0))
+            worst_vol = max(worst_vol, abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0))
 
     box = [(0.0, 0.5), (9.0, 11.0), (1.2, 1.8), (0.0, 0.5)]
     f = lambda x: 1.0 + 0.1 * x[1] + math.sin(x[2])
-    lhs = tm_metric.tm_integral(schw, box, lambda x, y: f(x), base_nodes=3)
+    lhs = tm_metric.tm_integral(schw, box, lambda x, ys: np.full(len(ys), f(x)), base_nodes=3)
     rhs = tm_metric.base_integral(schw, box, f, base_nodes=3)
     integral_defect = abs(lhs - rhs) / abs(rhs)
 

@@ -18,7 +18,8 @@ from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav.jets import MAX_ORDER, Jet, jet_values
-from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
+from tbgrav.exprlang import Tape
+from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet, potential_jet
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -511,6 +512,63 @@ def test_values_independent_of_carrier_order(name):
                 for attr, lowest in LADDER_OBJECTS:
                     if order >= lowest:
                         assert _value_bytes(geo, attr) == _value_bytes(full, attr), (attr, order, alpha)
+
+
+def _joint_space_route(model, x, order):
+    """g, g^-1, gamma, A, (F_ij, F^i_j) evaluated on 8-variable jets, as
+    BundleGeometry built them before its base fields were lifted."""
+    slots = (0, 1, 2, 3)
+    g = metric_jet(model, x, order=order, nvars=8, slots=slots)
+    ginv = bg.invert_jet_matrix(g)
+    a_pot = potential_jet(model, x, order=order, nvars=8, slots=slots, check=False)
+    f_low, f_mix = bg.faraday_jets(a_pot, ginv)
+    return {"g": g, "ginv": ginv, "gamma": bg.christoffel_jets(g, ginv), "a_pot": a_pot,
+            "f_low": f_low, "f_mix": f_mix}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_lifted_base_fields_match_joint_space_route(name):
+    """The base fields BundleGeometry builds on 4-variable jets and lifts have
+    the coefficients of the 8-variable evaluation, compared with
+    ``np.array_equal``, so +0.0 and -0.0 count as equal: the 8-variable route
+    leaves -0.0 in some y coefficients (negations and negative scalar
+    factors of zero), where the lift writes +0.0.  Mirrored entries stay one
+    jet."""
+    model = catalog(name, CATALOG_PARAMS[name])
+    rng = np.random.default_rng(31)
+    for alpha in (0.0, 0.5):
+        for p in verify.sample_bundle_points(model, rng, 2):
+            for order in range(1, MAX_ORDER + 1):
+                geo = BundleGeometry(model, p, order=order, alpha=alpha)
+                lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.a_pot,
+                          "f_low": geo.faraday[0], "f_mix": geo.faraday[1]}
+                for key, ref in _joint_space_route(model, p.x, order).items():
+                    for idx in np.ndindex(ref.shape):
+                        got = lifted[key][idx]
+                        assert got.space is ref[idx].space, (key, idx, order)
+                        assert np.array_equal(got.c, ref[idx].c), (name, key, idx, order, alpha)
+                assert all(geo.g[i, j] is geo.g[j, i] for i in range(4) for j in range(4))
+                assert all(geo.gamma[i, j, k] is geo.gamma[i, k, j] for i, j, k in np.ndindex(4, 4, 4))
+
+
+def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
+    """The base fields are built on 4-variable jets: reading the curvature
+    ladder and the split terms of a default-order geometry never evaluates a
+    model tape on 8-variable jets."""
+    jets = Tape.jets
+
+    def four_variable_only(self, x, order, nvars=4, slots=(0, 1, 2, 3)):
+        if nvars == 8:
+            raise AssertionError("tape evaluated on 8-variable jets")
+        return jets(self, x, order, nvars, slots)
+
+    monkeypatch.setattr(Tape, "jets", four_variable_only)
+    for alpha in (0.0, 0.5):
+        geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=alpha)
+        assert geo.order == MAX_ORDER
+        geo.tidal, geo.b_hessian, geo.div_term, geo.quad_term
+    with pytest.raises(AssertionError, match="8-variable"):
+        metric_jet(RN, X_RN, order=1, nvars=8)
 
 
 # -- homogeneity ladder ------------------------------------------------------------------------

@@ -236,6 +236,16 @@ def test_partial_shift_consistency():
     assert fx.derivative((0, 1)) == pytest.approx(2 * 1.2)
 
 
+def test_truncate_is_made_once():
+    x = Jet.variable(0, 1.2, 4, 3)
+    j = x * x.sin() + Jet.variable(2, -0.5, 4, 3)
+    for k in range(4):
+        low = j.truncate(k)
+        assert low is j.truncate(k)
+        assert low.order == k and np.array_equal(low.c, j.c[: low.space.size])
+    assert j.truncate(4) is j
+
+
 def test_pow_const_integer_and_fractional():
     x = Jet.variable(0, 2.0, 3, 1)
     assert (x**3).value == 8.0

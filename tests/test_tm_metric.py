@@ -7,6 +7,7 @@ Hand oracles:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric as tm
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
-from tbgrav.errors import SingularEvaluationError
+from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav.jets import jet_values
 from tbgrav.spacetime import catalog, metric_jet
 
@@ -69,7 +70,7 @@ def test_fiber_metric_custom_u_and_errors():
 
 def test_ball_volume_is_one():
     for model, x in ((MINK, X_FLAT), (SCHW, X_SCHW), (RN, [0.0, 5.0, 1.2, 0.5])):
-        vol = tm.fiber_integral(model, x, lambda y: 1.0)
+        vol = tm.fiber_integral(model, x, lambda ys: np.ones(len(ys)))
         assert vol == pytest.approx(1.0, abs=1e-8)
 
 
@@ -92,42 +93,53 @@ def test_ball_symmetric_in_y():
 def test_quadratic_moment_closed_form():
     # f = v_ij y^i y^j integrates to pi^2 R^6/3 with R = sqrt(bound)
     fm = tm.fiber_metric(SCHW, X_SCHW)
-    val = tm.fiber_integral(SCHW, X_SCHW, lambda y: float(y @ fm.v @ y))
+    val = tm.fiber_integral(SCHW, X_SCHW, lambda ys: np.einsum("ni,ij,nj->n", ys, fm.v, ys))
     expect = 2.0 * math.sqrt(2.0) / (3.0 * math.pi)
     assert val == pytest.approx(expect, rel=1e-10)
 
 
 def test_odd_integrand_vanishes():
-    val = tm.fiber_integral(MINK, X_FLAT, lambda y: y[0] + 0.3 * y[2] ** 3)
+    val = tm.fiber_integral(MINK, X_FLAT, lambda ys: ys[:, 0] + 0.3 * ys[:, 2] ** 3)
     assert abs(val) <= 1e-10
 
 
 def test_fiber_integral_reports_node_count():
-    val, report = tm.fiber_integral(MINK, X_FLAT, lambda y: 1.0, nodes=(8, 8, 8, 16), return_report=True)
+    val, report = tm.fiber_integral(MINK, X_FLAT, lambda ys: np.ones(len(ys)), nodes=(8, 8, 8, 16),
+                                    return_report=True)
     assert report["nodes"] == 8 * 8 * 8 * 16
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("integrand, shape", [(lambda ys: 1.0, "()"), (lambda ys: np.ones((len(ys), 1)), "(512, 1)")])
+def test_fiber_integral_rejects_bad_integrand(integrand, shape):
+    """The integrand maps the (n, 4) nodes to an (n,) float array; any other
+    return fails fast and names the shape it got."""
+    with pytest.raises(UsageError, match=rf"shape \(512,\), got shape {re.escape(shape)}"):
+        tm.fiber_integral(MINK, X_FLAT, integrand, nodes=(4, 4, 4, 8))
+    with pytest.raises(UsageError, match=re.escape(shape)):
+        tm.tm_integral(MINK, [(0, 1)] * 4, lambda x, ys: integrand(ys), base_nodes=1, fiber_nodes=(4, 4, 4, 8))
+
+
 def test_tm_integral_unit_box_flat():
     box = [(0, 1), (0, 1), (0, 1), (0, 1)]
-    assert tm.tm_integral(MINK, box, lambda x, y: 1.0, base_nodes=2) == pytest.approx(1.0, abs=1e-10)
+    assert tm.tm_integral(MINK, box, lambda x, ys: np.ones(len(ys)), base_nodes=2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_tm_integral_matches_base_integral():
     box = [(0.0, 0.5), (9.0, 11.0), (1.2, 1.8), (0.0, 0.5)]
     f = lambda x: 1.0 + 0.1 * x[1] + math.sin(x[2])
-    lhs = tm.tm_integral(SCHW, box, lambda x, y: f(x), base_nodes=3, fiber_nodes=(6, 6, 6, 12))
+    lhs = tm.tm_integral(SCHW, box, lambda x, ys: np.full(len(ys), f(x)), base_nodes=3, fiber_nodes=(6, 6, 6, 12))
     rhs = tm.base_integral(SCHW, box, f, base_nodes=3)
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 def test_tm_integral_linear_in_f():
     box = [(0, 0.5), (0, 0.5), (0, 0.5), (0, 0.5)]
-    f1 = lambda x, y: 1.0
-    f2 = lambda x, y: x[1]
+    f1 = lambda x, ys: np.ones(len(ys))
+    f2 = lambda x, ys: np.full(len(ys), x[1])
     a = tm.tm_integral(MINK, box, f1, base_nodes=2)
     b = tm.tm_integral(MINK, box, f2, base_nodes=2)
-    c = tm.tm_integral(MINK, box, lambda x, y: 2.0 * f1(x, y) + 3.0 * f2(x, y), base_nodes=2)
+    c = tm.tm_integral(MINK, box, lambda x, ys: 2.0 * f1(x, ys) + 3.0 * f2(x, ys), base_nodes=2)
     assert c == pytest.approx(2 * a + 3 * b, rel=1e-12)
 
 
