@@ -4,17 +4,11 @@ tidal tensors, bundle curvature, fiber volume structure, charged-particle
 worldlines, and a residual-check suite anchored on exact solutions."""
 
 from .base_geom import (
-    christoffel,
-    classical_einstein_maxwell,
+    BaseGeometry,
     classical_lorentz_rhs,
     covariant_divergence,
-    em_stress_energy,
-    faraday,
     maxwell_current,
     maxwell_cyclic_residual,
-    ricci,
-    ricci_scalar,
-    riemann,
 )
 from .bundle_geom import (
     BundleGeometry,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,10 +88,8 @@ def _symmetric(row) -> np.ndarray:
 # -- connection and curvature kernels --------------------------------------------
 
 
-def christoffel_jets(g: np.ndarray, ginv: np.ndarray | None = None) -> np.ndarray:
-    """gamma^i_jk from a jet-valued metric; symmetric entries share storage."""
-    if ginv is None:
-        ginv = invert_jet_matrix(g)
+def christoffel_jets(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """gamma^i_jk from a jet-valued metric and its inverse; symmetric entries share storage."""
     dg = np.empty((4, 4, 4), dtype=object)  # dg[k,i,j] = d_k g_ij
     for i in range(4):
         for j in range(i, 4):
@@ -124,10 +123,6 @@ def riemann_jets(gamma: np.ndarray) -> np.ndarray:
     return riem
 
 
-def ricci_jets(riem: np.ndarray) -> np.ndarray:
-    return np.trace(riem, axis1=0, axis2=2)
-
-
 def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F_ij, F^i_j) from potential jets."""
     f_low = np.empty((4, 4), dtype=object)
@@ -141,60 +136,104 @@ def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return f_low, ginv @ f_low
 
 
-def _em_fields(model: SpacetimeModel, x, order: int):
-    """(g_ij, g^ij, F_ij, F^i_j) as jets at x carrying ``order`` levels."""
-    g = metric_jet(model, x, order=order)
-    a = potential_jet(model, x, order=order, check=False)
-    ginv = invert_jet_matrix(g)
-    return (g, ginv, *faraday_jets(a, ginv))
+def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 object array."""
+    return _symmetric(lambda i: ginv[i:] @ (ginv[i] @ s_low))
 
 
-# -- public operations -----------------------------------------------------------
-# Each returns a NumPy object array of jets, indexed as its symbol is written;
-# ``jets.jet_values`` extracts the float values.
+# -- one base point --------------------------------------------------------------
 
 
-def christoffel(model: SpacetimeModel, x, order: int = 1) -> np.ndarray:
-    """Levi-Civita coefficients gamma^i_jk as jets carrying ``order`` derivative levels."""
-    return christoffel_jets(metric_jet(model, x, order=order + 1))
+class BaseGeometry:
+    """Lazy cache of the jet-valued base objects at one point x.
+
+    ``order`` is the carrier order of the 4-variable jets of g and A.  The
+    connection and F hold one level less, the curvature and the tensors built
+    on it two less; an object's values are the same at every carrier order
+    that holds it.  Arrays are indexed as their symbols are written, and
+    mirrored entries of a symmetric tensor are one jet.
+    """
+
+    def __init__(self, model: SpacetimeModel, x, order: int):
+        self.model = model
+        self.x = np.asarray(x, dtype=float)
+        self.order = order
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return metric_jet(self.model, self.x, order=self.order)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return invert_jet_matrix(self.g)
+
+    @cached_property
+    def a_pot(self) -> np.ndarray:
+        return potential_jet(self.model, self.x, order=self.order, check=False)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """gamma^i_jk."""
+        return christoffel_jets(self.g, self.ginv)
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """r^i_jkl."""
+        return riemann_jets(self.gamma)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """r_jl = r^i_jil."""
+        return np.trace(self.riemann, axis1=0, axis2=2)
+
+    @cached_property
+    def ricci_scalar(self) -> float:
+        """g^jl r_jl from the values, summed row by row."""
+        total = 0.0
+        for j in range(4):
+            for l in range(4):
+                total += self.ginv[j, l].value * self.ricci[j, l].value
+        return total
+
+    @cached_property
+    def faraday(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F_ij, F^i_j)."""
+        ginv = self.ginv  # the metric's chart check runs before the unchecked potential
+        return faraday_jets(self.a_pot, ginv)
+
+    @cached_property
+    def em_stress(self) -> np.ndarray:
+        """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
+        f_low, f_mix = self.faraday
+        quarter_f2 = np.sum((f_mix @ self.ginv) * f_low) * 0.25  # F^{lm} F_lm / 4, F^{lm} = F^l_a g^{am}
+        coeff = EM_STRESS_SIGN / (4.0 * math.pi)
+        # -F_il F_j^l = +F_il F^l_j
+        return _symmetric(lambda i: (f_low[i] @ f_mix[:, i:] + self.g[i, i:] * quarter_f2) * coeff)
+
+    @cached_property
+    def einstein(self) -> np.ndarray:
+        """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
+        ric = self.ricci
+        half_scalar = np.sum(self.ginv * ric) * 0.5
+        return _symmetric(lambda i: ric[i, i:] - self.g[i, i:] * half_scalar)
+
+    @cached_property
+    def einstein_maxwell(self) -> np.ndarray:
+        """CEM_ij = G_ij - (8 pi k / c^4) T^f_ij; zero on electrovacuum solutions."""
+        gt, t = self.einstein, self.em_stress
+        kappa = 8.0 * math.pi * self.model.k / self.model.c**4
+        return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa)
 
 
-def riemann(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
-    """r^i_jkl as jets carrying ``order`` derivative levels."""
-    return riemann_jets(christoffel_jets(metric_jet(model, x, order=order + 2)))
-
-
-def ricci(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
-    """r_jl as jets carrying ``order`` derivative levels."""
-    return ricci_jets(riemann_jets(christoffel_jets(metric_jet(model, x, order=order + 2))))
-
-
-def ricci_scalar(model: SpacetimeModel, x) -> float:
-    g = metric_jet(model, x, order=2)
-    ginv = invert_jet_matrix(g)
-    return scalar_curvature(ginv, levi_civita_ricci_jets(g, ginv))
-
-
-def scalar_curvature(ginv: np.ndarray, ric: np.ndarray) -> float:
-    """g^jl r_jl from the values of jet arrays, summed row by row."""
-    total = 0.0
-    for j in range(4):
-        for l in range(4):
-            total += ginv[j, l].value * ric[j, l].value
-    return total
-
-
-def faraday(model: SpacetimeModel, x, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Field tensor (F_ij, F^i_j) at x."""
-    _, _, f_low, f_mix = _em_fields(model, x, order + 1)
-    return f_low, f_mix
+# -- residuals -------------------------------------------------------------------
 
 
 def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     """H_ijk = nabla_i F_jk + nabla_k F_ij + nabla_j F_ki from explicit
     covariant derivatives (the Christoffel terms must cancel)."""
-    g, ginv, f_low, _ = _em_fields(model, x, 3)
-    gamma = christoffel_jets(g, ginv)
+    geo = BaseGeometry(model, x, 3)
+    f_low, _ = geo.faraday
+    gamma = geo.gamma
 
     cov_df = np.empty((4, 4, 4), dtype=object)  # cov_df[i,j,k] = nabla_i F_jk
     for i, j, k in np.ndindex(4, 4, 4):
@@ -208,9 +247,10 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
 
 def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized form."""
-    g, ginv, _, f_mix = _em_fields(model, x, 3)
-    s = sqrt_minus_det(g)
-    f_up = f_mix @ ginv.T
+    geo = BaseGeometry(model, x, 3)
+    _, f_mix = geo.faraday
+    s = sqrt_minus_det(geo.g)
+    f_up = f_mix @ geo.ginv.T
     j_vec = np.zeros(4)
     coeff = -model.c / (4.0 * math.pi)
     for i in range(4):
@@ -221,95 +261,24 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     return j_vec
 
 
-def em_stress_energy_jets(g, ginv, f_low, f_mix) -> np.ndarray:
-    quarter_f2 = np.sum((f_mix @ ginv) * f_low) * 0.25  # F^{lm} F_lm / 4, F^{lm} = F^l_a g^{am}
-    coeff = EM_STRESS_SIGN / (4.0 * math.pi)
-    # -F_il F_j^l = +F_il F^l_j
-    return _symmetric(lambda i: (f_low[i] @ f_mix[:, i:] + g[i, i:] * quarter_f2) * coeff)
-
-
-def em_stress_energy(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
-    """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
-    return em_stress_energy_jets(*_em_fields(model, x, order + 1))
-
-
-def levi_civita_ricci_jets(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """r_jl of the Levi-Civita connection of a jet-valued metric."""
-    return ricci_jets(riemann_jets(christoffel_jets(g, ginv)))
-
-
-def einstein_jets(g, ginv, ric) -> np.ndarray:
-    """G_jl = r_jl - (1/2) g_jl g^ab r_ab from the Ricci jets."""
-    half_scalar = np.sum(ginv * ric) * 0.5
-    return _symmetric(lambda i: ric[i, i:] - g[i, i:] * half_scalar)
-
-
-def _einstein_maxwell_jets(model: SpacetimeModel, x, order: int):
-    """(CEM_ij, g^ij) with CEM_ij = G_ij - (8 pi k / c^4) T^f_ij."""
-    g, ginv, f_low, f_mix = _em_fields(model, x, order)
-    gt = einstein_jets(g, ginv, levi_civita_ricci_jets(g, ginv))
-    t = em_stress_energy_jets(g, ginv, f_low, f_mix)
-    kappa = 8.0 * math.pi * model.k / model.c**4
-    return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa), ginv
-
-
-def classical_einstein_maxwell(model: SpacetimeModel, x, order: int = 0) -> np.ndarray:
-    """CEM_ij = G_ij - (8 pi k / c^4) T^f_ij; zero on electrovacuum solutions."""
-    cem, _ = _einstein_maxwell_jets(model, x, order + 2)
-    return cem
-
-
-def covariant_divergence(model: SpacetimeModel, x, field, order: int = 3) -> np.ndarray:
-    """div_j S^{ij} for a re-evaluable symmetric field handle.
-
-    ``field(model, x, order)`` must return a 4x4 object array of jets for
-    S^{ij}, carrying at least one stored derivative level.
-    """
-    x = np.asarray(x, dtype=float)
-    s = field(model, x, order)
-    if not (isinstance(s, np.ndarray) and s.shape == (4, 4) and s.dtype == object):
-        raise UsageError("field handle must return a 4x4 object array of jets")
-    if s[0, 0].order < 1:
-        raise UsageError("field handle jets carry no derivative level")
-    gamma = christoffel_jets(metric_jet(model, x, order=max(2, s[0, 0].order)))
+def covariant_divergence(geo: BaseGeometry, s_upper: np.ndarray) -> np.ndarray:
+    """div_j S^{ij} at the geometry's point, with its gamma, for a 4x4 object
+    array of jets S^{ij} carrying at least one derivative level."""
+    if not (isinstance(s_upper, np.ndarray) and s_upper.shape == (4, 4) and s_upper.dtype == object):
+        raise UsageError("divergence needs a 4x4 object array of jets")
+    if s_upper[0, 0].order < 1:
+        raise UsageError("divergence needs jets carrying a derivative level")
+    gamma = geo.gamma
     out = np.zeros(4)
     for i in range(4):
         acc = 0.0
         for j in range(4):
-            acc += s[i, j].partial(j).value
+            acc += s_upper[i, j].partial(j).value
             for m in range(4):
-                acc += gamma[i, m, j].value * s[m, j].value
-                acc += gamma[j, m, j].value * s[i, m].value
+                acc += gamma[i, m, j].value * s_upper[m, j].value
+                acc += gamma[j, m, j].value * s_upper[i, m].value
         out[i] = acc
     return out
-
-
-def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 object array."""
-    return _symmetric(lambda i: ginv[i:] @ (ginv[i] @ s_low))
-
-
-# Re-evaluable S^{ij} handles for covariant_divergence -----------------------------
-
-
-def inverse_metric_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    return invert_jet_matrix(metric_jet(model, x, order=order))
-
-
-def em_stress_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    g, ginv, f_low, f_mix = _em_fields(model, x, order)
-    return raise_both_indices(em_stress_energy_jets(g, ginv, f_low, f_mix), ginv)
-
-
-def einstein_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    g = metric_jet(model, x, order=order)
-    ginv = invert_jet_matrix(g)
-    return raise_both_indices(einstein_jets(g, ginv, levi_civita_ricci_jets(g, ginv)), ginv)
-
-
-def cem_upper_field(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    """Upper-index classical Einstein-Maxwell combination as a field handle."""
-    return raise_both_indices(*_einstein_maxwell_jets(model, x, order))
 
 
 # -- float point kernel (hot paths in dynamics) ------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
 from .jets import MAX_ORDER, Jet, jet_values, lift_jets
-from .spacetime import SpacetimeModel, metric_jet, potential_jet
+from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4
 
@@ -77,35 +77,25 @@ class BundleGeometry:
         self.p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
         self.order = order
         self.alpha = model.alpha if alpha is None else float(alpha)
+        self.base = base_geom.BaseGeometry(model, self.p.x, order)
 
     # -- base fields (full carrier order) ----------------------------------------
     #
     # g, A and what they give depend on x alone: each is built on 4-variable
-    # jets and lifted to the joint space, where its y coefficients are zero.
-
-    @cached_property
-    def _g4(self) -> np.ndarray:
-        return metric_jet(self.model, self.p.x, order=self.order)
-
-    @cached_property
-    def _ginv4(self) -> np.ndarray:
-        return base_geom.invert_jet_matrix(self._g4)
-
-    @cached_property
-    def _a_pot4(self) -> np.ndarray:
-        return potential_jet(self.model, self.p.x, order=self.order, check=False)
+    # jets by ``self.base`` and lifted to the joint space, where its y
+    # coefficients are zero.
 
     @cached_property
     def g(self) -> np.ndarray:
-        return lift_jets(self._g4, 8)
+        return lift_jets(self.base.g, 8)
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        return lift_jets(self._ginv4, 8)
+        return lift_jets(self.base.ginv, 8)
 
     @cached_property
     def a_pot(self) -> np.ndarray:
-        return lift_jets(self._a_pot4, 8)
+        return lift_jets(self.base.a_pot, 8)
 
     @cached_property
     def yj(self) -> np.ndarray:
@@ -118,11 +108,11 @@ class BundleGeometry:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return lift_jets(base_geom.christoffel_jets(self._g4, self._ginv4), 8)
+        return lift_jets(self.base.gamma, 8)
 
     @cached_property
     def faraday(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(lift_jets(f, 8) for f in base_geom.faraday_jets(self._a_pot4, self._ginv4))
+        return tuple(lift_jets(f, 8) for f in self.base.faraday)
 
     # -- fiber algebra (no shifts) ----------------------------------------------
 
@@ -265,22 +255,13 @@ class BundleGeometry:
         out = np.empty((4, 4, 4, 4))
         for i in range(4):
             for k in range(4):
-                e_jets = [self.tidal[i, k].partial(Y_SLOT0 + j) for j in range(4)]
-                for j in range(4):
-                    for l in range(4):
-                        out[j, i, k, l] = 0.5 * e_jets[j].partial(Y_SLOT0 + l).value
+                out[:, i, k, :] = 0.5 * _fiber_hessian(self.tidal[i, k])
         return out
 
     @cached_property
     def d_ricci(self) -> np.ndarray:
         """R_jl = -(1/2)(E^i_i)_.jl as float values (a fiber Hessian, symmetric)."""
-        trace = np.trace(self.tidal)
-        out = np.empty((4, 4))
-        for j in range(4):
-            dj = trace.partial(Y_SLOT0 + j)
-            for l in range(j, 4):
-                out[j, l] = out[l, j] = -0.5 * dj.partial(Y_SLOT0 + l).value
-        return out
+        return -0.5 * _fiber_hessian(np.trace(self.tidal))
 
     @cached_property
     def d_ricci_scalar(self) -> float:
@@ -320,11 +301,11 @@ class BundleGeometry:
     def quad_term(self) -> float:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
         ginv = jet_values(self.ginv)
+        hess = _fiber_hessian(self.b_trace2)
         total = 0.0
         for j in range(4):
-            dj = self.b_trace2.partial(Y_SLOT0 + j)
             for k in range(4):
-                total += -0.5 * ginv[j, k] * dj.partial(Y_SLOT0 + k).value
+                total += -0.5 * ginv[j, k] * hess[j, k]
         return total
 
     @cached_property
@@ -336,12 +317,12 @@ class BundleGeometry:
     @cached_property
     def b_hessian(self) -> np.ndarray:
         """Fiber Hessian of ``b_scalar`` as float values (y-independent)."""
-        hess = np.empty((4, 4))
-        for i in range(4):
-            di = self.b_scalar.partial(Y_SLOT0 + i)
-            for j in range(i, 4):
-                hess[i, j] = hess[j, i] = di.partial(Y_SLOT0 + j).value
-        return hess
+        return _fiber_hessian(self.b_scalar)
+
+
+def _fiber_hessian(f: Jet) -> np.ndarray:
+    """f_.jl, the second fiber partials of a joint-space jet, as float values."""
+    return f.hessian()[Y_SLOT0:, Y_SLOT0:]
 
 
 # -- public operations ------------------------------------------------------------
@@ -388,7 +369,7 @@ def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) ->
     and the quadratic field-strength term; residual should vanish pointwise."""
     geo = BundleGeometry(model, p, alpha=alpha)
     r_bundle = geo.d_ricci_scalar
-    r_base = base_geom.ricci_scalar(model, geo.p.x)
+    r_base = geo.base.ricci_scalar
     div_term = geo.div_term
     quad_term = geo.quad_term
     return {
@@ -411,19 +392,12 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     sym(R_jl) - (1/2) Rtilde g_jl + Hess(B-scalar).  Their difference is
     reported, not asserted.
     """
-    p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, alpha=alpha)
-    a = geo.alpha
-
-    g, ginv, f_low, f_mix = base_geom._em_fields(model, p.x, 2)
-    base_ric = base_geom.levi_civita_ricci_jets(g, ginv)
-    gt = base_geom.einstein_jets(g, ginv, base_ric)
-    t_em = base_geom.em_stress_energy_jets(g, ginv, f_low, f_mix)
+    a, base = geo.alpha, geo.base
     coupling = 8.0 * math.pi * (1.5 * a**2)
-    variational = jet_values(gt) - coupling * jet_values(t_em)
+    variational = jet_values(base.einstein) - coupling * jet_values(base.em_stress)
 
-    # r as base_geom.ricci_scalar gives it, from the Ricci jets G_jl is built on
-    r_tilde = base_geom.scalar_curvature(ginv, base_ric) + 1.5 * a**2 * geo.f_squared
+    r_tilde = base.ricci_scalar + 1.5 * a**2 * geo.f_squared
     gvals = jet_values(geo.g)
     ric = geo.d_ricci
     assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + geo.b_hessian

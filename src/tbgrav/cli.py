@@ -115,7 +115,7 @@ def _cmd_inspect(args) -> int:
             "signature": list(signature_signs(model, x)),
             "potential": a.tolist(),
             "faraday": f_low.tolist(),
-            "ricci_scalar": base_geom.ricci_scalar(model, x),
+            "ricci_scalar": base_geom.BaseGeometry(model, x, 2).ricci_scalar,
         }
     _dump(payload)
     return 0

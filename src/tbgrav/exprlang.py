@@ -416,8 +416,8 @@ class Tape:
             kernel = self._kernels[order] = _KernelWriter(order).write(self)
         return kernel
 
-    def jets(self, x, order: int, nvars: int = 4, slots=(0, 1, 2, 3)) -> list[Jet]:
-        """Root jets with coordinate k seeded in variable ``slots[k]``.  A
+    def jets(self, x, order: int, nvars: int = 4) -> list[Jet]:
+        """Root jets with coordinate k seeded in variable k of ``nvars``.  A
         folded root is a jet shared by every call in its space (no jet is
         changed in place)."""
         space = jet_space(order, nvars)
@@ -430,7 +430,7 @@ class Tape:
                 regs[r] = Jet(space, c)
         regs = regs.copy()
         for k in self._seeds:
-            regs[k] = Jet.variable(slots[k], float(x[k]), order, nvars)
+            regs[k] = Jet.variable(k, float(x[k]), order, nvars)
         for fn, out, a, b in self._jcode:
             regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         return [regs[r] for r in self.outputs]

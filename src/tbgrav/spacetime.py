@@ -54,11 +54,11 @@ class SpacetimeModel:
         env["pi"] = Jet.constant(math.pi, order, nvars)
         return env
 
-    def coord_env(self, x, order: int, nvars: int = 4, slots=(0, 1, 2, 3)) -> dict[str, Jet]:
-        """Environment with coordinates seeded in the given variable slots."""
+    def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, Jet]:
+        """Environment with coordinate k seeded in variable k of ``nvars``."""
         env = self.param_env(order, nvars)
-        for slot, name, xi in zip(slots, self.coords, np.asarray(x, dtype=float)):
-            env[name] = Jet.variable(slot, float(xi), order, nvars)
+        for k, (name, xi) in enumerate(zip(self.coords, np.asarray(x, dtype=float))):
+            env[name] = Jet.variable(k, float(xi), order, nvars)
         return env
 
     @cached_property
@@ -347,7 +347,6 @@ def metric_jet(
     x,
     order: int,
     nvars: int = 4,
-    slots=(0, 1, 2, 3),
     check: bool = True,
 ) -> np.ndarray:
     """Symmetric 4x4 object array of g_ij jets at x, seeded in base
@@ -356,7 +355,7 @@ def metric_jet(
     if check:
         model.check_chart(x)
     comps = np.empty((4, 4), dtype=object)
-    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order, nvars, slots)
+    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order, nvars)
     if check:
         _check_determinant(jet_values(comps), x)
     return comps
@@ -367,7 +366,6 @@ def potential_jet(
     x,
     order: int,
     nvars: int = 4,
-    slots=(0, 1, 2, 3),
     check: bool = True,
 ) -> np.ndarray:
     """Covariant potential components A_i as an object array of jets at x."""
@@ -375,7 +373,7 @@ def potential_jet(
     if check:
         model.check_chart(x)
     comps = np.empty(4, dtype=object)
-    comps[:] = model.potential_tape.jets(x, order, nvars, slots)
+    comps[:] = model.potential_tape.jets(x, order, nvars)
     return comps
 
 

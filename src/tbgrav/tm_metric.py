@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,14 +80,15 @@ def fiber_metric(model: SpacetimeModel, x, u=None) -> FiberMetric:
     return FiberMetric(v=v, u=u, point=x, cholesky=chol)
 
 
-def fiber_ball(model: SpacetimeModel, x, bound: float = BALL_BOUND, u=None) -> FiberBall:
-    """Canonical fiber integration domain at x (unit volume by default)."""
-    return FiberBall(center=np.asarray(x, dtype=float), bound=float(bound), metric=fiber_metric(model, x, u=u))
+def fiber_ball(model: SpacetimeModel, x) -> FiberBall:
+    """Canonical (unit-volume) fiber integration domain at x."""
+    return FiberBall(center=np.asarray(x, dtype=float), bound=BALL_BOUND, metric=fiber_metric(model, x))
 
 
 # -- quadrature -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
     """Product quadrature over the Euclidean 4-ball in spherical coordinates
     (rho, theta1, theta2, phi), rules matched to each measure so that constants
@@ -96,6 +98,9 @@ def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
       theta1: Gauss-Chebyshev (2nd kind) for the sin^2 weight;
       theta2: Gauss-Legendre in u = cos(theta2) (sin weight absorbed);
       phi:    uniform (trapezoid) rule on the periodic interval.
+
+    The rule is built once per (radius, counts) and shared by every caller,
+    so the returned arrays are read-only.
     """
     n_r, n_t1, n_t2, n_p = counts
     r_x, r_w = np.polynomial.legendre.leggauss(n_r)
@@ -128,6 +133,7 @@ def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
         * t2_w[None, None, :, None]
         * phi_w[None, None, None, :]
     ).reshape(-1)
+    z.flags.writeable = w.flags.writeable = False
     return z, w
 
 
@@ -136,7 +142,6 @@ def fiber_integral(
     x,
     f,
     nodes: tuple[int, int, int, int] = (16, 16, 16, 32),
-    ball: FiberBall | None = None,
     return_report: bool = False,
 ):
     """Integral of f(y) over the canonical fiber ball with the fiber volume
@@ -148,8 +153,7 @@ def fiber_integral(
     shifted radially by 1e-9 and counted in the report.
     """
     x = np.asarray(x, dtype=float)
-    if ball is None:
-        ball = fiber_ball(model, x)
+    ball = fiber_ball(model, x)
     g = metric_values(model, x)
     z, w = _ball_nodes(ball.radius, nodes)
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
@@ -238,7 +242,7 @@ def lift_base_field(component_fn):
     evaluates Y on the joint jet space (no fiber dependence)."""
 
     def evaluate(model: SpacetimeModel, p: BundlePoint, order: int):
-        env = model.coord_env(p.x, order, nvars=8, slots=(0, 1, 2, 3))
+        env = model.coord_env(p.x, order, nvars=8)
         return component_fn(env)
 
     return evaluate

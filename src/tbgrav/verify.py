@@ -4,27 +4,26 @@ Every geometric claim the engine implements appears exactly once in the
 registry below; ``run_suite`` evaluates a deterministic, seeded sample of
 chart points and timelike fiber vectors per check and reports max/mean
 residuals against tiered tolerances (tier 1 = first-derivative checks,
-tier 2 = curvature-level, tier 3 = third-derivative conservation checks).
+tier 2 = curvature-level, tier 3 = third-derivative conservation checks) or
+the fixed tolerance the registry gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import base_geom, bundle_geom, tm_metric
+from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import EngineError, SingularEvaluationError
 from .jets import jet_values
-from .spacetime import SpacetimeModel, metric_jet, metric_values
+from .spacetime import SpacetimeModel, metric_values
 
 DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}
-THEOREM1_RESIDUAL_TOL = 1e-8
-DET_V_TOL = 1e-12
-BALL_VOLUME_TOL = 1e-8
 
 SAFE_BOXES = {
     "minkowski": [(-1, 1)] * 4,
@@ -50,19 +49,7 @@ class ResidualReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "model": self.model,
-            "points": self.points,
-            "residuals": self.residuals,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "seed": self.seed,
-            "conventions": self.conventions,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ResidualReport":
@@ -172,8 +159,8 @@ def _check_metric_symmetry(model, rng, n):
 
 def _check_riemann_symmetries(model, rng, n):
     def residual(x):
-        g = jet_values(metric_jet(model, x, order=2))
-        riem = jet_values(base_geom.riemann(model, x))
+        geo = BaseGeometry(model, x, 2)
+        g, riem = jet_values(geo.g), jet_values(geo.riemann)
         rlow = np.einsum("im,mjkl->ijkl", g, riem)
         scale = np.max(np.abs(rlow)) + 1.0
         worst = max(
@@ -190,12 +177,12 @@ def _check_riemann_symmetries(model, rng, n):
 
 
 def _check_contracted_bianchi(model, rng, n):
-    return _map_points(
-        sample_points(model, rng, n),
-        lambda x: np.max(
-            np.abs(base_geom.covariant_divergence(model, x, base_geom.einstein_upper_field, order=3))
-        ),
-    )
+    def residual(x):
+        geo = BaseGeometry(model, x, 3)
+        g_upper = base_geom.raise_both_indices(geo.einstein, geo.ginv)
+        return np.max(np.abs(base_geom.covariant_divergence(geo, g_upper)))
+
+    return _map_points(sample_points(model, rng, n), residual)
 
 
 def _check_maxwell_homogeneous(model, rng, n):
@@ -215,7 +202,7 @@ def _check_maxwell_current(model, rng, n):
 
 def _check_stress_trace(model, rng, n):
     def residual(x):
-        t = jet_values(base_geom.em_stress_energy(model, x))
+        t = jet_values(BaseGeometry(model, x, 1).em_stress)
         ginv = np.linalg.inv(metric_values(model, x))
         return abs(np.einsum("ij,ij->", ginv, t))
 
@@ -277,20 +264,13 @@ def _check_alpha_zero_collapse(model, rng, n):
         n_conn = jet_values(geo.n_conn)
         berw = jet_values(geo.berwald)
         e = jet_values(geo.tidal)
-        g = metric_jet(model, p.x, order=2)  # the base curvature, built once
-        ginv = base_geom.invert_jet_matrix(g)
-        riem_jets = base_geom.riemann_jets(base_geom.christoffel_jets(g, ginv))
-        riem = jet_values(riem_jets)
-        ric, scal = geo.d_ricci, geo.d_ricci_scalar
-        ric_jets = base_geom.ricci_jets(riem_jets)
-        ric_base = jet_values(ric_jets)
-        scal_base = base_geom.scalar_curvature(ginv, ric_jets)
+        riem = jet_values(geo.base.riemann)
         return max(
             np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
             np.max(np.abs(berw - gamma)),
             np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-            np.max(np.abs(ric - ric_base)),
-            abs(scal - scal_base),
+            np.max(np.abs(geo.d_ricci - jet_values(geo.base.ricci))),
+            abs(geo.d_ricci_scalar - geo.base.ricci_scalar),
         )
 
     return _map_points(sample_bundle_points(model, rng, n), residual)
@@ -371,16 +351,13 @@ def _check_divergence_lift(model, rng, n):
     )
 
 
-def _gen_einstein_upper_field(model, x, order):
-    """Upper-index variational tensor G^{ij} - 12 pi alpha^2 T^f{}^{ij}."""
-    gt = base_geom.einstein_upper_field(model, x, order)
-    tf = base_geom.em_stress_upper_field(model, x, order)
-    return gt - tf * (12.0 * math.pi * model.alpha**2)
-
-
 def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
-    """div_j of the generalized Einstein tensor (variational form) at x."""
-    return base_geom.covariant_divergence(model, x, _gen_einstein_upper_field, order=3)
+    """div_j of the generalized Einstein tensor (variational form)
+    G^{ij} - 12 pi alpha^2 T^f{}^{ij} at x."""
+    geo = BaseGeometry(model, x, 3)
+    gt = base_geom.raise_both_indices(geo.einstein, geo.ginv)
+    tf = base_geom.raise_both_indices(geo.em_stress, geo.ginv)
+    return base_geom.covariant_divergence(geo, gt - tf * (12.0 * math.pi * model.alpha**2))
 
 
 def _check_conservation(model, rng, n):
@@ -391,6 +368,8 @@ def _check_conservation(model, rng, n):
     )
 
 
+# (name, tolerance, check): an int tolerance names a tier of ``tiers``, a float
+# is fixed, and None reports the check without gating it
 REGISTRY = [
     ("metric_symmetry", 1, _check_metric_symmetry),
     ("riemann_symmetries", 2, _check_riemann_symmetries),
@@ -404,20 +383,13 @@ REGISTRY = [
     ("alpha_zero_collapse", 1, _check_alpha_zero_collapse),
     ("theorem1_quad_y_independent", 2, _check_theorem1_quad_y_independent),
     ("theorem1_quad_closed_form", 2, _check_theorem1_quad_closed_form),
-    ("theorem1_residual", None, _check_theorem1_residual),  # fixed 1e-8
-    ("gen_einstein_comparison", None, _check_gen_einstein_comparison),  # reported only
-    ("det_fiber_metric", None, _check_det_fiber_metric),  # fixed 1e-12
-    ("fiber_ball_volume", None, _check_ball_volume),  # fixed 1e-8
+    ("theorem1_residual", 1e-8, _check_theorem1_residual),
+    ("gen_einstein_comparison", None, _check_gen_einstein_comparison),
+    ("det_fiber_metric", 1e-12, _check_det_fiber_metric),
+    ("fiber_ball_volume", 1e-8, _check_ball_volume),
     ("divergence_lift", 2, _check_divergence_lift),
     ("conservation", 3, _check_conservation),
 ]
-
-_FIXED_TOLERANCES = {
-    "theorem1_residual": THEOREM1_RESIDUAL_TOL,
-    "det_fiber_metric": DET_V_TOL,
-    "fiber_ball_volume": BALL_VOLUME_TOL,
-    "gen_einstein_comparison": None,
-}
 
 CHECK_NAMES = [name for name, _, _ in REGISTRY]
 
@@ -433,7 +405,7 @@ def run_suite(
     """Run the (selected) checks with deterministic seeded sampling."""
     tiers = {**DEFAULT_TIERS, **(tiers or {})}
     reports = []
-    for index, (name, tier, fn) in enumerate(REGISTRY):
+    for index, (name, tol, fn) in enumerate(REGISTRY):
         if selection is not None and name not in selection:
             continue
         rng = np.random.default_rng([seed, index])
@@ -443,10 +415,7 @@ def run_suite(
             residuals, skipped, notes = [], 0, f"check aborted: {err}"
         if skipped:
             notes = f"{skipped} point(s) skipped: singular evaluation; {notes}"
-        if name in _FIXED_TOLERANCES:
-            tolerance = _FIXED_TOLERANCES[name]
-        else:
-            tolerance = tiers[tier]
+        tolerance = tiers[tol] if isinstance(tol, int) else tol
         max_res = float(np.max(residuals)) if residuals else float("nan")
         mean_res = float(np.mean(residuals)) if residuals else float("nan")
         # a check passes only on every requested point: a skipped point fails it

@@ -121,14 +121,15 @@ def test_criterion_4_alpha_zero_collapse():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 5):
             gamma = base_geom.christoffel_values(model, p.x)
-            riem = jet_values(base_geom.riemann(model, p.x))
+            base = base_geom.BaseGeometry(model, p.x, 2)
+            riem = jet_values(base.riemann)
             geo = BundleGeometry(model, p, alpha=0.0)
             defects = [
                 np.max(np.abs(jet_values(geo.n_conn) - np.einsum("ijk,k->ij", gamma, p.y))),
                 np.max(np.abs(jet_values(geo.berwald) - gamma)),
                 np.max(np.abs(jet_values(geo.tidal) - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-                np.max(np.abs(geo.d_ricci - jet_values(base_geom.ricci(model, p.x)))),
-                abs(geo.d_ricci_scalar - base_geom.ricci_scalar(model, p.x)),
+                np.max(np.abs(geo.d_ricci - jet_values(base.ricci))),
+                abs(geo.d_ricci_scalar - base.ricci_scalar),
             ]
             worst = max(worst, float(max(defects)))
     _report(4, "alpha=0 collapse to Levi-Civita objects", worst <= 1e-10, f"max defect {worst:.2e}")

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from tbgrav import base_geom as bg
-from tbgrav.jets import Jet, jet_values
-from tbgrav.spacetime import catalog, metric_jet, metric_values, potential_jet
+from tbgrav import verify
+from tbgrav.base_geom import BaseGeometry
+from tbgrav.errors import UsageError
+from tbgrav.jets import MAX_ORDER, Jet, jet_values
+from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet, metric_values, potential_jet
 
 SCHW = catalog("schwarzschild", {"M": 1.0})
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
@@ -33,12 +36,12 @@ def _chart_points(model, rng, n):
 
 
 def test_christoffel_minkowski_zero():
-    gam = bg.christoffel(MINK, X_FLAT)
+    gam = BaseGeometry(MINK, X_FLAT, 2).gamma
     assert np.max(np.abs(jet_values(gam))) == 0.0
 
 
 def test_christoffel_schwarzschild_closed_form():
-    gam = bg.christoffel(SCHW, X_SCHW)
+    gam = BaseGeometry(SCHW, X_SCHW, 2).gamma
     # gamma^r_tt = (M/r^2)(1 - 2M/r)
     assert gam[1, 0, 0].value == pytest.approx(0.008, rel=1e-12)
     # gamma^r_rr = -M/(r^2 f), gamma^th_{r th} = 1/r
@@ -49,7 +52,7 @@ def test_christoffel_schwarzschild_closed_form():
 def test_christoffel_symmetry_random_model():
     rng = np.random.default_rng(3)
     for x in _chart_points(RN, rng, 3):
-        gam = bg.christoffel(RN, x)
+        gam = BaseGeometry(RN, x, 2).gamma
         for i in range(4):
             for j in range(4):
                 for k in range(4):
@@ -57,26 +60,29 @@ def test_christoffel_symmetry_random_model():
 
 
 def test_riemann_ricci_minkowski_zero():
-    assert np.max(np.abs(jet_values(bg.riemann(MINK, X_FLAT)))) == 0.0
-    assert np.max(np.abs(jet_values(bg.ricci(MINK, X_FLAT)))) == 0.0
+    geo = BaseGeometry(MINK, X_FLAT, 2)
+    assert np.max(np.abs(jet_values(geo.riemann))) == 0.0
+    assert np.max(np.abs(jet_values(geo.ricci))) == 0.0
 
 
 def test_schwarzschild_vacuum():
-    assert np.max(np.abs(jet_values(bg.ricci(SCHW, X_SCHW)))) <= 1e-10
-    assert abs(bg.ricci_scalar(SCHW, X_SCHW)) <= 1e-10
+    geo = BaseGeometry(SCHW, X_SCHW, 2)
+    assert np.max(np.abs(jet_values(geo.ricci))) <= 1e-10
+    assert abs(geo.ricci_scalar) <= 1e-10
 
 
 def test_rn_trace_free_source():
-    assert abs(bg.ricci_scalar(RN, X_RN)) <= 1e-10
-    assert np.max(np.abs(jet_values(bg.ricci(RN, X_RN)))) > 1e-4
+    geo = BaseGeometry(RN, X_RN, 2)
+    assert abs(geo.ricci_scalar) <= 1e-10
+    assert np.max(np.abs(jet_values(geo.ricci))) > 1e-4
 
 
 def test_riemann_symmetries_and_first_bianchi():
     rng = np.random.default_rng(5)
     for model in (SCHW, RN, catalog("weak_field", {"M": 1.0})):
         for x in _chart_points(model, rng, 10):
-            g = jet_values(metric_jet(model, x, order=2))
-            riem_mixed = jet_values(bg.riemann(model, x))
+            geo = BaseGeometry(model, x, 2)
+            g, riem_mixed = jet_values(geo.g), jet_values(geo.riemann)
             rlow = np.einsum("im,mjkl->ijkl", g, riem_mixed)
             scale = np.max(np.abs(rlow)) + 1.0
             assert np.max(np.abs(rlow + np.swapaxes(rlow, 0, 1))) <= 1e-10 * scale
@@ -90,12 +96,13 @@ def test_contracted_bianchi():
     rng = np.random.default_rng(8)
     for model in (SCHW, RN):
         for x in _chart_points(model, rng, 3):
-            div = bg.covariant_divergence(model, x, bg.einstein_upper_field, order=3)
+            geo = BaseGeometry(model, x, 3)
+            div = bg.covariant_divergence(geo, bg.raise_both_indices(geo.einstein, geo.ginv))
             assert np.max(np.abs(div)) <= 1e-8
 
 
 def test_faraday_uniform_field():
-    f_low, f_mix = bg.faraday(UNI, X_FLAT)
+    f_low, f_mix = BaseGeometry(UNI, X_FLAT, 2).faraday
     fl = jet_values(f_low)
     assert fl[0, 1] == pytest.approx(0.1)
     assert fl[1, 0] == pytest.approx(-0.1)
@@ -104,18 +111,18 @@ def test_faraday_uniform_field():
 
 
 def test_faraday_rn():
-    f_low, _ = bg.faraday(RN, X_RN)
+    f_low, _ = BaseGeometry(RN, X_RN, 2).faraday
     assert f_low[0, 1].value == pytest.approx(0.3 / 25.0, rel=1e-12)
 
 
 def test_faraday_zero_potential():
-    f_low, f_mix = bg.faraday(SCHW, X_SCHW)
+    f_low, f_mix = BaseGeometry(SCHW, X_SCHW, 2).faraday
     assert np.max(np.abs(jet_values(f_low))) == 0.0
     assert np.max(np.abs(jet_values(f_mix))) == 0.0
 
 
 def test_faraday_antisymmetric_exactly():
-    fl = jet_values(bg.faraday(RN, X_RN)[0])
+    fl = jet_values(BaseGeometry(RN, X_RN, 2).faraday[0])
     assert np.array_equal(fl, -fl.T)
 
 
@@ -144,14 +151,14 @@ def test_maxwell_current_builds_no_christoffel(monkeypatch):
 
 
 def test_stress_energy_zero_potential():
-    t = bg.em_stress_energy(SCHW, X_SCHW)
+    t = BaseGeometry(SCHW, X_SCHW, 1).em_stress
     assert np.max(np.abs(jet_values(t))) == 0.0
 
 
 def test_stress_energy_trace_free():
     rng = np.random.default_rng(9)
     for x in _chart_points(RN, rng, 5):
-        t = jet_values(bg.em_stress_energy(RN, x))
+        t = jet_values(BaseGeometry(RN, x, 1).em_stress)
         ginv = np.linalg.inv(metric_values(RN, x))
         assert abs(np.einsum("ij,ij->", ginv, t)) <= 1e-11
 
@@ -160,71 +167,113 @@ def test_stress_energy_rn_closed_form():
     # independent closed-form oracle: T^f_00 = f Q^2 / (8 pi r^4)
     q, r = 0.3, 5.0
     f = 1 - 2 / r + q**2 / r**2
-    t = bg.em_stress_energy(RN, X_RN)
+    t = BaseGeometry(RN, X_RN, 1).em_stress
     assert t[0, 0].value == pytest.approx(f * q**2 / (8 * math.pi * r**4), rel=1e-12)
 
 
 def test_cem_minkowski_zero():
-    assert np.max(np.abs(jet_values(bg.classical_einstein_maxwell(MINK, X_FLAT)))) == 0.0
+    assert np.max(np.abs(jet_values(BaseGeometry(MINK, X_FLAT, 2).einstein_maxwell))) == 0.0
 
 
 def test_cem_rn_electrovacuum():
     rng = np.random.default_rng(12)
     for x in _chart_points(RN, rng, 5):
-        cem = jet_values(bg.classical_einstein_maxwell(RN, x))
+        cem = jet_values(BaseGeometry(RN, x, 2).einstein_maxwell)
         assert np.max(np.abs(cem)) <= 1e-9
 
 
 def test_cem_schwarzschild_reduces_to_einstein():
-    cem = jet_values(bg.classical_einstein_maxwell(SCHW, X_SCHW))
+    cem = jet_values(BaseGeometry(SCHW, X_SCHW, 2).einstein_maxwell)
     assert np.max(np.abs(cem)) <= 1e-9
 
 
 def test_geometry_functions_return_jet_arrays():
     # bare object arrays of jets, 4 along every axis; symmetric tensors share
     # one jet between mirrored entries, so they are symmetric by construction
+    geo = BaseGeometry(RN, X_RN, 2)
     arrays = {
         "metric_jet": metric_jet(RN, X_RN, order=1),
         "potential_jet": potential_jet(RN, X_RN, order=1),
-        "christoffel": bg.christoffel(RN, X_RN),
-        "riemann": bg.riemann(RN, X_RN),
-        "ricci": bg.ricci(RN, X_RN),
-        "faraday_low": bg.faraday(RN, X_RN)[0],
-        "faraday_mixed": bg.faraday(RN, X_RN)[1],
-        "em_stress_energy": bg.em_stress_energy(RN, X_RN),
-        "classical_einstein_maxwell": bg.classical_einstein_maxwell(RN, X_RN),
+        "ginv": geo.ginv,
+        "gamma": geo.gamma,
+        "riemann": geo.riemann,
+        "ricci": geo.ricci,
+        "faraday_low": geo.faraday[0],
+        "faraday_mixed": geo.faraday[1],
+        "em_stress": geo.em_stress,
+        "einstein": geo.einstein,
+        "einstein_maxwell": geo.einstein_maxwell,
     }
     for name, arr in arrays.items():
         assert isinstance(arr, np.ndarray) and arr.dtype == object, name
         assert arr.ndim >= 1 and all(n == 4 for n in arr.shape), name
         assert all(isinstance(jet, Jet) for jet in arr.flat), name
-    for name in ("metric_jet", "em_stress_energy", "classical_einstein_maxwell"):
+    for name in ("metric_jet", "em_stress", "einstein", "einstein_maxwell"):
         a = arrays[name]
         assert all(a[i, j] is a[j, i] for i in range(4) for j in range(4)), name
-    gam = arrays["christoffel"]
+    gam = arrays["gamma"]
     assert all(gam[i, j, k] is gam[i, k, j] for i, j, k in np.ndindex(4, 4, 4))
 
 
+CATALOG_PARAMS = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
+                  "reissner_nordstrom": {"M": 1.0, "Q": 0.3}, "weak_field": {"M": 1.0}}
+# (object, lowest carrier order that holds it)
+BASE_OBJECTS = (("g", 0), ("ginv", 0), ("a_pot", 0), ("gamma", 1), ("faraday", 1), ("em_stress", 1),
+                ("riemann", 2), ("ricci", 2), ("ricci_scalar", 2), ("einstein", 2), ("einstein_maxwell", 2))
+
+
+def _value_bytes(geo, attr):
+    value = getattr(geo, attr)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, tuple):
+        return b"".join(jet_values(v).tobytes() for v in value)
+    return jet_values(value).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_base_values_independent_of_carrier_order(name):
+    """Callers build a BaseGeometry at the lowest carrier order they read, and
+    the bundle reads it at MAX_ORDER: every order that holds an object gives
+    the MAX_ORDER bytes (the sign of every zero as well)."""
+    model = catalog(name, CATALOG_PARAMS.get(name))
+    rng = np.random.default_rng(33)
+    for x in verify.sample_points(model, rng, 3):
+        full = BaseGeometry(model, x, MAX_ORDER)
+        for order in range(MAX_ORDER):
+            geo = BaseGeometry(model, x, order)
+            for attr, lowest in BASE_OBJECTS:
+                if order >= lowest:
+                    assert _value_bytes(geo, attr) == _value_bytes(full, attr), (attr, order)
+
+
 def test_divergence_of_inverse_metric_vanishes():
-    div = bg.covariant_divergence(SCHW, X_SCHW, bg.inverse_metric_field, order=2)
+    geo = BaseGeometry(SCHW, X_SCHW, 2)
+    div = bg.covariant_divergence(geo, geo.ginv)
     assert np.max(np.abs(div)) <= 1e-12
 
 
 def test_divergence_of_em_stress_on_rn():
     rng = np.random.default_rng(13)
     for x in _chart_points(RN, rng, 3):
-        div = bg.covariant_divergence(RN, x, bg.em_stress_upper_field, order=3)
+        geo = BaseGeometry(RN, x, 3)
+        div = bg.covariant_divergence(geo, bg.raise_both_indices(geo.em_stress, geo.ginv))
         assert np.max(np.abs(div)) <= 1e-8
 
 
 def test_divergence_of_cem_on_rn():
-    div = bg.covariant_divergence(RN, X_RN, bg.cem_upper_field, order=3)
+    geo = BaseGeometry(RN, X_RN, 3)
+    div = bg.covariant_divergence(geo, bg.raise_both_indices(geo.einstein_maxwell, geo.ginv))
     assert np.max(np.abs(div)) <= 1e-8
 
 
 def test_divergence_rejects_bad_handle():
-    with pytest.raises(Exception):
-        bg.covariant_divergence(SCHW, X_SCHW, lambda m, x, o: np.zeros((4, 4)), order=2)
+    geo = BaseGeometry(SCHW, X_SCHW, 2)
+    with pytest.raises(UsageError, match="4x4 object array"):
+        bg.covariant_divergence(geo, np.zeros((4, 4)))
+    geo = BaseGeometry(SCHW, X_SCHW, 0)
+    with pytest.raises(UsageError, match="derivative level"):
+        bg.covariant_divergence(geo, geo.ginv)
 
 
 def test_lorentz_rhs_neutral_flat():

@@ -256,7 +256,7 @@ def test_tidal_alpha_zero_matches_base_riemann():
     for model in (SCHW, RN):
         for p in _rand_bundle_points(model, rng, 3):
             e = jet_values(BundleGeometry(model, p, alpha=0.0).tidal)
-            riem = jet_values(bg.riemann(model, p.x))
+            riem = jet_values(bg.BaseGeometry(model, p.x, 2).riemann)
             expected = np.einsum("iabl,a,b->il", riem, p.y, p.y)
             scale = np.max(np.abs(expected)) + 1e-12
             assert np.max(np.abs(e - expected)) <= 1e-10 * scale
@@ -285,8 +285,9 @@ def test_d_curvature_alpha_zero_collapse():
     p = BundlePoint(X_RN, Y_RN)
     geo = BundleGeometry(RN, p, alpha=0.0)
     ric, scalar = geo.d_ricci, geo.d_ricci_scalar
-    assert np.max(np.abs(ric - jet_values(bg.ricci(RN, p.x)))) <= 1e-10
-    assert abs(scalar - bg.ricci_scalar(RN, p.x)) <= 1e-10
+    base = bg.BaseGeometry(RN, p.x, 2)
+    assert np.max(np.abs(ric - jet_values(base.ricci))) <= 1e-10
+    assert abs(scalar - base.ricci_scalar) <= 1e-10
 
 
 def test_d_curvature_reconstruction_identities():
@@ -517,10 +518,9 @@ def test_values_independent_of_carrier_order(name):
 def _joint_space_route(model, x, order):
     """g, g^-1, gamma, A, (F_ij, F^i_j) evaluated on 8-variable jets, as
     BundleGeometry built them before its base fields were lifted."""
-    slots = (0, 1, 2, 3)
-    g = metric_jet(model, x, order=order, nvars=8, slots=slots)
+    g = metric_jet(model, x, order=order, nvars=8)
     ginv = bg.invert_jet_matrix(g)
-    a_pot = potential_jet(model, x, order=order, nvars=8, slots=slots, check=False)
+    a_pot = potential_jet(model, x, order=order, nvars=8, check=False)
     f_low, f_mix = bg.faraday_jets(a_pot, ginv)
     return {"g": g, "ginv": ginv, "gamma": bg.christoffel_jets(g, ginv), "a_pot": a_pot,
             "f_low": f_low, "f_mix": f_mix}
@@ -557,10 +557,10 @@ def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
     model tape on 8-variable jets."""
     jets = Tape.jets
 
-    def four_variable_only(self, x, order, nvars=4, slots=(0, 1, 2, 3)):
+    def four_variable_only(self, x, order, nvars=4):
         if nvars == 8:
             raise AssertionError("tape evaluated on 8-variable jets")
-        return jets(self, x, order, nvars, slots)
+        return jets(self, x, order, nvars)
 
     monkeypatch.setattr(Tape, "jets", four_variable_only)
     for alpha in (0.0, 0.5):

@@ -266,15 +266,15 @@ def _tape_models():
     return [catalog(name, params.get(name)) for name in CATALOG_NAMES] + docs
 
 
-def _tree_jets(model, x, order, nvars, slots):
-    env = model.coord_env(x, order, nvars, slots)
+def _tree_jets(model, x, order, nvars):
+    env = model.coord_env(x, order, nvars)
     upper = [model.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
     return [evaluate(e, env) for e in upper + model.a_exprs]
 
 
-def _tape_jets(model, x, order, nvars, slots):
-    g = metric_jet(model, x, order, nvars, slots, check=False)
-    a = potential_jet(model, x, order, nvars, slots, check=False)
+def _tape_jets(model, x, order, nvars):
+    g = metric_jet(model, x, order, nvars, check=False)
+    a = potential_jet(model, x, order, nvars, check=False)
     return [g[i, j] for i in range(4) for j in range(i, 4)] + list(a)
 
 
@@ -286,7 +286,7 @@ def _kernel_arrays(model, x, order):
 
 def _tree_arrays(model, x, order):
     """The same arrays read from the coefficients of the tree-walk jets."""
-    jets = _tree_jets(model, x, order, 4, (0, 1, 2, 3))
+    jets = _tree_jets(model, x, order, 4)
     space, n = jets[0].space, 10
     c = np.array([jet.c for jet in jets]).T
     arrays = [c[0], c[space.first_index]] if order >= 1 else [c[0]]
@@ -305,10 +305,10 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("model", _tape_models(), ids=lambda m: m.name)
 @pytest.mark.parametrize("order", range(5))
-@pytest.mark.parametrize("nvars,slots", [(4, (0, 1, 2, 3)), (8, (0, 1, 2, 3))], ids=["v4", "v8"])
-def test_tape_matches_tree_bit_for_bit(model, order, nvars, slots):
+@pytest.mark.parametrize("nvars", [4, 8], ids=["v4", "v8"])
+def test_tape_matches_tree_bit_for_bit(model, order, nvars):
     x = TAPE_POINTS[model.name]
-    tape, tree = _tape_jets(model, x, order, nvars, slots), _tree_jets(model, x, order, nvars, slots)
+    tape, tree = _tape_jets(model, x, order, nvars), _tree_jets(model, x, order, nvars)
     for got, want in zip(tape, tree, strict=True):
         assert (got.order, got.nvars) == (want.order, want.nvars)
         assert np.array_equal(got.c, want.c)
@@ -325,8 +325,8 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars, slots):
         with pytest.raises(UsageError, match="derivative order"):
             model.metric_tape.derivatives(x, order)
     for x_bad in SINGULAR_POINTS:
-        want = _outcome(_tree_jets, model, x_bad, order, nvars, slots)
-        got = _outcome(_tape_jets, model, x_bad, order, nvars, slots)
+        want = _outcome(_tree_jets, model, x_bad, order, nvars)
+        got = _outcome(_tape_jets, model, x_bad, order, nvars)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -345,7 +345,7 @@ def test_tape_singular_points_raise():
     for model, x, reason in zip((probe, weak, probe, probe), SINGULAR_POINTS, ("division", "sqrt", "ln", "abs")):
         for order in (0, 2):
             with pytest.raises(SingularEvaluationError, match=reason):
-                _tape_jets(model, x, order, 4, (0, 1, 2, 3))
+                _tape_jets(model, x, order, 4)
             with pytest.raises(SingularEvaluationError, match=reason):
                 _kernel_arrays(model, x, order)
 
