@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, jet_values
+from .jets import Jet, contract, jet_values
 from .spacetime import SpacetimeModel, metric_derivatives, metric_jet, potential_jet
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
@@ -43,13 +43,14 @@ def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularEvaluationError("metric value matrix is singular") from None
     # X = -g0inv . (g - g0) has zero value part, so X^(order+1) truncates away;
-    # it is formed transposed so that every product is jet * float
+    # it is formed transposed so that every product is jet * float.  Those
+    # products are scaled copies, which may hold -0.0, so they stay dense ``@``.
     x = ((g - g0).T @ -g0inv.T).T
     s = x.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
     s[range(4), range(4)] += 1.0
     power = x
     for _ in range(g[0, 0].order - 1):
-        power = power @ x
+        power = contract(power, x)
         s = s + power
     return s @ g0inv
 
@@ -69,7 +70,7 @@ def det_jet_matrix(g: np.ndarray) -> Jet:
     for j in range(4):
         minor = det3(g, (1, 2, 3), tuple(c for c in range(4) if c != j))
         cofactors[j] = -minor if j % 2 else minor
-    return g[0] @ cofactors
+    return contract(g[0], cofactors)
 
 
 def sqrt_minus_det(g: np.ndarray) -> Jet:
@@ -99,7 +100,7 @@ def christoffel_jets(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     for j in range(4):
         for k in range(j, 4):
             first_kind = dg[k, :, j] + dg[j, :, k] - dg[:, j, k]  # 2 gamma_hjk over h
-            gamma[:, j, k] = gamma[:, k, j] = (ginv @ first_kind) * 0.5
+            gamma[:, j, k] = gamma[:, k, j] = contract(ginv, first_kind) * 0.5
     return gamma
 
 
@@ -117,7 +118,7 @@ def riemann_jets(gamma: np.ndarray) -> np.ndarray:
         riem[:, :, k, k] = zero
         for l in range(k + 1, 4):
             r = (dgam[k, :, :, l] - dgam[l, :, :, k]
-                 + gamma[:, :, k] @ gamma[:, :, l] - gamma[:, :, l] @ gamma[:, :, k])
+                 + contract(gamma[:, :, k], gamma[:, :, l]) - contract(gamma[:, :, l], gamma[:, :, k]))
             riem[:, :, k, l] = r
             riem[:, :, l, k] = -r
     return riem
@@ -133,12 +134,12 @@ def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarra
             fij = a[j].partial(i) - a[i].partial(j)
             f_low[i, j] = fij
             f_low[j, i] = -fij
-    return f_low, ginv @ f_low
+    return f_low, contract(ginv, f_low)
 
 
 def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 object array."""
-    return _symmetric(lambda i: ginv[i:] @ (ginv[i] @ s_low))
+    return _symmetric(lambda i: contract(ginv[i:], contract(ginv[i], s_low)))
 
 
 # -- one base point --------------------------------------------------------------
@@ -205,16 +206,17 @@ class BaseGeometry:
     def em_stress(self) -> np.ndarray:
         """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
         f_low, f_mix = self.faraday
-        quarter_f2 = np.sum((f_mix @ self.ginv) * f_low) * 0.25  # F^{lm} F_lm / 4, F^{lm} = F^l_a g^{am}
+        f_up = contract(f_mix, self.ginv)  # F^{lm} = F^l_a g^{am}
+        quarter_f2 = contract(f_up.ravel(), f_low.ravel()) * 0.25  # F^{lm} F_lm / 4
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
         # -F_il F_j^l = +F_il F^l_j
-        return _symmetric(lambda i: (f_low[i] @ f_mix[:, i:] + self.g[i, i:] * quarter_f2) * coeff)
+        return _symmetric(lambda i: (contract(f_low[i], f_mix[:, i:]) + self.g[i, i:] * quarter_f2) * coeff)
 
     @cached_property
     def einstein(self) -> np.ndarray:
         """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
         ric = self.ricci
-        half_scalar = np.sum(self.ginv * ric) * 0.5
+        half_scalar = contract(self.ginv.ravel(), ric.ravel()) * 0.5
         return _symmetric(lambda i: ric[i, i:] - self.g[i, i:] * half_scalar)
 
     @cached_property
@@ -250,7 +252,7 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     geo = BaseGeometry(model, x, 3)
     _, f_mix = geo.faraday
     s = sqrt_minus_det(geo.g)
-    f_up = f_mix @ geo.ginv.T
+    f_up = contract(f_mix, geo.ginv.T)
     j_vec = np.zeros(4)
     coeff = -model.c / (4.0 * math.pi)
     for i in range(4):

@@ -16,11 +16,11 @@ Everything is evaluated on joint 8-variable jets (x in slots 0-3, y in slots
 and lifted (``jets.lift_jets``), which gives the coefficients an 8-variable
 evaluation gives, up to the sign of zero y coefficients.  Fiber derivatives
 of B use the explicit closed forms; the pure jet route is kept alongside as a
-cross-check (``fiber_derivs_B``).  Contractions of jet arrays are NumPy
-object-array products (``@``, ``np.tensordot``, ``np.sum``, ``np.trace``),
-which multiply and add jets in the same left-to-right order as an explicit
-loop; ``np.einsum`` is used on float arrays only, because on object arrays it
-starts every output from ``0 + jet``, one extra coerced addition per entry.
+cross-check (``fiber_derivs_B``).  Contractions of jet arrays go through
+``jets.contract``, which gives the bits of ``@`` (the products added left to
+right, as an explicit loop does) but leaves out the terms with an all-zero
+factor: with a finite other factor such a term is all +0.0, and adding it to
+a sum of products changes no bit.  ``np.einsum`` is used on float arrays only.
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
-from .jets import MAX_ORDER, Jet, jet_values, lift_jets
+from .jets import MAX_ORDER, Jet, contract, jet_values, lift_jets
 from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4
@@ -118,7 +118,7 @@ class BundleGeometry:
 
     @cached_property
     def norm2(self) -> Jet:
-        return self.yj @ self.g @ self.yj
+        return contract(contract(self.yj, self.g), self.yj)
 
     @cached_property
     def norm(self) -> Jet:
@@ -136,7 +136,7 @@ class BundleGeometry:
 
     @cached_property
     def l_low(self) -> np.ndarray:
-        return self.g @ self.l_up
+        return contract(self.g, self.l_up)
 
     @cached_property
     def l_hess(self) -> np.ndarray:
@@ -152,7 +152,7 @@ class BundleGeometry:
     def f_vec(self) -> np.ndarray:
         """F^i = F^i_j y^j."""
         _, f_mix = self.faraday
-        return f_mix @ self.yj
+        return contract(f_mix, self.yj)
 
     # -- spray family -----------------------------------------------------------
 
@@ -165,7 +165,7 @@ class BundleGeometry:
     @cached_property
     def spray(self) -> np.ndarray:
         """G^i = (1/2) gamma^i_jk y^j y^k + B^i."""
-        return (self.n_conn0 @ self.yj) * 0.5 + self.b_up
+        return contract(self.n_conn0, self.yj) * 0.5 + self.b_up
 
     @cached_property
     def b_j(self) -> np.ndarray:
@@ -203,7 +203,7 @@ class BundleGeometry:
     @cached_property
     def n_conn0(self) -> np.ndarray:
         """alpha=0 connection gamma^i_jk y^k (alone in the frozen divergence term)."""
-        return self.gamma @ self.yj
+        return contract(self.gamma, self.yj)
 
     @cached_property
     def berwald(self) -> np.ndarray:
@@ -247,7 +247,7 @@ class BundleGeometry:
     @cached_property
     def tidal(self) -> np.ndarray:
         """E^i_j = R^i_jk y^k."""
-        return self.n_curvature @ self.yj
+        return contract(self.n_curvature, self.yj)
 
     @cached_property
     def d_riemann(self) -> np.ndarray:
@@ -290,12 +290,14 @@ class BundleGeometry:
     @cached_property
     def div_term(self) -> float:
         """delta0-divergence of X^i = g^{jk} B^i_.jk (frozen convention)."""
-        return self.divergence(np.tensordot(self.ginv, self.b_jk, axes=((0, 1), (1, 2))), self.n_conn0)
+        # X^i summed over (j, k) row by row, g^{jk} the left factor of each term
+        x_vec = contract(self.ginv.reshape(16), self.b_jk.transpose(1, 2, 0).reshape(16, 4))
+        return self.divergence(x_vec, self.n_conn0)
 
     @cached_property
     def b_trace2(self) -> Jet:
         """B^i_.h B^h_.i."""
-        return np.sum(self.b_j * self.b_j.T)
+        return contract(self.b_j.ravel(), self.b_j.T.ravel())
 
     @cached_property
     def quad_term(self) -> float:
@@ -311,7 +313,7 @@ class BundleGeometry:
     @cached_property
     def b_scalar(self) -> Jet:
         """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a jet."""
-        bb = self.b_up @ (self.g @ self.b_up)
+        bb = contract(self.b_up, contract(self.g, self.b_up))
         return bb / self.norm2 * 1.5 + self.b_trace2 * 0.5
 
     @cached_property

@@ -116,6 +116,14 @@ class JetSpace:
             self._shift_tables[var] = (np.array(dst), np.array(src), np.array(fac, dtype=float))
         return self._shift_tables[var]
 
+    @cached_property
+    def zero(self) -> "Jet":
+        """The jet of this space whose coefficients are all +0.0 (read-only,
+        shared by every operation that returns it)."""
+        c = np.zeros(self.size)
+        c.flags.writeable = False
+        return Jet(self, c, PLUS_ZERO)
+
 
 @lru_cache(maxsize=None)
 def jet_space(order: int, nvars: int) -> JetSpace:
@@ -238,15 +246,43 @@ def cos_series(v: float, order: int) -> list[float]:
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
+# -- zero rules ---------------------------------------------------------------
+#
+# Most jets of a static, symmetric solution are identically zero.  These rules
+# leave such terms out and give the bits the full operation gives:
+#
+# - A product's coefficients are np.bincount sums that start from +0.0, so a
+#   product never holds -0.0, and a product with an all-zero factor (of
+#   either sign) and a finite other factor is all +0.0: ``Jet.__mul__``
+#   returns the space's shared +0.0 jet.  With an inf or NaN in the other
+#   factor it takes the full product, so that NaN propagates.
+# - x - Z is x when Z is all +0.0, for every x (``Jet.__sub__``).
+# - x + Z is x when Z is all +0.0 only if x holds no -0.0.  That holds for
+#   products and sums of products, the terms of ``contract``, and for a jet
+#   known to be all +0.0 (``Jet.__add__``); not for a negation or a scaled
+#   copy.
+#
+# ``Jet.kind`` sorts a jet into one of four classes, ordered so that
+# ``kind <= SIGNED_ZERO`` means all zero and ``kind <= FINITE`` all finite.
+# It is set when a rule makes the jet, or computed once on first use.  A
+# truncation, partial or lift of an all-+0.0 jet is the shared +0.0 jet.
+
+PLUS_ZERO = 0  # every coefficient is +0.0
+SIGNED_ZERO = 1  # every coefficient is +0.0 or -0.0, and one is -0.0
+FINITE = 2  # finite, and one coefficient is nonzero
+NONFINITE = 3  # a coefficient is inf or NaN, or so large that its square overflows
+
+
 class Jet:
     """Value plus partial derivatives to fixed total order, in nvars variables."""
 
-    __slots__ = ("space", "c", "_truncated")
+    __slots__ = ("space", "c", "_truncated", "_kind")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, kind: int | None = None):
         self.space = space
         self.c = coeffs
         self._truncated = None  # order -> the jet truncate() returned for it
+        self._kind = kind  # None until ``kind`` first computes it
 
     # -- constructors -------------------------------------------------------
 
@@ -284,6 +320,20 @@ class Jet:
     def nvars(self) -> int:
         return self.space.nvars
 
+    @property
+    def kind(self) -> int:
+        """PLUS_ZERO, SIGNED_ZERO, FINITE or NONFINITE, computed once."""
+        if self._kind is None:
+            c = self.c
+            s = c @ c
+            if s != 0.0:
+                self._kind = FINITE if s < math.inf else NONFINITE
+            elif np.count_nonzero(c):  # the squares of tiny coefficients underflow to 0
+                self._kind = FINITE
+            else:
+                self._kind = SIGNED_ZERO if np.count_nonzero(c.view(np.int64)) else PLUS_ZERO
+        return self._kind
+
     def derivative(self, multi: tuple[int, ...]) -> float:
         """Partial derivative for the exponent tuple ``multi``."""
         if len(multi) != self.nvars:
@@ -318,15 +368,18 @@ class Jet:
         out = self._truncated.get(order)
         if out is None:
             sp = jet_space(order, self.nvars)
-            out = self._truncated[order] = Jet(sp, self.c[: sp.size].copy())
+            out = sp.zero if self._kind == PLUS_ZERO else Jet(sp, self.c[: sp.size].copy())
+            self._truncated[order] = out
         return out
 
     def partial(self, var: int) -> "Jet":
         """Derivative with respect to variable ``var`` as a jet of order-1."""
         if self.order < 1:
             raise UsageError("partial() requires order >= 1")
-        dst, src, fac = self.space.shift_table(var)
         lower = jet_space(self.order - 1, self.nvars)
+        if self._kind == PLUS_ZERO:
+            return lower.zero
+        dst, src, fac = self.space.shift_table(var)
         c = np.zeros(lower.size)
         c[dst] = self.c[src] * fac
         return Jet(lower, c)
@@ -352,6 +405,8 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a._kind == PLUS_ZERO and b._kind == PLUS_ZERO:
+            return a
         return Jet(a.space, a.c + b.c)
 
     __radd__ = __add__
@@ -361,6 +416,8 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if b._kind == PLUS_ZERO:
+            return a
         return Jet(a.space, a.c - b.c)
 
     def __rsub__(self, other):
@@ -380,6 +437,9 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
+        ka, kb = self.kind, other.kind  # a truncation keeps a zero zero and a finite jet finite
+        if (ka <= SIGNED_ZERO and kb <= FINITE) or (kb <= SIGNED_ZERO and ka <= FINITE):
+            return a.space.zero
         ia, ib, ic = a.space._mul_table
         c = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=a.space.size)
         return Jet(a.space, c)
@@ -409,12 +469,14 @@ class Jet:
 
     def _compose(self, taylor: list[float]) -> "Jet":
         """Evaluate sum_k taylor[k] * (self - value)^k by Horner's scheme."""
-        u = Jet(self.space, self.c.copy())
-        u.c[0] = 0.0
+        c = self.c.copy()
+        c[0] = 0.0
+        u = Jet(self.space, c)
         result = Jet.constant(float(taylor[self.order]), self.order, self.nvars)
         for k in range(self.order - 1, -1, -1):
-            result = result * u
-            result.c[0] += taylor[k]
+            c = (result * u).c.copy()  # a product may be a shared zero jet
+            c[0] += taylor[k]
+            result = Jet(self.space, c)
         return result
 
     def _reciprocal(self) -> "Jet":
@@ -448,6 +510,52 @@ class Jet:
         return self._compose(power_series(self.value, exponent, self.order))
 
 
+def _operand(jets: np.ndarray):
+    """(jets, zero flags, lowest order, all finite) of a 1-D object array."""
+    kinds = [j.kind for j in jets]
+    return jets, [k <= SIGNED_ZERO for k in kinds], min(j.space.order for j in jets), max(kinds) <= FINITE
+
+
+def _dot(row, col) -> Jet:
+    jets_a, zero_a, order_a, finite_a = row
+    jets_b, zero_b, order_b, finite_b = col
+    skip = finite_a and finite_b
+    total = None
+    for x, y, zx, zy in zip(jets_a, jets_b, zero_a, zero_b):
+        if skip and (zx or zy):
+            continue
+        term = x * y
+        total = term if total is None else total + term
+    order = min(order_a, order_b)
+    if total is None:
+        return jet_space(order, jets_a[0].space.nvars).zero
+    return total.truncate(order)
+
+
+def contract(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` for object arrays of jets (``b`` of one or two dimensions),
+    with the bits ``@`` gives.
+
+    Each output is the left-to-right sum of its jet products, but the terms
+    with an all-zero factor are left out: they are all +0.0, and adding +0.0
+    to a sum of products changes no bit.  The sum is still truncated to the
+    lowest order over all terms, and it is the +0.0 jet of that space when
+    no term is left.  A row or column that holds an inf or NaN takes every
+    term, so that NaN propagates as in ``@``.
+    """
+    if a.shape[-1] != b.shape[0]:
+        raise UsageError(f"cannot contract shapes {a.shape} and {b.shape}")
+    cols = [_operand(b)] if b.ndim == 1 else [_operand(b[:, j]) for j in range(b.shape[1])]
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), len(cols)), dtype=object)
+    for i, row in enumerate(rows):
+        r = _operand(row)
+        for j, col in enumerate(cols):
+            out[i, j] = _dot(r, col)
+    shape = a.shape[:-1] + b.shape[1:]
+    return out.reshape(shape) if shape else out[0, 0]
+
+
 @lru_cache(maxsize=None)
 def _lift_slots(order: int, nvars: int, to_nvars: int) -> np.ndarray:
     """Slots in jet_space(order, to_nvars) of the monomials of jet_space(order, nvars)."""
@@ -459,16 +567,21 @@ def _lift_slots(order: int, nvars: int, to_nvars: int) -> np.ndarray:
 def lift_jets(arr: np.ndarray, nvars: int) -> np.ndarray:
     """The jets of an object array as jets in ``nvars`` variables: variable k
     stays in slot k, and every monomial in the added variables gets a +0.0
-    coefficient.  Entries that are one jet stay one jet."""
+    coefficient.  Entries that are one jet stay one jet, and a jet keeps its
+    kind."""
     out = np.empty(arr.shape, dtype=object)
     lifted: dict[int, Jet] = {}
     for idx, jet in np.ndenumerate(arr):
         new = lifted.get(id(jet))
         if new is None:
             space = jet_space(jet.order, nvars)
-            c = np.zeros(space.size)
-            c[_lift_slots(jet.order, jet.nvars, nvars)] = jet.c
-            new = lifted[id(jet)] = Jet(space, c)
+            if jet.kind == PLUS_ZERO:
+                new = space.zero
+            else:
+                c = np.zeros(space.size)
+                c[_lift_slots(jet.order, jet.nvars, nvars)] = jet.c
+                new = Jet(space, c, jet.kind)
+            lifted[id(jet)] = new
         out[idx] = new
     return out
 

@@ -455,11 +455,12 @@ def test_generalized_einstein_minkowski():
 
 
 def test_jet_operation_budget(monkeypatch):
-    """Jet products and operand coercions of one ricci_decomposition plus one
-    generalized_einstein call stay at or below the counts measured at commit
-    f0b4d304e21142718c391faa789324e45169f608 (hand-rolled contraction loops)."""
-    counts = {"mul": 0, "coerce": 0}
-    mul, coerce = Jet.__mul__, Jet._coerce
+    """Jet products, operand coercions and products that reach the
+    multiplication table (``np.bincount``) of one ricci_decomposition plus one
+    generalized_einstein call stay at or below the counts measured once the
+    zero terms were left out of the contractions."""
+    counts = {"mul": 0, "coerce": 0, "table": 0}
+    mul, coerce, bincount = Jet.__mul__, Jet._coerce, np.bincount
 
     def counted_mul(self, other):
         counts["mul"] += 1
@@ -469,14 +470,20 @@ def test_jet_operation_budget(monkeypatch):
         counts["coerce"] += 1
         return coerce(self, other)
 
+    def counted_bincount(*args, **kwargs):
+        counts["table"] += 1
+        return bincount(*args, **kwargs)
+
     monkeypatch.setattr(Jet, "__mul__", counted_mul)
     monkeypatch.setattr(Jet, "__rmul__", counted_mul)
     monkeypatch.setattr(Jet, "_coerce", counted_coerce)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
     p = BundlePoint(X_RN, Y_RN)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts["mul"] <= 5582
-    assert counts["coerce"] <= 11371
+    assert counts["mul"] <= 1434
+    assert counts["coerce"] <= 2880
+    assert counts["table"] <= 653
 
 
 # -- carrier order ------------------------------------------------------------------------------

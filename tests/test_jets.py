@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
-from tbgrav.jets import Jet
+from tbgrav.jets import FINITE, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, contract, jet_space
 
 
 def test_seed_identity_function():
@@ -257,3 +257,174 @@ def test_pow_const_integer_and_fractional():
     assert (neg**2).value == 4.0  # integer powers fine on negative base
     with pytest.raises(SingularEvaluationError):
         neg.pow_const(0.5)
+
+
+# -- zero rules ----------------------------------------------------------------
+#
+# The references below are the dense operations written out on coefficients,
+# with no zero rule: a product is an np.bincount over the multiplication table
+# of the lower of the two spaces, a sum adds the truncated coefficients.
+
+
+def _dense_mul(a, b):
+    space = jet_space(min(a.order, b.order), a.nvars)
+    ia, ib, ic = space._mul_table
+    return Jet(space, np.bincount(ic, weights=a.c[: space.size][ia] * b.c[: space.size][ib],
+                                  minlength=space.size))
+
+
+def _dense_add(a, b, sign=1.0):
+    space = jet_space(min(a.order, b.order), a.nvars)
+    x, y = a.c[: space.size], b.c[: space.size]
+    return Jet(space, x + y if sign > 0 else x - y)
+
+
+def _dense_matmul(a, b):
+    """a @ b as left-to-right sums of the reference products."""
+    rows = a.reshape(-1, a.shape[-1])
+    cols = b.reshape(b.shape[0], -1)
+    out = np.empty((len(rows), cols.shape[1]), dtype=object)
+    for i, row in enumerate(rows):
+        for j in range(cols.shape[1]):
+            total = _dense_mul(row[0], cols[0, j])
+            for x, y in zip(row[1:], cols[1:, j]):
+                total = _dense_add(total, _dense_mul(x, y))
+            out[i, j] = total
+    shape = a.shape[:-1] + b.shape[1:]
+    return out.reshape(shape) if shape else out[0, 0]
+
+
+def _same_bits(x, y):
+    return x.space is y.space and x.c.tobytes() == y.c.tobytes()
+
+
+def _signed_zero(order, nvars):
+    """All-zero jet whose coefficients mix +0.0 and -0.0 (a scaled copy)."""
+    return (Jet.variable(0, -1.5, order, nvars) - Jet.variable(1, 0.0, order, nvars)) * 0.0
+
+
+def _plus_zero(order, nvars):
+    """All-+0.0 jet of a product of a zero with a finite jet."""
+    return Jet.constant(0.0, order, nvars) * Jet.variable(0, 2.0, order, nvars)
+
+
+def test_kind_classes():
+    assert _plus_zero(2, 3).kind == PLUS_ZERO
+    assert _signed_zero(2, 3).kind == SIGNED_ZERO
+    assert (-Jet.constant(0.0, 2, 3)).kind == SIGNED_ZERO
+    tiny = Jet.constant(1e-200, 2, 3)  # its square underflows to 0
+    assert tiny.kind == FINITE and Jet.variable(0, 2.0, 2, 3).kind == FINITE
+    for bad in (math.inf, -math.inf, math.nan):
+        assert Jet.constant(bad, 2, 3).kind == NONFINITE
+
+
+def test_zero_product_is_plus_zero_in_lower_space():
+    x = Jet.variable(0, 1.3, 3, 3) * Jet.variable(1, -0.7, 3, 3).sin()
+    for zero in (_plus_zero(2, 3), _signed_zero(2, 3)):
+        for prod in (zero * x, x * zero):
+            assert prod.order == 2
+            assert _same_bits(prod, _dense_mul(zero, x))
+            assert not np.signbit(prod.c).any()
+
+
+def test_zero_times_nonfinite_gives_dense_nan():
+    for bad in (math.inf, math.nan):
+        c = Jet.variable(0, 0.4, 3, 2).c.copy()
+        c[2] = bad
+        x = Jet(jet_space(3, 2), c)
+        for zero in (_plus_zero(3, 2), _signed_zero(2, 2)):
+            with np.errstate(invalid="ignore"):
+                prod = zero * x
+            assert np.isnan(prod.c).any()
+            with np.errstate(invalid="ignore"):
+                assert _same_bits(prod, _dense_mul(zero, x))
+
+
+def test_minus_plus_zero_keeps_negative_zeros():
+    x = -(Jet.variable(0, 1.2, 3, 2) * Jet.constant(2.0, 3, 2))  # -0.0 in its zero coefficients
+    assert np.signbit(x.c[x.c == 0.0]).all()
+    for zero in (_plus_zero(3, 2), _plus_zero(2, 2), _signed_zero(3, 2)):
+        assert zero.kind <= SIGNED_ZERO  # known before the subtraction, as after a product
+        diff = x - zero
+        assert _same_bits(diff, _dense_add(x, zero, -1.0))
+        assert np.signbit(diff.c[diff.c == 0.0]).all() == (zero.kind == PLUS_ZERO)
+
+
+def test_plus_zero_added_to_negation_gives_dense_bits():
+    x = -(Jet.variable(0, 1.2, 3, 2) * Jet.constant(2.0, 3, 2))
+    zero = _plus_zero(3, 2)
+    for total, ref in ((x + zero, _dense_add(x, zero)), (zero + x, _dense_add(zero, x))):
+        assert _same_bits(total, ref)
+        assert not np.signbit(total.c[total.c == 0.0]).any()
+
+
+def _sparse_jet(rng, nvars):
+    """A jet of random order: a zero of one of three kinds, a negation, a
+    nonzero negation holding -0.0, a product, or a random dense jet."""
+    order = int(rng.integers(1, 4))
+    dense = Jet(jet_space(order, nvars), rng.uniform(-2, 2, jet_space(order, nvars).size))
+    pick = rng.integers(0, 7)
+    if pick == 0:
+        return _plus_zero(order, nvars)
+    if pick == 1:
+        return _signed_zero(order, nvars)
+    if pick == 2:
+        return -Jet.constant(0.0, order, nvars)
+    if pick == 3:
+        return -dense
+    if pick == 4:
+        return -(Jet.variable(0, 0.7, order, nvars) * Jet.variable(1, -1.2, order, nvars))
+    if pick == 5:
+        return dense * Jet.variable(2, -0.3, order, nvars)
+    return dense
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contract_matches_matmul(seed):
+    rng = np.random.default_rng(seed)
+    nvars = 3
+
+    def array(shape):
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            out[idx] = _sparse_jet(rng, nvars)
+        return out
+
+    cases = [(array((4, 4)), array((4, 4))), (array((4, 4)), array((4,))), (array((4,)), array((4, 4))),
+             (array((4,)), array((4,))), (array((4, 4, 4)), array((4,)))]
+    # one inf entry, met by a zero in the row it is contracted with: 0 * inf makes NaN
+    bad = cases[0][1]
+    c = bad[2, 1].c.copy()
+    c[1] = math.inf
+    bad[2, 1] = Jet(bad[2, 1].space, c)
+    cases[0][0][1, 2] = _plus_zero(2, nvars)
+    for a, b in cases:
+        with np.errstate(invalid="ignore"):
+            got, ref = np.asarray(contract(a, b), dtype=object), np.asarray(_dense_matmul(a, b), dtype=object)
+            via_matmul = np.asarray(a @ b, dtype=object)
+        assert got.shape == ref.shape == via_matmul.shape
+        for idx in np.ndindex(ref.shape):
+            assert _same_bits(got[idx], ref[idx]), idx
+            assert _same_bits(via_matmul[idx], ref[idx]), idx
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(contract(cases[0][0], cases[0][1])[1, 1].c).any()
+
+
+def test_contract_rejects_mismatched_shapes():
+    a = np.array([Jet.constant(1.0, 1, 2)] * 4, dtype=object)
+    with pytest.raises(UsageError):
+        contract(a, a[:3])
+
+
+def test_compose_changes_no_earlier_jet():
+    """Horner's scheme on a constant jet multiplies by an all-zero jet, whose
+    product is the space's shared zero; composing must not write into it."""
+    zero = jet_space(3, 2).zero
+    shared = _plus_zero(3, 2)
+    const = Jet.constant(2.0, 3, 2)
+    before = [j.c.tobytes() for j in (zero, shared, const)]
+    for f in (const.sqrt(), const.exp(), const.ln(), const.sin(), const.cos(), const._reciprocal()):
+        assert np.count_nonzero(f.c[1:]) == 0
+    assert const.sqrt().value == math.sqrt(2.0)
+    assert [j.c.tobytes() for j in (zero, shared, const)] == before
+    assert not zero.c.any()

@@ -15,6 +15,12 @@ leave byte for byte as they were:
 - SHA-256 of the bytes of ``worldline_rhs``, ``classical_lorentz_rhs`` and
   ``connection_and_tidal_values`` on the five catalog models at alpha 0 and
   0.5, three seeded points each;
+- on the jet route, at the same points: SHA-256 of the order, variable count
+  and coefficient bytes of every jet of ``BaseGeometry(model, x, 4)``'s
+  ``ginv``, ``gamma``, ``riemann``, ``ricci`` and ``einstein_maxwell``, and of
+  ``BundleGeometry``'s ``n_conn``, ``berwald`` and ``tidal`` at alpha 0 and
+  0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
+  ``div_term``, ``quad_term`` and ``d_ricci_scalar``;
 - the right-hand-side call count and error text of the Schwarzschild plunge
   from r = 3, which ends in a step-size underflow.
 
@@ -31,6 +37,8 @@ import math
 import numpy as np
 
 from tbgrav import base_geom, bundle_geom, cli, dynamics, verify
+from tbgrav.base_geom import BaseGeometry
+from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import IntegrationError
 from tbgrav.spacetime import CATALOG_NAMES, catalog
 
@@ -76,11 +84,15 @@ def residual_lines():
         yield f"max_residual.{report.check}", float(report.max_residual).hex()
 
 
-def rhs_lines():
+def seeded_points():
     rng = np.random.default_rng(7)
-    for name in CATALOG_NAMES:
+    return {name: [np.array(POINTS[name]) + rng.uniform(-0.05, 0.05, 4) for _ in range(3)]
+            for name in CATALOG_NAMES}
+
+
+def rhs_lines():
+    for name, points in seeded_points().items():
         model = catalog(name, PARAMS.get(name))
-        points = [np.array(POINTS[name]) + rng.uniform(-0.05, 0.05, 4) for _ in range(3)]
         for alpha in (0.0, 0.5):
             digests = {"worldline_rhs": hashlib.sha256(), "classical_lorentz_rhs": hashlib.sha256(),
                        "connection_and_tidal_values": hashlib.sha256()}
@@ -91,6 +103,36 @@ def rhs_lines():
                     digests["connection_and_tidal_values"].update(part.tobytes())
             for fn, digest in digests.items():
                 yield f"{fn}.{name}.alpha{alpha}", digest.hexdigest()
+
+
+def jet_bytes(arr: np.ndarray) -> bytes:
+    return b"".join(bytes([j.order, j.nvars]) + j.c.tobytes() for j in arr.flat)
+
+
+def jet_route_lines():
+    for name, points in seeded_points().items():
+        model = catalog(name, PARAMS.get(name))
+        digests = {attr: hashlib.sha256() for attr in ("ginv", "gamma", "riemann", "ricci", "einstein_maxwell")}
+        for x in points:
+            base = BaseGeometry(model, x, 4)
+            for attr, digest in digests.items():
+                digest.update(jet_bytes(getattr(base, attr)))
+        for attr, digest in digests.items():
+            yield f"BaseGeometry.{attr}.{name}", digest.hexdigest()
+        for alpha in (0.0, 0.5):
+            digests = {attr: hashlib.sha256() for attr in ("n_conn", "berwald", "tidal", "b_hessian")}
+            scalars = {attr: [] for attr in ("div_term", "quad_term", "d_ricci_scalar")}
+            for x in points:
+                geo = BundleGeometry(model, (x, Y), alpha=alpha)
+                for attr in ("n_conn", "berwald", "tidal"):
+                    digests[attr].update(jet_bytes(getattr(geo, attr)))
+                digests["b_hessian"].update(geo.b_hessian.tobytes())
+                for attr, values in scalars.items():
+                    values.append(float(getattr(geo, attr)).hex())
+            for attr, digest in digests.items():
+                yield f"BundleGeometry.{attr}.{name}.alpha{alpha}", digest.hexdigest()
+            for attr, values in scalars.items():
+                yield f"BundleGeometry.{attr}.{name}.alpha{alpha}", " ".join(values)
 
 
 def plunge_lines():
@@ -115,7 +157,7 @@ def plunge_lines():
 
 
 def main() -> None:
-    for lines in (command_lines, residual_lines, rhs_lines, plunge_lines):
+    for lines in (command_lines, residual_lines, rhs_lines, jet_route_lines, plunge_lines):
         for name, digest in lines():
             print(name, digest, flush=True)
 
