@@ -247,20 +247,23 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     return jet_values(cov_df + cov_df.transpose(1, 2, 0) + cov_df.transpose(2, 0, 1))
 
 
+def densitized_divergence(s: Jet, v_up) -> float:
+    """sum_j d_j(s V^j) at the point, for the density jet s = sqrt(-g) and the
+    four component jets V^j; callers divide by s themselves."""
+    acc = 0.0
+    for j in range(4):
+        acc += (s * v_up[j]).partial(j).value
+    return acc
+
+
 def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized form."""
     geo = BaseGeometry(model, x, 3)
     _, f_mix = geo.faraday
     s = sqrt_minus_det(geo.g)
     f_up = contract(f_mix, geo.ginv.T)
-    j_vec = np.zeros(4)
     coeff = -model.c / (4.0 * math.pi)
-    for i in range(4):
-        acc = 0.0
-        for j in range(4):
-            acc += (s * f_up[i, j]).partial(j).value
-        j_vec[i] = coeff * acc / s.value
-    return j_vec
+    return np.array([coeff * densitized_divergence(s, f_up[i]) / s.value for i in range(4)])
 
 
 def covariant_divergence(geo: BaseGeometry, s_upper: np.ndarray) -> np.ndarray:
@@ -310,13 +313,12 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - dg
 
 
-def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True,
-                 check: bool = False) -> PointFields:
+def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True) -> PointFields:
     """Christoffel symbols and Faraday tensor at x from one run of the metric
     tape's float kernel and at most one of the potential tape's, by forward-mode
     chain rules on value, gradient and Hessian arrays; ``order=2`` adds their
     first derivatives.  No jet is built."""
-    g, dg, *ddg = metric_derivatives(model, x, order, check=check)
+    g, dg, *ddg = metric_derivatives(model, x, order, check=False)
     ginv = np.linalg.inv(g)
     s = _first_kind(dg)
     out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
@@ -348,14 +350,14 @@ def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(n2)
 
 
-def christoffel_values(model: SpacetimeModel, x, check: bool = False) -> np.ndarray:
+def christoffel_values(model: SpacetimeModel, x) -> np.ndarray:
     """gamma^i_jk as a float array."""
-    return point_fields(model, x, potential=False, check=check).gamma
+    return point_fields(model, x, potential=False).gamma
 
 
-def faraday_values(model: SpacetimeModel, x, check: bool = False):
+def faraday_values(model: SpacetimeModel, x):
     """(F_ij, F^i_j) as float arrays."""
-    fields = point_fields(model, x, check=check)
+    fields = point_fields(model, x)
     return fields.f_low, fields.f_mix
 
 

@@ -64,10 +64,7 @@ def _resolve_model(args):
         except ValueError:
             raise UsageError(f"--param {key} expects a number, got {value!r}") from None
     if args.catalog:
-        if params:
-            model = catalog(args.catalog, params)
-        else:
-            model = catalog(args.catalog)
+        model = catalog(args.catalog, params)
     else:
         try:
             with open(args.model, "r", encoding="utf-8") as fh:

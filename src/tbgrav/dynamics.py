@@ -96,7 +96,7 @@ class Trajectory:
         return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
 
 
-def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Trajectory:
+def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with PI step control from t=0 to t_end."""
     t = 0.0
     y = np.asarray(y0, dtype=float).copy()
@@ -113,7 +113,7 @@ def _integrate(rhs, y0, t_end, rtol, atol, max_step=np.inf, guard=None) -> Traje
     consecutive_failures = 0
     k = np.empty((7, y.size))
     while t < t_end - 1e-14:
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
         k[0] = f
@@ -304,7 +304,8 @@ def compare_classical(
 # -- worldline deviation ----------------------------------------------------------------
 
 
-# (N^i_j, E^i_j, dy^i/dt) along the base worldline: the float point kernel
+# (N^i_j, E^i_j, dy^i/dt) along the base worldline: the float point kernel; the
+# alias stays because bench/tracing.py hooks the deviation RHS by this name
 _connection_and_tidal = connection_and_tidal_values
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base_geom import sqrt_minus_det
+from .base_geom import densitized_divergence, sqrt_minus_det
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet
@@ -253,7 +253,4 @@ def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float:
     env = model.coord_env(x, order=1, nvars=4)
     comps = component_fn(env)
     s = sqrt_minus_det(metric_jet(model, x, order=1))
-    total = 0.0
-    for i in range(4):
-        total += (s * comps[i]).partial(i).value
-    return total / s.value
+    return densitized_divergence(s, comps) / s.value

@@ -1,11 +1,13 @@
 """Identity and property checks bundled into reproducible residual reports.
 
 Every geometric claim the engine implements appears exactly once in the
-registry below; ``run_suite`` evaluates a deterministic, seeded sample of
-chart points and timelike fiber vectors per check and reports max/mean
-residuals against tiered tolerances (tier 1 = first-derivative checks,
-tier 2 = curvature-level, tier 3 = third-derivative conservation checks) or
-the fixed tolerance the registry gives.
+registry below.  A check is a residual at one point plus the sampler that
+draws its points (chart points, or chart points with timelike fiber
+vectors); the suite owns the loop over the points and the count of points
+skipped as singular.  ``run_suite`` evaluates a deterministic, seeded sample
+per check and reports max/mean residuals against tiered tolerances (tier 1 =
+first-derivative checks, tier 2 = curvature-level, tier 3 = third-derivative
+conservation checks) or the fixed tolerance the registry gives.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
-from .errors import EngineError, SingularEvaluationError
+from .errors import EngineError
 from .jets import jet_values
 from .spacetime import SpacetimeModel, metric_values
 
@@ -87,10 +89,9 @@ def _default_box(model: SpacetimeModel):
     return [(-0.9, 0.9)] * 4
 
 
-def sample_points(model: SpacetimeModel, rng, n: int, box=None) -> list[np.ndarray]:
+def sample_points(model: SpacetimeModel, rng, n: int) -> list[np.ndarray]:
     """n chart points drawn uniformly from the model's safe box."""
-    if box is None:
-        box = _default_box(model)
+    box = _default_box(model)
     pts = []
     attempts = 0
     while len(pts) < n and attempts < 50 * n:
@@ -106,8 +107,9 @@ def sample_points(model: SpacetimeModel, rng, n: int, box=None) -> list[np.ndarr
     return pts
 
 
-def sample_timelike(model: SpacetimeModel, rng, x, max_rapidity: float = 2.0) -> np.ndarray:
-    """Random timelike y: a boosted unit time axis in an orthonormal frame."""
+def sample_timelike(model: SpacetimeModel, rng, x) -> np.ndarray:
+    """Random timelike y: a unit time axis boosted by rapidity up to 2 in an
+    orthonormal frame."""
     g = metric_values(model, x)
     eigvals, eigvecs = np.linalg.eigh(g)
     order = np.argsort(-eigvals)  # positive eigenvalue first
@@ -116,97 +118,71 @@ def sample_timelike(model: SpacetimeModel, rng, x, max_rapidity: float = 2.0) ->
     frame[0] = eigvecs[:, 0] / math.sqrt(eigvals[0])
     for a in range(1, 4):
         frame[a] = eigvecs[:, a] / math.sqrt(-eigvals[a])
-    chi = rng.uniform(0.0, max_rapidity)
+    chi = rng.uniform(0.0, 2.0)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     coeffs = np.array([math.cosh(chi), *(math.sinh(chi) * direction)])
     return coeffs @ frame
 
 
-def sample_bundle_points(model: SpacetimeModel, rng, n: int, box=None) -> list[BundlePoint]:
-    return [BundlePoint(x, sample_timelike(model, rng, x)) for x in sample_points(model, rng, n, box)]
+def sample_bundle_points(model: SpacetimeModel, rng, n: int) -> list[BundlePoint]:
+    return [BundlePoint(x, sample_timelike(model, rng, x)) for x in sample_points(model, rng, n)]
 
 
-
-def _map_points(items, fn, notes: str = ""):
-    """Per-point evaluation; singular points are counted, not fatal."""
-    residuals, skipped = [], 0
-    for item in items:
-        try:
-            residuals.append(float(fn(item)))
-        except EngineError:
-            skipped += 1
-    return residuals, skipped, notes
+# -- checks -----------------------------------------------------------------------------
+# each check is a residual(model, point, rng) -> float at one sampled point plus
+# its sampler; ``_check`` owns the loop over the points and the skip count
 
 
-# -- individual checks ------------------------------------------------------------------
-# each returns (list of per-point residuals, number of skipped points, notes)
+def _check(residual, sample=sample_points, notes: str = "", at_most: int | None = None):
+    """The registry's check(model, rng, n) -> (residuals, skipped, notes).  Every
+    point is drawn before the first residual; a point whose evaluation raises
+    an engine error is counted as skipped, not fatal."""
+
+    def check(model, rng, n):
+        points = sample(model, rng, n if at_most is None else min(n, at_most))
+        residuals, skipped = [], 0
+        for point in points:
+            try:
+                residuals.append(float(residual(model, point, rng)))
+            except EngineError:
+                skipped += 1
+        return residuals, skipped, notes
+
+    return check
 
 
-def _check_metric_symmetry(model, rng, n):
-    def residual(x):
-        g = metric_values(model, x)
-        eig = np.linalg.eigvalsh(g)
-        signature_ok = int(np.sum(eig > 0)) == 1 and int(np.sum(eig < 0)) == 3
-        return np.max(np.abs(g - g.T)) + (0.0 if signature_ok else 1.0)
+def _metric_symmetry(model, x, rng):
+    g = metric_values(model, x)
+    eig = np.linalg.eigvalsh(g)
+    signature_ok = int(np.sum(eig > 0)) == 1 and int(np.sum(eig < 0)) == 3
+    return np.max(np.abs(g - g.T)) + (0.0 if signature_ok else 1.0)
 
-    return _map_points(
-        sample_points(model, rng, n),
-        residual,
-        "symmetry defect plus a unit penalty unless signature is (+,-,-,-)",
+
+def _riemann_symmetries(model, x, rng):
+    geo = BaseGeometry(model, x, 2)
+    g, riem = jet_values(geo.g), jet_values(geo.riemann)
+    rlow = np.einsum("im,mjkl->ijkl", g, riem)
+    scale = np.max(np.abs(rlow)) + 1.0
+    worst = max(
+        np.max(np.abs(rlow + np.swapaxes(rlow, 0, 1))),
+        np.max(np.abs(rlow + np.swapaxes(rlow, 2, 3))),
+        np.max(np.abs(rlow - np.transpose(rlow, (2, 3, 0, 1)))),
+        np.max(np.abs(rlow + np.transpose(rlow, (0, 2, 3, 1)) + np.transpose(rlow, (0, 3, 1, 2)))),
     )
+    return worst / scale
 
 
-def _check_riemann_symmetries(model, rng, n):
-    def residual(x):
-        geo = BaseGeometry(model, x, 2)
-        g, riem = jet_values(geo.g), jet_values(geo.riemann)
-        rlow = np.einsum("im,mjkl->ijkl", g, riem)
-        scale = np.max(np.abs(rlow)) + 1.0
-        worst = max(
-            np.max(np.abs(rlow + np.swapaxes(rlow, 0, 1))),
-            np.max(np.abs(rlow + np.swapaxes(rlow, 2, 3))),
-            np.max(np.abs(rlow - np.transpose(rlow, (2, 3, 0, 1)))),
-            np.max(
-                np.abs(rlow + np.transpose(rlow, (0, 2, 3, 1)) + np.transpose(rlow, (0, 3, 1, 2)))
-            ),
-        )
-        return worst / scale
-
-    return _map_points(sample_points(model, rng, n), residual)
+def _contracted_bianchi(model, x, rng):
+    geo = BaseGeometry(model, x, 3)
+    g_upper = base_geom.raise_both_indices(geo.einstein, geo.ginv)
+    return np.max(np.abs(base_geom.covariant_divergence(geo, g_upper)))
 
 
-def _check_contracted_bianchi(model, rng, n):
-    def residual(x):
-        geo = BaseGeometry(model, x, 3)
-        g_upper = base_geom.raise_both_indices(geo.einstein, geo.ginv)
-        return np.max(np.abs(base_geom.covariant_divergence(geo, g_upper)))
-
-    return _map_points(sample_points(model, rng, n), residual)
-
-
-def _check_maxwell_homogeneous(model, rng, n):
-    return _map_points(
-        sample_points(model, rng, n),
-        lambda x: np.max(np.abs(base_geom.maxwell_cyclic_residual(model, x))),
-    )
-
-
-def _check_maxwell_current(model, rng, n):
-    return _map_points(
-        sample_points(model, rng, n),
-        lambda x: np.max(np.abs(base_geom.maxwell_current(model, x))),
-        "source-free potentials only",
-    )
-
-
-def _check_stress_trace(model, rng, n):
-    def residual(x):
-        t = jet_values(BaseGeometry(model, x, 1).em_stress)
-        ginv = np.linalg.inv(metric_values(model, x))
-        return abs(np.einsum("ij,ij->", ginv, t))
-
-    return _map_points(sample_points(model, rng, n), residual)
+def _stress_trace(model, x, rng):
+    t = jet_values(BaseGeometry(model, x, 1).em_stress)
+    ginv = np.linalg.inv(metric_values(model, x))
+    return abs(np.einsum("ij,ij->", ginv, t))
 
 
 def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
@@ -227,128 +203,70 @@ def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
     return defects
 
 
-def _check_homogeneity_ladder(model, rng, n):
-    return _map_points(
-        sample_bundle_points(model, rng, n),
-        lambda p: max(homogeneity_defects(model, p)),
-        "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)",
+def _fiber_derivs_agreement(model, p, rng):
+    closed, jets = bundle_geom.fiber_derivs_B(model, p)
+    return max(np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0) for c, j in zip(closed, jets))
+
+
+def _tidal_reconstruction(model, p, rng):
+    geo = BundleGeometry(model, p)
+    e = jet_values(geo.tidal)
+    scale = np.max(np.abs(e)) + 1e-12
+    recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
+    trace_defect = abs(np.trace(e) + p.y @ geo.d_ricci @ p.y)
+    return max(np.max(np.abs(e - recon)), trace_defect) / scale
+
+
+def _alpha_zero_collapse(model, p, rng):
+    gamma = base_geom.christoffel_values(model, p.x)
+    geo = BundleGeometry(model, p, alpha=0.0)
+    n_conn = jet_values(geo.n_conn)
+    berw = jet_values(geo.berwald)
+    e = jet_values(geo.tidal)
+    riem = jet_values(geo.base.riemann)
+    return max(
+        np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
+        np.max(np.abs(berw - gamma)),
+        np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
+        np.max(np.abs(geo.d_ricci - jet_values(geo.base.ricci))),
+        abs(geo.d_ricci_scalar - geo.base.ricci_scalar),
     )
 
 
-def _check_fiber_derivs_agreement(model, rng, n):
-    def residual(p):
-        closed, jets = bundle_geom.fiber_derivs_B(model, p)
-        return max(
-            np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0) for c, j in zip(closed, jets)
-        )
-
-    return _map_points(sample_bundle_points(model, rng, n), residual)
+def _quad_y_independent(model, x, rng):
+    quads = [BundleGeometry(model, BundlePoint(x, sample_timelike(model, rng, x))).quad_term
+             for _ in range(3)]
+    return (max(quads) - min(quads)) / (abs(quads[0]) + 1.0)
 
 
-def _check_tidal_reconstruction(model, rng, n):
-    def residual(p):
-        geo = BundleGeometry(model, p)
-        e = jet_values(geo.tidal)
-        scale = np.max(np.abs(e)) + 1e-12
-        recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
-        trace_defect = abs(np.trace(e) + p.y @ geo.d_ricci @ p.y)
-        return max(np.max(np.abs(e - recon)), trace_defect) / scale
-
-    return _map_points(sample_bundle_points(model, rng, n), residual)
+def _quad_closed_form(model, p, rng):
+    geo = BundleGeometry(model, p)
+    expect = 1.5 * geo.alpha**2 * geo.f_squared
+    return abs(geo.quad_term - expect) / (abs(expect) + 1.0)
 
 
-def _check_alpha_zero_collapse(model, rng, n):
-    def residual(p):
-        gamma = base_geom.christoffel_values(model, p.x)
-        geo = BundleGeometry(model, p, alpha=0.0)
-        n_conn = jet_values(geo.n_conn)
-        berw = jet_values(geo.berwald)
-        e = jet_values(geo.tidal)
-        riem = jet_values(geo.base.riemann)
-        return max(
-            np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
-            np.max(np.abs(berw - gamma)),
-            np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-            np.max(np.abs(geo.d_ricci - jet_values(geo.base.ricci))),
-            abs(geo.d_ricci_scalar - geo.base.ricci_scalar),
-        )
-
-    return _map_points(sample_bundle_points(model, rng, n), residual)
+def _det_fiber_metric(model, x, rng):
+    fm = tm_metric.fiber_metric(model, x)
+    g = metric_values(model, x)
+    return abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g))
 
 
-def _check_theorem1_quad_y_independent(model, rng, n):
-    def residual(x):
-        quads = []
-        for _ in range(3):
-            y = sample_timelike(model, rng, x)
-            quads.append(BundleGeometry(model, BundlePoint(x, y)).quad_term)
-        return (max(quads) - min(quads)) / (abs(quads[0]) + 1.0)
-
-    return _map_points(sample_points(model, rng, n), residual)
-
-
-def _check_theorem1_quad_closed_form(model, rng, n):
-    def residual(p):
-        geo = BundleGeometry(model, p)
-        expect = 1.5 * geo.alpha**2 * geo.f_squared
-        return abs(geo.quad_term - expect) / (abs(expect) + 1.0)
-
-    return _map_points(sample_bundle_points(model, rng, n), residual)
-
-
-def _check_theorem1_residual(model, rng, n):
-    return _map_points(
-        sample_bundle_points(model, rng, n),
-        lambda p: abs(bundle_geom.ricci_decomposition(model, p)["residual"]),
-    )
-
-
-def _check_gen_einstein_comparison(model, rng, n):
-    return _map_points(
-        sample_bundle_points(model, rng, n),
-        lambda p: bundle_geom.generalized_einstein(model, p)["difference"],
-        "reported only: literal bundle assembly vs variational tensor",
-    )
-
-
-def _check_det_fiber_metric(model, rng, n):
-    def residual(x):
-        fm = tm_metric.fiber_metric(model, x)
-        g = metric_values(model, x)
-        return abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g))
-
-    return _map_points(sample_points(model, rng, n), residual)
-
-
-def _check_ball_volume(model, rng, n):
-    return _map_points(
-        sample_points(model, rng, min(n, 3)),
-        lambda x: abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0),
-    )
-
-
-def _check_divergence_lift(model, rng, n):
+def _divergence_lift(model, p, rng):
     names = list(model.coords)
+    coeffs = rng.uniform(-1, 1, size=(4, 5))
 
-    def residual(p):
-        coeffs = rng.uniform(-1, 1, size=(4, 5))
+    def components(env):
+        vals = []
+        for i in range(4):
+            acc = env[names[0]] * 0 + float(coeffs[i, 0])
+            for j, nm in enumerate(names):
+                acc = acc + env[nm] * float(coeffs[i, j + 1])
+            vals.append(acc)
+        return vals
 
-        def components(env, c=coeffs):
-            vals = []
-            for i in range(4):
-                acc = env[names[0]] * 0 + float(c[i, 0])
-                for j, nm in enumerate(names):
-                    acc = acc + env[nm] * float(c[i, j + 1])
-                vals.append(acc)
-            return vals
-
-        lifted = tm_metric.horizontal_divergence(model, p, tm_metric.lift_base_field(components))
-        base = tm_metric.base_divergence_values(model, p.x, components)
-        return abs(lifted - base) / (abs(base) + 1.0)
-
-    return _map_points(
-        sample_bundle_points(model, rng, min(n, 5)), residual, "random affine base fields"
-    )
+    lifted = tm_metric.horizontal_divergence(model, p, tm_metric.lift_base_field(components))
+    base = tm_metric.base_divergence_values(model, p.x, components)
+    return abs(lifted - base) / (abs(base) + 1.0)
 
 
 def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
@@ -360,35 +278,42 @@ def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
     return base_geom.covariant_divergence(geo, gt - tf * (12.0 * math.pi * model.alpha**2))
 
 
-def _check_conservation(model, rng, n):
-    return _map_points(
-        sample_points(model, rng, n),
-        lambda x: np.max(np.abs(conservation_residual(model, x))),
-        "source-free models: the variational tensor is divergence-free",
-    )
-
-
 # (name, tolerance, check): an int tolerance names a tier of ``tiers``, a float
 # is fixed, and None reports the check without gating it
 REGISTRY = [
-    ("metric_symmetry", 1, _check_metric_symmetry),
-    ("riemann_symmetries", 2, _check_riemann_symmetries),
-    ("contracted_bianchi", 3, _check_contracted_bianchi),
-    ("maxwell_homogeneous", 2, _check_maxwell_homogeneous),
-    ("maxwell_current", 2, _check_maxwell_current),
-    ("stress_trace_free", 1, _check_stress_trace),
-    ("homogeneity_ladder", 2, _check_homogeneity_ladder),
-    ("fiber_derivs_agreement", 1, _check_fiber_derivs_agreement),
-    ("tidal_reconstruction", 2, _check_tidal_reconstruction),
-    ("alpha_zero_collapse", 1, _check_alpha_zero_collapse),
-    ("theorem1_quad_y_independent", 2, _check_theorem1_quad_y_independent),
-    ("theorem1_quad_closed_form", 2, _check_theorem1_quad_closed_form),
-    ("theorem1_residual", 1e-8, _check_theorem1_residual),
-    ("gen_einstein_comparison", None, _check_gen_einstein_comparison),
-    ("det_fiber_metric", 1e-12, _check_det_fiber_metric),
-    ("fiber_ball_volume", 1e-8, _check_ball_volume),
-    ("divergence_lift", 2, _check_divergence_lift),
-    ("conservation", 3, _check_conservation),
+    ("metric_symmetry", 1, _check(
+        _metric_symmetry, notes="symmetry defect plus a unit penalty unless signature is (+,-,-,-)")),
+    ("riemann_symmetries", 2, _check(_riemann_symmetries)),
+    ("contracted_bianchi", 3, _check(_contracted_bianchi)),
+    ("maxwell_homogeneous", 2, _check(
+        lambda model, x, rng: np.max(np.abs(base_geom.maxwell_cyclic_residual(model, x))))),
+    ("maxwell_current", 2, _check(
+        lambda model, x, rng: np.max(np.abs(base_geom.maxwell_current(model, x))),
+        notes="source-free potentials only")),
+    ("stress_trace_free", 1, _check(_stress_trace)),
+    ("homogeneity_ladder", 2, _check(
+        lambda model, p, rng: max(homogeneity_defects(model, p)), sample_bundle_points,
+        "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)")),
+    ("fiber_derivs_agreement", 1, _check(_fiber_derivs_agreement, sample_bundle_points)),
+    ("tidal_reconstruction", 2, _check(_tidal_reconstruction, sample_bundle_points)),
+    ("alpha_zero_collapse", 1, _check(_alpha_zero_collapse, sample_bundle_points)),
+    ("theorem1_quad_y_independent", 2, _check(_quad_y_independent)),
+    ("theorem1_quad_closed_form", 2, _check(_quad_closed_form, sample_bundle_points)),
+    ("theorem1_residual", 1e-8, _check(
+        lambda model, p, rng: abs(bundle_geom.ricci_decomposition(model, p)["residual"]),
+        sample_bundle_points)),
+    ("gen_einstein_comparison", None, _check(
+        lambda model, p, rng: bundle_geom.generalized_einstein(model, p)["difference"],
+        sample_bundle_points, "reported only: literal bundle assembly vs variational tensor")),
+    ("det_fiber_metric", 1e-12, _check(_det_fiber_metric)),
+    ("fiber_ball_volume", 1e-8, _check(
+        lambda model, x, rng: abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0),
+        at_most=3)),
+    ("divergence_lift", 2, _check(
+        _divergence_lift, sample_bundle_points, "random affine base fields", at_most=5)),
+    ("conservation", 3, _check(
+        lambda model, x, rng: np.max(np.abs(conservation_residual(model, x))),
+        notes="source-free models: the variational tensor is divergence-free")),
 ]
 
 CHECK_NAMES = [name for name, _, _ in REGISTRY]
@@ -400,7 +325,6 @@ def run_suite(
     n_points: int = 5,
     selection: list[str] | None = None,
     tiers: dict | None = None,
-    box=None,
 ) -> list[ResidualReport]:
     """Run the (selected) checks with deterministic seeded sampling."""
     tiers = {**DEFAULT_TIERS, **(tiers or {})}

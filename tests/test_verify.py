@@ -109,31 +109,73 @@ def test_conservation_residual_values():
 def test_singular_points_recorded_not_fatal():
     calls = []
 
-    def flaky(x):
+    def flaky(model, x, rng):
         calls.append(x)
         if len(calls) % 2 == 0:
             raise SingularEvaluationError("boom", value=0.0)
         return 1e-12
 
-    residuals, skipped, _ = verify._map_points(range(6), flaky)
+    check = verify._check(flaky, sample=lambda model, rng, n: list(range(n)))
+    residuals, skipped, notes = check(MINK, np.random.default_rng(0), 6)
+    assert calls == list(range(6))
     assert residuals == [1e-12] * 3
     assert skipped == 3
+    assert notes == ""
 
 
 def test_skipped_point_fails_check(monkeypatch):
-    def one_singular(model, rng, n):
-        def residual(x):
-            if x[0] == 0:
-                raise SingularEvaluationError("boom", value=0.0)
-            return 0.0
+    def residual(model, x, rng):
+        if x[0] == 0:
+            raise SingularEvaluationError("boom", value=0.0)
+        return 0.0
 
-        return verify._map_points([[k] for k in range(n)], residual, "stub check")
-
+    one_singular = verify._check(
+        residual, sample=lambda model, rng, n: [[k] for k in range(n)], notes="stub check"
+    )
     monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, one_singular)])
     (report,) = verify.run_suite(MINK, seed=0, n_points=5, selection=["metric_symmetry"])
     assert report.residuals == [0.0] * 4
     assert report.notes == "1 point(s) skipped: singular evaluation; stub check"
     assert report.passed is False
+
+
+def test_registry_entries_keep_check_contract():
+    """Each entry is (name, tolerance, check) and check(model, rng, n) returns
+    (residuals, skipped, notes); the benchmark's tracer wraps these triples."""
+    for entry in verify.REGISTRY:
+        assert isinstance(entry, tuple) and len(entry) == 3
+        name, _, check = entry
+        out = check(MINK, np.random.default_rng(0), 1)
+        assert isinstance(out, tuple) and len(out) == 3, name
+        residuals, skipped, notes = out
+        assert isinstance(residuals, list) and residuals, name
+        assert all(type(r) is float for r in residuals), name
+        assert type(skipped) is int and isinstance(notes, str), name
+
+
+def test_check_draws_every_point_before_first_residual():
+    """The seeded reports depend on the rng order: all sample draws, then the
+    residuals, which may draw more (theorem1_quad_y_independent, divergence_lift)."""
+    log = []
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            log.append("draw")
+            return self.rng.uniform(*args, **kwargs)
+
+    def residual(model, x, rng):
+        log.append("residual")
+        return rng.uniform()
+
+    residuals, skipped, _ = verify._check(residual)(MINK, RecordingRng(3), 3)
+    assert log == ["draw"] * 12 + ["residual", "draw"] * 3
+    plain = np.random.default_rng(3)
+    points = verify.sample_points(MINK, plain, 3)
+    assert residuals == [plain.uniform() for _ in points]
+    assert skipped == 0
 
 
 def test_reports_carry_conventions_and_seed():
