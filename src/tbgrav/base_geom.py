@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet, contract, jet_values
-from .spacetime import SpacetimeModel, metric_derivatives, metric_jet, potential_jet
+from .spacetime import _ROOT, SpacetimeModel, metric_derivatives, metric_jet, potential_jet
+
+_ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
 EM_STRESS_SIGN = +1.0
@@ -309,8 +311,8 @@ class PointFields:
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk from dg[k,h,j] = d_k g_hj."""
-    return np.einsum("khj->hjk", dg) + np.einsum("jhk->hjk", dg) - dg
+    """2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk from dg[..., k,h,j] = d_k g_hj."""
+    return np.moveaxis(dg, -3, -1) + np.swapaxes(dg, -3, -2) - dg
 
 
 def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True) -> PointFields:
@@ -320,12 +322,12 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
     first derivatives.  No jet is built."""
     g, dg, *ddg = metric_derivatives(model, x, order, check=False)
     ginv = np.linalg.inv(g)
-    s = _first_kind(dg)
+    stacked = _first_kind(np.concatenate([dg[None], *ddg]))  # s, then d_m s for m = 0..3 at order 2
+    s = stacked[0]
     out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
     if order >= 2:
         dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
-        ds = np.stack([_first_kind(d) for d in ddg[0]])
-        out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, ds))
+        out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, stacked[1:]))
     if potential:
         _, da, *dda = model.potential_tape.derivatives(x, order)  # da[i,j] = d_i A_j
         out.f_low = da - da.T
@@ -339,7 +341,8 @@ def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = Tru
 def has_field(model: SpacetimeModel, coupling: float) -> bool:
     """False when F cannot enter the dynamics: zero coupling or a potential
     whose every component folds to 0 on its compiled tape."""
-    return coupling != 0.0 and not all(v == 0.0 for v in model.potential_tape.constants)
+    constants = model.potential_tape.constants
+    return coupling != 0.0 and constants.count(0.0) != len(constants)
 
 
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
@@ -361,8 +364,19 @@ def faraday_values(model: SpacetimeModel, x):
     return fields.f_low, fields.f_mix
 
 
+def spray_terms(model: SpacetimeModel, x, y, field: bool) -> list[float]:
+    """[g(y,y), -gamma^i_jk y^j y^k for i = 0..3] at (x, y), then F^i_j y^j
+    for i = 0..3 when ``field``, from the model's one straight-line worldline
+    kernel (``exprlang.Tape.spray``, written once per model and field switch);
+    raises ``SingularEvaluationError`` unless y is timelike.  No jet is built."""
+    kernel = model.metric_tape.spray(model.potential_tape if field else None, _ROOT_LIST)
+    return kernel(x, np.asarray(y, dtype=float).tolist())
+
+
 def classical_lorentz_rhs(model: SpacetimeModel, x, y, charge_ratio: float) -> np.ndarray:
     """a^i = -gamma^i_jk y^j y^k + (q/(m c^2)) F^i_j y^j  (unit-speed gauge)."""
-    y = np.asarray(y, dtype=float)
-    fields = point_fields(model, x)
-    return -np.einsum("ijk,j,k->i", fields.gamma, y, y) + charge_ratio * fields.f_mix @ y
+    field = has_field(model, charge_ratio)
+    _, *acc = spray_terms(model, x, y, field)
+    if field:
+        acc = [a + charge_ratio * f for a, f in zip(acc[:4], acc[4:])]
+    return np.array(acc)

@@ -433,21 +433,21 @@ def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None
         coef = -0.5 * alpha
         dnorm = np.einsum("mij,i,j->m", f.dg, y, y) / (2.0 * norm)
         l_low = (f.g @ y) / norm
-        dl_low = np.einsum("mja,a->mj", f.dg, y) / norm - np.outer(dnorm, l_low) / norm
+        dl_low = np.einsum("mja,a->mj", f.dg, y) / norm - dnorm[:, None] * l_low / norm
         phi = f.f_mix @ y
         dphi = f.df_mix @ y
-        n_conn = n_conn + coef * (np.outer(phi, l_low) + norm * f.f_mix)
+        n_conn = n_conn + coef * (phi[:, None] * l_low + norm * f.f_mix)
         dn = dn + coef * (
-            np.einsum("mi,j->mij", dphi, l_low)
-            + np.einsum("i,mj->mij", phi, dl_low)
-            + np.einsum("m,ij->mij", dnorm, f.f_mix)
+            dphi[:, :, None] * l_low
+            + phi[:, None] * dl_low[:, None, :]
+            + dnorm[:, None, None] * f.f_mix
             + norm * f.df_mix
         )
-        l_hess = (f.g - np.outer(l_low, l_low)) / norm
+        l_hess = (f.g - l_low[:, None] * l_low) / norm
         n_fiber = n_fiber + coef * (
-            np.einsum("jk,i->ijk", l_hess, phi)
-            + np.einsum("j,ik->ijk", l_low, f.f_mix)
-            + np.einsum("k,ij->ijk", l_low, f.f_mix)
+            phi[:, None, None] * l_hess
+            + l_low[:, None] * f.f_mix[:, None, :]
+            + f.f_mix[:, :, None] * l_low
         )
     delta_n = dn.transpose(1, 2, 0) - np.einsum("lk,ijl->ijk", n_conn, n_fiber)  # delta_k N^i_j
     tidal = np.einsum("ijk,k->ij", delta_n - delta_n.transpose(0, 2, 1), y)

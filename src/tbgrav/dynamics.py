@@ -9,6 +9,13 @@ g(y,y) is an exact invariant of this flow (metric compatibility plus the
 antisymmetry of F), which the adaptive integrator must preserve to ~1e-8
 over t in [0, 100] at default tolerances.
 
+The right-hand side reads g(y,y), -gamma^i_jk y^j y^k and F^i_j y^j from one
+straight-line float kernel per model and field switch (``base_geom.spray_terms``,
+written by ``exprlang.Tape.spray`` from the model's tapes), which leaves out
+every term with a factor that folds to zero and rejects a y that is not
+timelike; the classical Lorentz-force RHS shares it.  The tests cross-check it
+against the jet route (``BaseGeometry``, ``BundleGeometry``).
+
 The deviation of a neighboring worldline with the same coupling evolves as
 a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
 
@@ -186,13 +193,12 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
 def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
     """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
     alpha = model.alpha if alpha is None else float(alpha)
-    y = np.asarray(y, dtype=float)
-    fields = base_geom.point_fields(model, x, potential=base_geom.has_field(model, alpha))
-    norm = base_geom.timelike_norm(fields.g, y)
-    acc = -np.einsum("ijk,j,k->i", fields.gamma, y, y)
-    if fields.f_mix is not None:
-        acc += alpha * norm * (fields.f_mix @ y)
-    return acc
+    field = base_geom.has_field(model, alpha)
+    n2, *acc = base_geom.spray_terms(model, x, y, field)
+    if field:
+        coupling = alpha * math.sqrt(n2)
+        acc = [a + coupling * f for a, f in zip(acc[:4], acc[4:])]
+    return np.array(acc)
 
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:

@@ -37,6 +37,9 @@ function over the Taylor coefficients, compiled once per order, and
 operations ``Tape.jets`` makes on coefficient arrays, in the same order, so
 every route matches ``evaluate`` bit for bit, coefficient by coefficient
 down to the sign of a zero, and raises the same errors at the same points.
+``Tape.spray`` writes a metric tape and a potential tape, and the worldline
+right-hand side's terms built on them, as one function of (x, y); those terms
+are not bit-identical to any jet route (see ``_KernelWriter``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -385,7 +389,7 @@ class Tape:
 
     # -- evaluators ---------------------------------------------------------------
 
-    @property
+    @cached_property
     def constants(self) -> tuple[float | None, ...]:
         """Per root, its folded value, or None where it depends on a coordinate."""
         return tuple(self._regs[r] for r in self.outputs)
@@ -394,26 +398,43 @@ class Tape:
         """Root values at the coordinate values x, on plain floats."""
         return self._kernel(0)(x)
 
-    def derivatives(self, x, order: int) -> list[np.ndarray]:
+    def derivatives(self, x, order: int, roots=None) -> list[np.ndarray]:
         """[values, first partials, second partials] of the roots up to
         ``order`` (0, 1 or 2), as float arrays with the derivative axes first,
         coordinate k seeded in variable k.  The numbers are the coefficients
         ``jets(x, order)`` holds, bit for bit: the kernel makes the same
-        floating-point operations in the same order."""
+        floating-point operations in the same order.  An integer array
+        ``roots`` of root numbers replaces the root axis by its shape, in one
+        gather for all orders."""
         if not 0 <= order <= 2:
             raise UsageError(f"derivative order must be 0, 1 or 2, got {order}")
-        flat, n = np.array(self._kernel(order)(x)), len(self.outputs)
-        out = [flat[:n]]
+        blocks = np.array(self._kernel(order)(x)).reshape(-1, len(self.outputs))  # one row per derivative
+        if roots is not None:
+            blocks = blocks[:, roots]
+        out = [blocks[0]]
         if order >= 1:
-            out.append(flat[n : (1 + KERNEL_NVARS) * n].reshape(KERNEL_NVARS, n))
+            out.append(blocks[1 : 1 + KERNEL_NVARS])
         if order >= 2:
-            out.append(flat[(1 + KERNEL_NVARS) * n :].reshape(KERNEL_NVARS, KERNEL_NVARS, n))
+            out.append(blocks[1 + KERNEL_NVARS :].reshape(KERNEL_NVARS, KERNEL_NVARS, *blocks.shape[1:]))
         return out
 
     def _kernel(self, order: int):
         kernel = self._kernels.get(order)
         if kernel is None:
             kernel = self._kernels[order] = _KernelWriter(order).write(self)
+        return kernel
+
+    def spray(self, potential: "Tape | None", root):
+        """Worldline kernel of a metric tape, ``root[i][j]`` being its root for
+        g_ij: one straight-line function ``(x, y)`` of the coordinate values
+        and a list of four floats y^i that returns ``[g(y,y)]``, then
+        ``-gamma^i_jk y^j y^k`` for i = 0..3, then, unless ``potential`` is
+        None, ``F^i_j y^j`` for i = 0..3 with F from the potential tape.  It
+        raises ``SingularEvaluationError`` unless 0 < g(y,y) < inf.  Written
+        once per potential tape (None for no field) and cached."""
+        kernel = self._kernels.get(("spray", potential))
+        if kernel is None:
+            kernel = self._kernels["spray", potential] = _KernelWriter(1).write_spray(self, potential, root)
         return kernel
 
     def jets(self, x, order: int, nvars: int = 4) -> list[Jet]:
@@ -461,6 +482,19 @@ class _KernelWriter:
     known zero with a run-time coefficient stays, because it makes the sum NaN
     where that coefficient is infinite, as in the jet route.  At order 0 the
     kernel is the float program of the jets' order-0 rules.
+
+    ``write_spray`` runs the metric and potential tapes this way at order 1
+    and goes on, in the same function, to the worldline terms: g(y,y), the
+    cofactors and determinant of g (Laplace expansion along first rows, each
+    minor made once), g^-1 = cofactor / det, -gamma^i_jk y^j y^k from the
+    Christoffel symbols of the first kind, and F^i_j y^j.  These terms match
+    no jet operation bit for bit, so their rule is plainer: each is one sum
+    of products (``combine``), and a product with a factor known to be 0.0
+    when the kernel is written, such as an entry of g or A that folds to 0,
+    is left out.  A non-finite run-time value still reaches the result: every
+    entry of g meets only run-time factors in g(y,y), which must lie in
+    (0, inf), and every partial of g or A only run-time factors in its
+    contraction with y.
     """
 
     def __init__(self, order: int):
@@ -469,19 +503,10 @@ class _KernelWriter:
         self.pairs = list(zip(*(t.tolist() for t in self.space._mul_table)))
         self.lines: list[str] = []
         self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets}
+        self.seeds: dict[int, list] = {}  # coordinate -> its coefficient list
 
     def write(self, tape: "Tape"):
-        size = self.space.size
-        regs = tape._regs.copy()
-        for r, jet in tape._consts.items():
-            regs[r] = [regs[r] if self.order == 0 else float(jet.c[0])] + [float(jet.c[1])] * (size - 1)
-        for k in tape._seeds:
-            regs[k] = [self.let(f"float(x[{k}])")] + [0.0] * (size - 1)
-            if self.order >= 1:
-                regs[k][self.space.first_index[k]] = 1.0
-        for op, out, a, b in tape._code:
-            regs[out] = self.emit(op, regs[a], None if b is None else regs[b])
-        roots = [regs[r] for r in tape.outputs]
+        roots = self.run(tape)
         flat = [c[0] for c in roots]  # values, then d/dx_v by v, then d2/dx_a dx_b by (a, b)
         if self.order >= 1:
             flat += [c[k] for k in self.space.first_index for c in roots]
@@ -489,9 +514,102 @@ class _KernelWriter:
             slot, fac = self.space.second_index
             for k, f in zip(slot.ravel().tolist(), fac.ravel().tolist()):  # derivative = coefficient * factorial
                 flat += [self.product(c[k], f) for c in roots]
-        source = "\n    ".join(["def kernel(x):", *self.lines, f"return [{', '.join(map(self.ref, flat))}]"])
-        exec(compile(source, f"<tape kernel, order {self.order}>", "exec"), self.namespace)
+        return self.compile("x", flat, f"<tape kernel, order {self.order}>")
+
+    def run(self, tape: "Tape") -> list[list]:
+        """The coefficient lists of the tape's roots; a seed read by an earlier
+        tape of the same kernel is not read again."""
+        size = self.space.size
+        regs = tape._regs.copy()
+        for r, jet in tape._consts.items():
+            regs[r] = [regs[r] if self.order == 0 else float(jet.c[0])] + [float(jet.c[1])] * (size - 1)
+        for k in tape._seeds:
+            if k not in self.seeds:
+                self.seeds[k] = [self.let(f"float(x[{k}])")] + [0.0] * (size - 1)
+                if self.order >= 1:
+                    self.seeds[k][self.space.first_index[k]] = 1.0
+            regs[k] = self.seeds[k]
+        for op, out, a, b in tape._code:
+            regs[out] = self.emit(op, regs[a], None if b is None else regs[b])
+        return [regs[r] for r in tape.outputs]
+
+    def compile(self, args: str, flat: list, label: str):
+        source = "\n    ".join([f"def kernel({args}):", *self.lines, f"return [{', '.join(map(self.ref, flat))}]"])
+        exec(compile(source, label, "exec"), self.namespace)
         return self.namespace["kernel"]
+
+    def write_spray(self, metric: "Tape", potential: "Tape | None", root):
+        """The worldline kernel ``(x, y) -> [g(y,y), -gamma^i_jk y^j y^k for
+        i in 0..3, F^i_j y^j for i in 0..3]`` of a metric tape (``root[i][j]``
+        its root for g_ij) and, unless None, a potential tape; see
+        ``Tape.spray``."""
+        self.lines.append("y0, y1, y2, y3 = y")
+        y = ["y0", "y1", "y2", "y3"]
+        first = self.space.first_index.tolist()
+        coeffs = self.run(metric)
+        g = [[coeffs[root[i][j]][0] for j in range(4)] for i in range(4)]
+        dg = [[[coeffs[root[i][j]][first[k]] for j in range(4)] for i in range(4)] for k in range(4)]  # d_k g_ij
+        yy = {}  # (j, k) -> y^j y^k, bound on first use
+
+        def y_pair(j, k):
+            j, k = min(j, k), max(j, k)
+            if (j, k) not in yy:
+                yy[j, k] = self.let(f"{y[j]}*{y[k]}")
+            return yy[j, k]
+
+        pairs = [(j, k) for j in range(4) for k in range(j, 4)]
+        n2 = self.combine([(1.0 if j == k else 2.0, [g[j][k], lambda j=j, k=k: y_pair(j, k)]) for j, k in pairs])
+        self.namespace["inf"] = math.inf
+        self.lines.append(f"if not 0.0 < {self.ref(n2)} < inf: {self.call(_not_timelike, n2)}")
+
+        minors = {}  # (rows, cols) -> the determinant of that submatrix of g, by Laplace along its first row
+
+        def minor(rows, cols):
+            if len(rows) == 1:
+                return g[rows[0]][cols[0]]
+            if (rows, cols) not in minors:
+                terms = [((-1.0) ** n, [g[rows[0]][c], minor(rows[1:], cols[:n] + cols[n + 1:])])
+                         for n, c in enumerate(cols) if g[rows[0]][c] != 0.0]
+                minors[rows, cols] = self.combine(terms)
+            return minors[rows, cols]
+
+        def drop(index, skip):
+            return index[:skip] + index[skip + 1:]
+
+        full = (0, 1, 2, 3)
+        adj = {(i, j): self.combine([((-1.0) ** (i + j), [minor(drop(full, j), drop(full, i))])])
+               for i in range(4) for j in range(i, 4)}  # cofactors of the symmetric g
+        det = self.combine([(1.0, [g[0][j], adj[0, j]]) for j in range(4) if g[0][j] != 0.0])
+        rdet = self.let(self.call(reciprocal_value, det)) if isinstance(det, str) or det == 0.0 else 1.0 / det
+        ginv = {(i, j): self.combine([(1.0, [rdet, adj[i, j]])]) for i, j in adj}
+        ginv.update({(j, i): v for (i, j), v in ginv.items()})
+
+        def raise_index(low):  # [sum_h g^ih low_h for i in 0..3]
+            return [self.combine([(1.0, [ginv[i, h], low[h]]) for h in range(4)]) for i in range(4)]
+
+        # low[h] = -gamma_hjk y^j y^k (first kind) summed over j <= k: the terms
+        # -(d_j g_hj - d_h g_jj / 2) y^j y^j and -(d_k g_hj + d_j g_hk - d_h g_jk) y^j y^k
+        low = []
+        for h in range(4):
+            terms = []
+            for j, k in pairs:
+                if j == k:
+                    parts = [(-1.0, dg[j][h][j]), (0.5, dg[h][j][j])]
+                else:
+                    parts = [(-1.0, dg[k][h][j]), (-1.0, dg[j][h][k]), (1.0, dg[h][j][k])]
+                coefs = {}  # for h = j the two diagonal parts are one entry
+                for coef, entry in parts:
+                    coefs[entry] = coefs.get(entry, 0.0) + coef
+                terms += [(coef, [entry, lambda j=j, k=k: y_pair(j, k)]) for entry, coef in coefs.items()]
+            low.append(self.combine(terms))
+        flat = [n2, *raise_index(low)]
+        if potential is not None:
+            a = self.run(potential)
+            da = [[a[j][first[i]] for j in range(4)] for i in range(4)]  # d_i A_j
+            f_y = [self.combine([(1.0, [da[h][j], y[j]]) for j in range(4) if j != h]
+                                + [(-1.0, [da[j][h], y[j]]) for j in range(4) if j != h]) for h in range(4)]
+            flat += raise_index(f_y)
+        return self.compile("x, y", flat, "<spray kernel>")
 
     # -- statements -------------------------------------------------------------------
 
@@ -561,6 +679,37 @@ class _KernelWriter:
                 acc = f"{self.ref(acc)} + {self.ref(t)}"
         return acc if isinstance(acc, float) else self.let(acc)
 
+    def combine(self, terms: list):
+        """One statement for the sum of coef * prod(factors) over the (coef,
+        factors) pairs of a worldline term: a term with a factor known to be
+        0.0 is left out, known factors are folded into the coefficient, and a
+        callable factor is called (its statement written) only when its term
+        stays.  The float total when no run-time factor is left."""
+        const, parts = 0.0, []
+        for coef, factors in terms:
+            known = [f for f in factors if isinstance(f, float)]
+            for f in known:
+                coef *= f
+            if coef == 0.0:
+                continue
+            names = [f if isinstance(f, str) else f() for f in factors if not isinstance(f, float)]
+            if not names:
+                const += coef
+                continue
+            body = "*".join(names)
+            if abs(coef) != 1.0:
+                body = f"{self.ref(abs(coef))}*{body}"
+            parts.append(("-" if coef < 0.0 else "+", body))
+        if not parts:
+            return const
+        if parts == [("+", parts[0][1])] and const == 0.0 and "*" not in parts[0][1]:
+            return parts[0][1]  # a single factor: no new statement
+        text = "".join(f" {sign} {body}" for sign, body in parts)
+        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
+        if const != 0.0:
+            text += f" + {self.ref(const)}"
+        return self.let(text)
+
     def compose(self, series, a: list, *args) -> list:
         n = self.order
         taylor = self.unpack(self.call(series, a[0], *args, n), n + 1)
@@ -585,6 +734,10 @@ class _KernelWriter:
             self.lines.append(self.call(pow_value, a[0], exponent))  # raises where the power is singular
             return self.compose(reciprocal_series, _power_by_squaring(a, -int(exponent), one, self.mul))
         return self.compose(power_series, a, exponent)
+
+
+def _not_timelike(n2: float):
+    raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
 
 
 def _pow_jets(space, base: list, exponent: list) -> list[float]:

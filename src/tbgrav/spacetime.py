@@ -384,7 +384,7 @@ def metric_derivatives(model: SpacetimeModel, x, order: int, check: bool = True)
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    out = [upper[..., _ROOT] for upper in model.metric_tape.derivatives(x, order)]
+    out = model.metric_tape.derivatives(x, order, _ROOT)
     if check:
         _check_determinant(out[0], x)
     return out

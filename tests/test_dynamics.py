@@ -7,6 +7,7 @@ Closed-form oracles:
 """
 
 import io
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from tbgrav import base_geom, exprlang, spacetime
 from tbgrav import dynamics as dyn
+from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
 from tbgrav.errors import IntegrationError, SingularEvaluationError
 from tbgrav.jets import Jet, jet_values
@@ -205,11 +207,22 @@ def test_deviation_accepts_coordinate_rate():
     assert np.allclose(via_W.sample(2.0), via_dw.sample(2.0), atol=1e-12)
 
 
+# the charged black hole in ingoing Eddington-Finkelstein coordinates: every
+# catalog metric is diagonal, this one has off-diagonal entries and g_rr = 0
+RN_INGOING_EF = spacetime.load_model(json.dumps({
+    "name": "rn_ingoing_ef", "coords": ["v", "r", "theta", "phi"], "params": {"M": 1.0, "Q": 0.3},
+    "metric": [["1 - 2*M/r + Q^2/r^2", "-1", "0", "0"], ["-1", "0", "0", "0"],
+               ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]],
+    "potential": ["Q/r", "0", "0", "0"],
+    "chart_guard": "r + sin(theta) - sqrt(r^2 + sin(theta)^2)",
+}))
+
 KERNEL_MODELS = {
     "schwarzschild": SCHW,
     "reissner_nordstrom": RN,
     "uniform_field": UNI,
     "weak_field": catalog("weak_field", {"M": 1.0}),
+    "rn_ingoing_ef": RN_INGOING_EF,
 }
 
 
@@ -221,25 +234,29 @@ def _timelike_point(model, rng):
     g = jet_values(metric_jet(model, x, order=0))
     y = np.empty(4)
     y[0] = 1.2 / math.sqrt(g[0, 0])
-    y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
+    scale = np.sqrt(-np.diag(g)[1:])
+    y[1:] = rng.uniform(-0.2, 0.2, 3) / np.where(scale > 0.0, scale, 1.0)
     return x, y
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_float_kernel_matches_jet_route(name, alpha):
-    # the deviation and oracle RHS use the float kernel; the jet route is the reference
+    # every RHS runs a float kernel (the spray kernel or connection_and_tidal_values); the jet route is the reference
     model = KERNEL_MODELS[name]
     rng = np.random.default_rng(17)
     for _ in range(3):
         x, y = _timelike_point(model, rng)
         n, e, acc = dyn._connection_and_tidal(model, x, y, alpha)
         geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
+        base = BaseGeometry(model, x, 1)
+        lorentz = -np.einsum("ijk,j,k->i", jet_values(base.gamma), y, y) + alpha * jet_values(base.faraday[1]) @ y
         pairs = (
             (n, jet_values(geo.n_conn)),
             (e, jet_values(geo.tidal)),
             (acc, -2 * jet_values(geo.spray)),
-            (acc, dyn.worldline_rhs(model, x, y, alpha=alpha)),
+            (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * jet_values(geo.spray)),
+            (base_geom.classical_lorentz_rhs(model, x, y, alpha), lorentz),
         )
         for fast, ref in pairs:
             assert np.max(np.abs(fast - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
@@ -249,6 +266,34 @@ def test_float_kernel_matches_jet_route(name, alpha):
 def test_float_kernel_rejects_null_vector(model):
     with pytest.raises(SingularEvaluationError):
         dyn._connection_and_tidal(model, [0, 0, 0, 0], [1, 1, 0, 0], 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_rhs_rejects_spacelike_vector(alpha):
+    x, y = [0.0, 10.0, 1.2, 0.3], [0.1, 1.0, 0.0, 0.0]  # g(y,y) = 0.008 - 1.25 < 0
+    with pytest.raises(SingularEvaluationError, match="not timelike"):
+        dyn.worldline_rhs(SCHW, x, y, alpha=alpha)
+    with pytest.raises(SingularEvaluationError, match="not timelike"):
+        base_geom.classical_lorentz_rhs(SCHW, x, y, alpha)
+
+
+def _flat_model(g_tt: str, a_t: str):
+    return spacetime.load_model(json.dumps({
+        "name": "flat", "coords": ["t", "x", "y", "z"],
+        "metric": [[g_tt, "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+        "potential": [a_t, "0", "0", "0"],
+    }))
+
+
+def test_rhs_not_finite_where_a_tape_coefficient_is_not():
+    # at x = 10, x^400 overflows to inf and 0*x^400 is NaN in the value and every partial
+    x, y = [0.0, 10.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0]
+    with pytest.raises(SingularEvaluationError, match="not timelike"):
+        dyn.worldline_rhs(_flat_model("1 + 0*x^400", "0"), x, y, alpha=0.0)  # g(y,y) is NaN
+    charged = _flat_model("1", "-0.1*x + 0*x^400")  # only F is NaN
+    assert np.all(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.0)))  # F does not enter
+    assert not np.any(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.5)))
+    assert not np.any(np.isfinite(base_geom.classical_lorentz_rhs(charged, x, y, 0.5)))
 
 
 def test_deviation_hot_path_builds_no_bundle_geometry(monkeypatch):

@@ -14,7 +14,9 @@ leave byte for byte as they were:
   ``deviation`` and ``integrate-volume``;
 - SHA-256 of the bytes of ``worldline_rhs``, ``classical_lorentz_rhs`` and
   ``connection_and_tidal_values`` on the five catalog models at alpha 0 and
-  0.5, three seeded points each;
+  0.5, three seeded points each, and on the charged black hole in ingoing
+  Eddington-Finkelstein coordinates (``rn_ingoing_ef``, loaded from its model
+  document), whose metric has off-diagonal entries and a zero diagonal one;
 - on the jet route, at the same points: SHA-256 of the order, variable count
   and coefficient bytes of every jet of ``BaseGeometry(model, x, 4)``'s
   ``ginv``, ``gamma``, ``riemann``, ``ricci`` and ``einstein_maxwell``, and of
@@ -32,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -40,7 +43,7 @@ from tbgrav import base_geom, bundle_geom, cli, dynamics, verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import IntegrationError
-from tbgrav.spacetime import CATALOG_NAMES, catalog
+from tbgrav.spacetime import CATALOG_NAMES, catalog, load_model
 
 RN = ["--catalog", "reissner_nordstrom", "--param", "M=1", "--param", "Q=0.3"]
 X_RN, Y_RN = ["--x", "0,5,1.2,0.5"], ["--y", "1.4,0,0,0.02"]
@@ -61,8 +64,16 @@ PARAMS = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
 # a base point per model and one timelike fiber vector for all of them
 POINTS = {"minkowski": [0.1, 0.2, -0.3, 0.4], "uniform_field": [0.0, 2.0, 0.5, 0.1],
           "schwarzschild": [0.1, 7.0, 1.1, 0.4], "reissner_nordstrom": [0.0, 5.0, 1.2, 0.3],
-          "weak_field": [0.0, 4.0, 3.0, 1.0]}
+          "weak_field": [0.0, 4.0, 3.0, 1.0], "rn_ingoing_ef": [0.0, 5.0, 1.2, 0.3]}
 Y = np.array([1.5, 0.1, 0.02, 0.03])
+# ds^2 = f dv^2 - 2 dv dr - r^2 dOmega^2, f = 1 - 2M/r + Q^2/r^2, A = (Q/r) dv
+RN_INGOING_EF = json.dumps({
+    "name": "rn_ingoing_ef", "coords": ["v", "r", "theta", "phi"], "params": {"M": 1.0, "Q": 0.3},
+    "metric": [["1 - 2*M/r + Q^2/r^2", "-1", "0", "0"], ["-1", "0", "0", "0"],
+               ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]],
+    "potential": ["Q/r", "0", "0", "0"],
+    "chart_guard": "r + sin(theta) - sqrt(r^2 + sin(theta)^2)",
+})
 PLUNGE_X0, PLUNGE_Y0 = [0.0, 3.0, math.pi / 2, 0.0], [2.0, -0.5, 0.0, 0.0]
 
 
@@ -84,19 +95,20 @@ def residual_lines():
         yield f"max_residual.{report.check}", float(report.max_residual).hex()
 
 
-def seeded_points():
-    rng = np.random.default_rng(7)
-    return {name: [np.array(POINTS[name]) + rng.uniform(-0.05, 0.05, 4) for _ in range(3)]
-            for name in CATALOG_NAMES}
+def seeded_points(names=CATALOG_NAMES, seed=7):
+    rng = np.random.default_rng(seed)
+    return {name: [np.array(POINTS[name]) + rng.uniform(-0.05, 0.05, 4) for _ in range(3)] for name in names}
 
 
 def rhs_lines():
-    for name, points in seeded_points().items():
-        model = catalog(name, PARAMS.get(name))
+    models = {name: catalog(name, PARAMS.get(name)) for name in CATALOG_NAMES}
+    models["rn_ingoing_ef"] = load_model(RN_INGOING_EF)
+    points = seeded_points() | seeded_points(["rn_ingoing_ef"], seed=8)
+    for name, model in models.items():
         for alpha in (0.0, 0.5):
             digests = {"worldline_rhs": hashlib.sha256(), "classical_lorentz_rhs": hashlib.sha256(),
                        "connection_and_tidal_values": hashlib.sha256()}
-            for x in points:
+            for x in points[name]:
                 digests["worldline_rhs"].update(dynamics.worldline_rhs(model, x, Y, alpha=alpha).tobytes())
                 digests["classical_lorentz_rhs"].update(base_geom.classical_lorentz_rhs(model, x, Y, alpha).tobytes())
                 for part in bundle_geom.connection_and_tidal_values(model, x, Y, alpha):
