@@ -18,14 +18,13 @@ potential well and Reissner-Nordstrom satisfies G_ij = (8 pi k / c^4) T^f_ij.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet, contract, jet_values
-from .spacetime import _ROOT, SpacetimeModel, metric_derivatives, metric_jet, potential_jet
+from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
 _ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
 
@@ -288,54 +287,7 @@ def covariant_divergence(geo: BaseGeometry, s_upper: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- float point kernel (hot paths in dynamics) ------------------------------------
-
-
-@dataclass
-class PointFields:
-    """Float metric, Levi-Civita and Faraday values at one base point.
-
-    Derivative indices come first: ``dg[m,i,j] = d_m g_ij``.  At order 2 the
-    kernel adds ``dgamma[m,i,j,k] = d_m gamma^i_jk`` and ``df_mix[m,i,j] =
-    d_m F^i_j``.  The Faraday entries are None when the potential was skipped.
-    """
-
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray
-    gamma: np.ndarray
-    f_low: np.ndarray | None = None
-    f_mix: np.ndarray | None = None
-    dgamma: np.ndarray | None = None
-    df_mix: np.ndarray | None = None
-
-
-def _first_kind(dg: np.ndarray) -> np.ndarray:
-    """2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk from dg[..., k,h,j] = d_k g_hj."""
-    return np.moveaxis(dg, -3, -1) + np.swapaxes(dg, -3, -2) - dg
-
-
-def point_fields(model: SpacetimeModel, x, order: int = 1, potential: bool = True) -> PointFields:
-    """Christoffel symbols and Faraday tensor at x from one run of the metric
-    tape's float kernel and at most one of the potential tape's, by forward-mode
-    chain rules on value, gradient and Hessian arrays; ``order=2`` adds their
-    first derivatives.  No jet is built."""
-    g, dg, *ddg = metric_derivatives(model, x, order, check=False)
-    ginv = np.linalg.inv(g)
-    stacked = _first_kind(np.concatenate([dg[None], *ddg]))  # s, then d_m s for m = 0..3 at order 2
-    s = stacked[0]
-    out = PointFields(g, ginv, dg, 0.5 * np.einsum("ih,hjk->ijk", ginv, s))
-    if order >= 2:
-        dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
-        out.dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, s) + np.einsum("ih,mhjk->mijk", ginv, stacked[1:]))
-    if potential:
-        _, da, *dda = model.potential_tape.derivatives(x, order)  # da[i,j] = d_i A_j
-        out.f_low = da - da.T
-        out.f_mix = ginv @ out.f_low
-        if order >= 2:
-            df_low = dda[0] - dda[0].transpose(0, 2, 1)
-            out.df_mix = np.einsum("mih,hj->mij", dginv, out.f_low) + np.einsum("ih,mhj->mij", ginv, df_low)
-    return out
+# -- float helpers of the dynamics' right-hand sides --------------------------------
 
 
 def has_field(model: SpacetimeModel, coupling: float) -> bool:
@@ -346,22 +298,12 @@ def has_field(model: SpacetimeModel, coupling: float) -> bool:
 
 
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
-    """|y| = sqrt(g_ij y^i y^j); fails fast unless y is timelike."""
+    """|y| = sqrt(g_ij y^i y^j); fails fast unless 0 < g(y,y) < inf, as the
+    spray kernel does, so a NaN g(y,y) fails too."""
     n2 = float(y @ g @ y)
-    if n2 <= 0:
+    if not 0.0 < n2 < math.inf:
         raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
     return math.sqrt(n2)
-
-
-def christoffel_values(model: SpacetimeModel, x) -> np.ndarray:
-    """gamma^i_jk as a float array."""
-    return point_fields(model, x, potential=False).gamma
-
-
-def faraday_values(model: SpacetimeModel, x):
-    """(F_ij, F^i_j) as float arrays."""
-    fields = point_fields(model, x)
-    return fields.f_low, fields.f_mix
 
 
 def spray_terms(model: SpacetimeModel, x, y, field: bool) -> list[float]:

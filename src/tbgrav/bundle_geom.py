@@ -44,7 +44,7 @@ import numpy as np
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
 from .jets import MAX_ORDER, Jet, contract, jet_values, lift_jets
-from .spacetime import SpacetimeModel
+from .spacetime import SpacetimeModel, metric_derivatives
 
 Y_SLOT0 = 4
 
@@ -415,39 +415,57 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
 
 
 def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
-    """(N^i_j, E^i_j, -2 G^i) as floats from one order-2 ``point_fields`` call.
+    """(N^i_j, E^i_j, -2 G^i) as floats from g, A and their first two
+    derivatives, read from the tapes' float kernels; no jet is built.
 
     Float twin of ``BundleGeometry.n_conn``, ``.tidal`` and ``-2 .spray`` for the
     deviation and neighbour-oracle right-hand sides, cross-checked against that
-    jet route in the tests.  B^i_.j and B^i_.jk use the closed forms above, and
+    jet route in the tests.  Derivative indices come first: ``dg[m,i,j] =
+    d_m g_ij``, ``dgamma[m,i,j,k] = d_m gamma^i_jk``, ``df_mix[m,i,j] =
+    d_m F^i_j``.  B^i_.j and B^i_.jk use the closed forms above, and
     delta_k N^i_j = d_k N^i_j - N^l_k (gamma^i_jl + B^i_.jl).
     """
     alpha = model.alpha if alpha is None else float(alpha)
     y = np.asarray(y, dtype=float)
-    f = base_geom.point_fields(model, x, order=2, potential=base_geom.has_field(model, alpha))
-    norm = base_geom.timelike_norm(f.g, y)
-    n_conn = np.einsum("ijk,k->ij", f.gamma, y)
-    dn = np.einsum("mijk,k->mij", f.dgamma, y)  # d_m N^i_j
-    n_fiber = f.gamma  # N^i_j.l at [i, j, l]
-    if f.f_mix is not None:
+    field = base_geom.has_field(model, alpha)
+    g, dg, ddg = metric_derivatives(model, x, 2, check=False)
+    ginv = np.linalg.inv(g)
+    # 2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk, then its partial d_m for m = 0..3
+    dgs = np.concatenate([dg[None], ddg])
+    first_kind = np.moveaxis(dgs, -3, -1) + np.swapaxes(dgs, -3, -2) - dgs
+    gamma = 0.5 * np.einsum("ih,hjk->ijk", ginv, first_kind[0])
+    dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, first_kind[0])
+                    + np.einsum("ih,mhjk->mijk", ginv, first_kind[1:]))
+    if field:
+        _, da, dda = model.potential_tape.derivatives(x, 2)  # da[i,j] = d_i A_j
+        f_low = da - da.T
+        f_mix = ginv @ f_low
+        df_low = dda - dda.transpose(0, 2, 1)
+        df_mix = np.einsum("mih,hj->mij", dginv, f_low) + np.einsum("ih,mhj->mij", ginv, df_low)
+    norm = base_geom.timelike_norm(g, y)
+    n_conn = np.einsum("ijk,k->ij", gamma, y)
+    dn = np.einsum("mijk,k->mij", dgamma, y)  # d_m N^i_j
+    n_fiber = gamma  # N^i_j.l at [i, j, l]
+    if field:
         coef = -0.5 * alpha
-        dnorm = np.einsum("mij,i,j->m", f.dg, y, y) / (2.0 * norm)
-        l_low = (f.g @ y) / norm
-        dl_low = np.einsum("mja,a->mj", f.dg, y) / norm - dnorm[:, None] * l_low / norm
-        phi = f.f_mix @ y
-        dphi = f.df_mix @ y
-        n_conn = n_conn + coef * (phi[:, None] * l_low + norm * f.f_mix)
+        dnorm = np.einsum("mij,i,j->m", dg, y, y) / (2.0 * norm)
+        l_low = (g @ y) / norm
+        dl_low = np.einsum("mja,a->mj", dg, y) / norm - dnorm[:, None] * l_low / norm
+        phi = f_mix @ y
+        dphi = df_mix @ y
+        n_conn = n_conn + coef * (phi[:, None] * l_low + norm * f_mix)
         dn = dn + coef * (
             dphi[:, :, None] * l_low
             + phi[:, None] * dl_low[:, None, :]
-            + dnorm[:, None, None] * f.f_mix
-            + norm * f.df_mix
+            + dnorm[:, None, None] * f_mix
+            + norm * df_mix
         )
-        l_hess = (f.g - l_low[:, None] * l_low) / norm
+        l_hess = (g - l_low[:, None] * l_low) / norm
         n_fiber = n_fiber + coef * (
             phi[:, None, None] * l_hess
-            + l_low[:, None] * f.f_mix[:, None, :]
-            + f.f_mix[:, :, None] * l_low
+            + l_low[:, None] * f_mix[:, None, :]
+            + f_mix[:, :, None] * l_low
         )
     delta_n = dn.transpose(1, 2, 0) - np.einsum("lk,ijl->ijk", n_conn, n_fiber)  # delta_k N^i_j
     tidal = np.einsum("ijk,k->ij", delta_n - delta_n.transpose(0, 2, 1), y)

@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .jets import jet_values
-from .spacetime import alpha_star, catalog, load_model, metric_values, potential_jet, signature_signs
+from .spacetime import alpha_star, catalog, load_model, metric_values, signature_signs
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
 SINGULAR_ERRORS = (SingularEvaluationError, ChartError, IntegrationError)
@@ -41,6 +41,13 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="model parameter (repeatable)")
     p.add_argument("--alpha", default=None, help='coupling: a number or "star"')
+
+
+def _add_integration_args(p: argparse.ArgumentParser):
+    p.add_argument("--t-end", type=float, default=10.0)
+    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--rtol", type=float, default=1e-10)
+    p.add_argument("--atol", type=float, default=1e-10)
 
 
 def _vec(text: str, flag: str) -> np.ndarray:
@@ -102,17 +109,18 @@ def _cmd_inspect(args) -> int:
     }
     if args.x is not None:
         x = _vec(args.x, "--x")
-        g = metric_values(model, x)
-        a = jet_values(potential_jet(model, x, order=0))
-        f_low, _ = base_geom.faraday_values(model, x)
+        geo = base_geom.BaseGeometry(model, x, 2)
+        g = jet_values(geo.g)
+        # + 0.0: F_ji is stored as -F_ij, which makes a zero entry -0.0
+        f_low = jet_values(geo.faraday[0]) + 0.0
         payload["at"] = {
             "x": x.tolist(),
             "metric": g.tolist(),
             "det_metric": float(np.linalg.det(g)),
             "signature": list(signature_signs(model, x)),
-            "potential": a.tolist(),
+            "potential": jet_values(geo.a_pot).tolist(),
             "faraday": f_low.tolist(),
-            "ricci_scalar": base_geom.BaseGeometry(model, x, 2).ricci_scalar,
+            "ricci_scalar": geo.ricci_scalar,
         }
     _dump(payload)
     return 0
@@ -252,10 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--x0", required=True)
     p.add_argument("--y0", required=True)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-10)
+    _add_integration_args(p)
     p.set_defaults(fn=_cmd_geodesic)
 
     p = sub.add_parser("deviation", help="integrate worldline + deviation field (CSV)")
@@ -265,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0", required=True)
     p.add_argument("--W0", default=None, help="covariant initial rate")
     p.add_argument("--dw0", default=None, help="coordinate initial rate")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=101)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-10)
+    _add_integration_args(p)
     p.set_defaults(fn=_cmd_deviation)
 
     p = sub.add_parser("theorem1", help="scalar-curvature split at a bundle point")

@@ -203,12 +203,8 @@ def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
     """Scale y so that g(y,y) = 1 (the affine gauge used throughout)."""
-    g = metric_values(model, x)
     y = np.asarray(y, dtype=float)
-    n2 = float(y @ g @ y)
-    if n2 <= 0:
-        raise SingularEvaluationError(f"cannot normalize non-timelike y: g(y,y) = {n2}", value=n2)
-    return y / math.sqrt(n2)
+    return y / base_geom.timelike_norm(metric_values(model, x), y)
 
 
 def _chart_and_cone_guard(model: SpacetimeModel):

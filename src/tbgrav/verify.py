@@ -180,9 +180,9 @@ def _contracted_bianchi(model, x, rng):
 
 
 def _stress_trace(model, x, rng):
-    t = jet_values(BaseGeometry(model, x, 1).em_stress)
-    ginv = np.linalg.inv(metric_values(model, x))
-    return abs(np.einsum("ij,ij->", ginv, t))
+    geo = BaseGeometry(model, x, 1)
+    t = jet_values(geo.em_stress)
+    return abs(np.einsum("ij,ij->", jet_values(geo.ginv), t))
 
 
 def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
@@ -218,8 +218,8 @@ def _tidal_reconstruction(model, p, rng):
 
 
 def _alpha_zero_collapse(model, p, rng):
-    gamma = base_geom.christoffel_values(model, p.x)
     geo = BundleGeometry(model, p, alpha=0.0)
+    gamma = jet_values(geo.base.gamma)
     n_conn = jet_values(geo.n_conn)
     berw = jet_values(geo.berwald)
     e = jet_values(geo.tidal)

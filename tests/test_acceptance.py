@@ -120,8 +120,8 @@ def test_criterion_4_alpha_zero_collapse():
     worst = 0.0
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 5):
-            gamma = base_geom.christoffel_values(model, p.x)
             base = base_geom.BaseGeometry(model, p.x, 2)
+            gamma = jet_values(base.gamma)
             riem = jet_values(base.riemann)
             geo = BundleGeometry(model, p, alpha=0.0)
             defects = [

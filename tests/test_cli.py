@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from tbgrav.base_geom import BaseGeometry
 from tbgrav.cli import main
+from tbgrav.spacetime import CATALOG_NAMES, catalog
 
 
 def run_cli(capsys, *argv):
@@ -133,18 +135,31 @@ def test_integrate_volume(capsys):
     assert payload["det_residual"] <= 1e-10
 
 
-def test_inspect(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "inspect",
-        "--catalog", "schwarzschild", "--param", "M=1",
-        "--x", "0,10,1.5707963,0",
-    )
+INSPECT_AT = {
+    "minkowski": ({}, [0.1, 0.2, -0.3, 0.4]),
+    "uniform_field": ({"E0": 0.1}, [0.0, 2.0, 0.5, 0.1]),
+    "schwarzschild": ({"M": 1.0}, [0.0, 10.0, 1.5707963, 0.0]),
+    "reissner_nordstrom": ({"M": 1.0, "Q": 0.3}, [0.0, 5.0, 1.2, 0.3]),
+    "weak_field": ({"M": 1.0}, [0.0, 4.0, 3.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_inspect(capsys, name):
+    params, x = INSPECT_AT[name]
+    argv = [arg for key, value in params.items() for arg in ("--param", f"{key}={value}")]
+    code, out, _ = run_cli(capsys, "inspect", "--catalog", name, *argv, "--x", ",".join(map(str, x)))
     assert code == 0
-    payload = json.loads(out)
-    assert payload["at"]["metric"][0][0] == pytest.approx(0.8)
-    assert payload["at"]["signature"] == [1, 3]
-    assert abs(payload["at"]["ricci_scalar"]) <= 1e-10
+    at = json.loads(out)["at"]
+    f_low = np.array(at["faraday"])
+    assert np.array_equal(f_low, -f_low.T)
+    assert not np.any(np.signbit(f_low[f_low == 0.0]))  # no -0.0
+    assert at["det_metric"] < 0
+    assert at["signature"] == [1, 3]
+    assert at["ricci_scalar"] == BaseGeometry(catalog(name, params), x, 2).ricci_scalar
+    if name == "schwarzschild":
+        assert at["metric"][0][0] == pytest.approx(0.8)
+        assert abs(at["ricci_scalar"]) <= 1e-10
 
 
 def test_usage_errors_exit_two(capsys):

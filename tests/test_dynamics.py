@@ -288,8 +288,11 @@ def _flat_model(g_tt: str, a_t: str):
 def test_rhs_not_finite_where_a_tape_coefficient_is_not():
     # at x = 10, x^400 overflows to inf and 0*x^400 is NaN in the value and every partial
     x, y = [0.0, 10.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0]
+    nan_metric = _flat_model("1 + 0*x^400", "0")  # g(y,y) is NaN
     with pytest.raises(SingularEvaluationError, match="not timelike"):
-        dyn.worldline_rhs(_flat_model("1 + 0*x^400", "0"), x, y, alpha=0.0)  # g(y,y) is NaN
+        dyn.worldline_rhs(nan_metric, x, y, alpha=0.0)
+    with pytest.raises(SingularEvaluationError, match="not timelike"):
+        connection_and_tidal_values(nan_metric, x, y, 0.0)
     charged = _flat_model("1", "-0.1*x + 0*x^400")  # only F is NaN
     assert np.all(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.0)))  # F does not enter
     assert not np.any(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.5)))

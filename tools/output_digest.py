@@ -11,7 +11,8 @@ leave byte for byte as they were:
 - the ``max_residual`` of each ``verify.run_suite`` check (same model, seed and
   samples) as ``float.hex``;
 - stdout and exit code of ``inspect``, ``theorem1``, ``efe``, ``geodesic``,
-  ``deviation`` and ``integrate-volume``;
+  ``deviation`` and ``integrate-volume``, and of ``inspect`` on each of the
+  five catalog models at its base point in ``POINTS``;
 - SHA-256 of the bytes of ``worldline_rhs``, ``classical_lorentz_rhs`` and
   ``connection_and_tidal_values`` on the five catalog models at alpha 0 and
   0.5, three seeded points each, and on the charged black hole in ingoing
@@ -81,8 +82,14 @@ def sha(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+def inspect_argv(name: str) -> list[str]:
+    params = [arg for key, value in PARAMS.get(name, {}).items() for arg in ("--param", f"{key}={value}")]
+    return ["inspect", "--catalog", name, *params, "--x", ",".join(map(str, POINTS[name]))]
+
+
 def command_lines():
-    for name, argv in COMMANDS.items():
+    commands = COMMANDS | {f"inspect.{name}": inspect_argv(name) for name in CATALOG_NAMES}
+    for name, argv in commands.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
