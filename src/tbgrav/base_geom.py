@@ -18,12 +18,13 @@ potential well and Reissner-Nordstrom satisfies G_ij = (8 pi k / c^4) T^f_ij.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet, contract, jet_values
+from .exprlang import Tape, _KernelWriter
+from .jets import Jet, contract, jet_values, reciprocal_value
 from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
 _ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
@@ -297,21 +298,117 @@ def has_field(model: SpacetimeModel, coupling: float) -> bool:
     return coupling != 0.0 and constants.count(0.0) != len(constants)
 
 
+def _not_timelike(n2: float):
+    raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
+
+
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     """|y| = sqrt(g_ij y^i y^j); fails fast unless 0 < g(y,y) < inf, as the
-    spray kernel does, so a NaN g(y,y) fails too."""
+    kernels of ``FiberWriter`` do, so a NaN g(y,y) fails too."""
     n2 = float(y @ g @ y)
     if not 0.0 < n2 < math.inf:
-        raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
+        _not_timelike(n2)
     return math.sqrt(n2)
+
+
+_PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
+
+
+class FiberWriter(_KernelWriter):
+    """Writer of a float kernel of (x, y, ...) on a metric tape run at
+    ``order`` (1 or 2).  The constructor writes what each such kernel starts
+    with: y, the tape (``g[i][j]`` the coefficient list of g_ij), g(y,y) with
+    the test of ``timelike_norm``, and g^-1 from the cofactors and
+    determinant of g (Laplace expansion along first rows, each minor once).
+
+    These terms match no jet operation bit for bit, so their rule is plainer:
+    each is one sum of products (``combine``) that leaves out a product with
+    a factor known to be 0.0, such as an entry of g or A that folds to 0.  A
+    non-finite run-time value still reaches the result: every entry of g
+    meets only run-time factors in g(y,y), which must lie in (0, inf), and
+    every partial of g or A only run-time factors in its contraction with y.
+    """
+
+    def __init__(self, order: int, metric: Tape):
+        super().__init__(order)
+        self.first = self.space.first_index.tolist()
+        self.y = self.unpack("y", 4)
+        coeffs = self.run(metric)
+        self.g = [[coeffs[_ROOT_LIST[i][j]] for j in range(4)] for i in range(4)]
+        g = [[c[0] for c in row] for row in self.g]
+        y_pair = cache(lambda j, k: self.let(f"{self.y[j]}*{self.y[k]}"))  # y^j y^k, bound on first use
+        self.pair = {}  # (j, k) -> y^j y^k as a combine factor, bound only where its term stays
+        for j, k in _PAIRS:
+            self.pair[j, k] = self.pair[k, j] = lambda j=j, k=k: y_pair(j, k)
+        self.n2 = self.combine([(1.0 if j == k else 2.0, [g[j][k], self.pair[j, k]]) for j, k in _PAIRS])
+        self.lines.append(f"if not 0.0 < {self.ref(self.n2)} < inf: {self.call(_not_timelike, self.n2)}")
+        minors = {}  # (rows, cols) -> the determinant of that submatrix of g, by Laplace along its first row
+
+        def minor(rows, cols):
+            if len(rows) == 1:
+                return g[rows[0]][cols[0]]
+            if (rows, cols) not in minors:
+                terms = [((-1.0) ** n, [g[rows[0]][c], minor(rows[1:], cols[:n] + cols[n + 1:])])
+                         for n, c in enumerate(cols) if g[rows[0]][c] != 0.0]
+                minors[rows, cols] = self.combine(terms)
+            return minors[rows, cols]
+
+        rest = [(0, 1, 2, 3)[:i] + (0, 1, 2, 3)[i + 1:] for i in range(4)]  # the indices other than i
+        adj = {(i, j): self.combine([((-1.0) ** (i + j), [minor(rest[j], rest[i])])])
+               for i, j in _PAIRS}  # cofactors of the symmetric g
+        det = self.combine([(1.0, [g[0][j], adj[0, j]]) for j in range(4) if g[0][j] != 0.0])
+        rdet = self.let(self.call(reciprocal_value, det)) if isinstance(det, str) or det == 0.0 else 1.0 / det
+        self.ginv = {(i, j): self.combine([(1.0, [rdet, adj[i, j]])]) for i, j in adj}
+        self.ginv.update({(j, i): v for (i, j), v in self.ginv.items()})
+
+    @staticmethod
+    def merged(terms: list) -> list:
+        """(coef, factors) terms with equal factor tuples summed into one."""
+        coefs = {}
+        for coef, factors in terms:
+            coefs[factors] = coefs.get(factors, 0.0) + coef
+        return [(coef, list(factors)) for factors, coef in coefs.items()]
+
+    def raise_index(self, low: list) -> list:
+        """[sum_h g^ih low_h for i in 0..3]."""
+        return [self.combine([(1.0, [self.ginv[i, h], low[h]]) for h in range(4)]) for i in range(4)]
+
+
+def _write_spray(metric: Tape, potential: Tape | None):
+    """The worldline kernel ``(x, y) -> [g(y,y), -gamma^i_jk y^j y^k for i in
+    0..3, F^i_j y^j for i in 0..3]``, the last four only with a potential
+    tape: -gamma^i_jk y^j y^k from the Christoffel symbols of the first kind
+    and F^i_j y^j from the first partials of the tapes at order 1."""
+    w = FiberWriter(1, metric)
+    dg = [[[w.g[i][j][w.first[k]] for j in range(4)] for i in range(4)] for k in range(4)]  # d_k g_ij
+    # low[h] = -gamma_hjk y^j y^k (first kind) summed over j <= k: the terms
+    # -(d_j g_hj - d_h g_jj / 2) y^j y^j and -(d_k g_hj + d_j g_hk - d_h g_jk) y^j y^k
+    low = []
+    for h in range(4):
+        terms = []  # for h = j the two diagonal parts are one entry
+        for j, k in _PAIRS:
+            if j == k:
+                terms += [(-1.0, (dg[j][h][j], w.pair[j, j])), (0.5, (dg[h][j][j], w.pair[j, j]))]
+            else:
+                terms += [(c, (entry, w.pair[j, k])) for c, entry in ((-1.0, dg[k][h][j]), (-1.0, dg[j][h][k]),
+                                                                       (1.0, dg[h][j][k]))]
+        low.append(w.combine(w.merged(terms)))
+    flat = [w.n2, *w.raise_index(low)]
+    if potential is not None:
+        a = w.run(potential)
+        da = [[a[j][w.first[i]] for j in range(4)] for i in range(4)]  # d_i A_j
+        f_y = [w.combine([(1.0, [da[h][j], w.y[j]]) for j in range(4) if j != h]
+                         + [(-1.0, [da[j][h], w.y[j]]) for j in range(4) if j != h]) for h in range(4)]
+        flat += w.raise_index(f_y)
+    return w.compile("x, y", flat, "<spray kernel>")
 
 
 def spray_terms(model: SpacetimeModel, x, y, field: bool) -> list[float]:
     """[g(y,y), -gamma^i_jk y^j y^k for i = 0..3] at (x, y), then F^i_j y^j
     for i = 0..3 when ``field``, from the model's one straight-line worldline
-    kernel (``exprlang.Tape.spray``, written once per model and field switch);
+    kernel (``_write_spray``, written once per model and field switch);
     raises ``SingularEvaluationError`` unless y is timelike.  No jet is built."""
-    kernel = model.metric_tape.spray(model.potential_tape if field else None, _ROOT_LIST)
+    kernel = model.metric_tape.kernel(_write_spray, model.potential_tape if field else None)
     return kernel(x, np.asarray(y, dtype=float).tolist())
 
 

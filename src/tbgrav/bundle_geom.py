@@ -21,6 +21,9 @@ cross-check (``fiber_derivs_B``).  Contractions of jet arrays go through
 right, as an explicit loop does) but leaves out the terms with an all-zero
 factor: with a finite other factor such a term is all +0.0, and adding it to
 a sum of products changes no bit.  ``np.einsum`` is used on float arrays only.
+The deviation and oracle right-hand sides read N, E and the spray from a
+float twin of this route, one straight-line kernel written from the model's
+tapes (``connection_and_tidal_values``).
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -44,9 +47,10 @@ import numpy as np
 from . import base_geom
 from .errors import SingularEvaluationError, UsageError
 from .jets import MAX_ORDER, Jet, contract, jet_values, lift_jets
-from .spacetime import SpacetimeModel, metric_derivatives
+from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4
+_X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "a_pot", "gamma", "faraday")  # attributes free of y
 
 
 @dataclass
@@ -78,6 +82,14 @@ class BundleGeometry:
         self.order = order
         self.alpha = model.alpha if alpha is None else float(alpha)
         self.base = base_geom.BaseGeometry(model, self.p.x, order)
+
+    def at_fiber(self, y) -> "BundleGeometry":
+        """The geometry at (x, y) for the same model, order and alpha; it
+        shares this one's base geometry and the lifted fields of x alone."""
+        geo = object.__new__(BundleGeometry)
+        geo.__dict__.update({k: v for k, v in self.__dict__.items() if k in _X_ONLY})
+        geo.p = BundlePoint(self.p.x, y)
+        return geo
 
     # -- base fields (full carrier order) ----------------------------------------
     #
@@ -415,60 +427,101 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
 
 
 def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
-    """(N^i_j, E^i_j, -2 G^i) as floats from g, A and their first two
-    derivatives, read from the tapes' float kernels; no jet is built.
-
-    Float twin of ``BundleGeometry.n_conn``, ``.tidal`` and ``-2 .spray`` for the
-    deviation and neighbour-oracle right-hand sides, cross-checked against that
-    jet route in the tests.  Derivative indices come first: ``dg[m,i,j] =
-    d_m g_ij``, ``dgamma[m,i,j,k] = d_m gamma^i_jk``, ``df_mix[m,i,j] =
-    d_m F^i_j``.  B^i_.j and B^i_.jk use the closed forms above, and
-    delta_k N^i_j = d_k N^i_j - N^l_k (gamma^i_jl + B^i_.jl).
-    """
+    """(N^i_j, E^i_j, -2 G^i) as floats at (x, y) for the deviation and
+    neighbour-oracle right-hand sides: the float twin of ``BundleGeometry``'s
+    ``n_conn``, ``tidal`` and ``-2 spray``, cross-checked against them in the
+    tests.  One straight-line kernel per model and field switch, alpha its
+    argument (``_write_deviation``); no jet is built.  Raises
+    ``SingularEvaluationError`` unless 0 < g(y,y) < inf."""
     alpha = model.alpha if alpha is None else float(alpha)
-    y = np.asarray(y, dtype=float)
-    field = base_geom.has_field(model, alpha)
-    g, dg, ddg = metric_derivatives(model, x, 2, check=False)
-    ginv = np.linalg.inv(g)
-    # 2 gamma_hjk = d_k g_hj + d_j g_hk - d_h g_jk, then its partial d_m for m = 0..3
-    dgs = np.concatenate([dg[None], ddg])
-    first_kind = np.moveaxis(dgs, -3, -1) + np.swapaxes(dgs, -3, -2) - dgs
-    gamma = 0.5 * np.einsum("ih,hjk->ijk", ginv, first_kind[0])
-    dginv = -np.einsum("ia,mab,bh->mih", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("mih,hjk->mijk", dginv, first_kind[0])
-                    + np.einsum("ih,mhjk->mijk", ginv, first_kind[1:]))
-    if field:
-        _, da, dda = model.potential_tape.derivatives(x, 2)  # da[i,j] = d_i A_j
-        f_low = da - da.T
-        f_mix = ginv @ f_low
-        df_low = dda - dda.transpose(0, 2, 1)
-        df_mix = np.einsum("mih,hj->mij", dginv, f_low) + np.einsum("ih,mhj->mij", ginv, df_low)
-    norm = base_geom.timelike_norm(g, y)
-    n_conn = np.einsum("ijk,k->ij", gamma, y)
-    dn = np.einsum("mijk,k->mij", dgamma, y)  # d_m N^i_j
-    n_fiber = gamma  # N^i_j.l at [i, j, l]
-    if field:
-        coef = -0.5 * alpha
-        dnorm = np.einsum("mij,i,j->m", dg, y, y) / (2.0 * norm)
-        l_low = (g @ y) / norm
-        dl_low = np.einsum("mja,a->mj", dg, y) / norm - dnorm[:, None] * l_low / norm
-        phi = f_mix @ y
-        dphi = df_mix @ y
-        n_conn = n_conn + coef * (phi[:, None] * l_low + norm * f_mix)
-        dn = dn + coef * (
-            dphi[:, :, None] * l_low
-            + phi[:, None] * dl_low[:, None, :]
-            + dnorm[:, None, None] * f_mix
-            + norm * df_mix
-        )
-        l_hess = (g - l_low[:, None] * l_low) / norm
-        n_fiber = n_fiber + coef * (
-            phi[:, None, None] * l_hess
-            + l_low[:, None] * f_mix[:, None, :]
-            + f_mix[:, :, None] * l_low
-        )
-    delta_n = dn.transpose(1, 2, 0) - np.einsum("lk,ijl->ijk", n_conn, n_fiber)  # delta_k N^i_j
-    tidal = np.einsum("ijk,k->ij", delta_n - delta_n.transpose(0, 2, 1), y)
-    # the spray is 2-homogeneous in y, so -2 G^i = -N^i_j y^j
-    return n_conn, tidal, -(n_conn @ y)
+    potential = model.potential_tape if base_geom.has_field(model, alpha) else None
+    kernel = model.metric_tape.kernel(_write_deviation, potential)
+    out = np.array(kernel(x, np.asarray(y, dtype=float).tolist(), -0.5 * alpha))
+    return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
 
+
+def _write_deviation(metric, potential):
+    """The deviation kernel ``(x, y, coef) -> [N^i_j (16), E^i_j (16), -N^i_j
+    y^j (4)]``, coef = -alpha/2, from the metric tape and, unless None, the
+    potential tape at order 2.  Each term is formed with a lower index and
+    raised by g^-1 last.  N lowered is
+
+        M_hj = gamma_hjk y^k + coef (F_h l_j + |y| F_hj),   F_h = F_hk y^k,  l_j = g_jk y^k / |y|,
+
+    and d_m N^i_j = g^ih (d_m M_hj - d_m g_ha N^a_j) needs no partial of g^-1.
+    With S^l = N^l_k y^k, and N^i_.kl y^k = N^i_l (N is 1-homogeneous in y),
+
+        E^i_j = y^k d_k N^i_j - y^k d_j N^i_k - N^i_.jl S^l + N^l_j N^i_l,
+
+    where y^k d_j M_hk = d_j (M_hk y^k).  The second partials of g enter only
+    as y^m y^k (d_m d_k g_hj + d_h d_j g_mk - d_h d_m g_jk - d_j d_m g_hk) / 2,
+    those of A only as y^m d_m F_hj and d_j F_h.
+    """
+    w = base_geom.FiberWriter(2, metric)
+    y, g, first, combine, merged = w.y, w.g, w.first, w.combine, w.merged
+    slot, fac = (t.tolist() for t in w.space.second_index)
+    four = range(4)
+
+    def dg(m, i, j):  # d_m g_ij
+        return g[i][j][first[m]]
+
+    def ddg(m, k, i, j, coef, factor):  # the term coef * d_m d_k g_ij * factor
+        return coef * fac[m][k], (g[i][j][slot[m][k]], factor)
+
+    def df(m, h, j, factor):  # the terms of d_m F_hj * factor, F_hj = d_h A_j - d_j A_h
+        return [(fac[m][h], (a[j][slot[m][h]], factor)), (-fac[m][j], (a[h][slot[m][j]], factor))]
+
+    dg_y = [[None] * 4 for _ in four]  # y^m d_m g_ik
+    for i in four:
+        for k in range(i, 4):
+            dg_y[i][k] = dg_y[k][i] = combine([(1.0, [dg(m, i, k), y[m]]) for m in four])
+    m_low = [[merged([(0.5, (dg(k, h, j), y[k])) for k in four] + [(0.5, (dg(j, h, k), y[k])) for k in four]
+                     + [(-0.5, (dg(h, j, k), y[k])) for k in four]) for j in four] for h in four]
+    if potential is not None:
+        a = w.run(potential)
+        f = [[0.0 if h == j else combine([(1.0, [a[j][first[h]]]), (-1.0, [a[h][first[j]]])]) for j in four]
+             for h in four]  # F_hj = d_h A_j - d_j A_h
+        f_y = [combine([(1.0, [f[h][j], y[j]]) for j in four]) for h in four]
+        norm = w.let(w.call(math.sqrt, w.n2))
+        cr, cnorm = w.let(f"coef / {norm}"), w.let(f"coef * {norm}")
+        gy = [combine([(1.0, [g[j][k][0], y[k]]) for k in four]) for j in four]
+        cl = [combine([(1.0, [cr, gy[j]])]) for j in four]  # coef l_j
+        for h in four:
+            for j in four:
+                m_low[h][j] += [(1.0, [f_y[h], cl[j]]), (1.0, [cnorm, f[h][j]])]
+    m_low = [[combine(terms) for terms in row] for row in m_low]
+    n = [list(row) for row in zip(*(w.raise_index([m_low[h][j] for h in four]) for j in four))]
+    s = [combine([(1.0, [n[i][k], y[k]]) for k in four]) for i in four]  # S^i
+
+    if potential is not None:
+        dn2 = [combine([(1.0 if i == k else 2.0, [dg(m, i, k), w.pair[i, k]]) for i in four for k in range(i, 4)])
+               for m in four]  # d_m g(y,y)
+        g_s = [combine([(1.0, [g[j][l][0], s[l]]) for l in four]) for j in four]
+        # kappa = y^m d_m (coef |y|) - coef l_l S^l, rho = kappa / g(y,y)
+        kappa = combine([(0.5, [cr, dn2[m], y[m]]) for m in four] + [(-1.0, [cr, gy[l], s[l]]) for l in four])
+        rho = w.let(f"{w.ref(kappa)} / {w.ref(w.n2)}")
+        # E_hj's field terms: F_h v_j + l_j coef z_h + kappa F_hj + coef |y| (y^m d_m F_hj - 2 d_j F_h)
+        v = [combine([(1.0, [cr, dg_y[j][b], y[b]]) for b in four] + [(-1.0, [cr, g_s[j]]), (-1.0, [cr, dn2[j]]),
+                                                                      (-1.0, [rho, gy[j]])]) for j in four]
+        df_y = [[combine(merged([t for j in four for t in df(m, h, j, y[j])])) for h in four] for m in four]  # d_m F_h
+        z = [combine([(1.0, [df_y[m][h], y[m]]) for m in four] + [(-1.0, [f[h][l], s[l]]) for l in four])
+             for h in four]
+
+    def e_terms(h, j):  # the terms of E lowered, E_hj = g_hi E^i_j
+        terms = [t for m in four for k in four for t in (
+            ddg(m, k, h, j, 0.5, w.pair[m, k]), ddg(h, j, m, k, 0.5, w.pair[m, k]),
+            ddg(h, m, j, k, -0.5, w.pair[m, k]), ddg(j, m, h, k, -0.5, w.pair[m, k]))]
+        # -gamma_hjl S^l + d_j g_hl S^l, then (M_hl - y^m d_m g_hl) N^l_j
+        terms += [(c, (entry, s[l])) for l in four for c, entry in ((0.5, dg(j, h, l)), (0.5, dg(h, j, l)),
+                                                                     (-0.5, dg(l, h, j)))]
+        terms = merged(terms) + [(1.0, [m_low[h][l], n[l][j]]) for l in four]
+        terms += [(-1.0, [dg_y[h][l], n[l][j]]) for l in four]
+        if potential is None:
+            return terms
+        terms += [(1.0, [f_y[h], v[j]]), (1.0, [cl[j], z[h]]), (1.0, [kappa, f[h][j]]), (-2.0, [cnorm, df_y[j][h]])]
+        return terms + [(c, [cnorm, *fs]) for c, fs in merged([t for m in four for t in df(m, h, j, y[m])])]
+
+    e_low = [[combine(e_terms(h, j)) for j in four] for h in four]
+    e = [list(row) for row in zip(*(w.raise_index([e_low[h][j] for h in four]) for j in four))]
+    flat = [n[i][j] for i in four for j in four] + [e[i][j] for i in four for j in four]
+    return w.compile("x, y, coef", flat + [combine([(-1.0, [s[i]])]) for i in four], "<deviation kernel>")

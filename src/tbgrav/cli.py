@@ -117,7 +117,7 @@ def _cmd_inspect(args) -> int:
             "x": x.tolist(),
             "metric": g.tolist(),
             "det_metric": float(np.linalg.det(g)),
-            "signature": list(signature_signs(model, x)),
+            "signature": list(signature_signs(g)),
             "potential": jet_values(geo.a_pot).tolist(),
             "faraday": f_low.tolist(),
             "ricci_scalar": geo.ricci_scalar,

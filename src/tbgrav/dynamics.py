@@ -11,7 +11,7 @@ over t in [0, 100] at default tolerances.
 
 The right-hand side reads g(y,y), -gamma^i_jk y^j y^k and F^i_j y^j from one
 straight-line float kernel per model and field switch (``base_geom.spray_terms``,
-written by ``exprlang.Tape.spray`` from the model's tapes), which leaves out
+written from the model's tapes and cached on them), which leaves out
 every term with a factor that folds to zero and rejects a y that is not
 timelike; the classical Lorentz-force RHS shares it.  The tests cross-check it
 against the jet route (``BaseGeometry``, ``BundleGeometry``).

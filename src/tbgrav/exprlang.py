@@ -37,9 +37,9 @@ function over the Taylor coefficients, compiled once per order, and
 operations ``Tape.jets`` makes on coefficient arrays, in the same order, so
 every route matches ``evaluate`` bit for bit, coefficient by coefficient
 down to the sign of a zero, and raises the same errors at the same points.
-``Tape.spray`` writes a metric tape and a potential tape, and the worldline
-right-hand side's terms built on them, as one function of (x, y); those terms
-are not bit-identical to any jet route (see ``_KernelWriter``).
+Writers elsewhere run a metric tape and a potential tape into one function
+of (x, y), with geometric terms that are not bit-identical to any jet route,
+and cache it on the metric tape (``Tape.kernel``, ``base_geom.FiberWriter``).
 """
 
 from __future__ import annotations
@@ -398,24 +398,20 @@ class Tape:
         """Root values at the coordinate values x, on plain floats."""
         return self._kernel(0)(x)
 
-    def derivatives(self, x, order: int, roots=None) -> list[np.ndarray]:
+    def derivatives(self, x, order: int) -> list[np.ndarray]:
         """[values, first partials, second partials] of the roots up to
         ``order`` (0, 1 or 2), as float arrays with the derivative axes first,
         coordinate k seeded in variable k.  The numbers are the coefficients
         ``jets(x, order)`` holds, bit for bit: the kernel makes the same
-        floating-point operations in the same order.  An integer array
-        ``roots`` of root numbers replaces the root axis by its shape, in one
-        gather for all orders."""
+        floating-point operations in the same order."""
         if not 0 <= order <= 2:
             raise UsageError(f"derivative order must be 0, 1 or 2, got {order}")
         blocks = np.array(self._kernel(order)(x)).reshape(-1, len(self.outputs))  # one row per derivative
-        if roots is not None:
-            blocks = blocks[:, roots]
         out = [blocks[0]]
         if order >= 1:
             out.append(blocks[1 : 1 + KERNEL_NVARS])
         if order >= 2:
-            out.append(blocks[1 + KERNEL_NVARS :].reshape(KERNEL_NVARS, KERNEL_NVARS, *blocks.shape[1:]))
+            out.append(blocks[1 + KERNEL_NVARS :].reshape(KERNEL_NVARS, KERNEL_NVARS, -1))
         return out
 
     def _kernel(self, order: int):
@@ -424,17 +420,12 @@ class Tape:
             kernel = self._kernels[order] = _KernelWriter(order).write(self)
         return kernel
 
-    def spray(self, potential: "Tape | None", root):
-        """Worldline kernel of a metric tape, ``root[i][j]`` being its root for
-        g_ij: one straight-line function ``(x, y)`` of the coordinate values
-        and a list of four floats y^i that returns ``[g(y,y)]``, then
-        ``-gamma^i_jk y^j y^k`` for i = 0..3, then, unless ``potential`` is
-        None, ``F^i_j y^j`` for i = 0..3 with F from the potential tape.  It
-        raises ``SingularEvaluationError`` unless 0 < g(y,y) < inf.  Written
-        once per potential tape (None for no field) and cached."""
-        kernel = self._kernels.get(("spray", potential))
+    def kernel(self, write, potential: "Tape | None"):
+        """``write(self, potential)``, the float kernel a writer makes from this
+        metric tape and a potential tape (None for no field), cached."""
+        kernel = self._kernels.get((write, potential))
         if kernel is None:
-            kernel = self._kernels["spray", potential] = _KernelWriter(1).write_spray(self, potential, root)
+            kernel = self._kernels[write, potential] = write(self, potential)
         return kernel
 
     def jets(self, x, order: int, nvars: int = 4) -> list[Jet]:
@@ -460,6 +451,8 @@ class Tape:
 # -- float derivative kernels --------------------------------------------------
 
 KERNEL_NVARS = 4
+KERNEL_BLOCK = 200  # statements per compiled function of a kernel (see _KernelWriter.compile)
+_LOCAL = re.compile(r"\b(?:v\d+|u\d+_\d+)\b")  # the names ``let`` and ``unpack`` bind
 _SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "ln": ln_series,
            "sin": sin_series, "cos": cos_series}
 
@@ -483,18 +476,12 @@ class _KernelWriter:
     where that coefficient is infinite, as in the jet route.  At order 0 the
     kernel is the float program of the jets' order-0 rules.
 
-    ``write_spray`` runs the metric and potential tapes this way at order 1
-    and goes on, in the same function, to the worldline terms: g(y,y), the
-    cofactors and determinant of g (Laplace expansion along first rows, each
-    minor made once), g^-1 = cofactor / det, -gamma^i_jk y^j y^k from the
-    Christoffel symbols of the first kind, and F^i_j y^j.  These terms match
-    no jet operation bit for bit, so their rule is plainer: each is one sum
-    of products (``combine``), and a product with a factor known to be 0.0
-    when the kernel is written, such as an entry of g or A that folds to 0,
-    is left out.  A non-finite run-time value still reaches the result: every
-    entry of g meets only run-time factors in g(y,y), which must lie in
-    (0, inf), and every partial of g or A only run-time factors in its
-    contraction with y.
+    One writer makes one kernel, and it writes an operation on equal operand
+    coefficients once (``emit``), so two tapes run into one kernel share
+    their common subexpressions.  Writers of geometric kernels build on this
+    one (``base_geom.FiberWriter``) and cache what they write on the metric
+    tape (``Tape.kernel``).  A body longer than ``KERNEL_BLOCK`` statements is
+    compiled block by block (``compile``).
     """
 
     def __init__(self, order: int):
@@ -502,8 +489,9 @@ class _KernelWriter:
         self.space = jet_space(order, KERNEL_NVARS)
         self.pairs = list(zip(*(t.tolist() for t in self.space._mul_table)))
         self.lines: list[str] = []
-        self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets}
+        self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets, "inf": math.inf}
         self.seeds: dict[int, list] = {}  # coordinate -> its coefficient list
+        self.emitted: dict[tuple, list] = {}  # (op, operand keys) -> coefficient list
 
     def write(self, tape: "Tape"):
         roots = self.run(tape)
@@ -534,82 +522,30 @@ class _KernelWriter:
         return [regs[r] for r in tape.outputs]
 
     def compile(self, args: str, flat: list, label: str):
-        source = "\n    ".join([f"def kernel({args}):", *self.lines, f"return [{', '.join(map(self.ref, flat))}]"])
+        """The function ``kernel(args)`` of the statements, returning ``flat``.
+        CPython's ``compile`` peaks in proportion to the statements of one
+        function, so a longer body than ``KERNEL_BLOCK`` is compiled block by
+        block, each block a function of the arguments and the names it reads
+        from earlier blocks that returns the names later ones read, and
+        ``kernel`` calls them."""
+        result = f"return [{', '.join(map(self.ref, flat))}]"
+        if len(self.lines) <= KERNEL_BLOCK:
+            return self._define("kernel", args, self.lines + [result], label)
+        blocks = [self.lines[n:n + KERNEL_BLOCK] for n in range(0, len(self.lines), KERNEL_BLOCK)]
+        names = [set(_LOCAL.findall("\n".join(block))) for block in blocks] + [set(_LOCAL.findall(result))]
+        before, driver = set(), []  # names bound by earlier blocks; the driver's statements
+        for n, block in enumerate(blocks):
+            params = ", ".join([args, *sorted(names[n] & before)])
+            out = "".join(f"{name}, " for name in sorted((names[n] - before) & set().union(*names[n + 1:])))
+            before |= names[n]
+            self._define(f"part{n}", params, block + [f"return {out}"], f"{label[:-1]}, part {n}>")
+            driver.append(f"{out}= part{n}({params})" if out else f"part{n}({params})")
+        return self._define("kernel", args, driver + [result], label)
+
+    def _define(self, name: str, args: str, body: list[str], label: str):
+        source = "\n    ".join([f"def {name}({args}):", *body])
         exec(compile(source, label, "exec"), self.namespace)
-        return self.namespace["kernel"]
-
-    def write_spray(self, metric: "Tape", potential: "Tape | None", root):
-        """The worldline kernel ``(x, y) -> [g(y,y), -gamma^i_jk y^j y^k for
-        i in 0..3, F^i_j y^j for i in 0..3]`` of a metric tape (``root[i][j]``
-        its root for g_ij) and, unless None, a potential tape; see
-        ``Tape.spray``."""
-        self.lines.append("y0, y1, y2, y3 = y")
-        y = ["y0", "y1", "y2", "y3"]
-        first = self.space.first_index.tolist()
-        coeffs = self.run(metric)
-        g = [[coeffs[root[i][j]][0] for j in range(4)] for i in range(4)]
-        dg = [[[coeffs[root[i][j]][first[k]] for j in range(4)] for i in range(4)] for k in range(4)]  # d_k g_ij
-        yy = {}  # (j, k) -> y^j y^k, bound on first use
-
-        def y_pair(j, k):
-            j, k = min(j, k), max(j, k)
-            if (j, k) not in yy:
-                yy[j, k] = self.let(f"{y[j]}*{y[k]}")
-            return yy[j, k]
-
-        pairs = [(j, k) for j in range(4) for k in range(j, 4)]
-        n2 = self.combine([(1.0 if j == k else 2.0, [g[j][k], lambda j=j, k=k: y_pair(j, k)]) for j, k in pairs])
-        self.namespace["inf"] = math.inf
-        self.lines.append(f"if not 0.0 < {self.ref(n2)} < inf: {self.call(_not_timelike, n2)}")
-
-        minors = {}  # (rows, cols) -> the determinant of that submatrix of g, by Laplace along its first row
-
-        def minor(rows, cols):
-            if len(rows) == 1:
-                return g[rows[0]][cols[0]]
-            if (rows, cols) not in minors:
-                terms = [((-1.0) ** n, [g[rows[0]][c], minor(rows[1:], cols[:n] + cols[n + 1:])])
-                         for n, c in enumerate(cols) if g[rows[0]][c] != 0.0]
-                minors[rows, cols] = self.combine(terms)
-            return minors[rows, cols]
-
-        def drop(index, skip):
-            return index[:skip] + index[skip + 1:]
-
-        full = (0, 1, 2, 3)
-        adj = {(i, j): self.combine([((-1.0) ** (i + j), [minor(drop(full, j), drop(full, i))])])
-               for i in range(4) for j in range(i, 4)}  # cofactors of the symmetric g
-        det = self.combine([(1.0, [g[0][j], adj[0, j]]) for j in range(4) if g[0][j] != 0.0])
-        rdet = self.let(self.call(reciprocal_value, det)) if isinstance(det, str) or det == 0.0 else 1.0 / det
-        ginv = {(i, j): self.combine([(1.0, [rdet, adj[i, j]])]) for i, j in adj}
-        ginv.update({(j, i): v for (i, j), v in ginv.items()})
-
-        def raise_index(low):  # [sum_h g^ih low_h for i in 0..3]
-            return [self.combine([(1.0, [ginv[i, h], low[h]]) for h in range(4)]) for i in range(4)]
-
-        # low[h] = -gamma_hjk y^j y^k (first kind) summed over j <= k: the terms
-        # -(d_j g_hj - d_h g_jj / 2) y^j y^j and -(d_k g_hj + d_j g_hk - d_h g_jk) y^j y^k
-        low = []
-        for h in range(4):
-            terms = []
-            for j, k in pairs:
-                if j == k:
-                    parts = [(-1.0, dg[j][h][j]), (0.5, dg[h][j][j])]
-                else:
-                    parts = [(-1.0, dg[k][h][j]), (-1.0, dg[j][h][k]), (1.0, dg[h][j][k])]
-                coefs = {}  # for h = j the two diagonal parts are one entry
-                for coef, entry in parts:
-                    coefs[entry] = coefs.get(entry, 0.0) + coef
-                terms += [(coef, [entry, lambda j=j, k=k: y_pair(j, k)]) for entry, coef in coefs.items()]
-            low.append(self.combine(terms))
-        flat = [n2, *raise_index(low)]
-        if potential is not None:
-            a = self.run(potential)
-            da = [[a[j][first[i]] for j in range(4)] for i in range(4)]  # d_i A_j
-            f_y = [self.combine([(1.0, [da[h][j], y[j]]) for j in range(4) if j != h]
-                                + [(-1.0, [da[j][h], y[j]]) for j in range(4) if j != h]) for h in range(4)]
-            flat += raise_index(f_y)
-        return self.compile("x, y", flat, "<spray kernel>")
+        return self.namespace[name]
 
     # -- statements -------------------------------------------------------------------
 
@@ -639,6 +575,15 @@ class _KernelWriter:
     # -- operations on coefficient lists ----------------------------------------------
 
     def emit(self, op: str, a: list, b: list | None) -> list:
+        """The coefficient list of ``op`` on ``a`` (and ``b``), written once per
+        writer for equal operands (floats keyed by ``float.hex``: -0.0 != 0.0)."""
+        key = (op, *(None if c is None else tuple(p if isinstance(p, str) else p.hex() for p in c) for c in (a, b)))
+        out = self.emitted.get(key)
+        if out is None:
+            out = self.emitted[key] = self._apply(op, a, b)
+        return out
+
+    def _apply(self, op: str, a: list, b: list | None) -> list:
         if op in ("+", "-"):
             fold = operator.add if op == "+" else operator.sub
             return [fold(p, q) if isinstance(p, float) and isinstance(q, float)
@@ -734,10 +679,6 @@ class _KernelWriter:
             self.lines.append(self.call(pow_value, a[0], exponent))  # raises where the power is singular
             return self.compose(reciprocal_series, _power_by_squaring(a, -int(exponent), one, self.mul))
         return self.compose(power_series, a, exponent)
-
-
-def _not_timelike(n2: float):
-    raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
 
 
 def _pow_jets(space, base: list, exponent: list) -> list[float]:

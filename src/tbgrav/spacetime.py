@@ -377,25 +377,18 @@ def potential_jet(
     return comps
 
 
-def metric_derivatives(model: SpacetimeModel, x, order: int, check: bool = True) -> list[np.ndarray]:
-    """[g_ij, d_m g_ij, d_m d_n g_ij] at x up to ``order`` (0, 1 or 2), as
-    float arrays with the derivative axes first, from the metric tape's float
-    kernel (the coefficients ``metric_jet`` holds, bit for bit)."""
+def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
+    """Plain float matrix g_ij(x), from the metric tape's order-0 kernel."""
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    out = model.metric_tape.derivatives(x, order, _ROOT)
+    g = np.array(model.metric_tape.values(x))[_ROOT]
     if check:
-        _check_determinant(out[0], x)
-    return out
+        _check_determinant(g, x)
+    return g
 
 
-def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
-    """Plain float matrix g_ij(x)."""
-    return metric_derivatives(model, x, 0, check)[0]
-
-
-def signature_signs(model: SpacetimeModel, x) -> tuple[int, int]:
-    """(number of positive, number of negative) metric eigenvalues at x."""
-    eig = np.linalg.eigvalsh(metric_values(model, x))
+def signature_signs(g: np.ndarray) -> tuple[int, int]:
+    """(number of positive, number of negative) eigenvalues of a metric g."""
+    eig = np.linalg.eigvalsh(g)
     return int(np.sum(eig > 0)), int(np.sum(eig < 0))

@@ -194,8 +194,8 @@ def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
                 jet_values(geo.tidal), geo.d_ricci, geo.b_hessian]
 
     lam = 2.0
-    base = ladder(BundleGeometry(model, p))
-    scaled = ladder(BundleGeometry(model, BundlePoint(p.x, lam * p.y)))
+    geo = BundleGeometry(model, p)
+    base, scaled = ladder(geo), ladder(geo.at_fiber(lam * p.y))
     defects = []
     for values, scaled_values, degree in zip(base, scaled, (2, 1, 0, 2, 0, 0)):
         expect = lam**degree * values
@@ -234,8 +234,8 @@ def _alpha_zero_collapse(model, p, rng):
 
 
 def _quad_y_independent(model, x, rng):
-    quads = [BundleGeometry(model, BundlePoint(x, sample_timelike(model, rng, x))).quad_term
-             for _ in range(3)]
+    geo = BundleGeometry(model, BundlePoint(x, sample_timelike(model, rng, x)))
+    quads = [geo.quad_term] + [geo.at_fiber(sample_timelike(model, rng, x)).quad_term for _ in range(2)]
     return (max(quads) - min(quads)) / (abs(quads[0]) + 1.0)
 
 

@@ -117,6 +117,17 @@ def test_nonlinear_connection_matches_spray_fiber_jets():
     assert np.max(np.abs(n_closed - n_jets)) <= 1e-12
 
 
+def test_at_fiber_is_the_geometry_at_the_new_fiber_vector():
+    geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.5)
+    geo.tidal  # the x-only fields are built and cached
+    y2 = 2.0 * np.asarray(Y_RN, dtype=float)
+    moved, fresh = geo.at_fiber(y2), BundleGeometry(RN, BundlePoint(X_RN, y2), alpha=0.5)
+    assert moved.base is geo.base and moved.g is geo.g
+    for attr in ("n_conn", "tidal", "berwald"):
+        assert [j.c.tobytes() for j in getattr(moved, attr).flat] == [j.c.tobytes() for j in getattr(fresh, attr).flat]
+    assert moved.quad_term == fresh.quad_term and np.array_equal(moved.b_hessian, fresh.b_hessian)
+
+
 # -- fiber derivatives of B --------------------------------------------------------
 
 

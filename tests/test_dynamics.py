@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from tbgrav import base_geom, exprlang, spacetime
+from tbgrav import base_geom, bundle_geom, exprlang, spacetime
 from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
@@ -346,12 +346,38 @@ def test_hot_paths_build_no_jet(monkeypatch):
     base = dyn.integrate_worldline(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0)
     assert base.t_end == pytest.approx(1.0)
     assert dyn.compare_classical(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0) <= 1e-9
+
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("np.einsum or np.linalg.inv called by the deviation or oracle right-hand side")
+
+    # the deviation and oracle right-hand sides run on the deviation kernel alone
+    monkeypatch.setattr(np, "einsum", no_numpy)
+    monkeypatch.setattr(np.linalg, "inv", no_numpy)
     dev = dyn.integrate_deviation(rn, base, [0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], alpha=0.5)
     assert np.all(np.isfinite(dev.states))
     err = dyn.neighbor_oracle(
         rn, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
     )
     assert math.isfinite(err)
+
+
+def test_deviation_kernel_compiles_in_blocks():
+    rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    kernel = rn.metric_tape.kernel(bundle_geom._write_deviation, rn.potential_tape)
+    parts = [fn for name, fn in kernel.__globals__.items() if name.startswith("part")]
+    assert len(parts) >= 2
+    for part in parts:  # lines: the def, one per statement, the return
+        last = max(line for *_, line in part.__code__.co_lines() if line is not None)
+        assert last - part.__code__.co_firstlineno - 1 <= exprlang.KERNEL_BLOCK
+
+
+def test_spray_kernel_shares_the_tapes_subexpressions(monkeypatch):
+    rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    kernel = rn.metric_tape.kernel(base_geom._write_spray, rn.potential_tape)
+    series, calls = kernel.__globals__["reciprocal_series"], []
+    monkeypatch.setitem(kernel.__globals__, "reciprocal_series", lambda *args: calls.append(args) or series(*args))
+    kernel(X0_ORBIT.tolist(), Y0_PERTURBED.tolist())
+    assert len(calls) == 3  # 1/r, 1/r^2 and 1/f for the metric; A_t = Q/r reuses the metric's 1/r
 
 
 def test_integrator_counts_smooth_orbit():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbgrav import verify
+from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
 from tbgrav.jets import jet_values
@@ -187,19 +188,32 @@ def test_reports_carry_conventions_and_seed():
 
 @pytest.mark.parametrize(
     "check, per_point",
-    [("alpha_zero_collapse", 1), ("fiber_derivs_agreement", 1), ("homogeneity_ladder", 2)],
+    [("alpha_zero_collapse", 1), ("fiber_derivs_agreement", 1), ("homogeneity_ladder", 2),
+     ("theorem1_quad_y_independent", 3)],
 )
 def test_geometry_builds_per_point(monkeypatch, check, per_point):
-    """One BundleGeometry per bundle point (two for the y -> 2y ladder)."""
-    builds = []
-    init = BundleGeometry.__init__
+    """One BundleGeometry per bundle point (two for the y -> 2y ladder, three
+    fiber vectors per x for the quadratic term) and one BaseGeometry per x."""
+    builds, bases = [], []
+    init, at_fiber, base_init = BundleGeometry.__init__, BundleGeometry.at_fiber, BaseGeometry.__init__
 
     def counted_init(self, *args, **kwargs):
         builds.append(check)
         init(self, *args, **kwargs)
 
+    def counted_at_fiber(self, y):
+        builds.append(check)
+        return at_fiber(self, y)
+
+    def counted_base_init(self, *args, **kwargs):
+        bases.append(check)
+        base_init(self, *args, **kwargs)
+
     monkeypatch.setattr(BundleGeometry, "__init__", counted_init)
+    monkeypatch.setattr(BundleGeometry, "at_fiber", counted_at_fiber)
+    monkeypatch.setattr(BaseGeometry, "__init__", counted_base_init)
     n = 2
     [report] = verify.run_suite(RN, seed=42, n_points=n, selection=[check])
     assert report.passed
     assert len(builds) == per_point * n
+    assert len(bases) == n

@@ -25,7 +25,11 @@ leave byte for byte as they were:
   0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
   ``div_term``, ``quad_term`` and ``d_ricci_scalar``;
 - the right-hand-side call count and error text of the Schwarzschild plunge
-  from r = 3, which ends in a step-size underflow.
+  from r = 3, which ends in a step-size underflow;
+- the ``float.hex`` of ``neighbor_oracle`` at eps = 1e-4 and 5e-5 on
+  Schwarzschild (alpha 0) and the charged black hole (alpha 0.5), on the
+  deviation benchmark's orbit to t = 10 with the centres of its seeded
+  deviation data; the ratio of the two is the benchmark's gate.
 
 It lives outside the package so that importing ``tbgrav`` stays as it was.
 """
@@ -76,6 +80,8 @@ RN_INGOING_EF = json.dumps({
     "chart_guard": "r + sin(theta) - sqrt(r^2 + sin(theta)^2)",
 })
 PLUNGE_X0, PLUNGE_Y0 = [0.0, 3.0, math.pi / 2, 0.0], [2.0, -0.5, 0.0, 0.0]
+ORACLE_X0, ORACLE_Y0 = [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.005, 0.0, 0.98 * math.sqrt(1e-3)]
+ORACLE_W0, ORACLE_BIG_W0 = [0.0, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.01]
 
 
 def sha(data: bytes | str) -> str:
@@ -175,8 +181,17 @@ def plunge_lines():
     yield "plunge.outcome", outcome
 
 
+def oracle_lines():
+    for name, alpha in (("schwarzschild", 0.0), ("reissner_nordstrom", 0.5)):
+        model = catalog(name, PARAMS[name])
+        for eps in (1e-4, 5e-5):
+            err = dynamics.neighbor_oracle(model, ORACLE_X0, ORACLE_Y0, w0=ORACLE_W0, W0=ORACLE_BIG_W0, eps=eps,
+                                           alpha=alpha, t_end=10.0)
+            yield f"neighbor_oracle.{name}.eps{eps!r}", err.hex()
+
+
 def main() -> None:
-    for lines in (command_lines, residual_lines, rhs_lines, jet_route_lines, plunge_lines):
+    for lines in (command_lines, residual_lines, rhs_lines, jet_route_lines, plunge_lines, oracle_lines):
         for name, digest in lines():
             print(name, digest, flush=True)
 
