@@ -321,12 +321,14 @@ class FiberWriter(_KernelWriter):
     the test of ``timelike_norm``, and g^-1 from the cofactors and
     determinant of g (Laplace expansion along first rows, each minor once).
 
-    These terms match no jet operation bit for bit, so their rule is plainer:
-    each is one sum of products (``combine``) that leaves out a product with
-    a factor known to be 0.0, such as an entry of g or A that folds to 0.  A
-    non-finite run-time value still reaches the result: every entry of g
-    meets only run-time factors in g(y,y), which must lie in (0, inf), and
-    every partial of g or A only run-time factors in its contraction with y.
+    These terms match no jet operation bit for bit, so their rule, the
+    geometric-term rule, is plainer and lives here only: each is one sum of
+    products (``combine``) that leaves out a product with a factor known to
+    be 0.0, such as an entry of g or A that folds to 0.  A non-finite
+    run-time value still reaches the result: every entry of g meets only
+    run-time factors in g(y,y), which must lie in (0, inf), and every partial
+    of g or A only run-time factors in its contraction with y.  A kernel is
+    cached on its metric tape (``Tape.kernel``).
     """
 
     def __init__(self, order: int, metric: Tape):
@@ -360,6 +362,37 @@ class FiberWriter(_KernelWriter):
         rdet = self.let(self.call(reciprocal_value, det)) if isinstance(det, str) or det == 0.0 else 1.0 / det
         self.ginv = {(i, j): self.combine([(1.0, [rdet, adj[i, j]])]) for i, j in adj}
         self.ginv.update({(j, i): v for (i, j), v in self.ginv.items()})
+
+    def combine(self, terms: list):
+        """One statement for the sum of coef * prod(factors) over the (coef,
+        factors) pairs of a geometric term: a term with a factor known to be
+        0.0 is left out, known factors are folded into the coefficient, and a
+        callable factor is called (its statement written) only when its term
+        stays.  The float total when no run-time factor is left."""
+        const, parts = 0.0, []
+        for coef, factors in terms:
+            known = [f for f in factors if isinstance(f, float)]
+            for f in known:
+                coef *= f
+            if coef == 0.0:
+                continue
+            names = [f if isinstance(f, str) else f() for f in factors if not isinstance(f, float)]
+            if not names:
+                const += coef
+                continue
+            body = "*".join(names)
+            if abs(coef) != 1.0:
+                body = f"{self.ref(abs(coef))}*{body}"
+            parts.append(("-" if coef < 0.0 else "+", body))
+        if not parts:
+            return const
+        if parts == [("+", parts[0][1])] and const == 0.0 and "*" not in parts[0][1]:
+            return parts[0][1]  # a single factor: no new statement
+        text = "".join(f" {sign} {body}" for sign, body in parts)
+        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
+        if const != 0.0:
+            text += f" + {self.ref(const)}"
+        return self.let(text)
 
     @staticmethod
     def merged(terms: list) -> list:

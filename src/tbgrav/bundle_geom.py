@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import base_geom
-from .errors import SingularEvaluationError, UsageError
+from .errors import UsageError
 from .jets import MAX_ORDER, Jet, contract, jet_values, lift_jets
 from .spacetime import SpacetimeModel
 
@@ -135,10 +135,8 @@ class BundleGeometry:
     @cached_property
     def norm(self) -> Jet:
         n2 = self.norm2
-        if n2.value <= 0.0:
-            raise SingularEvaluationError(
-                f"fiber vector is not timelike: g(y,y) = {n2.value}", value=n2.value
-            )
+        if not 0.0 < n2.value < math.inf:  # the rule of base_geom.timelike_norm
+            base_geom._not_timelike(n2.value)
         return n2.sqrt()
 
     @cached_property

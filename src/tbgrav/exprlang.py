@@ -29,17 +29,17 @@ program compiled once from a list of root trees (Griewank & Walther,
   division is a product with the reciprocal, as ``Jet.__truediv__`` forms
   it, so ``x / 10`` is ``x * 0.1``.
 
-A tape runs on jets of any order (``Tape.jets``), and on plain floats
-through kernels it writes for itself: ``Tape.derivatives`` returns the values
-and the first and second partials in four variables from one straight-line
-function over the Taylor coefficients, compiled once per order, and
-``Tape.values`` is the order-0 kernel.  A kernel makes, on floats, the
-operations ``Tape.jets`` makes on coefficient arrays, in the same order, so
-every route matches ``evaluate`` bit for bit, coefficient by coefficient
-down to the sign of a zero, and raises the same errors at the same points.
-Writers elsewhere run a metric tape and a potential tape into one function
-of (x, y), with geometric terms that are not bit-identical to any jet route,
-and cache it on the metric tape (``Tape.kernel``, ``base_geom.FiberWriter``).
+A tape runs two ways: on jets of any order (``Tape.jets``), and on plain
+floats (``Tape.values``) through the order-0 kernel it writes for itself,
+one straight-line Python function.  A kernel writer (``_KernelWriter``)
+makes, on the float Taylor coefficients of an order <= 2, the operations
+``Tape.jets`` makes on coefficient arrays, in the same order, so its
+coefficients match ``evaluate`` bit for bit, down to the sign of a zero,
+and it raises the same errors at the same points.  Writers elsewhere run a
+metric tape and a potential tape into one function of (x, y), with
+geometric terms that are not bit-identical to any jet route
+(``base_geom.FiberWriter``).  Every kernel is cached on its tape
+(``Tape.kernel``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, SingularEvaluationError, UsageError
+from .errors import EvaluationError, ParseError, SingularEvaluationError
 from .jets import (
     MAX_ORDER, Jet, _is_integer, _power_by_squaring, abs_value, cos_series, exp_series, jet_space, ln_series,
     ln_value, mul_value, pow_value, power_series, reciprocal_series, reciprocal_value, sin_series, sqrt_series,
@@ -327,7 +327,7 @@ class Tape:
         self._code: list[tuple] = []
         self._seeds: set[int] = set()  # the coordinates the roots use
         self._jet_regs: dict = {}  # JetSpace -> registers with the constants as its jets
-        self._kernels: dict = {}  # order -> compiled float kernel
+        self._kernels: dict = {}  # (writer, potential tape) -> compiled float kernel
         memo: dict[Expr, tuple | int] = {}
         self.outputs = [self._reg(self._lower(root, memo)) for root in roots]
         self._jcode = [(_JET_OPS[op], out, a, b) for op, out, a, b in self._code]
@@ -396,33 +396,12 @@ class Tape:
 
     def values(self, x) -> list[float]:
         """Root values at the coordinate values x, on plain floats."""
-        return self._kernel(0)(x)
-
-    def derivatives(self, x, order: int) -> list[np.ndarray]:
-        """[values, first partials, second partials] of the roots up to
-        ``order`` (0, 1 or 2), as float arrays with the derivative axes first,
-        coordinate k seeded in variable k.  The numbers are the coefficients
-        ``jets(x, order)`` holds, bit for bit: the kernel makes the same
-        floating-point operations in the same order."""
-        if not 0 <= order <= 2:
-            raise UsageError(f"derivative order must be 0, 1 or 2, got {order}")
-        blocks = np.array(self._kernel(order)(x)).reshape(-1, len(self.outputs))  # one row per derivative
-        out = [blocks[0]]
-        if order >= 1:
-            out.append(blocks[1 : 1 + KERNEL_NVARS])
-        if order >= 2:
-            out.append(blocks[1 + KERNEL_NVARS :].reshape(KERNEL_NVARS, KERNEL_NVARS, -1))
-        return out
-
-    def _kernel(self, order: int):
-        kernel = self._kernels.get(order)
-        if kernel is None:
-            kernel = self._kernels[order] = _KernelWriter(order).write(self)
-        return kernel
+        return self.kernel(_write_values, None)(x)
 
     def kernel(self, write, potential: "Tape | None"):
         """``write(self, potential)``, the float kernel a writer makes from this
-        metric tape and a potential tape (None for no field), cached."""
+        tape and, for a geometric kernel, a potential tape (None for no
+        field), cached on this tape."""
         kernel = self._kernels.get((write, potential))
         if kernel is None:
             kernel = self._kernels[write, potential] = write(self, potential)
@@ -448,7 +427,7 @@ class Tape:
         return [regs[r] for r in self.outputs]
 
 
-# -- float derivative kernels --------------------------------------------------
+# -- float kernels ------------------------------------------------------------
 
 KERNEL_NVARS = 4
 KERNEL_BLOCK = 200  # statements per compiled function of a kernel (see _KernelWriter.compile)
@@ -458,9 +437,11 @@ _SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "
 
 
 class _KernelWriter:
-    """Writes a tape as one straight-line Python function over the Taylor
+    """Writes tapes into one straight-line Python function over the Taylor
     coefficients of ``jet_space(order, KERNEL_NVARS)`` (Fike & Alonso's
-    hyper-dual numbers, AIAA 2011-886, in this engine's coefficient layout).
+    hyper-dual numbers, AIAA 2011-886, in this engine's coefficient layout):
+    ``run`` writes a tape's statements and returns its roots' coefficients,
+    and ``compile`` makes the function that returns the ones asked for.
 
     Each statement repeats, on floats, an operation ``Tape.jets`` makes on a
     coefficient array: a product adds its terms from +0.0 in the pair order of
@@ -473,15 +454,16 @@ class _KernelWriter:
     changes no bit for any input: a factor 1.0, and a known zero added to a
     sum that started from +0.0 (such a sum is never -0.0).  A product of a
     known zero with a run-time coefficient stays, because it makes the sum NaN
-    where that coefficient is infinite, as in the jet route.  At order 0 the
+    where that coefficient is infinite, as in the jet route.  So every
+    coefficient ``run`` gives equals, bit for bit, the one ``Tape.jets`` gives
+    in ``jet_space(order, KERNEL_NVARS)``; at order 0 (``Tape.values``) the
     kernel is the float program of the jets' order-0 rules.
 
     One writer makes one kernel, and it writes an operation on equal operand
     coefficients once (``emit``), so two tapes run into one kernel share
     their common subexpressions.  Writers of geometric kernels build on this
-    one (``base_geom.FiberWriter``) and cache what they write on the metric
-    tape (``Tape.kernel``).  A body longer than ``KERNEL_BLOCK`` statements is
-    compiled block by block (``compile``).
+    one (``base_geom.FiberWriter``).  A body longer than ``KERNEL_BLOCK``
+    statements is compiled block by block (``compile``).
     """
 
     def __init__(self, order: int):
@@ -492,17 +474,6 @@ class _KernelWriter:
         self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets, "inf": math.inf}
         self.seeds: dict[int, list] = {}  # coordinate -> its coefficient list
         self.emitted: dict[tuple, list] = {}  # (op, operand keys) -> coefficient list
-
-    def write(self, tape: "Tape"):
-        roots = self.run(tape)
-        flat = [c[0] for c in roots]  # values, then d/dx_v by v, then d2/dx_a dx_b by (a, b)
-        if self.order >= 1:
-            flat += [c[k] for k in self.space.first_index for c in roots]
-        if self.order >= 2:
-            slot, fac = self.space.second_index
-            for k, f in zip(slot.ravel().tolist(), fac.ravel().tolist()):  # derivative = coefficient * factorial
-                flat += [self.product(c[k], f) for c in roots]
-        return self.compile("x", flat, f"<tape kernel, order {self.order}>")
 
     def run(self, tape: "Tape") -> list[list]:
         """The coefficient lists of the tape's roots; a seed read by an earlier
@@ -624,37 +595,6 @@ class _KernelWriter:
                 acc = f"{self.ref(acc)} + {self.ref(t)}"
         return acc if isinstance(acc, float) else self.let(acc)
 
-    def combine(self, terms: list):
-        """One statement for the sum of coef * prod(factors) over the (coef,
-        factors) pairs of a worldline term: a term with a factor known to be
-        0.0 is left out, known factors are folded into the coefficient, and a
-        callable factor is called (its statement written) only when its term
-        stays.  The float total when no run-time factor is left."""
-        const, parts = 0.0, []
-        for coef, factors in terms:
-            known = [f for f in factors if isinstance(f, float)]
-            for f in known:
-                coef *= f
-            if coef == 0.0:
-                continue
-            names = [f if isinstance(f, str) else f() for f in factors if not isinstance(f, float)]
-            if not names:
-                const += coef
-                continue
-            body = "*".join(names)
-            if abs(coef) != 1.0:
-                body = f"{self.ref(abs(coef))}*{body}"
-            parts.append(("-" if coef < 0.0 else "+", body))
-        if not parts:
-            return const
-        if parts == [("+", parts[0][1])] and const == 0.0 and "*" not in parts[0][1]:
-            return parts[0][1]  # a single factor: no new statement
-        text = "".join(f" {sign} {body}" for sign, body in parts)
-        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
-        if const != 0.0:
-            text += f" + {self.ref(const)}"
-        return self.let(text)
-
     def compose(self, series, a: list, *args) -> list:
         n = self.order
         taylor = self.unpack(self.call(series, a[0], *args, n), n + 1)
@@ -679,6 +619,12 @@ class _KernelWriter:
             self.lines.append(self.call(pow_value, a[0], exponent))  # raises where the power is singular
             return self.compose(reciprocal_series, _power_by_squaring(a, -int(exponent), one, self.mul))
         return self.compose(power_series, a, exponent)
+
+
+def _write_values(tape: Tape, potential: None):
+    """The order-0 kernel ``x -> [value of each root]``."""
+    w = _KernelWriter(0)
+    return w.compile("x", [c[0] for c in w.run(tape)], "<tape kernel, order 0>")
 
 
 def _pow_jets(space, base: list, exponent: list) -> list[float]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base_geom import densitized_divergence, sqrt_minus_det
+from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
 from .jets import Jet
@@ -68,10 +68,7 @@ def fiber_metric(model: SpacetimeModel, x, u=None) -> FiberMetric:
             )
         u = np.array([1.0, 0.0, 0.0, 0.0])
     u = np.asarray(u, dtype=float)
-    norm2 = float(u @ g @ u)
-    if norm2 <= 0.0:
-        raise SingularEvaluationError(f"fiber-metric direction is not timelike: g(u,u) = {norm2}", value=norm2)
-    u_low = (g @ u) / math.sqrt(norm2)
+    u_low = (g @ u) / timelike_norm(g, u)
     v = 2.0 * np.outer(u_low, u_low) - g
     try:
         chol = np.linalg.cholesky(v)

@@ -17,7 +17,7 @@ from tbgrav import base_geom, bundle_geom, exprlang, spacetime
 from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
-from tbgrav.errors import IntegrationError, SingularEvaluationError
+from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
 from tbgrav.jets import Jet, jet_values
 from tbgrav.spacetime import catalog, metric_jet
 
@@ -270,11 +270,17 @@ def test_float_kernel_rejects_null_vector(model):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_rhs_rejects_spacelike_vector(alpha):
-    x, y = [0.0, 10.0, 1.2, 0.3], [0.1, 1.0, 0.0, 0.0]  # g(y,y) = 0.008 - 1.25 < 0
-    with pytest.raises(SingularEvaluationError, match="not timelike"):
-        dyn.worldline_rhs(SCHW, x, y, alpha=alpha)
-    with pytest.raises(SingularEvaluationError, match="not timelike"):
-        base_geom.classical_lorentz_rhs(SCHW, x, y, alpha)
+    x = [0.0, 10.0, 1.2, 0.3]
+    # g(y,y) = 0.008 - 1.25 < 0, then NaN and inf: every route refuses all three
+    for y in ([0.1, 1.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(SingularEvaluationError, match="not timelike"):
+            dyn.worldline_rhs(SCHW, x, y, alpha=alpha)
+        with pytest.raises(SingularEvaluationError, match="not timelike"):
+            base_geom.classical_lorentz_rhs(SCHW, x, y, alpha)
+        with pytest.raises(SingularEvaluationError, match="not timelike"):
+            connection_and_tidal_values(SCHW, x, y, alpha)
+        with pytest.raises(SingularEvaluationError, match="not timelike"), np.errstate(invalid="ignore"):
+            BundleGeometry(SCHW, BundlePoint(x, y), alpha=alpha).spray  # the jet route
 
 
 def _flat_model(g_tt: str, a_t: str):
@@ -435,11 +441,14 @@ def test_trajectory_csv_format():
     row = lines[2].split(",")
     assert float(row[0]) == pytest.approx(0.5)
     assert float(row[1]) == pytest.approx(0.5)  # x0 = t for rest worldline
-    # 17 significant digits requested
-    assert any(len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 16 for cell in row[1:] if "e" not in cell) or True
+    # 17 significant digits: every cell parses back to exactly the sampled float
+    for t, line in zip(np.linspace(0, 1, 3), lines[1:]):
+        want = [t, *base.sample(t), *dev.sample(t)]
+        assert [float(cell) for cell in line.split(",")] == want
 
 
 def test_sample_outside_range_rejected():
     traj = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=1.0)
-    with pytest.raises(Exception):
-        traj.sample(2.0)
+    for t in (-0.5, 2.0):
+        with pytest.raises(UsageError, match="outside"):
+            traj.sample(t)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError, UsageError
-from tbgrav.exprlang import evaluate
+from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
+from tbgrav.exprlang import _KernelWriter, evaluate
 from tbgrav.spacetime import (
     CATALOG_NAMES,
     alpha_star,
@@ -279,22 +279,17 @@ def _tape_jets(model, x, order, nvars):
     return [g[i, j] for i in range(4) for j in range(i, 4)] + list(a)
 
 
-def _kernel_arrays(model, x, order):
-    """[values, first, second partials] of the metric then the potential roots
-    from the tapes' float kernels."""
-    return model.metric_tape.derivatives(x, order) + model.potential_tape.derivatives(x, order)
+def _kernel(model, order):
+    """One float kernel ``x -> coefficients`` that runs the metric and then the
+    potential tape, sharing one writer's ``emit`` memo as the geometric
+    kernels do, and returns every coefficient of every root."""
+    w = _KernelWriter(order)
+    roots = w.run(model.metric_tape) + w.run(model.potential_tape)
+    return w.compile("x", [p for c in roots for p in c], f"<test kernel, order {order}>")
 
 
-def _tree_arrays(model, x, order):
-    """The same arrays read from the coefficients of the tree-walk jets."""
-    jets = _tree_jets(model, x, order, 4)
-    space, n = jets[0].space, 10
-    c = np.array([jet.c for jet in jets]).T
-    arrays = [c[0], c[space.first_index]] if order >= 1 else [c[0]]
-    if order >= 2:
-        slot, fac = space.second_index
-        arrays.append(c[slot] * fac[..., None])
-    return [a[..., :n] for a in arrays] + [a[..., n:] for a in arrays]
+def _coefficient_bytes(jets):
+    return np.array([jet.c for jet in jets]).tobytes()
 
 
 def _outcome(fn, *args):
@@ -318,13 +313,9 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars):
         upper, g = np.triu_indices(4), np.empty((4, 4))
         g[upper] = g.T[upper] = [jet.value for jet in tree[:10]]
         assert metric_values(model, x, check=False).tobytes() == g.tobytes()
-    kernel = nvars == 4 and order <= 2  # Tape.derivatives: the float kernel of the same program
+    kernel = _kernel(model, order) if nvars == 4 and order <= 2 else None  # the float program of both tapes
     if kernel:
-        for got, want in zip(_kernel_arrays(model, x, order), _tree_arrays(model, x, order), strict=True):
-            assert got.tobytes() == want.tobytes()
-    elif order > 2:
-        with pytest.raises(UsageError, match="derivative order"):
-            model.metric_tape.derivatives(x, order)
+        assert np.array(kernel(x)).tobytes() == _coefficient_bytes(tree)
     for x_bad in SINGULAR_POINTS:
         want = _outcome(_tree_jets, model, x_bad, order, nvars)
         got = _outcome(_tape_jets, model, x_bad, order, nvars)
@@ -333,12 +324,11 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars):
         else:
             assert all(a.c.tobytes() == b.c.tobytes() for a, b in zip(got, want, strict=True))
         if kernel:
-            got = _outcome(_kernel_arrays, model, x_bad, order)
+            got = _outcome(kernel, x_bad)
             if isinstance(want, tuple):
                 assert got == want
             else:
-                want = _tree_arrays(model, x_bad, order)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+                assert np.array(got).tobytes() == _coefficient_bytes(want)
 
 
 def test_tape_singular_points_raise():
@@ -348,7 +338,7 @@ def test_tape_singular_points_raise():
             with pytest.raises(SingularEvaluationError, match=reason):
                 _tape_jets(model, x, order, 4)
             with pytest.raises(SingularEvaluationError, match=reason):
-                _kernel_arrays(model, x, order)
+                _kernel(model, order)(x)
 
 
 def test_chart_guard_text_matches_tree():

@@ -66,6 +66,8 @@ def test_fiber_metric_custom_u_and_errors():
     assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(jet_values(metric_jet(SCHW, X_SCHW, 0))), rel=1e-12)
     with pytest.raises(SingularEvaluationError):
         tm.fiber_metric(MINK, X_FLAT, u=[0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(SingularEvaluationError, match="not timelike"):  # g(u,u) is NaN
+        tm.fiber_metric(SCHW, X_SCHW, u=[math.nan, 0.0, 0.0, 0.0])
 
 
 def test_ball_volume_is_one():
