@@ -172,7 +172,7 @@ class BaseGeometry:
 
     @cached_property
     def a_pot(self) -> np.ndarray:
-        return potential_jet(self.model, self.x, order=self.order, check=False)
+        return potential_jet(self.model, self.x, order=self.order)
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -110,7 +110,9 @@ class BundleGeometry:
         return lift_jets(self.base.a_pot, 8)
 
     @cached_property
+    @np.errstate(invalid="ignore")
     def yj(self) -> np.ndarray:
+        base_geom.timelike_norm(jet_values(self.base.g), self.p.y)
         out = np.empty(4, dtype=object)
         for i in range(4):
             out[i] = Jet.variable(Y_SLOT0 + i, self.p.y[i], self.order, 8)
@@ -134,10 +136,7 @@ class BundleGeometry:
 
     @cached_property
     def norm(self) -> Jet:
-        n2 = self.norm2
-        if not 0.0 < n2.value < math.inf:  # the rule of base_geom.timelike_norm
-            base_geom._not_timelike(n2.value)
-        return n2.sqrt()
+        return self.norm2.sqrt()
 
     @cached_property
     def l_up(self) -> np.ndarray:

@@ -222,12 +222,8 @@ def _cmd_integrate_volume(args) -> int:
         "quadrature": report,
     }
     if args.box:
-        box = []
-        for span in args.box.split(","):
-            lo, _, hi = span.partition(":")
-            box.append((float(lo), float(hi)))
-        if len(box) != 4:
-            raise UsageError("--box expects 4 comma-separated lo:hi spans")
+        lo, hi = zip(*(span.partition(":")[::2] for span in args.box.split(",")))
+        box = list(zip(_vec(",".join(lo), "--box (lo)"), _vec(",".join(hi), "--box (hi)")))
         payload["tm_integral_const"] = tm_metric.tm_integral(model, box, lambda x_, ys: np.ones(len(ys)))
         payload["base_integral_const"] = tm_metric.base_integral(model, box, lambda x_: 1.0)
     _dump(payload)

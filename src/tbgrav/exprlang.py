@@ -29,15 +29,15 @@ program compiled once from a list of root trees (Griewank & Walther,
   division is a product with the reciprocal, as ``Jet.__truediv__`` forms
   it, so ``x / 10`` is ``x * 0.1``.
 
-A tape runs two ways: on jets of any order (``Tape.jets``), and on plain
-floats (``Tape.values``) through the order-0 kernel it writes for itself,
-one straight-line Python function.  A kernel writer (``_KernelWriter``)
-makes, on the float Taylor coefficients of an order <= 2, the operations
-``Tape.jets`` makes on coefficient arrays, in the same order, so its
-coefficients match ``evaluate`` bit for bit, down to the sign of a zero,
-and it raises the same errors at the same points.  Writers elsewhere run a
-metric tape and a potential tape into one function of (x, y), with
-geometric terms that are not bit-identical to any jet route
+A tape runs two ways: on 4-variable jets of any order (``Tape.jets``), and
+on plain floats (``Tape.values``) through the order-0 kernel it writes for
+itself, one straight-line Python function.  A kernel writer
+(``_KernelWriter``) makes, on the float Taylor coefficients of an order
+<= 2, the operations ``Tape.jets`` makes on coefficient arrays, in the same
+order, so its coefficients match ``evaluate`` bit for bit, down to the sign
+of a zero, and it raises the same errors at the same points.  Writers
+elsewhere run a metric tape and a potential tape into one function of
+(x, y), with geometric terms that are not bit-identical to any jet route
 (``base_geom.FiberWriter``).  Every kernel is cached on its tape
 (``Tape.kernel``).
 """
@@ -407,11 +407,11 @@ class Tape:
             kernel = self._kernels[write, potential] = write(self, potential)
         return kernel
 
-    def jets(self, x, order: int, nvars: int = 4) -> list[Jet]:
-        """Root jets with coordinate k seeded in variable k of ``nvars``.  A
-        folded root is a jet shared by every call in its space (no jet is
+    def jets(self, x, order: int) -> list[Jet]:
+        """Root jets in 4 variables, coordinate k seeded in variable k.  A
+        folded root is a jet shared by every call at its order (no jet is
         changed in place)."""
-        space = jet_space(order, nvars)
+        space = jet_space(order, 4)
         regs = self._jet_regs.get(space)
         if regs is None:  # the constants as the jets evaluate builds, once per space
             regs = self._jet_regs[space] = self._regs.copy()
@@ -421,7 +421,7 @@ class Tape:
                 regs[r] = Jet(space, c)
         regs = regs.copy()
         for k in self._seeds:
-            regs[k] = Jet.variable(k, float(x[k]), order, nvars)
+            regs[k] = Jet.variable(k, float(x[k]), order, 4)
         for fn, out, a, b in self._jcode:
             regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         return [regs[r] for r in self.outputs]

@@ -342,38 +342,24 @@ def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
         raise SingularEvaluationError(f"metric determinant {det} is not negative at {x.tolist()}", value=det)
 
 
-def metric_jet(
-    model: SpacetimeModel,
-    x,
-    order: int,
-    nvars: int = 4,
-    check: bool = True,
-) -> np.ndarray:
-    """Symmetric 4x4 object array of g_ij jets at x, seeded in base
-    coordinates only; mirrored entries are one jet."""
+def metric_jet(model: SpacetimeModel, x, order: int) -> np.ndarray:
+    """Symmetric 4x4 object array of g_ij jets in the 4 base coordinates at a
+    chart point x whose metric determinant is negative; mirrored entries are
+    one jet."""
     x = np.asarray(x, dtype=float)
-    if check:
-        model.check_chart(x)
+    model.check_chart(x)
     comps = np.empty((4, 4), dtype=object)
-    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order, nvars)
-    if check:
-        _check_determinant(jet_values(comps), x)
+    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order)
+    _check_determinant(jet_values(comps), x)
     return comps
 
 
-def potential_jet(
-    model: SpacetimeModel,
-    x,
-    order: int,
-    nvars: int = 4,
-    check: bool = True,
-) -> np.ndarray:
-    """Covariant potential components A_i as an object array of jets at x."""
-    x = np.asarray(x, dtype=float)
-    if check:
-        model.check_chart(x)
+def potential_jet(model: SpacetimeModel, x, order: int) -> np.ndarray:
+    """Covariant potential components A_i as an object array of jets in the 4
+    base coordinates at x.  The chart is not checked: every caller has checked
+    it for the metric at the same x."""
     comps = np.empty(4, dtype=object)
-    comps[:] = model.potential_tape.jets(x, order, nvars)
+    comps[:] = model.potential_tape.jets(x, order)
     return comps
 
 

@@ -18,8 +18,8 @@ from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav.jets import MAX_ORDER, Jet, jet_values
-from tbgrav.exprlang import Tape
-from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet, potential_jet
+from tbgrav.exprlang import Tape, evaluate
+from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -30,6 +30,17 @@ X_FLAT = [0.0, 2.0, -1.0, 0.5]
 Y_TIME = [2.0, 0.0, 0.0, 0.0]
 X_RN = [0.2, 6.0, 1.2, 0.5]
 Y_RN = [1.4, 0.05, 0.01, 0.02]
+
+
+def _joint_space_fields(model, x, order):
+    """g_ij and A_i on 8-variable jets by the tree walk, the reference
+    semantics of the model's expressions; mirrored g entries are one jet."""
+    env = model.coord_env(x, order, 8)
+    g, a_pot = np.empty((4, 4), dtype=object), np.empty(4, dtype=object)
+    for i, j in zip(*np.triu_indices(4)):
+        g[i, j] = g[j, i] = evaluate(model.g_exprs[i][j], env)
+    a_pot[:] = [evaluate(e, env) for e in model.a_exprs]
+    return g, a_pot
 
 
 def _rand_bundle_points(model, rng, n, boost=0.5):
@@ -203,7 +214,7 @@ def test_berwald_symmetry_and_hessian_consistency():
 def test_adapted_derivative_base_function():
     # for f = f(x) the fiber correction drops: delta_i f = d_i f
     def field(m, p, o):
-        return metric_jet(m, p.x, order=o, nvars=8)[0, 0]
+        return _joint_space_fields(m, p.x, o)[0][0, 0]
 
     out = bun.adapted_derivative(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [2, 0, 0, 0]), field)
     # d_r g_00 = 2M/r^2 = 0.02
@@ -215,7 +226,7 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
     p = BundlePoint(X_RN, Y_RN)
 
     def log_sqrt_det(model, pt, order):
-        g = metric_jet(model, pt.x, order=order, nvars=8)
+        g, _ = _joint_space_fields(model, pt.x, order)
         return (-bg.det_jet_matrix(g)).sqrt().ln()
 
     out = bun.adapted_derivative(RN, p, log_sqrt_det)
@@ -536,9 +547,8 @@ def test_values_independent_of_carrier_order(name):
 def _joint_space_route(model, x, order):
     """g, g^-1, gamma, A, (F_ij, F^i_j) evaluated on 8-variable jets, as
     BundleGeometry built them before its base fields were lifted."""
-    g = metric_jet(model, x, order=order, nvars=8)
+    g, a_pot = _joint_space_fields(model, x, order)
     ginv = bg.invert_jet_matrix(g)
-    a_pot = potential_jet(model, x, order=order, nvars=8, check=False)
     f_low, f_mix = bg.faraday_jets(a_pot, ginv)
     return {"g": g, "ginv": ginv, "gamma": bg.christoffel_jets(g, ginv), "a_pot": a_pot,
             "f_low": f_low, "f_mix": f_mix}
@@ -570,23 +580,22 @@ def test_lifted_base_fields_match_joint_space_route(name):
 
 
 def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
-    """The base fields are built on 4-variable jets: reading the curvature
-    ladder and the split terms of a default-order geometry never evaluates a
-    model tape on 8-variable jets."""
-    jets = Tape.jets
+    """The base fields are built once on the tapes' 4-variable jets and
+    lifted: reading the curvature ladder and the split terms of a
+    default-order geometry runs the metric and the potential tape once each."""
+    jets, runs = Tape.jets, []
 
-    def four_variable_only(self, x, order, nvars=4):
-        if nvars == 8:
-            raise AssertionError("tape evaluated on 8-variable jets")
-        return jets(self, x, order, nvars)
+    def recorded(self, x, order):
+        runs.append((self, order))
+        return jets(self, x, order)
 
-    monkeypatch.setattr(Tape, "jets", four_variable_only)
+    monkeypatch.setattr(Tape, "jets", recorded)
     for alpha in (0.0, 0.5):
+        runs.clear()
         geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=alpha)
         assert geo.order == MAX_ORDER
         geo.tidal, geo.b_hessian, geo.div_term, geo.quad_term
-    with pytest.raises(AssertionError, match="8-variable"):
-        metric_jet(RN, X_RN, order=1, nvars=8)
+        assert runs == [(RN.metric_tape, MAX_ORDER), (RN.potential_tape, MAX_ORDER)]
 
 
 # -- homogeneity ladder ------------------------------------------------------------------------

@@ -87,6 +87,23 @@ def test_geodesic_straight_line_csv(capsys):
     assert last[1] == pytest.approx(10.0, abs=1e-12)
 
 
+def test_geodesic_zero_length_samples_initial_state(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "geodesic",
+        "--catalog", "schwarzschild", "--param", "M=1",
+        "--x0", "0,10,1.5707963,0",
+        "--y0", "1,0,0,0.03",
+        "--t-end", "0",
+        "--samples", "2",
+    )
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert rows[0][:5] == [0.0, 0.0, 10.0, 1.5707963, 0.0]
+    assert all(np.isfinite(rows[0]))
+
+
 def test_deviation_csv_has_w_columns(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -133,6 +150,19 @@ def test_integrate_volume(capsys):
     payload = json.loads(out)
     assert payload["ball_volume"] == pytest.approx(1.0, abs=1e-8)
     assert payload["det_residual"] <= 1e-10
+
+
+def test_integrate_volume_box(capsys):
+    argv = ("integrate-volume", "--catalog", "minkowski", "--x", "0,0,0,0", "--box")
+    code, out, _ = run_cli(capsys, *argv, "0:1,0:1,0:1,0:2")
+    assert code == 0
+    payload = json.loads(out)
+    # sqrt(-g) = 1 and a unit fiber ball: both integrals are the box volume
+    assert payload["base_integral_const"] == pytest.approx(2.0, rel=1e-12)
+    assert payload["tm_integral_const"] == pytest.approx(2.0, rel=1e-12)
+    code, out, err = run_cli(capsys, *argv, "0:1,0:1,0:1,0:x")
+    assert (code, out) == (2, "")
+    assert err == "error: --box (hi) expects numbers, got '1,1,1,x'\n"
 
 
 INSPECT_AT = {

@@ -9,6 +9,7 @@ Closed-form oracles:
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_schwarzschild_tidal_stretch_and_compression():
 
     f = 0.8
     y0 = np.array([1 / math.sqrt(f), 0, 0, 0])
-    base = dyn.integrate_worldline(SCHW, X0_ORBIT, y0, alpha=0.0, t_end=8.0, normalize=False)
+    base = dyn.integrate_worldline(SCHW, X0_ORBIT, y0, alpha=0.0, t_end=8.0)
     dev_r = dyn.integrate_deviation(SCHW, base, w0=[0, 1.0, 0, 0], W0=[0, 0, 0, 0], alpha=0.0)
     dev_t = dyn.integrate_deviation(SCHW, base, w0=[0, 0, 1.0, 0], W0=[0, 0, 0, 0], alpha=0.0)
     # covariant initial acceleration equals the closed-form eigenvalues exactly
@@ -279,8 +280,19 @@ def test_rhs_rejects_spacelike_vector(alpha):
             base_geom.classical_lorentz_rhs(SCHW, x, y, alpha)
         with pytest.raises(SingularEvaluationError, match="not timelike"):
             connection_and_tidal_values(SCHW, x, y, alpha)
-        with pytest.raises(SingularEvaluationError, match="not timelike"), np.errstate(invalid="ignore"):
+        with pytest.raises(SingularEvaluationError, match="not timelike"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any jet product can warn
             BundleGeometry(SCHW, BundlePoint(x, y), alpha=alpha).spray  # the jet route
+
+
+def test_null_cone_guard_refuses_nan_and_near_null_vectors():
+    guard = dyn._chart_and_cone_guard(SCHW)
+    x = [0.0, 10.0, math.pi / 2, 0.0]
+    guard(0.0, np.array(x + [1.0, 0.0, 0.0, 0.0]))  # g(y,y) = 0.8
+    # NaN, then g(y,y) = 0.8 - 1.25 * 0.8^2, zero up to rounding
+    for y in ([math.nan, 0.0, 0.0, 0.0], [1.0, 0.8, 0.0, 0.0]):
+        with pytest.raises(IntegrationError, match="null cone"):
+            guard(1.0, np.array(x + y))
 
 
 def _flat_model(g_tt: str, a_t: str):
@@ -452,3 +464,8 @@ def test_sample_outside_range_rejected():
     for t in (-0.5, 2.0):
         with pytest.raises(UsageError, match="outside"):
             traj.sample(t)
+    point = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=0.0)
+    assert np.array_equal(point.sample(0.0), point.states[0])  # one accepted time
+    for t in (-0.5, 0.5):
+        with pytest.raises(UsageError, match="outside"):
+            point.sample(t)

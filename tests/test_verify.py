@@ -1,5 +1,8 @@
 """Suite orchestration: determinism, registry completeness, serialization."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
 from tbgrav.jets import jet_values
-from tbgrav.spacetime import catalog, metric_jet
+from tbgrav.spacetime import catalog, load_model, metric_jet, print_model
 
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
 MINK = catalog("minkowski")
@@ -19,6 +22,20 @@ def test_minkowski_full_suite_passes_tightly():
     assert all(r.passed for r in reports)
     for r in reports:
         assert r.max_residual <= 1e-12
+
+
+def test_default_box_for_model_files():
+    """A model file outside SAFE_BOXES gets the spherical-chart box when its
+    coordinates include r and theta, and a small cube otherwise."""
+    def renamed(model, name):
+        return load_model(json.dumps({**json.loads(print_model(model)), "name": name}))
+
+    spherical, flat = renamed(RN, "rn_file"), renamed(MINK, "flat_file")
+    assert verify._default_box(spherical) == [(-1.0, 1.0), (4.0, 20.0), (0.45, math.pi - 0.45), (0.0, 2 * math.pi)]
+    assert verify._default_box(flat) == [(-0.9, 0.9)] * 4
+    reports = verify.run_suite(spherical, seed=5, n_points=2, selection=["metric_symmetry", "maxwell_current"])
+    assert [r.check for r in reports] == ["metric_symmetry", "maxwell_current"]
+    assert all(r.passed for r in reports)
 
 
 def test_rn_star_suite_passes():
