@@ -54,9 +54,8 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError, SingularEvaluationError
 from .jets import (
-    MAX_ORDER, Jet, _is_integer, _power_by_squaring, abs_value, cos_series, exp_series, jet_space, ln_series,
-    ln_value, mul_value, pow_value, power_series, reciprocal_series, reciprocal_value, sin_series, sqrt_series,
-    sqrt_value,
+    INLINE_NAMES, MAX_ORDER, SERIES, Jet, _is_integer, _power_by_squaring, abs_value, inline_series, jet_space,
+    ln_value, mul_value, pow_value, power_series, reciprocal_series, reciprocal_value, sqrt_value,
 )
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln", "abs")
@@ -432,8 +431,6 @@ class Tape:
 KERNEL_NVARS = 4
 KERNEL_BLOCK = 200  # statements per compiled function of a kernel (see _KernelWriter.compile)
 _LOCAL = re.compile(r"\b(?:v\d+|u\d+_\d+)\b")  # the names ``let`` and ``unpack`` bind
-_SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "ln": ln_series,
-           "sin": sin_series, "cos": cos_series}
 
 
 class _KernelWriter:
@@ -446,7 +443,8 @@ class _KernelWriter:
     Each statement repeats, on floats, an operation ``Tape.jets`` makes on a
     coefficient array: a product adds its terms from +0.0 in the pair order of
     the multiplication table (the order ``np.bincount`` adds them in), a
-    univariate function takes its series from ``jets`` and composes it by
+    univariate function takes its series from ``jets`` (the reciprocal, sin
+    and cos as statements, ``jets.inline_series``) and composes it by
     ``Jet._compose``'s Horner scheme, and every singular value raises through
     the same order-0 rule.  A coefficient known when the kernel is written (of
     a constant or of a seed's derivative) is a float here, and the writer
@@ -471,7 +469,7 @@ class _KernelWriter:
         self.space = jet_space(order, KERNEL_NVARS)
         self.pairs = list(zip(*(t.tolist() for t in self.space._mul_table)))
         self.lines: list[str] = []
-        self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets, "inf": math.inf}
+        self.namespace: dict = {"space": self.space, "_pow_jets": _pow_jets, "inf": math.inf, **INLINE_NAMES}
         self.seeds: dict[int, list] = {}  # coordinate -> its coefficient list
         self.emitted: dict[tuple, list] = {}  # (op, operand keys) -> coefficient list
 
@@ -571,7 +569,7 @@ class _KernelWriter:
             return [self.let(f"{self.ref(p)} if {positive} else -{self.ref(p)}") for p in a]
         if op == "^":
             return self.power(a, b)
-        return self.compose(_SERIES[op], a)
+        return self.compose(SERIES[op], a)
 
     def mul(self, a: list, b: list) -> list:
         terms = [[] for _ in range(self.space.size)]
@@ -597,7 +595,9 @@ class _KernelWriter:
 
     def compose(self, series, a: list, *args) -> list:
         n = self.order
-        taylor = self.unpack(self.call(series, a[0], *args, n), n + 1)
+        taylor = inline_series(series, self.ref(a[0]), n, self.let)
+        if taylor is None:
+            taylor = self.unpack(self.call(series, a[0], *args, n), n + 1)
         u = [0.0, *a[1:]]
         result = [taylor[n]] + [0.0] * (self.space.size - 1)
         for k in range(n - 1, -1, -1):

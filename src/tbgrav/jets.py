@@ -199,7 +199,8 @@ def pow_value(v: float, exponent: float) -> float:
 # Each function below gives the Taylor coefficients f(v), f'(v), f''(v)/2, ...
 # up to ``order`` of one univariate function, its first entry from the order-0
 # rule above.  ``Jet._compose`` and the tape's compiled kernels both take a
-# series from here, so each is written once.
+# series from here; the kernels write three of them out as statements
+# (``INLINE_SERIES``), which the tests pin to these functions bit for bit.
 
 
 def reciprocal_series(v: float, order: int) -> list[float]:
@@ -244,6 +245,35 @@ def cos_series(v: float, order: int) -> list[float]:
     s, c = math.sin(v), math.cos(v)
     cycle = [c, -s, -c, s]
     return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+
+
+# The series of each univariate operation of an expression tape, by name.
+SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "ln": ln_series, "sin": sin_series,
+          "cos": cos_series}
+# Three of the series to order 2, as the float expressions they evaluate:
+# term k reads the argument as {v} and the terms before it as {0}, {1}.  A
+# division by 0! or 1! leaves every float as it is, and (-1.0) ** k / v ** (k
+# + 1) is written with its sign folded.  The functions the terms call are
+# INLINE_NAMES.
+_INLINE_SERIES = {
+    reciprocal_series: ("reciprocal_value({v})", "-1.0 / {v} ** 2", "1.0 / {v} ** 3"),
+    sin_series: ("sin({v})", "cos({v})", "-{0} / 2.0"),
+    cos_series: ("cos({v})", "-sin({v})", "-{0} / 2.0"),
+}
+INLINE_NAMES = {"reciprocal_value": reciprocal_value, "sin": math.sin, "cos": math.cos}
+
+
+def inline_series(series, v: str, order: int, let) -> list[str] | None:
+    """For a kernel that writes a series as statements: the names ``let``
+    binds to the terms of ``series`` to ``order`` at the argument named v,
+    or None where the series has no written form to that order."""
+    terms = _INLINE_SERIES.get(series, ())
+    if len(terms) <= order:
+        return None
+    names = []
+    for term in terms[:order + 1]:
+        names.append(let(term.format(*names, v=v)))
+    return names
 
 
 # -- zero rules ---------------------------------------------------------------

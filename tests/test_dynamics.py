@@ -392,10 +392,11 @@ def test_deviation_kernel_compiles_in_blocks():
 def test_spray_kernel_shares_the_tapes_subexpressions(monkeypatch):
     rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
     kernel = rn.metric_tape.kernel(base_geom._write_spray, rn.potential_tape)
-    series, calls = kernel.__globals__["reciprocal_series"], []
-    monkeypatch.setitem(kernel.__globals__, "reciprocal_series", lambda *args: calls.append(args) or series(*args))
+    recip, calls = kernel.__globals__["reciprocal_value"], []
+    monkeypatch.setitem(kernel.__globals__, "reciprocal_value", lambda *args: calls.append(args) or recip(*args))
     kernel(X0_ORBIT.tolist(), Y0_PERTURBED.tolist())
-    assert len(calls) == 3  # 1/r, 1/r^2 and 1/f for the metric; A_t = Q/r reuses the metric's 1/r
+    # 1/r, 1/r^2 and 1/f for the metric, then 1/det g for g^-1; A_t = Q/r reuses the metric's 1/r
+    assert len(calls) == 4
 
 
 def test_integrator_counts_smooth_orbit():

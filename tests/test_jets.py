@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
-from tbgrav.jets import FINITE, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, contract, jet_space
+from tbgrav.jets import (
+    FINITE, INLINE_NAMES, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, contract, cos_series, inline_series, jet_space,
+    reciprocal_series, sin_series,
+)
 
 
 def test_seed_identity_function():
@@ -428,3 +431,35 @@ def test_compose_changes_no_earlier_jet():
     assert const.sqrt().value == math.sqrt(2.0)
     assert [j.c.tobytes() for j in (zero, shared, const)] == before
     assert not zero.c.any()
+
+
+def _written_series(series, order):
+    """The function of v that the statements ``inline_series`` writes return."""
+    lines = []
+
+    def let(expr):
+        lines.append(f"t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
+
+    names = inline_series(series, "v", order, let)
+    namespace = dict(INLINE_NAMES)
+    exec("\n    ".join(["def written(v):", *lines, f"return [{', '.join(names)}]"]), namespace)
+    return namespace["written"]
+
+
+def _outcome(fn, *args):
+    try:
+        return [float(c).hex() for c in fn(*args)]
+    except (ArithmeticError, ValueError, SingularEvaluationError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("series", [reciprocal_series, sin_series, cos_series])
+def test_inline_series_match_the_series_bit_for_bit(series):
+    # at the first three, v * v differs from v ** 2 in the last bit
+    values = [0.3664465704550999, -1426.913158789656, 0.01219429585277711, 2.5, -7.0, math.pi, 1e-300, 1e300,
+              -0.0, 0.0, math.inf, -math.inf, math.nan]
+    for order in range(3):
+        written = _written_series(series, order)
+        for v in values:
+            assert _outcome(written, v) == _outcome(series, v, order), (order, v)
