@@ -304,8 +304,11 @@ def _not_timelike(n2: float):
 
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     """|y| = sqrt(g_ij y^i y^j); fails fast unless 0 < g(y,y) < inf, as the
-    kernels of ``FiberWriter`` do, so a NaN g(y,y) fails too."""
-    n2 = float(y @ g @ y)
+    kernels of ``FiberWriter`` do, so a NaN g(y,y) fails too.  A y that is
+    not finite, or so large that g(y,y) overflows, fails by that test and not
+    with a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = float(y @ g @ y)
     if not 0.0 < n2 < math.inf:
         _not_timelike(n2)
     return math.sqrt(n2)
@@ -436,19 +439,31 @@ def _write_spray(metric: Tape, potential: Tape | None):
     return w.compile("x, y", flat, "<spray kernel>")
 
 
-def spray_terms(model: SpacetimeModel, x, y, field: bool) -> list[float]:
-    """[g(y,y), -gamma^i_jk y^j y^k for i = 0..3] at (x, y), then F^i_j y^j
-    for i = 0..3 when ``field``, from the model's one straight-line worldline
-    kernel (``_write_spray``, written once per model and field switch);
-    raises ``SingularEvaluationError`` unless y is timelike.  No jet is built."""
-    kernel = model.metric_tape.kernel(_write_spray, model.potential_tape if field else None)
-    return kernel(x, np.asarray(y, dtype=float).tolist())
+def spray_kernel(model: SpacetimeModel, field: bool):
+    """The model's one straight-line worldline kernel ``(x, y) -> [g(y,y),
+    -gamma^i_jk y^j y^k for i = 0..3]``, then F^i_j y^j for i = 0..3 when
+    ``field``, y a list of floats (``_write_spray``, written once per model
+    and field switch); it raises ``SingularEvaluationError`` unless y is
+    timelike.  No jet is built."""
+    return model.metric_tape.kernel(_write_spray, model.potential_tape if field else None)
+
+
+def lorentz_acceleration(model: SpacetimeModel, charge_ratio: float):
+    """The function ``(x, y) -> [a^i]`` on float lists, a^i = -gamma^i_jk y^j
+    y^k + (q/(m c^2)) F^i_j y^j (unit-speed gauge), on the worldline kernel
+    read once."""
+    field = has_field(model, charge_ratio)
+    kernel = spray_kernel(model, field)
+    if not field:
+        return lambda x, y: kernel(x, y)[1:]
+
+    def acceleration(x, y):
+        _, a0, a1, a2, a3, f0, f1, f2, f3 = kernel(x, y)
+        return [a0 + charge_ratio * f0, a1 + charge_ratio * f1, a2 + charge_ratio * f2, a3 + charge_ratio * f3]
+
+    return acceleration
 
 
 def classical_lorentz_rhs(model: SpacetimeModel, x, y, charge_ratio: float) -> np.ndarray:
     """a^i = -gamma^i_jk y^j y^k + (q/(m c^2)) F^i_j y^j  (unit-speed gauge)."""
-    field = has_field(model, charge_ratio)
-    _, *acc = spray_terms(model, x, y, field)
-    if field:
-        acc = [a + charge_ratio * f for a, f in zip(acc[:4], acc[4:])]
-    return np.array(acc)
+    return np.array(lorentz_acceleration(model, charge_ratio)(x, np.asarray(y, dtype=float).tolist()))

@@ -23,7 +23,7 @@ factor: with a finite other factor such a term is all +0.0, and adding it to
 a sum of products changes no bit.  ``np.einsum`` is used on float arrays only.
 The deviation and oracle right-hand sides read N, E and the spray from a
 float twin of this route, one straight-line kernel written from the model's
-tapes (``connection_and_tidal_values``).
+tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -424,17 +424,25 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
 
 
 def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
-    """(N^i_j, E^i_j, -2 G^i) as floats at (x, y) for the deviation and
-    neighbour-oracle right-hand sides: the float twin of ``BundleGeometry``'s
-    ``n_conn``, ``tidal`` and ``-2 spray``, cross-checked against them in the
-    tests.  One straight-line kernel per model and field switch, alpha its
-    argument (``_write_deviation``); no jet is built.  Raises
+    """(N^i_j, E^i_j, -2 G^i) as floats at (x, y): the float twin of
+    ``BundleGeometry``'s ``n_conn``, ``tidal`` and ``-2 spray``, cross-checked
+    against them in the tests.  One straight-line kernel per model and field
+    switch, alpha its argument (``deviation_kernel``, which the deviation and
+    neighbour-oracle right-hand sides call directly); no jet is built.  Raises
     ``SingularEvaluationError`` unless 0 < g(y,y) < inf."""
+    kernel, coef = deviation_kernel(model, alpha)
+    out = np.array(kernel(x, np.asarray(y, dtype=float).tolist(), coef))
+    return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
+
+
+def deviation_kernel(model: SpacetimeModel, alpha: float | None = None):
+    """(kernel, coef): the model's deviation kernel ``(x, y, coef) -> [N^i_j
+    (16, row-major), E^i_j (16), -2 G^i (4)]`` for the coupling alpha, y a
+    list of floats, and its argument coef = -alpha/2 (``_write_deviation``,
+    written once per model and field switch)."""
     alpha = model.alpha if alpha is None else float(alpha)
     potential = model.potential_tape if base_geom.has_field(model, alpha) else None
-    kernel = model.metric_tape.kernel(_write_deviation, potential)
-    out = np.array(kernel(x, np.asarray(y, dtype=float).tolist(), -0.5 * alpha))
-    return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
+    return model.metric_tape.kernel(_write_deviation, potential), -0.5 * alpha
 
 
 def _write_deviation(metric, potential):

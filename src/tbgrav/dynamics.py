@@ -10,7 +10,7 @@ antisymmetry of F), which the adaptive integrator must preserve to ~1e-8
 over t in [0, 100] at default tolerances.
 
 The right-hand side reads g(y,y), -gamma^i_jk y^j y^k and F^i_j y^j from one
-straight-line float kernel per model and field switch (``base_geom.spray_terms``,
+straight-line float kernel per model and field switch (``base_geom.spray_kernel``,
 written from the model's tapes and cached on them), which leaves out
 every term with a factor that folds to zero and rejects a y that is not
 timelike; the classical Lorentz-force RHS shares it.  The tests cross-check it
@@ -22,11 +22,16 @@ a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
     dw^i/dt = W^i - N^i_j(x,y) w^j
     dW^i/dt = E^i_k(x,y) w^k - N^i_k(x,y) W^k
 
-with connection and tidal tensor evaluated along the base worldline.
+with connection and tidal tensor evaluated along the base worldline, from
+the order-2 deviation kernel (``bundle_geom.deviation_kernel``).
 
 Integrator: Dormand-Prince embedded 5(4) pair, PI step control, cubic
 Hermite dense output on accepted steps (interpolation accuracy one order
-below the integrator).
+below the integrator).  It runs on plain floats: the state, the seven
+stages and the error norm are lists of Python floats, the stage sums are
+written out over the components, and each right-hand side is a closure that
+reads its kernels once per integration and builds lists, with no NumPy call
+per stage.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import base_geom
-from .bundle_geom import connection_and_tidal_values
+from .bundle_geom import connection_and_tidal_values, deviation_kernel
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
 from .jets import jet_values
 from .spacetime import SpacetimeModel, metric_values, potential_jet
@@ -48,24 +53,25 @@ DRIFT_SAMPLES = 50  # times at which norm_drift reads g(y,y)
 CLASSICAL_SAMPLES, CLASSICAL_TOL = 50, 1e-10
 ORACLE_SAMPLES, ORACLE_TOL = 30, 1e-11
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array(row)
-    for row in (
-        [],
-        [1 / 5],
-        [3 / 40, 9 / 40],
-        [44 / 45, -56 / 15, 32 / 9],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    )
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I, table
+# II.5.2), 1-based as there: the nodes c2..c5 (c6 = c7 = 1), the rows of a for
+# stages 2..7, the last of which is also the 5th-order weights b (its stage is
+# the derivative at the new point: first same as last), and the weights b - b^
+# of the error estimate, b^ the embedded 4th-order weights
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b - b4 for b, b4 in zip((*_A[-1], 0.0), _B4))
+# accepted steps per buffer block of the integrator: small enough that a
+# block is not a memory map of its own, so no run maps and unmaps large ones
+_BLOCK = 256
 
 
 @dataclass
@@ -110,58 +116,77 @@ class Trajectory:
 
 
 def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) with PI step control from t=0 to t_end."""
+    """Adaptive Dormand-Prince 5(4) with PI step control from t=0 to t_end.
+
+    The state is a list of floats, and ``rhs(t, state)`` returns one; the
+    stage sums are written out over the components.  Each accepted step is
+    one row (t, state, derivative) of a float block of ``_BLOCK`` rows, and
+    the trajectory's arrays are joined from the blocks at the end."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), a7 = _A
+    a71, _, a73, a74, a75, a76 = a7
+    c2, c3, c4, c5 = _C
+    e1, _, e3, e4, e5, e6, e7 = _E
     t = 0.0
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     f = rhs(t, y)
     n_rhs = 1
-    scale0 = atol + rtol * np.max(np.abs(y))
+    scale0 = atol + rtol * max(map(abs, y))
     h = min(1e-2, t_end / 10.0) if t_end > 0 else 1e-2
-    if np.max(np.abs(f)) > 0:
-        h = min(h, 0.1 * scale0 / np.max(np.abs(f)))
-    times, states, derivs = [t], [y.copy()], [f.copy()]
+    f_max = max(map(abs, f))
+    if f_max > 0:
+        h = min(h, 0.1 * scale0 / f_max)
+    blocks = [np.empty((_BLOCK, 1 + 2 * len(y)))]
+    blocks[0][0] = [t, *y, *f]
     n_steps = n_rejected = n_singular_retries = 0
     h_min = math.inf
     err_prev = 1.0
     consecutive_failures = 0
-    k = np.empty((7, y.size))
     while t < t_end - 1e-14:
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}")
-        k[0] = f
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
-            try:
-                k[i] = rhs(t + _DP_C[i] * h, yi)
-            except (SingularEvaluationError, IntegrationError) as err:
-                failed = True
-                consecutive_failures += 1
-                if consecutive_failures > 40:
-                    raise IntegrationError(
-                        f"persistent singular evaluations near t={t} "
-                        f"(worldline likely leaving the valid region): {err}"
-                    ) from err
-                break
+        k1 = f
+        try:
+            k2 = rhs(t + c2 * h, [p + h * (a21 * q1) for p, q1 in zip(y, k1)])
             n_rhs += 1
-        if failed:
+            k3 = rhs(t + c3 * h, [p + h * (a31 * q1 + a32 * q2) for p, q1, q2 in zip(y, k1, k2)])
+            n_rhs += 1
+            k4 = rhs(t + c4 * h, [p + h * (a41 * q1 + a42 * q2 + a43 * q3) for p, q1, q2, q3 in zip(y, k1, k2, k3)])
+            n_rhs += 1
+            k5 = rhs(t + c5 * h, [p + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+                                  for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)])
+            n_rhs += 1
+            k6 = rhs(t + h, [p + h * (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+                             for p, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)])
+            n_rhs += 1
+            y_new = [p + h * (a71 * q1 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
+                     for p, q1, q3, q4, q5, q6 in zip(y, k1, k3, k4, k5, k6)]
+            k7 = rhs(t + h, y_new)
+            n_rhs += 1
+        except (SingularEvaluationError, IntegrationError) as err:
+            consecutive_failures += 1
+            if consecutive_failures > 40:
+                raise IntegrationError(
+                    f"persistent singular evaluations near t={t} "
+                    f"(worldline likely leaving the valid region): {err}"
+                ) from err
             n_singular_retries += 1
             h *= 0.25
             continue
         consecutive_failures = 0
-        y_new = y + h * (_DP_B5 @ k)
-        err_vec = h * ((_DP_B5 - _DP_B4) @ k)
-        tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = max(float(np.sqrt(np.mean((err_vec / tol) ** 2))), 1e-16)
+        total = 0.0  # sum of squares of the scaled error estimate
+        for p, r, q1, q3, q4, q5, q6, q7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            scaled = (h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
+                      / (atol + rtol * max(abs(p), abs(r))))
+            total += scaled * scaled
+        err = max(math.sqrt(total / len(y)), 1e-16)
         if err <= 1.0:
             t += h
-            y = y_new
-            f = k[6].copy()  # FSAL: last stage is the derivative at the new point
-            times.append(t)
-            states.append(y.copy())
-            derivs.append(f.copy())
+            y, f = y_new, k7
             n_steps += 1
+            if n_steps % _BLOCK == 0:
+                blocks.append(np.empty_like(blocks[0]))
+            blocks[-1][n_steps % _BLOCK] = [t, *y, *f]
             h_min = min(h_min, h)
             if guard is not None:
                 guard(t, y)
@@ -171,10 +196,11 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
         else:
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** (-1.0 / 5.0))
+    dim, n = len(y), n_steps + 1
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        derivs=np.array(derivs),
+        times=np.concatenate([b[:, 0] for b in blocks])[:n],
+        states=np.concatenate([b[:, 1 : dim + 1] for b in blocks])[:n],
+        derivs=np.concatenate([b[:, dim + 1 :] for b in blocks])[:n],
         n_steps=n_steps,
         n_rhs=n_rhs,
         n_rejected=n_rejected,
@@ -196,15 +222,26 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     return norm + alpha * float(a_vals @ y)
 
 
-def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
-    """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
+def _acceleration(model: SpacetimeModel, alpha: float | None):
+    """The function ``(x, y) -> [dy^i/dt]`` on float lists, on the worldline
+    kernel read once."""
     alpha = model.alpha if alpha is None else float(alpha)
     field = base_geom.has_field(model, alpha)
-    n2, *acc = base_geom.spray_terms(model, x, y, field)
-    if field:
+    kernel = base_geom.spray_kernel(model, field)
+    if not field:
+        return lambda x, y: kernel(x, y)[1:]
+
+    def acceleration(x, y):
+        n2, a0, a1, a2, a3, f0, f1, f2, f3 = kernel(x, y)
         coupling = alpha * math.sqrt(n2)
-        acc = [a + coupling * f for a, f in zip(acc[:4], acc[4:])]
-    return np.array(acc)
+        return [a0 + coupling * f0, a1 + coupling * f1, a2 + coupling * f2, a3 + coupling * f3]
+
+    return acceleration
+
+
+def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
+    """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
+    return np.array(_acceleration(model, alpha)(x, np.asarray(y, dtype=float).tolist()))
 
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
@@ -241,10 +278,11 @@ def integrate_worldline(
     x0 = np.asarray(x0, dtype=float)
     model.check_chart(x0)
     y0 = normalize_unit_speed(model, x0, y0)
+    acceleration = _acceleration(model, alpha)
 
     def rhs(t, state):
-        x, y = state[:4], state[4:8]
-        return np.concatenate([y, worldline_rhs(model, x, y, alpha=alpha)])
+        y = state[4:]
+        return y + acceleration(state[:4], y)
 
     return _integrate(
         rhs,
@@ -280,18 +318,12 @@ def compare_classical(
     alpha = model.alpha if alpha is None else float(alpha)
     x0 = np.asarray(x0, dtype=float)
     y0 = normalize_unit_speed(model, x0, y0)
+    acceleration = _acceleration(model, alpha)
+    lorentz = base_geom.lorentz_acceleration(model, alpha)
 
     def rhs(t, state):
-        x, y = state[:4], state[4:8]
-        xc, yc = state[8:12], state[12:16]
-        return np.concatenate(
-            [
-                y,
-                worldline_rhs(model, x, y, alpha=alpha),
-                yc,
-                base_geom.classical_lorentz_rhs(model, xc, yc, alpha),
-            ]
-        )
+        y, yc = state[4:8], state[12:]
+        return y + acceleration(state[:4], y) + yc + lorentz(state[8:12], yc)
 
     # one joint system so both worldlines share the accepted steps
     joint = _integrate(rhs, np.concatenate([x0, y0, x0, y0]), t_end, CLASSICAL_TOL, CLASSICAL_TOL)
@@ -306,9 +338,28 @@ def compare_classical(
 # -- worldline deviation ----------------------------------------------------------------
 
 
-# (N^i_j, E^i_j, dy^i/dt) along the base worldline: the float point kernel; the
-# alias stays because bench/tracing.py hooks the deviation RHS by this name
+# (N^i_j, E^i_j, dy^i/dt) at a point, for the initial data; the alias stays
+# because bench/tracing.py hooks it by this name
 _connection_and_tidal = connection_and_tidal_values
+
+
+def _deviation_rates(nte, state):
+    """[W - N w, E w - N W], the rates of the deviation state (w, W), from
+    the deviation kernel's output nte (N and E row-major), each product of a
+    matrix row and a vector written as one sum of four terms."""
+    (n00, n01, n02, n03, n10, n11, n12, n13, n20, n21, n22, n23, n30, n31, n32, n33,
+     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33) = nte[:32]
+    w0, w1, w2, w3, v0, v1, v2, v3 = state
+    return [
+        v0 - (n00 * w0 + n01 * w1 + n02 * w2 + n03 * w3),
+        v1 - (n10 * w0 + n11 * w1 + n12 * w2 + n13 * w3),
+        v2 - (n20 * w0 + n21 * w1 + n22 * w2 + n23 * w3),
+        v3 - (n30 * w0 + n31 * w1 + n32 * w2 + n33 * w3),
+        (e00 * w0 + e01 * w1 + e02 * w2 + e03 * w3) - (n00 * v0 + n01 * v1 + n02 * v2 + n03 * v3),
+        (e10 * w0 + e11 * w1 + e12 * w2 + e13 * w3) - (n10 * v0 + n11 * v1 + n12 * v2 + n13 * v3),
+        (e20 * w0 + e21 * w1 + e22 * w2 + e23 * w3) - (n20 * v0 + n21 * v1 + n22 * v2 + n23 * v3),
+        (e30 * w0 + e31 * w1 + e32 * w2 + e33 * w3) - (n30 * v0 + n31 * v1 + n32 * v2 + n33 * v3),
+    ]
 
 
 def integrate_deviation(
@@ -336,12 +387,11 @@ def integrate_deviation(
     else:
         W0 = np.asarray(W0, dtype=float)
 
+    kernel, coef = deviation_kernel(model, alpha)
+
     def rhs(t, state):
-        s = base.sample(t)
-        x, y = s[:4], s[4:8]
-        n, e, _ = _connection_and_tidal(model, x, y, alpha)
-        w, bigw = state[:4], state[4:8]
-        return np.concatenate([bigw - n @ w, e @ w - n @ bigw])
+        s = base.sample(t).tolist()
+        return _deviation_rates(kernel(s[:4], s[4:], coef), state)
 
     return _integrate(rhs, np.concatenate([w0, W0]), base.t_end, rtol, atol)
 
@@ -372,21 +422,13 @@ def neighbor_oracle(
     x0_eps = x0 + eps * w0
     y0_eps = y0 + eps * (W0 - n0 @ w0)
 
+    kernel, coef = deviation_kernel(model, alpha)
+    acceleration = _acceleration(model, alpha)
+
     def rhs(t, state):
-        x, y = state[:4], state[4:8]
-        xe, ye = state[8:12], state[12:16]
-        w, bigw = state[16:20], state[20:24]
-        n, e, acc = _connection_and_tidal(model, x, y, alpha)
-        return np.concatenate(
-            [
-                y,
-                acc,
-                ye,
-                worldline_rhs(model, xe, ye, alpha=alpha),
-                bigw - n @ w,
-                e @ w - n @ bigw,
-            ]
-        )
+        y, ye = state[4:8], state[12:16]
+        nte = kernel(state[:4], y, coef)
+        return y + nte[32:] + ye + acceleration(state[8:12], ye) + _deviation_rates(nte, state[16:])
 
     state0 = np.concatenate([x0, y0, x0_eps, y0_eps, w0, W0])
     joint = _integrate(rhs, state0, t_end, ORACLE_TOL, ORACLE_TOL)

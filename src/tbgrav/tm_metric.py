@@ -68,7 +68,8 @@ def fiber_metric(model: SpacetimeModel, x, u=None) -> FiberMetric:
             )
         u = np.array([1.0, 0.0, 0.0, 0.0])
     u = np.asarray(u, dtype=float)
-    u_low = (g @ u) / timelike_norm(g, u)
+    norm = timelike_norm(g, u)  # refuses a u that is not timelike before g u is formed
+    u_low = (g @ u) / norm
     v = 2.0 * np.outer(u_low, u_low) - g
     try:
         chol = np.linalg.cholesky(v)

@@ -10,11 +10,12 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tbgrav import base_geom, bundle_geom, exprlang, spacetime
+from tbgrav import base_geom, bundle_geom, exprlang, spacetime, tm_metric
 from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
@@ -75,6 +76,17 @@ def test_rhs_equals_minus_twice_spray():
 def test_rhs_rejects_null_vector():
     with pytest.raises(SingularEvaluationError):
         dyn.worldline_rhs(MINK, [0, 0, 0, 0], [1, 1, 0, 0], alpha=0.0)
+
+
+@pytest.mark.parametrize("big", [math.inf, -math.inf, math.nan, 1e200])
+def test_fiber_vector_too_large_fails_without_numpy_warning(big):
+    x, y = [0.0, 10.0, math.pi / 2, 0.0], [big, 0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refuse in (dyn.normalize_unit_speed, dyn.randers_lagrangian,
+                       lambda model, x, y: tm_metric.fiber_metric(model, x, u=y)):
+            with pytest.raises(SingularEvaluationError, match="fiber vector is not timelike"):
+                refuse(SCHW, x, y)
 
 
 def test_flat_straight_line():
@@ -408,7 +420,7 @@ def test_integrator_counts_smooth_orbit():
 
 
 def test_integrator_counts_rejections_and_singular_retries():
-    chirp = dyn._integrate(lambda t, y: np.array([math.cos(10 * t * t)]), np.array([0.0]), 5.0, 1e-9, 1e-9)
+    chirp = dyn._integrate(lambda t, y: [math.cos(10 * t * t)], [0.0], 5.0, 1e-9, 1e-9)
     assert chirp.n_rejected > 0 and chirp.n_singular_retries == 0
     assert chirp.n_rhs == 1 + 6 * (chirp.n_steps + chirp.n_rejected)
 
@@ -418,11 +430,36 @@ def test_integrator_counts_rejections_and_singular_retries():
         if t > 0.5 and not failed:
             failed.append(t)
             raise SingularEvaluationError("probe singularity")
-        return -y
+        return [-v for v in y]
 
-    decay = dyn._integrate(rhs, np.array([1.0]), 1.0, 1e-8, 1e-8)
+    decay = dyn._integrate(rhs, [1.0], 1.0, 1e-8, 1e-8)
     assert decay.n_singular_retries == 1
     assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
+
+
+def test_step_ratio_is_the_dopri5_stability_polynomial():
+    """On y' = y an accepted step of size h multiplies y by R(h) = 1 +
+    sum_k h^k b^T A^(k-1) 1, here derived exactly from the tableau of
+    Hairer, Norsett & Wanner (table II.5.2): every entry of a and b enters R,
+    so a mistyped entry of the integrator's tableau moves the ratio."""
+    F = Fraction
+    a = [[], [F(1, 5)], [F(3, 40), F(9, 40)], [F(44, 45), F(-56, 15), F(32, 9)],
+         [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+         [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)]]
+    b = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
+    coeffs, power = [F(1)], [F(1)] * 6  # power = A^(k-1) 1
+    for _ in range(6):
+        coeffs.append(sum(bi * pi for bi, pi in zip(b, power)))
+        power = [sum(aij * pj for aij, pj in zip(row, power)) for row in a]
+    assert not any(power)  # A^6 = 0: R has degree 6
+    assert coeffs == [F(1, math.factorial(k)) for k in range(6)] + [F(1, 600)]
+
+    traj = dyn._integrate(lambda t, y: list(y), [1.0], 2.0, 1e-6, 1e-6)
+    assert traj.n_steps >= 8 and traj.n_rejected == 0
+    for n in range(traj.n_steps):
+        h = traj.times[n + 1] - traj.times[n]
+        ratio = traj.states[n + 1, 0] / traj.states[n, 0]
+        assert ratio == pytest.approx(sum(float(c) * h**k for k, c in enumerate(coeffs)), rel=1e-15, abs=0)
 
 
 def test_neighbor_oracle_flat_exact():

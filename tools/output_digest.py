@@ -24,8 +24,10 @@ leave byte for byte as they were:
   ``BundleGeometry``'s ``n_conn``, ``berwald`` and ``tidal`` at alpha 0 and
   0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
   ``div_term``, ``quad_term`` and ``d_ricci_scalar``;
-- the right-hand-side call count and error text of the Schwarzschild plunge
-  from r = 3, which ends in a step-size underflow;
+- the integrator's right-hand-side call count (every call of the ``rhs``
+  handed to ``dynamics._integrate``, one that raises included) and the error
+  text of the Schwarzschild plunge from r = 3, which ends in a step-size
+  underflow;
 - the ``float.hex`` of ``neighbor_oracle`` at eps = 1e-4 and 5e-5 on
   Schwarzschild (alpha 0) and the charged black hole (alpha 0.5), on the
   deviation benchmark's orbit to t = 10 with the centres of its seeded
@@ -162,13 +164,16 @@ def jet_route_lines():
 
 def plunge_lines():
     calls = [0]
-    rhs = dynamics.worldline_rhs
+    integrate = dynamics._integrate
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return rhs(*args, **kwargs)
+    def counted(rhs, *args, **kwargs):
+        def counted_rhs(t, state):
+            calls[0] += 1
+            return rhs(t, state)
 
-    dynamics.worldline_rhs = counted
+        return integrate(counted_rhs, *args, **kwargs)
+
+    dynamics._integrate = counted
     try:
         dynamics.integrate_worldline(catalog("schwarzschild", {"M": 1.0}), PLUNGE_X0, PLUNGE_Y0,
                                      alpha=0.0, t_end=50.0)
@@ -176,7 +181,7 @@ def plunge_lines():
     except IntegrationError as err:
         outcome = repr(str(err))
     finally:
-        dynamics.worldline_rhs = rhs
+        dynamics._integrate = integrate
     yield "plunge.rhs_calls", str(calls[0])
     yield "plunge.outcome", outcome
 
