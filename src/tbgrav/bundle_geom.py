@@ -435,7 +435,7 @@ def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None
     return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
 
 
-def deviation_kernel(model: SpacetimeModel, alpha: float | None = None):
+def deviation_kernel(model: SpacetimeModel, alpha: float | None):
     """(kernel, coef): the model's deviation kernel ``(x, y, coef) -> [N^i_j
     (16, row-major), E^i_j (16), -2 G^i (4)]`` for the coupling alpha, y a
     list of floats, and its argument coef = -alpha/2 (``_write_deviation``,

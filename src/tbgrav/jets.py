@@ -200,7 +200,7 @@ def pow_value(v: float, exponent: float) -> float:
 # up to ``order`` of one univariate function, its first entry from the order-0
 # rule above.  ``Jet._compose`` and the tape's compiled kernels both take a
 # series from here; the kernels write three of them out as statements
-# (``INLINE_SERIES``), which the tests pin to these functions bit for bit.
+# (``inline_series``), which the tests pin to these functions bit for bit.
 
 
 def reciprocal_series(v: float, order: int) -> list[float]:
@@ -252,8 +252,8 @@ SERIES = {"recip": reciprocal_series, "sqrt": sqrt_series, "exp": exp_series, "l
           "cos": cos_series}
 # Three of the series to order 2, as the float expressions they evaluate:
 # term k reads the argument as {v} and the terms before it as {0}, {1}.  A
-# division by 0! or 1! leaves every float as it is, and (-1.0) ** k / v ** (k
-# + 1) is written with its sign folded.  The functions the terms call are
+# division by 0! or 1! leaves every float as it is, and the sign (-1.0) ** k
+# of a reciprocal term is folded.  The functions the terms call are
 # INLINE_NAMES.
 _INLINE_SERIES = {
     reciprocal_series: ("reciprocal_value({v})", "-1.0 / {v} ** 2", "1.0 / {v} ** 3"),
