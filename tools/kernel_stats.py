@@ -14,7 +14,7 @@ and, where the model has a potential, with it, the line gives
 - ``compile_ms``: the time CPython takes to compile and define the written
   body (``_KernelWriter.compile``), not the time taken to write it;
 - ``us_per_call``: the best of three timings of the kernel at the model's
-  point, in microseconds per call.
+  base point of ``output_digest.py``, in microseconds per call.
 
 Timings depend on the host; the counts depend only on the source.  It lives
 outside the package so that importing ``tbgrav`` stays as it was.
@@ -26,15 +26,10 @@ import re
 import time
 import timeit
 
+from output_digest import PARAMS, POINTS, Y  # the digest's models, base points and fiber vector
 from tbgrav import base_geom, bundle_geom, exprlang
 from tbgrav.spacetime import CATALOG_NAMES, catalog
 
-PARAMS = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
-          "reissner_nordstrom": {"M": 1.0, "Q": 0.3}, "weak_field": {"M": 1.0}}
-POINTS = {"minkowski": [0.1, 0.2, -0.3, 0.4], "uniform_field": [0.0, 2.0, 0.5, 0.1],
-          "schwarzschild": [0.1, 7.0, 1.1, 0.4], "reissner_nordstrom": [0.0, 5.0, 1.2, 0.3],
-          "weak_field": [0.0, 4.0, 3.0, 1.0]}
-Y = [1.5, 0.1, 0.02, 0.03]
 ALPHA = 0.5
 SERIES_CALL = re.compile(r"\b\w+_series\(")
 
@@ -67,6 +62,7 @@ def us_per_call(call) -> float:
 
 def main() -> None:
     print("model kernel field statements parts series_calls compile_ms us_per_call")
+    y = Y.tolist()
     for name in CATALOG_NAMES:
         model = catalog(name, PARAMS.get(name))
         x = POINTS[name]
@@ -77,7 +73,7 @@ def main() -> None:
                 kernel, lines, seconds = written(write, model, model.potential_tape if field else None)
                 parts = sum(1 for key in kernel.__globals__ if re.fullmatch(r"part\d+", key)) or 1
                 series = sum(len(SERIES_CALL.findall(line)) for line in lines)
-                cost = us_per_call(lambda: kernel(x, Y, *extra))
+                cost = us_per_call(lambda: kernel(x, y, *extra))
                 print(f"{name} {label} {int(field)} {len(lines)} {parts} {series} {seconds * 1e3:.1f} {cost:.1f}",
                       flush=True)
 
