@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
-from .jets import Jet, contract, jet_values, reciprocal_value
+from .jets import Jet, JetArray, contract, products, reciprocal_value, sum_of_products
 from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
 _ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
@@ -35,113 +35,137 @@ EM_STRESS_SIGN = +1.0
 
 # -- jet-matrix utilities -------------------------------------------------------
 
+_UPPER = np.triu_indices(4)  # the ten (i, j >= i) pairs, row-major
+_MIRROR = np.empty((4, 4), dtype=int)  # _MIRROR[i, j]: the upper pair of (i, j)
+_MIRROR[_UPPER] = _MIRROR.T[_UPPER] = range(10)
+_STRICT = np.triu_indices(4, 1)  # the six (k, l > k) pairs
+# _ANTI[k, l]: the slot of (k, l) in [zero, the six pairs, their negations]
+_ANTI = np.zeros((4, 4), dtype=int)
+_ANTI[_STRICT], _ANTI.T[_STRICT] = range(1, 7), range(7, 13)
 
-def invert_jet_matrix(g: np.ndarray) -> np.ndarray:
+
+def symmetric(upper: JetArray) -> JetArray:
+    """The 4x4 jet array (in the two leading axes) whose entries (i, j) and
+    (j, i) are both the upper pair's entry of ``upper``, indexed by pair first."""
+    return JetArray(upper.space, upper.c[_MIRROR])
+
+
+def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
+    """The jet array indexed [k, l, ...] with the six strict-upper pairs
+    ``strict`` (pair first) above the diagonal, their negations below and
+    ``zero`` on it, at the lower order of the two."""
+    order = min(strict.order, zero.order)
+    strict, zero = strict.truncate(order), zero.truncate(order)
+    zero = np.broadcast_to(zero.c, strict.c.shape[1:])[None]
+    return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c])[_ANTI])
+
+
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ..., added in that order along axis 0."""
+    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+
+
+def invert_jet_matrix(g) -> JetArray:
     """Inverse of a 4x4 jet matrix via the truncated Neumann series around the
     inverse of its value part."""
-    g0 = jet_values(g)
+    g = JetArray.stack(g)
+    g0 = g.values
     try:
         g0inv = np.linalg.inv(g0)
     except np.linalg.LinAlgError:
         raise SingularEvaluationError("metric value matrix is singular") from None
     # X = -g0inv . (g - g0) has zero value part, so X^(order+1) truncates away;
-    # it is formed transposed so that every product is jet * float.  Those
-    # products are scaled copies, which may hold -0.0, so they stay dense ``@``.
-    x = ((g - g0).T @ -g0inv.T).T
-    s = x.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
-    s[range(4), range(4)] += 1.0
+    # X_ij = sum_k (g - g0)_kj (-g0inv_ik), a sum of scaled copies (which may
+    # hold -0.0) added in k order
+    terms = (g - g0).c[None] * -g0inv[:, :, None, None]  # [i, k, j]
+    x = JetArray(g.space, terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
+    s = x.c.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
+    s[range(4), range(4)] += np.eye(1, g.space.size)[0]  # a constant jet 1 added to the diagonal
+    s = JetArray(g.space, s)
     power = x
-    for _ in range(g[0, 0].order - 1):
+    for _ in range(g.order - 1):
         power = contract(power, x)
         s = s + power
-    return s @ g0inv
+    terms = s.c[:, :, None] * g0inv[None, :, :, None]  # [i, k, j]
+    return JetArray(g.space, terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
 
 
-def det_jet_matrix(g: np.ndarray) -> Jet:
-    """Determinant of a 4x4 jet matrix by cofactor expansion along row 0."""
-
-    def det3(m, rows, cols):
-        (r0, r1, r2), (c0, c1, c2) = rows, cols
-        return (
-            m[r0, c0] * (m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1])
-            - m[r0, c1] * (m[r1, c0] * m[r2, c2] - m[r1, c2] * m[r2, c0])
-            + m[r0, c2] * (m[r1, c0] * m[r2, c1] - m[r1, c1] * m[r2, c0])
-        )
-
-    cofactors = np.empty(4, dtype=object)
-    for j in range(4):
-        minor = det3(g, (1, 2, 3), tuple(c for c in range(4) if c != j))
-        cofactors[j] = -minor if j % 2 else minor
-    return contract(g[0], cofactors)
+_MINOR_COLS = np.array([[c for c in range(4) if c != j] for j in range(4)])  # columns of minor j
 
 
-def sqrt_minus_det(g: np.ndarray) -> Jet:
+def det_jet_matrix(g) -> Jet:
+    """Determinant of a 4x4 jet matrix by cofactor expansion along row 0, each
+    3x3 minor of rows 1-3 expanded along its first row."""
+    g = JetArray.stack(g)
+    c0, c1, c2 = _MINOR_COLS.T
+    m = g.ravel()
+    # the six 2x2 products of rows 2 and 3 of each minor, then its three 2x2 minors
+    pairs = ((c1, c2), (c2, c1), (c0, c2), (c2, c0), (c0, c1), (c1, c0))
+    prod = products(m, m, np.array([8 + a for a, _ in pairs]), np.array([12 + b for _, b in pairs]))
+    two = prod[0::2] - prod[1::2]
+    three = products(m, two, np.array([4 + c0, 4 + c1, 4 + c2]), np.arange(12).reshape(3, 4))
+    minor = three[0] - three[1] + three[2]
+    cofactors = minor.c.copy()
+    cofactors[1::2] = -cofactors[1::2]
+    return contract(g[0], JetArray(minor.space, cofactors))
+
+
+def sqrt_minus_det(g) -> Jet:
     return (-det_jet_matrix(g)).sqrt()
-
-
-def _symmetric(row) -> np.ndarray:
-    """4x4 object array filled from its upper triangle, ``row(i)`` giving the
-    entries j >= i; mirrored entries share one jet."""
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        out[i, i:] = out[i:, i] = row(i)
-    return out
 
 
 # -- connection and curvature kernels --------------------------------------------
 
 
-def christoffel_jets(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """gamma^i_jk from a jet-valued metric and its inverse; symmetric entries share storage."""
-    dg = np.empty((4, 4, 4), dtype=object)  # dg[k,i,j] = d_k g_ij
-    for i in range(4):
-        for j in range(i, 4):
-            for k in range(4):
-                dg[k, i, j] = dg[k, j, i] = g[i, j].partial(k)
-    gamma = np.empty((4, 4, 4), dtype=object)
-    for j in range(4):
-        for k in range(j, 4):
-            first_kind = dg[k, :, j] + dg[j, :, k] - dg[:, j, k]  # 2 gamma_hjk over h
-            gamma[:, j, k] = gamma[:, k, j] = contract(ginv, first_kind) * 0.5
-    return gamma
+def christoffel_jets(g, ginv) -> JetArray:
+    """gamma^i_jk from a jet-valued metric and its inverse, each symmetric pair
+    (j, k) formed once."""
+    g, ginv = JetArray.stack(g), JetArray.stack(ginv)
+    dg = g.partials(range(4))  # dg[k, i, j] = d_k g_ij
+    j, k = _UPPER
+    h = np.arange(4)[:, None]
+    first_kind = dg[k, h, j] + dg[j, h, k] - dg[h, j, k]  # 2 gamma_hjk, indexed [h, pair]
+    return symmetric((contract(ginv, first_kind) * 0.5).transpose(1, 0)).transpose(2, 0, 1)
 
 
-def riemann_jets(gamma: np.ndarray) -> np.ndarray:
+def riemann_jets(gamma) -> JetArray:
     """r^i_jkl, antisymmetric in (k,l)."""
-    dgam = np.empty((4, 4, 4, 4), dtype=object)  # dgam[k,i,j,l] = d_k gamma^i_jl
-    for i in range(4):
-        for j in range(4):
-            for l in range(j, 4):
-                for k in range(4):
-                    dgam[k, i, j, l] = dgam[k, i, l, j] = gamma[i, j, l].partial(k)
-    riem = np.empty((4, 4, 4, 4), dtype=object)
-    zero = gamma[0, 0, 0] * 0.0
-    for k in range(4):
-        riem[:, :, k, k] = zero
-        for l in range(k + 1, 4):
-            r = (dgam[k, :, :, l] - dgam[l, :, :, k]
-                 + contract(gamma[:, :, k], gamma[:, :, l]) - contract(gamma[:, :, l], gamma[:, :, k]))
-            riem[:, :, k, l] = r
-            riem[:, :, l, k] = -r
-    return riem
+    gamma = JetArray.stack(gamma)
+    dgam = gamma.partials(range(4))  # dgam[k, i, j, l] = d_k gamma^i_jl
+    k, l = _STRICT
+    lower = gamma.truncate(dgam.order)
+    i, j, m = np.ix_(range(4), range(4), range(4))
+    first, second = np.concatenate([k, l])[:, None, None, None], np.concatenate([l, k])[:, None, None, None]
+    # gamma^i_mk gamma^m_jl for each pair (k, l) and then (l, k), indexed [pair, i, j, m]
+    quad = sum_of_products(lower, lower, i * 16 + m * 4 + first, m * 16 + j * 4 + second)
+    strict = dgam[k, :, :, l] - dgam[l, :, :, k] + quad[:6] - quad[6:]  # [pair, i, j]
+    zero = JetArray(gamma.space, gamma.c[0, 0, 0] * 0.0)
+    return antisymmetric(strict, zero).transpose(2, 3, 0, 1)
 
 
-def faraday_jets(a: np.ndarray, ginv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     """(F_ij, F^i_j) from potential jets."""
-    f_low = np.empty((4, 4), dtype=object)
-    zero = a[0] * 0.0
-    for i in range(4):
-        f_low[i, i] = zero
-        for j in range(i + 1, 4):
-            fij = a[j].partial(i) - a[i].partial(j)
-            f_low[i, j] = fij
-            f_low[j, i] = -fij
+    a, ginv = JetArray.stack(a), JetArray.stack(ginv)
+    da = a.partials(range(4))  # da[i, j] = d_i A_j
+    i, j = _STRICT
+    f_low = antisymmetric(da[i, j] - da[j, i], JetArray(a.space, a.c[0] * 0.0))
     return f_low, contract(ginv, f_low)
 
 
-def raise_both_indices(s_low: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 object array."""
-    return _symmetric(lambda i: contract(ginv[i:], contract(ginv[i], s_low)))
+def _upper_contract(a: JetArray, b: JetArray) -> JetArray:
+    """sum_l a[i, l] b[l, j] over the ten upper pairs (i, j >= i)."""
+    l = np.arange(4)
+    i, j = _UPPER
+    return sum_of_products(a, b, i[:, None] * 4 + l, l * 4 + j[:, None])
+
+
+def raise_both_indices(s_low, ginv) -> JetArray:
+    """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 jet array."""
+    ginv = JetArray.stack(ginv)
+    half = contract(ginv, JetArray.stack(s_low))  # half[i, b] = g^{ia} S_ab
+    b = np.arange(4)
+    i, j = _UPPER
+    return symmetric(sum_of_products(ginv, half, j[:, None] * 4 + b, i[:, None] * 4 + b))
 
 
 # -- one base point --------------------------------------------------------------
@@ -153,8 +177,8 @@ class BaseGeometry:
     ``order`` is the carrier order of the 4-variable jets of g and A.  The
     connection and F hold one level less, the curvature and the tensors built
     on it two less; an object's values are the same at every carrier order
-    that holds it.  Arrays are indexed as their symbols are written, and
-    mirrored entries of a symmetric tensor are one jet.
+    that holds it.  Each object is one ``JetArray`` indexed as its symbol is
+    written; mirrored entries of a symmetric tensor hold the same bytes.
     """
 
     def __init__(self, model: SpacetimeModel, x, order: int):
@@ -163,70 +187,67 @@ class BaseGeometry:
         self.order = order
 
     @cached_property
-    def g(self) -> np.ndarray:
+    def g(self) -> JetArray:
         return metric_jet(self.model, self.x, order=self.order)
 
     @cached_property
-    def ginv(self) -> np.ndarray:
+    def ginv(self) -> JetArray:
         return invert_jet_matrix(self.g)
 
     @cached_property
-    def a_pot(self) -> np.ndarray:
+    def a_pot(self) -> JetArray:
         return potential_jet(self.model, self.x, order=self.order)
 
     @cached_property
-    def gamma(self) -> np.ndarray:
+    def gamma(self) -> JetArray:
         """gamma^i_jk."""
         return christoffel_jets(self.g, self.ginv)
 
     @cached_property
-    def riemann(self) -> np.ndarray:
+    def riemann(self) -> JetArray:
         """r^i_jkl."""
         return riemann_jets(self.gamma)
 
     @cached_property
-    def ricci(self) -> np.ndarray:
-        """r_jl = r^i_jil."""
-        return np.trace(self.riemann, axis1=0, axis2=2)
+    def ricci(self) -> JetArray:
+        """r_jl = r^i_jil, the four terms added in i order."""
+        r = self.riemann
+        return r[0, :, 0] + r[1, :, 1] + r[2, :, 2] + r[3, :, 3]
 
     @cached_property
     def ricci_scalar(self) -> float:
         """g^jl r_jl from the values, summed row by row."""
-        total = 0.0
-        for j in range(4):
-            for l in range(4):
-                total += self.ginv[j, l].value * self.ricci[j, l].value
-        return total
+        return float(_sequential_sum((self.ginv.values * self.ricci.values).ravel()))
 
     @cached_property
-    def faraday(self) -> tuple[np.ndarray, np.ndarray]:
+    def faraday(self) -> tuple[JetArray, JetArray]:
         """(F_ij, F^i_j)."""
         ginv = self.ginv  # the metric's chart check runs before the unchecked potential
         return faraday_jets(self.a_pot, ginv)
 
     @cached_property
-    def em_stress(self) -> np.ndarray:
+    def em_stress(self) -> JetArray:
         """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
         f_low, f_mix = self.faraday
         f_up = contract(f_mix, self.ginv)  # F^{lm} = F^l_a g^{am}
         quarter_f2 = contract(f_up.ravel(), f_low.ravel()) * 0.25  # F^{lm} F_lm / 4
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
         # -F_il F_j^l = +F_il F^l_j
-        return _symmetric(lambda i: (contract(f_low[i], f_mix[:, i:]) + self.g[i, i:] * quarter_f2) * coeff)
+        upper = (_upper_contract(f_low, f_mix) + self.g[_UPPER] * quarter_f2) * coeff
+        return symmetric(upper)
 
     @cached_property
-    def einstein(self) -> np.ndarray:
+    def einstein(self) -> JetArray:
         """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
         ric = self.ricci
         half_scalar = contract(self.ginv.ravel(), ric.ravel()) * 0.5
-        return _symmetric(lambda i: ric[i, i:] - self.g[i, i:] * half_scalar)
+        return symmetric(ric[_UPPER] - self.g[_UPPER] * half_scalar)
 
     @cached_property
-    def einstein_maxwell(self) -> np.ndarray:
+    def einstein_maxwell(self) -> JetArray:
         """CEM_ij = G_ij - (8 pi k / c^4) T^f_ij; zero on electrovacuum solutions."""
-        gt, t = self.einstein, self.em_stress
         kappa = 8.0 * math.pi * self.model.k / self.model.c**4
-        return _symmetric(lambda i: gt[i, i:] - t[i, i:] * kappa)
+        return self.einstein - self.em_stress * kappa
 
 
 # -- residuals -------------------------------------------------------------------
@@ -237,25 +258,26 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     covariant derivatives (the Christoffel terms must cancel)."""
     geo = BaseGeometry(model, x, 3)
     f_low, _ = geo.faraday
-    gamma = geo.gamma
+    df = f_low.partials(range(4))  # df[i, j, k] = d_i F_jk
+    gamma, f_low = geo.gamma.truncate(df.order), f_low.truncate(df.order)
+    m, i, j, k = np.ix_(range(4), range(4), range(4), range(4))
+    # gamma^m_ij F_mk, then gamma^m_ik F_jm, indexed [m, i, j, k]
+    first = products(gamma, f_low, m * 16 + i * 4 + j, m * 4 + k)
+    second = products(gamma, f_low, m * 16 + i * 4 + k, j * 4 + m)
+    cov_df = df  # nabla_i F_jk: the terms subtracted in m order, each pair in turn
+    for n in range(4):
+        cov_df = cov_df - first[n] - second[n]
+    v = cov_df.values
+    return v + v.transpose(1, 2, 0) + v.transpose(2, 0, 1)
 
-    cov_df = np.empty((4, 4, 4), dtype=object)  # cov_df[i,j,k] = nabla_i F_jk
-    for i, j, k in np.ndindex(4, 4, 4):
-        acc = f_low[j, k].partial(i)
-        for m in range(4):
-            acc = acc - gamma[m, i, j] * f_low[m, k]
-            acc = acc - gamma[m, i, k] * f_low[j, m]
-        cov_df[i, j, k] = acc
-    return jet_values(cov_df + cov_df.transpose(1, 2, 0) + cov_df.transpose(2, 0, 1))
 
-
-def densitized_divergence(s: Jet, v_up) -> float:
-    """sum_j d_j(s V^j) at the point, for the density jet s = sqrt(-g) and the
-    four component jets V^j; callers divide by s themselves."""
-    acc = 0.0
-    for j in range(4):
-        acc += (s * v_up[j]).partial(j).value
-    return acc
+def densitized_divergence(s: Jet, v_up) -> np.ndarray:
+    """sum_j d_j(s V^j) at the point, for the density jet s = sqrt(-g) and
+    component jets V^j along the last axis of ``v_up``; callers divide by s
+    themselves."""
+    prod = s * JetArray.stack(v_up)
+    first = prod.space.first_index
+    return _sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
 
 
 def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
@@ -265,27 +287,23 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     s = sqrt_minus_det(geo.g)
     f_up = contract(f_mix, geo.ginv.T)
     coeff = -model.c / (4.0 * math.pi)
-    return np.array([coeff * densitized_divergence(s, f_up[i]) / s.value for i in range(4)])
+    return coeff * densitized_divergence(s, f_up) / s.value
 
 
-def covariant_divergence(geo: BaseGeometry, s_upper: np.ndarray) -> np.ndarray:
-    """div_j S^{ij} at the geometry's point, with its gamma, for a 4x4 object
-    array of jets S^{ij} carrying at least one derivative level."""
-    if not (isinstance(s_upper, np.ndarray) and s_upper.shape == (4, 4) and s_upper.dtype == object):
-        raise UsageError("divergence needs a 4x4 object array of jets")
-    if s_upper[0, 0].order < 1:
+def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
+    """div_j S^{ij} at the geometry's point, with its gamma, for a 4x4 jet
+    array S^{ij} carrying at least one derivative level."""
+    if not (isinstance(s_upper, JetArray) and s_upper.shape == (4, 4)):
+        raise UsageError("divergence needs a 4x4 array of jets")
+    if s_upper.order < 1:
         raise UsageError("divergence needs jets carrying a derivative level")
-    gamma = geo.gamma
-    out = np.zeros(4)
-    for i in range(4):
-        acc = 0.0
-        for j in range(4):
-            acc += s_upper[i, j].partial(j).value
-            for m in range(4):
-                acc += gamma[i, m, j].value * s_upper[m, j].value
-                acc += gamma[j, m, j].value * s_upper[i, m].value
-        out[i] = acc
-    return out
+    gam, s = geo.gamma.values, s_upper.values
+    d_s = s_upper.c[:, range(4), s_upper.space.first_index[:4]]  # d_j S^{ij}
+    # for each j: d_j S^{ij}, then gamma^i_mj S^{mj} and gamma^j_mj S^{im} for each m
+    first = gam.transpose(0, 2, 1) * s.T[None]  # [i, j, m]
+    second = gam[range(4), :, range(4)][None] * s[:, None, :]  # [i, j, m]
+    terms = np.concatenate([d_s[:, :, None], np.stack([first, second], axis=-1).reshape(4, 4, 8)], axis=2)
+    return _sequential_sum(terms.reshape(4, 36).T)
 
 
 # -- float helpers of the dynamics' right-hand sides --------------------------------

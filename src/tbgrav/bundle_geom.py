@@ -46,7 +46,8 @@ import numpy as np
 
 from . import base_geom
 from .errors import UsageError
-from .jets import MAX_ORDER, Jet, contract, jet_values, lift_jets
+from .jets import MAX_ORDER, Jet, JetArray, contract, jet_space, jet_values, products
+from .base_geom import _MIRROR, _UPPER, antisymmetric, symmetric
 from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4
@@ -98,35 +99,37 @@ class BundleGeometry:
     # coefficients are zero.
 
     @cached_property
-    def g(self) -> np.ndarray:
-        return lift_jets(self.base.g, 8)
+    def g(self) -> JetArray:
+        return self.base.g.lift(8)
 
     @cached_property
-    def ginv(self) -> np.ndarray:
-        return lift_jets(self.base.ginv, 8)
+    def ginv(self) -> JetArray:
+        return self.base.ginv.lift(8)
 
     @cached_property
-    def a_pot(self) -> np.ndarray:
-        return lift_jets(self.base.a_pot, 8)
+    def a_pot(self) -> JetArray:
+        return self.base.a_pot.lift(8)
 
     @cached_property
     @np.errstate(invalid="ignore")
-    def yj(self) -> np.ndarray:
-        base_geom.timelike_norm(jet_values(self.base.g), self.p.y)
-        out = np.empty(4, dtype=object)
-        for i in range(4):
-            out[i] = Jet.variable(Y_SLOT0 + i, self.p.y[i], self.order, 8)
-        return out
+    def yj(self) -> JetArray:
+        base_geom.timelike_norm(self.base.g.values, self.p.y)
+        space = jet_space(self.order, 8)
+        c = np.zeros((4, space.size))
+        c[:, 0] = self.p.y
+        if self.order >= 1:
+            c[range(4), space.first_index[Y_SLOT0:]] = 1.0
+        return JetArray(space, c)
 
     # -- one shift consumed ----------------------------------------------------
 
     @cached_property
-    def gamma(self) -> np.ndarray:
-        return lift_jets(self.base.gamma, 8)
+    def gamma(self) -> JetArray:
+        return self.base.gamma.lift(8)
 
     @cached_property
-    def faraday(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(lift_jets(f, 8) for f in self.base.faraday)
+    def faraday(self) -> tuple[JetArray, JetArray]:
+        return tuple(f.lift(8) for f in self.base.faraday)
 
     # -- fiber algebra (no shifts) ----------------------------------------------
 
@@ -139,26 +142,22 @@ class BundleGeometry:
         return self.norm2.sqrt()
 
     @cached_property
-    def l_up(self) -> np.ndarray:
-        inv = 1.0 / self.norm
-        return np.array([self.yj[i] * inv for i in range(4)], dtype=object)
+    def l_up(self) -> JetArray:
+        return self.yj * (1.0 / self.norm)
 
     @cached_property
-    def l_low(self) -> np.ndarray:
+    def l_low(self) -> JetArray:
         return contract(self.g, self.l_up)
 
     @cached_property
-    def l_hess(self) -> np.ndarray:
+    def l_hess(self) -> JetArray:
         """Fiber Hessian of |y|: l_{j.k} = (g_jk - l_j l_k)/|y|."""
-        inv = 1.0 / self.norm
-        out = np.empty((4, 4), dtype=object)
-        for j in range(4):
-            for k in range(j, 4):
-                out[j, k] = out[k, j] = (self.g[j, k] - self.l_low[j] * self.l_low[k]) * inv
-        return out
+        j, k = _UPPER
+        outer = products(self.l_low, self.l_low, j, k)
+        return symmetric((self.g[_UPPER] - outer) * (1.0 / self.norm))
 
     @cached_property
-    def f_vec(self) -> np.ndarray:
+    def f_vec(self) -> JetArray:
         """F^i = F^i_j y^j."""
         _, f_mix = self.faraday
         return contract(f_mix, self.yj)
@@ -166,116 +165,99 @@ class BundleGeometry:
     # -- spray family -----------------------------------------------------------
 
     @cached_property
-    def b_up(self) -> np.ndarray:
+    def b_up(self) -> JetArray:
         """Spray perturbation B^i = -(alpha/2)|y| F^i."""
-        coef = -0.5 * self.alpha
-        return np.array([self.norm * self.f_vec[i] * coef for i in range(4)], dtype=object)
+        return self.norm * self.f_vec * (-0.5 * self.alpha)
 
     @cached_property
-    def spray(self) -> np.ndarray:
+    def spray(self) -> JetArray:
         """G^i = (1/2) gamma^i_jk y^j y^k + B^i."""
         return contract(self.n_conn0, self.yj) * 0.5 + self.b_up
 
     @cached_property
-    def b_j(self) -> np.ndarray:
+    def b_j(self) -> JetArray:
         """Closed form B^i_.j = -(alpha/2)(F^i l_j + |y| F^i_j)."""
         _, f_mix = self.faraday
-        coef = -0.5 * self.alpha
-        out = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                out[i, j] = (self.f_vec[i] * self.l_low[j] + self.norm * f_mix[i, j]) * coef
-        return out
+        outer = products(self.f_vec, self.l_low, np.arange(4)[:, None], np.arange(4))
+        return (outer + self.norm * f_mix) * (-0.5 * self.alpha)
 
     @cached_property
-    def b_jk(self) -> np.ndarray:
+    def b_jk(self) -> JetArray:
         """Closed form B^i_.jk = -(alpha/2)(l_{j.k} F^i + l_j F^i_k + l_k F^i_j)."""
         _, f_mix = self.faraday
-        coef = -0.5 * self.alpha
-        out = np.empty((4, 4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                for k in range(j, 4):
-                    term = (
-                        self.l_hess[j, k] * self.f_vec[i]
-                        + self.l_low[j] * f_mix[i, k]
-                        + self.l_low[k] * f_mix[i, j]
-                    ) * coef
-                    out[i, j, k] = out[i, k, j] = term
-        return out
+        i, (j, k) = np.arange(4)[:, None], _UPPER  # indexed [i, pair]
+        hess = products(self.l_hess.ravel(), self.f_vec, j * 4 + k, i)
+        first = products(self.l_low, f_mix.ravel(), j, i * 4 + k)
+        second = products(self.l_low, f_mix.ravel(), k, i * 4 + j)
+        upper = (hess + first + second) * (-0.5 * self.alpha)  # [i, pair]
+        return symmetric(upper.transpose(1, 0)).transpose(2, 0, 1)
 
     @cached_property
-    def n_conn(self) -> np.ndarray:
+    def n_conn(self) -> JetArray:
         """N^i_j = gamma^i_jk y^k + B^i_.j."""
         return self.n_conn0 + self.b_j
 
     @cached_property
-    def n_conn0(self) -> np.ndarray:
+    def n_conn0(self) -> JetArray:
         """alpha=0 connection gamma^i_jk y^k (alone in the frozen divergence term)."""
         return contract(self.gamma, self.yj)
 
     @cached_property
-    def berwald(self) -> np.ndarray:
+    def berwald(self) -> JetArray:
         """G^i_jk = gamma^i_jk + B^i_.jk (fiber Hessian of the spray)."""
-        out = np.empty((4, 4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                for k in range(j, 4):
-                    out[i, j, k] = out[i, k, j] = self.gamma[i, j, k] + self.b_jk[i, j, k]
-        return out
+        return self.gamma + self.b_jk
 
     # -- adapted derivatives and curvature (more shifts consumed) -----------------
 
-    def delta(self, f: Jet, i: int, connection: np.ndarray | None = None) -> Jet:
-        """delta_i f = f_{,i} - N^j_i f_{.j} (with the alpha connection by default)."""
+    def delta(self, f, connection: JetArray | None = None) -> JetArray:
+        """delta_i f = f_{,i} - N^j_i f_{.j} for i = 0..3, a new leading axis
+        (with the alpha connection by default); the four terms are
+        subtracted in j order."""
         n = self.n_conn if connection is None else connection
-        acc = f.partial(i)
-        for j in range(4):
-            acc = acc - n[j, i] * f.partial(Y_SLOT0 + j)
+        f = JetArray.stack(f)
+        d = f.partials(range(8))
+        size = math.prod(f.shape)
+        j, i = np.ix_(range(4), range(4))
+        # N^j_i f_{.j}, indexed [j, i, entry of f]
+        terms = products(n, d, (j * 4 + i)[..., None], ((Y_SLOT0 + j) * size)[..., None] + np.arange(size))
+        terms = terms.reshape(4, 4, *f.shape)
+        acc = d[:4]
+        for m in range(4):
+            acc = acc - terms[m]
         return acc
 
     @cached_property
-    def n_curvature(self) -> np.ndarray:
+    def n_curvature(self) -> JetArray:
         """R^i_jk = delta_k N^i_j - delta_j N^i_k, antisymmetric in (j,k).
 
         These components double as the (generally nonvanishing) torsion of the
         Berwald-type connection; no separate storage is needed."""
-        out = np.empty((4, 4, 4), dtype=object)
+        adapted = self.delta(self.n_conn)  # [k, i, j]
+        j, k = base_geom._STRICT
+        strict = adapted[k, :, j] - adapted[j, :, k]  # [pair, i]
         zero = self.n_conn[0, 0] * 0.0
-        zero = zero.truncate(max(zero.order - 1, 0))
-        for i in range(4):
-            for j in range(4):
-                out[i, j, j] = zero
-            for j in range(4):
-                for k in range(j + 1, 4):
-                    term = self.delta(self.n_conn[i, j], k) - self.delta(self.n_conn[i, k], j)
-                    out[i, j, k] = term
-                    out[i, k, j] = -term
-        return out
+        return antisymmetric(strict, JetArray.stack(zero)).transpose(2, 0, 1)
 
     @cached_property
-    def tidal(self) -> np.ndarray:
+    def tidal(self) -> JetArray:
         """E^i_j = R^i_jk y^k."""
         return contract(self.n_curvature, self.yj)
 
     @cached_property
     def d_riemann(self) -> np.ndarray:
         """R_j^i_kl = (1/2)(E^i_k)_.jl as float values, indexed [j, i, k, l]."""
-        out = np.empty((4, 4, 4, 4))
-        for i in range(4):
-            for k in range(4):
-                out[:, i, k, :] = 0.5 * _fiber_hessian(self.tidal[i, k])
-        return out
+        # C order, as the einsum of ``tidal_reconstruction`` sums in memory order
+        return np.ascontiguousarray((0.5 * _fiber_hessian(self.tidal)).transpose(2, 0, 1, 3))
 
     @cached_property
     def d_ricci(self) -> np.ndarray:
         """R_jl = -(1/2)(E^i_i)_.jl as float values (a fiber Hessian, symmetric)."""
-        return -0.5 * _fiber_hessian(np.trace(self.tidal))
+        e = self.tidal
+        return -0.5 * _fiber_hessian(e[0, 0] + e[1, 1] + e[2, 2] + e[3, 3])
 
     @cached_property
     def d_ricci_scalar(self) -> float:
-        ginv = jet_values(self.ginv)
-        return float(np.einsum("jl,jl->", ginv, self.d_ricci))
+        return float(np.einsum("jl,jl->", self.ginv.values, self.d_ricci))
 
     # -- scalar-curvature split ----------------------------------------------------
 
@@ -283,18 +265,16 @@ class BundleGeometry:
     def f_squared(self) -> float:
         """F_ij F^ij at the base point."""
         f_low, f_mix = self.faraday
-        ginv = jet_values(self.ginv)
-        fl = jet_values(f_low)
+        ginv = self.ginv.values
+        fl = f_low.values
         return float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl))
 
-    def divergence(self, x_vec: np.ndarray, connection: np.ndarray) -> float:
+    def divergence(self, x_vec, connection: JetArray) -> float:
         """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
-        total = 0.0
-        for i in range(4):
-            total += self.delta(x_vec[i], i, connection).value
-            for j in range(4):
-                total += self.gamma[j, j, i].value * x_vec[i].value
-        return total
+        x_vec = JetArray.stack(x_vec)
+        adapted = self.delta(x_vec, connection).values.diagonal()
+        trace = self.gamma.values.diagonal(0, 0, 1) * x_vec.values[:, None]  # [i, j]: gamma^j_ji X^i
+        return float(base_geom._sequential_sum(np.concatenate([adapted[:, None], trace], axis=1).ravel()))
 
     @cached_property
     def div_term(self) -> float:
@@ -311,13 +291,8 @@ class BundleGeometry:
     @cached_property
     def quad_term(self) -> float:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
-        ginv = jet_values(self.ginv)
-        hess = _fiber_hessian(self.b_trace2)
-        total = 0.0
-        for j in range(4):
-            for k in range(4):
-                total += -0.5 * ginv[j, k] * hess[j, k]
-        return total
+        terms = -0.5 * self.ginv.values * _fiber_hessian(JetArray.stack(self.b_trace2))
+        return float(base_geom._sequential_sum(terms.ravel()))
 
     @cached_property
     def b_scalar(self) -> Jet:
@@ -328,12 +303,21 @@ class BundleGeometry:
     @cached_property
     def b_hessian(self) -> np.ndarray:
         """Fiber Hessian of ``b_scalar`` as float values (y-independent)."""
-        return _fiber_hessian(self.b_scalar)
+        return _fiber_hessian(JetArray.stack(self.b_scalar))
 
 
-def _fiber_hessian(f: Jet) -> np.ndarray:
-    """f_.jl, the second fiber partials of a joint-space jet, as float values."""
-    return f.hessian()[Y_SLOT0:, Y_SLOT0:]
+def _fiber_hessian(f: JetArray) -> np.ndarray:
+    """f_.jl, the second fiber partials of joint-space jets, as float values
+    indexed [*f.shape, j, l]."""
+    return f.hessian()[..., Y_SLOT0:, Y_SLOT0:]
+
+
+def _field_jets(values) -> JetArray:
+    """The jets a fiber field returned, as one jet array."""
+    try:
+        return JetArray.stack(values)
+    except UsageError:
+        raise UsageError("fiber field must evaluate to jets") from None
 
 
 # -- public operations ------------------------------------------------------------
@@ -343,36 +327,21 @@ def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
     """(B^i_.j, B^i_.jk, B^i_.jkl) values from one geometry, twice: via the
     closed forms and via pure fiber jets of B^i, returned as (closed, jets)."""
     geo = BundleGeometry(model, p, alpha=alpha)
-    closed = (jet_values(geo.b_j), jet_values(geo.b_jk), np.empty((4, 4, 4, 4)))
-    jets = (np.empty((4, 4)), np.empty((4, 4, 4)), np.empty((4, 4, 4, 4)))
-    for i in range(4):
-        firsts = [geo.b_up[i].partial(Y_SLOT0 + j) for j in range(4)]
-        for j in range(4):
-            jets[0][i, j] = firsts[j].value
-            seconds = [firsts[j].partial(Y_SLOT0 + k) for k in range(4)]
-            for k in range(4):
-                jets[1][i, j, k] = seconds[k].value
-                for l in range(4):
-                    closed[2][i, j, k, l] = geo.b_jk[i, j, k].partial(Y_SLOT0 + l).value
-                    jets[2][i, j, k, l] = seconds[k].partial(Y_SLOT0 + l).value
+    fiber = range(Y_SLOT0, Y_SLOT0 + 4)
+    firsts = geo.b_up.partials(fiber)  # [j, i]
+    seconds = firsts.partials(fiber)  # [k, j, i]
+    closed = (geo.b_j.values, geo.b_jk.values, geo.b_jk.partials(fiber).transpose(1, 2, 3, 0).values)
+    jets = (firsts.T.values, seconds.transpose(2, 1, 0).values, seconds.partials(fiber).transpose(3, 2, 1, 0).values)
     return closed, jets
 
 
 def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
-                       alpha: float | None = None) -> np.ndarray:
+                       alpha: float | None = None) -> JetArray:
     """delta_i applied componentwise to a fiber field ``field(model, point, order)``,
-    which returns a jet or an array of jets on the joint 8-variable space;
-    returns jets one order down, indexed [i, *field index]."""
+    which returns a jet or jets on the joint 8-variable space; returns jets
+    one order down, indexed [i, *field index]."""
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    values = np.asarray(field(model, geo.p, order), dtype=object)
-    out = np.empty((4, *values.shape), dtype=object)
-    for idx in np.ndindex(values.shape):
-        f = values[idx]
-        if not isinstance(f, Jet):
-            raise UsageError("fiber field must evaluate to jets")
-        for i in range(4):
-            out[(i, *idx)] = geo.delta(f, i)
-    return out
+    return geo.delta(_field_jets(field(model, geo.p, order)))
 
 
 def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
@@ -406,10 +375,10 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     geo = BundleGeometry(model, p, alpha=alpha)
     a, base = geo.alpha, geo.base
     coupling = 8.0 * math.pi * (1.5 * a**2)
-    variational = jet_values(base.einstein) - coupling * jet_values(base.em_stress)
+    variational = base.einstein.values - coupling * base.em_stress.values
 
     r_tilde = base.ricci_scalar + 1.5 * a**2 * geo.f_squared
-    gvals = jet_values(geo.g)
+    gvals = geo.g.values
     ric = geo.d_ricci
     assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + geo.b_hessian
 

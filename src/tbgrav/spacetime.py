@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
-from .jets import Jet, jet_values
+from .jets import Jet, JetArray
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -342,25 +342,27 @@ def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
         raise SingularEvaluationError(f"metric determinant {det} is not negative at {x.tolist()}", value=det)
 
 
-def metric_jet(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    """Symmetric 4x4 object array of g_ij jets in the 4 base coordinates at a
-    chart point x whose metric determinant is negative; mirrored entries are
-    one jet."""
+def _root_array(jets: list[Jet]) -> JetArray:
+    return JetArray(jets[0].space, np.array([jet.c for jet in jets]))
+
+
+def metric_jet(model: SpacetimeModel, x, order: int) -> JetArray:
+    """Symmetric 4x4 jet array of g_ij in the 4 base coordinates at a chart
+    point x whose metric determinant is negative; mirrored entries hold the
+    same bytes."""
     x = np.asarray(x, dtype=float)
     model.check_chart(x)
-    comps = np.empty((4, 4), dtype=object)
-    comps[_UPPER] = comps.T[_UPPER] = model.metric_tape.jets(x, order)
-    _check_determinant(jet_values(comps), x)
+    roots = _root_array(model.metric_tape.jets(x, order))
+    comps = JetArray(roots.space, roots.c[_ROOT])
+    _check_determinant(comps.values, x)
     return comps
 
 
-def potential_jet(model: SpacetimeModel, x, order: int) -> np.ndarray:
-    """Covariant potential components A_i as an object array of jets in the 4
-    base coordinates at x.  The chart is not checked: every caller has checked
-    it for the metric at the same x."""
-    comps = np.empty(4, dtype=object)
-    comps[:] = model.potential_tape.jets(x, order)
-    return comps
+def potential_jet(model: SpacetimeModel, x, order: int) -> JetArray:
+    """Covariant potential components A_i as a jet array in the 4 base
+    coordinates at x.  The chart is not checked: every caller has checked it
+    for the metric at the same x."""
+    return _root_array(model.potential_tape.jets(x, order))
 
 
 def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:

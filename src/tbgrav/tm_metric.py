@@ -26,7 +26,7 @@ import numpy as np
 from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
-from .jets import Jet
+from .jets import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
@@ -157,7 +157,7 @@ def fiber_integral(
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
     linv_t = np.linalg.inv(ball.metric.cholesky).T
     ys = z @ linv_t.T
-    norms = np.einsum("ni,ij,nj->n", ys, g, ys)
+    norms = ((ys @ g) * ys).sum(axis=1)
     scale = np.max(np.abs(norms)) + 1e-30
     on_cone = np.abs(norms) <= 1e-12 * scale
     n_shifted = int(np.count_nonzero(on_cone))
@@ -227,11 +227,13 @@ def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
     given as ``x_field(model, point, order)`` returning 4 joint-space jets."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    comps = np.asarray(x_field(model, p, order), dtype=object)
-    if comps.shape != (4,):
+    comps = x_field(model, p, order)
+    if np.shape(comps) != (4,) and getattr(comps, "shape", None) != (4,):
         raise UsageError("horizontal field must evaluate to 4 components")
-    if not all(isinstance(xi, Jet) for xi in comps):
-        raise UsageError("horizontal field must evaluate to jets")
+    try:
+        comps = JetArray.stack(comps)
+    except UsageError:
+        raise UsageError("horizontal field must evaluate to jets") from None
     return geo.divergence(comps, geo.n_conn)
 
 

@@ -17,7 +17,7 @@ from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.jets import MAX_ORDER, Jet, jet_values
+from tbgrav.jets import MAX_ORDER, Jet, JetArray, jet_values
 from tbgrav.exprlang import Tape, evaluate
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
 
@@ -254,7 +254,7 @@ def test_adapted_derivative_norm_squared_two_paths():
 def test_fiber_fields_are_plain_callables():
     p = BundlePoint(X_RN, Y_RN)
     out = bun.adapted_derivative(RN, p, lambda m, pt, o: BundleGeometry(m, pt, order=o).l_low)
-    assert out.shape == (4, 4) and out.dtype == object
+    assert isinstance(out, JetArray) and out.shape == (4, 4)
     with pytest.raises(UsageError, match="must evaluate to jets"):
         bun.adapted_derivative(RN, p, lambda m, pt, o: [1.0, 2.0])
     lifted = tm_metric.lift_base_field(lambda env: [env["r"]] * 4)
@@ -523,7 +523,7 @@ LADDER_OBJECTS = (("spray", 1), ("n_conn", 1), ("berwald", 1), ("b_up", 1), ("ti
 
 def _value_bytes(geo, attr):
     value = getattr(geo, attr)
-    return (jet_values(value) if value.dtype == object else value).tobytes()
+    return (jet_values(value) if isinstance(value, JetArray) else value).tobytes()
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -575,8 +575,9 @@ def test_lifted_base_fields_match_joint_space_route(name):
                         got = lifted[key][idx]
                         assert got.space is ref[idx].space, (key, idx, order)
                         assert np.array_equal(got.c, ref[idx].c), (name, key, idx, order, alpha)
-                assert all(geo.g[i, j] is geo.g[j, i] for i in range(4) for j in range(4))
-                assert all(geo.gamma[i, j, k] is geo.gamma[i, k, j] for i, j, k in np.ndindex(4, 4, 4))
+                assert all(geo.g[i, j].c.tobytes() == geo.g[j, i].c.tobytes() for i in range(4) for j in range(4))
+                assert all(geo.gamma[i, j, k].c.tobytes() == geo.gamma[i, k, j].c.tobytes()
+                           for i, j, k in np.ndindex(4, 4, 4))
 
 
 def test_geometry_evaluates_no_joint_space_tape(monkeypatch):

@@ -19,7 +19,7 @@ leave byte for byte as they were:
   Eddington-Finkelstein coordinates (``rn_ingoing_ef``, loaded from its model
   document), whose metric has off-diagonal entries and a zero diagonal one;
 - on the jet route, at the same points: SHA-256 of the order, variable count
-  and coefficient bytes of every jet of ``BaseGeometry(model, x, 4)``'s
+  and coefficient bytes (at the array's lowest order) of every jet of ``BaseGeometry(model, x, 4)``'s
   ``ginv``, ``gamma``, ``riemann``, ``ricci`` and ``einstein_maxwell``, and of
   ``BundleGeometry``'s ``n_conn``, ``berwald`` and ``tidal`` at alpha 0 and
   0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
@@ -132,8 +132,15 @@ def rhs_lines():
                 yield f"{fn}.{name}.alpha{alpha}", digest.hexdigest()
 
 
-def jet_bytes(arr: np.ndarray) -> bytes:
-    return b"".join(bytes([j.order, j.nvars]) + j.c.tobytes() for j in arr.flat)
+def jet_bytes(arr) -> bytes:
+    """Order, variable count and coefficient bytes of every jet of a jet
+    array, each at the array's lowest order.  A ``JetArray`` holds one order;
+    the object arrays of jets of older trees held the diagonal zeros of r^i_jkl
+    and F_ij one order above the other entries, which every consumer
+    truncated away."""
+    jets = list(arr.flat)
+    order = min(j.order for j in jets)
+    return b"".join(bytes([order, j.nvars]) + j.truncate(order).c.tobytes() for j in jets)
 
 
 def jet_route_lines():
