@@ -41,7 +41,8 @@ from .errors import (
     UsageError,
 )
 from .exprlang import evaluate, free_symbols, parse, print_expr
-from .jets import Jet, jet_values
+from .jet_arrays import JetArray, jet_values
+from .jets import Jet
 from .spacetime import (
     SpacetimeModel,
     alpha_star,

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
-from .jets import Jet, JetArray, contract, products, reciprocal_value, sum_of_products
+from .jet_arrays import JetArray, contract, products, sum_of_products
+from .jets import Jet, reciprocal_value
 from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
 _ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij

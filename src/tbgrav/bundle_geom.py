@@ -46,8 +46,9 @@ import numpy as np
 
 from . import base_geom
 from .errors import UsageError
-from .jets import MAX_ORDER, Jet, JetArray, contract, jet_space, jet_values, products
-from .base_geom import _MIRROR, _UPPER, antisymmetric, symmetric
+from .base_geom import _UPPER, antisymmetric, symmetric
+from .jet_arrays import JetArray, contract, products
+from .jets import MAX_ORDER, Jet, jet_space
 from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4

@@ -27,7 +27,7 @@ from .errors import (
     SingularEvaluationError,
     UsageError,
 )
-from .jets import jet_values
+from .jet_arrays import jet_values
 from .spacetime import alpha_star, catalog, load_model, metric_values, signature_signs
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)

@@ -44,7 +44,7 @@ import numpy as np
 from . import base_geom
 from .bundle_geom import connection_and_tidal_values, deviation_kernel
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
-from .jets import jet_values
+from .jet_arrays import jet_values
 from .spacetime import SpacetimeModel, metric_values, potential_jet
 
 NULL_CONE_GUARD = 1e-6

@@ -538,326 +538,3 @@ class Jet:
             pow_value(self.value, exponent)  # raises where the power is singular
             return self.pow_const(-int(exponent))._reciprocal()
         return self._compose(power_series(self.value, exponent, self.order))
-
-
-# -- stacked jet tensors ----------------------------------------------------------
-
-# products formed per np.bincount call: bounds the stacked intermediates
-_CHUNK = 1 << 15
-
-
-def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Rows out[o] = sum over k of a[ta[o, k]] * b[tb[o, k]], for coefficient
-    rows a and b of ``space`` and term tables ta, tb of shape (n, K).
-
-    Each product is the multiplication table's np.bincount (its pairs added
-    in table order), and each sum adds its terms in k order, starting from
-    +0.0, as ``Jet`` sums them.  The mask rules leave out every term with an
-    all-zero factor and every table pair with a coefficient that is zero in
-    all rows of its operand; with all coefficients finite that changes no
-    bit (see the module's mask rules).  With an inf or NaN anywhere, every
-    term and pair is taken.
-    """
-    size = space.size
-    n_out, n_k = ta.shape
-    ia, ib, ic = space._mul_table
-    if np.isfinite(a).all() and np.isfinite(b).all():
-        out_index, k = np.nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb])
-        ra, rb = ta[out_index, k], tb[out_index, k]
-        pairs = np.flatnonzero(a.any(axis=0)[ia] & b.any(axis=0)[ib])
-        ia, ib, ic = ia[pairs], ib[pairs], ic[pairs]
-    else:
-        out_index, ra, rb = np.repeat(np.arange(n_out), n_k), ta.ravel(), tb.ravel()
-    n_terms = len(ra)
-    if n_terms == 0 or len(ic) == 0:
-        return np.zeros((n_out, size))
-    step = max(1, _CHUNK // len(ic))
-    bins = (np.arange(min(step, n_terms))[:, None] * size + ic).ravel()
-    terms = np.empty((n_terms, size))
-    for lo in range(0, n_terms, step):
-        hi = min(lo + step, n_terms)
-        prods = a[ra[lo:hi, None], ia] * b[rb[lo:hi, None], ib]
-        terms[lo:hi] = np.bincount(bins[: prods.size], prods.ravel(), (hi - lo) * size).reshape(-1, size)
-    if n_k == 1:  # 0.0 + t is t: a product never holds -0.0
-        out = np.zeros((n_out, size))
-        out[out_index] = terms
-        return out
-    bins = (out_index[:, None] * size + np.arange(size)).ravel()
-    return np.bincount(bins, terms.ravel(), n_out * size).reshape(n_out, size)
-
-
-@lru_cache(maxsize=None)
-def _partial_gather(order: int, nvars: int, variables: tuple[int, ...]):
-    """(src, factor) arrays of shape (len(variables), lower size): the
-    coefficients of d/dx_v of a jet are c[src[v]] * factor[v]."""
-    space = jet_space(order, nvars)
-    tables = [space.shift_table(v) for v in variables]
-    return np.array([src for _, src, _ in tables]), np.array([fac for _, _, fac in tables])
-
-
-@lru_cache(maxsize=None)
-def _lift_slots(order: int, nvars: int, to_nvars: int) -> np.ndarray:
-    """Slots in jet_space(order, to_nvars) of the monomials of jet_space(order, nvars)."""
-    pad = (0,) * (to_nvars - nvars)
-    index = jet_space(order, to_nvars).index
-    return np.array([index[m + pad] for m in jet_space(order, nvars).monomials])
-
-
-@lru_cache(maxsize=None)
-def _contract_terms(rows: int, inner: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Term tables of a (rows, inner) @ (inner, cols) contraction."""
-    k = np.arange(inner)
-    ta = np.broadcast_to(np.arange(rows)[:, None, None] * inner + k, (rows, cols, inner))
-    tb = np.broadcast_to(k * cols + np.arange(cols)[:, None], (rows, cols, inner))
-    return ta.reshape(-1, inner), tb.reshape(-1, inner)
-
-
-class JetArray:
-    """A tensor of jets of one space, stored as one float array ``c`` of
-    shape (*shape, space.size); entry idx is the jet ``c[idx]``.
-
-    Indexing down to one entry gives a ``Jet`` (a view of the coefficients),
-    anything else a ``JetArray``; ``flat`` runs over the entries as jets.
-    Arithmetic broadcasts as NumPy does and follows ``Jet``'s rules entry by
-    entry, with the same bits: operands of two orders are truncated to the
-    lower, a number or float array is a constant jet in a sum and a scale
-    factor in a product, and a product of two jet operands is one masked
-    kernel call (``sum_of_products``).  Jet arrays are not changed in place.
-    """
-
-    __slots__ = ("space", "c")
-    __array_ufunc__ = None  # NumPy operands defer to the reflected operators
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
-        self.space = space
-        self.c = coeffs
-
-    @staticmethod
-    def stack(jets) -> "JetArray":
-        """A jet array from a JetArray, a Jet, or a (nested) sequence or object
-        array of jets of one variable count, at their lowest order."""
-        if isinstance(jets, JetArray):
-            return jets
-        if isinstance(jets, Jet):
-            return JetArray(jets.space, jets.c)
-        arr = np.empty(np.shape(jets), dtype=object)
-        arr[...] = jets
-        entries = list(arr.flat)
-        if not entries or not all(isinstance(j, Jet) for j in entries):
-            raise UsageError("expected jets")
-        if len({j.nvars for j in entries}) != 1:
-            raise UsageError("jet nvars mismatch in one array")
-        space = jet_space(min(j.order for j in entries), entries[0].nvars)
-        c = np.array([j.c[: space.size] for j in entries]).reshape(arr.shape + (space.size,))
-        return JetArray(space, c)
-
-    # -- shape ----------------------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.c.shape[:-1]
-
-    @property
-    def ndim(self) -> int:
-        return self.c.ndim - 1
-
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
-    def nvars(self) -> int:
-        return self.space.nvars
-
-    def __len__(self) -> int:
-        return self.c.shape[0]
-
-    def __getitem__(self, index):
-        c = self.c[(index if isinstance(index, tuple) else (index,)) + (slice(None),)]
-        return Jet(self.space, c) if c.ndim == 1 else JetArray(self.space, c)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def flat(self):
-        return (Jet(self.space, c) for c in self.c.reshape(-1, self.space.size))
-
-    def transpose(self, *axes) -> "JetArray":
-        axes = axes or tuple(range(self.ndim))[::-1]
-        return JetArray(self.space, self.c.transpose(*axes, self.ndim))
-
-    @property
-    def T(self) -> "JetArray":
-        return self.transpose()
-
-    def reshape(self, *shape) -> "JetArray":
-        return JetArray(self.space, self.c.reshape(*shape, self.space.size))
-
-    def ravel(self) -> "JetArray":
-        return self.reshape(-1)
-
-    def __repr__(self):
-        return f"JetArray(shape={self.shape}, order={self.order}, nvars={self.nvars})"
-
-    # -- coefficient reads ----------------------------------------------------------
-
-    @property
-    def values(self) -> np.ndarray:
-        """Float array of the entries' values."""
-        return self.c[..., 0].copy()
-
-    def hessian(self) -> np.ndarray:
-        """Float array (*shape, nvars, nvars) of the second partials."""
-        if self.order < 2:
-            raise UsageError("hessian requires order >= 2")
-        slot, fac = self.space.second_index
-        return self.c[..., slot] * fac
-
-    def truncate(self, order: int) -> "JetArray":
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise UsageError(f"cannot extend jet of order {self.order} to {order}")
-        space = jet_space(order, self.nvars)
-        return JetArray(space, self.c[..., : space.size])
-
-    def partials(self, variables) -> "JetArray":
-        """d/dx_v of every entry for each v of ``variables``, a new leading axis."""
-        if self.order < 1:
-            raise UsageError("partial() requires order >= 1")
-        src, fac = _partial_gather(self.order, self.nvars, tuple(variables))
-        c = np.moveaxis(self.c[..., src] * fac, -2, 0)
-        return JetArray(jet_space(self.order - 1, self.nvars), c)
-
-    def lift(self, nvars: int) -> "JetArray":
-        """The entries as jets in ``nvars`` variables: variable k stays in slot
-        k, and every monomial in the added variables gets a +0.0 coefficient."""
-        space = jet_space(self.order, nvars)
-        c = np.zeros(self.shape + (space.size,))
-        c[..., _lift_slots(self.order, self.nvars, nvars)] = self.c
-        return JetArray(space, c)
-
-    # -- arithmetic -------------------------------------------------------------------
-
-    def _pair(self, other, number_as_jet: bool):
-        """(self, other) as jet arrays of one space, or None.  A number or float
-        array becomes a constant jet when ``number_as_jet``, else it is
-        returned as a float array."""
-        if isinstance(other, Jet):
-            other = JetArray(other.space, other.c)
-        elif isinstance(other, (int, float, np.floating, np.integer, np.ndarray)):
-            values = np.asarray(other, dtype=float)
-            if not number_as_jet:
-                return self, values
-            c = np.zeros(values.shape + (self.space.size,))
-            c[..., 0] = values
-            other = JetArray(self.space, c)
-        elif not isinstance(other, JetArray):
-            return None
-        if other.space is self.space:
-            return self, other
-        if other.nvars != self.nvars:
-            raise UsageError(f"jet nvars mismatch: {self.nvars} vs {other.nvars}")
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
-
-    def __add__(self, other):
-        pair = self._pair(other, True)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return JetArray(a.space, a.c + b.c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        pair = self._pair(other, True)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return JetArray(a.space, a.c - b.c)
-
-    def __rsub__(self, other):
-        pair = self._pair(other, True)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return JetArray(a.space, b.c - a.c)
-
-    def __neg__(self):
-        return JetArray(self.space, -self.c)
-
-    def __mul__(self, other):
-        pair = self._pair(other, False)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if not isinstance(b, JetArray):
-            return JetArray(a.space, a.c * b[..., None])
-        return _elementwise(a, b)
-
-    def __rmul__(self, other):
-        pair = self._pair(other, False)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if not isinstance(b, JetArray):
-            return JetArray(a.space, a.c * b[..., None])
-        return _elementwise(b, a)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other._reciprocal()
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetArray(self.space, self.c / float(other))
-        return NotImplemented
-
-
-def _entry_index(arr: JetArray) -> np.ndarray:
-    return np.arange(math.prod(arr.shape)).reshape(arr.shape)
-
-
-def _elementwise(a: JetArray, b: JetArray) -> JetArray:
-    """a * b entry by entry (broadcast), a the left factor."""
-    return products(a, b, _entry_index(a), _entry_index(b))
-
-
-def sum_of_products(a, b, ta, tb) -> JetArray:
-    """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
-    integer term tables ta and tb (broadcast together, k the last axis): each
-    product as ``Jet.__mul__`` forms it, each sum added in k order as ``Jet``
-    adds it, at the lower order of a and b.  One masked kernel call."""
-    a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
-    ta, tb = np.broadcast_arrays(ta, tb)
-    size = a.space.size
-    out = _coefficients(a.space, a.c.reshape(-1, size), b.c.reshape(-1, size),
-                        ta.reshape(-1, ta.shape[-1]), tb.reshape(-1, tb.shape[-1]))
-    return JetArray(a.space, out.reshape(ta.shape[:-1] + (size,)))
-
-
-def products(a, b, ia, ib) -> JetArray:
-    """The jet array out[o] = a.flat[ia[o]] * b.flat[ib[o]] (ia and ib broadcast
-    together); ``sum_of_products`` with one term."""
-    ia, ib = np.broadcast_arrays(ia, ib)
-    return sum_of_products(a, b, ia[..., None], ib[..., None])
-
-
-def contract(a, b):
-    """``a @ b`` for jet arrays (``b`` of one or more dimensions, contracted
-    over its first axis), with the bits the left-to-right jet sum gives: two
-    np.bincount calls, one for the products of the live terms and one for
-    their sums (``sum_of_products``).  A single output is a ``Jet``."""
-    a, b = JetArray.stack(a), JetArray.stack(b)
-    if a.shape[-1] != b.shape[0]:
-        raise UsageError(f"cannot contract shapes {a.shape} and {b.shape}")
-    inner = b.shape[0]
-    rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
-    ta, tb = _contract_terms(rows, inner, cols)
-    out = sum_of_products(a, b, ta, tb).reshape(*(a.shape[:-1] + b.shape[1:]))
-    return out if out.ndim else out[()]
-
-
-def jet_values(arr) -> np.ndarray:
-    """Float array of the values of a jet array (or of jets ``JetArray.stack`` takes)."""
-    return JetArray.stack(arr).values

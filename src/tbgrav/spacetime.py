@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
-from .jets import Jet, JetArray
+from .jet_arrays import JetArray
+from .jets import Jet
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 

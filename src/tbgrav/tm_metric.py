@@ -26,7 +26,7 @@ import numpy as np
 from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
-from .jets import JetArray
+from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization

@@ -22,7 +22,7 @@ from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import EngineError
-from .jets import jet_values
+from .jet_arrays import jet_values
 from .spacetime import SpacetimeModel, metric_values
 
 DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}

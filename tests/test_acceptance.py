@@ -14,7 +14,8 @@ import pytest
 from tbgrav import base_geom, bundle_geom, dynamics, exprlang, tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
-from tbgrav.jets import Jet, jet_values
+from tbgrav.jet_arrays import jet_values
+from tbgrav.jets import Jet
 from tbgrav.spacetime import alpha_star, catalog, metric_jet
 
 MODELS = {

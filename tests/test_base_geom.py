@@ -10,7 +10,8 @@ from tbgrav import base_geom as bg
 from tbgrav import verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.errors import UsageError
-from tbgrav.jets import MAX_ORDER, Jet, JetArray, jet_values
+from tbgrav.jet_arrays import JetArray, jet_values
+from tbgrav.jets import MAX_ORDER, Jet
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet, metric_values, potential_jet
 
 SCHW = catalog("schwarzschild", {"M": 1.0})

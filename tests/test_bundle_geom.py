@@ -17,7 +17,8 @@ from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.jets import MAX_ORDER, Jet, JetArray, jet_values
+from tbgrav.jet_arrays import JetArray, jet_values
+from tbgrav.jets import MAX_ORDER, Jet
 from tbgrav.exprlang import Tape, evaluate
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
 

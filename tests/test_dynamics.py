@@ -20,7 +20,8 @@ from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
 from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
-from tbgrav.jets import Jet, jet_values
+from tbgrav.jet_arrays import jet_values
+from tbgrav.jets import Jet
 from tbgrav.spacetime import catalog, metric_jet
 
 MINK = catalog("minkowski")

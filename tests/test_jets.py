@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
+from tbgrav.jet_arrays import contract
 from tbgrav.jets import (
-    FINITE, INLINE_NAMES, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, contract, cos_series, inline_series, jet_space,
+    FINITE, INLINE_NAMES, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, cos_series, inline_series, jet_space,
     reciprocal_series, sin_series,
 )
 

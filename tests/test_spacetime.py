@@ -8,7 +8,7 @@ import pytest
 
 from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
 from tbgrav.exprlang import _KernelWriter, evaluate
-from tbgrav.jets import JetArray
+from tbgrav.jet_arrays import JetArray
 from tbgrav.spacetime import (
     CATALOG_NAMES,
     alpha_star,

@@ -16,7 +16,7 @@ from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric as tm
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.jets import jet_values
+from tbgrav.jet_arrays import jet_values
 from tbgrav.spacetime import catalog, metric_jet
 
 MINK = catalog("minkowski")

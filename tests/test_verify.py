@@ -10,7 +10,7 @@ from tbgrav import verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
-from tbgrav.jets import jet_values
+from tbgrav.jet_arrays import jet_values
 from tbgrav.spacetime import catalog, load_model, metric_jet, print_model
 
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
