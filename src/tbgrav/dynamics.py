@@ -37,6 +37,7 @@ per stage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,31 @@ class Trajectory:
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
         return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+
+    def sampler(self):
+        """``sample`` on Python floats, the arrays read as lists once:
+        ``t -> list``, with its bits, for a right-hand side that samples
+        this trajectory on every call."""
+        times, states, derivs = self.times.tolist(), self.states.tolist(), self.derivs.tolist()
+        first, last = times[0], times[-1]
+
+        def sample(t: float) -> list[float]:
+            if t < first - 1e-12 or t > last + 1e-12:
+                raise UsageError(f"sample time {t} outside [{first}, {last}]")
+            if len(times) == 1:
+                return list(states[0])
+            t = min(max(t, first), last)
+            k = min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
+            h = times[k + 1] - times[k]
+            s = (t - times[k]) / h
+            h00 = (1 + 2 * s) * (1 - s) ** 2
+            h10 = s * (1 - s) ** 2
+            h01 = s * s * (3 - 2 * s)
+            h11 = s * s * (s - 1)
+            return [h00 * y0 + h10 * (d0 * h) + h01 * y1 + h11 * (d1 * h)
+                    for y0, d0, y1, d1 in zip(states[k], derivs[k], states[k + 1], derivs[k + 1])]
+
+        return sample
 
 
 def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
@@ -388,9 +414,10 @@ def integrate_deviation(
         W0 = np.asarray(W0, dtype=float)
 
     kernel, coef = deviation_kernel(model, alpha)
+    sample = base.sampler()
 
     def rhs(t, state):
-        s = base.sample(t).tolist()
+        s = sample(t)
         return _deviation_rates(kernel(s[:4], s[4:], coef), state)
 
     return _integrate(rhs, np.concatenate([w0, W0]), base.t_end, rtol, atol)

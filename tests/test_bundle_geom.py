@@ -17,6 +17,7 @@ from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
+from tbgrav import jet_arrays
 from tbgrav.jet_arrays import JetArray, jet_values
 from tbgrav.jets import MAX_ORDER, Jet
 from tbgrav.exprlang import Tape, evaluate
@@ -478,35 +479,32 @@ def test_generalized_einstein_minkowski():
 
 
 def test_jet_operation_budget(monkeypatch):
-    """Jet products, operand coercions and products that reach the
-    multiplication table (``np.bincount``) of one ricci_decomposition plus one
-    generalized_einstein call stay at or below the counts measured once the
-    zero terms were left out of the contractions."""
-    counts = {"mul": 0, "coerce": 0, "table": 0}
-    mul, coerce, bincount = Jet.__mul__, Jet._coerce, np.bincount
+    """The work of one ricci_decomposition plus one generalized_einstein call
+    on the stacked route: masked kernel calls (``jet_arrays._coefficients``),
+    the live terms they form (both factors not all zero), the products of
+    those terms over their live table pairs, and the scalar ``Jet`` products,
+    pinned to the counts measured when the jet tensors were stacked."""
+    counts = {"calls": 0, "terms": 0, "products": 0, "jet_mul": 0}
+    kernel, mul = jet_arrays._coefficients, Jet.__mul__
+
+    def counted_kernel(space, a, b, ta, tb):
+        live = int(np.count_nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb]))
+        counts["calls"] += 1
+        counts["terms"] += live
+        counts["products"] += live * len(jet_arrays._live_pairs(space, a.any(axis=0), b.any(axis=0))[0])
+        return kernel(space, a, b, ta, tb)
 
     def counted_mul(self, other):
-        counts["mul"] += 1
+        counts["jet_mul"] += 1
         return mul(self, other)
 
-    def counted_coerce(self, other):
-        counts["coerce"] += 1
-        return coerce(self, other)
-
-    def counted_bincount(*args, **kwargs):
-        counts["table"] += 1
-        return bincount(*args, **kwargs)
-
+    monkeypatch.setattr(jet_arrays, "_coefficients", counted_kernel)
     monkeypatch.setattr(Jet, "__mul__", counted_mul)
     monkeypatch.setattr(Jet, "__rmul__", counted_mul)
-    monkeypatch.setattr(Jet, "_coerce", counted_coerce)
-    monkeypatch.setattr(np, "bincount", counted_bincount)
     p = BundlePoint(X_RN, Y_RN)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts["mul"] <= 1434
-    assert counts["coerce"] <= 2880
-    assert counts["table"] <= 653
+    assert counts == {"calls": 50, "terms": 652, "products": 95784, "jet_mul": 105}
 
 
 # -- carrier order ------------------------------------------------------------------------------

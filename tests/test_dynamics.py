@@ -508,3 +508,21 @@ def test_sample_outside_range_rejected():
     for t in (-0.5, 0.5):
         with pytest.raises(UsageError, match="outside"):
             point.sample(t)
+
+
+def test_list_sampler_matches_sample_bit_for_bit():
+    """The deviation right-hand side samples its base worldline on lists of
+    floats (``Trajectory.sampler``): at every accepted step time, at every
+    midpoint between two and at both ends of the charged orbit it gives the
+    floats of ``Trajectory.sample`` bit for bit, and it refuses the same times."""
+    base = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
+    sample, times = base.sampler(), base.times.tolist()
+    probes = [0.0, *times, *((a + b) / 2 for a, b in zip(times, times[1:])), base.t_end, base.t_end + 1e-13, -1e-13]
+    assert len(times) > 10
+    for t in probes:
+        assert [v.hex() for v in sample(t)] == [float(v).hex() for v in base.sample(t)], t
+    for t in (-0.5, base.t_end + 0.5):
+        with pytest.raises(UsageError, match="outside"):
+            sample(t)
+    point = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=0.0)
+    assert point.sampler()(0.0) == point.sample(0.0).tolist()

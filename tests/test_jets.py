@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
-from tbgrav.jet_arrays import contract
+from tbgrav.jet_arrays import JetArray, contract
 from tbgrav.jets import (
     FINITE, INLINE_NAMES, NONFINITE, PLUS_ZERO, SIGNED_ZERO, Jet, cos_series, inline_series, jet_space,
     reciprocal_series, sin_series,
@@ -383,35 +383,92 @@ def _sparse_jet(rng, nvars):
     return dense
 
 
+def _jet_array(rng, shape, nvars):
+    """An object array of ``_sparse_jet`` entries (mixed orders, zeros of
+    both signs, negations holding -0.0) and the same jets stacked."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = _sparse_jet(rng, nvars)
+    return out, JetArray.stack(out)
+
+
+def _truncated(arr, order):
+    out = np.empty(arr.shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = arr[idx].truncate(order)
+    return out
+
+
+def _put(arr, idx, slot, value):
+    """A copy of the object array with one coefficient of one jet replaced."""
+    arr = arr.copy()
+    c = arr[idx].c.copy()
+    c[slot] = value
+    arr[idx] = Jet(arr[idx].space, c)
+    return arr
+
+
+def _assert_same_jets(got, ref):
+    """Every entry of the jet array ``got`` has the bytes of the jet ``ref[idx]``."""
+    got, ref = JetArray.stack(got), np.asarray(ref, dtype=object)
+    assert got.shape == ref.shape
+    for idx in np.ndindex(ref.shape):
+        assert _same_bits(got[idx], ref[idx]), idx
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_contract_matches_matmul(seed):
+    """The stacked contraction gives, entry for entry, the bytes of the
+    per-jet left-to-right route: a @ b over object arrays of the same jets
+    (``Jet``'s zero rules) and the dense reference products and sums, the
+    arrays truncated to their lowest order.  The entries mix orders, +0.0
+    and -0.0; a row meeting an inf or a NaN takes every term, so that
+    0 * inf and NaN reach its outputs."""
     rng = np.random.default_rng(seed)
     nvars = 3
-
-    def array(shape):
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            out[idx] = _sparse_jet(rng, nvars)
-        return out
-
-    cases = [(array((4, 4)), array((4, 4))), (array((4, 4)), array((4,))), (array((4,)), array((4, 4))),
-             (array((4,)), array((4,))), (array((4, 4, 4)), array((4,)))]
-    # one inf entry, met by a zero in the row it is contracted with: 0 * inf makes NaN
-    bad = cases[0][1]
-    c = bad[2, 1].c.copy()
-    c[1] = math.inf
-    bad[2, 1] = Jet(bad[2, 1].space, c)
-    cases[0][0][1, 2] = _plus_zero(2, nvars)
+    shapes = [((4, 4), (4, 4)), ((4, 4), (4,)), ((4,), (4, 4)), ((4,), (4,)), ((4, 4, 4), (4,)), ((2, 4), (4, 3))]
+    cases = [(_jet_array(rng, sa, nvars)[0], _jet_array(rng, sb, nvars)[0]) for sa, sb in shapes]
+    # one inf and one NaN entry, each met by a zero in the row it is contracted with
+    a, b = cases[0]
+    a = _put(_put(a, (1, 2), slice(None), 0.0), (3, 0), slice(None), 0.0)
+    b = _put(_put(b, (2, 1), 0, math.inf), (0, 3), 0, math.nan)
+    cases[0] = (a, b)
+    # operands of two carrier orders
+    cases.append((cases[1][0], _truncated(cases[1][1], 1)))
     for a, b in cases:
+        sa, sb = JetArray.stack(a), JetArray.stack(b)
+        order = min(sa.order, sb.order)
         with np.errstate(invalid="ignore"):
-            got, ref = np.asarray(contract(a, b), dtype=object), np.asarray(_dense_matmul(a, b), dtype=object)
-            via_matmul = np.asarray(a @ b, dtype=object)
-        assert got.shape == ref.shape == via_matmul.shape
-        for idx in np.ndindex(ref.shape):
-            assert _same_bits(got[idx], ref[idx]), idx
-            assert _same_bits(via_matmul[idx], ref[idx]), idx
+            got = contract(sa, sb)
+            ref = _dense_matmul(_truncated(a, order), _truncated(b, order))
+            via_matmul = _truncated(a, order) @ _truncated(b, order)
+        _assert_same_jets(got, ref)
+        _assert_same_jets(got, via_matmul)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(contract(cases[0][0], cases[0][1])[1, 1].c).any()
+        out = contract(JetArray.stack(cases[0][0]), JetArray.stack(cases[0][1]))
+    assert np.isnan(out[1, 1].c).any() and np.isnan(out[3, 3].c).any()
+    assert not np.isnan(out[0, 0].c).any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_elementwise_product_matches_jet_products(seed):
+    """A product of jet arrays (broadcast) gives, entry for entry, the bytes
+    of the jet product of its two entries, left factor first; a zero met by
+    an inf or a NaN gives NaN."""
+    rng = np.random.default_rng(100 + seed)
+    a = _put(_jet_array(rng, (4, 4), 3)[0], (0, 2), slice(None), 0.0)
+    b = _put(_jet_array(rng, (4,), 3)[0], 2, 1, math.inf)
+    sa, sb = JetArray.stack(a), JetArray.stack(b)
+    order = min(sa.order, sb.order)
+    ta, tb = _truncated(a, order), _truncated(b, order)
+    with np.errstate(invalid="ignore"):
+        for got, ref in ((sa * sb, [[_dense_mul(x, y) for x, y in zip(row, tb)] for row in ta]),
+                         (sb * sa, [[_dense_mul(y, x) for x, y in zip(row, tb)] for row in ta]),
+                         (sa * sb, ta * tb)):
+            _assert_same_jets(got, np.array(ref, dtype=object))
+        assert np.isnan((sa * sb)[0, 2].c).any()
+        scalar = a[1, 1].truncate(order)
+        _assert_same_jets(scalar * sb, np.array([_dense_mul(scalar, y) for y in tb], dtype=object))
 
 
 def test_contract_rejects_mismatched_shapes():
