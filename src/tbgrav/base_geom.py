@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
-from .jet_arrays import JetArray, contract, products, sum_of_products
+from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import Jet, reciprocal_value
 from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
@@ -153,13 +153,6 @@ def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     return f_low, contract(ginv, f_low)
 
 
-def _upper_contract(a: JetArray, b: JetArray) -> JetArray:
-    """sum_l a[i, l] b[l, j] over the ten upper pairs (i, j >= i)."""
-    l = np.arange(4)
-    i, j = _UPPER
-    return sum_of_products(a, b, i[:, None] * 4 + l, l * 4 + j[:, None])
-
-
 def raise_both_indices(s_low, ginv) -> JetArray:
     """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 jet array."""
     ginv = JetArray.stack(ginv)
@@ -233,9 +226,12 @@ class BaseGeometry:
         f_up = contract(f_mix, self.ginv)  # F^{lm} = F^l_a g^{am}
         quarter_f2 = contract(f_up.ravel(), f_low.ravel()) * 0.25  # F^{lm} F_lm / 4
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
-        # -F_il F_j^l = +F_il F^l_j
-        upper = (_upper_contract(f_low, f_mix) + self.g[_UPPER] * quarter_f2) * coeff
-        return symmetric(upper)
+        # -F_il F_j^l = +F_il F^l_j, then g_ij F^{lm} F_lm / 4, over the upper pairs
+        (left, (low, g)), (right, (mix, q)) = concat(f_low, self.g), concat(f_mix, quarter_f2)
+        i, j = _UPPER
+        upper = sum_of_products(left, right, [low + i * 4 + l for l in range(4)] + [g + i * 4 + j],
+                                [mix + l * 4 + j for l in range(4)] + [q + 0 * i])
+        return symmetric(upper * coeff)
 
     @cached_property
     def einstein(self) -> JetArray:

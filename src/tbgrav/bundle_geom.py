@@ -47,7 +47,7 @@ import numpy as np
 from . import base_geom
 from .errors import UsageError
 from .base_geom import _UPPER, antisymmetric, symmetric
-from .jet_arrays import JetArray, contract, products
+from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import MAX_ORDER, Jet, jet_space
 from .spacetime import SpacetimeModel
 
@@ -143,8 +143,12 @@ class BundleGeometry:
         return self.norm2.sqrt()
 
     @cached_property
+    def inv_norm(self) -> Jet:
+        return 1.0 / self.norm
+
+    @cached_property
     def l_up(self) -> JetArray:
-        return self.yj * (1.0 / self.norm)
+        return self.yj * self.inv_norm
 
     @cached_property
     def l_low(self) -> JetArray:
@@ -155,7 +159,7 @@ class BundleGeometry:
         """Fiber Hessian of |y|: l_{j.k} = (g_jk - l_j l_k)/|y|."""
         j, k = _UPPER
         outer = products(self.l_low, self.l_low, j, k)
-        return symmetric((self.g[_UPPER] - outer) * (1.0 / self.norm))
+        return symmetric((self.g[_UPPER] - outer) * self.inv_norm)
 
     @cached_property
     def f_vec(self) -> JetArray:
@@ -178,19 +182,19 @@ class BundleGeometry:
     @cached_property
     def b_j(self) -> JetArray:
         """Closed form B^i_.j = -(alpha/2)(F^i l_j + |y| F^i_j)."""
-        _, f_mix = self.faraday
-        outer = products(self.f_vec, self.l_low, np.arange(4)[:, None], np.arange(4))
-        return (outer + self.norm * f_mix) * (-0.5 * self.alpha)
+        (left, (vec, norm)), (right, (low, mix)) = concat(self.f_vec, self.norm), concat(self.l_low, self.faraday[1])
+        i, j = np.arange(4)[:, None], np.arange(4)
+        # F^i l_j + |y| F^i_j, indexed [i, j]
+        return sum_of_products(left, right, [vec + i, norm + 0 * j], [low + j, mix + i * 4 + j]) * (-0.5 * self.alpha)
 
     @cached_property
     def b_jk(self) -> JetArray:
         """Closed form B^i_.jk = -(alpha/2)(l_{j.k} F^i + l_j F^i_k + l_k F^i_j)."""
-        _, f_mix = self.faraday
-        i, (j, k) = np.arange(4)[:, None], _UPPER  # indexed [i, pair]
-        hess = products(self.l_hess.ravel(), self.f_vec, j * 4 + k, i)
-        first = products(self.l_low, f_mix.ravel(), j, i * 4 + k)
-        second = products(self.l_low, f_mix.ravel(), k, i * 4 + j)
-        upper = (hess + first + second) * (-0.5 * self.alpha)  # [i, pair]
+        (left, (hess, low)), (right, (vec, mix)) = concat(self.l_hess, self.l_low), concat(self.f_vec, self.faraday[1])
+        i, (j, k) = np.arange(4)[:, None], _UPPER
+        # l_{j.k} F^i + l_j F^i_k + l_k F^i_j, indexed [i, pair]
+        upper = sum_of_products(left, right, [hess + j * 4 + k, low + j, low + k],
+                                [vec + i, mix + i * 4 + k, mix + i * 4 + j]) * (-0.5 * self.alpha)
         return symmetric(upper.transpose(1, 0)).transpose(2, 0, 1)
 
     @cached_property

@@ -21,7 +21,7 @@ from .errors import UsageError
 from .jets import Jet, JetSpace, jet_space
 
 # products formed per np.bincount call: bounds the stacked intermediates
-_CHUNK = 1 << 13
+_CHUNK = 1 << 12
 # (space, live slots of a, live slots of b) -> the multiplication-table pairs they keep
 _LIVE_PAIRS: dict = {}
 _LIVE_PAIRS_MAX = 512
@@ -68,7 +68,8 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     terms = np.empty((n_terms, size))
     for lo in range(0, n_terms, step):
         hi = min(lo + step, n_terms)
-        prods = a[ra[lo:hi, None], ia] * b[rb[lo:hi, None], ib]
+        prods = a[ra[lo:hi, None], ia]
+        prods *= b[rb[lo:hi, None], ib]
         terms[lo:hi] = np.bincount(bins[: prods.size], prods.ravel(), (hi - lo) * size).reshape(-1, size)
     if n_k == 1:  # 0.0 + t is t: a product never holds -0.0
         out = np.zeros((n_out, size))
@@ -317,11 +318,16 @@ def _elementwise(a: JetArray, b: JetArray) -> JetArray:
 
 def sum_of_products(a, b, ta, tb) -> JetArray:
     """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
-    integer term tables ta and tb (broadcast together, k the last axis): each
-    product as ``Jet.__mul__`` forms it, each sum added in k order as ``Jet``
-    adds it, at the lower order of a and b.  One masked kernel call."""
+    integer term tables ta and tb (broadcast together, k the last axis; or
+    two lists of tables, one per term): each product as ``Jet.__mul__``
+    forms it, each sum added in k order as ``Jet`` adds it, at the lower
+    order of a and b.  One masked kernel call."""
     a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
-    ta, tb = np.broadcast_arrays(ta, tb)
+    if isinstance(ta, list):
+        tables = np.broadcast_arrays(*ta, *tb)
+        ta, tb = np.stack(tables[: len(ta)], axis=-1), np.stack(tables[len(ta):], axis=-1)
+    elif np.shape(ta) != np.shape(tb):
+        ta, tb = np.broadcast_arrays(ta, tb)
     size = a.space.size
     out = _coefficients(a.space, a.c.reshape(-1, size), b.c.reshape(-1, size),
                         ta.reshape(-1, ta.shape[-1]), tb.reshape(-1, tb.shape[-1]))
@@ -331,8 +337,21 @@ def sum_of_products(a, b, ta, tb) -> JetArray:
 def products(a, b, ia, ib) -> JetArray:
     """The jet array out[o] = a.flat[ia[o]] * b.flat[ib[o]] (ia and ib broadcast
     together); ``sum_of_products`` with one term."""
-    ia, ib = np.broadcast_arrays(ia, ib)
-    return sum_of_products(a, b, ia[..., None], ib[..., None])
+    return sum_of_products(a, b, [ia], [ib])
+
+
+def concat(*arrays) -> tuple[JetArray, list[int]]:
+    """The entries of jet arrays (or jets) as one flat jet array at their
+    lowest order, and the flat index of each array's first entry, for the
+    term tables of one ``sum_of_products`` call over several operands."""
+    arrays = [JetArray.stack(a) for a in arrays]
+    order = min(a.order for a in arrays)
+    if len({a.nvars for a in arrays}) != 1:
+        raise UsageError("jet nvars mismatch in one array")
+    space = jet_space(order, arrays[0].nvars)
+    parts = [a.truncate(order).c.reshape(-1, space.size) for a in arrays]
+    offsets = np.cumsum([0] + [len(p) for p in parts[:-1]]).tolist()
+    return JetArray(space, np.concatenate(parts)), offsets
 
 
 def contract(a, b):

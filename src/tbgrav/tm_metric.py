@@ -30,6 +30,7 @@ from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
+_BLOCK = 1 << 14  # quadrature nodes per block of the null-cone test
 
 
 @dataclass
@@ -157,7 +158,8 @@ def fiber_integral(
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
     linv_t = np.linalg.inv(ball.metric.cholesky).T
     ys = z @ linv_t.T
-    norms = ((ys @ g) * ys).sum(axis=1)
+    # g(y,y) per node, in blocks that bound the temporaries
+    norms = np.concatenate([((blk @ g) * blk).sum(axis=1) for blk in np.split(ys, range(_BLOCK, len(ys), _BLOCK))])
     scale = np.max(np.abs(norms)) + 1e-30
     on_cone = np.abs(norms) <= 1e-12 * scale
     n_shifted = int(np.count_nonzero(on_cone))

@@ -505,7 +505,7 @@ def test_jet_operation_budget(monkeypatch):
     monkeypatch.setattr(Jet, "__rmul__", counted_mul)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts == {"calls": 50, "terms": 652, "products": 95784, "jet_mul": 94}
+    assert counts == {"calls": 45, "terms": 652, "products": 102072, "jet_mul": 87}
 
 
 # -- carrier order ------------------------------------------------------------------------------
