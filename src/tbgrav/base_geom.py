@@ -36,13 +36,13 @@ EM_STRESS_SIGN = +1.0
 
 # -- jet-matrix utilities -------------------------------------------------------
 
-_UPPER = np.triu_indices(4)  # the ten (i, j >= i) pairs, row-major
+UPPER = np.triu_indices(4)  # the ten (i, j >= i) pairs, row-major
 _MIRROR = np.empty((4, 4), dtype=int)  # _MIRROR[i, j]: the upper pair of (i, j)
-_MIRROR[_UPPER] = _MIRROR.T[_UPPER] = range(10)
-_STRICT = np.triu_indices(4, 1)  # the six (k, l > k) pairs
+_MIRROR[UPPER] = _MIRROR.T[UPPER] = range(10)
+STRICT = np.triu_indices(4, 1)  # the six (k, l > k) pairs
 # _ANTI[k, l]: the slot of (k, l) in [zero, the six pairs, their negations]
 _ANTI = np.zeros((4, 4), dtype=int)
-_ANTI[_STRICT], _ANTI.T[_STRICT] = range(1, 7), range(7, 13)
+_ANTI[STRICT], _ANTI.T[STRICT] = range(1, 7), range(7, 13)
 
 
 def symmetric(upper: JetArray) -> JetArray:
@@ -61,7 +61,7 @@ def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
     return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c])[_ANTI])
 
 
-def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
     """0.0 + terms[0] + terms[1] + ..., added in that order along axis 0."""
     return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
 
@@ -123,7 +123,7 @@ def christoffel_jets(g, ginv) -> JetArray:
     (j, k) formed once."""
     g, ginv = JetArray.stack(g), JetArray.stack(ginv)
     dg = g.partials(range(4))  # dg[k, i, j] = d_k g_ij
-    j, k = _UPPER
+    j, k = UPPER
     h = np.arange(4)[:, None]
     first_kind = dg[k, h, j] + dg[j, h, k] - dg[h, j, k]  # 2 gamma_hjk, indexed [h, pair]
     return symmetric((contract(ginv, first_kind) * 0.5).transpose(1, 0)).transpose(2, 0, 1)
@@ -133,7 +133,7 @@ def riemann_jets(gamma) -> JetArray:
     """r^i_jkl, antisymmetric in (k,l)."""
     gamma = JetArray.stack(gamma)
     dgam = gamma.partials(range(4))  # dgam[k, i, j, l] = d_k gamma^i_jl
-    k, l = _STRICT
+    k, l = STRICT
     lower = gamma.truncate(dgam.order)
     i, j, m = np.ix_(range(4), range(4), range(4))
     first, second = np.concatenate([k, l])[:, None, None, None], np.concatenate([l, k])[:, None, None, None]
@@ -148,7 +148,7 @@ def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     """(F_ij, F^i_j) from potential jets."""
     a, ginv = JetArray.stack(a), JetArray.stack(ginv)
     da = a.partials(range(4))  # da[i, j] = d_i A_j
-    i, j = _STRICT
+    i, j = STRICT
     f_low = antisymmetric(da[i, j] - da[j, i], JetArray(a.space, a.c[0] * 0.0))
     return f_low, contract(ginv, f_low)
 
@@ -158,7 +158,7 @@ def raise_both_indices(s_low, ginv) -> JetArray:
     ginv = JetArray.stack(ginv)
     half = contract(ginv, JetArray.stack(s_low))  # half[i, b] = g^{ia} S_ab
     b = np.arange(4)
-    i, j = _UPPER
+    i, j = UPPER
     return symmetric(sum_of_products(ginv, half, j[:, None] * 4 + b, i[:, None] * 4 + b))
 
 
@@ -211,7 +211,7 @@ class BaseGeometry:
     @cached_property
     def ricci_scalar(self) -> float:
         """g^jl r_jl from the values, summed row by row."""
-        return float(_sequential_sum((self.ginv.values * self.ricci.values).ravel()))
+        return float(sequential_sum((self.ginv.values * self.ricci.values).ravel()))
 
     @cached_property
     def faraday(self) -> tuple[JetArray, JetArray]:
@@ -228,7 +228,7 @@ class BaseGeometry:
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
         # -F_il F_j^l = +F_il F^l_j, then g_ij F^{lm} F_lm / 4, over the upper pairs
         (left, (low, g)), (right, (mix, q)) = concat(f_low, self.g), concat(f_mix, quarter_f2)
-        i, j = _UPPER
+        i, j = UPPER
         upper = sum_of_products(left, right, [low + i * 4 + l for l in range(4)] + [g + i * 4 + j],
                                 [mix + l * 4 + j for l in range(4)] + [q + 0 * i])
         return symmetric(upper * coeff)
@@ -238,7 +238,7 @@ class BaseGeometry:
         """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
         ric = self.ricci
         half_scalar = contract(self.ginv.ravel(), ric.ravel()) * 0.5
-        return symmetric(ric[_UPPER] - self.g[_UPPER] * half_scalar)
+        return symmetric(ric[UPPER] - self.g[UPPER] * half_scalar)
 
     @cached_property
     def einstein_maxwell(self) -> JetArray:
@@ -274,7 +274,7 @@ def densitized_divergence(s: Jet, v_up) -> np.ndarray:
     themselves."""
     prod = s * JetArray.stack(v_up)
     first = prod.space.first_index
-    return _sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
+    return sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
 
 
 def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
@@ -300,7 +300,7 @@ def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
     first = gam.transpose(0, 2, 1) * s.T[None]  # [i, j, m]
     second = gam[range(4), :, range(4)][None] * s[:, None, :]  # [i, j, m]
     terms = np.concatenate([d_s[:, :, None], np.stack([first, second], axis=-1).reshape(4, 4, 8)], axis=2)
-    return _sequential_sum(terms.reshape(4, 36).T)
+    return sequential_sum(terms.reshape(4, 36).T)
 
 
 # -- float helpers of the dynamics' right-hand sides --------------------------------

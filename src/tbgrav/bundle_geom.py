@@ -13,14 +13,14 @@ and the curvature ladder is built from the tidal tensor
 
 Everything is evaluated on joint 8-variable jets (x in slots 0-3, y in slots
 4-7); the base fields g, g^-1, gamma, A and F are built on 4-variable jets
-and lifted (``jets.lift_jets``), which gives the coefficients an 8-variable
+and lifted (``JetArray.lift``), which gives the coefficients an 8-variable
 evaluation gives, up to the sign of zero y coefficients.  Fiber derivatives
 of B use the explicit closed forms; the pure jet route is kept alongside as a
-cross-check (``fiber_derivs_B``).  Contractions of jet arrays go through
-``jets.contract``, which gives the bits of ``@`` (the products added left to
-right, as an explicit loop does) but leaves out the terms with an all-zero
-factor: with a finite other factor such a term is all +0.0, and adding it to
-a sum of products changes no bit.  ``np.einsum`` is used on float arrays only.
+cross-check (``fiber_derivs_B``).  Each object is one ``JetArray``, formed by
+whole-tensor operations: a contraction or a sum of products is one masked
+kernel call (``jet_arrays.sum_of_products``), which gives the bits of the
+left-to-right jet sum but leaves out the terms with an all-zero factor (the
+mask rules of ``jets``).  ``np.einsum`` is used on float arrays only.
 The deviation and oracle right-hand sides read N, E and the spray from a
 float twin of this route, one straight-line kernel written from the model's
 tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import base_geom
 from .errors import UsageError
-from .base_geom import _UPPER, antisymmetric, symmetric
+from .base_geom import STRICT, UPPER, antisymmetric, sequential_sum, symmetric
 from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import MAX_ORDER, Jet, jet_space
 from .spacetime import SpacetimeModel
@@ -157,9 +157,9 @@ class BundleGeometry:
     @cached_property
     def l_hess(self) -> JetArray:
         """Fiber Hessian of |y|: l_{j.k} = (g_jk - l_j l_k)/|y|."""
-        j, k = _UPPER
+        j, k = UPPER
         outer = products(self.l_low, self.l_low, j, k)
-        return symmetric((self.g[_UPPER] - outer) * self.inv_norm)
+        return symmetric((self.g[UPPER] - outer) * self.inv_norm)
 
     @cached_property
     def f_vec(self) -> JetArray:
@@ -191,7 +191,7 @@ class BundleGeometry:
     def b_jk(self) -> JetArray:
         """Closed form B^i_.jk = -(alpha/2)(l_{j.k} F^i + l_j F^i_k + l_k F^i_j)."""
         (left, (hess, low)), (right, (vec, mix)) = concat(self.l_hess, self.l_low), concat(self.f_vec, self.faraday[1])
-        i, (j, k) = np.arange(4)[:, None], _UPPER
+        i, (j, k) = np.arange(4)[:, None], UPPER
         # l_{j.k} F^i + l_j F^i_k + l_k F^i_j, indexed [i, pair]
         upper = sum_of_products(left, right, [hess + j * 4 + k, low + j, low + k],
                                 [vec + i, mix + i * 4 + k, mix + i * 4 + j]) * (-0.5 * self.alpha)
@@ -238,7 +238,7 @@ class BundleGeometry:
         These components double as the (generally nonvanishing) torsion of the
         Berwald-type connection; no separate storage is needed."""
         adapted = self.delta(self.n_conn)  # [k, i, j]
-        j, k = base_geom._STRICT
+        j, k = STRICT
         strict = adapted[k, :, j] - adapted[j, :, k]  # [pair, i]
         zero = self.n_conn[0, 0] * 0.0
         return antisymmetric(strict, JetArray.stack(zero)).transpose(2, 0, 1)
@@ -279,7 +279,7 @@ class BundleGeometry:
         x_vec = JetArray.stack(x_vec)
         adapted = self.delta(x_vec, connection).values.diagonal()
         trace = self.gamma.values.diagonal(0, 0, 1) * x_vec.values[:, None]  # [i, j]: gamma^j_ji X^i
-        return float(base_geom._sequential_sum(np.concatenate([adapted[:, None], trace], axis=1).ravel()))
+        return float(sequential_sum(np.concatenate([adapted[:, None], trace], axis=1).ravel()))
 
     @cached_property
     def div_term(self) -> float:
@@ -297,7 +297,7 @@ class BundleGeometry:
     def quad_term(self) -> float:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
         terms = -0.5 * self.ginv.values * _fiber_hessian(JetArray.stack(self.b_trace2))
-        return float(base_geom._sequential_sum(terms.ravel()))
+        return float(sequential_sum(terms.ravel()))
 
     @cached_property
     def b_scalar(self) -> Jet:

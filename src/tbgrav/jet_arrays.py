@@ -22,22 +22,6 @@ from .jets import Jet, JetSpace, jet_space
 
 # products formed per np.bincount call: bounds the stacked intermediates
 _CHUNK = 1 << 12
-# (space, live slots of a, live slots of b) -> the multiplication-table pairs they keep
-_LIVE_PAIRS: dict = {}
-_LIVE_PAIRS_MAX = 512
-
-
-def _live_pairs(space: JetSpace, slots_a: np.ndarray, slots_b: np.ndarray):
-    """(ia, ib, ic) of the table pairs whose two coefficients are live, in table order."""
-    key = (space, slots_a.tobytes(), slots_b.tobytes())
-    pairs = _LIVE_PAIRS.get(key)
-    if pairs is None:
-        if len(_LIVE_PAIRS) >= _LIVE_PAIRS_MAX:
-            _LIVE_PAIRS.clear()
-        ia, ib, ic = space._mul_table
-        keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
-        pairs = _LIVE_PAIRS[key] = (ia[keep], ib[keep], ic[keep])
-    return pairs
 
 
 def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -56,7 +40,7 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     if np.isfinite(a).all() and np.isfinite(b).all():
         out_index, k = np.nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb])
         ra, rb = ta[out_index, k], tb[out_index, k]
-        ia, ib, ic = _live_pairs(space, a.any(axis=0), b.any(axis=0))
+        ia, ib, ic = space.live_pairs(a.any(axis=0), b.any(axis=0))
     else:
         out_index, ra, rb = np.repeat(np.arange(n_out), n_k), ta.ravel(), tb.ravel()
         ia, ib, ic = space._mul_table
@@ -173,8 +157,8 @@ class JetArray:
         return (self[i] for i in range(len(self)))
 
     @property
-    def flat(self):
-        return (Jet(self.space, c) for c in self.c.reshape(-1, self.space.size))
+    def flat(self) -> list[Jet]:
+        return [Jet(self.space, c) for c in self.c.reshape(-1, self.space.size)]
 
     def transpose(self, *axes) -> "JetArray":
         axes = axes or tuple(range(self.ndim))[::-1]

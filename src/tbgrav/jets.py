@@ -9,7 +9,9 @@ or by shifting jet coefficients (``partial``), never by finite differences.
 Coefficients are Taylor coefficients (derivative / multi-index factorial),
 stored densely in graded-lexicographic order.  Arithmetic between jets of the
 same variable count but different orders truncates to the coarser operand;
-jets of different variable counts do not mix.
+jets of different variable counts do not mix.  A tensor of jets is one
+``jet_arrays.JetArray``; the mask rules below let both types leave out zero
+terms with the bits of the full operation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import ConfigError, SingularEvaluationError, UsageError
 
 MAX_ORDER = 4
 MAX_NVARS = 8
+_LIVE_PAIRS_KEPT = 256  # mask pairs per space whose live table pairs are kept
 
 
 def _monomials(order: int, nvars: int) -> list[tuple[int, ...]]:
@@ -58,6 +61,7 @@ class JetSpace:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials])
         self._mul_table = self._build_mul_table()
+        self._live_pairs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._shift_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # derivative = coefficient * prod(factorials of the multi-index)
         self.factorials = np.array(
@@ -82,6 +86,20 @@ class JetSpace:
                         ib.append(j)
                         ic.append(k)
         return np.array(ia), np.array(ib), np.array(ic)
+
+    def live_pairs(self, slots_a: np.ndarray, slots_b: np.ndarray):
+        """(ia, ib, ic) of the multiplication-table pairs whose left slot is
+        true in ``slots_a`` and right slot in ``slots_b``, in table order,
+        kept per pair of masks (up to _LIVE_PAIRS_KEPT, then cleared)."""
+        key = (slots_a.tobytes(), slots_b.tobytes())
+        pairs = self._live_pairs.get(key)
+        if pairs is None:
+            if len(self._live_pairs) >= _LIVE_PAIRS_KEPT:
+                self._live_pairs.clear()
+            ia, ib, ic = self._mul_table
+            keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
+            pairs = self._live_pairs[key] = (ia[keep], ib[keep], ic[keep])
+        return pairs
 
     @cached_property
     def first_index(self) -> np.ndarray:
@@ -276,26 +294,35 @@ def inline_series(series, v: str, order: int, let) -> list[str] | None:
     return names
 
 
-# -- zero rules ---------------------------------------------------------------
+# -- mask rules ---------------------------------------------------------------
 #
-# Most jets of a static, symmetric solution are identically zero.  These rules
-# leave such terms out and give the bits the full operation gives:
+# Most jets of a static, symmetric solution are identically zero, and most
+# coefficients of a lifted base field are.  A product or sum of products
+# leaves out what these rules allow and gives the bits the full operation
+# gives:
 #
-# - A product's coefficients are np.bincount sums that start from +0.0, so a
-#   product never holds -0.0, and a product with an all-zero factor (of
-#   either sign) and a finite other factor is all +0.0: ``Jet.__mul__``
-#   returns the space's shared +0.0 jet.  With an inf or NaN in the other
-#   factor it takes the full product, so that NaN propagates.
-# - x - Z is x when Z is all +0.0, for every x (``Jet.__sub__``).
-# - x + Z is x when Z is all +0.0 only if x holds no -0.0.  That holds for
-#   products and sums of products, the terms of ``contract``, and for a jet
-#   known to be all +0.0 (``Jet.__add__``); not for a negation or a scaled
-#   copy.
+# - A product's coefficients are np.bincount sums over the multiplication
+#   table that start from +0.0, so a product never holds -0.0, and neither
+#   does a sum of products.  Adding the +0.0 of a left-out term to one
+#   changes no bit.
+# - A term whose factor is all zero (of either sign), met by a finite other
+#   factor, is all +0.0: ``Jet.__mul__`` returns the space's shared +0.0
+#   jet, and ``jet_arrays`` leaves the term out of its sum (its all-zero
+#   mask per entry).
+# - A table pair with a coefficient that is zero in every entry of its
+#   operand adds only zeros to a bincount sum: ``jet_arrays`` leaves it out.
+# - With an inf or NaN in a factor, the full product is taken (in
+#   ``jet_arrays``: every term and pair of the operation), so that NaN
+#   propagates.
+# - x - Z is x when Z is all +0.0, for every x (``Jet.__sub__``).  x + Z is
+#   x only if x holds no -0.0: true for products and sums of products and
+#   for a jet known to be all +0.0 (``Jet.__add__``); not for a negation or
+#   a scaled copy.
 #
 # ``Jet.kind`` sorts a jet into one of four classes, ordered so that
 # ``kind <= SIGNED_ZERO`` means all zero and ``kind <= FINITE`` all finite.
 # It is set when a rule makes the jet, or computed once on first use.  A
-# truncation, partial or lift of an all-+0.0 jet is the shared +0.0 jet.
+# truncation or partial of an all-+0.0 jet is the shared +0.0 jet.
 
 PLUS_ZERO = 0  # every coefficient is +0.0
 SIGNED_ZERO = 1  # every coefficient is +0.0 or -0.0, and one is -0.0

@@ -491,7 +491,7 @@ def test_jet_operation_budget(monkeypatch):
         live = int(np.count_nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb]))
         counts["calls"] += 1
         counts["terms"] += live
-        counts["products"] += live * len(jet_arrays._live_pairs(space, a.any(axis=0), b.any(axis=0))[0])
+        counts["products"] += live * len(space.live_pairs(a.any(axis=0), b.any(axis=0))[0])
         return kernel(space, a, b, ta, tb)
 
     def counted_mul(self, other):
