@@ -296,7 +296,7 @@ class BundleGeometry:
     @cached_property
     def quad_term(self) -> float:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
-        terms = -0.5 * self.ginv.values * _fiber_hessian(JetArray.stack(self.b_trace2))
+        terms = -0.5 * self.ginv.values * _fiber_hessian(self.b_trace2)
         return float(sequential_sum(terms.ravel()))
 
     @cached_property
@@ -308,13 +308,13 @@ class BundleGeometry:
     @cached_property
     def b_hessian(self) -> np.ndarray:
         """Fiber Hessian of ``b_scalar`` as float values (y-independent)."""
-        return _fiber_hessian(JetArray.stack(self.b_scalar))
+        return _fiber_hessian(self.b_scalar)
 
 
-def _fiber_hessian(f: JetArray) -> np.ndarray:
-    """f_.jl, the second fiber partials of joint-space jets, as float values
-    indexed [*f.shape, j, l]."""
-    return f.hessian()[..., Y_SLOT0:, Y_SLOT0:]
+def _fiber_hessian(f) -> np.ndarray:
+    """f_.jl, the second fiber partials of joint-space jets (a jet or a jet
+    array), as float values indexed [*f.shape, j, l]."""
+    return JetArray.stack(f).hessian()[..., Y_SLOT0:, Y_SLOT0:]
 
 
 def _field_jets(values) -> JetArray:

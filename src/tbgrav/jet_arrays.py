@@ -153,9 +153,6 @@ class JetArray:
         c = self.c[(index if isinstance(index, tuple) else (index,)) + (slice(None),)]
         return Jet(self.space, c) if c.ndim == 1 else JetArray(self.space, c)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     @property
     def flat(self) -> list[Jet]:
         return [Jet(self.space, c) for c in self.c.reshape(-1, self.space.size)]

@@ -406,13 +406,6 @@ class Jet:
             raise UsageError("gradient requires order >= 1")
         return self.c[self.space.first_index]
 
-    def hessian(self) -> np.ndarray:
-        """Matrix of second partials."""
-        if self.order < 2:
-            raise UsageError("hessian requires order >= 2")
-        slot, fac = self.space.second_index
-        return self.c[slot] * fac
-
     def truncate(self, order: int) -> "Jet":
         """This jet at a lower order; each order's copy is made once and then
         returned again (jets are not changed in place)."""

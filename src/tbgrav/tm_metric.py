@@ -229,13 +229,12 @@ def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
     given as ``x_field(model, point, order)`` returning 4 joint-space jets."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    comps = x_field(model, p, order)
-    if np.shape(comps) != (4,) and getattr(comps, "shape", None) != (4,):
-        raise UsageError("horizontal field must evaluate to 4 components")
     try:
-        comps = JetArray.stack(comps)
+        comps = JetArray.stack(x_field(model, p, order))
     except UsageError:
         raise UsageError("horizontal field must evaluate to jets") from None
+    if comps.shape != (4,):
+        raise UsageError("horizontal field must evaluate to 4 components")
     return geo.divergence(comps, geo.n_conn)
 
 

@@ -189,8 +189,8 @@ def test_cem_schwarzschild_reduces_to_einstein():
 
 
 def test_geometry_functions_return_jet_arrays():
-    # bare object arrays of jets, 4 along every axis; symmetric tensors share
-    # one jet between mirrored entries, so they are symmetric by construction
+    # one jet array each, 4 along every axis; mirrored entries of a symmetric
+    # tensor hold the same bytes, so it is symmetric by construction
     geo = BaseGeometry(RN, X_RN, 2)
     arrays = {
         "metric_jet": metric_jet(RN, X_RN, order=1),

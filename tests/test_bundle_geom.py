@@ -560,8 +560,8 @@ def test_lifted_base_fields_match_joint_space_route(name):
     the coefficients of the 8-variable evaluation, compared with
     ``np.array_equal``, so +0.0 and -0.0 count as equal: the 8-variable route
     leaves -0.0 in some y coefficients (negations and negative scalar
-    factors of zero), where the lift writes +0.0.  Mirrored entries stay one
-    jet."""
+    factors of zero), where the lift writes +0.0.  Mirrored entries hold the
+    same bytes."""
     model = catalog(name, CATALOG_PARAMS[name])
     rng = np.random.default_rng(31)
     for alpha in (0.0, 0.5):
