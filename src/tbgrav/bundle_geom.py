@@ -317,14 +317,6 @@ def _fiber_hessian(f) -> np.ndarray:
     return JetArray.stack(f).hessian()[..., Y_SLOT0:, Y_SLOT0:]
 
 
-def _field_jets(values) -> JetArray:
-    """The jets a fiber field returned, as one jet array."""
-    try:
-        return JetArray.stack(values)
-    except UsageError:
-        raise UsageError("fiber field must evaluate to jets") from None
-
-
 # -- public operations ------------------------------------------------------------
 
 
@@ -346,7 +338,11 @@ def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
     which returns a jet or jets on the joint 8-variable space; returns jets
     one order down, indexed [i, *field index]."""
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    return geo.delta(_field_jets(field(model, geo.p, order)))
+    try:
+        values = JetArray.stack(field(model, geo.p, order))
+    except UsageError:
+        raise UsageError("fiber field must evaluate to jets") from None
+    return geo.delta(values)
 
 
 def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
