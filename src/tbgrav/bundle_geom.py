@@ -20,7 +20,7 @@ cross-check (``fiber_derivs_B``).  Each object is one ``JetArray``, formed by
 whole-tensor operations: a contraction or a sum of products is one masked
 kernel call (``jet_arrays.sum_of_products``), which gives the bits of the
 left-to-right jet sum but leaves out the terms with an all-zero factor (the
-mask rules of ``jets``).  ``np.einsum`` is used on float arrays only.
+mask rules of ``jet_arrays``).  ``np.einsum`` is used on float arrays only.
 The deviation and oracle right-hand sides read N, E and the spray from a
 float twin of this route, one straight-line kernel written from the model's
 tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).

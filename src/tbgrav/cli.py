@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .jet_arrays import jet_values
-from .spacetime import alpha_star, catalog, load_model, metric_values, signature_signs
+from .spacetime import catalog, checked_alpha, load_model, metric_values, signature_signs
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
 SINGULAR_ERRORS = (SingularEvaluationError, ChartError, IntegrationError)
@@ -43,9 +43,16 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--alpha", default=None, help='coupling: a number or "star"')
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--samples``: a whole number >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_integration_args(p: argparse.ArgumentParser):
     p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=_count, default=101)
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-10)
 
@@ -81,15 +88,14 @@ def _resolve_model(args):
         if params:
             raise UsageError("--param applies to --catalog models only")
     if args.alpha is not None:
-        if args.alpha == "star":
-            model.alpha = alpha_star(model.c, model.k)
-            model.alpha_is_star = True
-        else:
+        alpha = args.alpha
+        if alpha != "star":
             try:
-                model.alpha = float(args.alpha)
+                alpha = float(alpha)
             except ValueError:
                 raise UsageError(f'--alpha expects a number or "star", got {args.alpha!r}') from None
-            model.alpha_is_star = False
+        model.alpha = checked_alpha(UsageError, {}, alpha, model.c, model.k)
+        model.alpha_is_star = alpha == "star"
     return model
 
 
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--samples", type=int, default=5, help="points per check")
+    p.add_argument("--samples", type=_count, default=5, help="points per check")
     p.add_argument("--tol-tier1", type=float, default=None, help="first-derivative tolerance")
     p.add_argument("--tol-tier2", type=float, default=None, help="curvature tolerance")
     p.add_argument("--tol-tier3", type=float, default=None, help="third-derivative tolerance")

@@ -98,7 +98,7 @@ class Trajectory:
     def sample(self, t: float) -> np.ndarray:
         """Cubic Hermite interpolation between accepted steps."""
         times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
             raise UsageError(f"sample time {t} outside [{times[0]}, {times[-1]}]")
         if len(times) == 1:
             return self.states[0].copy()
@@ -123,7 +123,7 @@ class Trajectory:
         first, last = times[0], times[-1]
 
         def sample(t: float) -> list[float]:
-            if t < first - 1e-12 or t > last + 1e-12:
+            if not first - 1e-12 <= t <= last + 1e-12:
                 raise UsageError(f"sample time {t} outside [{first}, {last}]")
             if len(times) == 1:
                 return list(states[0])
@@ -148,6 +148,10 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     stage sums are written out over the components.  Each accepted step is
     one row (t, state, derivative) of a float block of ``_BLOCK`` rows, and
     the trajectory's arrays are joined from the blocks at the end."""
+    if not 0.0 <= t_end < math.inf:
+        raise UsageError(f"t_end must be finite and >= 0, got {t_end}")
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf) or rtol == atol == 0.0:
+        raise UsageError(f"rtol and atol must be finite, >= 0 and not both 0, got {rtol} and {atol}")
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), a7 = _A
     a71, _, a73, a74, a75, a76 = a7
     c2, c3, c4, c5 = _C

@@ -7,7 +7,7 @@ scalings broadcast, partials, truncations, lifts and values are one gather
 or slice, and products and contractions are one masked kernel call
 (``sum_of_products``: an np.bincount of the live products, then one of
 their sums).  Each coefficient has the bits the same operations give on the
-entries as ``Jet`` objects; ``jets`` states the mask rules that allow it.
+entries as ``Jet`` objects; the mask rules below allow it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,23 @@ from .jets import Jet, JetSpace, jet_space
 # products formed per np.bincount call: bounds the stacked intermediates
 _CHUNK = 1 << 12
 
+# -- mask rules ---------------------------------------------------------------
+#
+# Most jets of a static, symmetric solution are identically zero, and most
+# coefficients of a lifted base field are.  ``_coefficients`` leaves out what
+# these rules allow and gives the bits of the full dense operation:
+#
+# - A product's coefficients are np.bincount sums over the multiplication
+#   table that start from +0.0, so a product never holds -0.0, and neither
+#   does a sum of products.  Adding the +0.0 of a left-out term to one
+#   changes no bit.
+# - A term with an all-zero factor (of either sign) and a finite other
+#   factor is all +0.0: it is left out (its all-zero mask per entry).
+# - A table pair with a coefficient that is zero in every entry of its
+#   operand adds only zeros to a bincount sum: it is left out.
+# - With an inf or NaN in an operand, every term and pair is taken, so that
+#   NaN propagates.
+
 
 def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """Rows out[o] = sum over k of a[ta[o, k]] * b[tb[o, k]], for coefficient
@@ -30,10 +47,7 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
 
     Each product is the multiplication table's np.bincount (its pairs added
     in table order), and each sum adds its terms in k order, starting from
-    +0.0, as ``Jet`` sums them.  By the mask rules (``jets``) a term with an
-    all-zero factor and a table pair with a coefficient that is zero in
-    every row of its operand are left out when all coefficients are finite;
-    with an inf or NaN anywhere every term and pair is taken.
+    +0.0, as ``Jet`` sums them, less what the mask rules leave out.
     """
     size = space.size
     n_out, n_k = ta.shape

@@ -9,9 +9,9 @@ or by shifting jet coefficients (``partial``), never by finite differences.
 Coefficients are Taylor coefficients (derivative / multi-index factorial),
 stored densely in graded-lexicographic order.  Arithmetic between jets of the
 same variable count but different orders truncates to the coarser operand;
-jets of different variable counts do not mix.  A tensor of jets is one
-``jet_arrays.JetArray``; the mask rules below let both types leave out zero
-terms with the bits of the full operation.
+jets of different variable counts do not mix.  Every operation is the full
+dense one; a tensor of jets is one ``jet_arrays.JetArray``, whose products
+leave out zero terms with the same bits (its mask rules).
 """
 
 from __future__ import annotations
@@ -133,14 +133,6 @@ class JetSpace:
                 fac.append(m[var] + 1)
             self._shift_tables[var] = (np.array(dst), np.array(src), np.array(fac, dtype=float))
         return self._shift_tables[var]
-
-    @cached_property
-    def zero(self) -> "Jet":
-        """The jet of this space whose coefficients are all +0.0 (read-only,
-        shared by every operation that returns it)."""
-        c = np.zeros(self.size)
-        c.flags.writeable = False
-        return Jet(self, c, PLUS_ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -294,52 +286,14 @@ def inline_series(series, v: str, order: int, let) -> list[str] | None:
     return names
 
 
-# -- mask rules ---------------------------------------------------------------
-#
-# Most jets of a static, symmetric solution are identically zero, and most
-# coefficients of a lifted base field are.  A product or sum of products
-# leaves out what these rules allow and gives the bits the full operation
-# gives:
-#
-# - A product's coefficients are np.bincount sums over the multiplication
-#   table that start from +0.0, so a product never holds -0.0, and neither
-#   does a sum of products.  Adding the +0.0 of a left-out term to one
-#   changes no bit.
-# - A term whose factor is all zero (of either sign), met by a finite other
-#   factor, is all +0.0: ``Jet.__mul__`` returns the space's shared +0.0
-#   jet, and ``jet_arrays`` leaves the term out of its sum (its all-zero
-#   mask per entry).
-# - A table pair with a coefficient that is zero in every entry of its
-#   operand adds only zeros to a bincount sum: ``jet_arrays`` leaves it out.
-# - With an inf or NaN in a factor, the full product is taken (in
-#   ``jet_arrays``: every term and pair of the operation), so that NaN
-#   propagates.
-# - x - Z is x when Z is all +0.0, for every x (``Jet.__sub__``).  x + Z is
-#   x only if x holds no -0.0: true for products and sums of products and
-#   for a jet known to be all +0.0 (``Jet.__add__``); not for a negation or
-#   a scaled copy.
-#
-# ``Jet.kind`` sorts a jet into one of four classes, ordered so that
-# ``kind <= SIGNED_ZERO`` means all zero and ``kind <= FINITE`` all finite.
-# It is set when a rule makes the jet, or computed once on first use.  A
-# truncation or partial of an all-+0.0 jet is the shared +0.0 jet.
-
-PLUS_ZERO = 0  # every coefficient is +0.0
-SIGNED_ZERO = 1  # every coefficient is +0.0 or -0.0, and one is -0.0
-FINITE = 2  # finite, and one coefficient is nonzero
-NONFINITE = 3  # a coefficient is inf or NaN, or so large that its square overflows
-
-
 class Jet:
     """Value plus partial derivatives to fixed total order, in nvars variables."""
 
-    __slots__ = ("space", "c", "_truncated", "_kind")
+    __slots__ = ("space", "c")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, kind: int | None = None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
-        self._truncated = None  # order -> the jet truncate() returned for it
-        self._kind = kind  # None until ``kind`` first computes it
 
     # -- constructors -------------------------------------------------------
 
@@ -377,20 +331,6 @@ class Jet:
     def nvars(self) -> int:
         return self.space.nvars
 
-    @property
-    def kind(self) -> int:
-        """PLUS_ZERO, SIGNED_ZERO, FINITE or NONFINITE, computed once."""
-        if self._kind is None:
-            c = self.c
-            s = c @ c
-            if s != 0.0:
-                self._kind = FINITE if s < math.inf else NONFINITE
-            elif np.count_nonzero(c):  # the squares of tiny coefficients underflow to 0
-                self._kind = FINITE
-            else:
-                self._kind = SIGNED_ZERO if np.count_nonzero(c.view(np.int64)) else PLUS_ZERO
-        return self._kind
-
     def derivative(self, multi: tuple[int, ...]) -> float:
         """Partial derivative for the exponent tuple ``multi``."""
         if len(multi) != self.nvars:
@@ -407,28 +347,20 @@ class Jet:
         return self.c[self.space.first_index]
 
     def truncate(self, order: int) -> "Jet":
-        """This jet at a lower order; each order's copy is made once and then
-        returned again (jets are not changed in place)."""
+        """This jet at a lower order, a slice of its coefficients (jets are
+        not changed in place)."""
         if order == self.order:
             return self
         if order > self.order:
             raise UsageError(f"cannot extend jet of order {self.order} to {order}")
-        if self._truncated is None:
-            self._truncated = {}
-        out = self._truncated.get(order)
-        if out is None:
-            sp = jet_space(order, self.nvars)
-            out = sp.zero if self._kind == PLUS_ZERO else Jet(sp, self.c[: sp.size].copy())
-            self._truncated[order] = out
-        return out
+        sp = jet_space(order, self.nvars)
+        return Jet(sp, self.c[: sp.size])
 
     def partial(self, var: int) -> "Jet":
         """Derivative with respect to variable ``var`` as a jet of order-1."""
         if self.order < 1:
             raise UsageError("partial() requires order >= 1")
         lower = jet_space(self.order - 1, self.nvars)
-        if self._kind == PLUS_ZERO:
-            return lower.zero
         dst, src, fac = self.space.shift_table(var)
         c = np.zeros(lower.size)
         c[dst] = self.c[src] * fac
@@ -455,8 +387,6 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
-        if a._kind == PLUS_ZERO and b._kind == PLUS_ZERO:
-            return a
         return Jet(a.space, a.c + b.c)
 
     __radd__ = __add__
@@ -466,8 +396,6 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
-        if b._kind == PLUS_ZERO:
-            return a
         return Jet(a.space, a.c - b.c)
 
     def __rsub__(self, other):
@@ -487,9 +415,6 @@ class Jet:
         if pair is None:
             return NotImplemented
         a, b = pair
-        ka, kb = self.kind, other.kind  # a truncation keeps a zero zero and a finite jet finite
-        if (ka <= SIGNED_ZERO and kb <= FINITE) or (kb <= SIGNED_ZERO and ka <= FINITE):
-            return a.space.zero
         ia, ib, ic = a.space._mul_table
         c = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=a.space.size)
         return Jet(a.space, c)
@@ -524,7 +449,7 @@ class Jet:
         u = Jet(self.space, c)
         result = Jet.constant(float(taylor[self.order]), self.order, self.nvars)
         for k in range(self.order - 1, -1, -1):
-            c = (result * u).c.copy()  # a product may be a shared zero jet
+            c = (result * u).c
             c[0] += taylor[k]
             result = Jet(self.space, c)
         return result

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartError, ConfigError, ModelError, SingularEvaluationError
+from .errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
 from .jet_arrays import JetArray
 from .jets import Jet
@@ -26,6 +26,20 @@ def alpha_star(c: float, k: float) -> float:
     """Coupling for which the bundle scalar curvature reproduces the
     Einstein-Maxwell Lagrangian: 3*alpha^2/2 = k/c^4."""
     return math.sqrt(2.0 * k / 3.0) / c**2
+
+
+def checked_alpha(error: type[EngineError], params: dict[str, float], alpha: float | str, c: float, k: float) -> float:
+    """The coupling ``alpha`` (``alpha_star(c, k)`` for "star"), once every
+    parameter, alpha, c and k is finite and c and k are positive; else
+    ``error`` names the first constant that is not."""
+    named = [*params.items(), ("c", c), ("k", k)] + ([] if alpha == "star" else [("alpha", alpha)])
+    for name, value in named:
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+    for name, value in (("c", c), ("k", k)):
+        if value <= 0:
+            raise error(f"{name} must be positive, got {value}")
+    return alpha_star(c, k) if alpha == "star" else float(alpha)
 
 
 @dataclass
@@ -110,6 +124,8 @@ def catalog(name: str, params: dict[str, float] | None = None) -> SpacetimeModel
     extra = [p for p in params if p not in required]
     if extra:
         raise ConfigError(f"model {name!r} does not accept parameters {extra}")
+    c = k = 1.0
+    alpha = checked_alpha(ConfigError, params, "star", c, k)
 
     if name in ("schwarzschild", "reissner_nordstrom", "weak_field"):
         if params["M"] <= 0:
@@ -157,14 +173,13 @@ def catalog(name: str, params: dict[str, float] | None = None) -> SpacetimeModel
     g_exprs = _parse_symmetric([[parse(s) for s in row] for row in g_src])
     a_exprs = [parse(s) for s in a_src]
     guard = parse(guard_src) if guard_src else None
-    c = k = 1.0
     return SpacetimeModel(
         name=name,
         coords=coords,
         params=params,
         g_exprs=g_exprs,
         a_exprs=a_exprs,
-        alpha=alpha_star(c, k),
+        alpha=alpha,
         c=c,
         k=k,
         chart_guard=guard,
@@ -222,6 +237,12 @@ def load_model(document: str) -> SpacetimeModel:
     ):
         raise ModelError("params must map names to numbers")
     params = {k: float(v) for k, v in params.items()}
+    c = float(doc.get("c", 1.0))
+    k = float(doc.get("k", 1.0))
+    alpha_field = doc.get("alpha", "star")
+    if not (alpha_field == "star" or isinstance(alpha_field, (int, float))):
+        raise ModelError('alpha must be a number or "star"')
+    alpha = checked_alpha(ModelError, params, alpha_field, c, k)
 
     metric_src = doc["metric"]
     if not (isinstance(metric_src, list) and len(metric_src) == 4 and all(
@@ -267,16 +288,6 @@ def load_model(document: str) -> SpacetimeModel:
     if guard is not None and free_symbols(guard) - allowed:
         raise ModelError("chart_guard uses unbound symbols")
 
-    c = float(doc.get("c", 1.0))
-    k = float(doc.get("k", 1.0))
-    alpha_field = doc.get("alpha", "star")
-    if alpha_field == "star":
-        alpha, is_star = alpha_star(c, k), True
-    elif isinstance(alpha_field, (int, float)):
-        alpha, is_star = float(alpha_field), False
-    else:
-        raise ModelError('alpha must be a number or "star"')
-
     return SpacetimeModel(
         name=str(name),
         coords=tuple(coords),
@@ -287,7 +298,7 @@ def load_model(document: str) -> SpacetimeModel:
         c=c,
         k=k,
         chart_guard=guard,
-        alpha_is_star=is_star,
+        alpha_is_star=alpha_field == "star",
     )
 
 

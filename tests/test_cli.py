@@ -7,7 +7,7 @@ import pytest
 
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.cli import main
-from tbgrav.spacetime import CATALOG_NAMES, catalog
+from tbgrav.spacetime import CATALOG_NAMES, catalog, print_model
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,37 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "theorem1", "--catalog", "minkowski", "--x", "1,2", "--y", "1,0,0,0")[0] == 2
     assert run_cli(capsys, "verify", "--catalog", "minkowski", "--no-such-flag")[0] == 2
     assert run_cli(capsys, "verify")[0] == 2  # no model source
+
+
+def test_samples_must_be_a_count(capsys):
+    geodesic = ("geodesic", "--catalog", "minkowski", "--x0", "0,0,0,0", "--y0", "1,0,0,0", "--t-end", "1")
+    deviation = ("deviation", *geodesic[1:], "--w0", "0,0.1,0,0")
+    for argv in (geodesic, deviation, ("verify", "--catalog", "minkowski")):
+        for samples in ("0", "-1", "-3", "2.5", "many"):
+            code, out, err = run_cli(capsys, *argv, "--samples", samples)
+            assert code == 2 and out == "" and "--samples" in err, (argv[0], samples)
+
+
+def test_bad_integration_inputs_exit_two(capsys):
+    geodesic = ("geodesic", "--catalog", "minkowski", "--x0", "0,0,0,0", "--y0", "1,0,0,0")
+    for flags in (("--t-end", "nan"), ("--t-end", "-1"), ("--rtol", "-1"),
+                  ("--atol", "nan"), ("--rtol", "0", "--atol", "0")):
+        code, out, err = run_cli(capsys, *geodesic, *flags)
+        assert code == 2 and out == "" and err.startswith("error:"), flags
+
+
+def test_bad_model_constants_exit_two(tmp_path, capsys):
+    x = ("--x", "0,0.1,0,0")
+    assert run_cli(capsys, "inspect", "--catalog", "uniform_field", "--param", "E0=nan", *x)[0] == 2
+    assert run_cli(capsys, "inspect", "--catalog", "schwarzschild", "--param", "M=nan", *x)[0] == 2
+    for alpha in ("nan", "inf", "-inf"):
+        assert run_cli(capsys, "inspect", "--catalog", "minkowski", "--alpha", alpha, *x)[0] == 2
+    doc = json.loads(print_model(catalog("minkowski")))
+    for change in ({"c": 0}, {"k": -1}, {"c": float("nan")}):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc | change), encoding="utf-8")
+        code, out, err = run_cli(capsys, "inspect", "--model", str(path), *x)
+        assert code == 2 and out == "" and err.startswith("error:"), change
 
 
 def test_singular_exit_three(capsys):

@@ -438,6 +438,34 @@ def test_integrator_counts_rejections_and_singular_retries():
     assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
 
 
+def _capped_rhs():
+    """y' = -y, failing its caller after 1,000 calls: an integration that
+    would never end fails instead of hanging."""
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        assert calls[0] <= 1000, "the integration did not stop"
+        return [-v for v in y]
+
+    return rhs
+
+
+def test_integrate_checks_its_inputs():
+    """t_end must be finite and >= 0; rtol and atol finite, >= 0 and not both
+    0.  t_end = 0 gives the initial state alone; one zero tolerance is enough."""
+    for t_end, rtol, atol in ((math.nan, 1e-8, 1e-8), (math.inf, 1e-8, 1e-8), (-1.0, 1e-8, 1e-8),
+                              (1.0, -1.0, 1e-8), (1.0, 1e-8, -1.0), (1.0, math.nan, 1e-8), (1.0, 1e-8, math.inf),
+                              (1.0, 0.0, 0.0)):
+        with pytest.raises(UsageError):
+            dyn._integrate(_capped_rhs(), [1.0], t_end, rtol, atol)
+    point = dyn._integrate(_capped_rhs(), [1.0], 0.0, 1e-8, 1e-8)
+    assert point.times.tolist() == [0.0] and point.states.tolist() == [[1.0]]
+    for rtol, atol in ((0.0, 1e-8), (1e-8, 0.0)):
+        decay = dyn._integrate(_capped_rhs(), [1.0], 1.0, rtol, atol)
+        assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-6)
+
+
 def test_step_ratio_is_the_dopri5_stability_polynomial():
     """On y' = y an accepted step of size h multiplies y by R(h) = 1 +
     sum_k h^k b^T A^(k-1) 1, here derived exactly from the tableau of
@@ -508,6 +536,14 @@ def test_sample_outside_range_rejected():
     for t in (-0.5, 0.5):
         with pytest.raises(UsageError, match="outside"):
             point.sample(t)
+
+
+def test_sample_refuses_nan():
+    traj = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=1.0)
+    point = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=0.0)
+    for sample in (traj.sample, traj.sampler(), point.sample, point.sampler()):
+        with pytest.raises(UsageError, match="outside"):
+            sample(math.nan)
 
 
 def test_list_sampler_matches_sample_bit_for_bit():

@@ -55,6 +55,10 @@ def test_catalog_errors():
         catalog("minkowski", {"M": 1.0})
     with pytest.raises(ConfigError):
         catalog("reissner_nordstrom", {"M": 1.0, "Q": 2.0})
+    for name, params in (("schwarzschild", {"M": math.nan}), ("schwarzschild", {"M": math.inf}),
+                         ("reissner_nordstrom", {"M": 1.0, "Q": math.nan}), ("uniform_field", {"E0": -math.inf})):
+        with pytest.raises(ConfigError, match="must be finite"):
+            catalog(name, params)
 
 
 def test_metric_jet_constant_for_minkowski():
@@ -136,6 +140,19 @@ def test_alpha_star_value():
     m = load_model(json.dumps(doc))
     assert m.alpha == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-7)
     assert alpha_star(1.0, 1.0) == pytest.approx(0.8164966, abs=1e-7)
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"c": 0}, "c must be positive"), ({"c": -2.0}, "c must be positive"), ({"k": -1}, "k must be positive"),
+    ({"k": 0.0}, "k must be positive"), ({"c": math.inf}, "c must be finite"), ({"k": math.nan}, "k must be finite"),
+    ({"alpha": math.nan}, "alpha must be finite"), ({"alpha": -math.inf}, "alpha must be finite"),
+    ({"params": {"M": math.nan}}, "M must be finite"), ({"c": 0, "alpha": 0.5}, "c must be positive"),
+])
+def test_load_model_refuses_bad_constants(change, match):
+    """A model document's parameters, alpha, c and k must be finite, and c
+    and k positive (JSON as Python writes it: NaN and Infinity literals)."""
+    with pytest.raises(ModelError, match=match):
+        load_model(json.dumps(dict(SCHW_DOC, **change)))
 
 
 def test_empty_potential_defaults_to_zero():

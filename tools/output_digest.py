@@ -47,9 +47,10 @@ import math
 import numpy as np
 
 from tbgrav import base_geom, bundle_geom, cli, dynamics, verify
-from tbgrav.base_geom import BaseGeometry
+from tbgrav.base_geom import BaseGeometry, sqrt_minus_det
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import IntegrationError
+from tbgrav.jets import Jet
 from tbgrav.spacetime import CATALOG_NAMES, catalog, load_model
 
 RN = ["--catalog", "reissner_nordstrom", "--param", "M=1", "--param", "Q=0.3"]
@@ -84,6 +85,8 @@ RN_INGOING_EF = json.dumps({
 PLUNGE_X0, PLUNGE_Y0 = [0.0, 3.0, math.pi / 2, 0.0], [2.0, -0.5, 0.0, 0.0]
 ORACLE_X0, ORACLE_Y0 = [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.005, 0.0, 0.98 * math.sqrt(1e-3)]
 ORACLE_W0, ORACLE_BIG_W0 = [0.0, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.01]
+BASE_JETS = ("g", "ginv", "a_pot", "gamma", "riemann", "ricci", "einstein_maxwell")
+BUNDLE_JETS = ("n_conn", "berwald", "tidal", "norm2", "norm", "inv_norm", "b_trace2", "b_scalar")
 
 
 def sha(data: bytes | str) -> str:
@@ -133,12 +136,12 @@ def rhs_lines():
 
 
 def jet_bytes(arr) -> bytes:
-    """Order, variable count and coefficient bytes of every jet of a jet
-    array, each at the array's lowest order.  A ``JetArray`` holds one order;
-    the object arrays of jets of older trees held the diagonal zeros of r^i_jkl
-    and F_ij one order above the other entries, which every consumer
-    truncated away."""
-    jets = list(arr.flat)
+    """Order, variable count and coefficient bytes of a jet or of every jet
+    of a jet array, each at the array's lowest order.  A ``JetArray`` holds
+    one order; the object arrays of jets of older trees held the diagonal
+    zeros of r^i_jkl and F_ij one order above the other entries, which every
+    consumer truncated away."""
+    jets = [arr] if isinstance(arr, Jet) else list(arr.flat)
     order = min(j.order for j in jets)
     return b"".join(bytes([order, j.nvars]) + j.truncate(order).c.tobytes() for j in jets)
 
@@ -146,19 +149,20 @@ def jet_bytes(arr) -> bytes:
 def jet_route_lines():
     for name, points in seeded_points().items():
         model = catalog(name, PARAMS.get(name))
-        digests = {attr: hashlib.sha256() for attr in ("ginv", "gamma", "riemann", "ricci", "einstein_maxwell")}
+        digests = {attr: hashlib.sha256() for attr in (*BASE_JETS, "sqrt_minus_det")}
         for x in points:
             base = BaseGeometry(model, x, 4)
-            for attr, digest in digests.items():
-                digest.update(jet_bytes(getattr(base, attr)))
+            for attr in BASE_JETS:
+                digests[attr].update(jet_bytes(getattr(base, attr)))
+            digests["sqrt_minus_det"].update(jet_bytes(sqrt_minus_det(base.g)))
         for attr, digest in digests.items():
             yield f"BaseGeometry.{attr}.{name}", digest.hexdigest()
         for alpha in (0.0, 0.5):
-            digests = {attr: hashlib.sha256() for attr in ("n_conn", "berwald", "tidal", "b_hessian")}
+            digests = {attr: hashlib.sha256() for attr in (*BUNDLE_JETS, "b_hessian")}
             scalars = {attr: [] for attr in ("div_term", "quad_term", "d_ricci_scalar")}
             for x in points:
                 geo = BundleGeometry(model, (x, Y), alpha=alpha)
-                for attr in ("n_conn", "berwald", "tidal"):
+                for attr in BUNDLE_JETS:
                     digests[attr].update(jet_bytes(getattr(geo, attr)))
                 digests["b_hessian"].update(geo.b_hessian.tobytes())
                 for attr, values in scalars.items():
