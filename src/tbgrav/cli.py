@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,24 @@ def _count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a whole number >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol-tier1/2/3``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _add_integration_args(p: argparse.ArgumentParser):
@@ -250,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the residual check suite")
     _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--samples", type=_count, default=5, help="points per check")
-    p.add_argument("--tol-tier1", type=float, default=None, help="first-derivative tolerance")
-    p.add_argument("--tol-tier2", type=float, default=None, help="curvature tolerance")
-    p.add_argument("--tol-tier3", type=float, default=None, help="third-derivative tolerance")
+    p.add_argument("--tol-tier1", type=_tolerance, default=None, help="first-derivative tolerance")
+    p.add_argument("--tol-tier2", type=_tolerance, default=None, help="curvature tolerance")
+    p.add_argument("--tol-tier3", type=_tolerance, default=None, help="third-derivative tolerance")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("geodesic", help="integrate a charged-particle worldline (CSV)")

@@ -7,7 +7,9 @@ scalings broadcast, partials, truncations, lifts and values are one gather
 or slice, and products and contractions are one masked kernel call
 (``sum_of_products``: an np.bincount of the live products, then one of
 their sums).  Each coefficient has the bits the same operations give on the
-entries as ``Jet`` objects; the mask rules below allow it.
+entries as ``Jet`` objects; the mask rules below allow it.  The kernel plans
+each key of term tables and zero masks once (flat gathers and bincount bins)
+and keeps the plan for the calls that meet the key again.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import numpy as np
 
 from .errors import UsageError
 from .jets import Jet, JetSpace, jet_space
-
-# products formed per np.bincount call: bounds the stacked intermediates
-_CHUNK = 1 << 12
 
 # -- mask rules ---------------------------------------------------------------
 #
@@ -40,6 +39,31 @@ _CHUNK = 1 << 12
 # - With an inf or NaN in an operand, every term and pair is taken, so that
 #   NaN propagates.
 
+_PLANS_KEPT = 256  # kernel plans kept, then cleared
+_plans: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_any, _all = np.logical_or.reduce, np.logical_and.reduce
+
+
+def _plan(space: JetSpace, ta: np.ndarray, tb: np.ndarray, masks=None):
+    """(gather_a, gather_b, term_bins, out_bins) of one kernel call: the flat
+    indices into a and b of the live products, term by term and each term's
+    table pairs in table order, the bin of each product (term x S + slot) and
+    the output bin of each term coefficient.  ``masks`` holds the nonzero masks
+    (rows_a, rows_b, slots_a, slots_b), or None to take every term and pair."""
+    size = space.size
+    ia, ib, ic = space._mul_table
+    if masks is None:
+        out_index, ra, rb = np.repeat(np.arange(len(ta)), ta.shape[1]), ta.ravel(), tb.ravel()
+    else:
+        rows_a, rows_b, slots_a, slots_b = masks
+        out_index, k = np.nonzero(rows_a[ta] & rows_b[tb])
+        ra, rb = ta[out_index, k], tb[out_index, k]
+        keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
+        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+    term_bins = (np.arange(len(ra))[:, None] * size + ic).ravel()
+    out_bins = (out_index[:, None] * size + np.arange(size)).ravel()
+    return (ra[:, None] * size + ia).ravel(), (rb[:, None] * size + ib).ravel(), term_bins, out_bins
+
 
 def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """Rows out[o] = sum over k of a[ta[o, k]] * b[tb[o, k]], for coefficient
@@ -49,32 +73,24 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     in table order), and each sum adds its terms in k order, starting from
     +0.0, as ``Jet`` sums them, less what the mask rules leave out.
     """
-    size = space.size
-    n_out, n_k = ta.shape
-    if np.isfinite(a).all() and np.isfinite(b).all():
-        out_index, k = np.nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb])
-        ra, rb = ta[out_index, k], tb[out_index, k]
-        ia, ib, ic = space.live_pairs(a.any(axis=0), b.any(axis=0))
+    if _all(np.isfinite(a), None) and _all(np.isfinite(b), None):
+        nz_a, nz_b = a != 0.0, b != 0.0
+        masks = _any(nz_a, 1), _any(nz_b, 1), _any(nz_a, 0), _any(nz_b, 0)
+        key = (space, ta.shape, ta.tobytes(), tb.tobytes(), *(m.tobytes() for m in masks))
+        plan = _plans.get(key)
+        if plan is None:
+            if len(_plans) >= _PLANS_KEPT:
+                _plans.clear()
+            plan = _plans[key] = _plan(space, ta, tb, masks)
     else:
-        out_index, ra, rb = np.repeat(np.arange(n_out), n_k), ta.ravel(), tb.ravel()
-        ia, ib, ic = space._mul_table
-    n_terms = len(ra)
-    if n_terms == 0 or len(ic) == 0:
-        return np.zeros((n_out, size))
-    step = max(1, _CHUNK // len(ic))
-    bins = (np.arange(min(step, n_terms))[:, None] * size + ic).ravel()
-    terms = np.empty((n_terms, size))
-    for lo in range(0, n_terms, step):
-        hi = min(lo + step, n_terms)
-        prods = a[ra[lo:hi, None], ia]
-        prods *= b[rb[lo:hi, None], ib]
-        terms[lo:hi] = np.bincount(bins[: prods.size], prods.ravel(), (hi - lo) * size).reshape(-1, size)
-    if n_k == 1:  # 0.0 + t is t: a product never holds -0.0
-        out = np.zeros((n_out, size))
-        out[out_index] = terms
-        return out
-    bins = (out_index[:, None] * size + np.arange(size)).ravel()
-    return np.bincount(bins, terms.ravel(), n_out * size).reshape(n_out, size)
+        plan = _plan(space, ta, tb)
+    gather_a, gather_b, term_bins, out_bins = plan
+    if not len(term_bins):  # no live product (np.bincount of nothing gives integers)
+        return np.zeros((len(ta), space.size))
+    prods = a.take(gather_a)
+    prods *= b.take(gather_b)
+    terms = np.bincount(term_bins, prods, len(out_bins))
+    return np.bincount(out_bins, terms, len(ta) * space.size).reshape(len(ta), space.size)
 
 
 @lru_cache(maxsize=None)
@@ -314,13 +330,17 @@ def _elementwise(a: JetArray, b: JetArray) -> JetArray:
 def sum_of_products(a, b, ta, tb) -> JetArray:
     """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
     integer term tables ta and tb (broadcast together, k the last axis; or
-    two lists of tables, one per term): each product as ``Jet.__mul__``
+    two lists of tables, one per term, at most 16 terms as ``np.broadcast``
+    takes at most 32 operands on NumPy 1.x): each product as ``Jet.__mul__``
     forms it, each sum added in k order as ``Jet`` adds it, at the lower
     order of a and b.  One masked kernel call."""
-    a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
+    if not (isinstance(a, JetArray) and isinstance(b, JetArray) and a.space is b.space):
+        a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
     if isinstance(ta, list):
-        tables = np.broadcast_arrays(*ta, *tb)
-        ta, tb = np.stack(tables[: len(ta)], axis=-1), np.stack(tables[len(ta):], axis=-1)
+        tables = np.empty((2, *np.broadcast(*ta, *tb).shape, len(ta)), dtype=np.intp)
+        for k, (x, y) in enumerate(zip(ta, tb)):
+            tables[0, ..., k], tables[1, ..., k] = x, y
+        ta, tb = tables
     elif np.shape(ta) != np.shape(tb):
         ta, tb = np.broadcast_arrays(ta, tb)
     size = a.space.size

@@ -26,7 +26,6 @@ from .errors import ConfigError, SingularEvaluationError, UsageError
 
 MAX_ORDER = 4
 MAX_NVARS = 8
-_LIVE_PAIRS_KEPT = 256  # mask pairs per space whose live table pairs are kept
 
 
 def _monomials(order: int, nvars: int) -> list[tuple[int, ...]]:
@@ -61,7 +60,6 @@ class JetSpace:
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.degrees = np.array([sum(m) for m in self.monomials])
         self._mul_table = self._build_mul_table()
-        self._live_pairs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._shift_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # derivative = coefficient * prod(factorials of the multi-index)
         self.factorials = np.array(
@@ -86,20 +84,6 @@ class JetSpace:
                         ib.append(j)
                         ic.append(k)
         return np.array(ia), np.array(ib), np.array(ic)
-
-    def live_pairs(self, slots_a: np.ndarray, slots_b: np.ndarray):
-        """(ia, ib, ic) of the multiplication-table pairs whose left slot is
-        true in ``slots_a`` and right slot in ``slots_b``, in table order,
-        kept per pair of masks (up to _LIVE_PAIRS_KEPT, then cleared)."""
-        key = (slots_a.tobytes(), slots_b.tobytes())
-        pairs = self._live_pairs.get(key)
-        if pairs is None:
-            if len(self._live_pairs) >= _LIVE_PAIRS_KEPT:
-                self._live_pairs.clear()
-            ia, ib, ic = self._mul_table
-            keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
-            pairs = self._live_pairs[key] = (ia[keep], ib[keep], ic[keep])
-        return pairs
 
     @cached_property
     def first_index(self) -> np.ndarray:

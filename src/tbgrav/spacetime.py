@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +31,12 @@ def alpha_star(c: float, k: float) -> float:
 
 def checked_alpha(error: type[EngineError], params: dict[str, float], alpha: float | str, c: float, k: float) -> float:
     """The coupling ``alpha`` (``alpha_star(c, k)`` for "star"), once every
-    parameter, alpha, c and k is finite and c and k are positive; else
-    ``error`` names the first constant that is not."""
+    parameter, alpha, c and k is a finite number (not a bool) and c and k are
+    positive; else ``error`` names the first constant that is not."""
     named = [*params.items(), ("c", c), ("k", k)] + ([] if alpha == "star" else [("alpha", alpha)])
     for name, value in named:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise error(f"{name} must be finite, got {value}")
     for name, value in (("c", c), ("k", k)):
@@ -236,13 +239,13 @@ def load_model(document: str) -> SpacetimeModel:
         isinstance(k, str) and isinstance(v, (int, float)) for k, v in params.items()
     ):
         raise ModelError("params must map names to numbers")
-    params = {k: float(v) for k, v in params.items()}
-    c = float(doc.get("c", 1.0))
-    k = float(doc.get("k", 1.0))
+    c, k = doc.get("c", 1.0), doc.get("k", 1.0)
     alpha_field = doc.get("alpha", "star")
     if not (alpha_field == "star" or isinstance(alpha_field, (int, float))):
         raise ModelError('alpha must be a number or "star"')
     alpha = checked_alpha(ModelError, params, alpha_field, c, k)
+    params = {name: float(value) for name, value in params.items()}
+    c, k = float(c), float(k)
 
     metric_src = doc["metric"]
     if not (isinstance(metric_src, list) and len(metric_src) == 4 and all(

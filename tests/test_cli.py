@@ -209,6 +209,23 @@ def test_samples_must_be_a_count(capsys):
             assert code == 2 and out == "" and "--samples" in err, (argv[0], samples)
 
 
+def test_seed_must_be_a_whole_number(capsys):
+    verify = ("verify", "--catalog", "minkowski", "--samples", "1")
+    for seed in ("-1", "-7", "2.5", "one"):
+        code, out, err = run_cli(capsys, *verify, "--seed", seed)
+        assert code == 2 and out == "" and "--seed" in err, seed
+    assert run_cli(capsys, *verify, "--seed", "0")[0] == 0
+
+
+def test_tolerances_must_be_finite_and_non_negative(capsys):
+    verify = ("verify", "--catalog", "minkowski", "--samples", "1")
+    for flag in ("--tol-tier1", "--tol-tier2", "--tol-tier3"):
+        for tol in ("nan", "inf", "-inf", "-1e-9", "tight"):
+            code, out, err = run_cli(capsys, *verify, flag, tol)
+            assert code == 2 and out == "" and flag in err, (flag, tol)
+        assert run_cli(capsys, *verify, flag, "0")[0] == 0  # the residuals on Minkowski are exactly 0
+
+
 def test_bad_integration_inputs_exit_two(capsys):
     geodesic = ("geodesic", "--catalog", "minkowski", "--x0", "0,0,0,0", "--y0", "1,0,0,0")
     for flags in (("--t-end", "nan"), ("--t-end", "-1"), ("--rtol", "-1"),
@@ -224,7 +241,7 @@ def test_bad_model_constants_exit_two(tmp_path, capsys):
     for alpha in ("nan", "inf", "-inf"):
         assert run_cli(capsys, "inspect", "--catalog", "minkowski", "--alpha", alpha, *x)[0] == 2
     doc = json.loads(print_model(catalog("minkowski")))
-    for change in ({"c": 0}, {"k": -1}, {"c": float("nan")}):
+    for change in ({"c": 0}, {"k": -1}, {"c": float("nan")}, {"c": "abc"}, {"k": True}):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc | change), encoding="utf-8")
         code, out, err = run_cli(capsys, "inspect", "--model", str(path), *x)

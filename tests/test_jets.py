@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbgrav import jet_arrays
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
-from tbgrav.jet_arrays import JetArray, contract
+from tbgrav.jet_arrays import JetArray, contract, sum_of_products
 from tbgrav.jets import (
     INLINE_NAMES, Jet, cos_series, inline_series, jet_space, reciprocal_series, sin_series,
 )
@@ -458,6 +459,116 @@ def test_elementwise_product_matches_jet_products(seed):
         assert np.isnan((sa * sb)[0, 2].c).any()
         scalar = a[1, 1].truncate(order)
         _assert_same_jets(scalar * sb, np.array([_dense_mul(scalar, y) for y in tb], dtype=object))
+
+
+# -- kernel plans ---------------------------------------------------------------
+
+
+def _masked_coefficients(rng, rows, space):
+    """Coefficient rows with all-zero rows, all-zero slots, scattered zeros,
+    and -0.0 in about half of the zeros."""
+    c = rng.uniform(-2, 2, (rows, space.size))
+    c[rng.random(rows) < 0.3] = 0.0
+    c[:, rng.random(space.size) < 0.3] = 0.0
+    c[rng.random(c.shape) < 0.2] = 0.0
+    return np.where(rng.random(c.shape) < 0.5, c, -c)
+
+
+def _jet_sums(a, b, ta, tb):
+    """Object array of the sums over k of the Jet products a.flat[ta[o, k]] * b.flat[tb[o, k]], left to right."""
+    out = np.empty(len(ta), dtype=object)
+    for o, (ra, rb) in enumerate(zip(ta, tb)):
+        total = a.flat[ra[0]] * b.flat[rb[0]]
+        for i, j in zip(ra[1:], rb[1:]):
+            total = total + a.flat[i] * b.flat[j]
+        out[o] = total
+    return out
+
+
+def _counted_plans(monkeypatch):
+    """A list that gets one entry per plan the kernel builds."""
+    built, build = [], jet_arrays._plan
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(jet_arrays, "_plan", counted)
+    return built
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planned_kernel_matches_jet_products(seed, monkeypatch):
+    """A call that builds its plan, one that runs the kept plan and one on a
+    cleared cache give the bytes of the entry-by-entry Jet products, for
+    operands with all-zero rows and slots and -0.0 entries."""
+    monkeypatch.setattr(jet_arrays, "_plans", {})
+    built = _counted_plans(monkeypatch)
+    rng = np.random.default_rng(200 + seed)
+    space = jet_space(3, 3)
+    a = JetArray(space, _masked_coefficients(rng, 6, space))
+    b = JetArray(space, _masked_coefficients(rng, 5, space))
+    ta, tb = rng.integers(0, 6, (7, 3)), rng.integers(0, 5, (7, 3))
+    ref = _jet_sums(a, b, ta, tb)
+    first, again = sum_of_products(a, b, ta, tb), sum_of_products(a, b, ta, tb)
+    assert len(built) == 1 and len(jet_arrays._plans) == 1
+    jet_arrays._plans.clear()
+    for got in (first, again, sum_of_products(a, b, ta, tb)):
+        _assert_same_jets(got, ref)
+    assert len(built) == 2
+
+
+def test_kernel_plan_is_reused_per_key(monkeypatch):
+    """A repeated call runs its kept plan.  Fewer live rows, fewer live slots
+    or the same table entries in another shape get a plan of their own: the
+    sparser operands come first, so that running their plan on the denser
+    ones would leave out live products."""
+    monkeypatch.setattr(jet_arrays, "_plans", {})
+    built = _counted_plans(monkeypatch)
+    rng = np.random.default_rng(7)
+    space = jet_space(2, 4)
+    a = JetArray(space, _masked_coefficients(rng, 6, space))
+    b = _masked_coefficients(rng, 6, space)
+    fewer_rows, fewer_slots = b.copy(), b.copy()
+    fewer_rows[np.flatnonzero(b.any(axis=1))[0]] = 0.0
+    fewer_slots[:, np.flatnonzero(b.any(axis=0))[0]] = 0.0
+    ta, tb = rng.integers(0, 6, (6, 2)), rng.integers(0, 6, (6, 2))
+    cases = [(fewer_rows, ta, tb), (fewer_slots, ta, tb), (b, ta, tb), (b, ta.reshape(4, 3), tb.reshape(4, 3))]
+    for c, ta_, tb_ in cases:
+        b_ = JetArray(space, c)
+        for _ in range(2):
+            _assert_same_jets(sum_of_products(a, b_, ta_, tb_), _jet_sums(a, b_, ta_, tb_))
+    assert len(built) == 4 and len(jet_arrays._plans) == 4
+
+
+def test_nonfinite_operand_takes_every_term_and_keeps_no_plan(monkeypatch):
+    """An inf or a NaN in an operand gives the dense result (a zero factor
+    met by it gives NaN), and its call stores no plan."""
+    monkeypatch.setattr(jet_arrays, "_plans", {})
+    rng = np.random.default_rng(11)
+    space = jet_space(2, 3)
+    a = JetArray(space, _masked_coefficients(rng, 4, space))
+    a.c[1] = -0.0  # an all-zero row, met by the inf and the NaN below
+    for bad in (math.inf, math.nan):
+        b = JetArray(space, _masked_coefficients(rng, 4, space))
+        b.c[2, 3] = bad
+        ta, tb = np.array([[1, 0], [0, 1], [3, 2]]), np.array([[2, 3], [1, 0], [0, 2]])
+        with np.errstate(invalid="ignore"):
+            got, ref = sum_of_products(a, b, ta, tb), _jet_sums(a, b, ta, tb)
+        _assert_same_jets(got, ref)
+        assert np.isnan(got.c[0]).any()
+        assert jet_arrays._plans == {}
+
+
+def test_kernel_plans_are_cleared_at_their_bound(monkeypatch):
+    monkeypatch.setattr(jet_arrays, "_plans", {})
+    monkeypatch.setattr(jet_arrays, "_PLANS_KEPT", 2)
+    space = jet_space(1, 2)
+    ta = tb = np.array([[0]])
+    for row, kept in (([1.0, 2.0, 0.0], 1), ([1.0, 0.0, 2.0], 2), ([1.0, 0.0, 0.0], 1)):  # the third finds 2 kept
+        a = JetArray(space, np.array([row]))
+        sum_of_products(a, a, ta, tb)
+        assert len(jet_arrays._plans) == kept
 
 
 def test_contract_rejects_mismatched_shapes():

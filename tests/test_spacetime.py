@@ -155,6 +155,17 @@ def test_load_model_refuses_bad_constants(change, match):
         load_model(json.dumps(dict(SCHW_DOC, **change)))
 
 
+@pytest.mark.parametrize("change,name", [
+    ({"c": "abc"}, "c"), ({"c": True}, "c"), ({"k": None}, "k"), ({"k": [1.0]}, "k"), ({"alpha": False}, "alpha"),
+    ({"params": {"M": True}}, "M"),
+])
+def test_load_model_refuses_constants_that_are_not_numbers(change, name):
+    """c, k, alpha and the parameters must be numbers: a string, a bool,
+    null or a list is refused, not read as a number."""
+    with pytest.raises(ModelError, match=f"{name} must be a number"):
+        load_model(json.dumps(dict(SCHW_DOC, **change)))
+
+
 def test_empty_potential_defaults_to_zero():
     doc = {k: v for k, v in SCHW_DOC.items() if k != "potential"}
     m = load_model(json.dumps(doc))
