@@ -39,27 +39,25 @@ from .jets import Jet, JetSpace, jet_space
 # - With an inf or NaN in an operand, every term and pair is taken, so that
 #   NaN propagates.
 
-_PLANS_KEPT = 256  # kernel plans kept, then cleared
+_PLAN_BYTES = 8 << 20  # bytes of kernel plans kept, then cleared
 _plans: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+_plan_bytes = 0  # bytes of the plans in _plans
 _any, _all = np.logical_or.reduce, np.logical_and.reduce
 
 
-def _plan(space: JetSpace, ta: np.ndarray, tb: np.ndarray, masks=None):
+def _plan(space: JetSpace, ta: np.ndarray, tb: np.ndarray, masks):
     """(gather_a, gather_b, term_bins, out_bins) of one kernel call: the flat
     indices into a and b of the live products, term by term and each term's
     table pairs in table order, the bin of each product (term x S + slot) and
     the output bin of each term coefficient.  ``masks`` holds the nonzero masks
-    (rows_a, rows_b, slots_a, slots_b), or None to take every term and pair."""
+    (rows_a, rows_b, slots_a, slots_b); all true takes every term and pair."""
     size = space.size
+    rows_a, rows_b, slots_a, slots_b = masks
+    out_index, k = np.nonzero(rows_a[ta] & rows_b[tb])
+    ra, rb = ta[out_index, k], tb[out_index, k]
     ia, ib, ic = space._mul_table
-    if masks is None:
-        out_index, ra, rb = np.repeat(np.arange(len(ta)), ta.shape[1]), ta.ravel(), tb.ravel()
-    else:
-        rows_a, rows_b, slots_a, slots_b = masks
-        out_index, k = np.nonzero(rows_a[ta] & rows_b[tb])
-        ra, rb = ta[out_index, k], tb[out_index, k]
-        keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
-        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+    keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
+    ia, ib, ic = ia[keep], ib[keep], ic[keep]
     term_bins = (np.arange(len(ra))[:, None] * size + ic).ravel()
     out_bins = (out_index[:, None] * size + np.arange(size)).ravel()
     return (ra[:, None] * size + ia).ravel(), (rb[:, None] * size + ib).ravel(), term_bins, out_bins
@@ -73,17 +71,24 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     in table order), and each sum adds its terms in k order, starting from
     +0.0, as ``Jet`` sums them, less what the mask rules leave out.
     """
+    global _plan_bytes
     if _all(np.isfinite(a), None) and _all(np.isfinite(b), None):
         nz_a, nz_b = a != 0.0, b != 0.0
         masks = _any(nz_a, 1), _any(nz_b, 1), _any(nz_a, 0), _any(nz_b, 0)
         key = (space, ta.shape, ta.tobytes(), tb.tobytes(), *(m.tobytes() for m in masks))
         plan = _plans.get(key)
         if plan is None:
-            if len(_plans) >= _PLANS_KEPT:
-                _plans.clear()
-            plan = _plans[key] = _plan(space, ta, tb, masks)
+            plan = _plan(space, ta, tb, masks)
+            nbytes = sum(x.nbytes for x in plan)
+            if nbytes <= _PLAN_BYTES:  # a larger plan runs once and is not kept
+                if _plan_bytes + nbytes > _PLAN_BYTES:
+                    _plans.clear()
+                    _plan_bytes = 0
+                _plans[key] = plan
+                _plan_bytes += nbytes
     else:
-        plan = _plan(space, ta, tb)
+        every = np.ones(len(a), bool), np.ones(len(b), bool), *(np.ones(space.size, bool),) * 2
+        plan = _plan(space, ta, tb, every)
     gather_a, gather_b, term_bins, out_bins = plan
     if not len(term_bins):  # no live product (np.bincount of nothing gives integers)
         return np.zeros((len(ta), space.size))
@@ -330,14 +335,13 @@ def _elementwise(a: JetArray, b: JetArray) -> JetArray:
 def sum_of_products(a, b, ta, tb) -> JetArray:
     """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
     integer term tables ta and tb (broadcast together, k the last axis; or
-    two lists of tables, one per term, at most 16 terms as ``np.broadcast``
-    takes at most 32 operands on NumPy 1.x): each product as ``Jet.__mul__``
+    two lists of tables, one per term): each product as ``Jet.__mul__``
     forms it, each sum added in k order as ``Jet`` adds it, at the lower
     order of a and b.  One masked kernel call."""
-    if not (isinstance(a, JetArray) and isinstance(b, JetArray) and a.space is b.space):
-        a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
+    a, b = JetArray.stack(a)._pair(JetArray.stack(b), True)
     if isinstance(ta, list):
-        tables = np.empty((2, *np.broadcast(*ta, *tb).shape, len(ta)), dtype=np.intp)
+        shape = np.broadcast_shapes(*(np.shape(t) for t in (*ta, *tb)))
+        tables = np.empty((2, *shape, len(ta)), dtype=np.intp)
         for k, (x, y) in enumerate(zip(ta, tb)):
             tables[0, ..., k], tables[1, ..., k] = x, y
         ta, tb = tables

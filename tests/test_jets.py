@@ -485,6 +485,11 @@ def _jet_sums(a, b, ta, tb):
     return out
 
 
+def _fresh_plans(monkeypatch):
+    monkeypatch.setattr(jet_arrays, "_plans", {})
+    monkeypatch.setattr(jet_arrays, "_plan_bytes", 0)
+
+
 def _counted_plans(monkeypatch):
     """A list that gets one entry per plan the kernel builds."""
     built, build = [], jet_arrays._plan
@@ -502,7 +507,7 @@ def test_planned_kernel_matches_jet_products(seed, monkeypatch):
     """A call that builds its plan, one that runs the kept plan and one on a
     cleared cache give the bytes of the entry-by-entry Jet products, for
     operands with all-zero rows and slots and -0.0 entries."""
-    monkeypatch.setattr(jet_arrays, "_plans", {})
+    _fresh_plans(monkeypatch)
     built = _counted_plans(monkeypatch)
     rng = np.random.default_rng(200 + seed)
     space = jet_space(3, 3)
@@ -523,7 +528,7 @@ def test_kernel_plan_is_reused_per_key(monkeypatch):
     or the same table entries in another shape get a plan of their own: the
     sparser operands come first, so that running their plan on the denser
     ones would leave out live products."""
-    monkeypatch.setattr(jet_arrays, "_plans", {})
+    _fresh_plans(monkeypatch)
     built = _counted_plans(monkeypatch)
     rng = np.random.default_rng(7)
     space = jet_space(2, 4)
@@ -544,7 +549,7 @@ def test_kernel_plan_is_reused_per_key(monkeypatch):
 def test_nonfinite_operand_takes_every_term_and_keeps_no_plan(monkeypatch):
     """An inf or a NaN in an operand gives the dense result (a zero factor
     met by it gives NaN), and its call stores no plan."""
-    monkeypatch.setattr(jet_arrays, "_plans", {})
+    _fresh_plans(monkeypatch)
     rng = np.random.default_rng(11)
     space = jet_space(2, 3)
     a = JetArray(space, _masked_coefficients(rng, 4, space))
@@ -561,14 +566,20 @@ def test_nonfinite_operand_takes_every_term_and_keeps_no_plan(monkeypatch):
 
 
 def test_kernel_plans_are_cleared_at_their_bound(monkeypatch):
-    monkeypatch.setattr(jet_arrays, "_plans", {})
-    monkeypatch.setattr(jet_arrays, "_PLANS_KEPT", 2)
+    """Plans are kept until their index arrays would pass _PLAN_BYTES, then
+    cleared; a plan larger than that runs once, is not kept and clears none."""
+    _fresh_plans(monkeypatch)
+    monkeypatch.setattr(jet_arrays, "_PLAN_BYTES", 200)
     space = jet_space(1, 2)
-    ta = tb = np.array([[0]])
-    for row, kept in (([1.0, 2.0, 0.0], 1), ([1.0, 0.0, 2.0], 2), ([1.0, 0.0, 0.0], 1)):  # the third finds 2 kept
+    # plans of 3, 3, 1 and 10 live products: 96, 96, 48 and 288 bytes
+    rows = ([1.0, 2.0, 0.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+    for row, n_out, kept in zip(rows, (1, 1, 1, 2), (1, 2, 1, 1)):  # the third finds 192 bytes kept
         a = JetArray(space, np.array([row]))
-        sum_of_products(a, a, ta, tb)
+        ta = np.zeros((n_out, 1), dtype=int)
+        sum_of_products(a, a, ta, ta)
         assert len(jet_arrays._plans) == kept
+        assert jet_arrays._plan_bytes == sum(x.nbytes for plan in jet_arrays._plans.values() for x in plan) <= 200
+    assert jet_arrays._plan_bytes == 48
 
 
 def test_contract_rejects_mismatched_shapes():

@@ -1,23 +1,28 @@
-"""Print the work and time of the masked jet kernel on one charged-black-hole suite.
+"""Print the work and time of the masked jet kernel on one verification suite.
 
-    PYTHONPATH=<tree>/src python3 tools/jet_kernel_stats.py
+    PYTHONPATH=<tree>/src python3 tools/jet_kernel_stats.py [MODEL.json]
 
-Runs ``verify.run_suite`` on the Reissner-Nordström model (M = 1, Q = 0.3,
-alpha*, seed 7, 5 points) with ``jet_arrays._coefficients`` wrapped: once as
-the process's first suite (``first``: the tapes are compiled and the kernel's
-plans built) and then REPEATS times more (``again``: timings are the median
-of those runs).  Each line gives
+Runs ``verify.run_suite`` (seed 7, 5 points) on the model document given, or
+else on the Reissner-Nordström model (M = 1, Q = 0.3, alpha*), with
+``jet_arrays._coefficients`` wrapped: once as the process's first suite
+(``first``: the tapes are compiled and the kernel's plans built) and then
+REPEATS times more (``again``: timings are the median of those runs).
+``tools/dense_model.json`` is a model whose jets are dense: every metric and
+potential entry depends on the four coordinates.  Each line gives
 
 - ``calls``: kernel calls;
 - ``terms``: their live terms (neither factor all zero), and ``products``:
-  each live term times its call's live table pairs;
-- ``built`` and ``hits``: calls that built a plan and kept it, and calls that
-  ran a kept one (a call with an inf or NaN builds one and keeps none);
+  each live term times its call's live table pairs; ``max_products``: the
+  most of one call;
+- ``built`` and ``hits``: calls that built a plan, and calls that ran a kept
+  one (a plan of a call with an inf or NaN, or one larger than
+  ``jet_arrays._PLAN_BYTES``, is built and not kept);
 - ``kept``, ``plan_kib`` and ``key_kib``: the plans kept after the suite,
   the bytes of their index arrays and of their keys;
 - ``build_ms``, ``run_ms`` and ``kernel_ms``: time spent building plans, the
   rest of the kernel's time, and their sum;
-- ``suite_ms``: the suite's wall time less the time this tool spends counting.
+- ``suite_ms``: the suite's wall time less the time this tool spends counting;
+- ``peak_rss_mb``: the process's peak resident set size so far.
 
 On a tree without kernel plans the plan columns read ``-`` and ``run_ms`` is
 the whole kernel.  Timings depend on the host; the counts depend only on the
@@ -27,17 +32,19 @@ it was.
 
 from __future__ import annotations
 
+import resource
 import statistics
+import sys
 import time
 
 import numpy as np
 
-from tbgrav import jet_arrays, verify
+from tbgrav import jet_arrays, load_model, verify
 from tbgrav.spacetime import catalog
 
 SEED, POINTS, REPEATS = 7, 5, 5
-FIELDS = ("calls", "terms", "products", "built", "hits", "kept", "plan_kib", "key_kib",
-          "build_ms", "run_ms", "kernel_ms", "suite_ms")
+FIELDS = ("calls", "terms", "products", "max_products", "built", "hits", "kept", "plan_kib", "key_kib",
+          "build_ms", "run_ms", "kernel_ms", "suite_ms", "peak_rss_mb")
 TIMES = ("build_ms", "run_ms", "kernel_ms", "suite_ms")
 PLANNED = hasattr(jet_arrays, "_plans")
 
@@ -61,6 +68,7 @@ def instrument(stats: dict) -> None:
         stats["calls"] += 1
         stats["terms"] += terms
         stats["products"] += products
+        stats["max_products"] = max(stats["max_products"], products)
         stats["kernel_s"] += middle - start
         stats["count_s"] += time.perf_counter() - middle
         return out
@@ -69,12 +77,11 @@ def instrument(stats: dict) -> None:
     if PLANNED:
         build = jet_arrays._plan
 
-        def timed(space, ta, tb, masks=None):
+        def timed(space, ta, tb, masks):
             start = time.perf_counter()
             plan = build(space, ta, tb, masks)
             stats["build_s"] += time.perf_counter() - start
-            stats["planned"] += 1
-            stats["built"] += masks is not None
+            stats["built"] += 1
             return plan
 
         jet_arrays._plan = timed
@@ -82,16 +89,17 @@ def instrument(stats: dict) -> None:
 
 def one_suite(model, stats: dict) -> dict:
     """The line's figures for one suite."""
-    stats.update(dict.fromkeys(("calls", "terms", "products", "built", "planned"), 0))
+    stats.update(dict.fromkeys(("calls", "terms", "products", "max_products", "built"), 0))
     stats.update(dict.fromkeys(("kernel_s", "count_s", "build_s"), 0.0))
     start = time.perf_counter()
     verify.run_suite(model, seed=SEED, n_points=POINTS)
     wall = time.perf_counter() - start
-    line = {name: stats[name] for name in ("calls", "terms", "products")}
-    line.update(suite_ms=(wall - stats["count_s"]) * 1e3, kernel_ms=stats["kernel_s"] * 1e3)
+    line = {name: stats[name] for name in ("calls", "terms", "products", "max_products")}
+    line.update(suite_ms=(wall - stats["count_s"]) * 1e3, kernel_ms=stats["kernel_s"] * 1e3,
+                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     if PLANNED:
         plans = jet_arrays._plans
-        line.update(built=stats["built"], hits=stats["calls"] - stats["planned"], kept=len(plans),
+        line.update(built=stats["built"], hits=stats["calls"] - stats["built"], kept=len(plans),
                     plan_kib=sum(x.nbytes for plan in plans.values() for x in plan) / 1024,
                     key_kib=sum(len(x) for key in plans for x in key if isinstance(x, bytes)) / 1024,
                     build_ms=stats["build_s"] * 1e3, run_ms=(stats["kernel_s"] - stats["build_s"]) * 1e3)
@@ -109,7 +117,11 @@ def show(label: str, line: dict) -> None:
 
 
 def main() -> None:
-    model = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    if len(sys.argv) > 1:
+        with open(sys.argv[1]) as handle:
+            model = load_model(handle.read())
+    else:
+        model = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
     stats: dict = {}
     instrument(stats)
     print("pass " + " ".join(FIELDS))
