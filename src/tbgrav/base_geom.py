@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
-from .jet_arrays import JetArray, concat, contract, products, sum_of_products
+from .jet_arrays import JetArray, concat, contract, jet_values, products, sum_of_products
 from .jets import Jet, reciprocal_value
 from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
 
@@ -48,7 +48,7 @@ _ANTI[STRICT], _ANTI.T[STRICT] = range(1, 7), range(7, 13)
 def symmetric(upper: JetArray) -> JetArray:
     """The 4x4 jet array (in the two leading axes) whose entries (i, j) and
     (j, i) are both the upper pair's entry of ``upper``, indexed by pair first."""
-    return JetArray(upper.space, upper.c[_MIRROR])
+    return upper[_MIRROR]
 
 
 def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
@@ -57,13 +57,28 @@ def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
     ``zero`` on it, at the lower order of the two."""
     order = min(strict.order, zero.order)
     strict, zero = strict.truncate(order), zero.truncate(order)
-    zero = np.broadcast_to(zero.c, strict.c.shape[1:])[None]
-    return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c])[_ANTI])
+    lead = 0 if strict.points is None else 1  # the axis of the pairs
+    zero = zero.c.reshape(zero.c.shape[:-1] + (1,) * strict.ndim + zero.c.shape[-1:])
+    zero = np.broadcast_to(zero, strict.c.shape[:lead] + (1,) + strict.c.shape[lead + 1:])
+    return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c], axis=lead), strict.points)[_ANTI]
 
 
 def sequential_sum(terms: np.ndarray) -> np.ndarray:
     """0.0 + terms[0] + terms[1] + ..., added in that order along axis 0."""
     return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+
+
+def point_sum(terms: np.ndarray, axes: int):
+    """``sequential_sum`` of each point's ``terms`` in C order over the last
+    ``axes`` axes: a float for one point, an array over a batch's points."""
+    total = sequential_sum(np.moveaxis(terms.reshape(terms.shape[:terms.ndim - axes] + (-1,)), -1, 0))
+    return float(total) if total.ndim == 0 else total
+
+
+def per_point(fn, batched: bool, *arrays):
+    """``fn`` of the float arrays, or, for a batch, the array of ``fn`` of each
+    point's slices: a float epilogue that must see one point at a time."""
+    return np.array([fn(*slices) for slices in zip(*arrays)]) if batched else fn(*arrays)
 
 
 def invert_jet_matrix(g) -> JetArray:
@@ -78,23 +93,25 @@ def invert_jet_matrix(g) -> JetArray:
     # X = -g0inv . (g - g0) has zero value part, so X^(order+1) truncates away;
     # X_ij = sum_k (g - g0)_kj (-g0inv_ik), a sum of scaled copies (which may
     # hold -0.0) added in k order
-    terms = (g - g0).c[None] * -g0inv[:, :, None, None]  # [i, k, j]
-    x = JetArray(g.space, terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
+    terms = (g - g0).c[..., None, :, :, :] * -g0inv[..., None, None]  # [i, k, j]
+    x = JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :],
+                 g.points)
     s = x.c.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
-    s[range(4), range(4)] += np.eye(1, g.space.size)[0]  # a constant jet 1 added to the diagonal
-    s = JetArray(g.space, s)
+    s[..., range(4), range(4), :] += np.eye(1, g.space.size)[0]  # a constant jet 1 added to the diagonal
+    s = JetArray(g.space, s, g.points)
     power = x
     for _ in range(g.order - 1):
         power = contract(power, x)
         s = s + power
-    terms = s.c[:, :, None] * g0inv[None, :, :, None]  # [i, k, j]
-    return JetArray(g.space, terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3])
+    terms = s.c[..., :, :, None, :] * g0inv[..., None, :, :, None]  # [i, k, j]
+    return JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :],
+                    g.points)
 
 
 _MINOR_COLS = np.array([[c for c in range(4) if c != j] for j in range(4)])  # columns of minor j
 
 
-def det_jet_matrix(g) -> Jet:
+def det_jet_matrix(g) -> Jet | JetArray:
     """Determinant of a 4x4 jet matrix by cofactor expansion along row 0, each
     3x3 minor of rows 1-3 expanded along its first row."""
     g = JetArray.stack(g)
@@ -107,12 +124,13 @@ def det_jet_matrix(g) -> Jet:
     three = products(m, two, np.array([4 + c0, 4 + c1, 4 + c2]), np.arange(12).reshape(3, 4))
     minor = three[0] - three[1] + three[2]
     cofactors = minor.c.copy()
-    cofactors[1::2] = -cofactors[1::2]
-    return contract(g[0], JetArray(minor.space, cofactors))
+    cofactors[..., 1::2, :] = -cofactors[..., 1::2, :]
+    return contract(g[0], JetArray(minor.space, cofactors, minor.points))
 
 
-def sqrt_minus_det(g) -> Jet:
-    return (-det_jet_matrix(g)).sqrt()
+def sqrt_minus_det(g) -> Jet | JetArray:
+    """sqrt(-det g): a jet, or a jet array of one entry per point of a batch."""
+    return JetArray.stack(-det_jet_matrix(g)).sqrt()[()]
 
 
 # -- connection and curvature kernels --------------------------------------------
@@ -140,8 +158,7 @@ def riemann_jets(gamma) -> JetArray:
     # gamma^i_mk gamma^m_jl for each pair (k, l) and then (l, k), indexed [pair, i, j, m]
     quad = sum_of_products(lower, lower, i * 16 + m * 4 + first, m * 16 + j * 4 + second)
     strict = dgam[k, :, :, l] - dgam[l, :, :, k] + quad[:6] - quad[6:]  # [pair, i, j]
-    zero = JetArray(gamma.space, gamma.c[0, 0, 0] * 0.0)
-    return antisymmetric(strict, zero).transpose(2, 3, 0, 1)
+    return antisymmetric(strict, JetArray.stack(gamma[0, 0, 0] * 0.0)).transpose(2, 3, 0, 1)
 
 
 def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
@@ -149,7 +166,7 @@ def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     a, ginv = JetArray.stack(a), JetArray.stack(ginv)
     da = a.partials(range(4))  # da[i, j] = d_i A_j
     i, j = STRICT
-    f_low = antisymmetric(da[i, j] - da[j, i], JetArray(a.space, a.c[0] * 0.0))
+    f_low = antisymmetric(da[i, j] - da[j, i], JetArray.stack(a[0] * 0.0))
     return f_low, contract(ginv, f_low)
 
 
@@ -162,23 +179,28 @@ def raise_both_indices(s_low, ginv) -> JetArray:
     return symmetric(sum_of_products(ginv, half, j[:, None] * 4 + b, i[:, None] * 4 + b))
 
 
-# -- one base point --------------------------------------------------------------
+# -- base points -------------------------------------------------------------------
 
 
 class BaseGeometry:
-    """Lazy cache of the jet-valued base objects at one point x.
+    """Lazy cache of the jet-valued base objects at one point x (4,), or at
+    each point of a batch x (P, 4).
 
     ``order`` is the carrier order of the 4-variable jets of g and A.  The
     connection and F hold one level less, the curvature and the tensors built
     on it two less; an object's values are the same at every carrier order
     that holds it.  Each object is one ``JetArray`` indexed as its symbol is
-    written; mirrored entries of a symmetric tensor hold the same bytes.
+    written, with a leading point axis for a batch (``points`` is P, or None
+    for one point); mirrored entries of a symmetric tensor hold the same
+    bytes.  A float object is a float at one point and an array of one float
+    per point for a batch.  Every point of a batch has the bits it has alone.
     """
 
     def __init__(self, model: SpacetimeModel, x, order: int):
         self.model = model
         self.x = np.asarray(x, dtype=float)
         self.order = order
+        self.points = len(self.x) if self.x.ndim == 2 else None
 
     @cached_property
     def g(self) -> JetArray:
@@ -209,9 +231,9 @@ class BaseGeometry:
         return r[0, :, 0] + r[1, :, 1] + r[2, :, 2] + r[3, :, 3]
 
     @cached_property
-    def ricci_scalar(self) -> float:
+    def ricci_scalar(self) -> float | np.ndarray:
         """g^jl r_jl from the values, summed row by row."""
-        return float(sequential_sum((self.ginv.values * self.ricci.values).ravel()))
+        return point_sum(self.ginv.values * self.ricci.values, 2)
 
     @cached_property
     def faraday(self) -> tuple[JetArray, JetArray]:
@@ -265,13 +287,13 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     for n in range(4):
         cov_df = cov_df - first[n] - second[n]
     v = cov_df.values
-    return v + v.transpose(1, 2, 0) + v.transpose(2, 0, 1)
+    return v + np.moveaxis(v, -3, -1) + np.moveaxis(v, -1, -3)
 
 
-def densitized_divergence(s: Jet, v_up) -> np.ndarray:
-    """sum_j d_j(s V^j) at the point, for the density jet s = sqrt(-g) and
-    component jets V^j along the last axis of ``v_up``; callers divide by s
-    themselves."""
+def densitized_divergence(s: Jet | JetArray, v_up) -> np.ndarray:
+    """sum_j d_j(s V^j) at the point (or each point of a batch), for the
+    density jet s = sqrt(-g) and component jets V^j along the last axis of
+    ``v_up``; callers divide by s themselves."""
     prod = s * JetArray.stack(v_up)
     first = prod.space.first_index
     return sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
@@ -284,23 +306,24 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     s = sqrt_minus_det(geo.g)
     f_up = contract(f_mix, geo.ginv.T)
     coeff = -model.c / (4.0 * math.pi)
-    return coeff * densitized_divergence(s, f_up) / s.value
+    return coeff * densitized_divergence(s, f_up) / jet_values(s)[..., None]
 
 
 def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
-    """div_j S^{ij} at the geometry's point, with its gamma, for a 4x4 jet
-    array S^{ij} carrying at least one derivative level."""
+    """div_j S^{ij} at the geometry's point (or points), with its gamma, for
+    a 4x4 jet array S^{ij} carrying at least one derivative level."""
     if not (isinstance(s_upper, JetArray) and s_upper.shape == (4, 4)):
         raise UsageError("divergence needs a 4x4 array of jets")
     if s_upper.order < 1:
         raise UsageError("divergence needs jets carrying a derivative level")
     gam, s = geo.gamma.values, s_upper.values
-    d_s = s_upper.c[:, range(4), s_upper.space.first_index[:4]]  # d_j S^{ij}
+    d_s = s_upper.c[..., range(4), s_upper.space.first_index[:4]]  # d_j S^{ij}
     # for each j: d_j S^{ij}, then gamma^i_mj S^{mj} and gamma^j_mj S^{im} for each m
-    first = gam.transpose(0, 2, 1) * s.T[None]  # [i, j, m]
-    second = gam[range(4), :, range(4)][None] * s[:, None, :]  # [i, j, m]
-    terms = np.concatenate([d_s[:, :, None], np.stack([first, second], axis=-1).reshape(4, 4, 8)], axis=2)
-    return sequential_sum(terms.reshape(4, 36).T)
+    first = np.swapaxes(gam, -1, -2) * np.swapaxes(s, -1, -2)[..., None, :, :]  # [i, j, m]
+    second = np.swapaxes(gam.diagonal(0, -3, -1), -1, -2)[..., None, :, :] * s[..., :, None, :]  # [i, j, m]
+    pairs = np.stack([first, second], axis=-1).reshape(s.shape + (8,))
+    terms = np.concatenate([d_s[..., None], pairs], axis=-1)
+    return sequential_sum(np.moveaxis(terms.reshape(s.shape[:-1] + (36,)), -1, 0))
 
 
 # -- float helpers of the dynamics' right-hand sides --------------------------------

@@ -20,7 +20,10 @@ cross-check (``fiber_derivs_B``).  Each object is one ``JetArray``, formed by
 whole-tensor operations: a contraction or a sum of products is one masked
 kernel call (``jet_arrays.sum_of_products``), which gives the bits of the
 left-to-right jet sum but leaves out the terms with an all-zero factor (the
-mask rules of ``jet_arrays``).  ``np.einsum`` is used on float arrays only.
+mask rules of ``jet_arrays``).  A geometry of a batch of points forms each
+object for every point at once, with a leading point axis, and gives every
+point the bits it has alone.  ``np.einsum`` is used on float arrays only,
+one point at a time.
 The deviation and oracle right-hand sides read N, E and the spray from a
 float twin of this route, one straight-line kernel written from the model's
 tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import base_geom
 from .errors import UsageError
-from .base_geom import STRICT, UPPER, antisymmetric, sequential_sum, symmetric
+from .base_geom import STRICT, UPPER, antisymmetric, point_sum, symmetric
 from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import MAX_ORDER, Jet, jet_space
 from .spacetime import SpacetimeModel
@@ -57,24 +60,30 @@ _X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "a_pot", "gamma", "fa
 
 @dataclass
 class BundlePoint:
+    """A bundle point (x, y), or a batch of P of them: x and y of shape (P, 4)."""
+
     x: np.ndarray
     y: np.ndarray
 
     def __init__(self, x, y):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        if self.x.shape != (4,) or self.y.shape != (4,):
+        if self.x.shape != self.y.shape or self.x.shape[-1:] != (4,) or self.x.ndim > 2:
             raise UsageError("bundle point needs 4 base and 4 fiber components")
 
 
 class BundleGeometry:
-    """Lazy cache of all jet-valued objects at one bundle point.
+    """Lazy cache of all jet-valued objects at one bundle point, or at each
+    point of a batch (a ``BundlePoint`` of (P, 4) arrays).
 
     ``order`` is the total derivative budget of the carrier jets; each object
     below consumes shift levels as annotated.  The default, ``MAX_ORDER`` (4),
     supports every object including the fiber Hessians of the tidal-tensor
     trace; an object's values are the same at every carrier order that holds
     it, so a lower order only saves work for callers that read few objects.
+    As in ``BaseGeometry``, a batch puts a leading point axis on every object
+    (a float becomes an array of one float per point), and every point has
+    the bits it has alone.
     """
 
     def __init__(self, model: SpacetimeModel, p: BundlePoint, order: int = MAX_ORDER,
@@ -84,6 +93,11 @@ class BundleGeometry:
         self.order = order
         self.alpha = model.alpha if alpha is None else float(alpha)
         self.base = base_geom.BaseGeometry(model, self.p.x, order)
+
+    @property
+    def points(self) -> int | None:
+        """The batch's point count, or None for one point."""
+        return self.base.points
 
     def at_fiber(self, y) -> "BundleGeometry":
         """The geometry at (x, y) for the same model, order and alpha; it
@@ -114,13 +128,14 @@ class BundleGeometry:
     @cached_property
     @np.errstate(invalid="ignore")
     def yj(self) -> JetArray:
-        base_geom.timelike_norm(self.base.g.values, self.p.y)
+        for g, y in zip(self.base.g.values.reshape(-1, 4, 4), self.p.y.reshape(-1, 4)):
+            base_geom.timelike_norm(g, y)
         space = jet_space(self.order, 8)
-        c = np.zeros((4, space.size))
-        c[:, 0] = self.p.y
+        c = np.zeros(self.p.y.shape + (space.size,))
+        c[..., 0] = self.p.y
         if self.order >= 1:
-            c[range(4), space.first_index[Y_SLOT0:]] = 1.0
-        return JetArray(space, c)
+            c[..., range(4), space.first_index[Y_SLOT0:]] = 1.0
+        return JetArray(space, c, self.points)
 
     # -- one shift consumed ----------------------------------------------------
 
@@ -139,12 +154,12 @@ class BundleGeometry:
         return contract(contract(self.yj, self.g), self.yj)
 
     @cached_property
-    def norm(self) -> Jet:
-        return self.norm2.sqrt()
+    def norm(self) -> Jet | JetArray:
+        return JetArray.stack(self.norm2).sqrt()[()]
 
     @cached_property
-    def inv_norm(self) -> Jet:
-        return 1.0 / self.norm
+    def inv_norm(self) -> Jet | JetArray:
+        return (1.0 / JetArray.stack(self.norm))[()]
 
     @cached_property
     def l_up(self) -> JetArray:
@@ -240,8 +255,7 @@ class BundleGeometry:
         adapted = self.delta(self.n_conn)  # [k, i, j]
         j, k = STRICT
         strict = adapted[k, :, j] - adapted[j, :, k]  # [pair, i]
-        zero = self.n_conn[0, 0] * 0.0
-        return antisymmetric(strict, JetArray.stack(zero)).transpose(2, 0, 1)
+        return antisymmetric(strict, JetArray.stack(self.n_conn[0, 0] * 0.0)).transpose(2, 0, 1)
 
     @cached_property
     def tidal(self) -> JetArray:
@@ -252,7 +266,7 @@ class BundleGeometry:
     def d_riemann(self) -> np.ndarray:
         """R_j^i_kl = (1/2)(E^i_k)_.jl as float values, indexed [j, i, k, l]."""
         # C order, as the einsum of ``tidal_reconstruction`` sums in memory order
-        return np.ascontiguousarray((0.5 * _fiber_hessian(self.tidal)).transpose(2, 0, 1, 3))
+        return np.ascontiguousarray(np.moveaxis(0.5 * _fiber_hessian(self.tidal), -2, -4))
 
     @cached_property
     def d_ricci(self) -> np.ndarray:
@@ -261,25 +275,25 @@ class BundleGeometry:
         return -0.5 * _fiber_hessian(e[0, 0] + e[1, 1] + e[2, 2] + e[3, 3])
 
     @cached_property
-    def d_ricci_scalar(self) -> float:
-        return float(np.einsum("jl,jl->", self.ginv.values, self.d_ricci))
+    def d_ricci_scalar(self) -> float | np.ndarray:
+        return base_geom.per_point(lambda ginv, ric: float(np.einsum("jl,jl->", ginv, ric)), self.points,
+                                   self.ginv.values, self.d_ricci)
 
     # -- scalar-curvature split ----------------------------------------------------
 
     @cached_property
-    def f_squared(self) -> float:
+    def f_squared(self) -> float | np.ndarray:
         """F_ij F^ij at the base point."""
         f_low, f_mix = self.faraday
-        ginv = self.ginv.values
-        fl = f_low.values
-        return float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl))
+        return base_geom.per_point(lambda ginv, fl: float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)),
+                                   self.points, self.ginv.values, f_low.values)
 
-    def divergence(self, x_vec, connection: JetArray) -> float:
+    def divergence(self, x_vec, connection: JetArray) -> float | np.ndarray:
         """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
         x_vec = JetArray.stack(x_vec)
-        adapted = self.delta(x_vec, connection).values.diagonal()
-        trace = self.gamma.values.diagonal(0, 0, 1) * x_vec.values[:, None]  # [i, j]: gamma^j_ji X^i
-        return float(sequential_sum(np.concatenate([adapted[:, None], trace], axis=1).ravel()))
+        adapted = self.delta(x_vec, connection).values.diagonal(0, -2, -1)
+        trace = self.gamma.values.diagonal(0, -3, -2) * x_vec.values[..., None]  # [i, j]: gamma^j_ji X^i
+        return point_sum(np.concatenate([adapted[..., None], trace], axis=-1), 2)
 
     @cached_property
     def div_term(self) -> float:
@@ -294,16 +308,15 @@ class BundleGeometry:
         return contract(self.b_j.ravel(), self.b_j.T.ravel())
 
     @cached_property
-    def quad_term(self) -> float:
+    def quad_term(self) -> float | np.ndarray:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
-        terms = -0.5 * self.ginv.values * _fiber_hessian(self.b_trace2)
-        return float(sequential_sum(terms.ravel()))
+        return point_sum(-0.5 * self.ginv.values * _fiber_hessian(self.b_trace2), 2)
 
     @cached_property
-    def b_scalar(self) -> Jet:
+    def b_scalar(self) -> Jet | JetArray:
         """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a jet."""
-        bb = contract(self.b_up, contract(self.g, self.b_up))
-        return bb / self.norm2 * 1.5 + self.b_trace2 * 0.5
+        bb = JetArray.stack(contract(self.b_up, contract(self.g, self.b_up)))
+        return (bb / self.norm2 * 1.5 + self.b_trace2 * 0.5)[()]
 
     @cached_property
     def b_hessian(self) -> np.ndarray:
@@ -381,13 +394,18 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     r_tilde = base.ricci_scalar + 1.5 * a**2 * geo.f_squared
     gvals = geo.g.values
     ric = geo.d_ricci
-    assembled = 0.5 * (ric + ric.T) - 0.5 * r_tilde * gvals + geo.b_hessian
+    half_r = np.asarray(0.5 * r_tilde)[..., None, None]
+    assembled = 0.5 * (ric + np.swapaxes(ric, -1, -2)) - half_r * gvals + geo.b_hessian
+
+    def point_max(v):  # max |v| over each point's 4x4 tensor
+        v = np.max(np.abs(v), axis=(-2, -1))
+        return float(v) if v.ndim == 0 else v
 
     return {
         "variational": variational,
         "assembled": assembled,
-        "difference": float(np.max(np.abs(variational - assembled))),
-        "max_abs_variational": float(np.max(np.abs(variational))),
+        "difference": point_max(variational - assembled),
+        "max_abs_variational": point_max(variational),
         "alpha": a,
         "r_tilde": r_tilde,
     }

@@ -77,13 +77,17 @@ def _add_integration_args(p: argparse.ArgumentParser):
 
 
 def _vec(text: str, flag: str) -> np.ndarray:
+    """The 4 finite components of a comma-separated vector flag."""
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError(f"{flag} expects 4 comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(v) for v in parts])
+        vec = np.array([float(v) for v in parts])
     except ValueError:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from None
+    if not np.isfinite(vec).all():
+        raise UsageError(f"{flag} expects finite numbers, got {text!r}")
+    return vec
 
 
 def _resolve_model(args):

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
+from .errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError, UsageError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
 from .jet_arrays import JetArray
-from .jets import Jet
+from .jets import Jet, jet_space
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -72,11 +72,15 @@ class SpacetimeModel:
         env["pi"] = Jet.constant(math.pi, order, nvars)
         return env
 
-    def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, Jet]:
-        """Environment with coordinate k seeded in variable k of ``nvars``."""
+    def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, Jet | JetArray]:
+        """Environment with coordinate k seeded in variable k of ``nvars``: a
+        jet at a point x (4,), and a jet array of one entry per point at a
+        batch x (P, 4)."""
         env = self.param_env(order, nvars)
-        for k, (name, xi) in enumerate(zip(self.coords, np.asarray(x, dtype=float))):
-            env[name] = Jet.variable(k, float(xi), order, nvars)
+        x = np.asarray(x, dtype=float)
+        for k, name in enumerate(self.coords):
+            jets = [Jet.variable(k, float(xi), order, nvars) for xi in x[..., k].reshape(-1)]
+            env[name] = JetArray(jets[0].space, np.array([j.c for j in jets]), len(x)) if x.ndim == 2 else jets[0]
         return env
 
     @cached_property
@@ -357,27 +361,41 @@ def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
         raise SingularEvaluationError(f"metric determinant {det} is not negative at {x.tolist()}", value=det)
 
 
-def _root_array(jets: list[Jet]) -> JetArray:
-    return JetArray(jets[0].space, np.array([jet.c for jet in jets]))
+def _root_array(tape: Tape, x: np.ndarray, order: int) -> JetArray:
+    """The tape's root jets at x (4,), or at each point of a batch x (P, 4),
+    one ``Tape.jets`` run per point."""
+    rows = [[jet.c for jet in tape.jets(point, order)] for point in x.reshape(-1, 4)]
+    space = jet_space(order, 4)
+    return JetArray(space, np.array(rows), len(rows)) if x.ndim == 2 else JetArray(space, np.array(rows[0]))
+
+
+def _points(x) -> np.ndarray:
+    """x as a float array of one chart point (4,) or of a batch (P, 4)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise UsageError(f"expected a point of 4 coordinates or a batch of them, got shape {x.shape}")
+    return x
 
 
 def metric_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     """Symmetric 4x4 jet array of g_ij in the 4 base coordinates at a chart
-    point x whose metric determinant is negative; mirrored entries hold the
-    same bytes."""
-    x = np.asarray(x, dtype=float)
-    model.check_chart(x)
-    roots = _root_array(model.metric_tape.jets(x, order))
-    comps = JetArray(roots.space, roots.c[_ROOT])
-    _check_determinant(comps.values, x)
+    point x whose metric determinant is negative, or at each point of a batch
+    x (P, 4); mirrored entries hold the same bytes."""
+    x = _points(x)
+    for point in x.reshape(-1, 4):
+        model.check_chart(point)
+    roots = _root_array(model.metric_tape, x, order)
+    comps = roots[_ROOT]
+    for g, point in zip(comps.values.reshape(-1, 4, 4), x.reshape(-1, 4)):
+        _check_determinant(g, point)
     return comps
 
 
 def potential_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     """Covariant potential components A_i as a jet array in the 4 base
-    coordinates at x.  The chart is not checked: every caller has checked it
-    for the metric at the same x."""
-    return _root_array(model.potential_tape.jets(x, order))
+    coordinates at x (or at each point of a batch x).  The chart is not
+    checked: every caller has checked it for the metric at the same x."""
+    return _root_array(model.potential_tape, _points(x), order)
 
 
 def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
-from .jet_arrays import JetArray
+from .jet_arrays import JetArray, jet_values
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
@@ -224,9 +224,11 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
 
 
 def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
-                          alpha: float | None = None) -> float:
+                          alpha: float | None = None) -> float | np.ndarray:
     """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y),
-    given as ``x_field(model, point, order)`` returning 4 joint-space jets."""
+    given as ``x_field(model, point, order)`` returning 4 joint-space jets (jet
+    arrays of one entry per point for a batch of points, as ``coord_env``
+    gives at a batch)."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
     try:
@@ -249,9 +251,10 @@ def lift_base_field(component_fn):
     return evaluate
 
 
-def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float:
-    """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets."""
+def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float | np.ndarray:
+    """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets, at
+    x or at each point of a batch x."""
     env = model.coord_env(x, order=1, nvars=4)
     comps = component_fn(env)
     s = sqrt_minus_det(metric_jet(model, x, order=1))
-    return densitized_divergence(s, comps) / s.value
+    return densitized_divergence(s, comps) / jet_values(s)

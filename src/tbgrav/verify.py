@@ -1,13 +1,18 @@
 """Identity and property checks bundled into reproducible residual reports.
 
 Every geometric claim the engine implements appears exactly once in the
-registry below.  A check is a residual at one point plus the sampler that
-draws its points (chart points, or chart points with timelike fiber
-vectors); the suite owns the loop over the points and the count of points
-skipped as singular.  ``run_suite`` evaluates a deterministic, seeded sample
-per check and reports max/mean residuals against tiered tolerances (tier 1 =
-first-derivative checks, tier 2 = curvature-level, tier 3 = third-derivative
-conservation checks) or the fixed tolerance the registry gives.
+registry below.  A check is a residual over a batch of points plus the
+sampler that draws its points (chart points, or chart points with timelike
+fiber vectors).  The residual evaluates the batch's jets as one
+``BaseGeometry`` or ``BundleGeometry`` with a point axis and then runs each
+point's float epilogue on its own, so each residual has the bits it has
+alone.  The suite owns the batch and the count of points skipped as
+singular: a batch in which a point is singular is run again point by point
+from the same random state.  ``run_suite`` evaluates a deterministic, seeded
+sample per check and reports max/mean residuals against tiered tolerances
+(tier 1 = first-derivative checks, tier 2 = curvature-level, tier 3 =
+third-derivative conservation checks) or the fixed tolerance the registry
+gives.
 """
 
 from __future__ import annotations
@@ -130,26 +135,53 @@ def sample_bundle_points(model: SpacetimeModel, rng, n: int) -> list[BundlePoint
 
 
 # -- checks -----------------------------------------------------------------------------
-# each check is a residual(model, point, rng) -> float at one sampled point plus
-# its sampler; ``_check`` owns the loop over the points and the skip count
+# each check is a residual(model, points, rng) -> one float per point of a
+# batch (chart points as a (P, 4) array, bundle points as one ``BundlePoint``
+# of (P, 4) arrays), which makes its random draws point by point, plus its
+# sampler; ``_check`` owns the batch and the skip count
+
+
+def _batch(points):
+    """Sampled points as one batch."""
+    if isinstance(points[0], BundlePoint):
+        return BundlePoint([p.x for p in points], [p.y for p in points])
+    return np.array(points)
 
 
 def _check(residual, sample=sample_points, notes: str = "", at_most: int | None = None):
     """The registry's check(model, rng, n) -> (residuals, skipped, notes).  Every
-    point is drawn before the first residual; a point whose evaluation raises
-    an engine error is counted as skipped, not fatal."""
+    point is drawn before the first residual, and all of them are evaluated
+    as one batch.  If the batch raises an engine error, the random state is
+    restored and each point is evaluated alone: a point whose evaluation
+    raises is counted as skipped, not fatal, and the residuals, skips and
+    random draws are those of a loop over the points."""
 
     def check(model, rng, n):
         points = sample(model, rng, n if at_most is None else min(n, at_most))
+        state = rng.bit_generator.state
+        try:
+            return [float(r) for r in residual(model, _batch(points), rng)], 0, notes
+        except EngineError:
+            rng.bit_generator.state = state
         residuals, skipped = [], 0
         for point in points:
             try:
-                residuals.append(float(residual(model, point, rng)))
+                residuals += [float(r) for r in residual(model, _batch([point]), rng)]
             except EngineError:
                 skipped += 1
         return residuals, skipped, notes
 
     return check
+
+
+def _each(residual):
+    """The batch residual of a float residual(model, x, rng) at one chart
+    point, for the checks that build no jets."""
+
+    def batch(model, xs, rng):
+        return [residual(model, x, rng) for x in xs]
+
+    return batch
 
 
 def _metric_symmetry(model, x, rng):
@@ -159,9 +191,7 @@ def _metric_symmetry(model, x, rng):
     return np.max(np.abs(g - g.T)) + (0.0 if signature_ok else 1.0)
 
 
-def _riemann_symmetries(model, x, rng):
-    geo = BaseGeometry(model, x, 2)
-    g, riem = jet_values(geo.g), jet_values(geo.riemann)
+def _riemann_defect(g, riem):
     rlow = np.einsum("im,mjkl->ijkl", g, riem)
     scale = np.max(np.abs(rlow)) + 1.0
     worst = max(
@@ -173,21 +203,31 @@ def _riemann_symmetries(model, x, rng):
     return worst / scale
 
 
-def _contracted_bianchi(model, x, rng):
-    geo = BaseGeometry(model, x, 3)
+def _riemann_symmetries(model, xs, rng):
+    geo = BaseGeometry(model, xs, 2)
+    return [_riemann_defect(g, riem) for g, riem in zip(jet_values(geo.g), jet_values(geo.riemann))]
+
+
+def _max_abs(values) -> list:
+    """max |v| over each point's array."""
+    return [np.max(np.abs(v)) for v in values]
+
+
+def _contracted_bianchi(model, xs, rng):
+    geo = BaseGeometry(model, xs, 3)
     g_upper = base_geom.raise_both_indices(geo.einstein, geo.ginv)
-    return np.max(np.abs(base_geom.covariant_divergence(geo, g_upper)))
+    return _max_abs(base_geom.covariant_divergence(geo, g_upper))
 
 
-def _stress_trace(model, x, rng):
-    geo = BaseGeometry(model, x, 1)
-    t = jet_values(geo.em_stress)
-    return abs(np.einsum("ij,ij->", jet_values(geo.ginv), t))
+def _stress_trace(model, xs, rng):
+    geo = BaseGeometry(model, xs, 1)
+    return [abs(np.einsum("ij,ij->", ginv, t)) for ginv, t in zip(jet_values(geo.ginv), jet_values(geo.em_stress))]
 
 
-def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
+def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list:
     """Relative Euler-scaling defect of each ladder object under y -> 2y:
-    spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)."""
+    spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0);
+    six floats, or for a batch of points six arrays of one float per point."""
 
     def ladder(geo):
         return [jet_values(geo.spray), jet_values(geo.n_conn), jet_values(geo.berwald),
@@ -199,48 +239,59 @@ def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list[float]:
     defects = []
     for values, scaled_values, degree in zip(base, scaled, (2, 1, 0, 2, 0, 0)):
         expect = lam**degree * values
-        defects.append(float(np.max(np.abs(scaled_values - expect)) / (np.max(np.abs(expect)) + 1.0)))
+        axes = tuple(range(values.ndim))[(geo.points is not None):]
+        defect = np.max(np.abs(scaled_values - expect), axis=axes) / (np.max(np.abs(expect), axis=axes) + 1.0)
+        defects.append(float(defect) if geo.points is None else defect)
     return defects
 
 
-def _fiber_derivs_agreement(model, p, rng):
-    closed, jets = bundle_geom.fiber_derivs_B(model, p)
-    return max(np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0) for c, j in zip(closed, jets))
+def _homogeneity(model, ps, rng):
+    return [max(point) for point in zip(*homogeneity_defects(model, ps))]
 
 
-def _tidal_reconstruction(model, p, rng):
-    geo = BundleGeometry(model, p)
-    e = jet_values(geo.tidal)
-    scale = np.max(np.abs(e)) + 1e-12
-    recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
-    trace_defect = abs(np.trace(e) + p.y @ geo.d_ricci @ p.y)
-    return max(np.max(np.abs(e - recon)), trace_defect) / scale
+def _fiber_derivs_agreement(model, ps, rng):
+    closed, jets = bundle_geom.fiber_derivs_B(model, ps)
+    return [max(np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0) for c, j in zip(cs, js))
+            for cs, js in zip(zip(*closed), zip(*jets))]
 
 
-def _alpha_zero_collapse(model, p, rng):
-    geo = BundleGeometry(model, p, alpha=0.0)
-    gamma = jet_values(geo.base.gamma)
-    n_conn = jet_values(geo.n_conn)
-    berw = jet_values(geo.berwald)
-    e = jet_values(geo.tidal)
-    riem = jet_values(geo.base.riemann)
-    return max(
-        np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, p.y))),
-        np.max(np.abs(berw - gamma)),
-        np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
-        np.max(np.abs(geo.d_ricci - jet_values(geo.base.ricci))),
-        abs(geo.d_ricci_scalar - geo.base.ricci_scalar),
-    )
+def _tidal_reconstruction(model, ps, rng):
+    geo = BundleGeometry(model, ps)
+    out = []
+    for e, d_riemann, d_ricci, y in zip(jet_values(geo.tidal), geo.d_riemann, geo.d_ricci, ps.y):
+        scale = np.max(np.abs(e)) + 1e-12
+        recon = np.einsum("jikl,j,l->ik", d_riemann, y, y)
+        trace_defect = abs(np.trace(e) + y @ d_ricci @ y)
+        out.append(max(np.max(np.abs(e - recon)), trace_defect) / scale)
+    return out
 
 
-def _quad_y_independent(model, x, rng):
-    geo = BundleGeometry(model, BundlePoint(x, sample_timelike(model, rng, x)))
-    quads = [geo.quad_term] + [geo.at_fiber(sample_timelike(model, rng, x)).quad_term for _ in range(2)]
-    return (max(quads) - min(quads)) / (abs(quads[0]) + 1.0)
+def _alpha_zero_collapse(model, ps, rng):
+    geo = BundleGeometry(model, ps, alpha=0.0)
+    base = geo.base
+    objects = (jet_values(base.gamma), jet_values(geo.n_conn), jet_values(geo.berwald), jet_values(geo.tidal),
+               jet_values(base.riemann), geo.d_ricci, jet_values(base.ricci), geo.d_ricci_scalar, base.ricci_scalar)
+    out = []
+    for gamma, n_conn, berw, e, riem, d_ricci, ricci, d_scalar, scalar, y in zip(*objects, ps.y):
+        out.append(max(
+            np.max(np.abs(n_conn - np.einsum("ijk,k->ij", gamma, y))),
+            np.max(np.abs(berw - gamma)),
+            np.max(np.abs(e - np.einsum("iabl,a,b->il", riem, y, y))),
+            np.max(np.abs(d_ricci - ricci)),
+            abs(d_scalar - scalar),
+        ))
+    return out
 
 
-def _quad_closed_form(model, p, rng):
-    geo = BundleGeometry(model, p)
+def _quad_y_independent(model, xs, rng):
+    ys = np.array([[sample_timelike(model, rng, x) for _ in range(3)] for x in xs])  # [point, draw]
+    geo = BundleGeometry(model, BundlePoint(xs, ys[:, 0]))
+    quads = [geo.quad_term] + [geo.at_fiber(ys[:, k]).quad_term for k in (1, 2)]
+    return [(max(q) - min(q)) / (abs(q[0]) + 1.0) for q in zip(*quads)]
+
+
+def _quad_closed_form(model, ps, rng):
+    geo = BundleGeometry(model, ps)
     expect = 1.5 * geo.alpha**2 * geo.f_squared
     return abs(geo.quad_term - expect) / (abs(expect) + 1.0)
 
@@ -251,27 +302,27 @@ def _det_fiber_metric(model, x, rng):
     return abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g))
 
 
-def _divergence_lift(model, p, rng):
+def _divergence_lift(model, ps, rng):
     names = list(model.coords)
-    coeffs = rng.uniform(-1, 1, size=(4, 5))
+    coeffs = np.array([rng.uniform(-1, 1, size=(4, 5)) for _ in ps.x])  # one field per point, [point, i, term]
 
     def components(env):
         vals = []
         for i in range(4):
-            acc = env[names[0]] * 0 + float(coeffs[i, 0])
+            acc = env[names[0]] * 0 + coeffs[:, i, 0]
             for j, nm in enumerate(names):
-                acc = acc + env[nm] * float(coeffs[i, j + 1])
+                acc = acc + env[nm] * coeffs[:, i, j + 1]
             vals.append(acc)
         return vals
 
-    lifted = tm_metric.horizontal_divergence(model, p, tm_metric.lift_base_field(components))
-    base = tm_metric.base_divergence_values(model, p.x, components)
+    lifted = tm_metric.horizontal_divergence(model, ps, tm_metric.lift_base_field(components))
+    base = tm_metric.base_divergence_values(model, ps.x, components)
     return abs(lifted - base) / (abs(base) + 1.0)
 
 
 def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
     """div_j of the generalized Einstein tensor (variational form)
-    G^{ij} - 12 pi alpha^2 T^f{}^{ij} at x."""
+    G^{ij} - 12 pi alpha^2 T^f{}^{ij} at x (or at each point of a batch x)."""
     geo = BaseGeometry(model, x, 3)
     gt = base_geom.raise_both_indices(geo.einstein, geo.ginv)
     tf = base_geom.raise_both_indices(geo.em_stress, geo.ginv)
@@ -282,17 +333,17 @@ def conservation_residual(model: SpacetimeModel, x) -> np.ndarray:
 # is fixed, and None reports the check without gating it
 REGISTRY = [
     ("metric_symmetry", 1, _check(
-        _metric_symmetry, notes="symmetry defect plus a unit penalty unless signature is (+,-,-,-)")),
+        _each(_metric_symmetry), notes="symmetry defect plus a unit penalty unless signature is (+,-,-,-)")),
     ("riemann_symmetries", 2, _check(_riemann_symmetries)),
     ("contracted_bianchi", 3, _check(_contracted_bianchi)),
     ("maxwell_homogeneous", 2, _check(
-        lambda model, x, rng: np.max(np.abs(base_geom.maxwell_cyclic_residual(model, x))))),
+        lambda model, xs, rng: _max_abs(base_geom.maxwell_cyclic_residual(model, xs)))),
     ("maxwell_current", 2, _check(
-        lambda model, x, rng: np.max(np.abs(base_geom.maxwell_current(model, x))),
+        lambda model, xs, rng: _max_abs(base_geom.maxwell_current(model, xs)),
         notes="source-free potentials only")),
     ("stress_trace_free", 1, _check(_stress_trace)),
     ("homogeneity_ladder", 2, _check(
-        lambda model, p, rng: max(homogeneity_defects(model, p)), sample_bundle_points,
+        _homogeneity, sample_bundle_points,
         "spray(2), connection(1), berwald(0), tidal(2), d-ricci(0), b-hessian(0)")),
     ("fiber_derivs_agreement", 1, _check(_fiber_derivs_agreement, sample_bundle_points)),
     ("tidal_reconstruction", 2, _check(_tidal_reconstruction, sample_bundle_points)),
@@ -300,19 +351,19 @@ REGISTRY = [
     ("theorem1_quad_y_independent", 2, _check(_quad_y_independent)),
     ("theorem1_quad_closed_form", 2, _check(_quad_closed_form, sample_bundle_points)),
     ("theorem1_residual", 1e-8, _check(
-        lambda model, p, rng: abs(bundle_geom.ricci_decomposition(model, p)["residual"]),
+        lambda model, ps, rng: abs(bundle_geom.ricci_decomposition(model, ps)["residual"]),
         sample_bundle_points)),
     ("gen_einstein_comparison", None, _check(
-        lambda model, p, rng: bundle_geom.generalized_einstein(model, p)["difference"],
+        lambda model, ps, rng: bundle_geom.generalized_einstein(model, ps)["difference"],
         sample_bundle_points, "reported only: literal bundle assembly vs variational tensor")),
-    ("det_fiber_metric", 1e-12, _check(_det_fiber_metric)),
-    ("fiber_ball_volume", 1e-8, _check(
-        lambda model, x, rng: abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0),
+    ("det_fiber_metric", 1e-12, _check(_each(_det_fiber_metric))),
+    ("fiber_ball_volume", 1e-8, _check(_each(
+        lambda model, x, rng: abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0)),
         at_most=3)),
     ("divergence_lift", 2, _check(
         _divergence_lift, sample_bundle_points, "random affine base fields", at_most=5)),
     ("conservation", 3, _check(
-        lambda model, x, rng: np.max(np.abs(conservation_residual(model, x))),
+        lambda model, xs, rng: _max_abs(conservation_residual(model, xs)),
         notes="source-free models: the variational tensor is divergence-free")),
 ]
 

@@ -483,16 +483,17 @@ def test_jet_operation_budget(monkeypatch):
     on the stacked route: masked kernel calls (``jet_arrays._coefficients``),
     the live terms they form (both factors not all zero), the products of
     those terms over their live table pairs, and the scalar ``Jet`` products,
-    pinned to the counts measured when the jet tensors were stacked."""
+    pinned to the counts measured since |y|, 1/|y| and the b-scalar's
+    division compose on jet arrays (``JetArray.compose``)."""
     counts = {"calls": 0, "terms": 0, "products": 0, "jet_mul": 0}
     kernel, mul = jet_arrays._coefficients, Jet.__mul__
 
     def counted_kernel(space, a, b, ta, tb):
-        live = int(np.count_nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb]))
+        live = int(np.count_nonzero(a.any(axis=(0, 2))[ta] & b.any(axis=(0, 2))[tb]))
         counts["calls"] += 1
         counts["terms"] += live
         ia, ib, _ = space._mul_table
-        counts["products"] += live * int(np.count_nonzero(a.any(axis=0)[ia] & b.any(axis=0)[ib]))
+        counts["products"] += live * int(np.count_nonzero(a.any(axis=(0, 1))[ia] & b.any(axis=(0, 1))[ib]))
         return kernel(space, a, b, ta, tb)
 
     def counted_mul(self, other):
@@ -506,7 +507,7 @@ def test_jet_operation_budget(monkeypatch):
     monkeypatch.setattr(Jet, "__rmul__", counted_mul)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts == {"calls": 45, "terms": 652, "products": 102072, "jet_mul": 87}
+    assert counts == {"calls": 66, "terms": 673, "products": 120038, "jet_mul": 68}
 
 
 # -- carrier order ------------------------------------------------------------------------------

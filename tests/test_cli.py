@@ -234,6 +234,31 @@ def test_bad_integration_inputs_exit_two(capsys):
         assert code == 2 and out == "" and err.startswith("error:"), flags
 
 
+_RN_ARGS = ("--catalog", "reissner_nordstrom", "--param", "M=1", "--param", "Q=0.3")
+_ORBIT = ("--x0", "0,10,1.5,0", "--y0", "1,0.005,0,0.031", "--t-end", "1")
+_DEVIATION = ("deviation", "--catalog", "schwarzschild", "--param", "M=1", *_ORBIT)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--x", ("inspect", *_RN_ARGS, "--x", "nan,5,1,1")),
+    ("--x", ("theorem1", *_RN_ARGS, "--x", "inf,5,1,1", "--y", "1.4,0,0,0.02")),
+    ("--y", ("theorem1", *_RN_ARGS, "--x", "0,5,1.2,0.5", "--y", "1.4,nan,0,0.02")),
+    ("--y", ("efe", *_RN_ARGS, "--x", "0,5,1.2,0.5", "--y", "1.4,-inf,0,0.02")),
+    ("--x", ("integrate-volume", *_RN_ARGS, "--x", "nan,5,1,1")),
+    ("--box", ("integrate-volume", *_RN_ARGS, "--x", "0,10,1.5707963,0.3", "--box", "0:1,6:nan,1:2,0:1")),
+    ("--x0", ("geodesic", *_RN_ARGS, "--x0", "nan,10,1.5,0", "--y0", "1,0.005,0,0.031", "--t-end", "1")),
+    ("--y0", ("geodesic", *_RN_ARGS, "--x0", "0,10,1.5,0", "--y0", "1,inf,0,0.031", "--t-end", "1")),
+    ("--w0", (*_DEVIATION, "--w0", "0,nan,0,0")),
+    ("--W0", (*_DEVIATION, "--w0", "0,0.5,0,0", "--W0", "0,inf,0,0")),
+    ("--dw0", (*_DEVIATION, "--w0", "0,0.5,0,0", "--dw0", "0,nan,0,0")),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_vector_flags_must_be_finite(capsys, flag, argv):
+    """A NaN or infinite vector component is a usage error (exit 2), not a
+    report of NaN, a singular evaluation or a step-size underflow."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {flag}") and "finite" in err
+
+
 def test_bad_model_constants_exit_two(tmp_path, capsys):
     x = ("--x", "0,0.1,0,0")
     assert run_cli(capsys, "inspect", "--catalog", "uniform_field", "--param", "E0=nan", *x)[0] == 2

@@ -565,21 +565,24 @@ def test_nonfinite_operand_takes_every_term_and_keeps_no_plan(monkeypatch):
         assert jet_arrays._plans == {}
 
 
-def test_kernel_plans_are_cleared_at_their_bound(monkeypatch):
-    """Plans are kept until their index arrays would pass _PLAN_BYTES, then
-    cleared; a plan larger than that runs once, is not kept and clears none."""
+def test_kernel_plans_are_kept_while_they_fit(monkeypatch):
+    """Plans are kept while their index arrays fit in _PLAN_BYTES; a plan
+    that does not fit runs, is not kept and evicts none, so the plans kept
+    before it are run again without a rebuild."""
     _fresh_plans(monkeypatch)
+    built = _counted_plans(monkeypatch)
     monkeypatch.setattr(jet_arrays, "_PLAN_BYTES", 200)
     space = jet_space(1, 2)
     # plans of 3, 3, 1 and 10 live products: 96, 96, 48 and 288 bytes
     rows = ([1.0, 2.0, 0.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-    for row, n_out, kept in zip(rows, (1, 1, 1, 2), (1, 2, 1, 1)):  # the third finds 192 bytes kept
+    calls = list(zip(rows, (1, 1, 1, 2))) + [(rows[0], 1), (rows[1], 1), (rows[2], 1)]
+    for (row, n_out), kept, builds in zip(calls, (1, 2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 4, 4, 5)):
         a = JetArray(space, np.array([row]))
         ta = np.zeros((n_out, 1), dtype=int)
-        sum_of_products(a, a, ta, ta)
-        assert len(jet_arrays._plans) == kept
-        assert jet_arrays._plan_bytes == sum(x.nbytes for plan in jet_arrays._plans.values() for x in plan) <= 200
-    assert jet_arrays._plan_bytes == 48
+        _assert_same_jets(sum_of_products(a, a, ta, ta), _jet_sums(a, a, ta, ta))
+        assert len(jet_arrays._plans) == kept and len(built) == builds
+        assert jet_arrays._plan_bytes == sum(x.nbytes for plan in jet_arrays._plans.values() for x in plan)
+    assert jet_arrays._plan_bytes == 192
 
 
 def test_contract_rejects_mismatched_shapes():

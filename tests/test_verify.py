@@ -125,27 +125,29 @@ def test_conservation_residual_values():
 
 
 def test_singular_points_recorded_not_fatal():
+    """A batch with singular points is run again point by point; each
+    singular point is counted as skipped."""
     calls = []
 
-    def flaky(model, x, rng):
-        calls.append(x)
-        if len(calls) % 2 == 0:
+    def flaky(model, xs, rng):
+        calls.append(list(xs))
+        if any(x % 2 for x in xs):
             raise SingularEvaluationError("boom", value=0.0)
-        return 1e-12
+        return [1e-12] * len(xs)
 
     check = verify._check(flaky, sample=lambda model, rng, n: list(range(n)))
     residuals, skipped, notes = check(MINK, np.random.default_rng(0), 6)
-    assert calls == list(range(6))
+    assert calls == [list(range(6))] + [[k] for k in range(6)]
     assert residuals == [1e-12] * 3
     assert skipped == 3
     assert notes == ""
 
 
 def test_skipped_point_fails_check(monkeypatch):
-    def residual(model, x, rng):
-        if x[0] == 0:
+    def residual(model, xs, rng):
+        if (xs[:, 0] == 0).any():
             raise SingularEvaluationError("boom", value=0.0)
-        return 0.0
+        return [0.0] * len(xs)
 
     one_singular = verify._check(
         residual, sample=lambda model, rng, n: [[k] for k in range(n)], notes="stub check"
@@ -173,23 +175,25 @@ def test_registry_entries_keep_check_contract():
 
 def test_check_draws_every_point_before_first_residual():
     """The seeded reports depend on the rng order: all sample draws, then the
-    residuals, which may draw more (theorem1_quad_y_independent, divergence_lift)."""
+    batch's residuals, which may draw more point by point
+    (theorem1_quad_y_independent, divergence_lift)."""
     log = []
 
     class RecordingRng:
         def __init__(self, seed):
             self.rng = np.random.default_rng(seed)
+            self.bit_generator = self.rng.bit_generator  # saved before each batch
 
         def uniform(self, *args, **kwargs):
             log.append("draw")
             return self.rng.uniform(*args, **kwargs)
 
-    def residual(model, x, rng):
+    def residual(model, xs, rng):
         log.append("residual")
-        return rng.uniform()
+        return [rng.uniform() for _ in xs]
 
     residuals, skipped, _ = verify._check(residual)(MINK, RecordingRng(3), 3)
-    assert log == ["draw"] * 12 + ["residual", "draw"] * 3
+    assert log == ["draw"] * 12 + ["residual"] + ["draw"] * 3
     plain = np.random.default_rng(3)
     points = verify.sample_points(MINK, plain, 3)
     assert residuals == [plain.uniform() for _ in points]
@@ -204,13 +208,15 @@ def test_reports_carry_conventions_and_seed():
 
 
 @pytest.mark.parametrize(
-    "check, per_point",
+    "check, per_point_axis",
     [("alpha_zero_collapse", 1), ("fiber_derivs_agreement", 1), ("homogeneity_ladder", 2),
      ("theorem1_quad_y_independent", 3)],
 )
-def test_geometry_builds_per_point(monkeypatch, check, per_point):
-    """One BundleGeometry per bundle point (two for the y -> 2y ladder, three
-    fiber vectors per x for the quadratic term) and one BaseGeometry per x."""
+def test_geometry_builds_per_point(monkeypatch, check, per_point_axis):
+    """The points of a check share one geometry with a point axis: one
+    BundleGeometry per batch (two for the y -> 2y ladder, three fiber vectors
+    per x for the quadratic term) and one BaseGeometry, for any number of
+    points."""
     builds, bases = [], []
     init, at_fiber, base_init = BundleGeometry.__init__, BundleGeometry.at_fiber, BaseGeometry.__init__
 
@@ -232,5 +238,5 @@ def test_geometry_builds_per_point(monkeypatch, check, per_point):
     n = 2
     [report] = verify.run_suite(RN, seed=42, n_points=n, selection=[check])
     assert report.passed
-    assert len(builds) == per_point * n
-    assert len(bases) == n
+    assert len(builds) == per_point_axis
+    assert len(bases) == 1

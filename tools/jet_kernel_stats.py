@@ -10,10 +10,11 @@ REPEATS times more (``again``: timings are the median of those runs).
 ``tools/dense_model.json`` is a model whose jets are dense: every metric and
 potential entry depends on the four coordinates.  Each line gives
 
-- ``calls``: kernel calls;
-- ``terms``: their live terms (neither factor all zero), and ``products``:
-  each live term times its call's live table pairs; ``max_products``: the
-  most of one call;
+- ``calls``: kernel calls, and ``points_per_call``: the points of a batch
+  each call serves, on average (1 on a tree without a point axis);
+- ``terms``: their live terms (neither factor zero at every point of the
+  call), and ``products``: each live term times its call's live table
+  pairs, for one point; ``max_products``: the most of one call;
 - ``built`` and ``hits``: calls that built a plan, and calls that ran a kept
   one (a plan of a call with an inf or NaN, or one larger than
   ``jet_arrays._PLAN_BYTES``, is built and not kept);
@@ -43,17 +44,21 @@ from tbgrav import jet_arrays, load_model, verify
 from tbgrav.spacetime import catalog
 
 SEED, POINTS, REPEATS = 7, 5, 5
-FIELDS = ("calls", "terms", "products", "max_products", "built", "hits", "kept", "plan_kib", "key_kib",
-          "build_ms", "run_ms", "kernel_ms", "suite_ms", "peak_rss_mb")
+FIELDS = ("calls", "points_per_call", "terms", "products", "max_products", "built", "hits", "kept", "plan_kib",
+          "key_kib", "build_ms", "run_ms", "kernel_ms", "suite_ms", "peak_rss_mb")
 TIMES = ("build_ms", "run_ms", "kernel_ms", "suite_ms")
 PLANNED = hasattr(jet_arrays, "_plans")
 
 
-def live_work(space, a, b, ta, tb) -> tuple[int, int]:
-    """(live terms, live products) of one kernel call, from the operands' masks."""
-    terms = int(np.count_nonzero(a.any(axis=1)[ta] & b.any(axis=1)[tb]))
+def live_work(space, a, b, ta, tb) -> tuple[int, int, int]:
+    """(points, live terms, live products) of one kernel call, from the
+    operands' masks over its points.  The operands are (points, rows, S), or
+    (rows, S) on a tree whose kernel serves one point per call."""
+    a, b = (x.reshape((-1,) + x.shape[-2:]) for x in (a, b))
+    terms = int(np.count_nonzero(a.any(axis=(0, 2))[ta] & b.any(axis=(0, 2))[tb]))
     ia, ib, _ = space._mul_table
-    return terms, terms * int(np.count_nonzero(a.any(axis=0)[ia] & b.any(axis=0)[ib]))
+    products = terms * int(np.count_nonzero(a.any(axis=(0, 1))[ia] & b.any(axis=(0, 1))[ib]))
+    return max(len(a), len(b)), terms, products
 
 
 def instrument(stats: dict) -> None:
@@ -64,8 +69,9 @@ def instrument(stats: dict) -> None:
         start = time.perf_counter()
         out = kernel(space, a, b, ta, tb)
         middle = time.perf_counter()
-        terms, products = live_work(space, a, b, ta, tb)
+        points, terms, products = live_work(space, a, b, ta, tb)
         stats["calls"] += 1
+        stats["points"] += points
         stats["terms"] += terms
         stats["products"] += products
         stats["max_products"] = max(stats["max_products"], products)
@@ -89,12 +95,13 @@ def instrument(stats: dict) -> None:
 
 def one_suite(model, stats: dict) -> dict:
     """The line's figures for one suite."""
-    stats.update(dict.fromkeys(("calls", "terms", "products", "max_products", "built"), 0))
+    stats.update(dict.fromkeys(("calls", "points", "terms", "products", "max_products", "built"), 0))
     stats.update(dict.fromkeys(("kernel_s", "count_s", "build_s"), 0.0))
     start = time.perf_counter()
     verify.run_suite(model, seed=SEED, n_points=POINTS)
     wall = time.perf_counter() - start
     line = {name: stats[name] for name in ("calls", "terms", "products", "max_products")}
+    line["points_per_call"] = stats["points"] / max(stats["calls"], 1)
     line.update(suite_ms=(wall - stats["count_s"]) * 1e3, kernel_ms=stats["kernel_s"] * 1e3,
                 peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     if PLANNED:

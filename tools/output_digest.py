@@ -8,6 +8,10 @@ leave byte for byte as they were:
 
 - stdout and exit code of ``tbgrav verify`` on the charged black hole
   (seed 42, 5 samples) as JSON and as CSV;
+- the same for ``verify --alpha star --samples 5`` on each of the five
+  catalog models and on ``tools/dense_model.json`` (a model whose jets are
+  dense, so that its zero masks differ from point to point), at seeds 42
+  and 7;
 - the ``max_residual`` of each ``verify.run_suite`` check (same model, seed and
   samples) as ``float.hex``;
 - stdout and exit code of ``inspect``, ``theorem1``, ``efe``, ``geodesic``,
@@ -43,6 +47,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -105,6 +110,20 @@ def command_lines():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         yield f"cli.{name}", f"exit={code} {sha(out.getvalue())}"
+
+
+def verify_lines():
+    models = {name: ["--catalog", name, *(arg for key, value in PARAMS.get(name, {}).items()
+                                          for arg in ("--param", f"{key}={value}"))] for name in CATALOG_NAMES}
+    models["dense"] = ["--model", str(Path(__file__).with_name("dense_model.json"))]
+    for name, source in models.items():
+        for seed in (42, 7):
+            for fmt in ("json", "csv"):
+                out = io.StringIO()
+                argv = ["verify", *source, "--alpha", "star", "--samples", "5", "--seed", str(seed), "--format", fmt]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                yield f"verify.{name}.seed{seed}.{fmt}", f"exit={code} {sha(out.getvalue())}"
 
 
 def residual_lines():
@@ -207,7 +226,7 @@ def oracle_lines():
 
 
 def main() -> None:
-    for lines in (command_lines, residual_lines, rhs_lines, jet_route_lines, plunge_lines, oracle_lines):
+    for lines in (command_lines, verify_lines, residual_lines, rhs_lines, jet_route_lines, plunge_lines, oracle_lines):
         for name, digest in lines():
             print(name, digest, flush=True)
 
