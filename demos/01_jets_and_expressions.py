@@ -10,22 +10,25 @@ import math
 from tbgrav import Jet, evaluate, free_symbols, parse, print_expr
 
 # -- jet arithmetic ----------------------------------------------------------
+#
+# A Jet is read-only: arithmetic on single jets runs through an expression
+# evaluated over them (on tensors of jets, through tbgrav.jet_arrays).
 
 # f(x) = x^2 at x = 3, carrying two derivative levels
 x = Jet.variable(0, 3.0, order=2, nvars=1)
-f = x * x
+f = evaluate(parse("x*x"), {"x": x})
 print("f(3) =", f.value)                      # 9
 print("f'(3) =", f.derivative((1,)))          # 6
 print("f''(3) =", f.derivative((2,)))         # 2
 
 # chain rule through sqrt: d/dx sqrt(x) at 4 is 1/4
-s = (Jet.variable(0, 4.0, order=2, nvars=1)).sqrt()
+s = evaluate(parse("sqrt(x)"), {"x": Jet.variable(0, 4.0, order=2, nvars=1)})
 print("sqrt'(4) =", s.derivative((1,)))
 
 # mixed partials in two variables
 u = Jet.variable(0, 1.5, order=2, nvars=2)
 v = Jet.variable(1, -0.5, order=2, nvars=2)
-print("d2(uv)/dudv =", (u * v).derivative((1, 1)))
+print("d2(uv)/dudv =", evaluate(parse("u*v"), {"u": u, "v": v}).derivative((1, 1)))
 
 # -- expressions -------------------------------------------------------------
 

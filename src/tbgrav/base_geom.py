@@ -130,7 +130,7 @@ def det_jet_matrix(g) -> Jet | JetArray:
 
 def sqrt_minus_det(g) -> Jet | JetArray:
     """sqrt(-det g): a jet, or a jet array of one entry per point of a batch."""
-    return JetArray.stack(-det_jet_matrix(g)).sqrt()[()]
+    return (-JetArray.stack(det_jet_matrix(g))).sqrt()[()]
 
 
 # -- connection and curvature kernels --------------------------------------------
@@ -158,7 +158,7 @@ def riemann_jets(gamma) -> JetArray:
     # gamma^i_mk gamma^m_jl for each pair (k, l) and then (l, k), indexed [pair, i, j, m]
     quad = sum_of_products(lower, lower, i * 16 + m * 4 + first, m * 16 + j * 4 + second)
     strict = dgam[k, :, :, l] - dgam[l, :, :, k] + quad[:6] - quad[6:]  # [pair, i, j]
-    return antisymmetric(strict, JetArray.stack(gamma[0, 0, 0] * 0.0)).transpose(2, 3, 0, 1)
+    return antisymmetric(strict, JetArray.stack(gamma[0, 0, 0]) * 0.0).transpose(2, 3, 0, 1)
 
 
 def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
@@ -166,7 +166,7 @@ def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     a, ginv = JetArray.stack(a), JetArray.stack(ginv)
     da = a.partials(range(4))  # da[i, j] = d_i A_j
     i, j = STRICT
-    f_low = antisymmetric(da[i, j] - da[j, i], JetArray.stack(a[0] * 0.0))
+    f_low = antisymmetric(da[i, j] - da[j, i], JetArray.stack(a[0]) * 0.0)
     return f_low, contract(ginv, f_low)
 
 
@@ -246,7 +246,7 @@ class BaseGeometry:
         """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
         f_low, f_mix = self.faraday
         f_up = contract(f_mix, self.ginv)  # F^{lm} = F^l_a g^{am}
-        quarter_f2 = contract(f_up.ravel(), f_low.ravel()) * 0.25  # F^{lm} F_lm / 4
+        quarter_f2 = JetArray.stack(contract(f_up.ravel(), f_low.ravel())) * 0.25  # F^{lm} F_lm / 4
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
         # -F_il F_j^l = +F_il F^l_j, then g_ij F^{lm} F_lm / 4, over the upper pairs
         (left, (low, g)), (right, (mix, q)) = concat(f_low, self.g), concat(f_mix, quarter_f2)
@@ -259,7 +259,7 @@ class BaseGeometry:
     def einstein(self) -> JetArray:
         """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
         ric = self.ricci
-        half_scalar = contract(self.ginv.ravel(), ric.ravel()) * 0.5
+        half_scalar = JetArray.stack(contract(self.ginv.ravel(), ric.ravel())) * 0.5
         return symmetric(ric[UPPER] - self.g[UPPER] * half_scalar)
 
     @cached_property

@@ -255,7 +255,7 @@ class BundleGeometry:
         adapted = self.delta(self.n_conn)  # [k, i, j]
         j, k = STRICT
         strict = adapted[k, :, j] - adapted[j, :, k]  # [pair, i]
-        return antisymmetric(strict, JetArray.stack(self.n_conn[0, 0] * 0.0)).transpose(2, 0, 1)
+        return antisymmetric(strict, JetArray.stack(self.n_conn[0, 0]) * 0.0).transpose(2, 0, 1)
 
     @cached_property
     def tidal(self) -> JetArray:
@@ -272,7 +272,7 @@ class BundleGeometry:
     def d_ricci(self) -> np.ndarray:
         """R_jl = -(1/2)(E^i_i)_.jl as float values (a fiber Hessian, symmetric)."""
         e = self.tidal
-        return -0.5 * _fiber_hessian(e[0, 0] + e[1, 1] + e[2, 2] + e[3, 3])
+        return -0.5 * _fiber_hessian(JetArray.stack(e[0, 0]) + e[1, 1] + e[2, 2] + e[3, 3])
 
     @cached_property
     def d_ricci_scalar(self) -> float | np.ndarray:
@@ -316,7 +316,7 @@ class BundleGeometry:
     def b_scalar(self) -> Jet | JetArray:
         """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a jet."""
         bb = JetArray.stack(contract(self.b_up, contract(self.g, self.b_up)))
-        return (bb / self.norm2 * 1.5 + self.b_trace2 * 0.5)[()]
+        return (bb / self.norm2 * 1.5 + JetArray.stack(self.b_trace2) * 0.5)[()]
 
     @cached_property
     def b_hessian(self) -> np.ndarray:

@@ -16,7 +16,9 @@ as a derivative program.
 ``evaluate`` walks a tree over jets.  It is the reference semantics.  Models
 evaluate their expressions through a ``Tape`` instead: a straight-line
 program compiled once from a list of root trees (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008).  The compiler
+*Evaluating Derivatives*, 2nd ed., SIAM 2008).  Both run one table of
+operations (``_JET_OPS``) on the coefficient rows of ``jets``, once for a
+whole batch of points.  The compiler
 
 - hash-conses the nodes (frozen dataclasses serve as dict keys) and numbers
   each instruction by (operation, operand registers), so a subexpression
@@ -24,18 +26,18 @@ program compiled once from a list of root trees (Griewank & Walther,
   elimination);
 - folds every subtree built only from constants, parameters and ``pi``
   with the operations the tape itself runs: the jets' order-0 rules on
-  floats and the Jet methods on a constant jet, so a folded constant is the
-  value ``evaluate`` would compute, down to the sign of its zeros.  A
-  division is a product with the reciprocal, as ``Jet.__truediv__`` forms
-  it, so ``x / 10`` is ``x * 0.1``.
+  floats and the operation table on the row of a constant jet, so a folded
+  constant is the value ``evaluate`` would compute, down to the sign of its
+  zeros.  A division is a product with the reciprocal, as ``evaluate``
+  forms it, so ``x / 10`` is ``x * 0.1``.
 
-A tape runs two ways: on 4-variable jets of any order (``Tape.jets``), and
-on plain floats (``Tape.values``) through the order-0 kernel it writes for
-itself, one straight-line Python function.  A kernel writer
-(``_KernelWriter``) makes, on the float Taylor coefficients of an order
-<= 2, the operations ``Tape.jets`` makes on coefficient arrays, in the same
-order, so its coefficients match ``evaluate`` bit for bit, down to the sign
-of a zero, and it raises the same errors at the same points.  Writers
+A tape runs two ways: on 4-variable jets of any order at a point or a batch
+of points (``Tape.jets``), and on plain floats (``Tape.values``) through the
+order-0 kernel it writes for itself, one straight-line Python function.  A
+kernel writer (``_KernelWriter``) makes, on the float Taylor coefficients of
+an order <= 2, the operations ``Tape.jets`` makes on coefficient rows, in the
+same order, so its coefficients match ``evaluate`` bit for bit, down to the
+sign of a zero, and it raises the same errors at the same points.  Writers
 elsewhere run a metric tape and a potential tape into one function of
 (x, y), with geometric terms that are not bit-identical to any jet route
 (``base_geom.FiberWriter``).  Every kernel is cached on its tape
@@ -48,14 +50,16 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, SingularEvaluationError
+from .errors import EvaluationError, ParseError, SingularEvaluationError, UsageError
+from .jet_arrays import JetArray, concat
 from .jets import (
-    INLINE_NAMES, MAX_ORDER, SERIES, Jet, _is_integer, _power_by_squaring, abs_value, inline_series, jet_space,
-    ln_value, mul_value, pow_value, power_series, reciprocal_series, reciprocal_value, sqrt_value,
+    INLINE_NAMES, MAX_ORDER, SERIES, Jet, JetSpace, _is_integer, _power_by_squaring, abs_rows, abs_value,
+    compose_rows, exp_series, inline_series, jet_space, ln_series, ln_value, mul_rows, mul_value, pow_rows, pow_value,
+    power_series, reciprocal_series, reciprocal_value, sqrt_value, variable_rows,
 )
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "ln", "abs")
@@ -246,56 +250,70 @@ def parse(source: str) -> Expr:
 # -- evaluation --------------------------------------------------------------
 
 
-def _jet_pow(base: Jet, exponent: Jet) -> Jet:
-    if not exponent.c[1:].any():  # constant exponent: exact power rule
-        return base.pow_const(exponent.value)
-    return (exponent * base.ln()).exp()
+def _jet_pow(space: JetSpace, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """base ^ exponent on coefficient rows: the exact power rule where the
+    exponent is a constant jet, else exp(exponent ln base).  Exponent rows
+    that differ from point to point are taken one point at a time."""
+    if len(exponent) > 1 and (exponent != exponent[0]).any():
+        base = np.broadcast_to(base, exponent.shape)
+        return np.concatenate([_jet_pow(space, b[None], e[None]) for b, e in zip(base, exponent)])
+    if not exponent[0, 1:].any():  # constant exponent: exact power rule
+        return pow_rows(space, base, exponent[0, 0])
+    return compose_rows(space, mul_rows(space, exponent, compose_rows(space, base, ln_series)), exp_series)
 
 
-def evaluate(expr: Expr, env: dict[str, Jet]) -> Jet:
-    """Evaluate the tree over jets; every symbol must be bound in env."""
-    if isinstance(expr, Const):
-        probe = next(iter(env.values()), None)
-        if probe is None:
-            raise EvaluationError("evaluation environment must bind at least one jet")
-        return Jet.constant(expr.value, probe.order, probe.nvars)
-    if isinstance(expr, Sym):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvaluationError(f"unbound symbol {expr.name!r}") from None
-    if isinstance(expr, Unary):
-        child = evaluate(expr.child, env)
-        if expr.fn == "neg":
-            return -child
-        return getattr(child, expr.fn)()
-    op, left, right = expr.op, expr.left, expr.right
-    if op == "^":
-        return _jet_pow(evaluate(left, env), evaluate(right, env))
-    a = evaluate(left, env)
-    b = evaluate(right, env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
-
-
-# -- compiled tape ------------------------------------------------------------
-
-# The float operations are the jets' own order-0 rules; the jet operations
-# are the Jet methods, looked up on each call as ``evaluate`` does.
+# The operations of trees and tapes on coefficient rows (see ``jets``), by
+# name; a division is a product with the reciprocal.  The float operations
+# are the jets' own order-0 rules.
+_JET_OPS = {
+    "+": lambda space, a, b: a + b, "-": lambda space, a, b: a - b, "*": mul_rows, "^": _jet_pow,
+    "neg": lambda space, a: -a, "abs": abs_rows,
+    **{op: partial(compose_rows, series=series) for op, series in SERIES.items()},
+}
 _FLOAT_OPS = {
     "+": operator.add, "-": operator.sub, "*": mul_value, "^": pow_value, "neg": operator.neg,
     "recip": reciprocal_value, "sqrt": sqrt_value, "exp": math.exp, "ln": ln_value, "sin": math.sin,
     "cos": math.cos, "abs": abs_value,
 }
-_JET_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "^": _jet_pow, "neg": operator.neg,
-    "recip": operator.methodcaller("_reciprocal"), **{fn: operator.methodcaller(fn) for fn in FUNCTIONS},
-}
+
+
+def evaluate(expr: Expr, env: dict[str, Jet | JetArray]) -> Jet | JetArray:
+    """Evaluate the tree over jets; every symbol must be bound in env, to a
+    jet or a 0-d jet array (of one entry per point for a batch), all in one
+    variable count and taken at their lowest order.  Each operation runs once
+    for the whole batch.  The result is a jet, or a jet array of one entry
+    per point."""
+    if not env:
+        raise EvaluationError("evaluation environment must bind at least one jet")
+    flat, _ = concat(*env.values())
+    if flat.shape != (len(env),):
+        raise UsageError("an evaluation environment binds jets, or jet arrays of one entry per point")
+    rows = dict(zip(env, flat.c.reshape(flat.points or 1, len(env), -1).transpose(1, 0, 2)))
+    out = _evaluate(expr, rows, flat.space)
+    if flat.points:  # a row that serves every point becomes one row per point
+        return JetArray(flat.space, np.broadcast_to(out, (flat.points, flat.space.size)).copy(), flat.points)
+    return Jet(flat.space, out[0])
+
+
+def _evaluate(expr: Expr, rows: dict[str, np.ndarray], space: JetSpace) -> np.ndarray:
+    if isinstance(expr, Const):
+        return Jet.constant(expr.value, space.order, space.nvars).c[None]
+    if isinstance(expr, Sym):
+        try:
+            return rows[expr.name]
+        except KeyError:
+            raise EvaluationError(f"unbound symbol {expr.name!r}") from None
+    if isinstance(expr, Unary):
+        return _JET_OPS[expr.fn](space, _evaluate(expr.child, rows, space))
+    a, b = _evaluate(expr.left, rows, space), _evaluate(expr.right, rows, space)
+    if expr.op == "/":
+        return mul_rows(space, a, _JET_OPS["recip"](space, b))
+    return _JET_OPS[expr.op](space, a, b)
+
+
+# -- compiled tape ------------------------------------------------------------
+
+_FOLD_SPACE = jet_space(MAX_ORDER, 1)  # the space of a folded constant's jet
 
 
 class Tape:
@@ -304,28 +322,29 @@ class Tape:
     Registers 0..len(coords)-1 hold the coordinates; the others hold folded
     constants or instruction results.  An instruction is ``(op, out, a, b)``
     on registers, with ``b`` None for a unary op; a division is a product
-    with the reciprocal, as in ``Jet.__truediv__``.  Symbols resolve as in
+    with the reciprocal, as in ``evaluate``.  Symbols resolve as in
     ``SpacetimeModel.coord_env``: a coordinate first, then ``pi``, then a
     parameter.
 
-    A folded constant is kept twice: as a float, its order-0 value, and as a
-    constant jet in one variable at the highest order.  Both are folded with
-    the operations the tape runs, so the jet holds what a constant jet of
-    every order >= 1 holds in ``evaluate``: the same value, and derivative
-    coefficients that are all one signed zero (-0.0 after a negation, for
-    instance).  A fold that raises at any order is left on the tape.
+    A folded constant is kept twice: as a float, its order-0 value, and as
+    the row (1, S) of a constant jet in one variable at the highest order.
+    Both are folded with the operations the tape runs, so the row holds what
+    a constant jet of every order >= 1 holds in ``evaluate``: the same value,
+    and derivative coefficients that are all one signed zero (-0.0 after a
+    negation, for instance).  A fold that raises at any order is left on the
+    tape.
     """
 
     def __init__(self, roots: list[Expr], coords, params: dict[str, float]):
         self.coords = tuple(coords)
         self._params = {**{k: float(v) for k, v in params.items()}, "pi": math.pi}
         self._regs: list = [None] * len(self.coords)  # the float at a constant's register
-        self._consts: dict[int, Jet] = {}  # constant register -> its folded jet
+        self._consts: dict[int, np.ndarray] = {}  # constant register -> its folded jet's row
         self._const_regs: dict[tuple, int] = {}
         self._numbering: dict[tuple, int] = {}  # (op, a, b) -> register
         self._code: list[tuple] = []
         self._seeds: set[int] = set()  # the coordinates the roots use
-        self._jet_regs: dict = {}  # JetSpace -> registers with the constants as its jets
+        self._jet_regs: dict = {}  # JetSpace -> registers with the constants as its rows
         self._kernels: dict = {}  # (writer, potential tape) -> compiled float kernel
         memo: dict[Expr, tuple | int] = {}
         self.outputs = [self._reg(self._lower(root, memo)) for root in roots]
@@ -363,7 +382,7 @@ class Tape:
         args = (a,) if b is None else (a, b)
         if all(isinstance(arg, tuple) for arg in args):
             try:
-                return _FLOAT_OPS[op](*(f for f, _ in args)), _JET_OPS[op](*(jet for _, jet in args))
+                return _FLOAT_OPS[op](*(f for f, _ in args)), _JET_OPS[op](_FOLD_SPACE, *(row for _, row in args))
             except (ArithmeticError, ValueError, SingularEvaluationError):
                 pass  # stays on the tape and raises on every run, as evaluate does
         key = (op, self._reg(a), None if b is None else self._reg(b))
@@ -377,13 +396,13 @@ class Tape:
     def _reg(self, ref: tuple | int) -> int:
         if isinstance(ref, int):
             return ref
-        f, jet = ref
-        key = (f.hex(), jet.c.tobytes())
+        f, row = ref
+        key = (f.hex(), row.tobytes())
         out = self._const_regs.get(key)
         if out is None:
             out = self._const_regs[key] = len(self._regs)
             self._regs.append(f)
-            self._consts[out] = jet
+            self._consts[out] = row
         return out
 
     # -- evaluators ---------------------------------------------------------------
@@ -406,24 +425,29 @@ class Tape:
             kernel = self._kernels[write, potential] = write(self, potential)
         return kernel
 
-    def jets(self, x, order: int) -> list[Jet]:
-        """Root jets in 4 variables, coordinate k seeded in variable k.  A
-        folded root is a jet shared by every call at its order (no jet is
-        changed in place)."""
+    def jets(self, x, order: int) -> JetArray:
+        """The roots as a jet array in 4 variables, coordinate k seeded in
+        variable k, at a point x (4,), or with a point axis at a batch x
+        (P, 4): each instruction runs once on the rows of every point."""
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, 4)
         space = jet_space(order, 4)
         regs = self._jet_regs.get(space)
-        if regs is None:  # the constants as the jets evaluate builds, once per space
+        if regs is None:  # the constants as the rows evaluate builds, once per space
             regs = self._jet_regs[space] = self._regs.copy()
-            for r, jet in self._consts.items():
-                c = np.full(space.size, jet.c[1])
-                c[0] = regs[r] if order == 0 else jet.c[0]
-                regs[r] = Jet(space, c)
+            for r, row in self._consts.items():
+                c = np.full((1, space.size), row[0, 1])
+                c[0, 0] = regs[r] if order == 0 else row[0, 0]
+                regs[r] = c
         regs = regs.copy()
         for k in self._seeds:
-            regs[k] = Jet.variable(k, float(x[k]), order, 4)
+            regs[k] = variable_rows(k, points[:, k], order, 4)
         for fn, out, a, b in self._jcode:
-            regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-        return [regs[r] for r in self.outputs]
+            regs[out] = fn(space, regs[a]) if b is None else fn(space, regs[a], regs[b])
+        c = np.empty((len(points), len(self.outputs), space.size))
+        for k, r in enumerate(self.outputs):
+            c[:, k] = regs[r]  # a row that serves every point is copied to each
+        return JetArray(space, c, len(c)) if x.ndim == 2 else JetArray(space, c[0])
 
 
 # -- float kernels ------------------------------------------------------------
@@ -441,12 +465,12 @@ class _KernelWriter:
     and ``compile`` makes the function that returns the ones asked for.
 
     Each statement repeats, on floats, an operation ``Tape.jets`` makes on a
-    coefficient array: a product adds its terms from +0.0 in the pair order of
-    the multiplication table (the order ``np.bincount`` adds them in), a
-    univariate function takes its series from ``jets`` (the reciprocal, sin
-    and cos as statements, ``jets.inline_series``) and composes it by
-    ``Jet._compose``'s Horner scheme, and every singular value raises through
-    the same order-0 rule.  A coefficient known when the kernel is written (of
+    coefficient row (the row functions of ``jets``): a product adds its terms
+    from +0.0 in the pair order of the multiplication table (the order
+    ``mul_rows``' np.bincount adds them in), a univariate function takes its
+    series from ``jets`` (the reciprocal, sin and cos as statements,
+    ``jets.inline_series``) and composes it by ``jets.horner``'s scheme, and
+    every singular value raises through the same order-0 rule.  A coefficient known when the kernel is written (of
     a constant or of a seed's derivative) is a float here, and the writer
     folds the operations between known floats.  It also leaves out what
     changes no bit for any input: a factor 1.0, and a known zero added to a
@@ -478,8 +502,8 @@ class _KernelWriter:
         tape of the same kernel is not read again."""
         size = self.space.size
         regs = tape._regs.copy()
-        for r, jet in tape._consts.items():
-            regs[r] = [regs[r] if self.order == 0 else float(jet.c[0])] + [float(jet.c[1])] * (size - 1)
+        for r, row in tape._consts.items():
+            regs[r] = [regs[r] if self.order == 0 else float(row[0, 0])] + [float(row[0, 1])] * (size - 1)
         for k in tape._seeds:
             if k not in self.seeds:
                 self.seeds[k] = [self.let(f"float(x[{k}])")] + [0.0] * (size - 1)
@@ -606,8 +630,8 @@ class _KernelWriter:
         return result
 
     def power(self, a: list, b: list) -> list:
-        """``_jet_pow``: ``Jet.pow_const`` unrolled for a folded exponent,
-        ``_jet_pow`` itself on rebuilt jets for any other."""
+        """``_jet_pow``: ``jets.pow_rows`` unrolled for a folded exponent,
+        ``_jet_pow`` itself on rebuilt rows for any other."""
         if not all(isinstance(q, float) for q in b) or any(b[1:]):
             return self.unpack(f"_pow_jets(space, [{', '.join(map(self.ref, a))}], [{', '.join(map(self.ref, b))}])",
                                self.space.size)
@@ -628,11 +652,11 @@ def _write_values(tape: Tape, potential: None):
 
 
 def _pow_jets(space, base: list, exponent: list) -> list[float]:
-    return _jet_pow(Jet(space, np.array(base)), Jet(space, np.array(exponent))).c.tolist()
+    return _jet_pow(space, np.array([base]), np.array([exponent]))[0].tolist()
 
 
-def _constant(value: float) -> tuple[float, Jet]:
-    return float(value), Jet.constant(float(value), MAX_ORDER, 1)
+def _constant(value: float) -> tuple[float, np.ndarray]:
+    return float(value), Jet.constant(float(value), MAX_ORDER, 1).c[None]
 
 
 def free_symbols(expr: Expr) -> set[str]:

@@ -9,9 +9,10 @@ Every operation runs on the whole batch: sums, differences and scalings
 broadcast, partials, truncations, lifts and values are one gather or slice,
 and products, contractions and each Horner step of ``compose`` are one
 masked kernel call (``sum_of_products``: an np.bincount of the live
-products, then one of their sums).  Each coefficient has the bits the same
-operations give on the entries of each point as ``Jet`` objects; the mask
-rules below allow it.  The kernel plans each key of term tables and zero
+products, then one of their sums).  Each coefficient has the bits the dense
+row arithmetic of ``jets`` gives each entry at each point alone (``mul_rows``
+for a product, sums added left to right, ``horner`` for a composition); the
+mask rules below allow it.  The kernel plans each key of term tables and zero
 masks once (flat gathers and bincount bins of one point) and keeps the plans
 that fit its byte bound for the calls that meet the key again.
 """
@@ -24,13 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .jets import Jet, JetSpace, jet_space, reciprocal_series, sqrt_series
+from .jets import Jet, JetSpace, horner, jet_space, per_point, reciprocal_series, series_table, sqrt_series
 
 # -- mask rules ---------------------------------------------------------------
 #
 # Most jets of a static, symmetric solution are identically zero, and most
 # coefficients of a lifted base field are.  ``_coefficients`` leaves out what
-# these rules allow and gives the bits of the full dense operation:
+# these rules allow and gives the bits of the dense row product
+# (``jets.mul_rows``) and of sums of such products:
 #
 # - A product's coefficients are np.bincount sums over the multiplication
 #   table that start from +0.0, so a product never holds -0.0, and neither
@@ -70,11 +72,6 @@ def _plan(space: JetSpace, ta: np.ndarray, tb: np.ndarray, masks):
     return (ra[:, None] * size + ia).ravel(), (rb[:, None] * size + ib).ravel(), term_bins, out_bins
 
 
-def _per_point(bins: np.ndarray, points: int, width: int) -> np.ndarray:
-    """``bins`` for each of ``points`` points in turn, point p's moved up by p x width."""
-    return bins if points == 1 else (bins + np.arange(0, points * width, width)[:, None]).ravel()
-
-
 def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """Rows out[p, o] = sum over k of a[p, ta[o, k]] * b[p, tb[o, k]], for
     coefficient rows a and b of ``space`` at P points, of shapes (P, Na, S)
@@ -82,10 +79,10 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     tables ta, tb of shape (n, K); out has shape (P, n, S).
 
     Each product is the multiplication table's np.bincount (its pairs added
-    in table order), and each sum adds its terms in k order, starting from
-    +0.0, as ``Jet`` sums them, less what the mask rules leave out.  One plan,
-    on the masks of the whole batch, serves every point: each point gathers
-    from its own rows and sums into its own bins.
+    in table order, as ``jets.mul_rows`` adds them), and each sum adds its
+    terms in k order, starting from +0.0, less what the mask rules leave
+    out.  One plan, on the masks of the whole batch, serves every point: each
+    point gathers from its own rows and sums into its own bins.
     """
     global _plan_bytes
     points = max(len(a), len(b))
@@ -109,8 +106,8 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
         return np.zeros((points, len(ta), space.size))
     prods = a.reshape(len(a), -1).take(gather_a, axis=1)
     prods = np.multiply(prods, b.reshape(len(b), -1).take(gather_b, axis=1), out=prods if len(a) == points else None)
-    terms = np.bincount(_per_point(term_bins, points, len(out_bins)), prods.ravel(), points * len(out_bins))
-    return np.bincount(_per_point(out_bins, points, width), terms, points * width).reshape(points, len(ta), -1)
+    terms = np.bincount(per_point(term_bins, points, len(out_bins)), prods.ravel(), points * len(out_bins))
+    return np.bincount(per_point(out_bins, points, width), terms, points * width).reshape(points, len(ta), -1)
 
 
 @lru_cache(maxsize=None)
@@ -150,13 +147,15 @@ class JetArray:
     ``shape``, ``ndim``, indices and axes are those of one point's tensor.
     Indexing an unbatched array down to one entry gives a ``Jet`` (a view of
     the coefficients), anything else a ``JetArray``; ``flat`` runs over the
-    entries as jets.  Arithmetic broadcasts as NumPy does over the entries of
-    each point, and follows ``Jet``'s rules entry by entry, with the same
-    bits: operands of two orders are truncated to the lower, a number is a
-    constant jet in a sum and a scale factor in a product (a float array is
-    one too, broadcast against ``values``), an unbatched operand serves every
-    point of a batched one, and a product of two jet operands is one masked
-    kernel call (``sum_of_products``).  Jet arrays are not changed in place.
+    entries as jets.  A 0-d array is one jet (or one per point) that takes
+    part in arithmetic.  Arithmetic broadcasts as NumPy does over the entries
+    of each point, with the bits of the row arithmetic of ``jets`` entry by
+    entry: operands of two orders are truncated to the lower, a number is a
+    constant jet in a sum and a scale factor in a product or a quotient (a
+    float array is one too, broadcast against ``values``), an unbatched
+    operand serves every point of a batched one, and a product of two jet
+    operands is one masked kernel call (``sum_of_products``).  Jet arrays
+    are not changed in place.
     """
 
     __slots__ = ("space", "c", "points")
@@ -170,16 +169,18 @@ class JetArray:
     @staticmethod
     def stack(jets) -> "JetArray":
         """A jet array from a JetArray, a Jet, a (nested) sequence or object
-        array of jets of one variable count, or a list of jet arrays of one
-        shape (the new axis first, after a batch's point axis), at their
-        lowest order."""
+        array of jets of one variable count, or a list or object array of jet
+        arrays of one shape (the new axes first, after a batch's point axis),
+        at their lowest order."""
         if isinstance(jets, JetArray):
             return jets
         if isinstance(jets, Jet):
             return JetArray(jets.space, jets.c)
-        if isinstance(jets, list) and any(isinstance(j, JetArray) for j in jets):
-            rows, _ = concat(*jets)
-            return rows.reshape(len(jets), *JetArray.stack(jets[0]).shape)
+        items = list(jets.flat) if isinstance(jets, np.ndarray) else jets
+        if isinstance(items, list) and any(isinstance(j, JetArray) for j in items):
+            rows, _ = concat(*items)
+            outer = jets.shape if isinstance(jets, np.ndarray) else (len(jets),)
+            return rows.reshape(*outer, *JetArray.stack(items[0]).shape)
         arr = np.empty(np.shape(jets), dtype=object)
         arr[...] = jets
         entries = list(arr.flat)
@@ -365,8 +366,8 @@ class JetArray:
         return NotImplemented if pair is None else _elementwise(pair[1], pair[0])
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBER):
-            return JetArray(self.space, self.c / float(other), self.points)
+        if isinstance(other, (*_NUMBER, np.ndarray)):
+            return JetArray(self.space, self.c / np.asarray(other, dtype=float)[..., None], self.points)
         if isinstance(other, (Jet, JetArray)):
             return self * JetArray.stack(other).reciprocal()
         return NotImplemented
@@ -377,24 +378,16 @@ class JetArray:
     # -- composition with univariate functions ----------------------------------------
 
     def compose(self, series) -> "JetArray":
-        """Entry by entry, sum_k t[k] (f - f(0))^k for the Taylor coefficients
-        t = series(value, order) of each entry f (``series`` one of the series
-        functions of ``jets``), by Horner's scheme: the bits of
-        ``Jet._compose``, with one masked kernel call per step for every entry
-        of every point."""
-        values = self.c[..., 0]
-        taylor = np.array([series(v, self.order) for v in values.ravel().tolist()]).T
-        taylor = taylor.reshape((self.order + 1,) + values.shape)
-        u = self.c.copy()
-        u[..., 0] = 0.0
-        u = JetArray(self.space, u, self.points)
+        """Entry by entry, ``series`` (one of the series functions of ``jets``)
+        composed with each entry by ``jets.horner``, with one masked kernel
+        call per step for every entry of every point: the bits of
+        ``jets.compose_rows`` on each entry."""
         index = _entry_index(self)
-        c = np.zeros(self.c.shape)
-        c[..., 0] = taylor[self.order]
-        for k in range(self.order - 1, -1, -1):
-            c = products(JetArray(self.space, c, self.points), u, index, index).c
-            c[..., 0] += taylor[k]
-        return JetArray(self.space, c, self.points)
+
+        def mul(x, y):
+            return products(JetArray(self.space, x, self.points), JetArray(self.space, y, self.points), index, index).c
+
+        return JetArray(self.space, horner(self.c, series_table(series, self.c[..., 0], self.order), mul), self.points)
 
     def sqrt(self) -> "JetArray":
         return self.compose(sqrt_series)
@@ -421,9 +414,8 @@ def sum_of_products(a, b, ta, tb) -> JetArray:
     """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
     integer term tables ta and tb (broadcast together, k the last axis; or
     two lists of tables, one per term), at every point of a batch (``flat``
-    one point's entries): each product as ``Jet.__mul__`` forms it, each sum
-    added in k order as ``Jet`` adds it, at the lower order of a and b.  One
-    masked kernel call."""
+    one point's entries): each product as ``jets.mul_rows`` forms it, each sum
+    added in k order, at the lower order of a and b.  One masked kernel call."""
     a, b = JetArray.stack(a)._pair(JetArray.stack(b))
     if isinstance(ta, list):
         shape = np.broadcast_shapes(*(np.shape(t) for t in (*ta, *tb)))

@@ -7,18 +7,19 @@ modules consume is obtained either by evaluating expressions on seeded jets
 or by shifting jet coefficients (``partial``), never by finite differences.
 
 Coefficients are Taylor coefficients (derivative / multi-index factorial),
-stored densely in graded-lexicographic order.  Arithmetic between jets of the
-same variable count but different orders truncates to the coarser operand;
-jets of different variable counts do not mix.  Every operation is the full
-dense one; a tensor of jets is one ``jet_arrays.JetArray``, whose products
-leave out zero terms with the same bits (its mask rules).
+stored densely in graded-lexicographic order.  A ``Jet`` is read-only: its
+constructors and reads are here, and its arithmetic is a few functions on
+coefficient rows with a leading point axis (the dense product over the whole
+multiplication table, Horner composition with a series, powers and abs).
+The expression tapes run on these rows, once per batch of points.  A tensor
+of jets is one ``jet_arrays.JetArray``, whose products leave out zero terms
+and give the bits of the dense row product (its mask rules).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -126,9 +127,9 @@ def jet_space(order: int, nvars: int) -> JetSpace:
 
 # -- order-0 rules ------------------------------------------------------------
 #
-# Each function below is a Jet operation at order 0, on a plain float.  The
-# Jet methods take their singular-value checks and their value from it, so a
-# float program built from these functions matches order-0 jets bit for bit.
+# Each function below is a jet operation at order 0, on a plain float.  The
+# row functions take their singular-value checks and their value from it, so
+# a float program built from these functions matches order-0 jets bit for bit.
 
 
 def mul_value(a: float, b: float) -> float:
@@ -192,9 +193,10 @@ def pow_value(v: float, exponent: float) -> float:
 #
 # Each function below gives the Taylor coefficients f(v), f'(v), f''(v)/2, ...
 # up to ``order`` of one univariate function, its first entry from the order-0
-# rule above.  ``Jet._compose`` and the tape's compiled kernels both take a
-# series from here; the kernels write three of them out as statements
-# (``inline_series``), which the tests pin to these functions bit for bit.
+# rule above.  ``compose_rows``, ``JetArray.compose`` and the tape's compiled
+# kernels all take a series from here; the kernels write three of them out as
+# statements (``inline_series``), which the tests pin to these functions bit
+# for bit.
 
 
 def reciprocal_series(v: float, order: int) -> list[float]:
@@ -270,8 +272,99 @@ def inline_series(series, v: str, order: int, let) -> list[str] | None:
     return names
 
 
+# -- arithmetic on coefficient rows --------------------------------------------
+#
+# The dense jet arithmetic.  The functions below act on coefficient rows of
+# one space with a leading point axis, arrays of shape (P, S), or (1, S) for a
+# row that serves every point, and give each point's row the bits the
+# operation gives that point alone.  The expression tapes and
+# ``exprlang.evaluate`` run on them, once per batch.  A ``JetArray`` composes
+# with ``horner`` too, and forms its products in its masked kernel with the
+# bits of ``mul_rows``.  The tapes' registers are dense single jets, so masks
+# would cut nothing there, and the kernel's fixed cost per call would exceed
+# a dense product's.
+
+
+def per_point(bins: np.ndarray, points: int, width: int) -> np.ndarray:
+    """``bins`` for each of ``points`` points in turn, point p's moved up by p x width."""
+    return bins if points == 1 else (bins + np.arange(0, points * width, width)[:, None]).ravel()
+
+
+@lru_cache(maxsize=None)
+def _row_bins(space: JetSpace, points: int) -> np.ndarray:
+    return per_point(space._mul_table[2], points, space.size)
+
+
+def variable_rows(index: int, values, order: int, nvars: int) -> np.ndarray:
+    """Rows of the coordinate function x_index, one at each of ``values``."""
+    space = jet_space(order, nvars)
+    if not (0 <= index < nvars):
+        raise ConfigError(f"variable slot {index} out of range for nvars={nvars}")
+    c = np.zeros((len(values), space.size))
+    c[:, 0] = values
+    if order >= 1:
+        c[:, space.first_index[index]] = 1.0
+    return c
+
+
+def mul_rows(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b at every point: the multiplication table's np.bincount, each
+    coefficient a sum from +0.0 of its table pairs in table order."""
+    ia, ib, _ = space._mul_table
+    points = max(len(a), len(b))
+    prods = a[:, ia] * b[:, ib]
+    return np.bincount(_row_bins(space, points), prods.ravel(), points * space.size).reshape(points, space.size)
+
+
+def horner(c: np.ndarray, taylor: np.ndarray, mul) -> np.ndarray:
+    """sum_k taylor[k] (f - f(0))^k for each jet f of the coefficients c
+    (..., S) by Horner's scheme: taylor (order + 1, ...) holds each jet's
+    series, and ``mul`` multiplies two coefficient arrays of c's shape."""
+    u = c.copy()
+    u[..., 0] = 0.0
+    out = np.zeros(c.shape)
+    out[..., 0] = taylor[-1]
+    for t in taylor[-2::-1]:
+        out = mul(out, u)
+        out[..., 0] += t
+    return out
+
+
+def series_table(series, values: np.ndarray, order: int, *args) -> np.ndarray:
+    """taylor[k] = series(v, *args, order)[k] at each of ``values``, shape (order + 1, *values.shape)."""
+    taylor = [series(v, *args, order) for v in values.ravel().tolist()]
+    return np.array(taylor, dtype=float).reshape(values.size, order + 1).T.reshape((order + 1,) + values.shape)
+
+
+def compose_rows(space: JetSpace, c: np.ndarray, series, *args) -> np.ndarray:
+    """``series`` (one of the series above, with its extra ``args``) composed
+    with each row."""
+    return horner(c, series_table(series, c[:, 0], space.order, *args), partial(mul_rows, space))
+
+
+def pow_rows(space: JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
+    """Each row to a constant power: by squaring for a nonnegative integer,
+    the reciprocal of that for a negative one, else by ``power_series``."""
+    if _is_integer(exponent) and exponent >= 0:
+        return _power_by_squaring(c, int(exponent), np.eye(1, space.size), partial(mul_rows, space))
+    if _is_integer(exponent):
+        for v in c[:, 0].tolist():
+            pow_value(v, exponent)  # raises where the power is singular
+        return compose_rows(space, pow_rows(space, c, -int(exponent)), reciprocal_series)
+    return compose_rows(space, c, power_series, exponent)
+
+
+def abs_rows(space: JetSpace, c: np.ndarray) -> np.ndarray:
+    """|f| for each row f: f where its value is positive, else -f."""
+    for v in c[:, 0].tolist():
+        abs_value(v)  # raises at 0
+    return np.where(c[:, :1] > 0, c, -c)
+
+
 class Jet:
-    """Value plus partial derivatives to fixed total order, in nvars variables."""
+    """Value plus partial derivatives to fixed total order, in nvars variables:
+    a read-only view of one coefficient row.  Arithmetic on jets is the row
+    functions above, or a ``JetArray``'s."""
 
     __slots__ = ("space", "c")
 
@@ -291,15 +384,7 @@ class Jet:
     @staticmethod
     def variable(index: int, value: float, order: int, nvars: int) -> "Jet":
         """Jet of the coordinate function x_index at the given value."""
-        sp = jet_space(order, nvars)
-        if not (0 <= index < nvars):
-            raise ConfigError(f"variable slot {index} out of range for nvars={nvars}")
-        c = np.zeros(sp.size)
-        c[0] = value
-        if order >= 1:
-            unit = tuple(1 if i == index else 0 for i in range(nvars))
-            c[sp.index[unit]] = 1.0
-        return Jet(sp, c)
+        return Jet(jet_space(order, nvars), variable_rows(index, [value], order, nvars)[0])
 
     # -- basic queries ------------------------------------------------------
 
@@ -350,120 +435,5 @@ class Jet:
         c[dst] = self.c[src] * fac
         return Jet(lower, c)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "tuple[Jet, Jet] | None":
-        if isinstance(other, Jet):
-            if other.space is self.space:
-                return self, other
-            if other.nvars != self.nvars:
-                raise UsageError(
-                    f"jet nvars mismatch: {self.nvars} vs {other.nvars}"
-                )
-            m = min(self.order, other.order)
-            return self.truncate(m), other.truncate(m)
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self, Jet.constant(float(other), self.order, self.nvars)
-        return None
-
-    def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.space, a.c + b.c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.space, a.c - b.c)
-
-    def __rsub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.space, b.c - a.c)
-
-    def __neg__(self):
-        return Jet(self.space, -self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.c * float(other))
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ia, ib, ic = a.space._mul_table
-        c = np.bincount(ic, weights=a.c[ia] * b.c[ib], minlength=a.space.size)
-        return Jet(a.space, c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.c / float(other))
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b._reciprocal()
-
-    def __rtruediv__(self, other):
-        rec = self._reciprocal()
-        return rec * other
-
-    def __pow__(self, exponent):
-        return self.pow_const(exponent)
-
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
-
-    # -- composition with univariate functions ------------------------------
-
-    def _compose(self, taylor: list[float]) -> "Jet":
-        """Evaluate sum_k taylor[k] * (self - value)^k by Horner's scheme."""
-        c = self.c.copy()
-        c[0] = 0.0
-        u = Jet(self.space, c)
-        result = Jet.constant(float(taylor[self.order]), self.order, self.nvars)
-        for k in range(self.order - 1, -1, -1):
-            c = (result * u).c
-            c[0] += taylor[k]
-            result = Jet(self.space, c)
-        return result
-
-    def _reciprocal(self) -> "Jet":
-        return self._compose(reciprocal_series(self.value, self.order))
-
-    def sqrt(self) -> "Jet":
-        return self._compose(sqrt_series(self.value, self.order))
-
-    def exp(self) -> "Jet":
-        return self._compose(exp_series(self.value, self.order))
-
-    def ln(self) -> "Jet":
-        return self._compose(ln_series(self.value, self.order))
-
-    def sin(self) -> "Jet":
-        return self._compose(sin_series(self.value, self.order))
-
-    def cos(self) -> "Jet":
-        return self._compose(cos_series(self.value, self.order))
-
-    def abs(self) -> "Jet":
-        abs_value(self.value)  # raises at 0
-        return self if self.value > 0 else -self
-
-    def pow_const(self, exponent: float) -> "Jet":
-        if _is_integer(exponent) and exponent >= 0:
-            return _power_by_squaring(self, int(exponent), Jet.constant(1.0, self.order, self.nvars), operator.mul)
-        if _is_integer(exponent):
-            pow_value(self.value, exponent)  # raises where the power is singular
-            return self.pow_const(-int(exponent))._reciprocal()
-        return self._compose(power_series(self.value, exponent, self.order))

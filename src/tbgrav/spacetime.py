@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError, UsageError
 from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
 from .jet_arrays import JetArray
-from .jets import Jet, jet_space
+from .jets import Jet, jet_space, variable_rows
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
@@ -67,20 +67,20 @@ class SpacetimeModel:
     chart_guard: Expr | None = None
     alpha_is_star: bool = False
 
-    def param_env(self, order: int, nvars: int) -> dict[str, Jet]:
-        env = {name: Jet.constant(v, order, nvars) for name, v in self.params.items()}
-        env["pi"] = Jet.constant(math.pi, order, nvars)
-        return env
+    def param_env(self, order: int, nvars: int) -> dict[str, JetArray]:
+        """The parameters and ``pi`` as constant 0-d jet arrays."""
+        constants = {**self.params, "pi": math.pi}
+        return {name: JetArray.stack(Jet.constant(v, order, nvars)) for name, v in constants.items()}
 
-    def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, Jet | JetArray]:
-        """Environment with coordinate k seeded in variable k of ``nvars``: a
-        jet at a point x (4,), and a jet array of one entry per point at a
+    def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, JetArray]:
+        """``param_env`` and coordinate k seeded in variable k of ``nvars``: a
+        0-d jet array at a point x (4,), and one of one entry per point at a
         batch x (P, 4)."""
-        env = self.param_env(order, nvars)
+        env, space = self.param_env(order, nvars), jet_space(order, nvars)
         x = np.asarray(x, dtype=float)
         for k, name in enumerate(self.coords):
-            jets = [Jet.variable(k, float(xi), order, nvars) for xi in x[..., k].reshape(-1)]
-            env[name] = JetArray(jets[0].space, np.array([j.c for j in jets]), len(x)) if x.ndim == 2 else jets[0]
+            rows = variable_rows(k, x.reshape(-1, 4)[:, k], order, nvars)
+            env[name] = JetArray(space, rows, len(x)) if x.ndim == 2 else JetArray(space, rows[0])
         return env
 
     @cached_property
@@ -361,14 +361,6 @@ def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
         raise SingularEvaluationError(f"metric determinant {det} is not negative at {x.tolist()}", value=det)
 
 
-def _root_array(tape: Tape, x: np.ndarray, order: int) -> JetArray:
-    """The tape's root jets at x (4,), or at each point of a batch x (P, 4),
-    one ``Tape.jets`` run per point."""
-    rows = [[jet.c for jet in tape.jets(point, order)] for point in x.reshape(-1, 4)]
-    space = jet_space(order, 4)
-    return JetArray(space, np.array(rows), len(rows)) if x.ndim == 2 else JetArray(space, np.array(rows[0]))
-
-
 def _points(x) -> np.ndarray:
     """x as a float array of one chart point (4,) or of a batch (P, 4)."""
     x = np.asarray(x, dtype=float)
@@ -384,8 +376,7 @@ def metric_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     x = _points(x)
     for point in x.reshape(-1, 4):
         model.check_chart(point)
-    roots = _root_array(model.metric_tape, x, order)
-    comps = roots[_ROOT]
+    comps = model.metric_tape.jets(x, order)[_ROOT]
     for g, point in zip(comps.values.reshape(-1, 4, 4), x.reshape(-1, 4)):
         _check_determinant(g, point)
     return comps
@@ -395,7 +386,7 @@ def potential_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     """Covariant potential components A_i as a jet array in the 4 base
     coordinates at x (or at each point of a batch x).  The chart is not
     checked: every caller has checked it for the metric at the same x."""
-    return _root_array(model.potential_tape, _points(x), order)
+    return model.potential_tape.jets(_points(x), order)
 
 
 def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:

@@ -271,7 +271,7 @@ def test_criterion_9_infrastructure():
     byte-identical seeded reports."""
     # jets vs central differences
     def fn(v):
-        return (v * v + 1.0).sqrt() * v.sin() + (v * 0.3 + 2.0).ln()
+        return exprlang.evaluate(exprlang.parse("sqrt(v*v + 1)*sin(v) + ln(v*0.3 + 2)"), {"v": v})
 
     x0, h1, h2 = 0.8, 1e-5, 1e-4
     jet = fn(Jet.variable(0, x0, 2, 1))

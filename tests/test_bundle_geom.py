@@ -19,7 +19,7 @@ from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav import jet_arrays
 from tbgrav.jet_arrays import JetArray, jet_values
-from tbgrav.jets import MAX_ORDER, Jet
+from tbgrav.jets import MAX_ORDER, Jet, ln_series
 from tbgrav.exprlang import Tape, evaluate
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
 
@@ -229,7 +229,7 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
 
     def log_sqrt_det(model, pt, order):
         g, _ = _joint_space_fields(model, pt.x, order)
-        return (-bg.det_jet_matrix(g)).sqrt().ln()
+        return (-JetArray.stack(bg.det_jet_matrix(g))).sqrt().compose(ln_series)
 
     out = bun.adapted_derivative(RN, p, log_sqrt_det)
     gamma = jet_values(bg.BaseGeometry(RN, p.x, 1).gamma)
@@ -386,7 +386,7 @@ def test_decomposition_divergence_convention_frozen():
             acc = None
             for j in range(4):
                 for k in range(4):
-                    term = geo.ginv[j, k] * geo.b_jk[i, j, k]
+                    term = JetArray.stack(geo.ginv[j, k]) * geo.b_jk[i, j, k]
                     acc = term if acc is None else acc + term
             out[i] = acc
         return out
@@ -478,15 +478,23 @@ def test_generalized_einstein_minkowski():
     assert ge["difference"] <= 1e-12
 
 
+# The arithmetic members ``Jet`` had before it became read-only.
+JET_ARITHMETIC = ("_coerce", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__", "_compose", "_reciprocal", "sqrt", "exp", "ln", "sin",
+                  "cos", "abs", "pow_const")
+
+
 def test_jet_operation_budget(monkeypatch):
     """The work of one ricci_decomposition plus one generalized_einstein call
     on the stacked route: masked kernel calls (``jet_arrays._coefficients``),
-    the live terms they form (both factors not all zero), the products of
-    those terms over their live table pairs, and the scalar ``Jet`` products,
-    pinned to the counts measured since |y|, 1/|y| and the b-scalar's
-    division compose on jet arrays (``JetArray.compose``)."""
-    counts = {"calls": 0, "terms": 0, "products": 0, "jet_mul": 0}
-    kernel, mul = jet_arrays._coefficients, Jet.__mul__
+    the live terms they form (both factors not all zero) and the products of
+    those terms over their live table pairs, pinned to the counts measured
+    since |y|, 1/|y| and the b-scalar's division compose on jet arrays
+    (``JetArray.compose``).  ``Jet`` is read-only: every product is the
+    kernel's or, on the tapes, the dense row product's."""
+    assert not any(name in vars(Jet) for name in JET_ARITHMETIC)
+    counts = {"calls": 0, "terms": 0, "products": 0}
+    kernel = jet_arrays._coefficients
 
     def counted_kernel(space, a, b, ta, tb):
         live = int(np.count_nonzero(a.any(axis=(0, 2))[ta] & b.any(axis=(0, 2))[tb]))
@@ -496,18 +504,12 @@ def test_jet_operation_budget(monkeypatch):
         counts["products"] += live * int(np.count_nonzero(a.any(axis=(0, 1))[ia] & b.any(axis=(0, 1))[ib]))
         return kernel(space, a, b, ta, tb)
 
-    def counted_mul(self, other):
-        counts["jet_mul"] += 1
-        return mul(self, other)
-
     p = BundlePoint(X_RN, Y_RN)
     bun.ricci_decomposition(RN, p)  # the model's tapes are compiled on first use
     monkeypatch.setattr(jet_arrays, "_coefficients", counted_kernel)
-    monkeypatch.setattr(Jet, "__mul__", counted_mul)
-    monkeypatch.setattr(Jet, "__rmul__", counted_mul)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts == {"calls": 66, "terms": 673, "products": 120038, "jet_mul": 68}
+    assert counts == {"calls": 66, "terms": 673, "products": 120038}
 
 
 # -- carrier order ------------------------------------------------------------------------------

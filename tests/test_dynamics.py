@@ -20,7 +20,7 @@ from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
 from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
-from tbgrav.jet_arrays import jet_values
+from tbgrav.jet_arrays import JetArray, jet_values
 from tbgrav.jets import Jet
 from tbgrav.spacetime import catalog, metric_jet
 
@@ -371,9 +371,10 @@ def test_hot_paths_build_no_jet(monkeypatch):
     spacetime.metric_values(rn, X0_ORBIT)
 
     def forbidden(self, *args, **kwargs):
-        raise AssertionError("Jet built on a hot path")
+        raise AssertionError("Jet or JetArray built on a hot path")
 
     monkeypatch.setattr(Jet, "__init__", forbidden)
+    monkeypatch.setattr(JetArray, "__init__", forbidden)
     base = dyn.integrate_worldline(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0)
     assert base.t_end == pytest.approx(1.0)
     assert dyn.compare_classical(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=1.0) <= 1e-9

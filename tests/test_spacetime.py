@@ -2,13 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
-from tbgrav.exprlang import _KernelWriter, evaluate
-from tbgrav.jet_arrays import JetArray
+from tbgrav.exprlang import _KernelWriter, evaluate, parse
+from tbgrav.jet_arrays import concat
 from tbgrav.spacetime import (
     CATALOG_NAMES,
     alpha_star,
@@ -284,6 +285,7 @@ TAPE_POINTS = {
     "tape-probe": [0.2, 6.0, 1.1, 0.7],
     "zero-signs": [0.2, 6.0, 1.1, 0.7],
     "powers": [0.2, 6.0, 1.1, 0.7],
+    "dense": [0.1, 0.3, -0.2, 0.4],
 }
 # division by r = 0, sqrt(0) (weak_field), ln(-1) and abs(0) (tape-probe)
 SINGULAR_POINTS = [[0.0, 0.0, 1.1, 0.4], [0.0, 0.0, 0.0, 0.0], [-2.0, 6.0, 1.1, 0.7], [0.0, 6.0, 1.1, 0.0]]
@@ -305,10 +307,8 @@ def _tree_jets(model, x, order, nvars):
 def _tape_jets(model, x, order, nvars):
     """The metric and potential tapes' 4-variable root jets, lifted to
     ``nvars`` variables as ``BundleGeometry`` lifts its base fields."""
-    jets = model.metric_tape.jets(x, order) + model.potential_tape.jets(x, order)
-    if nvars == 4:
-        return jets
-    return list(JetArray.stack(jets).lift(nvars).flat)
+    roots, _ = concat(model.metric_tape.jets(x, order), model.potential_tape.jets(x, order))
+    return (roots if nvars == 4 else roots.lift(nvars)).flat
 
 
 def _kernel(model, order):
@@ -368,6 +368,83 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars):
                 assert got == want
             else:
                 assert np.array(got).tobytes() == _coefficient_bytes(want)
+
+
+# Two batches of three points about a model's tape point: r (or x) alone moves,
+# so a coordinate-dependent exponent such as r^(2*t) or r^theta is one row
+# for the whole batch, and then every coordinate moves, so that its rows
+# differ from point to point.
+BATCH_STEPS = (np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.25, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]),
+               np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 0.25, 0.05, 0.2], [0.2, 0.5, 0.1, 0.4]]))
+DENSE_DOC = Path(__file__).resolve().parents[1] / "tools" / "dense_model.json"
+
+
+def _batch_models():
+    return _tape_models() + [load_model(DENSE_DOC.read_text())]
+
+
+def _root_rows(model, x, order):
+    """The metric and potential tapes' roots at a point or a batch, as one
+    coefficient array (points first for a batch)."""
+    metric, potential = model.metric_tape.jets(x, order), model.potential_tape.jets(x, order)
+    assert metric.points == potential.points == (len(x) if np.ndim(x) == 2 else None)
+    return np.concatenate([metric.c, potential.c], axis=-2)
+
+
+def _tree_rows(model, x, order):
+    """The tree walk's roots at a point or a batch, as ``_root_rows`` gives them."""
+    env = model.coord_env(x, order)
+    upper = [model.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
+    return np.stack([evaluate(e, env).c for e in upper + model.a_exprs], axis=-2)
+
+
+@pytest.mark.parametrize("model", _batch_models(), ids=lambda m: m.name)
+@pytest.mark.parametrize("order", range(5))
+def test_tape_batch_gives_each_point_its_bytes(model, order):
+    """``Tape.jets`` on a (3, 4) batch runs each instruction once and gives
+    each point the bytes of a one-point run and of the tree walk there;
+    ``evaluate`` on a batched ``coord_env`` gives the same bytes."""
+    for steps in BATCH_STEPS:
+        xs = np.array(TAPE_POINTS[model.name]) + steps
+        batch = _root_rows(model, xs, order)
+        assert batch.tobytes() == _tree_rows(model, xs, order).tobytes()
+        for p, x in enumerate(xs):
+            assert batch[p].tobytes() == _root_rows(model, x, order).tobytes()
+            assert batch[p].tobytes() == _tree_rows(model, x, order).tobytes()
+
+
+@pytest.mark.parametrize("model", _batch_models(), ids=lambda m: m.name)
+def test_batch_with_a_singular_point_raises_as_the_point_alone(model):
+    """A batch holding one singular point raises the error that point raises
+    alone (or gives its bytes where it raises none), on the tapes and on the
+    tree walk."""
+    good = np.array(TAPE_POINTS[model.name]) + BATCH_STEPS[1][1:]
+    for order in (0, 2):
+        for x_bad in SINGULAR_POINTS:
+            xs = np.array([good[0], x_bad, good[1]])
+            for run in (_root_rows, _tree_rows):
+                alone, batch = _outcome(run, model, x_bad, order), _outcome(run, model, xs, order)
+                if isinstance(alone, tuple):
+                    assert batch == alone
+                else:
+                    assert batch[1].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_every_function_evaluates_on_a_batch(order):
+    """Each operation of the grammar, a constant and a coordinate-dependent
+    exponent among them, evaluates on a batched ``coord_env`` with each
+    point's bytes."""
+    model = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
+    xs = np.array(TAPE_POINTS[model.name]) + BATCH_STEPS[1]
+    sources = ["-r", "r + theta", "r - theta", "r*theta", "r/theta", "sqrt(r)", "sin(theta)", "cos(theta)",
+               "exp(theta)", "ln(r)", "abs(t - 0.05)", "r^2", "r^-3", "r^0.5", "r^theta", "r^(t - t)", "M*Q"]
+    env = model.coord_env(xs, order)
+    for source in sources:
+        got = evaluate(parse(source), env)
+        assert got.points == 3 and got.shape == (), source
+        for p, x in enumerate(xs):
+            assert got.c[p].tobytes() == evaluate(parse(source), model.coord_env(x, order)).c.tobytes(), source
 
 
 def test_tape_singular_points_raise():

@@ -7,6 +7,8 @@ else on the Reissner-Nordström model (M = 1, Q = 0.3, alpha*), with
 ``jet_arrays._coefficients`` wrapped: once as the process's first suite
 (``first``: the tapes are compiled and the kernel's plans built) and then
 REPEATS times more (``again``: timings are the median of those runs).
+``Tape.jets`` and the dense row product ``jets.mul_rows`` (the tapes'
+products and Horner steps) are counted too.
 ``tools/dense_model.json`` is a model whose jets are dense: every metric and
 potential entry depends on the four coordinates.  Each line gives
 
@@ -22,11 +24,16 @@ potential entry depends on the four coordinates.  Each line gives
   the bytes of their index arrays and of their keys;
 - ``build_ms``, ``run_ms`` and ``kernel_ms``: time spent building plans, the
   rest of the kernel's time, and their sum;
+- ``tape_runs``: ``Tape.jets`` runs (one per point on a tree whose tapes
+  run point by point, one per batch since they take one);
+- ``row_calls`` and ``row_points_per_call``: ``jets.mul_rows`` calls and
+  the points each serves, on average;
 - ``suite_ms``: the suite's wall time less the time this tool spends counting;
 - ``peak_rss_mb``: the process's peak resident set size so far.
 
 On a tree without kernel plans the plan columns read ``-`` and ``run_ms`` is
-the whole kernel.  Timings depend on the host; the counts depend only on the
+the whole kernel; on one without ``jets.mul_rows`` (its tapes ran on ``Jet``
+operators) the row columns read ``-``.  Timings depend on the host; the counts depend only on the
 source.  It lives outside the package so that importing ``tbgrav`` stays as
 it was.
 """
@@ -40,14 +47,16 @@ import time
 
 import numpy as np
 
-from tbgrav import jet_arrays, load_model, verify
+from tbgrav import exprlang, jet_arrays, jets, load_model, verify
 from tbgrav.spacetime import catalog
 
 SEED, POINTS, REPEATS = 7, 5, 5
 FIELDS = ("calls", "points_per_call", "terms", "products", "max_products", "built", "hits", "kept", "plan_kib",
-          "key_kib", "build_ms", "run_ms", "kernel_ms", "suite_ms", "peak_rss_mb")
+          "key_kib", "build_ms", "run_ms", "kernel_ms", "tape_runs", "row_calls", "row_points_per_call", "suite_ms",
+          "peak_rss_mb")
 TIMES = ("build_ms", "run_ms", "kernel_ms", "suite_ms")
 PLANNED = hasattr(jet_arrays, "_plans")
+ROWS = hasattr(jets, "mul_rows")
 
 
 def live_work(space, a, b, ta, tb) -> tuple[int, int, int]:
@@ -91,17 +100,36 @@ def instrument(stats: dict) -> None:
             return plan
 
         jet_arrays._plan = timed
+    tape_jets = exprlang.Tape.jets
+
+    def run(tape, x, order):
+        stats["tape_runs"] += 1
+        return tape_jets(tape, x, order)
+
+    exprlang.Tape.jets = run
+    if ROWS:  # the row product is looked up in jets (Horner steps, powers) and in exprlang's operation table
+        mul = jets.mul_rows
+
+        def row_product(space, a, b):
+            stats["row_calls"] += 1
+            stats["row_points"] += max(len(a), len(b))
+            return mul(space, a, b)
+
+        jets.mul_rows = exprlang.mul_rows = exprlang._JET_OPS["*"] = row_product
 
 
 def one_suite(model, stats: dict) -> dict:
     """The line's figures for one suite."""
-    stats.update(dict.fromkeys(("calls", "points", "terms", "products", "max_products", "built"), 0))
+    stats.update(dict.fromkeys(("calls", "points", "terms", "products", "max_products", "built", "tape_runs",
+                                "row_calls", "row_points"), 0))
     stats.update(dict.fromkeys(("kernel_s", "count_s", "build_s"), 0.0))
     start = time.perf_counter()
     verify.run_suite(model, seed=SEED, n_points=POINTS)
     wall = time.perf_counter() - start
-    line = {name: stats[name] for name in ("calls", "terms", "products", "max_products")}
+    line = {name: stats[name] for name in ("calls", "terms", "products", "max_products", "tape_runs")}
     line["points_per_call"] = stats["points"] / max(stats["calls"], 1)
+    if ROWS:
+        line.update(row_calls=stats["row_calls"], row_points_per_call=stats["row_points"] / max(stats["row_calls"], 1))
     line.update(suite_ms=(wall - stats["count_s"]) * 1e3, kernel_ms=stats["kernel_s"] * 1e3,
                 peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     if PLANNED:
