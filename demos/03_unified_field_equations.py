@@ -26,35 +26,36 @@ rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
 print("distinguished coupling alpha* =", alpha_star(1.0, 1.0))
 
 p = BundlePoint([0.0, 5.0, math.pi / 2, 0.3], [1.4, 0.0, 0.0, 0.02])
-# every object of the connection's ladder is read off one geometry at (x, y)
+# every object of the connection's ladder is read off one geometry at (x, y),
+# a batch of one point: each object is read at point 0
 geo = BundleGeometry(rn, p)
-print("|y| =", geo.norm.value, " supporting element:", jet_values(geo.l_up))
+print("|y| =", geo.norm.values[0], " supporting element:", jet_values(geo.l_up)[0])
 
 # the spray perturbation is metrically orthogonal to y
-print("B^i =", jet_values(geo.b_up))
+print("B^i =", jet_values(geo.b_up)[0])
 print("N^i_j nonzero entries:", int(np.count_nonzero(np.abs(jet_values(geo.n_conn)) > 1e-14)))
 
 # tidal tensor and its curvature ladder
-e = jet_values(geo.tidal)
+e = jet_values(geo.tidal)[0]
 print("tidal tensor diagonal:", np.diag(e))
-print("bundle Ricci scalar R(x,y) =", geo.d_ricci_scalar)
+print("bundle Ricci scalar R(x,y) =", geo.d_ricci_scalar[0])
 
 # the scalar-curvature split closes pointwise
 dec = ricci_decomposition(rn, p)
-print("R =", dec["R"])
-print("  base r      =", dec["r"])
-print("  divergence  =", dec["div_term"])
-print("  quad term   =", dec["quad_term"], " vs (3a^2/2)F^2 =", 1.5 * dec["alpha"] ** 2 * dec["f_squared"])
-print("  residual    =", dec["residual"])
+print("R =", dec["R"][0])
+print("  base r      =", dec["r"][0])
+print("  divergence  =", dec["div_term"][0])
+print("  quad term   =", dec["quad_term"][0], " vs (3a^2/2)F^2 =", 1.5 * dec["alpha"] ** 2 * dec["f_squared"][0])
+print("  residual    =", dec["residual"][0])
 
 # at alpha*, the variational field tensor vanishes on the exact solution
 ge = generalized_einstein(rn, p)
-print("max|generalized Einstein tensor| =", ge["max_abs_variational"])
-print("literal bundle assembly differs by", ge["difference"], "(reported, not asserted)")
+print("max|generalized Einstein tensor| =", ge["max_abs_variational"][0])
+print("literal bundle assembly differs by", ge["difference"][0], "(reported, not asserted)")
 
 # tidal stretch/compression for a hovering observer near a mass
 schw = catalog("schwarzschild", {"M": 1.0})
 f = 0.8
 hover = BundlePoint([0.0, 10.0, math.pi / 2, 0.0], [1.0 / math.sqrt(f), 0.0, 0.0, 0.0])
-eigs = np.diag(jet_values(BundleGeometry(schw, hover, alpha=0.0).tidal))[1:]
+eigs = np.diag(jet_values(BundleGeometry(schw, hover, alpha=0.0).tidal)[0])[1:]
 print("Schwarzschild tidal eigenvalues:", eigs, " (2M/r^3, -M/r^3, -M/r^3)")

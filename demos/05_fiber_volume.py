@@ -41,4 +41,4 @@ print("bundle integral =", lhs, " base integral =", rhs, " rel diff =", abs(lhs 
 # divergence of a horizontal lift = classical divergence: div(r^2 d_r) = 4r
 field = lift_base_field(lambda env: [env["r"] * 0, env["r"] * env["r"], env["r"] * 0, env["r"] * 0])
 p = BundlePoint(x, [1.2, 0.0, 0.0, 0.0])
-print("div(r^2 d_r) =", horizontal_divergence(schw, p, field), " (4r = 40)")
+print("div(r^2 d_r) =", horizontal_divergence(schw, p, field)[0], " (4r = 40)")

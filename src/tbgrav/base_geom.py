@@ -25,8 +25,8 @@ import numpy as np
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
 from .jet_arrays import JetArray, concat, contract, jet_values, products, sum_of_products
-from .jets import Jet, reciprocal_value
-from .spacetime import _ROOT, SpacetimeModel, metric_jet, potential_jet
+from .jets import reciprocal_value
+from .spacetime import _ROOT, SpacetimeModel, _points, metric_jet, potential_jet
 
 _ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
 
@@ -57,10 +57,9 @@ def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
     ``zero`` on it, at the lower order of the two."""
     order = min(strict.order, zero.order)
     strict, zero = strict.truncate(order), zero.truncate(order)
-    lead = 0 if strict.points is None else 1  # the axis of the pairs
     zero = zero.c.reshape(zero.c.shape[:-1] + (1,) * strict.ndim + zero.c.shape[-1:])
-    zero = np.broadcast_to(zero, strict.c.shape[:lead] + (1,) + strict.c.shape[lead + 1:])
-    return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c], axis=lead), strict.points)[_ANTI]
+    zero = np.broadcast_to(zero, strict.c.shape[:1] + (1,) + strict.c.shape[2:])
+    return JetArray(strict.space, np.concatenate([zero, strict.c, -strict.c], axis=1))[_ANTI]
 
 
 def sequential_sum(terms: np.ndarray) -> np.ndarray:
@@ -68,17 +67,16 @@ def sequential_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
 
 
-def point_sum(terms: np.ndarray, axes: int):
+def point_sum(terms: np.ndarray, axes: int) -> np.ndarray:
     """``sequential_sum`` of each point's ``terms`` in C order over the last
-    ``axes`` axes: a float for one point, an array over a batch's points."""
-    total = sequential_sum(np.moveaxis(terms.reshape(terms.shape[:terms.ndim - axes] + (-1,)), -1, 0))
-    return float(total) if total.ndim == 0 else total
+    ``axes`` axes, an array over the points."""
+    return sequential_sum(np.moveaxis(terms.reshape(terms.shape[:terms.ndim - axes] + (-1,)), -1, 0))
 
 
-def per_point(fn, batched: bool, *arrays):
-    """``fn`` of the float arrays, or, for a batch, the array of ``fn`` of each
-    point's slices: a float epilogue that must see one point at a time."""
-    return np.array([fn(*slices) for slices in zip(*arrays)]) if batched else fn(*arrays)
+def per_point(fn, *arrays) -> np.ndarray:
+    """The array of ``fn`` of each point's slices of the float arrays: a float
+    epilogue that must see one point at a time."""
+    return np.array([fn(*slices) for slices in zip(*arrays)])
 
 
 def invert_jet_matrix(g) -> JetArray:
@@ -94,24 +92,22 @@ def invert_jet_matrix(g) -> JetArray:
     # X_ij = sum_k (g - g0)_kj (-g0inv_ik), a sum of scaled copies (which may
     # hold -0.0) added in k order
     terms = (g - g0).c[..., None, :, :, :] * -g0inv[..., None, None]  # [i, k, j]
-    x = JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :],
-                 g.points)
+    x = JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :])
     s = x.c.copy()  # S = I + X + X^2 + ... + X^order, then ginv = S . g0inv
     s[..., range(4), range(4), :] += np.eye(1, g.space.size)[0]  # a constant jet 1 added to the diagonal
-    s = JetArray(g.space, s, g.points)
+    s = JetArray(g.space, s)
     power = x
     for _ in range(g.order - 1):
         power = contract(power, x)
         s = s + power
     terms = s.c[..., :, :, None, :] * g0inv[..., None, :, :, None]  # [i, k, j]
-    return JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :],
-                    g.points)
+    return JetArray(g.space, terms[..., 0, :, :] + terms[..., 1, :, :] + terms[..., 2, :, :] + terms[..., 3, :, :])
 
 
 _MINOR_COLS = np.array([[c for c in range(4) if c != j] for j in range(4)])  # columns of minor j
 
 
-def det_jet_matrix(g) -> Jet | JetArray:
+def det_jet_matrix(g) -> JetArray:
     """Determinant of a 4x4 jet matrix by cofactor expansion along row 0, each
     3x3 minor of rows 1-3 expanded along its first row."""
     g = JetArray.stack(g)
@@ -125,12 +121,12 @@ def det_jet_matrix(g) -> Jet | JetArray:
     minor = three[0] - three[1] + three[2]
     cofactors = minor.c.copy()
     cofactors[..., 1::2, :] = -cofactors[..., 1::2, :]
-    return contract(g[0], JetArray(minor.space, cofactors, minor.points))
+    return contract(g[0], JetArray(minor.space, cofactors))
 
 
-def sqrt_minus_det(g) -> Jet | JetArray:
-    """sqrt(-det g): a jet, or a jet array of one entry per point of a batch."""
-    return (-JetArray.stack(det_jet_matrix(g))).sqrt()[()]
+def sqrt_minus_det(g) -> JetArray:
+    """sqrt(-det g), a 0-d jet array (one entry per point)."""
+    return (-det_jet_matrix(g)).sqrt()
 
 
 # -- connection and curvature kernels --------------------------------------------
@@ -158,7 +154,7 @@ def riemann_jets(gamma) -> JetArray:
     # gamma^i_mk gamma^m_jl for each pair (k, l) and then (l, k), indexed [pair, i, j, m]
     quad = sum_of_products(lower, lower, i * 16 + m * 4 + first, m * 16 + j * 4 + second)
     strict = dgam[k, :, :, l] - dgam[l, :, :, k] + quad[:6] - quad[6:]  # [pair, i, j]
-    return antisymmetric(strict, JetArray.stack(gamma[0, 0, 0]) * 0.0).transpose(2, 3, 0, 1)
+    return antisymmetric(strict, gamma[0, 0, 0] * 0.0).transpose(2, 3, 0, 1)
 
 
 def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
@@ -166,7 +162,7 @@ def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
     a, ginv = JetArray.stack(a), JetArray.stack(ginv)
     da = a.partials(range(4))  # da[i, j] = d_i A_j
     i, j = STRICT
-    f_low = antisymmetric(da[i, j] - da[j, i], JetArray.stack(a[0]) * 0.0)
+    f_low = antisymmetric(da[i, j] - da[j, i], a[0] * 0.0)
     return f_low, contract(ginv, f_low)
 
 
@@ -183,24 +179,22 @@ def raise_both_indices(s_low, ginv) -> JetArray:
 
 
 class BaseGeometry:
-    """Lazy cache of the jet-valued base objects at one point x (4,), or at
-    each point of a batch x (P, 4).
+    """Lazy cache of the jet-valued base objects at each point of a batch x
+    (P, 4), a point x (4,) being a batch of one.
 
     ``order`` is the carrier order of the 4-variable jets of g and A.  The
     connection and F hold one level less, the curvature and the tensors built
     on it two less; an object's values are the same at every carrier order
     that holds it.  Each object is one ``JetArray`` indexed as its symbol is
-    written, with a leading point axis for a batch (``points`` is P, or None
-    for one point); mirrored entries of a symmetric tensor hold the same
-    bytes.  A float object is a float at one point and an array of one float
-    per point for a batch.  Every point of a batch has the bits it has alone.
+    written after the leading point axis; mirrored entries of a symmetric
+    tensor hold the same bytes.  A float object is an array of one float per
+    point.  Every point of a batch has the bits it has alone.
     """
 
     def __init__(self, model: SpacetimeModel, x, order: int):
         self.model = model
-        self.x = np.asarray(x, dtype=float)
+        self.x = _points(x)
         self.order = order
-        self.points = len(self.x) if self.x.ndim == 2 else None
 
     @cached_property
     def g(self) -> JetArray:
@@ -231,7 +225,7 @@ class BaseGeometry:
         return r[0, :, 0] + r[1, :, 1] + r[2, :, 2] + r[3, :, 3]
 
     @cached_property
-    def ricci_scalar(self) -> float | np.ndarray:
+    def ricci_scalar(self) -> np.ndarray:
         """g^jl r_jl from the values, summed row by row."""
         return point_sum(self.ginv.values * self.ricci.values, 2)
 
@@ -246,7 +240,7 @@ class BaseGeometry:
         """Electromagnetic stress-energy T^f_ij (symmetric, trace-free)."""
         f_low, f_mix = self.faraday
         f_up = contract(f_mix, self.ginv)  # F^{lm} = F^l_a g^{am}
-        quarter_f2 = JetArray.stack(contract(f_up.ravel(), f_low.ravel())) * 0.25  # F^{lm} F_lm / 4
+        quarter_f2 = contract(f_up.ravel(), f_low.ravel()) * 0.25  # F^{lm} F_lm / 4
         coeff = EM_STRESS_SIGN / (4.0 * math.pi)
         # -F_il F_j^l = +F_il F^l_j, then g_ij F^{lm} F_lm / 4, over the upper pairs
         (left, (low, g)), (right, (mix, q)) = concat(f_low, self.g), concat(f_mix, quarter_f2)
@@ -259,7 +253,7 @@ class BaseGeometry:
     def einstein(self) -> JetArray:
         """G_jl = r_jl - (1/2) g_jl g^ab r_ab."""
         ric = self.ricci
-        half_scalar = JetArray.stack(contract(self.ginv.ravel(), ric.ravel())) * 0.5
+        half_scalar = contract(self.ginv.ravel(), ric.ravel()) * 0.5
         return symmetric(ric[UPPER] - self.g[UPPER] * half_scalar)
 
     @cached_property
@@ -290,10 +284,10 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     return v + np.moveaxis(v, -3, -1) + np.moveaxis(v, -1, -3)
 
 
-def densitized_divergence(s: Jet | JetArray, v_up) -> np.ndarray:
-    """sum_j d_j(s V^j) at the point (or each point of a batch), for the
-    density jet s = sqrt(-g) and component jets V^j along the last axis of
-    ``v_up``; callers divide by s themselves."""
+def densitized_divergence(s: JetArray, v_up) -> np.ndarray:
+    """sum_j d_j(s V^j) at each point, for the density jets s = sqrt(-g) (a
+    0-d jet array) and component jets V^j along the last axis of ``v_up``;
+    callers divide by s themselves."""
     prod = s * JetArray.stack(v_up)
     first = prod.space.first_index
     return sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
@@ -310,8 +304,8 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
 
 
 def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
-    """div_j S^{ij} at the geometry's point (or points), with its gamma, for
-    a 4x4 jet array S^{ij} carrying at least one derivative level."""
+    """div_j S^{ij} at each of the geometry's points, with its gamma, for a
+    4x4 jet array S^{ij} carrying at least one derivative level."""
     if not (isinstance(s_upper, JetArray) and s_upper.shape == (4, 4)):
         raise UsageError("divergence needs a 4x4 array of jets")
     if s_upper.order < 1:

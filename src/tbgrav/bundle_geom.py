@@ -20,10 +20,10 @@ cross-check (``fiber_derivs_B``).  Each object is one ``JetArray``, formed by
 whole-tensor operations: a contraction or a sum of products is one masked
 kernel call (``jet_arrays.sum_of_products``), which gives the bits of the
 left-to-right jet sum but leaves out the terms with an all-zero factor (the
-mask rules of ``jet_arrays``).  A geometry of a batch of points forms each
-object for every point at once, with a leading point axis, and gives every
-point the bits it has alone.  ``np.einsum`` is used on float arrays only,
-one point at a time.
+mask rules of ``jet_arrays``).  A geometry forms each object for every point
+of its batch at once, with a leading point axis (one point is a batch of
+one), and gives every point the bits it has alone.  ``np.einsum`` is used on
+float arrays only, one point at a time.
 The deviation and oracle right-hand sides read N, E and the spray from a
 float twin of this route, one straight-line kernel written from the model's
 tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).
@@ -51,7 +51,7 @@ from . import base_geom
 from .errors import UsageError
 from .base_geom import STRICT, UPPER, antisymmetric, point_sum, symmetric
 from .jet_arrays import JetArray, concat, contract, products, sum_of_products
-from .jets import MAX_ORDER, Jet, jet_space
+from .jets import MAX_ORDER, jet_space
 from .spacetime import SpacetimeModel
 
 Y_SLOT0 = 4
@@ -60,30 +60,31 @@ _X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "a_pot", "gamma", "fa
 
 @dataclass
 class BundlePoint:
-    """A bundle point (x, y), or a batch of P of them: x and y of shape (P, 4)."""
+    """A batch of P bundle points (x, y), x and y of shape (P, 4); an x or y
+    of shape (4,) is a batch of one."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if self.x.shape != self.y.shape or self.x.shape[-1:] != (4,) or self.x.ndim > 2:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape[-1:] != (4,) or y.shape[-1:] != (4,) or max(x.ndim, y.ndim) > 2 or x.size != y.size:
             raise UsageError("bundle point needs 4 base and 4 fiber components")
+        self.x, self.y = x.reshape(-1, 4), y.reshape(-1, 4)
 
 
 class BundleGeometry:
-    """Lazy cache of all jet-valued objects at one bundle point, or at each
-    point of a batch (a ``BundlePoint`` of (P, 4) arrays).
+    """Lazy cache of all jet-valued objects at each point of a batch of
+    bundle points (a ``BundlePoint``).
 
     ``order`` is the total derivative budget of the carrier jets; each object
     below consumes shift levels as annotated.  The default, ``MAX_ORDER`` (4),
     supports every object including the fiber Hessians of the tidal-tensor
     trace; an object's values are the same at every carrier order that holds
     it, so a lower order only saves work for callers that read few objects.
-    As in ``BaseGeometry``, a batch puts a leading point axis on every object
-    (a float becomes an array of one float per point), and every point has
-    the bits it has alone.
+    As in ``BaseGeometry``, every object has a leading point axis (a float
+    object is an array of one float per point), and every point has the bits
+    it has alone.
     """
 
     def __init__(self, model: SpacetimeModel, p: BundlePoint, order: int = MAX_ORDER,
@@ -93,11 +94,6 @@ class BundleGeometry:
         self.order = order
         self.alpha = model.alpha if alpha is None else float(alpha)
         self.base = base_geom.BaseGeometry(model, self.p.x, order)
-
-    @property
-    def points(self) -> int | None:
-        """The batch's point count, or None for one point."""
-        return self.base.points
 
     def at_fiber(self, y) -> "BundleGeometry":
         """The geometry at (x, y) for the same model, order and alpha; it
@@ -128,14 +124,14 @@ class BundleGeometry:
     @cached_property
     @np.errstate(invalid="ignore")
     def yj(self) -> JetArray:
-        for g, y in zip(self.base.g.values.reshape(-1, 4, 4), self.p.y.reshape(-1, 4)):
+        for g, y in zip(self.base.g.values, self.p.y):
             base_geom.timelike_norm(g, y)
         space = jet_space(self.order, 8)
         c = np.zeros(self.p.y.shape + (space.size,))
         c[..., 0] = self.p.y
         if self.order >= 1:
             c[..., range(4), space.first_index[Y_SLOT0:]] = 1.0
-        return JetArray(space, c, self.points)
+        return JetArray(space, c)
 
     # -- one shift consumed ----------------------------------------------------
 
@@ -150,16 +146,16 @@ class BundleGeometry:
     # -- fiber algebra (no shifts) ----------------------------------------------
 
     @cached_property
-    def norm2(self) -> Jet:
+    def norm2(self) -> JetArray:
         return contract(contract(self.yj, self.g), self.yj)
 
     @cached_property
-    def norm(self) -> Jet | JetArray:
-        return JetArray.stack(self.norm2).sqrt()[()]
+    def norm(self) -> JetArray:
+        return self.norm2.sqrt()
 
     @cached_property
-    def inv_norm(self) -> Jet | JetArray:
-        return (1.0 / JetArray.stack(self.norm))[()]
+    def inv_norm(self) -> JetArray:
+        return 1.0 / self.norm
 
     @cached_property
     def l_up(self) -> JetArray:
@@ -255,7 +251,7 @@ class BundleGeometry:
         adapted = self.delta(self.n_conn)  # [k, i, j]
         j, k = STRICT
         strict = adapted[k, :, j] - adapted[j, :, k]  # [pair, i]
-        return antisymmetric(strict, JetArray.stack(self.n_conn[0, 0]) * 0.0).transpose(2, 0, 1)
+        return antisymmetric(strict, self.n_conn[0, 0] * 0.0).transpose(2, 0, 1)
 
     @cached_property
     def tidal(self) -> JetArray:
@@ -272,23 +268,23 @@ class BundleGeometry:
     def d_ricci(self) -> np.ndarray:
         """R_jl = -(1/2)(E^i_i)_.jl as float values (a fiber Hessian, symmetric)."""
         e = self.tidal
-        return -0.5 * _fiber_hessian(JetArray.stack(e[0, 0]) + e[1, 1] + e[2, 2] + e[3, 3])
+        return -0.5 * _fiber_hessian(e[0, 0] + e[1, 1] + e[2, 2] + e[3, 3])
 
     @cached_property
-    def d_ricci_scalar(self) -> float | np.ndarray:
-        return base_geom.per_point(lambda ginv, ric: float(np.einsum("jl,jl->", ginv, ric)), self.points,
-                                   self.ginv.values, self.d_ricci)
+    def d_ricci_scalar(self) -> np.ndarray:
+        return base_geom.per_point(lambda ginv, ric: float(np.einsum("jl,jl->", ginv, ric)), self.ginv.values,
+                                   self.d_ricci)
 
     # -- scalar-curvature split ----------------------------------------------------
 
     @cached_property
-    def f_squared(self) -> float | np.ndarray:
+    def f_squared(self) -> np.ndarray:
         """F_ij F^ij at the base point."""
         f_low, f_mix = self.faraday
         return base_geom.per_point(lambda ginv, fl: float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)),
-                                   self.points, self.ginv.values, f_low.values)
+                                   self.ginv.values, f_low.values)
 
-    def divergence(self, x_vec, connection: JetArray) -> float | np.ndarray:
+    def divergence(self, x_vec, connection: JetArray) -> np.ndarray:
         """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
         x_vec = JetArray.stack(x_vec)
         adapted = self.delta(x_vec, connection).values.diagonal(0, -2, -1)
@@ -296,27 +292,27 @@ class BundleGeometry:
         return point_sum(np.concatenate([adapted[..., None], trace], axis=-1), 2)
 
     @cached_property
-    def div_term(self) -> float:
+    def div_term(self) -> np.ndarray:
         """delta0-divergence of X^i = g^{jk} B^i_.jk (frozen convention)."""
         # X^i summed over (j, k) row by row, g^{jk} the left factor of each term
         x_vec = contract(self.ginv.reshape(16), self.b_jk.transpose(1, 2, 0).reshape(16, 4))
         return self.divergence(x_vec, self.n_conn0)
 
     @cached_property
-    def b_trace2(self) -> Jet:
+    def b_trace2(self) -> JetArray:
         """B^i_.h B^h_.i."""
         return contract(self.b_j.ravel(), self.b_j.T.ravel())
 
     @cached_property
-    def quad_term(self) -> float | np.ndarray:
+    def quad_term(self) -> np.ndarray:
         """-(1/2) g^{jk} (B^i_h B^h_i)_.jk."""
         return point_sum(-0.5 * self.ginv.values * _fiber_hessian(self.b_trace2), 2)
 
     @cached_property
-    def b_scalar(self) -> Jet | JetArray:
-        """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a jet."""
-        bb = JetArray.stack(contract(self.b_up, contract(self.g, self.b_up)))
-        return (bb / self.norm2 * 1.5 + JetArray.stack(self.b_trace2) * 0.5)[()]
+    def b_scalar(self) -> JetArray:
+        """(3/2) B^l B_l / |y|^2 + (1/2) B^i_h B^h_i as a 0-d jet array."""
+        bb = contract(self.b_up, contract(self.g, self.b_up))
+        return bb / self.norm2 * 1.5 + self.b_trace2 * 0.5
 
     @cached_property
     def b_hessian(self) -> np.ndarray:
@@ -324,10 +320,10 @@ class BundleGeometry:
         return _fiber_hessian(self.b_scalar)
 
 
-def _fiber_hessian(f) -> np.ndarray:
-    """f_.jl, the second fiber partials of joint-space jets (a jet or a jet
-    array), as float values indexed [*f.shape, j, l]."""
-    return JetArray.stack(f).hessian()[..., Y_SLOT0:, Y_SLOT0:]
+def _fiber_hessian(f: JetArray) -> np.ndarray:
+    """f_.jl, the second fiber partials of a joint-space jet array, as float
+    values indexed [point, *f.shape, j, l]."""
+    return f.hessian()[..., Y_SLOT0:, Y_SLOT0:]
 
 
 # -- public operations ------------------------------------------------------------
@@ -394,18 +390,12 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     r_tilde = base.ricci_scalar + 1.5 * a**2 * geo.f_squared
     gvals = geo.g.values
     ric = geo.d_ricci
-    half_r = np.asarray(0.5 * r_tilde)[..., None, None]
-    assembled = 0.5 * (ric + np.swapaxes(ric, -1, -2)) - half_r * gvals + geo.b_hessian
-
-    def point_max(v):  # max |v| over each point's 4x4 tensor
-        v = np.max(np.abs(v), axis=(-2, -1))
-        return float(v) if v.ndim == 0 else v
-
+    assembled = 0.5 * (ric + np.swapaxes(ric, -1, -2)) - (0.5 * r_tilde)[:, None, None] * gvals + geo.b_hessian
     return {
         "variational": variational,
         "assembled": assembled,
-        "difference": point_max(variational - assembled),
-        "max_abs_variational": point_max(variational),
+        "difference": np.max(np.abs(variational - assembled), axis=(-2, -1)),
+        "max_abs_variational": np.max(np.abs(variational), axis=(-2, -1)),
         "alpha": a,
         "r_tilde": r_tilde,
     }

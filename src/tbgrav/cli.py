@@ -138,18 +138,18 @@ def _cmd_inspect(args) -> int:
     }
     if args.x is not None:
         x = _vec(args.x, "--x")
-        geo = base_geom.BaseGeometry(model, x, 2)
-        g = jet_values(geo.g)
+        geo = base_geom.BaseGeometry(model, x, 2)  # a batch of one point: each object's point 0 is read
+        g = jet_values(geo.g)[0]
         # + 0.0: F_ji is stored as -F_ij, which makes a zero entry -0.0
-        f_low = jet_values(geo.faraday[0]) + 0.0
+        f_low = jet_values(geo.faraday[0])[0] + 0.0
         payload["at"] = {
             "x": x.tolist(),
             "metric": g.tolist(),
             "det_metric": float(np.linalg.det(g)),
             "signature": list(signature_signs(g)),
-            "potential": jet_values(geo.a_pot).tolist(),
+            "potential": jet_values(geo.a_pot)[0].tolist(),
             "faraday": f_low.tolist(),
-            "ricci_scalar": geo.ricci_scalar,
+            "ricci_scalar": float(geo.ricci_scalar[0]),
         }
     _dump(payload)
     return 0
@@ -212,7 +212,8 @@ def _cmd_deviation(args) -> int:
 def _cmd_theorem1(args) -> int:
     model = _resolve_model(args)
     p = BundlePoint(_vec(args.x, "--x"), _vec(args.y, "--y"))
-    dec = bundle_geom.ricci_decomposition(model, p)
+    dec = {key: value if key == "alpha" else float(value[0])
+           for key, value in bundle_geom.ricci_decomposition(model, p).items()}
     dec["quad_closed_form"] = 1.5 * dec["alpha"] ** 2 * dec["f_squared"]
     _dump(dec)
     return 0
@@ -224,12 +225,12 @@ def _cmd_efe(args) -> int:
     ge = bundle_geom.generalized_einstein(model, p)
     payload = {
         "alpha": ge["alpha"],
-        "r_tilde": ge["r_tilde"],
-        "variational": ge["variational"].tolist(),
-        "assembled": ge["assembled"].tolist(),
-        "difference": ge["difference"],
-        "max_abs_variational": ge["max_abs_variational"],
-        "conservation_residual": verify.conservation_residual(model, p.x).tolist(),
+        "r_tilde": float(ge["r_tilde"][0]),
+        "variational": ge["variational"][0].tolist(),
+        "assembled": ge["assembled"][0].tolist(),
+        "difference": float(ge["difference"][0]),
+        "max_abs_variational": float(ge["max_abs_variational"][0]),
+        "conservation_residual": verify.conservation_residual(model, p.x)[0].tolist(),
     }
     _dump(payload)
     return 0

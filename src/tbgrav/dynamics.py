@@ -248,7 +248,7 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = base_geom.timelike_norm(metric_values(model, x), y)
-    a_vals = jet_values(potential_jet(model, x, order=0))
+    a_vals = jet_values(potential_jet(model, x, order=0))[0]
     return norm + alpha * float(a_vals @ y)
 
 

@@ -31,15 +31,16 @@ whole batch of points.  The compiler
   zeros.  A division is a product with the reciprocal, as ``evaluate``
   forms it, so ``x / 10`` is ``x * 0.1``.
 
-A tape runs two ways: on 4-variable jets of any order at a point or a batch
-of points (``Tape.jets``), and on plain floats (``Tape.values``) through the
-order-0 kernel it writes for itself, one straight-line Python function.  A
-kernel writer (``_KernelWriter``) makes, on the float Taylor coefficients of
-an order <= 2, the operations ``Tape.jets`` makes on coefficient rows, in the
-same order, so its coefficients match ``evaluate`` bit for bit, down to the
-sign of a zero, and it raises the same errors at the same points.  Writers
-elsewhere run a metric tape and a potential tape into one function of
-(x, y), with geometric terms that are not bit-identical to any jet route
+A tape runs two ways: on 4-variable jets of any order at a batch of points,
+a point being a batch of one (``Tape.jets``), and on plain floats
+(``Tape.values``) through the order-0 kernel it writes for itself, one
+straight-line Python function.  A kernel writer (``_KernelWriter``) makes,
+on the float Taylor coefficients of an order <= 2, the operations
+``Tape.jets`` makes on coefficient rows, in the same order, so its
+coefficients match ``evaluate`` bit for bit, down to the sign of a zero, and
+it raises the same errors at the same points.  Writers elsewhere run a
+metric tape and a potential tape into one function of (x, y), with geometric
+terms that are not bit-identical to any jet route
 (``base_geom.FiberWriter``).  Every kernel is cached on its tape
 (``Tape.kernel``).
 """
@@ -51,6 +52,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import TypeVar
 
 import numpy as np
 
@@ -277,22 +279,24 @@ _FLOAT_OPS = {
 }
 
 
-def evaluate(expr: Expr, env: dict[str, Jet | JetArray]) -> Jet | JetArray:
+AnyJet = TypeVar("AnyJet", Jet, JetArray)  # evaluate gives jets on jets, jet arrays on jet arrays
+
+
+def evaluate(expr: Expr, env: dict[str, AnyJet]) -> AnyJet:
     """Evaluate the tree over jets; every symbol must be bound in env, to a
-    jet or a 0-d jet array (of one entry per point for a batch), all in one
-    variable count and taken at their lowest order.  Each operation runs once
-    for the whole batch.  The result is a jet, or a jet array of one entry
-    per point."""
+    jet or a 0-d jet array (one entry per point), all in one variable count
+    and taken at their lowest order.  Each operation runs once for the whole
+    batch.  The result is a jet on jets, else a 0-d jet array."""
     if not env:
         raise EvaluationError("evaluation environment must bind at least one jet")
     flat, _ = concat(*env.values())
     if flat.shape != (len(env),):
         raise UsageError("an evaluation environment binds jets, or jet arrays of one entry per point")
-    rows = dict(zip(env, flat.c.reshape(flat.points or 1, len(env), -1).transpose(1, 0, 2)))
-    out = _evaluate(expr, rows, flat.space)
-    if flat.points:  # a row that serves every point becomes one row per point
-        return JetArray(flat.space, np.broadcast_to(out, (flat.points, flat.space.size)).copy(), flat.points)
-    return Jet(flat.space, out[0])
+    out = _evaluate(expr, dict(zip(env, flat.c.transpose(1, 0, 2))), flat.space)
+    if all(isinstance(value, Jet) for value in env.values()):
+        return Jet(flat.space, out[0])
+    # a row that serves every point becomes one row per point
+    return JetArray(flat.space, np.broadcast_to(out, (flat.points, flat.space.size)).copy())
 
 
 def _evaluate(expr: Expr, rows: dict[str, np.ndarray], space: JetSpace) -> np.ndarray:
@@ -427,10 +431,9 @@ class Tape:
 
     def jets(self, x, order: int) -> JetArray:
         """The roots as a jet array in 4 variables, coordinate k seeded in
-        variable k, at a point x (4,), or with a point axis at a batch x
-        (P, 4): each instruction runs once on the rows of every point."""
-        x = np.asarray(x, dtype=float)
-        points = x.reshape(-1, 4)
+        variable k, at a batch x (P, 4), a point x (4,) being a batch of one:
+        each instruction runs once on the rows of every point."""
+        points = np.asarray(x, dtype=float).reshape(-1, 4)
         space = jet_space(order, 4)
         regs = self._jet_regs.get(space)
         if regs is None:  # the constants as the rows evaluate builds, once per space
@@ -447,7 +450,7 @@ class Tape:
         c = np.empty((len(points), len(self.outputs), space.size))
         for k, r in enumerate(self.outputs):
             c[:, k] = regs[r]  # a row that serves every point is copied to each
-        return JetArray(space, c, len(c)) if x.ndim == 2 else JetArray(space, c[0])
+        return JetArray(space, c)
 
 
 # -- float kernels ------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Stacked jet tensors: arrays of jets of one space as one coefficient array.
 
-A ``JetArray`` holds a tensor of jets as one float array of shape
-(*shape, S), S the size of its ``JetSpace``, or, for a batch of P points,
-(P, *shape, S): one tensor per point, the point axis first.  Shapes, indices,
+A ``JetArray`` holds a tensor of jets at a batch of P >= 1 points as one
+float array of shape (P, *shape, S), S the size of its ``JetSpace``: one
+tensor per point, the point axis first.  One point is a batch of one, and an
+array of one point serves every point of a larger batch.  Shapes, indices,
 axes and term tables are those of one point's tensor, and the point axis
-rides along; indexing an unbatched array down to one entry gives a ``Jet``.
+rides along; indexing down to one entry gives a 0-d jet array.
 Every operation runs on the whole batch: sums, differences and scalings
 broadcast, partials, truncations, lifts and values are one gather or slice,
 and products, contractions and each Horner step of ``compose`` are one
@@ -140,42 +141,39 @@ _NUMBER = (int, float, np.floating, np.integer)
 
 
 class JetArray:
-    """A tensor of jets of one space, stored as one float array ``c`` of
-    shape (*shape, space.size), or (points, *shape, space.size) for a batch:
-    entry idx of point p is the jet ``c[p, idx]``.
+    """A tensor of jets of one space at ``points`` points, stored as one float
+    array ``c`` of shape (points, *shape, space.size): entry idx of point p is
+    the jet ``c[p, idx]``.
 
     ``shape``, ``ndim``, indices and axes are those of one point's tensor.
-    Indexing an unbatched array down to one entry gives a ``Jet`` (a view of
-    the coefficients), anything else a ``JetArray``; ``flat`` runs over the
-    entries as jets.  A 0-d array is one jet (or one per point) that takes
-    part in arithmetic.  Arithmetic broadcasts as NumPy does over the entries
-    of each point, with the bits of the row arithmetic of ``jets`` entry by
-    entry: operands of two orders are truncated to the lower, a number is a
-    constant jet in a sum and a scale factor in a product or a quotient (a
-    float array is one too, broadcast against ``values``), an unbatched
-    operand serves every point of a batched one, and a product of two jet
-    operands is one masked kernel call (``sum_of_products``).  Jet arrays
-    are not changed in place.
+    Indexing gives a ``JetArray`` (down to one entry, a 0-d one: one jet per
+    point); ``flat`` runs over the entries of every point as ``Jet`` views.
+    Arithmetic broadcasts as NumPy does over the entries of each point, with
+    the bits of the row arithmetic of ``jets`` entry by entry: operands of
+    two orders are truncated to the lower, a number is a constant jet in a
+    sum and a scale factor in a product or a quotient (a float array is one
+    too, broadcast against ``values``), an operand of one point serves every
+    point of the other, and a product of two jet operands is one masked
+    kernel call (``sum_of_products``).  Jet arrays are not changed in place.
     """
 
-    __slots__ = ("space", "c", "points")
+    __slots__ = ("space", "c")
     __array_ufunc__ = None  # NumPy operands defer to the reflected operators
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, points: int | None = None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
-        self.points = points
 
     @staticmethod
     def stack(jets) -> "JetArray":
         """A jet array from a JetArray, a Jet, a (nested) sequence or object
         array of jets of one variable count, or a list or object array of jet
-        arrays of one shape (the new axes first, after a batch's point axis),
-        at their lowest order."""
+        arrays of one shape (the new axes first, after the point axis), at
+        their lowest order; jets make an array of one point."""
         if isinstance(jets, JetArray):
             return jets
         if isinstance(jets, Jet):
-            return JetArray(jets.space, jets.c)
+            return JetArray(jets.space, jets.c[None])
         items = list(jets.flat) if isinstance(jets, np.ndarray) else jets
         if isinstance(items, list) and any(isinstance(j, JetArray) for j in items):
             rows, _ = concat(*items)
@@ -189,19 +187,19 @@ class JetArray:
         if len({j.nvars for j in entries}) != 1:
             raise UsageError("jet nvars mismatch in one array")
         space = jet_space(min(j.order for j in entries), entries[0].nvars)
-        c = np.array([j.c[: space.size] for j in entries]).reshape(arr.shape + (space.size,))
+        c = np.array([j.c[: space.size] for j in entries]).reshape((1,) + arr.shape + (space.size,))
         return JetArray(space, c)
 
     # -- shape ----------------------------------------------------------------
 
     @property
-    def _lead(self) -> tuple[int, ...]:
-        """The shape of the point axis: (points,), or () unbatched."""
-        return () if self.points is None else (self.points,)
+    def points(self) -> int:
+        """P, the length of the point axis."""
+        return len(self.c)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.c.shape[len(self._lead):-1]
+        return self.c.shape[1:-1]
 
     @property
     def ndim(self) -> int:
@@ -220,15 +218,12 @@ class JetArray:
 
     def __getitem__(self, index):
         index = index if isinstance(index, tuple) else (index,)
-        if self.points is None:
-            c = self.c[index + (slice(None),)]
-            return Jet(self.space, c) if c.ndim == 1 else JetArray(self.space, c)
         # the point axis sits next to the coefficients while one point's index
         # applies, so that advanced indices leave it where it was
         n = self.c.ndim
         c = self.c.transpose(*range(1, n - 1), 0, n - 1)[index + (slice(None), slice(None))]
         n = c.ndim
-        return JetArray(self.space, c.transpose(n - 2, *range(n - 2), n - 1), self.points)
+        return JetArray(self.space, c.transpose(n - 2, *range(n - 2), n - 1))
 
     @property
     def flat(self) -> list[Jet]:
@@ -236,16 +231,14 @@ class JetArray:
 
     def transpose(self, *axes) -> "JetArray":
         axes = axes or tuple(range(self.ndim))[::-1]
-        lead = len(self._lead)
-        c = self.c.transpose(*range(lead), *(axis + lead for axis in axes), lead + self.ndim)
-        return JetArray(self.space, c, self.points)
+        return JetArray(self.space, self.c.transpose(0, *(axis + 1 for axis in axes), self.ndim + 1))
 
     @property
     def T(self) -> "JetArray":
         return self.transpose()
 
     def reshape(self, *shape) -> "JetArray":
-        return JetArray(self.space, self.c.reshape(*self._lead, *shape, self.space.size), self.points)
+        return JetArray(self.space, self.c.reshape(self.points, *shape, self.space.size))
 
     def ravel(self) -> "JetArray":
         return self.reshape(-1)
@@ -261,8 +254,8 @@ class JetArray:
         return self.c[..., 0].copy()
 
     def hessian(self) -> np.ndarray:
-        """Float array (*shape, nvars, nvars) of the second partials, in C order
-        (so that each point of a batch is laid out as it is alone)."""
+        """Float array (points, *shape, nvars, nvars) of the second partials,
+        in C order (so that each point is laid out as it is alone)."""
         if self.order < 2:
             raise UsageError("hessian requires order >= 2")
         slot, fac = self.space.second_index
@@ -274,15 +267,14 @@ class JetArray:
         if order > self.order:
             raise UsageError(f"cannot extend jet of order {self.order} to {order}")
         space = jet_space(order, self.nvars)
-        return JetArray(space, self.c[..., : space.size], self.points)
+        return JetArray(space, self.c[..., : space.size])
 
     def partials(self, variables) -> "JetArray":
         """d/dx_v of every entry for each v of ``variables``, a new leading axis."""
         if self.order < 1:
             raise UsageError("partial() requires order >= 1")
         src, fac = _partial_gather(self.order, self.nvars, tuple(variables))
-        c = np.moveaxis(self.c[..., src] * fac, -2, len(self._lead))
-        return JetArray(jet_space(self.order - 1, self.nvars), c, self.points)
+        return JetArray(jet_space(self.order - 1, self.nvars), np.moveaxis(self.c[..., src] * fac, -2, 1))
 
     def lift(self, nvars: int) -> "JetArray":
         """The entries as jets in ``nvars`` variables: variable k stays in slot
@@ -290,7 +282,7 @@ class JetArray:
         space = jet_space(self.order, nvars)
         c = np.zeros(self.c.shape[:-1] + (space.size,))
         c[..., _lift_slots(self.order, self.nvars, nvars)] = self.c
-        return JetArray(space, c, self.points)
+        return JetArray(space, c)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -298,7 +290,7 @@ class JetArray:
         """(self, other) as jet arrays of one space for a Jet or JetArray
         ``other``, else None."""
         if isinstance(other, Jet):
-            other = JetArray(other.space, other.c)
+            other = JetArray.stack(other)
         elif not isinstance(other, JetArray):
             return None
         if other.space is self.space:
@@ -309,30 +301,29 @@ class JetArray:
         return self.truncate(order), other.truncate(order)
 
     def _terms(self, other):
-        """(space, a, b, points): coefficient arrays of self and of ``other``
-        (a number or float array as a constant jet) that broadcast entry by
+        """(space, a, b): coefficient arrays of self and of ``other`` (a
+        number or float array as a constant jet) that broadcast entry by
         entry, or None."""
         if isinstance(other, (*_NUMBER, np.ndarray)):
             values = np.asarray(other, dtype=float)
             c = np.zeros(values.shape + (self.space.size,))
             c[..., 0] = values
-            return self.space, self.c, c, self.points
+            return self.space, self.c, c
         pair = self._pair(other)
         if pair is None:
             return None
         a, b = pair
-        if a.ndim != b.ndim and (a.points or b.points):  # the point axis stays in front
+        if a.ndim != b.ndim:  # the point axis stays in front
             ndim = max(a.ndim, b.ndim)
-            return (a.space, *(x.c.reshape((x.points or 1,) + (1,) * (ndim - x.ndim) + x.c.shape[len(x._lead):])
-                               for x in (a, b)), a.points or b.points)
-        return a.space, a.c, b.c, a.points or b.points
+            return (a.space, *(x.c.reshape((x.points,) + (1,) * (ndim - x.ndim) + x.c.shape[1:]) for x in (a, b)))
+        return a.space, a.c, b.c
 
     def __add__(self, other):
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        space, a, b, points = terms
-        return JetArray(space, a + b, points)
+        space, a, b = terms
+        return JetArray(space, a + b)
 
     __radd__ = __add__
 
@@ -340,22 +331,22 @@ class JetArray:
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        space, a, b, points = terms
-        return JetArray(space, a - b, points)
+        space, a, b = terms
+        return JetArray(space, a - b)
 
     def __rsub__(self, other):
         terms = self._terms(other)
         if terms is None:
             return NotImplemented
-        space, a, b, points = terms
-        return JetArray(space, b - a, points)
+        space, a, b = terms
+        return JetArray(space, b - a)
 
     def __neg__(self):
-        return JetArray(self.space, -self.c, self.points)
+        return JetArray(self.space, -self.c)
 
     def __mul__(self, other):
         if isinstance(other, (*_NUMBER, np.ndarray)):
-            return JetArray(self.space, self.c * np.asarray(other, dtype=float)[..., None], self.points)
+            return JetArray(self.space, self.c * np.asarray(other, dtype=float)[..., None])
         pair = self._pair(other)
         return NotImplemented if pair is None else _elementwise(*pair)
 
@@ -367,7 +358,7 @@ class JetArray:
 
     def __truediv__(self, other):
         if isinstance(other, (*_NUMBER, np.ndarray)):
-            return JetArray(self.space, self.c / np.asarray(other, dtype=float)[..., None], self.points)
+            return JetArray(self.space, self.c / np.asarray(other, dtype=float)[..., None])
         if isinstance(other, (Jet, JetArray)):
             return self * JetArray.stack(other).reciprocal()
         return NotImplemented
@@ -385,9 +376,9 @@ class JetArray:
         index = _entry_index(self)
 
         def mul(x, y):
-            return products(JetArray(self.space, x, self.points), JetArray(self.space, y, self.points), index, index).c
+            return products(JetArray(self.space, x), JetArray(self.space, y), index, index).c
 
-        return JetArray(self.space, horner(self.c, series_table(series, self.c[..., 0], self.order), mul), self.points)
+        return JetArray(self.space, horner(self.c, series_table(series, self.c[..., 0], self.order), mul))
 
     def sqrt(self) -> "JetArray":
         return self.compose(sqrt_series)
@@ -406,15 +397,15 @@ def _elementwise(a: JetArray, b: JetArray) -> JetArray:
 
 
 def _rows(arr: JetArray) -> np.ndarray:
-    """The coefficients of ``arr`` as rows (points or 1, entries, S)."""
-    return arr.c.reshape(arr.points or 1, -1, arr.space.size)
+    """The coefficients of ``arr`` as rows (points, entries, S)."""
+    return arr.c.reshape(arr.points, -1, arr.space.size)
 
 
 def sum_of_products(a, b, ta, tb) -> JetArray:
     """The jet array out[o] = sum_k a.flat[ta[o, k]] * b.flat[tb[o, k]] for
     integer term tables ta and tb (broadcast together, k the last axis; or
-    two lists of tables, one per term), at every point of a batch (``flat``
-    one point's entries): each product as ``jets.mul_rows`` forms it, each sum
+    two lists of tables, one per term), at every point (``flat`` one point's
+    entries): each product as ``jets.mul_rows`` forms it, each sum
     added in k order, at the lower order of a and b.  One masked kernel call."""
     a, b = JetArray.stack(a)._pair(JetArray.stack(b))
     if isinstance(ta, list):
@@ -426,8 +417,7 @@ def sum_of_products(a, b, ta, tb) -> JetArray:
     elif np.shape(ta) != np.shape(tb):
         ta, tb = np.broadcast_arrays(ta, tb)
     out = _coefficients(a.space, _rows(a), _rows(b), ta.reshape(-1, ta.shape[-1]), tb.reshape(-1, tb.shape[-1]))
-    points = a.points or b.points
-    return JetArray(a.space, out.reshape(((points,) if points else ()) + ta.shape[:-1] + (a.space.size,)), points)
+    return JetArray(a.space, out.reshape(len(out), *ta.shape[:-1], a.space.size))
 
 
 def products(a, b, ia, ib) -> JetArray:
@@ -438,7 +428,7 @@ def products(a, b, ia, ib) -> JetArray:
 
 def concat(*arrays) -> tuple[JetArray, list[int]]:
     """The entries of jet arrays (or jets) as one flat jet array at their
-    lowest order (per point, for a batch), and the flat index of each array's
+    lowest order (per point), and the flat index of each array's
     first entry, for the term tables of one ``sum_of_products`` call over
     several operands."""
     arrays = [JetArray.stack(a) for a in arrays]
@@ -446,29 +436,25 @@ def concat(*arrays) -> tuple[JetArray, list[int]]:
     if len({a.nvars for a in arrays}) != 1:
         raise UsageError("jet nvars mismatch in one array")
     space = jet_space(order, arrays[0].nvars)
-    points = next((a.points for a in arrays if a.points), None)
+    points = max(a.points for a in arrays)
     parts = [_rows(a.truncate(order)) for a in arrays]
     offsets = np.cumsum([0] + [p.shape[1] for p in parts[:-1]]).tolist()
-    if points:
-        parts = [np.broadcast_to(p, (points,) + p.shape[1:]) for p in parts]
-        return JetArray(space, np.concatenate(parts, axis=1), points), offsets
-    return JetArray(space, np.concatenate(parts, axis=1)[0]), offsets
+    parts = [np.broadcast_to(p, (points,) + p.shape[1:]) for p in parts]
+    return JetArray(space, np.concatenate(parts, axis=1)), offsets
 
 
-def contract(a, b):
+def contract(a, b) -> JetArray:
     """``a @ b`` for jet arrays (``b`` of one or more dimensions, contracted
     over its first axis), with the bits the left-to-right jet sum gives: two
     np.bincount calls, one for the products of the live terms and one for
-    their sums (``sum_of_products``).  A single output of an unbatched
-    contraction is a ``Jet``."""
+    their sums (``sum_of_products``)."""
     a, b = JetArray.stack(a), JetArray.stack(b)
     if a.shape[-1] != b.shape[0]:
         raise UsageError(f"cannot contract shapes {a.shape} and {b.shape}")
     inner = b.shape[0]
     rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
     ta, tb = _contract_terms(rows, inner, cols)
-    out = sum_of_products(a, b, ta, tb).reshape(*(a.shape[:-1] + b.shape[1:]))
-    return out if out.ndim else out[()]
+    return sum_of_products(a, b, ta, tb).reshape(*a.shape[:-1], *b.shape[1:])
 
 
 def jet_values(arr) -> np.ndarray:

@@ -406,7 +406,9 @@ class Jet:
             raise UsageError(f"multi-index length {len(multi)} != nvars {self.nvars}")
         if sum(multi) > self.order:
             raise UsageError(f"degree {sum(multi)} exceeds jet order {self.order}")
-        i = self.space.index[tuple(multi)]
+        i = self.space.index.get(tuple(multi))
+        if i is None:
+            raise UsageError(f"multi-index {tuple(multi)} must hold nonnegative integers")
         return float(self.c[i] * self.space.factorials[i])
 
     def gradient(self) -> np.ndarray:

@@ -74,13 +74,12 @@ class SpacetimeModel:
 
     def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, JetArray]:
         """``param_env`` and coordinate k seeded in variable k of ``nvars``: a
-        0-d jet array at a point x (4,), and one of one entry per point at a
-        batch x (P, 4)."""
+        0-d jet array of one entry per point of a batch x (P, 4), a point x
+        (4,) being a batch of one."""
         env, space = self.param_env(order, nvars), jet_space(order, nvars)
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float).reshape(-1, 4)
         for k, name in enumerate(self.coords):
-            rows = variable_rows(k, x.reshape(-1, 4)[:, k], order, nvars)
-            env[name] = JetArray(space, rows, len(x)) if x.ndim == 2 else JetArray(space, rows[0])
+            env[name] = JetArray(space, variable_rows(k, x[:, k], order, nvars))
         return env
 
     @cached_property
@@ -362,30 +361,31 @@ def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
 
 
 def _points(x) -> np.ndarray:
-    """x as a float array of one chart point (4,) or of a batch (P, 4)."""
+    """x as a float array of a batch of chart points (P, 4), a point (4,)
+    being a batch of one."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 4:
         raise UsageError(f"expected a point of 4 coordinates or a batch of them, got shape {x.shape}")
-    return x
+    return x.reshape(-1, 4)
 
 
 def metric_jet(model: SpacetimeModel, x, order: int) -> JetArray:
-    """Symmetric 4x4 jet array of g_ij in the 4 base coordinates at a chart
-    point x whose metric determinant is negative, or at each point of a batch
-    x (P, 4); mirrored entries hold the same bytes."""
+    """Symmetric 4x4 jet array of g_ij in the 4 base coordinates at each
+    point of a batch x (P, 4) or at a point x (4,), each a chart point whose
+    metric determinant is negative; mirrored entries hold the same bytes."""
     x = _points(x)
-    for point in x.reshape(-1, 4):
+    for point in x:
         model.check_chart(point)
     comps = model.metric_tape.jets(x, order)[_ROOT]
-    for g, point in zip(comps.values.reshape(-1, 4, 4), x.reshape(-1, 4)):
+    for g, point in zip(comps.values, x):
         _check_determinant(g, point)
     return comps
 
 
 def potential_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     """Covariant potential components A_i as a jet array in the 4 base
-    coordinates at x (or at each point of a batch x).  The chart is not
-    checked: every caller has checked it for the metric at the same x."""
+    coordinates at each point of a batch x (or at a point x).  The chart is
+    not checked: every caller has checked it for the metric at the same x."""
     return model.potential_tape.jets(_points(x), order)
 
 

@@ -224,11 +224,11 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
 
 
 def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
-                          alpha: float | None = None) -> float | np.ndarray:
-    """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y),
-    given as ``x_field(model, point, order)`` returning 4 joint-space jets (jet
-    arrays of one entry per point for a batch of points, as ``coord_env``
-    gives at a batch)."""
+                          alpha: float | None = None) -> np.ndarray:
+    """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y)
+    at each point of a batch of bundle points, given as ``x_field(model,
+    point, order)`` returning 4 joint-space 0-d jet arrays of one entry per
+    point (as ``coord_env`` gives them)."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
     try:
@@ -251,9 +251,9 @@ def lift_base_field(component_fn):
     return evaluate
 
 
-def base_divergence_values(model: SpacetimeModel, x, component_fn) -> float | np.ndarray:
+def base_divergence_values(model: SpacetimeModel, x, component_fn) -> np.ndarray:
     """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets, at
-    x or at each point of a batch x."""
+    each point of a batch x (a point x being a batch of one)."""
     env = model.coord_env(x, order=1, nvars=4)
     comps = component_fn(env)
     s = sqrt_minus_det(metric_jet(model, x, order=1))

@@ -58,14 +58,14 @@ def test_criterion_1_rn_anchor():
     for x in _rn_box_points(rng, 20):
         y = verify.sample_timelike(rn, rng, x)
         ge = bundle_geom.generalized_einstein(rn, BundlePoint(x, y))
-        worst_rn = max(worst_rn, ge["max_abs_variational"])
+        worst_rn = max(worst_rn, ge["max_abs_variational"][0])
     worst_other = 0.0
     for name in ("schwarzschild", "minkowski"):
         model = MODELS[name]
         for x in verify.sample_points(model, rng, 10):
             y = verify.sample_timelike(model, rng, x)
             ge = bundle_geom.generalized_einstein(model, BundlePoint(x, y))
-            worst_other = max(worst_other, ge["max_abs_variational"])
+            worst_other = max(worst_other, ge["max_abs_variational"][0])
     _report(
         1,
         "Reissner-Nordstrom anchor max|G_ij|",
@@ -85,10 +85,11 @@ def test_criterion_2_scalar_curvature_split():
             for _ in range(3):
                 y = verify.sample_timelike(model, rng, x)
                 dec = bundle_geom.ricci_decomposition(model, BundlePoint(x, y))
-                quads.append(dec["quad_term"])
-                closed = 1.5 * dec["alpha"] ** 2 * dec["f_squared"]
-                worst_closed = max(worst_closed, abs(dec["quad_term"] - closed) / (abs(closed) + 1.0))
-                worst_residual = max(worst_residual, abs(dec["residual"]))
+                quad, f_squared, residual = dec["quad_term"][0], dec["f_squared"][0], dec["residual"][0]
+                quads.append(quad)
+                closed = 1.5 * dec["alpha"] ** 2 * f_squared
+                worst_closed = max(worst_closed, abs(quad - closed) / (abs(closed) + 1.0))
+                worst_residual = max(worst_residual, abs(residual))
             worst_spread = max(worst_spread, (max(quads) - min(quads)) / (abs(quads[0]) + 1.0))
     _report(
         2,
@@ -106,10 +107,10 @@ def test_criterion_3_tidal_reconstruction():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 50):
             geo = BundleGeometry(model, p, order=4)
-            e = jet_values(geo.tidal)
+            e, y = jet_values(geo.tidal)[0], p.y[0]
             scale = np.max(np.abs(e)) + 1e-12
-            recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
-            trace_defect = abs(np.trace(e) + p.y @ geo.d_ricci @ p.y)
+            recon = np.einsum("jikl,j,l->ik", geo.d_riemann[0], y, y)
+            trace_defect = abs(np.trace(e) + y @ geo.d_ricci[0] @ y)
             worst = max(worst, float(max(np.max(np.abs(e - recon)), trace_defect) / scale))
     _report(3, "tidal/curvature reconstruction", worst <= 1e-9, f"max rel defect {worst:.2e}")
 
@@ -122,15 +123,16 @@ def test_criterion_4_alpha_zero_collapse():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 5):
             base = base_geom.BaseGeometry(model, p.x, 2)
-            gamma = jet_values(base.gamma)
-            riem = jet_values(base.riemann)
+            gamma = jet_values(base.gamma)[0]
+            riem = jet_values(base.riemann)[0]
             geo = BundleGeometry(model, p, alpha=0.0)
+            y = p.y[0]
             defects = [
-                np.max(np.abs(jet_values(geo.n_conn) - np.einsum("ijk,k->ij", gamma, p.y))),
-                np.max(np.abs(jet_values(geo.berwald) - gamma)),
-                np.max(np.abs(jet_values(geo.tidal) - np.einsum("iabl,a,b->il", riem, p.y, p.y))),
+                np.max(np.abs(jet_values(geo.n_conn)[0] - np.einsum("ijk,k->ij", gamma, y))),
+                np.max(np.abs(jet_values(geo.berwald)[0] - gamma)),
+                np.max(np.abs(jet_values(geo.tidal)[0] - np.einsum("iabl,a,b->il", riem, y, y))),
                 np.max(np.abs(geo.d_ricci - jet_values(base.ricci))),
-                abs(geo.d_ricci_scalar - base.ricci_scalar),
+                abs(geo.d_ricci_scalar[0] - base.ricci_scalar[0]),
             ]
             worst = max(worst, float(max(defects)))
     _report(4, "alpha=0 collapse to Levi-Civita objects", worst <= 1e-10, f"max defect {worst:.2e}")
@@ -145,7 +147,7 @@ def test_criterion_5_homogeneity_ladder():
     for name in ("uniform_field", "reissner_nordstrom", "schwarzschild"):
         model = MODELS[name]
         for p in verify.sample_bundle_points(model, rng, 3):
-            worst_euler = max(worst_euler, *verify.homogeneity_defects(model, p))
+            worst_euler = max(worst_euler, *(defect[0] for defect in verify.homogeneity_defects(model, p)))
             closed, jets = bundle_geom.fiber_derivs_B(model, p)
             for c, j in zip(closed, jets):
                 worst_agree = max(worst_agree, np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0))
@@ -165,7 +167,7 @@ def test_criterion_6_volume_structure():
     for model in MODELS.values():
         for x in verify.sample_points(model, rng, 10):
             fm = tm_metric.fiber_metric(model, x)
-            g = jet_values(metric_jet(model, x, order=0))
+            g = jet_values(metric_jet(model, x, order=0))[0]
             worst_det = max(worst_det, abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
 
     schw = MODELS["schwarzschild"]
@@ -195,8 +197,8 @@ def test_criterion_6_volume_structure():
                 vals.append(acc)
             return vals
 
-        lifted = tm_metric.horizontal_divergence(schw, p, tm_metric.lift_base_field(components))
-        base = tm_metric.base_divergence_values(schw, p.x, components)
+        lifted = tm_metric.horizontal_divergence(schw, p, tm_metric.lift_base_field(components))[0]
+        base = tm_metric.base_divergence_values(schw, p.x, components)[0]
         worst_div = max(worst_div, abs(lifted - base) / (abs(base) + 1.0))
 
     _report(

@@ -13,7 +13,7 @@ from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError, SingularEvaluationError, UsageError
 from tbgrav.jet_arrays import JetArray
-from tbgrav.jets import Jet, compose_rows, jet_space, reciprocal_series, sqrt_series
+from tbgrav.jets import compose_rows, jet_space, reciprocal_series, sqrt_series
 from tbgrav.spacetime import CATALOG_NAMES, catalog, load_model
 
 PARAMS = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
@@ -29,50 +29,54 @@ def _model(name):
     return load_model(DENSE.read_text()) if name == "dense" else catalog(name, PARAMS.get(name))
 
 
-def _point_bytes(value, point=None):
-    """The bytes of one point's object: a jet, jet array, float array or
-    float, or a tuple of them; ``point`` picks a batch's point."""
-    if isinstance(value, tuple):
-        return [_point_bytes(v, point) for v in value]
-    if isinstance(value, (Jet, JetArray)):
-        arr = JetArray.stack(value)
-        c = arr.c if point is None else arr.c[point]
-        return arr.space.order, arr.space.nvars, c.shape, c.tobytes()
-    v = np.asarray(value, dtype=float)
-    v = v if point is None else v[point]
-    return v.shape, v.tobytes()
+def _point_bytes(value, point):
+    """The order, variable count, shape and bytes of point ``point`` of a jet
+    array, or the shape and bytes of that of a float array."""
+    if isinstance(value, JetArray):
+        c = value.c[point]
+        return value.order, value.nvars, c.shape, c.tobytes()
+    return value[point].shape, value[point].tobytes()
+
+
+def _objects(geo: BundleGeometry) -> dict:
+    """Every cached bundle object and base object of a geometry by name, the
+    parts of a pair (F_ij, F^i_j) as two."""
+    named = {**{attr: getattr(geo, attr) for attr in BUNDLE_OBJECTS},
+             **{f"base.{attr}": getattr(geo.base, attr) for attr in BASE_OBJECTS}}
+    return {f"{attr}.{k}" if isinstance(value, tuple) else attr: part
+            for attr, value in named.items() for k, part in enumerate(value if isinstance(value, tuple) else (value,))}
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_batch_equals_single_point_geometries(name):
     """A batch of 5 points gives each point the bytes and shapes of its own
-    geometry, on every cached base and bundle object (the dense model's zero
-    masks differ from point to point)."""
+    batch of one, on every cached base and bundle object (the dense model's
+    zero masks differ from point to point)."""
     model = _model(name)
     points = verify.sample_bundle_points(model, np.random.default_rng(5), 5)
-    batch = BundleGeometry(model, BundlePoint([p.x for p in points], [p.y for p in points]))
-    singles = [BundleGeometry(model, p) for p in points]
-    assert batch.points == 5 and all(geo.points is None for geo in singles)
-    for attr in BUNDLE_OBJECTS:
-        value = getattr(batch, attr)
-        for k, geo in enumerate(singles):
-            assert _point_bytes(value, k) == _point_bytes(getattr(geo, attr)), (attr, k)
-    for attr in BASE_OBJECTS:
-        value = getattr(batch.base, attr)
-        for k, geo in enumerate(singles):
-            assert _point_bytes(value, k) == _point_bytes(getattr(geo.base, attr)), (attr, k)
+    batch = _objects(BundleGeometry(model, verify._batch(points)))
+    singles = [_objects(BundleGeometry(model, p)) for p in points]
+    for attr, value in batch.items():
+        for k, single in enumerate(singles):
+            assert _point_bytes(value, k) == _point_bytes(single[attr], 0), (attr, k)
 
 
-def test_single_point_keeps_its_shapes_and_types():
-    """One point keeps no point axis: tensors are jet arrays of the symbol's
-    shape, the scalar jets are ``Jet`` objects and the scalars floats."""
+def test_one_point_is_a_batch_of_one():
+    """A point x (4,), y (4,) and the batch of one x (1, 4), y (1, 4) give
+    every cached base and bundle object the same type, shape and bytes: a jet
+    array or a float array whose point axis has length one."""
     model = _model("reissner_nordstrom")
-    geo = BundleGeometry(model, BundlePoint([0.0, 5.0, 1.2, 0.3], [1.5, 0.1, 0.02, 0.03]))
-    assert geo.tidal.shape == geo.tidal.c.shape[:-1] == (4, 4)
-    assert geo.base.riemann.c.shape[:-1] == (4, 4, 4, 4)
-    assert all(isinstance(getattr(geo, attr), Jet) for attr in ("norm2", "norm", "inv_norm", "b_trace2", "b_scalar"))
-    assert all(type(getattr(geo, attr)) is float for attr in ("d_ricci_scalar", "f_squared", "div_term", "quad_term"))
-    assert type(geo.base.ricci_scalar) is float
+    x, y = np.array([0.0, 5.0, 1.2, 0.3]), np.array([1.5, 0.1, 0.02, 0.03])
+    point = _objects(BundleGeometry(model, BundlePoint(x, y)))
+    batch = _objects(BundleGeometry(model, BundlePoint(x[None], y[None])))
+    assert len(point) == len(BUNDLE_OBJECTS) + len(BASE_OBJECTS) + 2  # the two faraday pairs
+    for attr, value in point.items():
+        assert type(value) is type(batch[attr]) and type(value) in (JetArray, np.ndarray), attr
+        assert len(value.c if isinstance(value, JetArray) else value) == 1, attr
+        assert _point_bytes(value, 0) == _point_bytes(batch[attr], 0), attr
+    assert point["tidal"].shape == (4, 4) and point["tidal"].c.shape[:-1] == (1, 4, 4)
+    assert point["base.riemann"].c.shape[:-1] == (1, 4, 4, 4, 4)
+    assert point["d_ricci_scalar"].shape == point["base.ricci_scalar"].shape == (1,)
 
 
 def test_batch_rejects_mismatched_points():
@@ -94,7 +98,7 @@ def test_compose_matches_jet_compose(order, nvars):
     c[..., 0] = rng.uniform(0.5, 2.0, (3, 2))
     c[0, 1, 1:] = 0.0
     c[1, 0, 1::2] = -0.0
-    arr = JetArray(space, c, 3)
+    arr = JetArray(space, c)
     for got, series in ((arr.sqrt(), sqrt_series), (arr.reciprocal(), reciprocal_series)):
         assert got.points == 3 and got.shape == (2,)
         for p in range(3):
@@ -107,10 +111,10 @@ def test_compose_raises_where_the_jet_does():
     c = np.zeros((2, space.size))
     c[:, 0] = [1.0, -1.0]
     with pytest.raises(SingularEvaluationError):
-        JetArray(space, c, 2).sqrt()
+        JetArray(space, c).sqrt()
     c[1, 0] = 0.0
     with pytest.raises(SingularEvaluationError):
-        JetArray(space, c, 2).reciprocal()
+        JetArray(space, c).reciprocal()
 
 
 def _per_point_check(residual, sample):
@@ -191,16 +195,21 @@ def test_registry_batch_with_a_singular_point_matches_per_point_runs(residual):
 
 
 def test_batched_arithmetic_broadcasts_each_point_as_alone():
-    """Sums, products and quotients of a batch with an unbatched operand of
-    another shape give each point the bytes of the unbatched operation."""
+    """Sums, products and quotients of a batch with an operand of one point
+    and another shape give each point the bytes of the operation on that
+    point alone."""
     rng = np.random.default_rng(3)
     space = jet_space(2, 3)
-    batch = JetArray(space, rng.uniform(0.5, 2.0, (3, space.size)), 3)  # one entry per point
-    vector = JetArray(space, rng.uniform(-1.0, 1.0, (4, space.size)))
-    for got, op in ((batch + vector, lambda p: JetArray(space, batch.c[p]) + vector),
-                    (vector - batch, lambda p: vector - JetArray(space, batch.c[p])),
-                    (vector * batch, lambda p: vector * JetArray(space, batch.c[p])),
-                    (vector / batch, lambda p: vector / JetArray(space, batch.c[p]))):
+    batch = JetArray(space, rng.uniform(0.5, 2.0, (3, space.size)))  # one entry per point
+    vector = JetArray(space, rng.uniform(-1.0, 1.0, (1, 4, space.size)))  # one point
+
+    def alone(p):
+        return JetArray(space, batch.c[p:p + 1])
+
+    for got, op in ((batch + vector, lambda p: alone(p) + vector),
+                    (vector - batch, lambda p: vector - alone(p)),
+                    (vector * batch, lambda p: vector * alone(p)),
+                    (vector / batch, lambda p: vector / alone(p))):
         assert got.points == 3 and got.shape == (4,)
         for p in range(3):
             assert got.c[p].tobytes() == op(p).c.tobytes()

@@ -52,7 +52,7 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
             x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6.2)]
         else:
             x = rng.uniform(-1, 1, size=4).tolist()
-        g = jet_values(metric_jet(model, x, order=0))
+        g = jet_values(metric_jet(model, x, order=0))[0]
         # timelike y: normalized time direction plus a small spatial part
         y = np.array([1.0 / math.sqrt(g[0, 0]), 0.0, 0.0, 0.0])
         y[1:] = rng.uniform(-boost, boost, size=3) / np.sqrt(-np.diag(g)[1:])
@@ -67,7 +67,7 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
 
 def test_supporting_element_minkowski():
     geo = BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME))
-    assert geo.norm.value == pytest.approx(2.0)
+    assert geo.norm.values[0] == pytest.approx(2.0)
     assert np.allclose(jet_values(geo.l_up), [1, 0, 0, 0])
     assert np.allclose(jet_values(geo.l_low), [1, 0, 0, 0])
 
@@ -79,15 +79,15 @@ def test_supporting_element_null_rejected():
 
 def test_supporting_element_schwarzschild():
     geo = BundleGeometry(SCHW, BundlePoint([0, 10, math.pi / 2, 0], [1, 0, 0, 0]))
-    assert geo.norm.value == pytest.approx(math.sqrt(0.8))
-    assert geo.l_up[0].value == pytest.approx(1 / math.sqrt(0.8))
+    assert geo.norm.values[0] == pytest.approx(math.sqrt(0.8))
+    assert geo.l_up[0].values[0] == pytest.approx(1 / math.sqrt(0.8))
 
 
 def test_unit_supporting_element_everywhere():
     rng = np.random.default_rng(21)
     for p in _rand_bundle_points(RN, rng, 5):
         geo = BundleGeometry(RN, p)
-        assert float(jet_values(geo.l_up) @ jet_values(geo.l_low)) == pytest.approx(1.0, abs=1e-13)
+        assert float(jet_values(geo.l_up)[0] @ jet_values(geo.l_low)[0]) == pytest.approx(1.0, abs=1e-13)
 
 
 # -- spray family -----------------------------------------------------------------
@@ -98,16 +98,16 @@ def test_spray_alpha_zero_reduces_to_geodesic():
     for p in _rand_bundle_points(SCHW, rng, 3):
         geo = BundleGeometry(SCHW, p, alpha=0.0)
         assert np.max(np.abs(jet_values(geo.b_up))) == 0.0
-        n = jet_values(geo.n_conn)
-        gamma = jet_values(bg.BaseGeometry(SCHW, p.x, 1).gamma)
-        assert np.allclose(n, np.einsum("ijk,k->ij", gamma, p.y), atol=1e-12)
+        n = jet_values(geo.n_conn)[0]
+        gamma = jet_values(bg.BaseGeometry(SCHW, p.x, 1).gamma)[0]
+        assert np.allclose(n, np.einsum("ijk,k->ij", gamma, p.y[0]), atol=1e-12)
 
 
 def test_spray_B_uniform_field_closed_form():
     p = BundlePoint(X_FLAT, Y_TIME)
-    b = jet_values(BundleGeometry(UNI, p, alpha=1.0).b_up)
+    b = jet_values(BundleGeometry(UNI, p, alpha=1.0).b_up)[0]
     # B^i = -(1/2)*|y|*F^i_j y^j = -2 F^i_0 at y=(2,0,0,0)
-    f_mix = jet_values(bg.BaseGeometry(UNI, X_FLAT, 1).faraday[1])
+    f_mix = jet_values(bg.BaseGeometry(UNI, X_FLAT, 1).faraday[1])[0]
     assert np.allclose(b, -2.0 * f_mix[:, 0] * 2.0 * 0.5)
     assert b[1] == pytest.approx(-0.2)
 
@@ -115,18 +115,18 @@ def test_spray_B_uniform_field_closed_form():
 def test_spray_perturbation_orthogonal_to_y():
     rng = np.random.default_rng(23)
     for p in _rand_bundle_points(RN, rng, 5):
-        g = jet_values(metric_jet(RN, p.x, order=0))
-        b = jet_values(BundleGeometry(RN, p).b_up)
-        assert abs(b @ g @ p.y) <= 1e-12
+        g = jet_values(metric_jet(RN, p.x, order=0))[0]
+        b = jet_values(BundleGeometry(RN, p).b_up)[0]
+        assert abs(b @ g @ p.y[0]) <= 1e-12
 
 
 def test_nonlinear_connection_matches_spray_fiber_jets():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=2)
-    n_closed = jet_values(geo.n_conn)
+    n_closed = jet_values(geo.n_conn)[0]
     n_jets = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
-            n_jets[i, j] = geo.spray[i].partial(Y_SLOT0 + j).value
+            n_jets[i, j] = geo.spray.flat[i].partial(Y_SLOT0 + j).value
     assert np.max(np.abs(n_closed - n_jets)) <= 1e-12
 
 
@@ -146,9 +146,9 @@ def test_at_fiber_is_the_geometry_at_the_new_fiber_vector():
 
 def test_fiber_derivs_euler_identities():
     p = BundlePoint(X_RN, Y_RN)
-    b = jet_values(BundleGeometry(RN, p).b_up)
-    (b1, b2, b3), _ = bun.fiber_derivs_B(RN, p)
-    y = p.y
+    b = jet_values(BundleGeometry(RN, p).b_up)[0]
+    (b1, b2, b3), _ = (tuple(v[0] for v in part) for part in bun.fiber_derivs_B(RN, p))
+    y = p.y[0]
     assert np.allclose(b1 @ y, 2 * b, rtol=1e-10)
     assert np.allclose(np.einsum("ijk,k->ij", b2, y), b1, rtol=1e-10)
     assert np.allclose(np.einsum("ijkl,l->ijk", b3, y), np.zeros((4, 4, 4)), atol=1e-10)
@@ -158,12 +158,12 @@ def test_fiber_derivs_trace_vanishes():
     # B^j_.ij = 0, hence N^j_.ij = gamma^j_ij
     p = BundlePoint(X_RN, Y_RN)
     (_, b2, _), _ = bun.fiber_derivs_B(RN, p)
-    assert np.max(np.abs(np.einsum("jij->i", b2))) <= 1e-12
+    assert np.max(np.abs(np.einsum("jij->i", b2[0]))) <= 1e-12
     geo = BundleGeometry(RN, p, order=2)
-    gamma = jet_values(geo.gamma)
+    gamma = jet_values(geo.gamma)[0]
     n_trace = np.empty(4)
     for i in range(4):
-        n_trace[i] = sum(geo.n_conn[j, i].partial(Y_SLOT0 + j).value for j in range(4))
+        n_trace[i] = sum(geo.n_conn[j, i].flat[0].partial(Y_SLOT0 + j).value for j in range(4))
     assert np.allclose(n_trace, np.einsum("jij->i", gamma), atol=1e-12)
 
 
@@ -195,18 +195,18 @@ def test_berwald_alpha_zero_is_christoffel():
 def test_berwald_euler_identity():
     p = BundlePoint(X_RN, Y_RN)
     geo = BundleGeometry(RN, p)
-    gb, n = jet_values(geo.berwald), jet_values(geo.n_conn)
-    assert np.allclose(np.einsum("ijk,k->ij", gb, p.y), n, rtol=1e-10, atol=1e-12)
+    gb, n = jet_values(geo.berwald)[0], jet_values(geo.n_conn)[0]
+    assert np.allclose(np.einsum("ijk,k->ij", gb, p.y[0]), n, rtol=1e-10, atol=1e-12)
 
 
 def test_berwald_symmetry_and_hessian_consistency():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=3)
-    gb = jet_values(geo.berwald)
+    gb = jet_values(geo.berwald)[0]
     assert np.max(np.abs(gb - np.swapaxes(gb, 1, 2))) == 0.0
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                hess = geo.spray[i].partial(Y_SLOT0 + j).partial(Y_SLOT0 + k).value
+                hess = geo.spray.flat[i].partial(Y_SLOT0 + j).partial(Y_SLOT0 + k).value
                 assert hess == pytest.approx(gb[i, j, k], rel=1e-10, abs=1e-12)
 
 
@@ -220,8 +220,8 @@ def test_adapted_derivative_base_function():
 
     out = bun.adapted_derivative(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [2, 0, 0, 0]), field)
     # d_r g_00 = 2M/r^2 = 0.02
-    assert out[1].value == pytest.approx(0.02, rel=1e-12)
-    assert out[0].value == pytest.approx(0.0, abs=1e-15)
+    assert out[1].values[0] == pytest.approx(0.02, rel=1e-12)
+    assert out[0].values[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_adapted_derivative_log_volume_is_christoffel_trace():
@@ -229,12 +229,12 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
 
     def log_sqrt_det(model, pt, order):
         g, _ = _joint_space_fields(model, pt.x, order)
-        return (-JetArray.stack(bg.det_jet_matrix(g))).sqrt().compose(ln_series)
+        return (-bg.det_jet_matrix(g)).sqrt().compose(ln_series)
 
     out = bun.adapted_derivative(RN, p, log_sqrt_det)
-    gamma = jet_values(bg.BaseGeometry(RN, p.x, 1).gamma)
+    gamma = jet_values(bg.BaseGeometry(RN, p.x, 1).gamma)[0]
     for i in range(4):
-        assert out[i].value == pytest.approx(np.einsum("jji->i", gamma)[i], rel=1e-10, abs=1e-13)
+        assert out[i].values[0] == pytest.approx(np.einsum("jji->i", gamma)[i], rel=1e-10, abs=1e-13)
 
 
 def test_adapted_derivative_norm_squared_two_paths():
@@ -245,12 +245,13 @@ def test_adapted_derivative_norm_squared_two_paths():
     out = bun.adapted_derivative(RN, p, norm2)
     geo = BundleGeometry(RN, p, order=2)
     gj = metric_jet(RN, p.x, order=1)
-    n = jet_values(geo.n_conn)
-    g = jet_values(geo.g)
+    n = jet_values(geo.n_conn)[0]
+    g = jet_values(geo.g)[0]
+    y = p.y[0]
     for i in range(4):
-        dg = np.array([[gj[a, b].gradient()[i] for b in range(4)] for a in range(4)])
-        hand = p.y @ dg @ p.y - 2.0 * (p.y @ g @ n[:, i])
-        assert out[i].value == pytest.approx(hand, rel=1e-10, abs=1e-13)
+        dg = np.array([[gj[a, b].flat[0].gradient()[i] for b in range(4)] for a in range(4)])
+        hand = y @ dg @ y - 2.0 * (y @ g @ n[:, i])
+        assert out[i].values[0] == pytest.approx(hand, rel=1e-10, abs=1e-13)
 
 
 def test_fiber_fields_are_plain_callables():
@@ -271,7 +272,7 @@ def test_fiber_fields_are_plain_callables():
 
 
 def test_n_curvature_antisymmetry_exact():
-    r3 = jet_values(BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).n_curvature)
+    r3 = jet_values(BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).n_curvature)[0]
     assert np.array_equal(r3, -np.swapaxes(r3, 1, 2))
 
 
@@ -279,9 +280,9 @@ def test_tidal_alpha_zero_matches_base_riemann():
     rng = np.random.default_rng(25)
     for model in (SCHW, RN):
         for p in _rand_bundle_points(model, rng, 3):
-            e = jet_values(BundleGeometry(model, p, alpha=0.0).tidal)
-            riem = jet_values(bg.BaseGeometry(model, p.x, 2).riemann)
-            expected = np.einsum("iabl,a,b->il", riem, p.y, p.y)
+            e = jet_values(BundleGeometry(model, p, alpha=0.0).tidal)[0]
+            riem = jet_values(bg.BaseGeometry(model, p.x, 2).riemann)[0]
+            expected = np.einsum("iabl,a,b->il", riem, p.y[0], p.y[0])
             scale = np.max(np.abs(expected)) + 1e-12
             assert np.max(np.abs(e - expected)) <= 1e-10 * scale
 
@@ -295,7 +296,7 @@ def test_schwarzschild_static_tidal_eigenvalues():
     r = 10.0
     f = 1 - 2 / r
     p = BundlePoint([0, r, math.pi / 2, 0.3], [1 / math.sqrt(f), 0, 0, 0])
-    e = jet_values(BundleGeometry(SCHW, p, alpha=0.0).tidal)
+    e = jet_values(BundleGeometry(SCHW, p, alpha=0.0).tidal)[0]
     assert e[1, 1] == pytest.approx(2 / r**3, rel=1e-12)
     assert e[2, 2] == pytest.approx(-1 / r**3, rel=1e-12)
     assert e[3, 3] == pytest.approx(-1 / r**3, rel=1e-12)
@@ -318,18 +319,18 @@ def test_d_curvature_reconstruction_identities():
     rng = np.random.default_rng(26)
     for p in _rand_bundle_points(RN, rng, 4):
         geo = BundleGeometry(RN, p, order=4)
-        e = jet_values(geo.tidal)
+        e, y = jet_values(geo.tidal)[0], p.y[0]
         scale = np.max(np.abs(e)) + 1e-12
-        recon = np.einsum("jikl,j,l->ik", geo.d_riemann, p.y, p.y)
+        recon = np.einsum("jikl,j,l->ik", geo.d_riemann[0], y, y)
         assert np.max(np.abs(e - recon)) <= 1e-9 * scale
-        assert abs(np.trace(e) + p.y @ geo.d_ricci @ p.y) <= 1e-9 * scale
+        assert abs(np.trace(e) + y @ geo.d_ricci[0] @ y) <= 1e-9 * scale
 
 
 def test_d_ricci_contraction_relations():
     # exact relations in these conventions: sum_i R_j^i_il = -R_jl and
     # 2 sum_i R_j^i_li = R_jl (the factor 2 is where the reference display differs)
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=4)
-    r4, ric = geo.d_riemann, geo.d_ricci
+    r4, ric = geo.d_riemann[0], geo.d_ricci[0]
     contr_li = np.einsum("jili->jl", r4)
     contr_il = np.einsum("jiil->jl", r4)
     scale = np.max(np.abs(ric)) + 1e-12
@@ -386,7 +387,7 @@ def test_decomposition_divergence_convention_frozen():
             acc = None
             for j in range(4):
                 for k in range(4):
-                    term = JetArray.stack(geo.ginv[j, k]) * geo.b_jk[i, j, k]
+                    term = geo.ginv[j, k] * geo.b_jk[i, j, k]
                     acc = term if acc is None else acc + term
             out[i] = acc
         return out
@@ -411,13 +412,13 @@ def test_decomposition_quad_term_y_independent():
 
 def test_b_scalar_alpha_zero():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
-    val, hess = geo.b_scalar.value, geo.b_hessian
+    val, hess = geo.b_scalar.values[0], geo.b_hessian
     assert val == 0.0 and np.max(np.abs(hess)) == 0.0
 
 
 def test_b_scalar_uniform_field_hand_oracle():
     # y=(2,0,0,0): B-scalar = (3/2)(-4 a^2 E0^2)/4 + (1/2)(4 a^2 E0^2) = a^2 E0^2 / 2
-    val = BundleGeometry(UNI, BundlePoint(X_FLAT, Y_TIME), alpha=1.0).b_scalar.value
+    val = BundleGeometry(UNI, BundlePoint(X_FLAT, Y_TIME), alpha=1.0).b_scalar.values[0]
     assert val == pytest.approx(0.005, rel=1e-12)
 
 
@@ -425,21 +426,21 @@ def test_b_scalar_homogeneity_degree_two():
     # B^i is degree-2 homogeneous, so the B-scalar is an exact quadratic form in y
     # (closed form alpha^2/8 (phi^2 - |y|^2 F^2)); the reference text's degree-0
     # claim miscounts.  The degree-0 object is the fiber Hessian below.
-    v1 = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_scalar.value
-    v2 = BundleGeometry(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN))).b_scalar.value
+    v1 = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_scalar.values[0]
+    v2 = BundleGeometry(RN, BundlePoint(X_RN, 2.0 * np.asarray(Y_RN))).b_scalar.values[0]
     assert v2 == pytest.approx(4.0 * v1, rel=1e-10)
 
 
 def test_b_scalar_closed_form_quadratic():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=1)
-    g = jet_values(geo.g)
+    g = jet_values(geo.g)[0]
     ginv = np.linalg.inv(g)
-    fl = jet_values(geo.faraday[0])
+    fl = jet_values(geo.faraday[0])[0]
     phi = ginv @ fl @ np.asarray(Y_RN)
     f2 = np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)
     y = np.asarray(Y_RN)
     closed = RN.alpha**2 / 8 * (phi @ g @ phi - (y @ g @ y) * f2)
-    val = geo.b_scalar.value
+    val = geo.b_scalar.values[0]
     assert val == pytest.approx(closed, rel=1e-12)
 
 
@@ -453,7 +454,7 @@ def test_b_hessian_y_independent():
 
 
 def test_b_hessian_symmetric():
-    hess = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_hessian
+    hess = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).b_hessian[0]
     assert np.array_equal(hess, hess.T)
 
 

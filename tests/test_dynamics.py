@@ -66,11 +66,11 @@ def test_rhs_equals_minus_twice_spray():
         x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6)]
         from tbgrav.spacetime import metric_jet
 
-        g = jet_values(metric_jet(RN, x, order=0))
+        g = jet_values(metric_jet(RN, x, order=0))[0]
         y = np.array([1.2 / math.sqrt(g[0, 0]), 0, 0, 0])
         y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
         rhs = dyn.worldline_rhs(RN, x, y, alpha=0.6)
-        spray = jet_values(BundleGeometry(RN, BundlePoint(x, y), alpha=0.6).spray)
+        spray = jet_values(BundleGeometry(RN, BundlePoint(x, y), alpha=0.6).spray)[0]
         assert np.max(np.abs(rhs + 2 * spray)) <= 1e-12 * (np.max(np.abs(rhs)) + 1)
 
 
@@ -195,7 +195,7 @@ def test_schwarzschild_tidal_stretch_and_compression():
 
     def proper(dev, t, idx):
         xb = base.sample(t)[:4]
-        g = jet_values(metric_jet(SCHW, xb, order=0))
+        g = jet_values(metric_jet(SCHW, xb, order=0))[0]
         return math.sqrt(-g[idx, idx]) * dev.sample(t)[idx]
 
     assert proper(dev_r, 8.0, 1) > proper(dev_r, 0.0, 1)  # stretched
@@ -245,7 +245,7 @@ def _timelike_point(model, rng):
         x = np.array([rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.4, 2.7), rng.uniform(0, 6.2)])
     else:
         x = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(3, 8, size=3)])
-    g = jet_values(metric_jet(model, x, order=0))
+    g = jet_values(metric_jet(model, x, order=0))[0]
     y = np.empty(4)
     y[0] = 1.2 / math.sqrt(g[0, 0])
     scale = np.sqrt(-np.diag(g)[1:])
@@ -264,12 +264,13 @@ def test_float_kernel_matches_jet_route(name, alpha):
         n, e, acc = dyn._connection_and_tidal(model, x, y, alpha)
         geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
         base = BaseGeometry(model, x, 1)
-        lorentz = -np.einsum("ijk,j,k->i", jet_values(base.gamma), y, y) + alpha * jet_values(base.faraday[1]) @ y
+        gamma, f_mix = jet_values(base.gamma)[0], jet_values(base.faraday[1])[0]
+        lorentz = -np.einsum("ijk,j,k->i", gamma, y, y) + alpha * f_mix @ y
         pairs = (
-            (n, jet_values(geo.n_conn)),
-            (e, jet_values(geo.tidal)),
-            (acc, -2 * jet_values(geo.spray)),
-            (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * jet_values(geo.spray)),
+            (n, jet_values(geo.n_conn)[0]),
+            (e, jet_values(geo.tidal)[0]),
+            (acc, -2 * jet_values(geo.spray)[0]),
+            (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * jet_values(geo.spray)[0]),
             (base_geom.classical_lorentz_rhs(model, x, y, alpha), lorentz),
         )
         for fast, ref in pairs:

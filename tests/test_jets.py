@@ -41,6 +41,16 @@ def test_seed_identity_function():
     assert j.derivative((2,)) == 0.0
 
 
+def test_derivative_rejects_a_negative_or_fractional_index():
+    """A multi-index of the right length and degree with a negative or
+    non-integer entry is a ``UsageError``, as a wrong length or degree is."""
+    j = Jet.variable(0, 1.0, 2, 2)
+    for multi in ((3, -1), (0.5, 0.5), (-1, 0)):
+        with pytest.raises(UsageError, match="nonnegative integers"):
+            j.derivative(multi)
+    assert j.derivative((1.0, 0)) == j.derivative((1, 0)) == 1.0
+
+
 def test_square_of_seed():
     sq = _ev("j*j", j=Jet.variable(0, 3.0, order=2, nvars=1))
     assert sq.derivative((0,)) == 9.0
@@ -189,7 +199,7 @@ def test_polynomial_derivatives_exact(nvars):
             for e, t, xi in zip(m, target, x):
                 term *= (math.factorial(e) / math.factorial(e - t)) * xi ** (e - t)
             analytic += term
-        got = val[()].derivative(target)
+        got = val.flat[0].derivative(target)
         assert got == pytest.approx(analytic, rel=1e-13, abs=1e-13)
 
 
@@ -311,7 +321,7 @@ def _same_bits(x, y):
 
 def _signed_zero(order, nvars):
     """All-zero jet whose coefficients mix +0.0 and -0.0 (a scaled copy)."""
-    return ((_var(0, -1.5, order, nvars) - _var(1, 0.0, order, nvars)) * 0.0)[()]
+    return ((_var(0, -1.5, order, nvars) - _var(1, 0.0, order, nvars)) * 0.0).flat[0]
 
 
 def _plus_zero(order, nvars):
@@ -326,7 +336,7 @@ def test_zero_product_is_plus_zero_in_lower_space():
     for zero in (_plus_zero(2, 3), _signed_zero(2, 3)):
         for prod, (a, b) in ((_dense_mul(zero, x), (zero, x)), (_dense_mul(x, zero), (x, zero))):
             assert prod.order == 2
-            assert _same_bits((JetArray.stack(a) * b)[()], prod)
+            assert _same_bits((JetArray.stack(a) * b).flat[0], prod)
             assert not np.signbit(prod.c).any()
 
 
@@ -337,7 +347,7 @@ def test_zero_times_nonfinite_gives_dense_nan():
         x = Jet(jet_space(3, 2), c)
         for zero in (_plus_zero(3, 2), _signed_zero(2, 2)):
             with np.errstate(invalid="ignore"):
-                prod = (JetArray.stack(zero) * x)[()]
+                prod = (JetArray.stack(zero) * x).flat[0]
             assert np.isnan(prod.c).any()
             with np.errstate(invalid="ignore"):
                 assert _same_bits(prod, _dense_mul(zero, x))
@@ -345,14 +355,14 @@ def test_zero_times_nonfinite_gives_dense_nan():
 
 def _negated_product():
     """-(x * 2): -0.0 in its zero coefficients."""
-    return (-(_var(0, 1.2, 3, 2) * _const(2.0, 3, 2)))[()]
+    return (-(_var(0, 1.2, 3, 2) * _const(2.0, 3, 2))).flat[0]
 
 
 def test_minus_plus_zero_keeps_negative_zeros():
     x = _negated_product()
     assert np.signbit(x.c[x.c == 0.0]).all()
     for zero, plus in ((_plus_zero(3, 2), True), (_plus_zero(2, 2), True), (_signed_zero(3, 2), False)):
-        diff = (JetArray.stack(x) - zero)[()]
+        diff = (JetArray.stack(x) - zero).flat[0]
         assert _same_bits(diff, _dense_add(x, zero, -1.0))
         assert np.signbit(diff.c[diff.c == 0.0]).all() == plus
 
@@ -360,8 +370,8 @@ def test_minus_plus_zero_keeps_negative_zeros():
 def test_plus_zero_added_to_negation_gives_dense_bits():
     x = _negated_product()
     zero = _plus_zero(3, 2)
-    for total, ref in (((JetArray.stack(x) + zero)[()], _dense_add(x, zero)),
-                       ((JetArray.stack(zero) + x)[()], _dense_add(zero, x))):
+    for total, ref in (((JetArray.stack(x) + zero).flat[0], _dense_add(x, zero)),
+                       ((JetArray.stack(zero) + x).flat[0], _dense_add(zero, x))):
         assert _same_bits(total, ref)
         assert not np.signbit(total.c[total.c == 0.0]).any()
 
@@ -377,11 +387,11 @@ def _sparse_jet(rng, nvars):
     if pick == 1:
         return _signed_zero(order, nvars)
     if pick == 2:
-        return (-_const(0.0, order, nvars))[()]
+        return (-_const(0.0, order, nvars)).flat[0]
     if pick == 3:
-        return (-JetArray.stack(dense))[()]
+        return (-JetArray.stack(dense)).flat[0]
     if pick == 4:
-        return (-(_var(0, 0.7, order, nvars) * _var(1, -1.2, order, nvars)))[()]
+        return (-(_var(0, 0.7, order, nvars) * _var(1, -1.2, order, nvars))).flat[0]
     if pick == 5:
         return _dense_mul(dense, Jet.variable(2, -0.3, order, nvars))
     return dense
@@ -477,17 +487,17 @@ def test_division_by_a_float_array_divides_each_entry():
     number does, broadcast as ``arr * values`` is, at a batch's points too."""
     rng = np.random.default_rng(13)
     space = jet_space(2, 3)
-    arr = JetArray(space, rng.uniform(-2.0, 2.0, (2, 3, space.size)))
+    arr = JetArray(space, rng.uniform(-2.0, 2.0, (1, 2, 3, space.size)))  # one point of 2 x 3 entries
     values = np.array([0.5, -3.0, 7.0])
     got = arr / values
     assert got.shape == (arr * values).shape == (2, 3)
     for i, j in np.ndindex(2, 3):
-        assert got.c[i, j].tobytes() == (JetArray(space, arr.c[i, j]) / float(values[j])).c.tobytes()
+        assert got[i, j].c.tobytes() == (arr[i, j] / float(values[j])).c.tobytes()
     per_point = np.array([[2.0, -0.25, 3.0], [1.5, 4.0, -8.0]])
-    got = JetArray(space, arr.c, 2) / per_point  # 2 points of 3 entries
+    got = JetArray(space, arr.c[0]) / per_point  # 2 points of 3 entries
     assert got.points == 2 and got.shape == (3,)
     for p, j in np.ndindex(2, 3):
-        assert got.c[p, j].tobytes() == (arr.c[p, j] / per_point[p, j]).tobytes()
+        assert got.c[p, j].tobytes() == (arr.c[0, p, j] / per_point[p, j]).tobytes()
 
 
 # -- kernel plans ---------------------------------------------------------------
@@ -541,8 +551,8 @@ def test_planned_kernel_matches_jet_products(seed, monkeypatch):
     built = _counted_plans(monkeypatch)
     rng = np.random.default_rng(200 + seed)
     space = jet_space(3, 3)
-    a = JetArray(space, _masked_coefficients(rng, 6, space))
-    b = JetArray(space, _masked_coefficients(rng, 5, space))
+    a = JetArray(space, _masked_coefficients(rng, 6, space)[None])
+    b = JetArray(space, _masked_coefficients(rng, 5, space)[None])
     ta, tb = rng.integers(0, 6, (7, 3)), rng.integers(0, 5, (7, 3))
     ref = _jet_sums(a, b, ta, tb)
     first, again = sum_of_products(a, b, ta, tb), sum_of_products(a, b, ta, tb)
@@ -562,7 +572,7 @@ def test_kernel_plan_is_reused_per_key(monkeypatch):
     built = _counted_plans(monkeypatch)
     rng = np.random.default_rng(7)
     space = jet_space(2, 4)
-    a = JetArray(space, _masked_coefficients(rng, 6, space))
+    a = JetArray(space, _masked_coefficients(rng, 6, space)[None])
     b = _masked_coefficients(rng, 6, space)
     fewer_rows, fewer_slots = b.copy(), b.copy()
     fewer_rows[np.flatnonzero(b.any(axis=1))[0]] = 0.0
@@ -570,7 +580,7 @@ def test_kernel_plan_is_reused_per_key(monkeypatch):
     ta, tb = rng.integers(0, 6, (6, 2)), rng.integers(0, 6, (6, 2))
     cases = [(fewer_rows, ta, tb), (fewer_slots, ta, tb), (b, ta, tb), (b, ta.reshape(4, 3), tb.reshape(4, 3))]
     for c, ta_, tb_ in cases:
-        b_ = JetArray(space, c)
+        b_ = JetArray(space, c[None])
         for _ in range(2):
             _assert_same_jets(sum_of_products(a, b_, ta_, tb_), _jet_sums(a, b_, ta_, tb_))
     assert len(built) == 4 and len(jet_arrays._plans) == 4
@@ -582,16 +592,16 @@ def test_nonfinite_operand_takes_every_term_and_keeps_no_plan(monkeypatch):
     _fresh_plans(monkeypatch)
     rng = np.random.default_rng(11)
     space = jet_space(2, 3)
-    a = JetArray(space, _masked_coefficients(rng, 4, space))
-    a.c[1] = -0.0  # an all-zero row, met by the inf and the NaN below
+    a = JetArray(space, _masked_coefficients(rng, 4, space)[None])
+    a.c[0, 1] = -0.0  # an all-zero row, met by the inf and the NaN below
     for bad in (math.inf, math.nan):
-        b = JetArray(space, _masked_coefficients(rng, 4, space))
-        b.c[2, 3] = bad
+        b = JetArray(space, _masked_coefficients(rng, 4, space)[None])
+        b.c[0, 2, 3] = bad
         ta, tb = np.array([[1, 0], [0, 1], [3, 2]]), np.array([[2, 3], [1, 0], [0, 2]])
         with np.errstate(invalid="ignore"):
             got, ref = sum_of_products(a, b, ta, tb), _jet_sums(a, b, ta, tb)
         _assert_same_jets(got, ref)
-        assert np.isnan(got.c[0]).any()
+        assert np.isnan(got.c[0, 0]).any()
         assert jet_arrays._plans == {}
 
 
@@ -607,7 +617,7 @@ def test_kernel_plans_are_kept_while_they_fit(monkeypatch):
     rows = ([1.0, 2.0, 0.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
     calls = list(zip(rows, (1, 1, 1, 2))) + [(rows[0], 1), (rows[1], 1), (rows[2], 1)]
     for (row, n_out), kept, builds in zip(calls, (1, 2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 4, 4, 5)):
-        a = JetArray(space, np.array([row]))
+        a = JetArray(space, np.array([[row]]))
         ta = np.zeros((n_out, 1), dtype=int)
         _assert_same_jets(sum_of_products(a, a, ta, ta), _jet_sums(a, a, ta, ta))
         assert len(jet_arrays._plans) == kept and len(built) == builds

@@ -29,7 +29,7 @@ RN_POINT = [0.0, 5.0, math.pi / 2, 0.3]
 def test_schwarzschild_lapse():
     m = catalog("schwarzschild", {"M": 1.0})
     g = metric_jet(m, SCHW_POINT, order=0)
-    assert g[0, 0].value == pytest.approx(0.8)
+    assert g[0, 0].values[0] == pytest.approx(0.8)
 
 
 def test_minkowski_everywhere():
@@ -40,7 +40,7 @@ def test_minkowski_everywhere():
 
 def test_rn_potential_value():
     m = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
-    a = potential_jet(m, RN_POINT, order=1)
+    a = potential_jet(m, RN_POINT, order=1).flat  # the one point's jets
     assert a[0].value == pytest.approx(0.06)
     assert a[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.012)
 
@@ -74,7 +74,7 @@ def test_schwarzschild_metric_radial_derivative():
     m = catalog("schwarzschild", {"M": 1.0})
     g = metric_jet(m, SCHW_POINT, order=1)
     # d g_00 / dr = 2M/r^2
-    assert g[0, 0].derivative((0, 1, 0, 0)) == pytest.approx(0.02)
+    assert g[0, 0].flat[0].derivative((0, 1, 0, 0)) == pytest.approx(0.02)
 
 
 def test_signature():
@@ -170,7 +170,7 @@ def test_load_model_refuses_constants_that_are_not_numbers(change, name):
 def test_empty_potential_defaults_to_zero():
     doc = {k: v for k, v in SCHW_DOC.items() if k != "potential"}
     m = load_model(json.dumps(doc))
-    a = potential_jet(m, SCHW_POINT, order=1)
+    a = potential_jet(m, SCHW_POINT, order=1).flat  # the one point's jets
     assert all(a[i].value == 0.0 for i in range(4))
 
 
@@ -215,7 +215,7 @@ def test_print_load_round_trip():
 
 def test_uniform_field_potential_gradient():
     m = catalog("uniform_field", {"E0": 0.1})
-    a = potential_jet(m, [0.0, 2.0, 0.0, 0.0], order=1)
+    a = potential_jet(m, [0.0, 2.0, 0.0, 0.0], order=1).flat  # the one point's jets
     assert a[0].value == pytest.approx(-0.2)
     assert a[0].derivative((0, 1, 0, 0)) == pytest.approx(-0.1)
 
@@ -299,9 +299,10 @@ def _tape_models():
 
 
 def _tree_jets(model, x, order, nvars):
+    """The tree walk's root jets at the point x."""
     env = model.coord_env(x, order, nvars)
     upper = [model.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
-    return [evaluate(e, env) for e in upper + model.a_exprs]
+    return [evaluate(e, env).flat[0] for e in upper + model.a_exprs]
 
 
 def _tape_jets(model, x, order, nvars):
@@ -384,10 +385,10 @@ def _batch_models():
 
 
 def _root_rows(model, x, order):
-    """The metric and potential tapes' roots at a point or a batch, as one
-    coefficient array (points first for a batch)."""
+    """The metric and potential tapes' roots at a batch (a point being a
+    batch of one), as one coefficient array, points first."""
     metric, potential = model.metric_tape.jets(x, order), model.potential_tape.jets(x, order)
-    assert metric.points == potential.points == (len(x) if np.ndim(x) == 2 else None)
+    assert metric.points == potential.points == len(np.reshape(x, (-1, 4)))
     return np.concatenate([metric.c, potential.c], axis=-2)
 
 
@@ -462,7 +463,7 @@ def test_chart_guard_text_matches_tree():
     rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
     for model, x in ((schw, [0.0, 1.5, math.pi / 2, 0.0]), (schw, [0.0, 10.0, 0.0, 0.0]),
                      (rn, [0.0, 1.9, math.pi / 2, 0.0])):
-        guard = evaluate(model.chart_guard, model.coord_env(x, order=0)).value
+        guard = evaluate(model.chart_guard, model.coord_env(x, order=0)).flat[0].value
         with pytest.raises(ChartError) as err:
             model.check_chart(x)
         assert str(err.value) == f"point {x} outside chart of {model.name!r} (guard value {guard})"

@@ -2,11 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tbgrav import verify
+from tbgrav import tm_metric, verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
@@ -107,6 +108,18 @@ def test_csv_flatten():
 def test_selection_subsets_registry():
     reports = verify.run_suite(MINK, seed=0, n_points=1, selection=["fiber_ball_volume"])
     assert [r.check for r in reports] == ["fiber_ball_volume"]
+
+
+def test_fiber_ball_volume_reads_the_model():
+    """The fiber-ball check integrates y^a y^b as well as 1, so it reads the
+    model's fiber metric v: on the dense model, whose v is not diagonal, a
+    change of variables by L^-1 in place of L^-T fails it."""
+    dense = load_model((Path(__file__).resolve().parents[1] / "tools" / "dense_model.json").read_text())
+    for x in verify.sample_points(dense, np.random.default_rng(42), 3):
+        v = tm_metric.fiber_metric(dense, x).v
+        assert np.max(np.abs(v - np.diag(np.diag(v)))) > 0.01 * np.max(np.abs(v))
+    (report,) = verify.run_suite(dense, seed=42, n_points=3, selection=["fiber_ball_volume"])
+    assert report.passed and len(report.residuals) == 3 and report.max_residual <= 1e-14
 
 
 def test_sampled_y_is_timelike():

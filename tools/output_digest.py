@@ -55,7 +55,6 @@ from tbgrav import base_geom, bundle_geom, cli, dynamics, verify
 from tbgrav.base_geom import BaseGeometry, sqrt_minus_det
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import IntegrationError
-from tbgrav.jets import Jet
 from tbgrav.spacetime import CATALOG_NAMES, catalog, load_model
 
 RN = ["--catalog", "reissner_nordstrom", "--param", "M=1", "--param", "Q=0.3"]
@@ -155,12 +154,12 @@ def rhs_lines():
 
 
 def jet_bytes(arr) -> bytes:
-    """Order, variable count and coefficient bytes of a jet or of every jet
-    of a jet array, each at the array's lowest order.  A ``JetArray`` holds
-    one order; the object arrays of jets of older trees held the diagonal
-    zeros of r^i_jkl and F_ij one order above the other entries, which every
-    consumer truncated away."""
-    jets = [arr] if isinstance(arr, Jet) else list(arr.flat)
+    """Order, variable count and coefficient bytes of every jet of a jet
+    array (of a batch of one point), each at the array's lowest order.  A
+    ``JetArray`` holds one order; the object arrays of jets of older trees
+    held the diagonal zeros of r^i_jkl and F_ij one order above the other
+    entries, which every consumer truncated away."""
+    jets = list(arr.flat)
     order = min(j.order for j in jets)
     return b"".join(bytes([order, j.nvars]) + j.truncate(order).c.tobytes() for j in jets)
 
@@ -185,7 +184,7 @@ def jet_route_lines():
                     digests[attr].update(jet_bytes(getattr(geo, attr)))
                 digests["b_hessian"].update(geo.b_hessian.tobytes())
                 for attr, values in scalars.items():
-                    values.append(float(getattr(geo, attr)).hex())
+                    values.append(float(getattr(geo, attr)[0]).hex())
             for attr, digest in digests.items():
                 yield f"BundleGeometry.{attr}.{name}.alpha{alpha}", digest.hexdigest()
             for attr, values in scalars.items():
