@@ -9,13 +9,14 @@ rides along; indexing down to one entry gives a 0-d jet array.
 Every operation runs on the whole batch: sums, differences and scalings
 broadcast, partials, truncations, lifts and values are one gather or slice,
 and products, contractions and each Horner step of ``compose`` are one
-masked kernel call (``sum_of_products``: an np.bincount of the live
-products, then one of their sums).  Each coefficient has the bits the dense
-row arithmetic of ``jets`` gives each entry at each point alone (``mul_rows``
-for a product, sums added left to right, ``horner`` for a composition); the
-mask rules below allow it.  The kernel plans each key of term tables and zero
-masks once (flat gathers and bincount bins of one point) and keeps the plans
-that fit its byte bound for the calls that meet the key again.
+masked kernel call (``sum_of_products``: at each point, an np.bincount of
+the live products, then one of their sums).  Each coefficient has the bits
+the dense row arithmetic of ``jets`` gives each entry at each point alone
+(``mul_rows`` for a product, sums added left to right, ``horner`` for a
+composition); the mask rules below allow it.  The kernel plans each key of
+term tables and zero masks once (flat gathers and bincount bins of one point,
+which each point runs in turn) and keeps the plans that fit its byte bound
+for the calls that meet the key again; products are formed in one buffer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .jets import Jet, JetSpace, horner, jet_space, per_point, reciprocal_series, series_table, sqrt_series
+from .jets import Jet, JetSpace, horner, jet_space, reciprocal_series, series_table, sqrt_series
 
 # -- mask rules ---------------------------------------------------------------
 #
@@ -48,9 +49,10 @@ from .jets import Jet, JetSpace, horner, jet_space, per_point, reciprocal_series
 # - With an inf or NaN in an operand, every term and pair is taken, so that
 #   NaN propagates.
 
-_PLAN_BYTES = 8 << 20  # bytes of kernel plans kept; a plan that does not fit runs and is not kept
+_PLAN_BYTES = 8 << 20  # bytes of kernel plans kept, and of the product buffer; what does not fit is not kept
 _plans: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 _plan_bytes = 0  # bytes of the plans in _plans
+_buffer = np.empty(0)  # one point's two gathers, shared by every call: the kernel runs in one thread at a time
 _any, _all = np.logical_or.reduce, np.logical_and.reduce
 
 
@@ -58,19 +60,22 @@ def _plan(space: JetSpace, ta: np.ndarray, tb: np.ndarray, masks):
     """(gather_a, gather_b, term_bins, out_bins) of one kernel call: the flat
     indices into one point's a and b of the live products, term by term and
     each term's table pairs in table order, the bin of each product (term x
-    S + slot) and the output bin of each term coefficient.  ``masks`` holds
-    the nonzero masks (rows_a, rows_b, slots_a, slots_b); all true takes every
-    term and pair."""
+    S + slot) and the output bin of each term coefficient; with one term per
+    output row, term_bins are the output bins out_bins[term_bins] and out_bins
+    is empty.  ``masks`` holds the nonzero masks (rows_a, rows_b, slots_a,
+    slots_b); all true takes every term and pair."""
     size = space.size
     rows_a, rows_b, slots_a, slots_b = masks
     out_index, k = np.nonzero(rows_a[ta] & rows_b[tb])
-    ra, rb = ta[out_index, k], tb[out_index, k]
+    ra, rb = ta[out_index, k] % len(rows_a), tb[out_index, k] % len(rows_b)  # in range, as take(mode="clip") needs
     ia, ib, ic = space._mul_table
     keep = np.flatnonzero(slots_a[ia] & slots_b[ib])
     ia, ib, ic = ia[keep], ib[keep], ic[keep]
+    gather_a, gather_b = (ra[:, None] * size + ia).ravel(), (rb[:, None] * size + ib).ravel()
+    if ta.shape[1] == 1:
+        return gather_a, gather_b, (out_index[:, None] * size + ic).ravel(), np.empty(0, dtype=np.intp)
     term_bins = (np.arange(len(ra))[:, None] * size + ic).ravel()
-    out_bins = (out_index[:, None] * size + np.arange(size)).ravel()
-    return (ra[:, None] * size + ia).ravel(), (rb[:, None] * size + ib).ravel(), term_bins, out_bins
+    return gather_a, gather_b, term_bins, (out_index[:, None] * size + np.arange(size)).ravel()
 
 
 def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -82,10 +87,16 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
     Each product is the multiplication table's np.bincount (its pairs added
     in table order, as ``jets.mul_rows`` adds them), and each sum adds its
     terms in k order, starting from +0.0, less what the mask rules leave
-    out.  One plan, on the masks of the whole batch, serves every point: each
-    point gathers from its own rows and sums into its own bins.
+    out.  One plan, on the masks of the whole batch, serves every point:
+    each point gathers and multiplies its factors in the module's buffer
+    (kept while they fit _PLAN_BYTES; a larger call uses arrays of its own)
+    and sums them with its own np.bincount calls, so a call on a kept plan
+    allocates only its output and each point's term sums.  A one-term plan
+    (K = 1) sums the products straight into the output bins: a term sum
+    starts from +0.0, so it is never -0.0, and the +0.0 of the second sum
+    changes no bit.
     """
-    global _plan_bytes
+    global _plan_bytes, _buffer
     points = max(len(a), len(b))
     if _all(np.isfinite(a), None) and _all(np.isfinite(b), None):
         nz_a, nz_b = a != 0.0, b != 0.0
@@ -102,13 +113,20 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
         every = np.ones(a.shape[1], bool), np.ones(b.shape[1], bool), *(np.ones(space.size, bool),) * 2
         plan = _plan(space, ta, tb, every)
     gather_a, gather_b, term_bins, out_bins = plan
-    width = len(ta) * space.size
-    if not len(term_bins):  # no live product (np.bincount of nothing gives integers)
-        return np.zeros((points, len(ta), space.size))
-    prods = a.reshape(len(a), -1).take(gather_a, axis=1)
-    prods = np.multiply(prods, b.reshape(len(b), -1).take(gather_b, axis=1), out=prods if len(a) == points else None)
-    terms = np.bincount(per_point(term_bins, points, len(out_bins)), prods.ravel(), points * len(out_bins))
-    return np.bincount(per_point(out_bins, points, width), terms, points * width).reshape(points, len(ta), -1)
+    n, width = len(gather_a), len(ta) * space.size
+    if len(_buffer) < 2 * n <= _PLAN_BYTES // _buffer.itemsize:
+        _buffer = np.empty(2 * n)
+    x, y = (_buffer[:n], _buffer[n:2 * n]) if len(_buffer) >= 2 * n else (np.empty(n), np.empty(n))
+    rows_a, rows_b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    out = np.empty((points, width))
+    for p in range(points):
+        # the plan's indices are in range, so mode="clip" only spares take() a buffered copy of out
+        rows_a[p % len(a)].take(gather_a, out=x, mode="clip")
+        rows_b[p % len(b)].take(gather_b, out=y, mode="clip")
+        np.multiply(x, y, out=x)
+        sums = np.bincount(term_bins, x, len(out_bins) or width)
+        out[p] = np.bincount(out_bins, sums, width) if len(out_bins) else sums
+    return out.reshape(points, len(ta), space.size)
 
 
 @lru_cache(maxsize=None)

@@ -285,14 +285,11 @@ def inline_series(series, v: str, order: int, let) -> list[str] | None:
 # a dense product's.
 
 
-def per_point(bins: np.ndarray, points: int, width: int) -> np.ndarray:
-    """``bins`` for each of ``points`` points in turn, point p's moved up by p x width."""
-    return bins if points == 1 else (bins + np.arange(0, points * width, width)[:, None]).ravel()
-
-
 @lru_cache(maxsize=None)
 def _row_bins(space: JetSpace, points: int) -> np.ndarray:
-    return per_point(space._mul_table[2], points, space.size)
+    """The multiplication table's output slots for each of ``points`` points in turn, point p's moved up by p x S."""
+    bins = space._mul_table[2]
+    return bins if points == 1 else (bins + np.arange(0, points * space.size, space.size)[:, None]).ravel()
 
 
 def variable_rows(index: int, values, order: int, nvars: int) -> np.ndarray:

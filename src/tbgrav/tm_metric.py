@@ -136,21 +136,10 @@ def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
     return z, w
 
 
-def fiber_integral(
-    model: SpacetimeModel,
-    x,
-    f,
-    nodes: tuple[int, int, int, int] = (16, 16, 16, 32),
-    return_report: bool = False,
-):
-    """Integral of f(y) over the canonical fiber ball with the fiber volume
-    density (constants integrate to themselves).
-
-    ``f`` maps the (n, 4) array of fiber nodes, one 4-vector per row, to the
-    (n,) float array of its values there; any other return raises
-    ``UsageError``.  Quadrature nodes that land on the null cone of g are
-    shifted radially by 1e-9 and counted in the report.
-    """
+def fiber_rule(model: SpacetimeModel, x, nodes: tuple[int, int, int, int]):
+    """(ball, ys, w, shifted): the canonical fiber ball at x, its (n, 4) nodes
+    and weights (``np.sum(w * f(ys))`` integrates f with the fiber volume
+    density), and the count of nodes shifted radially by 1e-9 off g's null cone."""
     x = np.asarray(x, dtype=float)
     ball = fiber_ball(model, x)
     g = metric_values(model, x)
@@ -165,6 +154,20 @@ def fiber_integral(
     n_shifted = int(np.count_nonzero(on_cone))
     if n_shifted:
         ys[on_cone] *= 1.0 + 1e-9
+    return ball, ys, w, n_shifted
+
+
+def fiber_integral(model: SpacetimeModel, x, f, nodes: tuple[int, int, int, int] = (16, 16, 16, 32),
+                   return_report: bool = False):
+    """Integral of f(y) over the canonical fiber ball with the fiber volume
+    density (constants integrate to themselves), on ``fiber_rule``'s nodes.
+
+    ``f`` maps the (n, 4) array of fiber nodes, one 4-vector per row, to the
+    (n,) float array of its values there; any other return raises
+    ``UsageError``.  Quadrature nodes that land on the null cone of g are
+    shifted radially by 1e-9 and counted in the report.
+    """
+    _, ys, w, n_shifted = fiber_rule(model, x, nodes)
     values = f(ys)
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.shape == (len(ys),)):
         raise UsageError(

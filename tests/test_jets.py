@@ -4,6 +4,7 @@
 (the row functions of ``jets``) or on 0-d jet arrays."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from tbgrav import jet_arrays
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
 from tbgrav.exprlang import evaluate, parse
-from tbgrav.jet_arrays import JetArray, contract, sum_of_products
+from tbgrav.jet_arrays import JetArray, contract, products, sum_of_products
 from tbgrav.jets import (
     INLINE_NAMES, SERIES, Jet, compose_rows, cos_series, inline_series, jet_space, mul_rows, reciprocal_series,
     sin_series,
@@ -528,6 +529,7 @@ def _jet_sums(a, b, ta, tb):
 def _fresh_plans(monkeypatch):
     monkeypatch.setattr(jet_arrays, "_plans", {})
     monkeypatch.setattr(jet_arrays, "_plan_bytes", 0)
+    monkeypatch.setattr(jet_arrays, "_buffer", np.empty(0))
 
 
 def _counted_plans(monkeypatch):
@@ -611,9 +613,9 @@ def test_kernel_plans_are_kept_while_they_fit(monkeypatch):
     before it are run again without a rebuild."""
     _fresh_plans(monkeypatch)
     built = _counted_plans(monkeypatch)
-    monkeypatch.setattr(jet_arrays, "_PLAN_BYTES", 200)
+    monkeypatch.setattr(jet_arrays, "_PLAN_BYTES", 160)
     space = jet_space(1, 2)
-    # plans of 3, 3, 1 and 10 live products: 96, 96, 48 and 288 bytes
+    # one-term plans (no output bins) of 3, 3, 1 and 10 live products: 72, 72, 24 and 240 bytes
     rows = ([1.0, 2.0, 0.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 2.0, 3.0])
     calls = list(zip(rows, (1, 1, 1, 2))) + [(rows[0], 1), (rows[1], 1), (rows[2], 1)]
     for (row, n_out), kept, builds in zip(calls, (1, 2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 4, 4, 5)):
@@ -622,7 +624,91 @@ def test_kernel_plans_are_kept_while_they_fit(monkeypatch):
         _assert_same_jets(sum_of_products(a, a, ta, ta), _jet_sums(a, a, ta, ta))
         assert len(jet_arrays._plans) == kept and len(built) == builds
         assert jet_arrays._plan_bytes == sum(x.nbytes for plan in jet_arrays._plans.values() for x in plan)
-    assert jet_arrays._plan_bytes == 192
+    assert jet_arrays._plan_bytes == 144
+
+
+def test_warm_contract_allocates_little_more_than_its_output(monkeypatch):
+    """A warm call runs its kept plan in the kept product buffer: a dense
+    order-4, 8-variable 4x4 contraction at 5 points (310,080 products per
+    point) peaks at a few times its output's bytes, its term sums and
+    bincounts, not at the bytes of its products."""
+    _fresh_plans(monkeypatch)
+    rng = np.random.default_rng(3)
+    space = jet_space(4, 8)
+    a, b = (JetArray(space, rng.uniform(-1, 1, (5, 4, 4, space.size))) for _ in range(2))
+    contract(a, b)
+    tracemalloc.start()
+    try:
+        out = contract(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(jet_arrays._plans) == 1
+    assert peak <= 4 * out.c.nbytes
+
+
+def test_kernel_results_share_no_memory_with_the_product_buffer(monkeypatch):
+    """Every result is an array of its own: none is a view of the product
+    buffer, and later calls leave earlier results as they were."""
+    _fresh_plans(monkeypatch)
+    space = jet_space(3, 3)
+    results = []
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        a, b = (JetArray(space, np.stack([_masked_coefficients(rng, 4, space) for _ in range(2)]).reshape(2, 2, 2, -1))
+                for _ in range(2))
+        for out in (a * b, contract(a, b)):
+            assert not np.shares_memory(out.c, jet_arrays._buffer)
+            results.append((out, out.c.copy()))
+    for out, before in results:
+        assert out.c.tobytes() == before.tobytes()
+
+
+def test_one_term_plan_gives_each_point_the_dense_product(monkeypatch):
+    """A one-term call sums its products straight into the output bins (its
+    plan keeps no output bins), and each entry at each of 3 points has the
+    bytes of ``mul_rows`` on that point's rows: with a NaN at one point
+    (every term taken, no plan kept), a -0.0 product, and a point whose left
+    operand is all zero."""
+    _fresh_plans(monkeypatch)
+    rng = np.random.default_rng(17)
+    space = jet_space(3, 3)
+    a = np.stack([_masked_coefficients(rng, 4, space) for _ in range(3)])
+    b = np.stack([_masked_coefficients(rng, 4, space) for _ in range(3)])
+    a[0, 1, 0], b[0, 2, :2], b[1, 2, 0] = 2.0, (-0.0, 1.0), 1.5  # a[0, 1] * b[0, 2] has a -0.0 product in slot 0
+    a[2] = np.where(rng.random(a[2].shape) < 0.5, 0.0, -0.0)
+    ia, ib = np.array([0, 1, 2, 3]), np.array([3, 2, 1, 0])
+    with_nan = a.copy()
+    with_nan[1, 2, 4] = math.nan
+    for left, kept in ((with_nan, 0), (a, 1)):
+        got = products(JetArray(space, left), JetArray(space, b), ia, ib)
+        for p, o in np.ndindex(3, 4):
+            ref = mul_rows(space, left[p, ia[o]][None], b[p, ib[o]][None])[0]
+            assert got.c[p, o].tobytes() == ref.tobytes(), (p, o)
+        assert len(jet_arrays._plans) == kept
+        assert np.isnan(got.c[1, 2]).any() == (left is with_nan)
+    ((_, _, _, out_bins),) = jet_arrays._plans.values()
+    assert out_bins.size == 0
+
+
+def test_a_call_larger_than_the_buffer_bound_keeps_the_buffer(monkeypatch):
+    """A call whose two gathers pass _PLAN_BYTES gathers into arrays of its
+    own: each point gets the bytes of the dense route, and the kept buffer
+    is left as it was."""
+    _fresh_plans(monkeypatch)
+    rng = np.random.default_rng(23)
+    space = jet_space(2, 3)
+    small = JetArray(space, _masked_coefficients(rng, 2, space)[None])
+    _assert_same_jets(small * small, [_dense_mul(j, j) for j in small.flat])
+    buffer, before = jet_arrays._buffer, jet_arrays._buffer.copy()
+    monkeypatch.setattr(jet_arrays, "_PLAN_BYTES", buffer.nbytes)
+    a, b = (JetArray(space, np.stack([_masked_coefficients(rng, 6, space) for _ in range(2)])) for _ in range(2))
+    ta, tb = rng.integers(0, 6, (7, 3)), rng.integers(0, 6, (7, 3))
+    got = sum_of_products(a, b, ta, tb)
+    assert jet_arrays._buffer is buffer and buffer.tobytes() == before.tobytes()
+    for p in range(2):
+        one = [JetArray(space, x.c[p:p + 1]) for x in (got, a, b)]
+        _assert_same_jets(one[0], _jet_sums(one[1], one[2], ta, tb))
 
 
 def test_contract_rejects_mismatched_shapes():

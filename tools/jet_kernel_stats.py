@@ -6,7 +6,8 @@ Runs ``verify.run_suite`` (seed 7, 5 points) on the model document given, or
 else on the Reissner-Nordström model (M = 1, Q = 0.3, alpha*), with
 ``jet_arrays._coefficients`` wrapped: once as the process's first suite
 (``first``: the tapes are compiled and the kernel's plans built) and then
-REPEATS times more (``again``: timings are the median of those runs).
+REPEATS times more (``again``: timings and ``minflt`` are the median of
+those runs).
 ``Tape.jets`` and the dense row product ``jets.mul_rows`` (the tapes'
 products and Horner steps) are counted too.
 ``tools/dense_model.json`` is a model whose jets are dense: every metric and
@@ -21,7 +22,10 @@ potential entry depends on the four coordinates.  Each line gives
   one (a plan of a call with an inf or NaN, or one larger than
   ``jet_arrays._PLAN_BYTES``, is built and not kept);
 - ``kept``, ``plan_kib`` and ``key_kib``: the plans kept after the suite,
-  the bytes of their index arrays and of their keys;
+  the bytes of their index arrays (a one-term plan's composed bins count
+  once, its empty output bins not at all) and of their keys;
+- ``buffer_kib``: the bytes of the kernel's kept product buffer after the
+  suite;
 - ``build_ms``, ``run_ms`` and ``kernel_ms``: time spent building plans, the
   rest of the kernel's time, and their sum;
 - ``tape_runs``: ``Tape.jets`` runs (one per point on a tree whose tapes
@@ -29,11 +33,15 @@ potential entry depends on the four coordinates.  Each line gives
 - ``row_calls`` and ``row_points_per_call``: ``jets.mul_rows`` calls and
   the points each serves, on average;
 - ``suite_ms``: the suite's wall time less the time this tool spends counting;
+- ``minflt``: the minor page faults of the suite (``ru_minflt``) less
+  those of this tool's counting; the allocator's unmapping and trimming of
+  freed temporaries drives them up;
 - ``peak_rss_mb``: the process's peak resident set size so far.
 
 On a tree without kernel plans the plan columns read ``-`` and ``run_ms`` is
-the whole kernel; on one without ``jets.mul_rows`` (its tapes ran on ``Jet``
-operators) the row columns read ``-``.  Timings depend on the host; the counts depend only on the
+the whole kernel, and on one without a product buffer so does ``buffer_kib``;
+on one without ``jets.mul_rows`` (its tapes ran on ``Jet`` operators) the row
+columns read ``-``.  Timings depend on the host; the counts depend only on the
 source.  It lives outside the package so that importing ``tbgrav`` stays as
 it was.
 """
@@ -52,9 +60,9 @@ from tbgrav.spacetime import catalog
 
 SEED, POINTS, REPEATS = 7, 5, 5
 FIELDS = ("calls", "points_per_call", "terms", "products", "max_products", "built", "hits", "kept", "plan_kib",
-          "key_kib", "build_ms", "run_ms", "kernel_ms", "tape_runs", "row_calls", "row_points_per_call", "suite_ms",
-          "peak_rss_mb")
-TIMES = ("build_ms", "run_ms", "kernel_ms", "suite_ms")
+          "key_kib", "buffer_kib", "build_ms", "run_ms", "kernel_ms", "tape_runs", "row_calls", "row_points_per_call",
+          "suite_ms", "minflt", "peak_rss_mb")
+MEDIANS = ("build_ms", "run_ms", "kernel_ms", "suite_ms", "minflt")
 PLANNED = hasattr(jet_arrays, "_plans")
 ROWS = hasattr(jets, "mul_rows")
 
@@ -70,6 +78,10 @@ def live_work(space, a, b, ta, tb) -> tuple[int, int, int]:
     return max(len(a), len(b)), terms, products
 
 
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def instrument(stats: dict) -> None:
     """Wrap the kernel (and its plan builder) to add to ``stats``."""
     kernel = jet_arrays._coefficients
@@ -77,7 +89,7 @@ def instrument(stats: dict) -> None:
     def counted(space, a, b, ta, tb):
         start = time.perf_counter()
         out = kernel(space, a, b, ta, tb)
-        middle = time.perf_counter()
+        middle, faults = time.perf_counter(), minflt()
         points, terms, products = live_work(space, a, b, ta, tb)
         stats["calls"] += 1
         stats["points"] += points
@@ -86,6 +98,7 @@ def instrument(stats: dict) -> None:
         stats["max_products"] = max(stats["max_products"], products)
         stats["kernel_s"] += middle - start
         stats["count_s"] += time.perf_counter() - middle
+        stats["count_flt"] += minflt() - faults
         return out
 
     jet_arrays._coefficients = counted
@@ -121,17 +134,20 @@ def instrument(stats: dict) -> None:
 def one_suite(model, stats: dict) -> dict:
     """The line's figures for one suite."""
     stats.update(dict.fromkeys(("calls", "points", "terms", "products", "max_products", "built", "tape_runs",
-                                "row_calls", "row_points"), 0))
+                                "row_calls", "row_points", "count_flt"), 0))
     stats.update(dict.fromkeys(("kernel_s", "count_s", "build_s"), 0.0))
-    start = time.perf_counter()
+    start, faults = time.perf_counter(), minflt()
     verify.run_suite(model, seed=SEED, n_points=POINTS)
     wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     line = {name: stats[name] for name in ("calls", "terms", "products", "max_products", "tape_runs")}
     line["points_per_call"] = stats["points"] / max(stats["calls"], 1)
     if ROWS:
         line.update(row_calls=stats["row_calls"], row_points_per_call=stats["row_points"] / max(stats["row_calls"], 1))
     line.update(suite_ms=(wall - stats["count_s"]) * 1e3, kernel_ms=stats["kernel_s"] * 1e3,
-                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+                minflt=usage.ru_minflt - faults - stats["count_flt"], peak_rss_mb=usage.ru_maxrss / 1024)
+    if hasattr(jet_arrays, "_buffer"):
+        line.update(buffer_kib=jet_arrays._buffer.nbytes / 1024)
     if PLANNED:
         plans = jet_arrays._plans
         line.update(built=stats["built"], hits=stats["calls"] - stats["built"], kept=len(plans),
@@ -163,7 +179,7 @@ def main() -> None:
     show("first", one_suite(model, stats))
     runs = [one_suite(model, stats) for _ in range(REPEATS)]
     again = dict(runs[-1])
-    again.update({name: statistics.median(run[name] for run in runs) for name in TIMES if name in again})
+    again.update({name: statistics.median(run[name] for run in runs) for name in MEDIANS if name in again})
     show("again", again)
 
 
