@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from tbgrav import BaseGeometry, catalog, jet_values, maxwell_current, maxwell_cyclic_residual
+from tbgrav import BaseGeometry, catalog, maxwell_current, maxwell_cyclic_residual
 
 schw = catalog("schwarzschild", {"M": 1.0})
 rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
@@ -27,11 +27,11 @@ rn_geo = BaseGeometry(rn, x_rn, 2)
 print("gamma^r_tt =", schw_geo.gamma[1, 0, 0].values[0])
 
 # vacuum: the Ricci tensor vanishes
-print("Schwarzschild max|Ricci| =", np.max(np.abs(jet_values(schw_geo.ricci))))
+print("Schwarzschild max|Ricci| =", np.max(np.abs(schw_geo.ricci.values)))
 
 # electrovacuum: trace-free source, so the Ricci scalar still vanishes
 print("RN Ricci scalar =", rn_geo.ricci_scalar[0])
-print("RN max|Ricci| =", np.max(np.abs(jet_values(rn_geo.ricci))), "(nonzero)")
+print("RN max|Ricci| =", np.max(np.abs(rn_geo.ricci.values)), "(nonzero)")
 
 # the field tensor of the Coulomb potential: F_tr = Q/r^2
 f_low, _ = rn_geo.faraday
@@ -45,4 +45,4 @@ print("max|dF identity| =", np.max(np.abs(h)), " max|current| =", np.max(np.abs(
 print("T^f_00 =", rn_geo.em_stress[0, 0].values[0])
 
 # Einstein-Maxwell: G_ij - 8 pi T^f_ij = 0 on the exact charged solution
-print("max|G - 8 pi T^f| =", np.max(np.abs(jet_values(rn_geo.einstein_maxwell))))
+print("max|G - 8 pi T^f| =", np.max(np.abs(rn_geo.einstein_maxwell.values)))

@@ -18,7 +18,6 @@ from tbgrav import (
     alpha_star,
     catalog,
     generalized_einstein,
-    jet_values,
     ricci_decomposition,
 )
 
@@ -29,14 +28,14 @@ p = BundlePoint([0.0, 5.0, math.pi / 2, 0.3], [1.4, 0.0, 0.0, 0.02])
 # every object of the connection's ladder is read off one geometry at (x, y),
 # a batch of one point: each object is read at point 0
 geo = BundleGeometry(rn, p)
-print("|y| =", geo.norm.values[0], " supporting element:", jet_values(geo.l_up)[0])
+print("|y| =", geo.norm.values[0], " supporting element:", geo.l_up.values[0])
 
 # the spray perturbation is metrically orthogonal to y
-print("B^i =", jet_values(geo.b_up)[0])
-print("N^i_j nonzero entries:", int(np.count_nonzero(np.abs(jet_values(geo.n_conn)) > 1e-14)))
+print("B^i =", geo.b_up.values[0])
+print("N^i_j nonzero entries:", int(np.count_nonzero(np.abs(geo.n_conn.values) > 1e-14)))
 
 # tidal tensor and its curvature ladder
-e = jet_values(geo.tidal)[0]
+e = geo.tidal.values[0]
 print("tidal tensor diagonal:", np.diag(e))
 print("bundle Ricci scalar R(x,y) =", geo.d_ricci_scalar[0])
 
@@ -57,5 +56,5 @@ print("literal bundle assembly differs by", ge["difference"][0], "(reported, not
 schw = catalog("schwarzschild", {"M": 1.0})
 f = 0.8
 hover = BundlePoint([0.0, 10.0, math.pi / 2, 0.0], [1.0 / math.sqrt(f), 0.0, 0.0, 0.0])
-eigs = np.diag(jet_values(BundleGeometry(schw, hover, alpha=0.0).tidal)[0])[1:]
+eigs = np.diag(BundleGeometry(schw, hover, alpha=0.0).tidal.values[0])[1:]
 print("Schwarzschild tidal eigenvalues:", eigs, " (2M/r^3, -M/r^3, -M/r^3)")

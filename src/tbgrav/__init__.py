@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
 )
 from .exprlang import evaluate, free_symbols, parse, print_expr
-from .jet_arrays import JetArray, jet_values
+from .jet_arrays import JetArray
 from .jets import Jet
 from .spacetime import (
     SpacetimeModel,

@@ -24,11 +24,9 @@ import numpy as np
 
 from .errors import SingularEvaluationError, UsageError
 from .exprlang import Tape, _KernelWriter
-from .jet_arrays import JetArray, concat, contract, jet_values, products, sum_of_products
+from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import reciprocal_value
-from .spacetime import _ROOT, SpacetimeModel, _points, metric_jet, potential_jet
-
-_ROOT_LIST = _ROOT.tolist()  # [i][j] -> the metric tape's root for g_ij
+from .spacetime import PAIRS, ROOT, UPPER, SpacetimeModel, _points, metric_jet, potential_jet
 
 # Sign switch for the electromagnetic stress-energy tensor; see module docstring.
 EM_STRESS_SIGN = +1.0
@@ -36,9 +34,6 @@ EM_STRESS_SIGN = +1.0
 
 # -- jet-matrix utilities -------------------------------------------------------
 
-UPPER = np.triu_indices(4)  # the ten (i, j >= i) pairs, row-major
-_MIRROR = np.empty((4, 4), dtype=int)  # _MIRROR[i, j]: the upper pair of (i, j)
-_MIRROR[UPPER] = _MIRROR.T[UPPER] = range(10)
 STRICT = np.triu_indices(4, 1)  # the six (k, l > k) pairs
 # _ANTI[k, l]: the slot of (k, l) in [zero, the six pairs, their negations]
 _ANTI = np.zeros((4, 4), dtype=int)
@@ -48,7 +43,7 @@ _ANTI[STRICT], _ANTI.T[STRICT] = range(1, 7), range(7, 13)
 def symmetric(upper: JetArray) -> JetArray:
     """The 4x4 jet array (in the two leading axes) whose entries (i, j) and
     (j, i) are both the upper pair's entry of ``upper``, indexed by pair first."""
-    return upper[_MIRROR]
+    return upper[ROOT]
 
 
 def antisymmetric(strict: JetArray, zero: JetArray) -> JetArray:
@@ -79,10 +74,9 @@ def per_point(fn, *arrays) -> np.ndarray:
     return np.array([fn(*slices) for slices in zip(*arrays)])
 
 
-def invert_jet_matrix(g) -> JetArray:
+def invert_jet_matrix(g: JetArray) -> JetArray:
     """Inverse of a 4x4 jet matrix via the truncated Neumann series around the
     inverse of its value part."""
-    g = JetArray.stack(g)
     g0 = g.values
     try:
         g0inv = np.linalg.inv(g0)
@@ -107,10 +101,9 @@ def invert_jet_matrix(g) -> JetArray:
 _MINOR_COLS = np.array([[c for c in range(4) if c != j] for j in range(4)])  # columns of minor j
 
 
-def det_jet_matrix(g) -> JetArray:
+def det_jet_matrix(g: JetArray) -> JetArray:
     """Determinant of a 4x4 jet matrix by cofactor expansion along row 0, each
     3x3 minor of rows 1-3 expanded along its first row."""
-    g = JetArray.stack(g)
     c0, c1, c2 = _MINOR_COLS.T
     m = g.ravel()
     # the six 2x2 products of rows 2 and 3 of each minor, then its three 2x2 minors
@@ -124,7 +117,7 @@ def det_jet_matrix(g) -> JetArray:
     return contract(g[0], JetArray(minor.space, cofactors))
 
 
-def sqrt_minus_det(g) -> JetArray:
+def sqrt_minus_det(g: JetArray) -> JetArray:
     """sqrt(-det g), a 0-d jet array (one entry per point)."""
     return (-det_jet_matrix(g)).sqrt()
 
@@ -132,10 +125,9 @@ def sqrt_minus_det(g) -> JetArray:
 # -- connection and curvature kernels --------------------------------------------
 
 
-def christoffel_jets(g, ginv) -> JetArray:
+def christoffel_jets(g: JetArray, ginv: JetArray) -> JetArray:
     """gamma^i_jk from a jet-valued metric and its inverse, each symmetric pair
     (j, k) formed once."""
-    g, ginv = JetArray.stack(g), JetArray.stack(ginv)
     dg = g.partials(range(4))  # dg[k, i, j] = d_k g_ij
     j, k = UPPER
     h = np.arange(4)[:, None]
@@ -143,9 +135,8 @@ def christoffel_jets(g, ginv) -> JetArray:
     return symmetric((contract(ginv, first_kind) * 0.5).transpose(1, 0)).transpose(2, 0, 1)
 
 
-def riemann_jets(gamma) -> JetArray:
+def riemann_jets(gamma: JetArray) -> JetArray:
     """r^i_jkl, antisymmetric in (k,l)."""
-    gamma = JetArray.stack(gamma)
     dgam = gamma.partials(range(4))  # dgam[k, i, j, l] = d_k gamma^i_jl
     k, l = STRICT
     lower = gamma.truncate(dgam.order)
@@ -157,19 +148,17 @@ def riemann_jets(gamma) -> JetArray:
     return antisymmetric(strict, gamma[0, 0, 0] * 0.0).transpose(2, 3, 0, 1)
 
 
-def faraday_jets(a, ginv) -> tuple[JetArray, JetArray]:
+def faraday_jets(a: JetArray, ginv: JetArray) -> tuple[JetArray, JetArray]:
     """(F_ij, F^i_j) from potential jets."""
-    a, ginv = JetArray.stack(a), JetArray.stack(ginv)
     da = a.partials(range(4))  # da[i, j] = d_i A_j
     i, j = STRICT
     f_low = antisymmetric(da[i, j] - da[j, i], a[0] * 0.0)
     return f_low, contract(ginv, f_low)
 
 
-def raise_both_indices(s_low, ginv) -> JetArray:
+def raise_both_indices(s_low: JetArray, ginv: JetArray) -> JetArray:
     """S^{ij} = g^{ia} g^{jb} S_ab for a symmetric 4x4 jet array."""
-    ginv = JetArray.stack(ginv)
-    half = contract(ginv, JetArray.stack(s_low))  # half[i, b] = g^{ia} S_ab
+    half = contract(ginv, s_low)  # half[i, b] = g^{ia} S_ab
     b = np.arange(4)
     i, j = UPPER
     return symmetric(sum_of_products(ginv, half, j[:, None] * 4 + b, i[:, None] * 4 + b))
@@ -284,11 +273,11 @@ def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
     return v + np.moveaxis(v, -3, -1) + np.moveaxis(v, -1, -3)
 
 
-def densitized_divergence(s: JetArray, v_up) -> np.ndarray:
+def densitized_divergence(s: JetArray, v_up: JetArray) -> np.ndarray:
     """sum_j d_j(s V^j) at each point, for the density jets s = sqrt(-g) (a
     0-d jet array) and component jets V^j along the last axis of ``v_up``;
     callers divide by s themselves."""
-    prod = s * JetArray.stack(v_up)
+    prod = s * v_up
     first = prod.space.first_index
     return sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
 
@@ -300,7 +289,7 @@ def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
     s = sqrt_minus_det(geo.g)
     f_up = contract(f_mix, geo.ginv.T)
     coeff = -model.c / (4.0 * math.pi)
-    return coeff * densitized_divergence(s, f_up) / jet_values(s)[..., None]
+    return coeff * densitized_divergence(s, f_up) / s.values[..., None]
 
 
 def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
@@ -346,9 +335,6 @@ def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(n2)
 
 
-_PAIRS = [(j, k) for j in range(4) for k in range(j, 4)]
-
-
 class FiberWriter(_KernelWriter):
     """Writer of a float kernel of (x, y, ...) on a metric tape run at
     ``order`` (1 or 2).  The constructor writes what each such kernel starts
@@ -371,13 +357,13 @@ class FiberWriter(_KernelWriter):
         self.first = self.space.first_index.tolist()
         self.y = self.unpack("y", 4)
         coeffs = self.run(metric)
-        self.g = [[coeffs[_ROOT_LIST[i][j]] for j in range(4)] for i in range(4)]
+        self.g = [[coeffs[ROOT[i, j]] for j in range(4)] for i in range(4)]
         g = [[c[0] for c in row] for row in self.g]
         y_pair = cache(lambda j, k: self.let(f"{self.y[j]}*{self.y[k]}"))  # y^j y^k, bound on first use
         self.pair = {}  # (j, k) -> y^j y^k as a combine factor, bound only where its term stays
-        for j, k in _PAIRS:
+        for j, k in PAIRS:
             self.pair[j, k] = self.pair[k, j] = lambda j=j, k=k: y_pair(j, k)
-        self.n2 = self.combine([(1.0 if j == k else 2.0, [g[j][k], self.pair[j, k]]) for j, k in _PAIRS])
+        self.n2 = self.combine([(1.0 if j == k else 2.0, [g[j][k], self.pair[j, k]]) for j, k in PAIRS])
         self.lines.append(f"if not 0.0 < {self.ref(self.n2)} < inf: {self.call(_not_timelike, self.n2)}")
         minors = {}  # (rows, cols) -> the determinant of that submatrix of g, by Laplace along its first row
 
@@ -392,7 +378,7 @@ class FiberWriter(_KernelWriter):
 
         rest = [(0, 1, 2, 3)[:i] + (0, 1, 2, 3)[i + 1:] for i in range(4)]  # the indices other than i
         adj = {(i, j): self.combine([((-1.0) ** (i + j), [minor(rest[j], rest[i])])])
-               for i, j in _PAIRS}  # cofactors of the symmetric g
+               for i, j in PAIRS}  # cofactors of the symmetric g
         det = self.combine([(1.0, [g[0][j], adj[0, j]]) for j in range(4) if g[0][j] != 0.0])
         rdet = self.let(self.call(reciprocal_value, det)) if isinstance(det, str) or det == 0.0 else 1.0 / det
         self.ginv = {(i, j): self.combine([(1.0, [rdet, adj[i, j]])]) for i, j in adj}
@@ -454,7 +440,7 @@ def _write_spray(metric: Tape, potential: Tape | None):
     low = []
     for h in range(4):
         terms = []  # for h = j the two diagonal parts are one entry
-        for j, k in _PAIRS:
+        for j, k in PAIRS:
             if j == k:
                 terms += [(-1.0, (dg[j][h][j], w.pair[j, j])), (0.5, (dg[h][j][j], w.pair[j, j]))]
             else:

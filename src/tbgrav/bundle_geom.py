@@ -49,13 +49,13 @@ import numpy as np
 
 from . import base_geom
 from .errors import UsageError
-from .base_geom import STRICT, UPPER, antisymmetric, point_sum, symmetric
+from .base_geom import STRICT, antisymmetric, point_sum, symmetric
 from .jet_arrays import JetArray, concat, contract, products, sum_of_products
 from .jets import MAX_ORDER, jet_space
-from .spacetime import SpacetimeModel
+from .spacetime import UPPER, SpacetimeModel
 
 Y_SLOT0 = 4
-_X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "a_pot", "gamma", "faraday")  # attributes free of y
+_X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "gamma", "faraday")  # attributes free of y
 
 
 @dataclass
@@ -116,10 +116,6 @@ class BundleGeometry:
     @cached_property
     def ginv(self) -> JetArray:
         return self.base.ginv.lift(8)
-
-    @cached_property
-    def a_pot(self) -> JetArray:
-        return self.base.a_pot.lift(8)
 
     @cached_property
     @np.errstate(invalid="ignore")
@@ -225,12 +221,11 @@ class BundleGeometry:
 
     # -- adapted derivatives and curvature (more shifts consumed) -----------------
 
-    def delta(self, f, connection: JetArray | None = None) -> JetArray:
+    def delta(self, f: JetArray, connection: JetArray | None = None) -> JetArray:
         """delta_i f = f_{,i} - N^j_i f_{.j} for i = 0..3, a new leading axis
         (with the alpha connection by default); the four terms are
         subtracted in j order."""
         n = self.n_conn if connection is None else connection
-        f = JetArray.stack(f)
         d = f.partials(range(8))
         size = math.prod(f.shape)
         j, i = np.ix_(range(4), range(4))
@@ -284,9 +279,8 @@ class BundleGeometry:
         return base_geom.per_point(lambda ginv, fl: float(np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)),
                                    self.ginv.values, f_low.values)
 
-    def divergence(self, x_vec, connection: JetArray) -> np.ndarray:
+    def divergence(self, x_vec: JetArray, connection: JetArray) -> np.ndarray:
         """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
-        x_vec = JetArray.stack(x_vec)
         adapted = self.delta(x_vec, connection).values.diagonal(0, -2, -1)
         trace = self.gamma.values.diagonal(0, -3, -2) * x_vec.values[..., None]  # [i, j]: gamma^j_ji X^i
         return point_sum(np.concatenate([adapted[..., None], trace], axis=-1), 2)
@@ -344,8 +338,9 @@ def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
 def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
                        alpha: float | None = None) -> JetArray:
     """delta_i applied componentwise to a fiber field ``field(model, point, order)``,
-    which returns a jet or jets on the joint 8-variable space; returns jets
-    one order down, indexed [i, *field index]."""
+    which returns a jet array or a list of jet arrays of one shape on the
+    joint 8-variable space; returns jets one order down, indexed [i, *field
+    index]."""
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
     try:
         values = JetArray.stack(field(model, geo.p, order))

@@ -28,7 +28,6 @@ from .errors import (
     SingularEvaluationError,
     UsageError,
 )
-from .jet_arrays import jet_values
 from .spacetime import catalog, checked_alpha, load_model, metric_values, signature_signs
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
@@ -139,15 +138,15 @@ def _cmd_inspect(args) -> int:
     if args.x is not None:
         x = _vec(args.x, "--x")
         geo = base_geom.BaseGeometry(model, x, 2)  # a batch of one point: each object's point 0 is read
-        g = jet_values(geo.g)[0]
+        g = geo.g.values[0]
         # + 0.0: F_ji is stored as -F_ij, which makes a zero entry -0.0
-        f_low = jet_values(geo.faraday[0])[0] + 0.0
+        f_low = geo.faraday[0].values[0] + 0.0
         payload["at"] = {
             "x": x.tolist(),
             "metric": g.tolist(),
             "det_metric": float(np.linalg.det(g)),
             "signature": list(signature_signs(g)),
-            "potential": jet_values(geo.a_pot)[0].tolist(),
+            "potential": geo.a_pot.values[0].tolist(),
             "faraday": f_low.tolist(),
             "ricci_scalar": float(geo.ricci_scalar[0]),
         }
@@ -239,17 +238,16 @@ def _cmd_efe(args) -> int:
 def _cmd_integrate_volume(args) -> int:
     model = _resolve_model(args)
     x = _vec(args.x, "--x")
-    fm = tm_metric.fiber_metric(model, x)
-    g = metric_values(model, x)
-    vol, report = tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys)), return_report=True)
+    ball, ys, w, n_shifted = tm_metric.fiber_rule(model, x, tm_metric.FIBER_NODES)
+    v, g = ball.metric.v, metric_values(model, x)
     payload = {
         "x": x.tolist(),
         "ball_bound": tm_metric.BALL_BOUND,
-        "ball_volume": vol,
-        "det_fiber_metric": float(np.linalg.det(fm.v)),
+        "ball_volume": float(np.sum(w)),
+        "det_fiber_metric": float(np.linalg.det(v)),
         "det_metric": float(np.linalg.det(g)),
-        "det_residual": float(abs(np.linalg.det(fm.v) + np.linalg.det(g))),
-        "quadrature": report,
+        "det_residual": float(abs(np.linalg.det(v) + np.linalg.det(g))),
+        "quadrature": {"nodes": len(ys), "null_cone_shifted": n_shifted},
     }
     if args.box:
         lo, hi = zip(*(span.partition(":")[::2] for span in args.box.split(",")))

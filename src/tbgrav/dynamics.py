@@ -39,13 +39,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import base_geom
 from .bundle_geom import connection_and_tidal_values, deviation_kernel
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
-from .jet_arrays import jet_values
 from .spacetime import SpacetimeModel, metric_values, potential_jet
 
 NULL_CONE_GUARD = 1e-6
@@ -96,29 +96,18 @@ class Trajectory:
         return float(self.times[-1])
 
     def sample(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation between accepted steps."""
-        times = self.times
-        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
-            raise UsageError(f"sample time {t} outside [{times[0]}, {times[-1]}]")
-        if len(times) == 1:
-            return self.states[0].copy()
-        t = min(max(t, times[0]), times[-1])
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        k = min(max(k, 0), len(times) - 2)
-        h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
-        y0, y1 = self.states[k], self.states[k + 1]
-        d0, d1 = self.derivs[k] * h, self.derivs[k + 1] * h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+        """Cubic Hermite interpolation between accepted steps: the floats of
+        ``sampler`` as an array."""
+        return np.array(self._hermite(t))
 
     def sampler(self):
-        """``sample`` on Python floats, the arrays read as lists once:
-        ``t -> list``, with its bits, for a right-hand side that samples
-        this trajectory on every call."""
+        """``t -> list``: ``sample`` on Python floats, for a right-hand side
+        that samples this trajectory on every call."""
+        return self._hermite
+
+    @cached_property
+    def _hermite(self):
+        """The Hermite sampler on the arrays read as lists, built once."""
         times, states, derivs = self.times.tolist(), self.states.tolist(), self.derivs.tolist()
         first, last = times[0], times[-1]
 
@@ -248,7 +237,7 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = base_geom.timelike_norm(metric_values(model, x), y)
-    a_vals = jet_values(potential_jet(model, x, order=0))[0]
+    a_vals = potential_jet(model, x, order=0).values[0]
     return norm + alpha * float(a_vals @ y)
 
 

@@ -283,17 +283,22 @@ AnyJet = TypeVar("AnyJet", Jet, JetArray)  # evaluate gives jets on jets, jet ar
 
 
 def evaluate(expr: Expr, env: dict[str, AnyJet]) -> AnyJet:
-    """Evaluate the tree over jets; every symbol must be bound in env, to a
-    jet or a 0-d jet array (one entry per point), all in one variable count
-    and taken at their lowest order.  Each operation runs once for the whole
-    batch.  The result is a jet on jets, else a 0-d jet array."""
+    """Evaluate the tree over jets; every symbol must be bound in env, all
+    to jets or all to 0-d jet arrays (one entry per point), in one variable
+    count and taken at their lowest order.  Each operation runs once for the
+    whole batch, jets as a batch of one point.  The result is a jet on jets,
+    else a 0-d jet array."""
     if not env:
         raise EvaluationError("evaluation environment must bind at least one jet")
-    flat, _ = concat(*env.values())
-    if flat.shape != (len(env),):
+    values = list(env.values())
+    single = all(isinstance(value, Jet) for value in values)
+    if single:  # each jet as the row of one point
+        values = [JetArray(value.space, value.c[None]) for value in values]
+    if not all(isinstance(value, JetArray) and value.shape == () for value in values):
         raise UsageError("an evaluation environment binds jets, or jet arrays of one entry per point")
+    flat, _ = concat(*values)
     out = _evaluate(expr, dict(zip(env, flat.c.transpose(1, 0, 2))), flat.space)
-    if all(isinstance(value, Jet) for value in env.values()):
+    if single:
         return Jet(flat.space, out[0])
     # a row that serves every point becomes one row per point
     return JetArray(flat.space, np.broadcast_to(out, (flat.points, flat.space.size)).copy())

@@ -166,13 +166,14 @@ class JetArray:
     ``shape``, ``ndim``, indices and axes are those of one point's tensor.
     Indexing gives a ``JetArray`` (down to one entry, a 0-d one: one jet per
     point); ``flat`` runs over the entries of every point as ``Jet`` views.
-    Arithmetic broadcasts as NumPy does over the entries of each point, with
-    the bits of the row arithmetic of ``jets`` entry by entry: operands of
-    two orders are truncated to the lower, a number is a constant jet in a
-    sum and a scale factor in a product or a quotient (a float array is one
-    too, broadcast against ``values``), an operand of one point serves every
-    point of the other, and a product of two jet operands is one masked
-    kernel call (``sum_of_products``).  Jet arrays are not changed in place.
+    Arithmetic takes jet arrays, numbers and float arrays and broadcasts as
+    NumPy does over the entries of each point, with the bits of the row
+    arithmetic of ``jets`` entry by entry: operands of two orders are
+    truncated to the lower, a number is a constant jet in a sum and a scale
+    factor in a product or a quotient (a float array is one too, broadcast
+    against ``values``), an operand of one point serves every point of the
+    other, and a product of two jet operands is one masked kernel call
+    (``sum_of_products``).  Jet arrays are not changed in place.
     """
 
     __slots__ = ("space", "c")
@@ -183,30 +184,18 @@ class JetArray:
         self.c = coeffs
 
     @staticmethod
-    def stack(jets) -> "JetArray":
-        """A jet array from a JetArray, a Jet, a (nested) sequence or object
-        array of jets of one variable count, or a list or object array of jet
-        arrays of one shape (the new axes first, after the point axis), at
-        their lowest order; jets make an array of one point."""
-        if isinstance(jets, JetArray):
-            return jets
-        if isinstance(jets, Jet):
-            return JetArray(jets.space, jets.c[None])
-        items = list(jets.flat) if isinstance(jets, np.ndarray) else jets
-        if isinstance(items, list) and any(isinstance(j, JetArray) for j in items):
-            rows, _ = concat(*items)
-            outer = jets.shape if isinstance(jets, np.ndarray) else (len(jets),)
-            return rows.reshape(*outer, *JetArray.stack(items[0]).shape)
-        arr = np.empty(np.shape(jets), dtype=object)
-        arr[...] = jets
-        entries = list(arr.flat)
-        if not entries or not all(isinstance(j, Jet) for j in entries):
-            raise UsageError("expected jets")
-        if len({j.nvars for j in entries}) != 1:
-            raise UsageError("jet nvars mismatch in one array")
-        space = jet_space(min(j.order for j in entries), entries[0].nvars)
-        c = np.array([j.c[: space.size] for j in entries]).reshape((1,) + arr.shape + (space.size,))
-        return JetArray(space, c)
+    def stack(arrays) -> "JetArray":
+        """``arrays`` itself if it is a jet array, else a list of jet arrays
+        of one shape (as a field callable hands over its components) as one
+        jet array at their lowest order, the list's axis first after the
+        point axis."""
+        if isinstance(arrays, JetArray):
+            return arrays
+        if not (isinstance(arrays, list) and arrays and all(isinstance(a, JetArray) for a in arrays)
+                and len({a.shape for a in arrays}) == 1):
+            raise UsageError("expected a jet array or a list of jet arrays of one shape")
+        rows, _ = concat(*arrays)
+        return rows.reshape(len(arrays), *arrays[0].shape)
 
     # -- shape ----------------------------------------------------------------
 
@@ -305,11 +294,9 @@ class JetArray:
     # -- arithmetic -------------------------------------------------------------------
 
     def _pair(self, other):
-        """(self, other) as jet arrays of one space for a Jet or JetArray
-        ``other``, else None."""
-        if isinstance(other, Jet):
-            other = JetArray.stack(other)
-        elif not isinstance(other, JetArray):
+        """(self, other) as jet arrays of one space for a JetArray ``other``,
+        else None."""
+        if not isinstance(other, JetArray):
             return None
         if other.space is self.space:
             return self, other
@@ -377,8 +364,8 @@ class JetArray:
     def __truediv__(self, other):
         if isinstance(other, (*_NUMBER, np.ndarray)):
             return JetArray(self.space, self.c / np.asarray(other, dtype=float)[..., None])
-        if isinstance(other, (Jet, JetArray)):
-            return self * JetArray.stack(other).reciprocal()
+        if isinstance(other, JetArray):
+            return self * other.reciprocal()
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -425,7 +412,7 @@ def sum_of_products(a, b, ta, tb) -> JetArray:
     two lists of tables, one per term), at every point (``flat`` one point's
     entries): each product as ``jets.mul_rows`` forms it, each sum
     added in k order, at the lower order of a and b.  One masked kernel call."""
-    a, b = JetArray.stack(a)._pair(JetArray.stack(b))
+    a, b = a._pair(b)
     if isinstance(ta, list):
         shape = np.broadcast_shapes(*(np.shape(t) for t in (*ta, *tb)))
         tables = np.empty((2, *shape, len(ta)), dtype=np.intp)
@@ -445,11 +432,9 @@ def products(a, b, ia, ib) -> JetArray:
 
 
 def concat(*arrays) -> tuple[JetArray, list[int]]:
-    """The entries of jet arrays (or jets) as one flat jet array at their
-    lowest order (per point), and the flat index of each array's
-    first entry, for the term tables of one ``sum_of_products`` call over
-    several operands."""
-    arrays = [JetArray.stack(a) for a in arrays]
+    """The entries of jet arrays as one flat jet array at their lowest order
+    (per point), and the flat index of each array's first entry, for the
+    term tables of one ``sum_of_products`` call over several operands."""
     order = min(a.order for a in arrays)
     if len({a.nvars for a in arrays}) != 1:
         raise UsageError("jet nvars mismatch in one array")
@@ -466,7 +451,6 @@ def contract(a, b) -> JetArray:
     over its first axis), with the bits the left-to-right jet sum gives: two
     np.bincount calls, one for the products of the live terms and one for
     their sums (``sum_of_products``)."""
-    a, b = JetArray.stack(a), JetArray.stack(b)
     if a.shape[-1] != b.shape[0]:
         raise UsageError(f"cannot contract shapes {a.shape} and {b.shape}")
     inner = b.shape[0]
@@ -474,7 +458,3 @@ def contract(a, b) -> JetArray:
     ta, tb = _contract_terms(rows, inner, cols)
     return sum_of_products(a, b, ta, tb).reshape(*a.shape[:-1], *b.shape[1:])
 
-
-def jet_values(arr) -> np.ndarray:
-    """Float array of the values of a jet array (or of jets ``JetArray.stack`` takes)."""
-    return JetArray.stack(arr).values

@@ -59,7 +59,6 @@ class JetSpace:
         self.monomials = _monomials(order, nvars)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials])
         self._mul_table = self._build_mul_table()
         self._shift_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # derivative = coefficient * prod(factorials of the multi-index)

@@ -22,6 +22,11 @@ from .jets import Jet, jet_space, variable_rows
 
 CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
 
+PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]  # the ten (i, j >= i), row-major: the metric tape's roots
+UPPER = tuple(np.array(PAIRS).T)  # the pairs as an index into 4x4 arrays
+ROOT = np.empty((4, 4), dtype=int)  # ROOT[i, j]: the metric tape's root for g_ij, the pair of (i, j) or (j, i)
+ROOT[UPPER] = ROOT.T[UPPER] = range(10)
+
 
 def alpha_star(c: float, k: float) -> float:
     """Coupling for which the bundle scalar curvature reproduces the
@@ -70,7 +75,10 @@ class SpacetimeModel:
     def param_env(self, order: int, nvars: int) -> dict[str, JetArray]:
         """The parameters and ``pi`` as constant 0-d jet arrays."""
         constants = {**self.params, "pi": math.pi}
-        return {name: JetArray.stack(Jet.constant(v, order, nvars)) for name, v in constants.items()}
+        space = jet_space(order, nvars)
+        c = np.zeros((len(constants), 1, space.size))
+        c[:, 0, 0] = list(constants.values())
+        return {name: JetArray(space, row) for name, row in zip(constants, c)}
 
     def coord_env(self, x, order: int, nvars: int = 4) -> dict[str, JetArray]:
         """``param_env`` and coordinate k seeded in variable k of ``nvars``: a
@@ -85,7 +93,7 @@ class SpacetimeModel:
     @cached_property
     def metric_tape(self) -> Tape:
         """g_ij for j >= i, row by row."""
-        roots = [self.g_exprs[i][j] for i in range(4) for j in range(i, 4)]
+        roots = [self.g_exprs[i][j] for i, j in PAIRS]
         return Tape(roots, self.coords, self.params)
 
     @cached_property
@@ -349,11 +357,6 @@ def print_model(model: SpacetimeModel) -> str:
 
 # -- jet-valued evaluation ------------------------------------------------------
 
-_UPPER = np.triu_indices(4)  # row-major (i, j >= i), the metric tape's root order
-_ROOT = np.empty((4, 4), dtype=int)  # _ROOT[i, j]: the metric tape's root for g_ij
-_ROOT[_UPPER] = _ROOT.T[_UPPER] = range(10)
-
-
 def _check_determinant(g: np.ndarray, x: np.ndarray) -> None:
     det = np.linalg.det(g)
     if not det < 0.0:
@@ -376,7 +379,7 @@ def metric_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     x = _points(x)
     for point in x:
         model.check_chart(point)
-    comps = model.metric_tape.jets(x, order)[_ROOT]
+    comps = model.metric_tape.jets(x, order)[ROOT]
     for g, point in zip(comps.values, x):
         _check_determinant(g, point)
     return comps
@@ -394,7 +397,7 @@ def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if check:
         model.check_chart(x)
-    g = np.array(model.metric_tape.values(x))[_ROOT]
+    g = np.array(model.metric_tape.values(x))[ROOT]
     if check:
         _check_determinant(g, x)
     return g

@@ -26,10 +26,11 @@ import numpy as np
 from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
-from .jet_arrays import JetArray, jet_values
+from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
+FIBER_NODES = (16, 16, 16, 32)  # the default fiber rule: 131,072 nodes
 _BLOCK = 1 << 14  # quadrature nodes per block of the null-cone test
 
 
@@ -157,26 +158,22 @@ def fiber_rule(model: SpacetimeModel, x, nodes: tuple[int, int, int, int]):
     return ball, ys, w, n_shifted
 
 
-def fiber_integral(model: SpacetimeModel, x, f, nodes: tuple[int, int, int, int] = (16, 16, 16, 32),
-                   return_report: bool = False):
+def fiber_integral(model: SpacetimeModel, x, f, nodes: tuple[int, int, int, int] = FIBER_NODES) -> float:
     """Integral of f(y) over the canonical fiber ball with the fiber volume
     density (constants integrate to themselves), on ``fiber_rule``'s nodes.
 
     ``f`` maps the (n, 4) array of fiber nodes, one 4-vector per row, to the
     (n,) float array of its values there; any other return raises
     ``UsageError``.  Quadrature nodes that land on the null cone of g are
-    shifted radially by 1e-9 and counted in the report.
+    shifted radially by 1e-9.
     """
-    _, ys, w, n_shifted = fiber_rule(model, x, nodes)
+    _, ys, w, _ = fiber_rule(model, x, nodes)
     values = f(ys)
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.shape == (len(ys),)):
         raise UsageError(
             f"fiber integrand must return a float array of shape ({len(ys)},), got shape {np.shape(values)}"
         )
-    total = float(np.sum(w * values))
-    if return_report:
-        return total, {"nodes": len(ys), "null_cone_shifted": n_shifted}
-    return total
+    return float(np.sum(w * values))
 
 
 def _box_rule(box, base_nodes: int):
@@ -230,8 +227,8 @@ def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
                           alpha: float | None = None) -> np.ndarray:
     """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y)
     at each point of a batch of bundle points, given as ``x_field(model,
-    point, order)`` returning 4 joint-space 0-d jet arrays of one entry per
-    point (as ``coord_env`` gives them)."""
+    point, order)`` returning a list of 4 joint-space 0-d jet arrays of one
+    entry per point (as ``coord_env`` gives them), or one (4,) jet array."""
     p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
     try:
@@ -256,8 +253,10 @@ def lift_base_field(component_fn):
 
 def base_divergence_values(model: SpacetimeModel, x, component_fn) -> np.ndarray:
     """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets, at
-    each point of a batch x (a point x being a batch of one)."""
+    each point of a batch x (a point x being a batch of one), for
+    ``component_fn(env)`` returning Y's 4 components on ``coord_env``'s jets
+    as a list (or one jet array)."""
     env = model.coord_env(x, order=1, nvars=4)
-    comps = component_fn(env)
+    comps = JetArray.stack(component_fn(env))
     s = sqrt_minus_det(metric_jet(model, x, order=1))
-    return densitized_divergence(s, comps) / jet_values(s)
+    return densitized_divergence(s, comps) / s.values

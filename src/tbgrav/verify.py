@@ -27,7 +27,6 @@ from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import EngineError
-from .jet_arrays import jet_values
 from .spacetime import SpacetimeModel, metric_values
 
 DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}
@@ -205,7 +204,7 @@ def _riemann_defect(g, riem):
 
 def _riemann_symmetries(model, xs, rng):
     geo = BaseGeometry(model, xs, 2)
-    return [_riemann_defect(g, riem) for g, riem in zip(jet_values(geo.g), jet_values(geo.riemann))]
+    return [_riemann_defect(g, riem) for g, riem in zip(geo.g.values, geo.riemann.values)]
 
 
 def _max_abs(values) -> list:
@@ -221,7 +220,7 @@ def _contracted_bianchi(model, xs, rng):
 
 def _stress_trace(model, xs, rng):
     geo = BaseGeometry(model, xs, 1)
-    return [abs(np.einsum("ij,ij->", ginv, t)) for ginv, t in zip(jet_values(geo.ginv), jet_values(geo.em_stress))]
+    return [abs(np.einsum("ij,ij->", ginv, t)) for ginv, t in zip(geo.ginv.values, geo.em_stress.values)]
 
 
 def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list:
@@ -230,8 +229,8 @@ def homogeneity_defects(model: SpacetimeModel, p: BundlePoint) -> list:
     six arrays of one float per point."""
 
     def ladder(geo):
-        return [jet_values(geo.spray), jet_values(geo.n_conn), jet_values(geo.berwald),
-                jet_values(geo.tidal), geo.d_ricci, geo.b_hessian]
+        return [geo.spray.values, geo.n_conn.values, geo.berwald.values,
+                geo.tidal.values, geo.d_ricci, geo.b_hessian]
 
     lam = 2.0
     geo = BundleGeometry(model, p)
@@ -257,7 +256,7 @@ def _fiber_derivs_agreement(model, ps, rng):
 def _tidal_reconstruction(model, ps, rng):
     geo = BundleGeometry(model, ps)
     out = []
-    for e, d_riemann, d_ricci, y in zip(jet_values(geo.tidal), geo.d_riemann, geo.d_ricci, ps.y):
+    for e, d_riemann, d_ricci, y in zip(geo.tidal.values, geo.d_riemann, geo.d_ricci, ps.y):
         scale = np.max(np.abs(e)) + 1e-12
         recon = np.einsum("jikl,j,l->ik", d_riemann, y, y)
         trace_defect = abs(np.trace(e) + y @ d_ricci @ y)
@@ -268,8 +267,8 @@ def _tidal_reconstruction(model, ps, rng):
 def _alpha_zero_collapse(model, ps, rng):
     geo = BundleGeometry(model, ps, alpha=0.0)
     base = geo.base
-    objects = (jet_values(base.gamma), jet_values(geo.n_conn), jet_values(geo.berwald), jet_values(geo.tidal),
-               jet_values(base.riemann), geo.d_ricci, jet_values(base.ricci), geo.d_ricci_scalar, base.ricci_scalar)
+    objects = (base.gamma.values, geo.n_conn.values, geo.berwald.values, geo.tidal.values,
+               base.riemann.values, geo.d_ricci, base.ricci.values, geo.d_ricci_scalar, base.ricci_scalar)
     out = []
     for gamma, n_conn, berw, e, riem, d_ricci, ricci, d_scalar, scalar, y in zip(*objects, ps.y):
         out.append(max(

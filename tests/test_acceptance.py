@@ -14,7 +14,6 @@ import pytest
 from tbgrav import base_geom, bundle_geom, dynamics, exprlang, tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
-from tbgrav.jet_arrays import jet_values
 from tbgrav.jets import Jet
 from tbgrav.spacetime import alpha_star, catalog, metric_jet
 
@@ -107,7 +106,7 @@ def test_criterion_3_tidal_reconstruction():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 50):
             geo = BundleGeometry(model, p, order=4)
-            e, y = jet_values(geo.tidal)[0], p.y[0]
+            e, y = geo.tidal.values[0], p.y[0]
             scale = np.max(np.abs(e)) + 1e-12
             recon = np.einsum("jikl,j,l->ik", geo.d_riemann[0], y, y)
             trace_defect = abs(np.trace(e) + y @ geo.d_ricci[0] @ y)
@@ -123,15 +122,15 @@ def test_criterion_4_alpha_zero_collapse():
     for model in MODELS.values():
         for p in verify.sample_bundle_points(model, rng, 5):
             base = base_geom.BaseGeometry(model, p.x, 2)
-            gamma = jet_values(base.gamma)[0]
-            riem = jet_values(base.riemann)[0]
+            gamma = base.gamma.values[0]
+            riem = base.riemann.values[0]
             geo = BundleGeometry(model, p, alpha=0.0)
             y = p.y[0]
             defects = [
-                np.max(np.abs(jet_values(geo.n_conn)[0] - np.einsum("ijk,k->ij", gamma, y))),
-                np.max(np.abs(jet_values(geo.berwald)[0] - gamma)),
-                np.max(np.abs(jet_values(geo.tidal)[0] - np.einsum("iabl,a,b->il", riem, y, y))),
-                np.max(np.abs(geo.d_ricci - jet_values(base.ricci))),
+                np.max(np.abs(geo.n_conn.values[0] - np.einsum("ijk,k->ij", gamma, y))),
+                np.max(np.abs(geo.berwald.values[0] - gamma)),
+                np.max(np.abs(geo.tidal.values[0] - np.einsum("iabl,a,b->il", riem, y, y))),
+                np.max(np.abs(geo.d_ricci - base.ricci.values)),
                 abs(geo.d_ricci_scalar[0] - base.ricci_scalar[0]),
             ]
             worst = max(worst, float(max(defects)))
@@ -167,7 +166,7 @@ def test_criterion_6_volume_structure():
     for model in MODELS.values():
         for x in verify.sample_points(model, rng, 10):
             fm = tm_metric.fiber_metric(model, x)
-            g = jet_values(metric_jet(model, x, order=0))[0]
+            g = metric_jet(model, x, order=0).values[0]
             worst_det = max(worst_det, abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
 
     schw = MODELS["schwarzschild"]

@@ -10,7 +10,7 @@ from tbgrav import base_geom as bg
 from tbgrav import verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.errors import UsageError
-from tbgrav.jet_arrays import JetArray, jet_values
+from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import MAX_ORDER, Jet
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet, metric_values, potential_jet
 
@@ -38,7 +38,7 @@ def _chart_points(model, rng, n):
 
 def test_christoffel_minkowski_zero():
     gam = BaseGeometry(MINK, X_FLAT, 2).gamma
-    assert np.max(np.abs(jet_values(gam))) == 0.0
+    assert np.max(np.abs(gam.values)) == 0.0
 
 
 def test_christoffel_schwarzschild_closed_form():
@@ -62,20 +62,20 @@ def test_christoffel_symmetry_random_model():
 
 def test_riemann_ricci_minkowski_zero():
     geo = BaseGeometry(MINK, X_FLAT, 2)
-    assert np.max(np.abs(jet_values(geo.riemann))) == 0.0
-    assert np.max(np.abs(jet_values(geo.ricci))) == 0.0
+    assert np.max(np.abs(geo.riemann.values)) == 0.0
+    assert np.max(np.abs(geo.ricci.values)) == 0.0
 
 
 def test_schwarzschild_vacuum():
     geo = BaseGeometry(SCHW, X_SCHW, 2)
-    assert np.max(np.abs(jet_values(geo.ricci))) <= 1e-10
+    assert np.max(np.abs(geo.ricci.values)) <= 1e-10
     assert abs(geo.ricci_scalar) <= 1e-10
 
 
 def test_rn_trace_free_source():
     geo = BaseGeometry(RN, X_RN, 2)
     assert abs(geo.ricci_scalar) <= 1e-10
-    assert np.max(np.abs(jet_values(geo.ricci))) > 1e-4
+    assert np.max(np.abs(geo.ricci.values)) > 1e-4
 
 
 def test_riemann_symmetries_and_first_bianchi():
@@ -83,7 +83,7 @@ def test_riemann_symmetries_and_first_bianchi():
     for model in (SCHW, RN, catalog("weak_field", {"M": 1.0})):
         for x in _chart_points(model, rng, 10):
             geo = BaseGeometry(model, x, 2)
-            g, riem_mixed = jet_values(geo.g)[0], jet_values(geo.riemann)[0]
+            g, riem_mixed = geo.g.values[0], geo.riemann.values[0]
             rlow = np.einsum("im,mjkl->ijkl", g, riem_mixed)
             scale = np.max(np.abs(rlow)) + 1.0
             assert np.max(np.abs(rlow + np.swapaxes(rlow, 0, 1))) <= 1e-10 * scale
@@ -104,11 +104,11 @@ def test_contracted_bianchi():
 
 def test_faraday_uniform_field():
     f_low, f_mix = BaseGeometry(UNI, X_FLAT, 2).faraday
-    fl = jet_values(f_low)[0]
+    fl = f_low.values[0]
     assert fl[0, 1] == pytest.approx(0.1)
     assert fl[1, 0] == pytest.approx(-0.1)
     assert np.max(np.abs(fl)) == pytest.approx(0.1)
-    assert jet_values(f_mix)[0, 1, 0] == pytest.approx(0.1)
+    assert f_mix.values[0, 1, 0] == pytest.approx(0.1)
 
 
 def test_faraday_rn():
@@ -118,12 +118,12 @@ def test_faraday_rn():
 
 def test_faraday_zero_potential():
     f_low, f_mix = BaseGeometry(SCHW, X_SCHW, 2).faraday
-    assert np.max(np.abs(jet_values(f_low))) == 0.0
-    assert np.max(np.abs(jet_values(f_mix))) == 0.0
+    assert np.max(np.abs(f_low.values)) == 0.0
+    assert np.max(np.abs(f_mix.values)) == 0.0
 
 
 def test_faraday_antisymmetric_exactly():
-    fl = jet_values(BaseGeometry(RN, X_RN, 2).faraday[0])[0]
+    fl = BaseGeometry(RN, X_RN, 2).faraday[0].values[0]
     assert np.array_equal(fl, -fl.T)
 
 
@@ -153,13 +153,13 @@ def test_maxwell_current_builds_no_christoffel(monkeypatch):
 
 def test_stress_energy_zero_potential():
     t = BaseGeometry(SCHW, X_SCHW, 1).em_stress
-    assert np.max(np.abs(jet_values(t))) == 0.0
+    assert np.max(np.abs(t.values)) == 0.0
 
 
 def test_stress_energy_trace_free():
     rng = np.random.default_rng(9)
     for x in _chart_points(RN, rng, 5):
-        t = jet_values(BaseGeometry(RN, x, 1).em_stress)[0]
+        t = BaseGeometry(RN, x, 1).em_stress.values[0]
         ginv = np.linalg.inv(metric_values(RN, x))
         assert abs(np.einsum("ij,ij->", ginv, t)) <= 1e-11
 
@@ -173,18 +173,18 @@ def test_stress_energy_rn_closed_form():
 
 
 def test_cem_minkowski_zero():
-    assert np.max(np.abs(jet_values(BaseGeometry(MINK, X_FLAT, 2).einstein_maxwell))) == 0.0
+    assert np.max(np.abs(BaseGeometry(MINK, X_FLAT, 2).einstein_maxwell.values)) == 0.0
 
 
 def test_cem_rn_electrovacuum():
     rng = np.random.default_rng(12)
     for x in _chart_points(RN, rng, 5):
-        cem = jet_values(BaseGeometry(RN, x, 2).einstein_maxwell)
+        cem = BaseGeometry(RN, x, 2).einstein_maxwell.values
         assert np.max(np.abs(cem)) <= 1e-9
 
 
 def test_cem_schwarzschild_reduces_to_einstein():
-    cem = jet_values(BaseGeometry(SCHW, X_SCHW, 2).einstein_maxwell)
+    cem = BaseGeometry(SCHW, X_SCHW, 2).einstein_maxwell.values
     assert np.max(np.abs(cem)) <= 1e-9
 
 
@@ -228,8 +228,8 @@ def _value_bytes(geo, attr):
     if isinstance(value, np.ndarray):
         return value.tobytes()
     if isinstance(value, tuple):
-        return b"".join(jet_values(v).tobytes() for v in value)
-    return jet_values(value).tobytes()
+        return b"".join(v.values.tobytes() for v in value)
+    return value.values.tobytes()
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

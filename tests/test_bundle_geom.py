@@ -18,7 +18,7 @@ from tbgrav import tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav import jet_arrays
-from tbgrav.jet_arrays import JetArray, jet_values
+from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import MAX_ORDER, Jet, ln_series
 from tbgrav.exprlang import Tape, evaluate
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
@@ -35,14 +35,12 @@ Y_RN = [1.4, 0.05, 0.01, 0.02]
 
 
 def _joint_space_fields(model, x, order):
-    """g_ij and A_i on 8-variable jets by the tree walk, the reference
-    semantics of the model's expressions; mirrored g entries are one jet."""
+    """g_ij and A_i as jet arrays on 8-variable jets by the tree walk, the
+    reference semantics of the model's expressions; mirrored g entries hold
+    one jet's bytes."""
     env = model.coord_env(x, order, 8)
-    g, a_pot = np.empty((4, 4), dtype=object), np.empty(4, dtype=object)
-    for i, j in zip(*np.triu_indices(4)):
-        g[i, j] = g[j, i] = evaluate(model.g_exprs[i][j], env)
-    a_pot[:] = [evaluate(e, env) for e in model.a_exprs]
-    return g, a_pot
+    upper = JetArray.stack([evaluate(model.g_exprs[i][j], env) for i, j in zip(*np.triu_indices(4))])
+    return bg.symmetric(upper), JetArray.stack([evaluate(e, env) for e in model.a_exprs])
 
 
 def _rand_bundle_points(model, rng, n, boost=0.5):
@@ -52,7 +50,7 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
             x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6.2)]
         else:
             x = rng.uniform(-1, 1, size=4).tolist()
-        g = jet_values(metric_jet(model, x, order=0))[0]
+        g = metric_jet(model, x, order=0).values[0]
         # timelike y: normalized time direction plus a small spatial part
         y = np.array([1.0 / math.sqrt(g[0, 0]), 0.0, 0.0, 0.0])
         y[1:] = rng.uniform(-boost, boost, size=3) / np.sqrt(-np.diag(g)[1:])
@@ -68,8 +66,8 @@ def _rand_bundle_points(model, rng, n, boost=0.5):
 def test_supporting_element_minkowski():
     geo = BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME))
     assert geo.norm.values[0] == pytest.approx(2.0)
-    assert np.allclose(jet_values(geo.l_up), [1, 0, 0, 0])
-    assert np.allclose(jet_values(geo.l_low), [1, 0, 0, 0])
+    assert np.allclose(geo.l_up.values, [1, 0, 0, 0])
+    assert np.allclose(geo.l_low.values, [1, 0, 0, 0])
 
 
 def test_supporting_element_null_rejected():
@@ -87,7 +85,7 @@ def test_unit_supporting_element_everywhere():
     rng = np.random.default_rng(21)
     for p in _rand_bundle_points(RN, rng, 5):
         geo = BundleGeometry(RN, p)
-        assert float(jet_values(geo.l_up)[0] @ jet_values(geo.l_low)[0]) == pytest.approx(1.0, abs=1e-13)
+        assert float(geo.l_up.values[0] @ geo.l_low.values[0]) == pytest.approx(1.0, abs=1e-13)
 
 
 # -- spray family -----------------------------------------------------------------
@@ -97,17 +95,17 @@ def test_spray_alpha_zero_reduces_to_geodesic():
     rng = np.random.default_rng(22)
     for p in _rand_bundle_points(SCHW, rng, 3):
         geo = BundleGeometry(SCHW, p, alpha=0.0)
-        assert np.max(np.abs(jet_values(geo.b_up))) == 0.0
-        n = jet_values(geo.n_conn)[0]
-        gamma = jet_values(bg.BaseGeometry(SCHW, p.x, 1).gamma)[0]
+        assert np.max(np.abs(geo.b_up.values)) == 0.0
+        n = geo.n_conn.values[0]
+        gamma = bg.BaseGeometry(SCHW, p.x, 1).gamma.values[0]
         assert np.allclose(n, np.einsum("ijk,k->ij", gamma, p.y[0]), atol=1e-12)
 
 
 def test_spray_B_uniform_field_closed_form():
     p = BundlePoint(X_FLAT, Y_TIME)
-    b = jet_values(BundleGeometry(UNI, p, alpha=1.0).b_up)[0]
+    b = BundleGeometry(UNI, p, alpha=1.0).b_up.values[0]
     # B^i = -(1/2)*|y|*F^i_j y^j = -2 F^i_0 at y=(2,0,0,0)
-    f_mix = jet_values(bg.BaseGeometry(UNI, X_FLAT, 1).faraday[1])[0]
+    f_mix = bg.BaseGeometry(UNI, X_FLAT, 1).faraday[1].values[0]
     assert np.allclose(b, -2.0 * f_mix[:, 0] * 2.0 * 0.5)
     assert b[1] == pytest.approx(-0.2)
 
@@ -115,14 +113,14 @@ def test_spray_B_uniform_field_closed_form():
 def test_spray_perturbation_orthogonal_to_y():
     rng = np.random.default_rng(23)
     for p in _rand_bundle_points(RN, rng, 5):
-        g = jet_values(metric_jet(RN, p.x, order=0))[0]
-        b = jet_values(BundleGeometry(RN, p).b_up)[0]
+        g = metric_jet(RN, p.x, order=0).values[0]
+        b = BundleGeometry(RN, p).b_up.values[0]
         assert abs(b @ g @ p.y[0]) <= 1e-12
 
 
 def test_nonlinear_connection_matches_spray_fiber_jets():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=2)
-    n_closed = jet_values(geo.n_conn)[0]
+    n_closed = geo.n_conn.values[0]
     n_jets = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
@@ -146,7 +144,7 @@ def test_at_fiber_is_the_geometry_at_the_new_fiber_vector():
 
 def test_fiber_derivs_euler_identities():
     p = BundlePoint(X_RN, Y_RN)
-    b = jet_values(BundleGeometry(RN, p).b_up)[0]
+    b = BundleGeometry(RN, p).b_up.values[0]
     (b1, b2, b3), _ = (tuple(v[0] for v in part) for part in bun.fiber_derivs_B(RN, p))
     y = p.y[0]
     assert np.allclose(b1 @ y, 2 * b, rtol=1e-10)
@@ -160,7 +158,7 @@ def test_fiber_derivs_trace_vanishes():
     (_, b2, _), _ = bun.fiber_derivs_B(RN, p)
     assert np.max(np.abs(np.einsum("jij->i", b2[0]))) <= 1e-12
     geo = BundleGeometry(RN, p, order=2)
-    gamma = jet_values(geo.gamma)[0]
+    gamma = geo.gamma.values[0]
     n_trace = np.empty(4)
     for i in range(4):
         n_trace[i] = sum(geo.n_conn[j, i].flat[0].partial(Y_SLOT0 + j).value for j in range(4))
@@ -187,21 +185,21 @@ def test_fiber_derivs_closed_vs_jets():
 
 def test_berwald_alpha_zero_is_christoffel():
     p = BundlePoint(X_RN, Y_RN)
-    gb = jet_values(BundleGeometry(RN, p, alpha=0.0).berwald)
-    gamma = jet_values(bg.BaseGeometry(RN, p.x, 1).gamma)
+    gb = BundleGeometry(RN, p, alpha=0.0).berwald.values
+    gamma = bg.BaseGeometry(RN, p.x, 1).gamma.values
     assert np.max(np.abs(gb - gamma)) <= 1e-10
 
 
 def test_berwald_euler_identity():
     p = BundlePoint(X_RN, Y_RN)
     geo = BundleGeometry(RN, p)
-    gb, n = jet_values(geo.berwald)[0], jet_values(geo.n_conn)[0]
+    gb, n = geo.berwald.values[0], geo.n_conn.values[0]
     assert np.allclose(np.einsum("ijk,k->ij", gb, p.y[0]), n, rtol=1e-10, atol=1e-12)
 
 
 def test_berwald_symmetry_and_hessian_consistency():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=3)
-    gb = jet_values(geo.berwald)[0]
+    gb = geo.berwald.values[0]
     assert np.max(np.abs(gb - np.swapaxes(gb, 1, 2))) == 0.0
     for i in range(4):
         for j in range(4):
@@ -232,7 +230,7 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
         return (-bg.det_jet_matrix(g)).sqrt().compose(ln_series)
 
     out = bun.adapted_derivative(RN, p, log_sqrt_det)
-    gamma = jet_values(bg.BaseGeometry(RN, p.x, 1).gamma)[0]
+    gamma = bg.BaseGeometry(RN, p.x, 1).gamma.values[0]
     for i in range(4):
         assert out[i].values[0] == pytest.approx(np.einsum("jji->i", gamma)[i], rel=1e-10, abs=1e-13)
 
@@ -245,8 +243,8 @@ def test_adapted_derivative_norm_squared_two_paths():
     out = bun.adapted_derivative(RN, p, norm2)
     geo = BundleGeometry(RN, p, order=2)
     gj = metric_jet(RN, p.x, order=1)
-    n = jet_values(geo.n_conn)[0]
-    g = jet_values(geo.g)[0]
+    n = geo.n_conn.values[0]
+    g = geo.g.values[0]
     y = p.y[0]
     for i in range(4):
         dg = np.array([[gj[a, b].flat[0].gradient()[i] for b in range(4)] for a in range(4)])
@@ -272,7 +270,7 @@ def test_fiber_fields_are_plain_callables():
 
 
 def test_n_curvature_antisymmetry_exact():
-    r3 = jet_values(BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).n_curvature)[0]
+    r3 = BundleGeometry(RN, BundlePoint(X_RN, Y_RN)).n_curvature.values[0]
     assert np.array_equal(r3, -np.swapaxes(r3, 1, 2))
 
 
@@ -280,15 +278,15 @@ def test_tidal_alpha_zero_matches_base_riemann():
     rng = np.random.default_rng(25)
     for model in (SCHW, RN):
         for p in _rand_bundle_points(model, rng, 3):
-            e = jet_values(BundleGeometry(model, p, alpha=0.0).tidal)[0]
-            riem = jet_values(bg.BaseGeometry(model, p.x, 2).riemann)[0]
+            e = BundleGeometry(model, p, alpha=0.0).tidal.values[0]
+            riem = bg.BaseGeometry(model, p.x, 2).riemann.values[0]
             expected = np.einsum("iabl,a,b->il", riem, p.y[0], p.y[0])
             scale = np.max(np.abs(expected)) + 1e-12
             assert np.max(np.abs(e - expected)) <= 1e-10 * scale
 
 
 def test_tidal_minkowski_zero():
-    e = jet_values(BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME), alpha=0.0).tidal)
+    e = BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME), alpha=0.0).tidal.values
     assert np.max(np.abs(e)) == 0.0
 
 
@@ -296,7 +294,7 @@ def test_schwarzschild_static_tidal_eigenvalues():
     r = 10.0
     f = 1 - 2 / r
     p = BundlePoint([0, r, math.pi / 2, 0.3], [1 / math.sqrt(f), 0, 0, 0])
-    e = jet_values(BundleGeometry(SCHW, p, alpha=0.0).tidal)[0]
+    e = BundleGeometry(SCHW, p, alpha=0.0).tidal.values[0]
     assert e[1, 1] == pytest.approx(2 / r**3, rel=1e-12)
     assert e[2, 2] == pytest.approx(-1 / r**3, rel=1e-12)
     assert e[3, 3] == pytest.approx(-1 / r**3, rel=1e-12)
@@ -311,7 +309,7 @@ def test_d_curvature_alpha_zero_collapse():
     geo = BundleGeometry(RN, p, alpha=0.0)
     ric, scalar = geo.d_ricci, geo.d_ricci_scalar
     base = bg.BaseGeometry(RN, p.x, 2)
-    assert np.max(np.abs(ric - jet_values(base.ricci))) <= 1e-10
+    assert np.max(np.abs(ric - base.ricci.values)) <= 1e-10
     assert abs(scalar - base.ricci_scalar) <= 1e-10
 
 
@@ -319,7 +317,7 @@ def test_d_curvature_reconstruction_identities():
     rng = np.random.default_rng(26)
     for p in _rand_bundle_points(RN, rng, 4):
         geo = BundleGeometry(RN, p, order=4)
-        e, y = jet_values(geo.tidal)[0], p.y[0]
+        e, y = geo.tidal.values[0], p.y[0]
         scale = np.max(np.abs(e)) + 1e-12
         recon = np.einsum("jikl,j,l->ik", geo.d_riemann[0], y, y)
         assert np.max(np.abs(e - recon)) <= 1e-9 * scale
@@ -382,7 +380,7 @@ def test_decomposition_divergence_convention_frozen():
 
     def b_contraction(model, pt, order):
         geo = BundleGeometry(model, pt, order=order, alpha=alpha)
-        out = np.empty(4, dtype=object)
+        out = [None] * 4
         for i in range(4):
             acc = None
             for j in range(4):
@@ -433,9 +431,9 @@ def test_b_scalar_homogeneity_degree_two():
 
 def test_b_scalar_closed_form_quadratic():
     geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), order=1)
-    g = jet_values(geo.g)[0]
+    g = geo.g.values[0]
     ginv = np.linalg.inv(g)
-    fl = jet_values(geo.faraday[0])[0]
+    fl = geo.faraday[0].values[0]
     phi = ginv @ fl @ np.asarray(Y_RN)
     f2 = np.einsum("ia,jb,ij,ab->", ginv, ginv, fl, fl)
     y = np.asarray(Y_RN)
@@ -528,7 +526,7 @@ LADDER_OBJECTS = (("spray", 1), ("n_conn", 1), ("berwald", 1), ("b_up", 1), ("ti
 
 def _value_bytes(geo, attr):
     value = getattr(geo, attr)
-    return (jet_values(value) if isinstance(value, JetArray) else value).tobytes()
+    return (value.values if isinstance(value, JetArray) else value).tobytes()
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -573,7 +571,7 @@ def test_lifted_base_fields_match_joint_space_route(name):
         for p in verify.sample_bundle_points(model, rng, 2):
             for order in range(1, MAX_ORDER + 1):
                 geo = BundleGeometry(model, p, order=order, alpha=alpha)
-                lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.a_pot,
+                lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.base.a_pot.lift(8),
                           "f_low": geo.faraday[0], "f_mix": geo.faraday[1]}
                 for key, ref in _joint_space_route(model, p.x, order).items():
                     for idx in np.ndindex(ref.shape):

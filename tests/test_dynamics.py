@@ -20,7 +20,7 @@ from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
 from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
-from tbgrav.jet_arrays import JetArray, jet_values
+from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import Jet
 from tbgrav.spacetime import catalog, metric_jet
 
@@ -66,11 +66,11 @@ def test_rhs_equals_minus_twice_spray():
         x = [rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.5, 2.6), rng.uniform(0, 6)]
         from tbgrav.spacetime import metric_jet
 
-        g = jet_values(metric_jet(RN, x, order=0))[0]
+        g = metric_jet(RN, x, order=0).values[0]
         y = np.array([1.2 / math.sqrt(g[0, 0]), 0, 0, 0])
         y[1:] = rng.uniform(-0.2, 0.2, 3) / np.sqrt(-np.diag(g)[1:])
         rhs = dyn.worldline_rhs(RN, x, y, alpha=0.6)
-        spray = jet_values(BundleGeometry(RN, BundlePoint(x, y), alpha=0.6).spray)[0]
+        spray = BundleGeometry(RN, BundlePoint(x, y), alpha=0.6).spray.values[0]
         assert np.max(np.abs(rhs + 2 * spray)) <= 1e-12 * (np.max(np.abs(rhs)) + 1)
 
 
@@ -195,7 +195,7 @@ def test_schwarzschild_tidal_stretch_and_compression():
 
     def proper(dev, t, idx):
         xb = base.sample(t)[:4]
-        g = jet_values(metric_jet(SCHW, xb, order=0))[0]
+        g = metric_jet(SCHW, xb, order=0).values[0]
         return math.sqrt(-g[idx, idx]) * dev.sample(t)[idx]
 
     assert proper(dev_r, 8.0, 1) > proper(dev_r, 0.0, 1)  # stretched
@@ -245,7 +245,7 @@ def _timelike_point(model, rng):
         x = np.array([rng.uniform(-1, 1), rng.uniform(4, 20), rng.uniform(0.4, 2.7), rng.uniform(0, 6.2)])
     else:
         x = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(3, 8, size=3)])
-    g = jet_values(metric_jet(model, x, order=0))[0]
+    g = metric_jet(model, x, order=0).values[0]
     y = np.empty(4)
     y[0] = 1.2 / math.sqrt(g[0, 0])
     scale = np.sqrt(-np.diag(g)[1:])
@@ -264,13 +264,13 @@ def test_float_kernel_matches_jet_route(name, alpha):
         n, e, acc = dyn._connection_and_tidal(model, x, y, alpha)
         geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
         base = BaseGeometry(model, x, 1)
-        gamma, f_mix = jet_values(base.gamma)[0], jet_values(base.faraday[1])[0]
+        gamma, f_mix = base.gamma.values[0], base.faraday[1].values[0]
         lorentz = -np.einsum("ijk,j,k->i", gamma, y, y) + alpha * f_mix @ y
         pairs = (
-            (n, jet_values(geo.n_conn)[0]),
-            (e, jet_values(geo.tidal)[0]),
-            (acc, -2 * jet_values(geo.spray)[0]),
-            (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * jet_values(geo.spray)[0]),
+            (n, geo.n_conn.values[0]),
+            (e, geo.tidal.values[0]),
+            (acc, -2 * geo.spray.values[0]),
+            (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * geo.spray.values[0]),
             (base_geom.classical_lorentz_rhs(model, x, y, alpha), lorentz),
         )
         for fast, ref in pairs:
@@ -564,3 +564,19 @@ def test_list_sampler_matches_sample_bit_for_bit():
             sample(t)
     point = dyn.integrate_worldline(MINK, [0, 0, 0, 0], [1, 0, 0, 0], alpha=0.0, t_end=0.0)
     assert point.sampler()(0.0) == point.sample(0.0).tolist()
+
+
+def test_sampler_is_built_once_and_gives_the_hermite_formula():
+    """A trajectory builds its list sampler once, and ``sample`` gives the
+    bits of the cubic Hermite formula on its arrays, written here with
+    NumPy rows as a reference."""
+    base = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
+    assert base.sampler() is base.sampler()
+    times = base.times
+    for t in np.linspace(0.0, base.t_end, 37):
+        k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+        h = times[k + 1] - times[k]
+        s = (t - times[k]) / h
+        ref = ((1 + 2 * s) * (1 - s) ** 2 * base.states[k] + s * (1 - s) ** 2 * (base.derivs[k] * h)
+               + s * s * (3 - 2 * s) * base.states[k + 1] + s * s * (s - 1) * (base.derivs[k + 1] * h))
+        assert base.sample(t).tobytes() == ref.tobytes(), t

@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbgrav import exprlang
-from tbgrav.errors import EngineError, EvaluationError, ParseError
+from tbgrav.errors import EngineError, EvaluationError, ParseError, UsageError
 from tbgrav.exprlang import (
+    FUNCTIONS,
     Binary,
     Const,
     Sym,
@@ -18,6 +20,7 @@ from tbgrav.exprlang import (
     parse,
     print_expr,
 )
+from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import Jet
 
 
@@ -82,6 +85,29 @@ def test_coulomb_term():
     val = evaluate(parse("Q/r"), env)
     assert val.value == pytest.approx(0.06)
     assert val.derivative((1,)) == pytest.approx(-0.012)
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_evaluate_on_jets_gives_point_zero_of_one_point_arrays(order):
+    """``evaluate`` on an environment of ``Jet``s turns each jet into the row
+    of one point itself: the resulting jet has the bytes of point 0 of
+    ``evaluate`` on the same jets as one-point jet arrays, on expressions that
+    make signed zeros, use every function and take a power whose exponent is
+    not constant.  A mixed environment is refused."""
+    env = {"r": Jet.variable(0, 2.5, order, 2), "th": Jet.variable(1, 0.7, order, 2),
+           "M": Jet.constant(1.0, order, 2), "z": Jet.constant(0.0, order, 2)}
+    arrays = {name: JetArray(jet.space, jet.c[None]) for name, jet in env.items()}
+    sources = ["-z", "z*-M", "-(r - r)*th", "-M*z + z", *(f"{fn}(th)" for fn in FUNCTIONS), "abs(-th)",
+               "r^th", "th^(r/2)", "M^r", "sqrt(r)*sin(th)/exp(z) - ln(r)*cos(th)"]
+    signed_zeros = 0
+    for source in sources:
+        got, ref = evaluate(parse(source), env), evaluate(parse(source), arrays)
+        assert isinstance(got, Jet) and isinstance(ref, JetArray) and ref.points == 1, source
+        assert got.c.tobytes() == ref.c[0].tobytes(), source
+        signed_zeros += int(np.count_nonzero(np.signbit(got.c) & (got.c == 0.0)))
+    assert signed_zeros > 0
+    with pytest.raises(UsageError):
+        evaluate(parse("r + th"), {"r": env["r"], "th": arrays["th"]})
 
 
 def test_free_symbols():

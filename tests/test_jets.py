@@ -26,13 +26,23 @@ def _ev(source, **env):
     return evaluate(parse(source), env)
 
 
+def _one_point(jets):
+    """The jet array of one point of a jet, or of a (nested) list or object
+    array of jets of one variable count, at their lowest order."""
+    arr = np.empty(np.shape(jets), dtype=object)
+    arr[...] = jets
+    entries = list(arr.flat)
+    space = jet_space(min(j.order for j in entries), entries[0].nvars)
+    return JetArray(space, np.array([j.c[: space.size] for j in entries]).reshape((1, *arr.shape, space.size)))
+
+
 def _var(index, value, order, nvars):
     """The 0-d jet array of the coordinate function x_index."""
-    return JetArray.stack(Jet.variable(index, value, order, nvars))
+    return _one_point(Jet.variable(index, value, order, nvars))
 
 
 def _const(value, order, nvars):
-    return JetArray.stack(Jet.constant(value, order, nvars))
+    return _one_point(Jet.constant(value, order, nvars))
 
 
 def test_seed_identity_function():
@@ -136,9 +146,31 @@ def test_strict_arith_rejects_nvars_mismatch():
     a = Jet.constant(1.0, 2, 2)
     b = Jet.constant(1.0, 2, 3)
     with pytest.raises(UsageError):
-        JetArray.stack(a) + b
+        _one_point(a) + _one_point(b)
     with pytest.raises(UsageError):
         _ev("a + b", a=a, b=b)
+
+
+def test_stack_takes_a_jet_array_or_a_list_of_them():
+    """``JetArray.stack`` returns a jet array as it is and stacks a list of
+    jet arrays of one shape (the form in which a field callable hands over its
+    components) at their lowest order; anything else, a ``Jet`` or an object
+    array among it, raises ``UsageError``.  A ``Jet`` takes no part in
+    jet-array arithmetic."""
+    x, y = _var(0, 1.5, 3, 2), _var(1, -0.5, 2, 2)
+    assert JetArray.stack(x) is x
+    both = JetArray.stack([x, y])
+    assert both.shape == (2,) and both.order == 2
+    assert both[0].c.tobytes() == x.truncate(2).c.tobytes() and both[1].c.tobytes() == y.c.tobytes()
+    objects = np.empty(2, dtype=object)
+    objects[0], objects[1] = x, y
+    jet = Jet.constant(1.0, 3, 2)
+    for bad in (jet, [jet], [], [x, 1.0], (x, y), [x, both], objects):
+        with pytest.raises(UsageError):
+            JetArray.stack(bad)
+    for op in (lambda: x + jet, lambda: jet * x, lambda: x / jet, lambda: jet - x):
+        with pytest.raises(TypeError):
+            op()
 
 
 # -- polynomial exactness ------------------------------------------------------
@@ -337,7 +369,7 @@ def test_zero_product_is_plus_zero_in_lower_space():
     for zero in (_plus_zero(2, 3), _signed_zero(2, 3)):
         for prod, (a, b) in ((_dense_mul(zero, x), (zero, x)), (_dense_mul(x, zero), (x, zero))):
             assert prod.order == 2
-            assert _same_bits((JetArray.stack(a) * b).flat[0], prod)
+            assert _same_bits((_one_point(a) * _one_point(b)).flat[0], prod)
             assert not np.signbit(prod.c).any()
 
 
@@ -348,7 +380,7 @@ def test_zero_times_nonfinite_gives_dense_nan():
         x = Jet(jet_space(3, 2), c)
         for zero in (_plus_zero(3, 2), _signed_zero(2, 2)):
             with np.errstate(invalid="ignore"):
-                prod = (JetArray.stack(zero) * x).flat[0]
+                prod = (_one_point(zero) * _one_point(x)).flat[0]
             assert np.isnan(prod.c).any()
             with np.errstate(invalid="ignore"):
                 assert _same_bits(prod, _dense_mul(zero, x))
@@ -363,7 +395,7 @@ def test_minus_plus_zero_keeps_negative_zeros():
     x = _negated_product()
     assert np.signbit(x.c[x.c == 0.0]).all()
     for zero, plus in ((_plus_zero(3, 2), True), (_plus_zero(2, 2), True), (_signed_zero(3, 2), False)):
-        diff = (JetArray.stack(x) - zero).flat[0]
+        diff = (_one_point(x) - _one_point(zero)).flat[0]
         assert _same_bits(diff, _dense_add(x, zero, -1.0))
         assert np.signbit(diff.c[diff.c == 0.0]).all() == plus
 
@@ -371,8 +403,8 @@ def test_minus_plus_zero_keeps_negative_zeros():
 def test_plus_zero_added_to_negation_gives_dense_bits():
     x = _negated_product()
     zero = _plus_zero(3, 2)
-    for total, ref in (((JetArray.stack(x) + zero).flat[0], _dense_add(x, zero)),
-                       ((JetArray.stack(zero) + x).flat[0], _dense_add(zero, x))):
+    for total, ref in (((_one_point(x) + _one_point(zero)).flat[0], _dense_add(x, zero)),
+                       ((_one_point(zero) + _one_point(x)).flat[0], _dense_add(zero, x))):
         assert _same_bits(total, ref)
         assert not np.signbit(total.c[total.c == 0.0]).any()
 
@@ -390,7 +422,7 @@ def _sparse_jet(rng, nvars):
     if pick == 2:
         return (-_const(0.0, order, nvars)).flat[0]
     if pick == 3:
-        return (-JetArray.stack(dense)).flat[0]
+        return (-_one_point(dense)).flat[0]
     if pick == 4:
         return (-(_var(0, 0.7, order, nvars) * _var(1, -1.2, order, nvars))).flat[0]
     if pick == 5:
@@ -404,7 +436,7 @@ def _jet_array(rng, shape, nvars):
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         out[idx] = _sparse_jet(rng, nvars)
-    return out, JetArray.stack(out)
+    return out, _one_point(out)
 
 
 def _truncated(arr, order):
@@ -425,7 +457,7 @@ def _put(arr, idx, slot, value):
 
 def _assert_same_jets(got, ref):
     """Every entry of the jet array ``got`` has the bytes of the jet ``ref[idx]``."""
-    got, ref = JetArray.stack(got), np.asarray(ref, dtype=object)
+    ref = np.asarray(ref, dtype=object)
     assert got.shape == ref.shape
     for idx in np.ndindex(ref.shape):
         assert _same_bits(got[idx], ref[idx]), idx
@@ -451,14 +483,14 @@ def test_contract_matches_matmul(seed):
     # operands of two carrier orders
     cases.append((cases[1][0], _truncated(cases[1][1], 1)))
     for a, b in cases:
-        sa, sb = JetArray.stack(a), JetArray.stack(b)
+        sa, sb = _one_point(a), _one_point(b)
         order = min(sa.order, sb.order)
         with np.errstate(invalid="ignore"):
             got = contract(sa, sb)
             ref = _dense_matmul(_truncated(a, order), _truncated(b, order))
         _assert_same_jets(got, ref)
     with np.errstate(invalid="ignore"):
-        out = contract(JetArray.stack(cases[0][0]), JetArray.stack(cases[0][1]))
+        out = contract(_one_point(cases[0][0]), _one_point(cases[0][1]))
     assert np.isnan(out[1, 1].c).any() and np.isnan(out[3, 3].c).any()
     assert not np.isnan(out[0, 0].c).any()
 
@@ -471,7 +503,7 @@ def test_elementwise_product_matches_jet_products(seed):
     rng = np.random.default_rng(100 + seed)
     a = _put(_jet_array(rng, (4, 4), 3)[0], (0, 2), slice(None), 0.0)
     b = _put(_jet_array(rng, (4,), 3)[0], 2, 1, math.inf)
-    sa, sb = JetArray.stack(a), JetArray.stack(b)
+    sa, sb = _one_point(a), _one_point(b)
     order = min(sa.order, sb.order)
     ta, tb = _truncated(a, order), _truncated(b, order)
     with np.errstate(invalid="ignore"):
@@ -480,7 +512,7 @@ def test_elementwise_product_matches_jet_products(seed):
             _assert_same_jets(got, np.array(ref, dtype=object))
         assert np.isnan((sa * sb)[0, 2].c).any()
         scalar = a[1, 1].truncate(order)
-        _assert_same_jets(scalar * sb, np.array([_dense_mul(scalar, y) for y in tb], dtype=object))
+        _assert_same_jets(_one_point(scalar) * sb, np.array([_dense_mul(scalar, y) for y in tb], dtype=object))
 
 
 def test_division_by_a_float_array_divides_each_entry():
@@ -712,7 +744,7 @@ def test_a_call_larger_than_the_buffer_bound_keeps_the_buffer(monkeypatch):
 
 
 def test_contract_rejects_mismatched_shapes():
-    a = np.array([Jet.constant(1.0, 1, 2)] * 4, dtype=object)
+    a = _one_point([Jet.constant(1.0, 1, 2)] * 4)
     with pytest.raises(UsageError):
         contract(a, a[:3])
 
@@ -724,7 +756,7 @@ def test_compose_changes_no_earlier_jet():
     const = Jet.constant(2.0, 3, 2)
     before = [j.c.tobytes() for j in (zero, const)]
     for series in SERIES.values():
-        for c in (compose_rows(const.space, const.c[None], series)[0], JetArray.stack(const).compose(series).c):
+        for c in (compose_rows(const.space, const.c[None], series)[0], _one_point(const).compose(series).c):
             assert np.count_nonzero(c[1:]) == 0
     assert _ev("sqrt(x)", x=const).value == math.sqrt(2.0)
     assert [j.c.tobytes() for j in (zero, const)] == before

@@ -16,7 +16,6 @@ from tbgrav import bundle_geom as bun
 from tbgrav import tm_metric as tm
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.jet_arrays import jet_values
 from tbgrav.spacetime import catalog, metric_jet
 
 MINK = catalog("minkowski")
@@ -42,7 +41,7 @@ def test_det_v_equals_minus_det_g():
             else:
                 x = rng.uniform(-1, 1, size=4).tolist()
             fm = tm.fiber_metric(model, x)
-            g = jet_values(metric_jet(model, x, order=0))
+            g = metric_jet(model, x, order=0).values
             assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(g), rel=1e-12)
 
 
@@ -63,7 +62,7 @@ def test_fiber_metric_positive_definite():
 
 def test_fiber_metric_custom_u_and_errors():
     fm = tm.fiber_metric(SCHW, X_SCHW, u=[1.2, 0.01, 0.0, 0.0])
-    assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(jet_values(metric_jet(SCHW, X_SCHW, 0))), rel=1e-12)
+    assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(metric_jet(SCHW, X_SCHW, 0).values), rel=1e-12)
     with pytest.raises(SingularEvaluationError):
         tm.fiber_metric(MINK, X_FLAT, u=[0.0, 1.0, 0.0, 0.0])
     with pytest.raises(SingularEvaluationError, match="not timelike"):  # g(u,u) is NaN
@@ -106,9 +105,9 @@ def test_odd_integrand_vanishes():
 
 
 def test_fiber_integral_reports_node_count():
-    val, report = tm.fiber_integral(MINK, X_FLAT, lambda ys: np.ones(len(ys)), nodes=(8, 8, 8, 16),
-                                    return_report=True)
-    assert report["nodes"] == 8 * 8 * 8 * 16
+    _, ys, w, shifted = tm.fiber_rule(MINK, X_FLAT, (8, 8, 8, 16))
+    assert len(ys) == len(w) == 8 * 8 * 8 * 16 and shifted == 0
+    val = tm.fiber_integral(MINK, X_FLAT, lambda ys: np.ones(len(ys)), nodes=(8, 8, 8, 16))
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -186,7 +185,7 @@ def test_divergence_matches_decomposition_div_term():
 
     def b_contraction(model, pt, order):
         geo = BundleGeometry(model, pt, order=order)
-        out = np.empty(4, dtype=object)
+        out = [None] * 4
         for i in range(4):
             acc = None
             for j in range(4):
