@@ -10,22 +10,19 @@ import math
 
 import numpy as np
 
-from tbgrav import BundlePoint, catalog, fiber_ball, fiber_integral, fiber_metric, tm_integral
-from tbgrav.tm_metric import base_integral, horizontal_divergence, lift_base_field
+from tbgrav import BundlePoint, catalog, fiber_ball, fiber_integral, tm_integral
+from tbgrav.tm_metric import BALL_BOUND, BALL_RADIUS, base_integral, horizontal_divergence, lift_base_field
 
 schw = catalog("schwarzschild", {"M": 1.0})
 x = [0.0, 10.0, math.pi / 2, 0.3]
 
-fm = fiber_metric(schw, x)
-g_det = -(0.8) * (1 / 0.8) * 100 * 100  # diag product at r=10, theta=pi/2
-print("det v =", np.linalg.det(fm.v), " -det g =", -(-10000.0) if False else 10000.0)
-
 ball = fiber_ball(schw, x)
-print("ball bound c =", ball.bound, " radius =", ball.radius)
+print("det v =", np.linalg.det(ball.v), " -det g =", -np.linalg.det(ball.g))
+print("ball bound c =", BALL_BOUND, " radius =", BALL_RADIUS)
 print("ball volume =", fiber_integral(schw, x, lambda ys: np.ones(len(ys))), " (unit by construction)")
 
 # quadratic moment against the closed form pi^2 R^6 / 3
-moment = fiber_integral(schw, x, lambda ys: np.einsum("ni,ij,nj->n", ys, fm.v, ys))
+moment = fiber_integral(schw, x, lambda ys: np.einsum("ni,ij,nj->n", ys, ball.v, ys))
 print("quadratic moment =", moment, " closed form:", 2 * math.sqrt(2) / (3 * math.pi))
 
 # odd integrands vanish by symmetry

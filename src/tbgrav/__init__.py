@@ -54,10 +54,8 @@ from .spacetime import (
 )
 from .tm_metric import (
     FiberBall,
-    FiberMetric,
     fiber_ball,
     fiber_integral,
-    fiber_metric,
     horizontal_divergence,
     tm_integral,
 )

@@ -28,7 +28,7 @@ from .errors import (
     SingularEvaluationError,
     UsageError,
 )
-from .spacetime import catalog, checked_alpha, load_model, metric_values, signature_signs
+from .spacetime import catalog, checked_alpha, load_model, signature_signs
 
 USAGE_ERRORS = (ConfigError, ModelError, ParseError, UsageError)
 SINGULAR_ERRORS = (SingularEvaluationError, ChartError, IntegrationError)
@@ -239,14 +239,13 @@ def _cmd_integrate_volume(args) -> int:
     model = _resolve_model(args)
     x = _vec(args.x, "--x")
     ball, ys, w, n_shifted = tm_metric.fiber_rule(model, x, tm_metric.FIBER_NODES)
-    v, g = ball.metric.v, metric_values(model, x)
     payload = {
         "x": x.tolist(),
         "ball_bound": tm_metric.BALL_BOUND,
         "ball_volume": float(np.sum(w)),
-        "det_fiber_metric": float(np.linalg.det(v)),
-        "det_metric": float(np.linalg.det(g)),
-        "det_residual": float(abs(np.linalg.det(v) + np.linalg.det(g))),
+        "det_fiber_metric": float(np.linalg.det(ball.v)),
+        "det_metric": float(np.linalg.det(ball.g)),
+        "det_residual": float(abs(np.linalg.det(ball.v) + np.linalg.det(ball.g))),
         "quadrature": {"nodes": len(ys), "null_cone_shifted": n_shifted},
     }
     if args.box:

@@ -1,9 +1,9 @@
 """Fiber metric, canonical fiber ball, tangent-bundle integration, divergence.
 
 The Lorentzian metric is completed to a Riemannian fiber metric by reflecting
-along a unit timelike direction u:
+along the unit timelike direction u of the coordinate time axis:
 
-    v_ij = 2 u_i u_j - g_ij,    u_i = g_ij u^j / sqrt(g(u,u)),
+    v_ij = 2 u_i u_j - g_ij,    u_i = g_ij u^j / sqrt(g(u,u)),    u^j = (1, 0, 0, 0),
 
 which is positive definite with det v = -det g.  The canonical fiber ball
 {y : v_ij y^i y^j <= c} with c = sqrt(2)/pi has unit Euclidean 4-volume in
@@ -29,67 +29,43 @@ from .errors import SingularEvaluationError, UsageError
 from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
 
-BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization
+BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization: the ball is v(y, y) <= BALL_BOUND
+BALL_RADIUS = math.sqrt(BALL_BOUND)  # its Euclidean radius in v-orthonormal coordinates
 FIBER_NODES = (16, 16, 16, 32)  # the default fiber rule: 131,072 nodes
 _BLOCK = 1 << 14  # quadrature nodes per block of the null-cone test
 
 
-@dataclass
-class FiberMetric:
-    v: np.ndarray
-    u: np.ndarray
-    point: np.ndarray
-    cholesky: np.ndarray  # lower-triangular L with v = L L^T
-
-
-@dataclass
+@dataclass(frozen=True)
 class FiberBall:
-    center: np.ndarray
-    bound: float
-    metric: FiberMetric
+    """The canonical fiber ball {y : v(y, y) <= BALL_BOUND} at a point: g
+    there, its completion v and the lower-triangular L with v = L L^T."""
 
-    @property
-    def radius(self) -> float:
-        """Euclidean radius in v-orthonormal coordinates."""
-        return math.sqrt(self.bound)
-
-    def contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        return float(y @ self.metric.v @ y) <= self.bound + 1e-15
+    g: np.ndarray
+    v: np.ndarray
+    cholesky: np.ndarray
 
 
-def fiber_metric(model: SpacetimeModel, x, u=None) -> FiberMetric:
-    """Positive-definite completion of g at x along the timelike direction u
-    (default: the normalized coordinate time axis)."""
-    x = np.asarray(x, dtype=float)
+def fiber_ball(model: SpacetimeModel, x) -> FiberBall:
+    """Canonical (unit-volume) fiber integration domain at x, from one
+    evaluation of g; v completes g along the normalized coordinate time axis."""
     g = metric_values(model, x)
-    if u is None:
-        if g[0, 0] <= 0.0:
-            raise SingularEvaluationError(
-                f"default fiber-metric direction needs g_00 > 0, got {g[0, 0]}", value=g[0, 0]
-            )
-        u = np.array([1.0, 0.0, 0.0, 0.0])
-    u = np.asarray(u, dtype=float)
-    norm = timelike_norm(g, u)  # refuses a u that is not timelike before g u is formed
-    u_low = (g @ u) / norm
+    if g[0, 0] <= 0.0:
+        raise SingularEvaluationError(f"fiber ball needs g_00 > 0, got {g[0, 0]}", value=g[0, 0])
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    u_low = (g @ u) / timelike_norm(g, u)
     v = 2.0 * np.outer(u_low, u_low) - g
     try:
         chol = np.linalg.cholesky(v)
     except np.linalg.LinAlgError:
         raise SingularEvaluationError("fiber metric is not positive definite") from None
-    return FiberMetric(v=v, u=u, point=x, cholesky=chol)
-
-
-def fiber_ball(model: SpacetimeModel, x) -> FiberBall:
-    """Canonical (unit-volume) fiber integration domain at x."""
-    return FiberBall(center=np.asarray(x, dtype=float), bound=BALL_BOUND, metric=fiber_metric(model, x))
+    return FiberBall(g, v, chol)
 
 
 # -- quadrature -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=8)
-def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
+def _ball_nodes(counts: tuple[int, int, int, int]):
     """Product quadrature over the Euclidean 4-ball in spherical coordinates
     (rho, theta1, theta2, phi), rules matched to each measure so that constants
     integrate exactly at any node count:
@@ -99,13 +75,13 @@ def _ball_nodes(radius: float, counts: tuple[int, int, int, int]):
       theta2: Gauss-Legendre in u = cos(theta2) (sin weight absorbed);
       phi:    uniform (trapezoid) rule on the periodic interval.
 
-    The rule is built once per (radius, counts) and shared by every caller,
-    so the returned arrays are read-only.
+    The rule, on the ball of radius ``BALL_RADIUS``, is built once per node
+    count and shared by every caller, so the returned arrays are read-only.
     """
     n_r, n_t1, n_t2, n_p = counts
     r_x, r_w = np.polynomial.legendre.leggauss(n_r)
-    rho = 0.5 * radius * (r_x + 1.0)
-    rho_w = 0.5 * radius * r_w * rho**3
+    rho = 0.5 * BALL_RADIUS * (r_x + 1.0)
+    rho_w = 0.5 * BALL_RADIUS * r_w * rho**3
     k = np.arange(1, n_t1 + 1)
     c1 = np.cos(k * math.pi / (n_t1 + 1))
     t1_w = math.pi / (n_t1 + 1) * np.sin(k * math.pi / (n_t1 + 1)) ** 2
@@ -141,15 +117,13 @@ def fiber_rule(model: SpacetimeModel, x, nodes: tuple[int, int, int, int]):
     """(ball, ys, w, shifted): the canonical fiber ball at x, its (n, 4) nodes
     and weights (``np.sum(w * f(ys))`` integrates f with the fiber volume
     density), and the count of nodes shifted radially by 1e-9 off g's null cone."""
-    x = np.asarray(x, dtype=float)
     ball = fiber_ball(model, x)
-    g = metric_values(model, x)
-    z, w = _ball_nodes(ball.radius, nodes)
+    z, w = _ball_nodes(nodes)
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
-    linv_t = np.linalg.inv(ball.metric.cholesky).T
+    linv_t = np.linalg.inv(ball.cholesky).T
     ys = z @ linv_t.T
     # g(y,y) per node, in blocks that bound the temporaries
-    norms = np.concatenate([((blk @ g) * blk).sum(axis=1) for blk in np.split(ys, range(_BLOCK, len(ys), _BLOCK))])
+    norms = np.concatenate([((blk @ ball.g) * blk).sum(axis=1) for blk in np.split(ys, range(_BLOCK, len(ys), _BLOCK))])
     scale = np.max(np.abs(norms)) + 1e-30
     on_cone = np.abs(norms) <= 1e-12 * scale
     n_shifted = int(np.count_nonzero(on_cone))
@@ -168,10 +142,15 @@ def fiber_integral(model: SpacetimeModel, x, f, nodes: tuple[int, int, int, int]
     shifted radially by 1e-9.
     """
     _, ys, w, _ = fiber_rule(model, x, nodes)
-    values = f(ys)
-    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.shape == (len(ys),)):
+    return _weighted_sum(w, f(ys))
+
+
+def _weighted_sum(w: np.ndarray, values) -> float:
+    """np.sum(w * values) for a fiber integrand's values on len(w) nodes; a
+    return other than a float array of shape (len(w),) raises UsageError."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.shape == w.shape):
         raise UsageError(
-            f"fiber integrand must return a float array of shape ({len(ys)},), got shape {np.shape(values)}"
+            f"fiber integrand must return a float array of shape ({len(w)},), got shape {np.shape(values)}"
         )
     return float(np.sum(w * values))
 
@@ -204,9 +183,8 @@ def tm_integral(
     """
     total = 0.0
     for x, wx in _box_rule(box, base_nodes):
-        det = np.linalg.det(metric_values(model, x))
-        fib = fiber_integral(model, x, lambda ys: f(x, ys), nodes=fiber_nodes)
-        total += wx * math.sqrt(-det) * fib
+        ball, ys, w, _ = fiber_rule(model, x, fiber_nodes)
+        total += wx * math.sqrt(-np.linalg.det(ball.g)) * _weighted_sum(w, f(x, ys))
     return total
 
 
@@ -229,10 +207,9 @@ def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
     at each point of a batch of bundle points, given as ``x_field(model,
     point, order)`` returning a list of 4 joint-space 0-d jet arrays of one
     entry per point (as ``coord_env`` gives them), or one (4,) jet array."""
-    p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
     geo = BundleGeometry(model, p, order=order, alpha=alpha)
     try:
-        comps = JetArray.stack(x_field(model, p, order))
+        comps = JetArray.stack(x_field(model, geo.p, order))
     except UsageError:
         raise UsageError("horizontal field must evaluate to jets") from None
     if comps.shape != (4,):

@@ -27,7 +27,7 @@ from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import EngineError
-from .spacetime import SpacetimeModel, metric_values
+from .spacetime import SpacetimeModel, metric_values, signature_signs
 
 DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}
 
@@ -185,9 +185,7 @@ def _each(residual):
 
 def _metric_symmetry(model, x, rng):
     g = metric_values(model, x)
-    eig = np.linalg.eigvalsh(g)
-    signature_ok = int(np.sum(eig > 0)) == 1 and int(np.sum(eig < 0)) == 3
-    return np.max(np.abs(g - g.T)) + (0.0 if signature_ok else 1.0)
+    return np.max(np.abs(g - g.T)) + (0.0 if signature_signs(g) == (1, 3) else 1.0)
 
 
 def _riemann_defect(g, riem):
@@ -295,9 +293,8 @@ def _quad_closed_form(model, ps, rng):
 
 
 def _det_fiber_metric(model, x, rng):
-    fm = tm_metric.fiber_metric(model, x)
-    g = metric_values(model, x)
-    return abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g))
+    ball = tm_metric.fiber_ball(model, x)
+    return abs(np.linalg.det(ball.v) + np.linalg.det(ball.g)) / abs(np.linalg.det(ball.g))
 
 
 BALL_MOMENT_NODES = (4, 4, 4, 8)  # 2,048 nodes: exact for polynomials of degree 2 in y
@@ -310,7 +307,7 @@ def _fiber_ball_volume(model, x, rng):
     ball, ys, w, _ = tm_metric.fiber_rule(model, x, BALL_MOMENT_NODES)  # one node set for all 17 integrals
     volume = float(np.sum(w))
     moment = np.array([[float(np.sum(w * (ys[:, a] * ys[:, b]))) for b in range(4)] for a in range(4)])
-    expect = ball.bound / 6.0 * np.linalg.inv(ball.metric.v)  # R^2 is the ball's bound
+    expect = tm_metric.BALL_BOUND / 6.0 * np.linalg.inv(ball.v)  # R^2 is the ball's bound
     return max(abs(volume - 1.0), np.max(np.abs(moment - expect)) / np.max(np.abs(expect)))
 
 

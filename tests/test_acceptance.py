@@ -165,9 +165,9 @@ def test_criterion_6_volume_structure():
     worst_det = 0.0
     for model in MODELS.values():
         for x in verify.sample_points(model, rng, 10):
-            fm = tm_metric.fiber_metric(model, x)
+            ball = tm_metric.fiber_ball(model, x)
             g = metric_jet(model, x, order=0).values[0]
-            worst_det = max(worst_det, abs(np.linalg.det(fm.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
+            worst_det = max(worst_det, abs(np.linalg.det(ball.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
 
     schw = MODELS["schwarzschild"]
     worst_vol = 0.0

@@ -6,6 +6,7 @@ Hand oracles:
   - div(r^2 d_r) on Schwarzschild = (1/(r^2 sin th)) d_r(r^2 sin th * r^2) = 4 r.
 """
 
+import json
 import math
 import re
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 from tbgrav import bundle_geom as bun
+from tbgrav import cli, exprlang, verify
 from tbgrav import tm_metric as tm
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.spacetime import catalog, metric_jet
+from tbgrav.spacetime import catalog, load_model, metric_jet
 
 MINK = catalog("minkowski")
 SCHW = catalog("schwarzschild", {"M": 1.0})
@@ -26,8 +28,8 @@ X_FLAT = [0.0, 0.5, -0.2, 1.0]
 
 
 def test_fiber_metric_minkowski_identity():
-    fm = tm.fiber_metric(MINK, X_FLAT)
-    assert np.allclose(fm.v, np.eye(4), atol=1e-15)
+    ball = tm.fiber_ball(MINK, X_FLAT)
+    assert np.allclose(ball.v, np.eye(4), atol=1e-15)
 
 
 def test_det_v_equals_minus_det_g():
@@ -40,33 +42,24 @@ def test_det_v_equals_minus_det_g():
                 x = [0.0, rng.uniform(3, 8), rng.uniform(3, 8), rng.uniform(3, 8)]
             else:
                 x = rng.uniform(-1, 1, size=4).tolist()
-            fm = tm.fiber_metric(model, x)
+            ball = tm.fiber_ball(model, x)
             g = metric_jet(model, x, order=0).values
-            assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(g), rel=1e-12)
+            assert np.linalg.det(ball.v) == pytest.approx(-np.linalg.det(g), rel=1e-12)
 
 
 def test_schwarzschild_det_closed_form():
-    fm = tm.fiber_metric(SCHW, X_SCHW)
+    ball = tm.fiber_ball(SCHW, X_SCHW)
     r, th = 10.0, math.pi / 2
-    assert np.linalg.det(fm.v) == pytest.approx(r**4 * math.sin(th) ** 2, rel=1e-12)
+    assert np.linalg.det(ball.v) == pytest.approx(r**4 * math.sin(th) ** 2, rel=1e-12)
 
 
 def test_fiber_metric_positive_definite():
     rng = np.random.default_rng(32)
-    fm = tm.fiber_metric(SCHW, X_SCHW)
+    ball = tm.fiber_ball(SCHW, X_SCHW)
     for _ in range(100):
         y = rng.uniform(-1, 1, size=4)
         if np.linalg.norm(y) > 1e-12:
-            assert y @ fm.v @ y > 0.0
-
-
-def test_fiber_metric_custom_u_and_errors():
-    fm = tm.fiber_metric(SCHW, X_SCHW, u=[1.2, 0.01, 0.0, 0.0])
-    assert np.linalg.det(fm.v) == pytest.approx(-np.linalg.det(metric_jet(SCHW, X_SCHW, 0).values), rel=1e-12)
-    with pytest.raises(SingularEvaluationError):
-        tm.fiber_metric(MINK, X_FLAT, u=[0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(SingularEvaluationError, match="not timelike"):  # g(u,u) is NaN
-        tm.fiber_metric(SCHW, X_SCHW, u=[math.nan, 0.0, 0.0, 0.0])
+            assert y @ ball.v @ y > 0.0
 
 
 def test_ball_volume_is_one():
@@ -76,25 +69,32 @@ def test_ball_volume_is_one():
 
 
 def test_ball_bound_constant():
-    ball = tm.fiber_ball(MINK, X_FLAT)
-    assert ball.bound == pytest.approx(math.sqrt(2) / math.pi)
-    # minkowski: plain Euclidean ball of radius sqrt(bound)
-    assert ball.contains([0.9 * ball.radius, 0, 0, 0])
-    assert not ball.contains([1.1 * ball.radius, 0, 0, 0])
+    assert tm.BALL_BOUND == pytest.approx(math.sqrt(2) / math.pi)
+    # the rule's nodes lie in {v(y, y) <= BALL_BOUND}, the outermost near its boundary
+    ball, ys, _, _ = tm.fiber_rule(SCHW, X_SCHW, (8, 8, 8, 16))
+    vyy = np.einsum("ni,ij,nj->n", ys, ball.v, ys)
+    assert 0.9 * tm.BALL_BOUND < np.max(vyy) < tm.BALL_BOUND
 
 
-def test_ball_symmetric_in_y():
-    rng = np.random.default_rng(33)
-    ball = tm.fiber_ball(SCHW, X_SCHW)
-    for _ in range(20):
-        y = rng.uniform(-0.3, 0.3, size=4)
-        assert ball.contains(y) == ball.contains(-y)
+def test_fiber_ball_needs_timelike_time_axis():
+    """Inside the outer horizon of the charged black hole in ingoing
+    Eddington-Finkelstein coordinates g_00 < 0, so the time axis is no
+    direction to complete g along."""
+    ingoing = load_model(json.dumps({
+        "name": "rn_ingoing_ef", "coords": ["v", "r", "theta", "phi"], "params": {"M": 1.0, "Q": 0.3},
+        "metric": [["1 - 2*M/r + Q^2/r^2", "-1", "0", "0"], ["-1", "0", "0", "0"],
+                   ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]],
+        "chart_guard": "r + sin(theta) - sqrt(r^2 + sin(theta)^2)",
+    }))
+    assert tm.fiber_ball(ingoing, [0.0, 5.0, 1.2, 0.3]).g[0, 0] > 0.0
+    with pytest.raises(SingularEvaluationError, match="g_00 > 0"):
+        tm.fiber_ball(ingoing, [0.0, 1.0, 1.2, 0.3])
 
 
 def test_quadratic_moment_closed_form():
     # f = v_ij y^i y^j integrates to pi^2 R^6/3 with R = sqrt(bound)
-    fm = tm.fiber_metric(SCHW, X_SCHW)
-    val = tm.fiber_integral(SCHW, X_SCHW, lambda ys: np.einsum("ni,ij,nj->n", ys, fm.v, ys))
+    ball = tm.fiber_ball(SCHW, X_SCHW)
+    val = tm.fiber_integral(SCHW, X_SCHW, lambda ys: np.einsum("ni,ij,nj->n", ys, ball.v, ys))
     expect = 2.0 * math.sqrt(2.0) / (3.0 * math.pi)
     assert val == pytest.approx(expect, rel=1e-10)
 
@@ -109,6 +109,33 @@ def test_fiber_integral_reports_node_count():
     assert len(ys) == len(w) == 8 * 8 * 8 * 16 and shifted == 0
     val = tm.fiber_integral(MINK, X_FLAT, lambda ys: np.ones(len(ys)), nodes=(8, 8, 8, 16))
     assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def test_one_metric_evaluation_per_fiber_point(monkeypatch, capsys):
+    """fiber_rule, each base node of tm_integral, integrate-volume and each
+    det_fiber_metric point run the metric tape once: g and v come from one
+    fiber ball."""
+    runs = []
+    values = exprlang.Tape.values
+
+    def counted(tape, x):
+        runs.append(tape is SCHW.metric_tape)
+        return values(tape, x)
+
+    monkeypatch.setattr(exprlang.Tape, "values", counted)
+    monkeypatch.setattr(cli, "catalog", lambda name, params: SCHW)
+    box = [(0.0, 0.5), (9.0, 11.0), (1.2, 1.8), (0.0, 0.5)]
+    xs = [X_SCHW, [0.1, 8.0, 1.2, 0.5], [0.0, 12.0, 0.9, 1.0]]
+    for work, points in (
+        (lambda: tm.fiber_rule(SCHW, X_SCHW, (4, 4, 4, 8)), 1),
+        (lambda: tm.tm_integral(SCHW, box, lambda x, ys: np.ones(len(ys)), base_nodes=2, fiber_nodes=(4, 4, 4, 8)), 16),
+        (lambda: cli.main(["integrate-volume", "--catalog", "schwarzschild", "--x", "0,10,1.5707963,0.3"]), 1),
+        (lambda: [verify._det_fiber_metric(SCHW, x, None) for x in xs], 3),
+    ):
+        runs.clear()
+        work()
+        assert sum(runs) == points
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("integrand, shape", [(lambda ys: 1.0, "()"), (lambda ys: np.ones((len(ys), 1)), "(512, 1)")])

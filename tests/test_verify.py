@@ -115,7 +115,7 @@ def test_fiber_ball_volume_reads_the_model():
     change of variables by L^-1 in place of L^-T fails it."""
     dense = load_model((Path(__file__).resolve().parents[1] / "tools" / "dense_model.json").read_text())
     for x in verify.sample_points(dense, np.random.default_rng(42), 3):
-        v = tm_metric.fiber_metric(dense, x).v
+        v = tm_metric.fiber_ball(dense, x).v
         assert np.max(np.abs(v - np.diag(np.diag(v)))) > 0.01 * np.max(np.abs(v))
     (report,) = verify.run_suite(dense, seed=42, n_points=3, selection=["fiber_ball_volume"])
     assert report.passed and len(report.residuals) == 3 and report.max_residual <= 1e-14

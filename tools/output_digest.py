@@ -15,8 +15,10 @@ leave byte for byte as they were:
 - the ``max_residual`` of each ``verify.run_suite`` check (same model, seed and
   samples) as ``float.hex``;
 - stdout and exit code of ``inspect``, ``theorem1``, ``efe``, ``geodesic``,
-  ``deviation`` and ``integrate-volume``, and of ``inspect`` on each of the
-  five catalog models at its base point in ``POINTS``;
+  ``deviation`` and ``integrate-volume``, of ``integrate-volume`` on
+  ``tools/dense_model.json`` (whose fiber metric is not diagonal, so the
+  line pins the ball's change of variables), and of ``inspect`` on each of
+  the five catalog models at its base point in ``POINTS``;
 - SHA-256 of the bytes of ``worldline_rhs``, ``classical_lorentz_rhs`` and
   ``connection_and_tidal_values`` on the five catalog models at alpha 0 and
   0.5, three seeded points each, and on the charged black hole in ingoing
@@ -70,6 +72,8 @@ COMMANDS = {
     "deviation": ["deviation", "--catalog", "schwarzschild", "--param", "M=1", "--alpha", "0", *ORBIT,
                   "--w0", "0,0.5,0.3,0", "--W0", "0,0,0,0.01"],
     "integrate-volume": ["integrate-volume", *RN, "--x", "0,10,1.5707963,0.3", "--box", "0:1,6:7,1:2,0:1"],
+    "integrate-volume.dense": ["integrate-volume", "--model", str(Path(__file__).with_name("dense_model.json")),
+                               "--x", "0.1,0.2,-0.3,0.4", "--box", "0:0.2,0:0.2,-0.2:0,0:0.2"],
 }
 PARAMS = {"uniform_field": {"E0": 0.1}, "schwarzschild": {"M": 1.0},
           "reissner_nordstrom": {"M": 1.0, "Q": 0.3}, "weak_field": {"M": 1.0}}
