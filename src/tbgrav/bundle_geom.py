@@ -12,7 +12,12 @@ and the curvature ladder is built from the tidal tensor
     R_j^i_kl = (1/2) (E^i_k)_.jl,                R_jl = -(1/2) (E^i_i)_.jl.
 
 Everything is evaluated on joint 8-variable jets (x in slots 0-3, y in slots
-4-7); the base fields g, g^-1, gamma, A and F are built on 4-variable jets
+4-7) of weighted budget ``order``, x weighing 2 and y 1 (``jets``): an
+adapted derivative delta takes 2 of the budget (its x-partial), and a fiber
+derivative 1.  The curvature ladder takes one delta and then only fiber
+derivatives, so the default budget 4 holds every object.  The base fields g,
+g^-1, gamma, A and F are built on 4-variable jets at total order
+budget // 2 + 1 (gamma and F one less, which still determines the budget)
 and lifted (``JetArray.lift``), which gives the coefficients an 8-variable
 evaluation gives, up to the sign of zero y coefficients.  Fiber derivatives
 of B use the explicit closed forms; the pure jet route is kept alongside as a
@@ -51,11 +56,11 @@ from . import base_geom
 from .errors import UsageError
 from .base_geom import STRICT, antisymmetric, point_sum, symmetric
 from .jet_arrays import JetArray, concat, contract, products, sum_of_products
-from .jets import MAX_ORDER, jet_space
+from .jets import MAX_ORDER, jet_space, variable_rows
 from .spacetime import UPPER, SpacetimeModel
 
 Y_SLOT0 = 4
-_X_ONLY = ("model", "order", "alpha", "base", "g", "ginv", "gamma", "faraday")  # attributes free of y
+_X_ONLY = ("model", "order", "space", "alpha", "base", "g", "ginv", "gamma", "faraday")  # attributes free of y
 
 
 @dataclass
@@ -77,11 +82,14 @@ class BundleGeometry:
     """Lazy cache of all jet-valued objects at each point of a batch of
     bundle points (a ``BundlePoint``).
 
-    ``order`` is the total derivative budget of the carrier jets; each object
-    below consumes shift levels as annotated.  The default, ``MAX_ORDER`` (4),
-    supports every object including the fiber Hessians of the tidal-tensor
-    trace; an object's values are the same at every carrier order that holds
-    it, so a lower order only saves work for callers that read few objects.
+    ``order`` is the weighted budget of the carrier jets: delta (an x-shift)
+    consumes 2 of it and a fiber derivative 1, as annotated below.  The
+    default, ``MAX_ORDER`` (4), supports every object, the fiber Hessians of
+    the tidal tensor (delta, then two fiber derivatives) included; an
+    object's values are the same at every budget that holds it, so a lower
+    budget only saves work for callers that read few objects.  The base
+    geometry runs at total order order // 2 + 1, which g, g^-1, gamma and F
+    need and no more.
     As in ``BaseGeometry``, every object has a leading point axis (a float
     object is an array of one float per point), and every point has the bits
     it has alone.
@@ -92,8 +100,9 @@ class BundleGeometry:
         self.model = model
         self.p = p if isinstance(p, BundlePoint) else BundlePoint(*p)
         self.order = order
+        self.space = jet_space(order, 8)
         self.alpha = model.alpha if alpha is None else float(alpha)
-        self.base = base_geom.BaseGeometry(model, self.p.x, order)
+        self.base = base_geom.BaseGeometry(model, self.p.x, order // 2 + 1)
 
     def at_fiber(self, y) -> "BundleGeometry":
         """The geometry at (x, y) for the same model, order and alpha; it
@@ -103,41 +112,38 @@ class BundleGeometry:
         geo.p = BundlePoint(self.p.x, y)
         return geo
 
-    # -- base fields (full carrier order) ----------------------------------------
+    # -- base fields (full carrier budget) ----------------------------------------
     #
     # g, A and what they give depend on x alone: each is built on 4-variable
     # jets by ``self.base`` and lifted to the joint space, where its y
-    # coefficients are zero.
+    # coefficients are zero and its x coefficients of total order k weigh 2k
+    # (a field of total order k determines budget 2k + 1).
 
     @cached_property
     def g(self) -> JetArray:
-        return self.base.g.lift(8)
+        return self.base.g.lift(self.space)
 
     @cached_property
     def ginv(self) -> JetArray:
-        return self.base.ginv.lift(8)
+        return self.base.ginv.lift(self.space)
 
     @cached_property
     @np.errstate(invalid="ignore")
     def yj(self) -> JetArray:
         for g, y in zip(self.base.g.values, self.p.y):
             base_geom.timelike_norm(g, y)
-        space = jet_space(self.order, 8)
-        c = np.zeros(self.p.y.shape + (space.size,))
-        c[..., 0] = self.p.y
-        if self.order >= 1:
-            c[..., range(4), space.first_index[Y_SLOT0:]] = 1.0
-        return JetArray(space, c)
+        rows = [variable_rows(Y_SLOT0 + k, self.p.y[:, k], self.order, 8) for k in range(4)]
+        return JetArray(self.space, np.stack(rows, axis=1))
 
     # -- one shift consumed ----------------------------------------------------
 
     @cached_property
     def gamma(self) -> JetArray:
-        return self.base.gamma.lift(8)
+        return self.base.gamma.lift(self.space)
 
     @cached_property
     def faraday(self) -> tuple[JetArray, JetArray]:
-        return tuple(f.lift(8) for f in self.base.faraday)
+        return tuple(f.lift(self.space) for f in self.base.faraday)
 
     # -- fiber algebra (no shifts) ----------------------------------------------
 
@@ -219,12 +225,12 @@ class BundleGeometry:
         """G^i_jk = gamma^i_jk + B^i_.jk (fiber Hessian of the spray)."""
         return self.gamma + self.b_jk
 
-    # -- adapted derivatives and curvature (more shifts consumed) -----------------
+    # -- adapted derivatives and curvature (more of the budget consumed) ----------
 
     def delta(self, f: JetArray, connection: JetArray | None = None) -> JetArray:
         """delta_i f = f_{,i} - N^j_i f_{.j} for i = 0..3, a new leading axis
-        (with the alpha connection by default); the four terms are
-        subtracted in j order."""
+        (with the alpha connection by default), 2 below f's budget (the
+        x-partial's); the four terms are subtracted in j order."""
         n = self.n_conn if connection is None else connection
         d = f.partials(range(8))
         size = math.prod(f.shape)
@@ -315,8 +321,9 @@ class BundleGeometry:
 
 
 def _fiber_hessian(f: JetArray) -> np.ndarray:
-    """f_.jl, the second fiber partials of a joint-space jet array, as float
-    values indexed [point, *f.shape, j, l]."""
+    """f_.jl, the second fiber partials of a joint-space jet array (budget 2
+    or more), as float values indexed [point, *f.shape, j, l]: the y-y block
+    of its Hessian."""
     return f.hessian()[..., Y_SLOT0:, Y_SLOT0:]
 
 

@@ -251,8 +251,8 @@ def _cmd_integrate_volume(args) -> int:
     if args.box:
         lo, hi = zip(*(span.partition(":")[::2] for span in args.box.split(",")))
         box = list(zip(_vec(",".join(lo), "--box (lo)"), _vec(",".join(hi), "--box (hi)")))
-        payload["tm_integral_const"] = tm_metric.tm_integral(model, box, lambda x_, ys: np.ones(len(ys)))
-        payload["base_integral_const"] = tm_metric.base_integral(model, box, lambda x_: 1.0)
+        payload["tm_integral_const"], payload["base_integral_const"] = tm_metric.box_integrals(
+            model, box, lambda x_, ys: np.ones(len(ys)), lambda x_: 1.0)
     _dump(payload)
     return 0
 

@@ -131,19 +131,24 @@ def _coefficients(space: JetSpace, a: np.ndarray, b: np.ndarray, ta: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _partial_gather(order: int, nvars: int, variables: tuple[int, ...]):
-    """(src, factor) arrays of shape (len(variables), lower size): the
-    coefficients of d/dx_v of a jet are c[src[v]] * factor[v]."""
+    """(lower, src, factor): the space of the partials, at the lowest budget
+    that a partial in ``variables`` leaves, and arrays of shape
+    (len(variables), lower.size) with which the coefficients of d/dx_v of a
+    jet are c[src[v]] * factor[v] (each shift table truncated to the prefix
+    of that budget)."""
     space = jet_space(order, nvars)
+    lower = jet_space(order - max(space.weights[v] for v in variables), nvars)
     tables = [space.shift_table(v) for v in variables]
-    return np.array([src for _, src, _ in tables]), np.array([fac for _, _, fac in tables])
+    return lower, *(np.array([t[k][:lower.size] for t in tables]) for k in (1, 2))
 
 
 @lru_cache(maxsize=None)
-def _lift_slots(order: int, nvars: int, to_nvars: int) -> np.ndarray:
-    """Slots in jet_space(order, to_nvars) of the monomials of jet_space(order, nvars)."""
-    pad = (0,) * (to_nvars - nvars)
-    index = jet_space(order, to_nvars).index
-    return np.array([index[m + pad] for m in jet_space(order, nvars).monomials])
+def _lift_slots(order: int, nvars: int, space: JetSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst): the slots of jet_space(order, nvars) whose monomials
+    ``space`` holds, and their slots there."""
+    pad = (0,) * (space.nvars - nvars)
+    held = [(i, space.index[m + pad]) for i, m in enumerate(jet_space(order, nvars).monomials) if m + pad in space.index]
+    return tuple(np.array(slots) for slots in zip(*held))
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +267,9 @@ class JetArray:
 
     def hessian(self) -> np.ndarray:
         """Float array (points, *shape, nvars, nvars) of the second partials,
-        in C order (so that each point is laid out as it is alone)."""
+        in C order (so that each point is laid out as it is alone); NaN for
+        a pair of variables whose weights exceed the budget (in the joint
+        space, a mixed partial below budget 3 and an x-x one below 4)."""
         if self.order < 2:
             raise UsageError("hessian requires order >= 2")
         slot, fac = self.space.second_index
@@ -277,18 +284,27 @@ class JetArray:
         return JetArray(space, self.c[..., : space.size])
 
     def partials(self, variables) -> "JetArray":
-        """d/dx_v of every entry for each v of ``variables``, a new leading axis."""
-        if self.order < 1:
-            raise UsageError("partial() requires order >= 1")
-        src, fac = _partial_gather(self.order, self.nvars, tuple(variables))
-        return JetArray(jet_space(self.order - 1, self.nvars), np.moveaxis(self.c[..., src] * fac, -2, 1))
+        """d/dx_v of every entry for each v of ``variables``, a new leading
+        axis, at the lowest budget they leave: a partial lowers the budget
+        by its variable's weight (in the joint space, 2 for x and 1 for y)."""
+        variables = tuple(variables)
+        if self.order < max(self.space.weights[v] for v in variables):
+            raise UsageError(f"partial() of budget {self.order} past a variable's weight")
+        lower, src, fac = _partial_gather(self.order, self.nvars, variables)
+        return JetArray(lower, np.moveaxis(self.c[..., src] * fac, -2, 1))
 
-    def lift(self, nvars: int) -> "JetArray":
-        """The entries as jets in ``nvars`` variables: variable k stays in slot
-        k, and every monomial in the added variables gets a +0.0 coefficient."""
-        space = jet_space(self.order, nvars)
+    def lift(self, space: JetSpace) -> "JetArray":
+        """The entries as jets of ``space``, in more variables: variable k
+        stays in slot k, and every monomial in the added variables gets a
+        +0.0 coefficient.  A field of total order k determines the joint
+        space up to budget 2k + 1 (its first unknown monomial is one of x
+        alone of degree k + 1, weight 2k + 2); a higher budget raises
+        UsageError."""
+        if space.order >= (self.order + 1) * min(space.weights[:self.nvars]):
+            raise UsageError(f"a jet of order {self.order} does not determine budget {space.order}")
+        src, dst = _lift_slots(self.order, self.nvars, space)
         c = np.zeros(self.c.shape[:-1] + (space.size,))
-        c[..., _lift_slots(self.order, self.nvars, nvars)] = self.c
+        c[..., dst] = self.c[..., src]
         return JetArray(space, c)
 
     # -- arithmetic -------------------------------------------------------------------

@@ -1,13 +1,25 @@
 """Truncated multivariate Taylor arithmetic (jets).
 
-A Jet stores the value of a smooth function together with all of its partial
-derivatives up to a fixed total order, in up to eight variables (four base
-coordinates and four fiber coordinates).  Every derivative the geometry
-modules consume is obtained either by evaluating expressions on seeded jets
-or by shifting jet coefficients (``partial``), never by finite differences.
+A Jet stores the value of a smooth function together with its partial
+derivatives up to a weighted budget, in up to eight variables (four base
+coordinates and four fiber coordinates).  Each variable has a weight, and a
+jet of budget ``order`` holds the monomials whose weighted degree is at most
+``order``.  Every space of fewer than eight variables weighs each variable 1,
+so its budget is the total order.  The joint space of the tangent bundle
+(eight variables, x in slots 0-3 and y in slots 4-7) weighs x 2 and y 1: the
+curvature ladder takes one x-shift (the adapted derivative) and then only
+fiber derivatives, so budget 4 holds all of it in 140 coefficients instead of
+the 495 of total order 4.  Every derivative the geometry modules consume is
+obtained either by evaluating expressions on seeded jets or by shifting jet
+coefficients (``partial``), never by finite differences.
 
 Coefficients are Taylor coefficients (derivative / multi-index factorial),
-stored densely in graded-lexicographic order.  A ``Jet`` is read-only: its
+stored densely: the total-order graded-lexicographic list of the budget,
+less the monomials of weight above it, stably sorted by weight, so that a
+lower budget is a prefix slice.  The kept monomials form a down-set (a
+divisor of a kept monomial is kept), so every kept coefficient of a product
+sums the same table pairs, in the same order, as at total order, and has its
+bits.  A ``Jet`` is read-only: its
 constructors and reads are here, and its arithmetic is a few functions on
 coefficient rows with a leading point axis (the dense product over the whole
 multiplication table, Horner composition with a series, powers and abs).
@@ -27,6 +39,7 @@ from .errors import ConfigError, SingularEvaluationError, UsageError
 
 MAX_ORDER = 4
 MAX_NVARS = 8
+JOINT_WEIGHTS = (2, 2, 2, 2, 1, 1, 1, 1)  # the weights of the joint (x, y) space, x in slots 0-3
 
 
 def _monomials(order: int, nvars: int) -> list[tuple[int, ...]]:
@@ -46,8 +59,37 @@ def _monomials(order: int, nvars: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _mul_table(monomials: list[tuple[int, ...]], order: int):
+    """(ia, ib, ic) of the total-order product on ``monomials`` (all of total
+    degree <= order): every pair of slots whose degrees sum to at most the
+    order, by the degrees of the pair, then the slots of each."""
+    index = {m: i for i, m in enumerate(monomials)}
+    by_degree: dict[int, list[int]] = {}
+    for i, m in enumerate(monomials):
+        by_degree.setdefault(sum(m), []).append(i)
+    ia, ib, ic = [], [], []
+    for da, rows in by_degree.items():
+        for db, cols in by_degree.items():
+            if da + db > order:
+                continue
+            for i in rows:
+                mi = monomials[i]
+                for j in cols:
+                    mj = monomials[j]
+                    ia.append(i)
+                    ib.append(j)
+                    ic.append(index[tuple(a + b for a, b in zip(mi, mj))])
+    return np.array(ia), np.array(ib), np.array(ic)
+
+
 class JetSpace:
-    """Shared immutable tables for all jets of one (order, nvars) signature."""
+    """Shared immutable tables for all jets of one (order, nvars) signature:
+    ``order`` is the weighted budget, and ``weights`` are ``JOINT_WEIGHTS``
+    in eight variables (x 2, y 1) and 1 each in fewer (where the budget is
+    the total order).  The monomials and the multiplication table are those
+    of total order ``order`` filtered to the budget; the kept monomials are a
+    down-set, so each kept product coefficient sums the pairs it sums at
+    total order, in the same order, and gets the same bits."""
 
     def __init__(self, order: int, nvars: int):
         if not (0 <= order <= MAX_ORDER):
@@ -56,66 +98,69 @@ class JetSpace:
             raise ConfigError(f"jet nvars must be in 1..{MAX_NVARS}, got {nvars}")
         self.order = order
         self.nvars = nvars
-        self.monomials = _monomials(order, nvars)
+        self.weights = JOINT_WEIGHTS if nvars == len(JOINT_WEIGHTS) else (1,) * nvars
+        full = _monomials(order, nvars)
+        self.monomials = sorted((m for m in full if self.weight(m) <= order), key=self.weight)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self._mul_table = self._build_mul_table()
+        # the total-order table filtered to the kept output slots, in table order
+        slot = np.array([self.index.get(m, -1) for m in full])
+        ia, ib, ic = _mul_table(full, order)
+        keep = slot[ic] >= 0
+        self._mul_table = slot[ia[keep]], slot[ib[keep]], slot[ic[keep]]
         self._shift_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # derivative = coefficient * prod(factorials of the multi-index)
         self.factorials = np.array(
             [math.prod(math.factorial(e) for e in m) for m in self.monomials], dtype=float
         )
 
-    def _build_mul_table(self):
-        by_degree: dict[int, list[int]] = {}
-        for i, m in enumerate(self.monomials):
-            by_degree.setdefault(sum(m), []).append(i)
-        ia, ib, ic = [], [], []
-        for da, rows in by_degree.items():
-            for db, cols in by_degree.items():
-                if da + db > self.order:
-                    continue
-                for i in rows:
-                    mi = self.monomials[i]
-                    for j in cols:
-                        mj = self.monomials[j]
-                        k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                        ia.append(i)
-                        ib.append(j)
-                        ic.append(k)
-        return np.array(ia), np.array(ib), np.array(ic)
+    def weight(self, multi: tuple[int, ...]) -> int:
+        """The weighted degree of an exponent tuple."""
+        return sum(w * e for w, e in zip(self.weights, multi))
+
+    def _unit(self, *variables: int) -> tuple[int, ...]:
+        multi = [0] * self.nvars
+        for v in variables:
+            multi[v] += 1
+        return tuple(multi)
 
     @cached_property
     def first_index(self) -> np.ndarray:
-        """Coefficient slot of d/dx_v for v = 0..nvars-1 (its factorial is 1)."""
-        return np.array([self.index[tuple(int(i == v) for i in range(self.nvars))]
-                         for v in range(self.nvars)])
+        """Coefficient slot of d/dx_v for v = 0..nvars-1 (its factorial is 1);
+        a budget below a variable's weight holds no such slot (UsageError)."""
+        if max(self.weights) > self.order:
+            raise UsageError(f"budget {self.order} holds no first partial of a variable of weight {max(self.weights)}")
+        return np.array([self.index[self._unit(v)] for v in range(self.nvars)])
 
     @cached_property
     def second_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(slot, factorial) arrays of shape (nvars, nvars) for d2/dx_a dx_b."""
-        slot = np.empty((self.nvars, self.nvars), dtype=int)
+        """(slot, factorial) arrays of shape (nvars, nvars) for d2/dx_a dx_b; a
+        pair of weight above the budget reads slot 0 with factorial NaN, so
+        that a partial the space does not hold reads NaN."""
+        slot = np.zeros((self.nvars, self.nvars), dtype=int)
+        fac = np.full((self.nvars, self.nvars), np.nan)
         for a in range(self.nvars):
             for b in range(self.nvars):
-                multi = [0] * self.nvars
-                multi[a] += 1
-                multi[b] += 1
-                slot[a, b] = self.index[tuple(multi)]
-        return slot, self.factorials[slot]
+                i = self.index.get(self._unit(a, b))
+                if i is not None:
+                    slot[a, b], fac[a, b] = i, self.factorials[i]
+        return slot, fac
 
     def shift_table(self, var: int):
-        """Arrays (dst, src, factor) mapping coefficients of f to those of df/dx_var
-        in JetSpace(order-1, nvars)."""
+        """Arrays (dst, src, factor) mapping coefficients of f to those of
+        df/dx_var in JetSpace(order - weight of var, nvars); empty where the
+        weight exceeds the budget."""
         if var not in self._shift_tables:
-            lower = jet_space(self.order - 1, self.nvars)
             dst, src, fac = [], [], []
-            for m, i in lower.index.items():
-                up = list(m)
-                up[var] += 1
-                dst.append(i)
-                src.append(self.index[tuple(up)])
-                fac.append(m[var] + 1)
-            self._shift_tables[var] = (np.array(dst), np.array(src), np.array(fac, dtype=float))
+            if self.weights[var] <= self.order:
+                for m, i in jet_space(self.order - self.weights[var], self.nvars).index.items():
+                    up = list(m)
+                    up[var] += 1
+                    dst.append(i)
+                    src.append(self.index[tuple(up)])
+                    fac.append(m[var] + 1)
+            self._shift_tables[var] = (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
+                                       np.array(fac, dtype=float))
         return self._shift_tables[var]
 
 
@@ -298,8 +343,8 @@ def variable_rows(index: int, values, order: int, nvars: int) -> np.ndarray:
         raise ConfigError(f"variable slot {index} out of range for nvars={nvars}")
     c = np.zeros((len(values), space.size))
     c[:, 0] = values
-    if order >= 1:
-        c[:, space.first_index[index]] = 1.0
+    if space.weights[index] <= order:
+        c[:, space.index[space._unit(index)]] = 1.0
     return c
 
 
@@ -358,7 +403,7 @@ def abs_rows(space: JetSpace, c: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    """Value plus partial derivatives to fixed total order, in nvars variables:
+    """Value plus partial derivatives to a weighted budget, in nvars variables:
     a read-only view of one coefficient row.  Arithmetic on jets is the row
     functions above, or a ``JetArray``'s."""
 
@@ -400,8 +445,8 @@ class Jet:
         """Partial derivative for the exponent tuple ``multi``."""
         if len(multi) != self.nvars:
             raise UsageError(f"multi-index length {len(multi)} != nvars {self.nvars}")
-        if sum(multi) > self.order:
-            raise UsageError(f"degree {sum(multi)} exceeds jet order {self.order}")
+        if self.space.weight(multi) > self.order:
+            raise UsageError(f"degree {self.space.weight(multi)} exceeds jet order {self.order}")
         i = self.space.index.get(tuple(multi))
         if i is None:
             raise UsageError(f"multi-index {tuple(multi)} must hold nonnegative integers")
@@ -424,10 +469,11 @@ class Jet:
         return Jet(sp, self.c[: sp.size])
 
     def partial(self, var: int) -> "Jet":
-        """Derivative with respect to variable ``var`` as a jet of order-1."""
-        if self.order < 1:
-            raise UsageError("partial() requires order >= 1")
-        lower = jet_space(self.order - 1, self.nvars)
+        """Derivative with respect to variable ``var`` as a jet of budget
+        order - weight of var."""
+        if self.order < self.space.weights[var]:
+            raise UsageError(f"partial() of a variable of weight {self.space.weights[var]} needs order >= that")
+        lower = jet_space(self.order - self.space.weights[var], self.nvars)
         dst, src, fac = self.space.shift_table(var)
         c = np.zeros(lower.size)
         c[dst] = self.c[src] * fac

@@ -93,8 +93,9 @@ def _default_box(model: SpacetimeModel):
     return [(-0.9, 0.9)] * 4
 
 
-def sample_points(model: SpacetimeModel, rng, n: int) -> list[np.ndarray]:
-    """n chart points drawn uniformly from the model's safe box."""
+def _chart_points(model: SpacetimeModel, rng, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(x, g at x) for n chart points drawn uniformly from the model's safe
+    box: the chart test's evaluation of g, kept for the caller."""
     box = _default_box(model)
     pts = []
     attempts = 0
@@ -102,19 +103,27 @@ def sample_points(model: SpacetimeModel, rng, n: int) -> list[np.ndarray]:
         attempts += 1
         x = np.array([rng.uniform(lo, hi) for lo, hi in box])
         try:
-            metric_values(model, x)
+            pts.append((x, metric_values(model, x)))
         except EngineError:
             continue
-        pts.append(x)
     if len(pts) < n:
         raise EngineError(f"could not sample {n} chart points for model {model.name!r}")
     return pts
 
 
+def sample_points(model: SpacetimeModel, rng, n: int) -> list[np.ndarray]:
+    """n chart points drawn uniformly from the model's safe box."""
+    return [x for x, _ in _chart_points(model, rng, n)]
+
+
 def sample_timelike(model: SpacetimeModel, rng, x) -> np.ndarray:
     """Random timelike y: a unit time axis boosted by rapidity up to 2 in an
     orthonormal frame."""
-    g = metric_values(model, x)
+    return _timelike(metric_values(model, x), rng)
+
+
+def _timelike(g: np.ndarray, rng) -> np.ndarray:
+    """``sample_timelike`` at a point where g is known."""
     eigvals, eigvecs = np.linalg.eigh(g)
     order = np.argsort(-eigvals)  # positive eigenvalue first
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -130,7 +139,8 @@ def sample_timelike(model: SpacetimeModel, rng, x) -> np.ndarray:
 
 
 def sample_bundle_points(model: SpacetimeModel, rng, n: int) -> list[BundlePoint]:
-    return [BundlePoint(x, sample_timelike(model, rng, x)) for x in sample_points(model, rng, n)]
+    """n chart points, then a timelike y at each, from one evaluation of g per point."""
+    return [BundlePoint(x, _timelike(g, rng)) for x, g in _chart_points(model, rng, n)]
 
 
 # -- checks -----------------------------------------------------------------------------
@@ -280,7 +290,8 @@ def _alpha_zero_collapse(model, ps, rng):
 
 
 def _quad_y_independent(model, xs, rng):
-    ys = np.array([[sample_timelike(model, rng, x) for _ in range(3)] for x in xs])  # [point, draw]
+    gs = [metric_values(model, x) for x in xs]
+    ys = np.array([[_timelike(g, rng) for _ in range(3)] for g in gs])  # [point, draw]
     geo = BundleGeometry(model, BundlePoint(xs, ys[:, 0]))
     quads = [geo.quad_term] + [geo.at_fiber(ys[:, k]).quad_term for k in (1, 2)]
     return [(max(q) - min(q)) / (abs(q[0]) + 1.0) for q in zip(*quads)]

@@ -508,7 +508,7 @@ def test_jet_operation_budget(monkeypatch):
     monkeypatch.setattr(jet_arrays, "_coefficients", counted_kernel)
     bun.ricci_decomposition(RN, p)
     bun.generalized_einstein(RN, p)
-    assert counts == {"calls": 66, "terms": 673, "products": 120038}
+    assert counts == {"calls": 64, "terms": 665, "products": 72084}
 
 
 # -- carrier order ------------------------------------------------------------------------------
@@ -548,10 +548,13 @@ def test_values_independent_of_carrier_order(name):
 
 
 def _joint_space_route(model, x, order):
-    """g, g^-1, gamma, A, (F_ij, F^i_j) evaluated on 8-variable jets, as
-    BundleGeometry built them before its base fields were lifted."""
+    """g, g^-1, A and, from budget 2 (an x-partial's weight) on, gamma and
+    (F_ij, F^i_j) evaluated on 8-variable jets, as BundleGeometry built them
+    before its base fields were lifted."""
     g, a_pot = _joint_space_fields(model, x, order)
     ginv = bg.invert_jet_matrix(g)
+    if order < 2:
+        return {"g": g, "ginv": ginv, "a_pot": a_pot}
     f_low, f_mix = bg.faraday_jets(a_pot, ginv)
     return {"g": g, "ginv": ginv, "gamma": bg.christoffel_jets(g, ginv), "a_pot": a_pot,
             "f_low": f_low, "f_mix": f_mix}
@@ -559,23 +562,24 @@ def _joint_space_route(model, x, order):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_lifted_base_fields_match_joint_space_route(name):
-    """The base fields BundleGeometry builds on 4-variable jets and lifts have
-    the coefficients of the 8-variable evaluation, compared with
-    ``np.array_equal``, so +0.0 and -0.0 count as equal: the 8-variable route
-    leaves -0.0 in some y coefficients (negations and negative scalar
-    factors of zero), where the lift writes +0.0.  Mirrored entries hold the
-    same bytes."""
+    """The base fields BundleGeometry builds on 4-variable jets and lifts
+    hold at least the budget of the 8-variable evaluation and, truncated to
+    it, its coefficients, compared with ``np.array_equal``, so +0.0 and -0.0
+    count as equal: the 8-variable route leaves -0.0 in some y coefficients
+    (negations and negative scalar factors of zero), where the lift writes
+    +0.0.  Mirrored entries hold the same bytes."""
     model = catalog(name, CATALOG_PARAMS[name])
     rng = np.random.default_rng(31)
     for alpha in (0.0, 0.5):
         for p in verify.sample_bundle_points(model, rng, 2):
             for order in range(1, MAX_ORDER + 1):
                 geo = BundleGeometry(model, p, order=order, alpha=alpha)
-                lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.base.a_pot.lift(8),
+                lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.base.a_pot.lift(geo.space),
                           "f_low": geo.faraday[0], "f_mix": geo.faraday[1]}
                 for key, ref in _joint_space_route(model, p.x, order).items():
+                    assert lifted[key].order >= ref.order, (key, order)
                     for idx in np.ndindex(ref.shape):
-                        got = lifted[key][idx]
+                        got = lifted[key][idx].truncate(ref.order)
                         assert got.space is ref[idx].space, (key, idx, order)
                         assert np.array_equal(got.c, ref[idx].c), (name, key, idx, order, alpha)
                 assert all(geo.g[i, j].c.tobytes() == geo.g[j, i].c.tobytes() for i in range(4) for j in range(4))
@@ -584,9 +588,10 @@ def test_lifted_base_fields_match_joint_space_route(name):
 
 
 def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
-    """The base fields are built once on the tapes' 4-variable jets and
-    lifted: reading the curvature ladder and the split terms of a
-    default-order geometry runs the metric and the potential tape once each."""
+    """The base fields are built once on the tapes' 4-variable jets, at total
+    order budget // 2 + 1, and lifted: reading the curvature ladder and the
+    split terms of a default-budget geometry runs the metric and the
+    potential tape once each, at order 3."""
     jets, runs = Tape.jets, []
 
     def recorded(self, x, order):
@@ -599,7 +604,7 @@ def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
         geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=alpha)
         assert geo.order == MAX_ORDER
         geo.tidal, geo.b_hessian, geo.div_term, geo.quad_term
-        assert runs == [(RN.metric_tape, MAX_ORDER), (RN.potential_tape, MAX_ORDER)]
+        assert runs == [(RN.metric_tape, 3), (RN.potential_tape, 3)]
 
 
 # -- homogeneity ladder ------------------------------------------------------------------------

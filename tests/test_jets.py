@@ -16,8 +16,8 @@ from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
 from tbgrav.exprlang import evaluate, parse
 from tbgrav.jet_arrays import JetArray, contract, products, sum_of_products
 from tbgrav.jets import (
-    INLINE_NAMES, SERIES, Jet, compose_rows, cos_series, inline_series, jet_space, mul_rows, reciprocal_series,
-    sin_series,
+    INLINE_NAMES, MAX_ORDER, SERIES, Jet, _monomials, compose_rows, cos_series, horner, inline_series, jet_space,
+    mul_rows, reciprocal_series, series_table, sin_series, sqrt_series,
 )
 
 
@@ -232,8 +232,12 @@ def test_polynomial_derivatives_exact(nvars):
             for e, t, xi in zip(m, target, x):
                 term *= (math.factorial(e) / math.factorial(e - t)) * xi ** (e - t)
             analytic += term
-        got = val.flat[0].derivative(target)
-        assert got == pytest.approx(analytic, rel=1e-13, abs=1e-13)
+        jet = val.flat[0]
+        if jet.space.weight(target) > jet.order:  # an x-partial of the joint space past its budget
+            with pytest.raises(UsageError, match="exceeds jet order"):
+                jet.derivative(target)
+            continue
+        assert jet.derivative(target) == pytest.approx(analytic, rel=1e-13, abs=1e-13)
 
 
 def _smooth(j):
@@ -299,6 +303,118 @@ def test_truncate_is_a_slice():
         assert low.order == k and np.array_equal(low.c, j.c[: low.space.size])
         assert np.shares_memory(low.c, j.c)
     assert j.truncate(4) is j
+
+
+# -- the weighted joint space ---------------------------------------------------
+#
+# In eight variables x (slots 0-3) weighs 2 and y (slots 4-7) 1, and the order
+# is the weighted budget.  The references below are the total-order space of
+# the same budget, built here from ``_monomials``: its multiplication table
+# (pairs by the degrees of their slots, then the slots), its shifts and its
+# dense row arithmetic.  Every slot the weighted space keeps must carry the
+# reference's bytes.
+
+JOINT_SIZES = ((1, 1), (5, 9), (19, 53), (55, 237), (140, 891))  # (slots, table pairs) at budgets 0-4
+
+
+def _weight(m):
+    return 2 * sum(m[:4]) + sum(m[4:])
+
+
+def _total_order_table(monomials, order):
+    index = {m: i for i, m in enumerate(monomials)}
+    degrees = sorted({sum(m) for m in monomials})
+    table = []
+    for da in degrees:
+        for db in degrees:
+            if da + db <= order:
+                table += [(i, j, index[tuple(p + q for p, q in zip(a, b))])
+                          for i, a in enumerate(monomials) if sum(a) == da
+                          for j, b in enumerate(monomials) if sum(b) == db]
+    return np.array(table).T
+
+
+def _total_order_mul(monomials, order):
+    ia, ib, ic = _total_order_table(monomials, order)
+    return lambda a, b: np.bincount(
+        (ic + np.arange(len(a))[:, None] * len(monomials)).ravel(), (a[:, ia] * b[:, ib]).ravel(),
+        len(a) * len(monomials)).reshape(len(a), len(monomials))
+
+
+def test_joint_space_sizes_prefixes_and_table():
+    """Budgets 0-4 keep 1, 5, 19, 55 and 140 monomials with 1, 9, 53, 237 and
+    891 table pairs; each budget is a prefix of the next, sorted by weight;
+    and the table is the total-order table filtered to the kept output
+    slots, in table order."""
+    for order, (size, pairs) in enumerate(JOINT_SIZES):
+        space = jet_space(order, 8)
+        assert space.weights == (2, 2, 2, 2, 1, 1, 1, 1)
+        assert (space.size, len(space._mul_table[0])) == (size, pairs)
+        assert [_weight(m) for m in space.monomials] == sorted(_weight(m) for m in space.monomials)
+        total = _monomials(order, 8)
+        assert space.monomials == sorted((m for m in total if _weight(m) <= order), key=_weight)
+        if order:
+            assert jet_space(order - 1, 8).monomials == space.monomials[:JOINT_SIZES[order - 1][0]]
+        ia, ib, ic = _total_order_table(total, order)
+        keep = [_weight(total[k]) <= order for k in ic]
+        for got, want in zip(space._mul_table, (ia[keep], ib[keep], ic[keep])):
+            assert [space.monomials[k] for k in got] == [total[k] for k in want]
+
+
+def test_joint_space_arithmetic_keeps_the_total_order_bits():
+    """On random dense rows at budget 4, the product, a composition, the
+    partials and the Hessian give, on every slot the weighted space keeps,
+    the bytes of the total-order reference; a 4-variable field lifts to the
+    joint space's slots of its monomials, +0.0 elsewhere, up to the budget
+    it determines."""
+    rng = np.random.default_rng(27)
+    order, space = MAX_ORDER, jet_space(MAX_ORDER, 8)
+    total = _monomials(order, 8)
+    kept = [total.index(m) for m in space.monomials]
+    ref_mul = _total_order_mul(total, order)
+    a, b = rng.normal(size=(2, 3, len(total)))
+    a[:, 0] = rng.uniform(0.5, 2.0, size=3)  # a value sqrt accepts
+    assert mul_rows(space, a[:, kept], b[:, kept]).tobytes() == ref_mul(a, b)[:, kept].tobytes()
+    ref_sqrt = horner(a, series_table(sqrt_series, a[:, 0], order), ref_mul)
+    assert compose_rows(space, a[:, kept], sqrt_series).tobytes() == ref_sqrt[:, kept].tobytes()
+
+    parts = JetArray(space, a[:, kept]).partials(range(8))
+    lower = jet_space(order - 2, 8)  # the x-partials' budget, the lowest
+    assert parts.space is lower
+    for v in range(8):
+        up = [total.index(tuple(e + (i == v) for i, e in enumerate(m))) for m in lower.monomials]
+        fac = [m[v] + 1.0 for m in lower.monomials]
+        assert parts.c[:, v].tobytes() == (a[:, up] * fac).tobytes(), v
+    assert [len(jet_space(1, 8).shift_table(v)[0]) for v in range(8)] == [0] * 4 + [1] * 4
+
+    field = rng.normal(size=(3, len(_monomials(1, 4))))
+    lifted = JetArray(jet_space(1, 4), field).lift(jet_space(3, 8))  # order 1 determines budget 2 x 1 + 1
+    for slot, m in enumerate(lifted.space.monomials):
+        want = field[:, _monomials(1, 4).index(m[:4])] if not any(m[4:]) else np.zeros(3)
+        assert lifted.c[:, slot].tobytes() == want.tobytes(), m
+    with pytest.raises(UsageError, match="does not determine budget 4"):
+        JetArray(jet_space(1, 4), field).lift(space)
+
+    hess = JetArray(jet_space(2, 8), a[:, kept[:19]]).hessian()
+    for i in range(8):
+        for j in range(8):
+            m = tuple((k == i) + (k == j) for k in range(8))
+            if _weight(m) > 2:  # a mixed or x-x partial past budget 2
+                assert np.isnan(hess[:, i, j]).all()
+            else:
+                assert hess[:, i, j].tobytes() == (a[:, total.index(m)] * (1.0 + (i == j))).tobytes()
+
+
+def test_shift_past_the_budget_is_an_empty_table():
+    """An x-partial (weight 2) of a budget-1 jet holds nothing: its shift
+    table is empty, and ``partials`` past the budget raises."""
+    space = jet_space(1, 8)
+    for var in range(4):
+        dst, src, fac = space.shift_table(var)
+        assert len(dst) == len(src) == len(fac) == 0
+    with pytest.raises(UsageError, match="past a variable's weight"):
+        JetArray(space, np.zeros((1, space.size))).partials(range(8))
+    assert JetArray(space, np.ones((1, space.size))).partials(range(4, 8)).space is jet_space(0, 8)
 
 
 def test_pow_const_integer_and_fractional():

@@ -10,6 +10,7 @@ import pytest
 from tbgrav.errors import ChartError, ConfigError, EngineError, ModelError, SingularEvaluationError
 from tbgrav.exprlang import _KernelWriter, evaluate, parse
 from tbgrav.jet_arrays import concat
+from tbgrav.jets import MAX_ORDER, jet_space
 from tbgrav.spacetime import (
     CATALOG_NAMES,
     alpha_star,
@@ -307,9 +308,15 @@ def _tree_jets(model, x, order, nvars):
 
 def _tape_jets(model, x, order, nvars):
     """The metric and potential tapes' 4-variable root jets, lifted to
-    ``nvars`` variables as ``BundleGeometry`` lifts its base fields."""
+    ``nvars`` variables as ``BundleGeometry`` lifts its base fields, at
+    budget ``_lifted_budget``."""
     roots, _ = concat(model.metric_tape.jets(x, order), model.potential_tape.jets(x, order))
-    return (roots if nvars == 4 else roots.lift(nvars)).flat
+    return (roots if nvars == 4 else roots.lift(jet_space(_lifted_budget(order), nvars))).flat
+
+
+def _lifted_budget(order):
+    """The joint-space budget of a field of total order k's x monomials: 2k (x weighs 2), capped at 4."""
+    return min(2 * order, MAX_ORDER)
 
 
 def _kernel(model, order):
@@ -336,12 +343,14 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("nvars", [4, 8], ids=["v4", "v8"])
 def test_tape_matches_tree_bit_for_bit(model, order, nvars):
-    """In 4 variables the tapes give the tree walk's bytes.  Lifted to 8 they
-    give its coefficients, compared with ``np.array_equal``: the 8-variable
-    walk leaves -0.0 in some coefficients of the added variables, where the
-    lift writes +0.0."""
+    """In 4 variables the tapes give the tree walk's bytes.  Lifted to 8, at
+    the budget of their x monomials (2 x order, capped at 4; x weighs 2),
+    they give the coefficients of the tree walk at that budget, compared
+    with ``np.array_equal``: the 8-variable walk leaves -0.0 in some
+    coefficients of the added variables, where the lift writes +0.0."""
     x = TAPE_POINTS[model.name]
-    tape, tree = _tape_jets(model, x, order, nvars), _tree_jets(model, x, order, nvars)
+    budget = order if nvars == 4 else _lifted_budget(order)
+    tape, tree = _tape_jets(model, x, order, nvars), _tree_jets(model, x, budget, nvars)
     for got, want in zip(tape, tree, strict=True):
         assert (got.order, got.nvars) == (want.order, want.nvars)
         assert np.array_equal(got.c, want.c)
@@ -355,7 +364,7 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars):
     if kernel:
         assert np.array(kernel(x)).tobytes() == _coefficient_bytes(tree)
     for x_bad in SINGULAR_POINTS:
-        want = _outcome(_tree_jets, model, x_bad, order, nvars)
+        want = _outcome(_tree_jets, model, x_bad, budget, nvars)
         got = _outcome(_tape_jets, model, x_bad, order, nvars)
         if isinstance(want, tuple):
             assert got == want

@@ -114,7 +114,8 @@ def test_fiber_integral_reports_node_count():
 def test_one_metric_evaluation_per_fiber_point(monkeypatch, capsys):
     """fiber_rule, each base node of tm_integral, integrate-volume and each
     det_fiber_metric point run the metric tape once: g and v come from one
-    fiber ball."""
+    fiber ball.  ``integrate-volume --box`` runs it once at x and once per
+    node of its 4^4 base rule, where both integrals read that node's ball."""
     runs = []
     values = exprlang.Tape.values
 
@@ -130,6 +131,8 @@ def test_one_metric_evaluation_per_fiber_point(monkeypatch, capsys):
         (lambda: tm.fiber_rule(SCHW, X_SCHW, (4, 4, 4, 8)), 1),
         (lambda: tm.tm_integral(SCHW, box, lambda x, ys: np.ones(len(ys)), base_nodes=2, fiber_nodes=(4, 4, 4, 8)), 16),
         (lambda: cli.main(["integrate-volume", "--catalog", "schwarzschild", "--x", "0,10,1.5707963,0.3"]), 1),
+        (lambda: cli.main(["integrate-volume", "--catalog", "schwarzschild", "--x", "0,10,1.5707963,0.3",
+                           "--box", "0:0.5,9:11,1.2:1.8,0:0.5"]), 1 + 4**4),
         (lambda: [verify._det_fiber_metric(SCHW, x, None) for x in xs], 3),
     ):
         runs.clear()

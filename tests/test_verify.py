@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tbgrav import tm_metric, verify
+from tbgrav import exprlang, tm_metric, verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import SingularEvaluationError
@@ -127,6 +127,32 @@ def test_sampled_y_is_timelike():
         y = verify.sample_timelike(RN, rng, x)
         g = metric_jet(RN, x, order=0).values
         assert y @ g @ y > 0.1
+
+
+def test_sampling_evaluates_g_once_per_point(monkeypatch):
+    """``sample_bundle_points`` runs the metric tape once per point (the chart
+    test's g draws its y) and ``theorem1_quad_y_independent`` once per x for
+    its three draws, with the draws of ``sample_points`` then
+    ``sample_timelike`` on one random stream."""
+    xs = verify.sample_points(RN, np.random.default_rng(9), 5)
+    ref = np.random.default_rng(9)
+    ref_xs = verify.sample_points(RN, ref, 5)
+    ref_ys = [verify.sample_timelike(RN, ref, x) for x in ref_xs]
+    runs = []
+    values = exprlang.Tape.values
+
+    def counted(tape, x):
+        runs.append(tape is RN.metric_tape)
+        return values(tape, x)
+
+    monkeypatch.setattr(exprlang.Tape, "values", counted)
+    points = verify.sample_bundle_points(RN, np.random.default_rng(9), 5)
+    assert sum(runs) == 5
+    assert all(p.x.tobytes() == x.tobytes() and p.y.tobytes() == y.tobytes()
+               for p, x, y in zip(points, ref_xs, ref_ys, strict=True))
+    runs.clear()
+    verify._quad_y_independent(RN, np.array(xs), np.random.default_rng(9))
+    assert sum(runs) == 5
 
 
 def test_conservation_residual_values():

@@ -29,7 +29,9 @@ leave byte for byte as they were:
   ``ginv``, ``gamma``, ``riemann``, ``ricci`` and ``einstein_maxwell``, and of
   ``BundleGeometry``'s ``n_conn``, ``berwald`` and ``tidal`` at alpha 0 and
   0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
-  ``div_term``, ``quad_term`` and ``d_ricci_scalar``;
+  ``div_term``, ``quad_term`` and ``d_ricci_scalar`` (a tree whose joint
+  space keeps other monomials digests other coefficient rows here;
+  ``tools/held_coefficients.py`` compares the coefficients both keep);
 - the integrator's right-hand-side call count (every call of the ``rhs``
   handed to ``dynamics._integrate``, one that raises included) and the error
   text of the Schwarzschild plunge from r = 3, which ends in a step-size
