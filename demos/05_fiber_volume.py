@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from tbgrav import BundlePoint, catalog, fiber_ball, fiber_integral, tm_integral
-from tbgrav.tm_metric import BALL_BOUND, BALL_RADIUS, base_integral, horizontal_divergence, lift_base_field
+from tbgrav import BundleGeometry, BundlePoint, catalog, fiber_ball, fiber_integral, tm_integral
+from tbgrav.jet_arrays import concat
+from tbgrav.tm_metric import BALL_BOUND, BALL_RADIUS, base_integral
 
 schw = catalog("schwarzschild", {"M": 1.0})
 x = [0.0, 10.0, math.pi / 2, 0.3]
@@ -36,6 +37,8 @@ rhs = base_integral(schw, box, f)
 print("bundle integral =", lhs, " base integral =", rhs, " rel diff =", abs(lhs - rhs) / rhs)
 
 # divergence of a horizontal lift = classical divergence: div(r^2 d_r) = 4r
-field = lift_base_field(lambda env: [env["r"] * 0, env["r"] * env["r"], env["r"] * 0, env["r"] * 0])
-p = BundlePoint(x, [1.2, 0.0, 0.0, 0.0])
-print("div(r^2 d_r) =", horizontal_divergence(schw, p, field)[0], " (4r = 40)")
+# (its horizontal lift is the base field evaluated on the geometry's joint (x, y) jets)
+geo = BundleGeometry(schw, BundlePoint(x, [1.2, 0.0, 0.0, 0.0]), order=2)
+r = schw.coord_env(geo.p.x, geo.order, nvars=8)["r"]
+field, _ = concat(r * 0, r * r, r * 0, r * 0)
+print("div(r^2 d_r) =", geo.divergence(field, geo.n_conn)[0], " (4r = 40)")

@@ -13,7 +13,6 @@ from .base_geom import (
 from .bundle_geom import (
     BundleGeometry,
     BundlePoint,
-    adapted_derivative,
     fiber_derivs_B,
     generalized_einstein,
     ricci_decomposition,
@@ -56,7 +55,6 @@ from .tm_metric import (
     FiberBall,
     fiber_ball,
     fiber_integral,
-    horizontal_divergence,
     tm_integral,
 )
 from .verify import ResidualReport, conservation_residual, reports_to_csv, reports_to_json, run_suite

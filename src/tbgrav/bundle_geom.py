@@ -228,9 +228,12 @@ class BundleGeometry:
     # -- adapted derivatives and curvature (more of the budget consumed) ----------
 
     def delta(self, f: JetArray, connection: JetArray | None = None) -> JetArray:
-        """delta_i f = f_{,i} - N^j_i f_{.j} for i = 0..3, a new leading axis
-        (with the alpha connection by default), 2 below f's budget (the
-        x-partial's); the four terms are subtracted in j order."""
+        """delta_i f = f_{,i} - N^j_i f_{.j} for i = 0..3, a new leading axis,
+        for any jet array f on the joint space (else ``UsageError``), with
+        the alpha connection by default, 2 below f's budget (the x-partial's);
+        the four terms are subtracted in j order."""
+        if not isinstance(f, JetArray):
+            raise UsageError("adapted derivative needs a jet array")
         n = self.n_conn if connection is None else connection
         d = f.partials(range(8))
         size = math.prod(f.shape)
@@ -286,7 +289,12 @@ class BundleGeometry:
                                    self.ginv.values, f_low.values)
 
     def divergence(self, x_vec: JetArray, connection: JetArray) -> np.ndarray:
-        """delta_i X^i + gamma^j_ji X^i for jets X^i, with delta_i built on ``connection``."""
+        """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x, y),
+        a (4,) jet array on the joint space (else ``UsageError``), with delta_i
+        built on ``connection``.  The horizontal lift of a base field Y(x) is
+        Y evaluated on ``model.coord_env(p.x, order, nvars=8)``."""
+        if not (isinstance(x_vec, JetArray) and x_vec.shape == (4,)):
+            raise UsageError("horizontal field must be a jet array of 4 components")
         adapted = self.delta(x_vec, connection).values.diagonal(0, -2, -1)
         trace = self.gamma.values.diagonal(0, -3, -2) * x_vec.values[..., None]  # [i, j]: gamma^j_ji X^i
         return point_sum(np.concatenate([adapted[..., None], trace], axis=-1), 2)
@@ -340,20 +348,6 @@ def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
     closed = (geo.b_j.values, geo.b_jk.values, geo.b_jk.partials(fiber).transpose(1, 2, 3, 0).values)
     jets = (firsts.T.values, seconds.transpose(2, 1, 0).values, seconds.partials(fiber).transpose(3, 2, 1, 0).values)
     return closed, jets
-
-
-def adapted_derivative(model: SpacetimeModel, p, field, order: int = 2,
-                       alpha: float | None = None) -> JetArray:
-    """delta_i applied componentwise to a fiber field ``field(model, point, order)``,
-    which returns a jet array or a list of jet arrays of one shape on the
-    joint 8-variable space; returns jets one order down, indexed [i, *field
-    index]."""
-    geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    try:
-        values = JetArray.stack(field(model, geo.p, order))
-    except UsageError:
-        raise UsageError("fiber field must evaluate to jets") from None
-    return geo.delta(values)
 
 
 def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) -> dict:

@@ -60,7 +60,7 @@ from .errors import EvaluationError, ParseError, SingularEvaluationError, UsageE
 from .jet_arrays import JetArray, concat
 from .jets import (
     INLINE_NAMES, MAX_ORDER, SERIES, Jet, JetSpace, _is_integer, _power_by_squaring, abs_rows, abs_value,
-    compose_rows, exp_series, inline_series, jet_space, ln_series, ln_value, mul_rows, mul_value, pow_rows, pow_value,
+    compose_rows, horner, inline_series, jet_space, ln_series, ln_value, mul_rows, mul_value, pow_rows, pow_value,
     power_series, reciprocal_series, reciprocal_value, sqrt_value, variable_rows,
 )
 
@@ -254,14 +254,18 @@ def parse(source: str) -> Expr:
 
 def _jet_pow(space: JetSpace, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """base ^ exponent on coefficient rows: the exact power rule where the
-    exponent is a constant jet, else exp(exponent ln base).  Exponent rows
-    that differ from point to point are taken one point at a time."""
+    exponent is a constant jet, else exp(exponent ln base), whose series at
+    each point is built from that point's order-0 power (``pow_value``), so
+    that every order gives the value order 0 gives.  Exponent rows that
+    differ from point to point are taken one point at a time."""
     if len(exponent) > 1 and (exponent != exponent[0]).any():
         base = np.broadcast_to(base, exponent.shape)
         return np.concatenate([_jet_pow(space, b[None], e[None]) for b, e in zip(base, exponent)])
     if not exponent[0, 1:].any():  # constant exponent: exact power rule
         return pow_rows(space, base, exponent[0, 0])
-    return compose_rows(space, mul_rows(space, exponent, compose_rows(space, base, ln_series)), exp_series)
+    log = mul_rows(space, exponent, compose_rows(space, base, ln_series))
+    power = np.array([pow_value(b, exponent[0, 0]) for b in base[:, 0].tolist()])
+    return horner(log, np.array([power / math.factorial(k) for k in range(space.order + 1)]), partial(mul_rows, space))
 
 
 # The operations of trees and tapes on coefficient rows (see ``jets``), by

@@ -170,7 +170,8 @@ class JetArray:
 
     ``shape``, ``ndim``, indices and axes are those of one point's tensor.
     Indexing gives a ``JetArray`` (down to one entry, a 0-d one: one jet per
-    point); ``flat`` runs over the entries of every point as ``Jet`` views.
+    point); ``flat`` runs over the entries of every point as ``Jet`` views,
+    and ``concat`` joins jet arrays (0-d components into one vector, say).
     Arithmetic takes jet arrays, numbers and float arrays and broadcasts as
     NumPy does over the entries of each point, with the bits of the row
     arithmetic of ``jets`` entry by entry: operands of two orders are
@@ -187,20 +188,6 @@ class JetArray:
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
-
-    @staticmethod
-    def stack(arrays) -> "JetArray":
-        """``arrays`` itself if it is a jet array, else a list of jet arrays
-        of one shape (as a field callable hands over its components) as one
-        jet array at their lowest order, the list's axis first after the
-        point axis."""
-        if isinstance(arrays, JetArray):
-            return arrays
-        if not (isinstance(arrays, list) and arrays and all(isinstance(a, JetArray) for a in arrays)
-                and len({a.shape for a in arrays}) == 1):
-            raise UsageError("expected a jet array or a list of jet arrays of one shape")
-        rows, _ = concat(*arrays)
-        return rows.reshape(len(arrays), *arrays[0].shape)
 
     # -- shape ----------------------------------------------------------------
 

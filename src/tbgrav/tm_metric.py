@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
-from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import SingularEvaluationError, UsageError
 from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_jet, metric_values
@@ -214,42 +213,10 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
     return total
 
 
-# -- horizontal divergence -----------------------------------------------------------
-
-
-def horizontal_divergence(model: SpacetimeModel, p, x_field, order: int = 2,
-                          alpha: float | None = None) -> np.ndarray:
-    """div(X) = delta_i X^i + gamma^j_ji X^i for a horizontal field X^i(x,y)
-    at each point of a batch of bundle points, given as ``x_field(model,
-    point, order)`` returning a list of 4 joint-space 0-d jet arrays of one
-    entry per point (as ``coord_env`` gives them), or one (4,) jet array."""
-    geo = BundleGeometry(model, p, order=order, alpha=alpha)
-    try:
-        comps = JetArray.stack(x_field(model, geo.p, order))
-    except UsageError:
-        raise UsageError("horizontal field must evaluate to jets") from None
-    if comps.shape != (4,):
-        raise UsageError("horizontal field must evaluate to 4 components")
-    return geo.divergence(comps, geo.n_conn)
-
-
-def lift_base_field(component_fn):
-    """Horizontal lift of a base vector field Y^i(x): a fiber field that
-    evaluates Y on the joint jet space (no fiber dependence)."""
-
-    def evaluate(model: SpacetimeModel, p: BundlePoint, order: int):
-        env = model.coord_env(p.x, order, nvars=8)
-        return component_fn(env)
-
-    return evaluate
-
-
-def base_divergence_values(model: SpacetimeModel, x, component_fn) -> np.ndarray:
+def base_divergence_values(model: SpacetimeModel, x, comps: JetArray) -> np.ndarray:
     """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets, at
-    each point of a batch x (a point x being a batch of one), for
-    ``component_fn(env)`` returning Y's 4 components on ``coord_env``'s jets
-    as a list (or one jet array)."""
-    env = model.coord_env(x, order=1, nvars=4)
-    comps = JetArray.stack(component_fn(env))
+    each point of a batch x (a point x being a batch of one), for Y's
+    components ``comps``, a (4,) jet array on 4-variable jets of order 1 or
+    more (as Y evaluated on ``coord_env(x, 1)`` gives them)."""
     s = sqrt_minus_det(metric_jet(model, x, order=1))
     return densitized_divergence(s, comps) / s.values

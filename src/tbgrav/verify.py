@@ -27,6 +27,7 @@ from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import EngineError
+from .jet_arrays import concat
 from .spacetime import SpacetimeModel, metric_values, signature_signs
 
 DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}
@@ -326,17 +327,18 @@ def _divergence_lift(model, ps, rng):
     names = list(model.coords)
     coeffs = np.array([rng.uniform(-1, 1, size=(4, 5)) for _ in ps.x])  # one field per point, [point, i, term]
 
-    def components(env):
+    def components(env):  # the field's 4 components on env's jets, as one jet array
         vals = []
         for i in range(4):
             acc = env[names[0]] * 0 + coeffs[:, i, 0]
             for j, nm in enumerate(names):
                 acc = acc + env[nm] * coeffs[:, i, j + 1]
             vals.append(acc)
-        return vals
+        return concat(*vals)[0]
 
-    lifted = tm_metric.horizontal_divergence(model, ps, tm_metric.lift_base_field(components))
-    base = tm_metric.base_divergence_values(model, ps.x, components)
+    geo = BundleGeometry(model, ps, order=2)  # the horizontal lift: the field on the joint space
+    lifted = geo.divergence(components(model.coord_env(ps.x, geo.order, nvars=8)), geo.n_conn)
+    base = tm_metric.base_divergence_values(model, ps.x, components(model.coord_env(ps.x, 1)))
     return abs(lifted - base) / (abs(base) + 1.0)
 
 

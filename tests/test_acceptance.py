@@ -14,6 +14,7 @@ import pytest
 from tbgrav import base_geom, bundle_geom, dynamics, exprlang, tm_metric, verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
+from tbgrav.jet_arrays import concat
 from tbgrav.jets import Jet
 from tbgrav.spacetime import alpha_star, catalog, metric_jet
 
@@ -194,10 +195,11 @@ def test_criterion_6_volume_structure():
                 for j, nm in enumerate(names):
                     acc = acc + env[nm] * float(c[i, j + 1])
                 vals.append(acc)
-            return vals
+            return concat(*vals)[0]
 
-        lifted = tm_metric.horizontal_divergence(schw, p, tm_metric.lift_base_field(components))[0]
-        base = tm_metric.base_divergence_values(schw, p.x, components)[0]
+        geo = BundleGeometry(schw, p, order=2)  # the horizontal lift: the field on the joint jets
+        lifted = geo.divergence(components(schw.coord_env(p.x, geo.order, nvars=8)), geo.n_conn)[0]
+        base = tm_metric.base_divergence_values(schw, p.x, components(schw.coord_env(p.x, 1)))[0]
         worst_div = max(worst_div, abs(lifted - base) / (abs(base) + 1.0))
 
     _report(

@@ -14,11 +14,11 @@ import pytest
 
 from tbgrav import base_geom as bg
 from tbgrav import bundle_geom as bun
-from tbgrav import tm_metric, verify
+from tbgrav import verify
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint, Y_SLOT0
 from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav import jet_arrays
-from tbgrav.jet_arrays import JetArray
+from tbgrav.jet_arrays import JetArray, concat
 from tbgrav.jets import MAX_ORDER, Jet, ln_series
 from tbgrav.exprlang import Tape, evaluate
 from tbgrav.spacetime import CATALOG_NAMES, catalog, metric_jet
@@ -39,8 +39,8 @@ def _joint_space_fields(model, x, order):
     reference semantics of the model's expressions; mirrored g entries hold
     one jet's bytes."""
     env = model.coord_env(x, order, 8)
-    upper = JetArray.stack([evaluate(model.g_exprs[i][j], env) for i, j in zip(*np.triu_indices(4))])
-    return bg.symmetric(upper), JetArray.stack([evaluate(e, env) for e in model.a_exprs])
+    upper, _ = concat(*[evaluate(model.g_exprs[i][j], env) for i, j in zip(*np.triu_indices(4))])
+    return bg.symmetric(upper), concat(*[evaluate(e, env) for e in model.a_exprs])[0]
 
 
 def _rand_bundle_points(model, rng, n, boost=0.5):
@@ -213,10 +213,8 @@ def test_berwald_symmetry_and_hessian_consistency():
 
 def test_adapted_derivative_base_function():
     # for f = f(x) the fiber correction drops: delta_i f = d_i f
-    def field(m, p, o):
-        return _joint_space_fields(m, p.x, o)[0][0, 0]
-
-    out = bun.adapted_derivative(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [2, 0, 0, 0]), field)
+    geo = BundleGeometry(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [2, 0, 0, 0]), order=2)
+    out = geo.delta(_joint_space_fields(SCHW, geo.p.x, geo.order)[0][0, 0])
     # d_r g_00 = 2M/r^2 = 0.02
     assert out[1].values[0] == pytest.approx(0.02, rel=1e-12)
     assert out[0].values[0] == pytest.approx(0.0, abs=1e-15)
@@ -224,12 +222,9 @@ def test_adapted_derivative_base_function():
 
 def test_adapted_derivative_log_volume_is_christoffel_trace():
     p = BundlePoint(X_RN, Y_RN)
-
-    def log_sqrt_det(model, pt, order):
-        g, _ = _joint_space_fields(model, pt.x, order)
-        return (-bg.det_jet_matrix(g)).sqrt().compose(ln_series)
-
-    out = bun.adapted_derivative(RN, p, log_sqrt_det)
+    geo = BundleGeometry(RN, p, order=2)
+    g, _ = _joint_space_fields(RN, p.x, geo.order)
+    out = geo.delta((-bg.det_jet_matrix(g)).sqrt().compose(ln_series))
     gamma = bg.BaseGeometry(RN, p.x, 1).gamma.values[0]
     for i in range(4):
         assert out[i].values[0] == pytest.approx(np.einsum("jji->i", gamma)[i], rel=1e-10, abs=1e-13)
@@ -237,11 +232,8 @@ def test_adapted_derivative_log_volume_is_christoffel_trace():
 
 def test_adapted_derivative_norm_squared_two_paths():
     p = BundlePoint(X_RN, Y_RN)
-    def norm2(m, pt, o):
-        return BundleGeometry(m, pt, order=o).norm2
-
-    out = bun.adapted_derivative(RN, p, norm2)
     geo = BundleGeometry(RN, p, order=2)
+    out = geo.delta(geo.norm2)
     gj = metric_jet(RN, p.x, order=1)
     n = geo.n_conn.values[0]
     g = geo.g.values[0]
@@ -252,18 +244,24 @@ def test_adapted_derivative_norm_squared_two_paths():
         assert out[i].values[0] == pytest.approx(hand, rel=1e-10, abs=1e-13)
 
 
-def test_fiber_fields_are_plain_callables():
+def test_delta_and_divergence_take_jet_arrays_only():
+    """``delta`` takes any joint-space jet array and ``divergence`` a (4,)
+    one; a field of floats, a list of jet arrays or a field of 3 components
+    raises ``UsageError``."""
     p = BundlePoint(X_RN, Y_RN)
-    out = bun.adapted_derivative(RN, p, lambda m, pt, o: BundleGeometry(m, pt, order=o).l_low)
+    geo = BundleGeometry(RN, p, order=2)
+    out = geo.delta(geo.l_low)
     assert isinstance(out, JetArray) and out.shape == (4, 4)
-    with pytest.raises(UsageError, match="must evaluate to jets"):
-        bun.adapted_derivative(RN, p, lambda m, pt, o: [1.0, 2.0])
-    lifted = tm_metric.lift_base_field(lambda env: [env["r"]] * 4)
-    assert np.isfinite(tm_metric.horizontal_divergence(RN, p, lifted))
+    r = RN.coord_env(p.x, geo.order, nvars=8)["r"]
+    lifted, _ = concat(r, r, r, r)
+    assert np.isfinite(geo.divergence(lifted, geo.n_conn))
+    for bad in ([1.0, 2.0], np.zeros(4), [r, r, r, r]):
+        with pytest.raises(UsageError, match="needs a jet array"):
+            geo.delta(bad)
+        with pytest.raises(UsageError, match="4 components"):
+            geo.divergence(bad, geo.n_conn)
     with pytest.raises(UsageError, match="4 components"):
-        tm_metric.horizontal_divergence(RN, p, lambda m, pt, o: lifted(m, pt, o)[:3])
-    with pytest.raises(UsageError, match="must evaluate to jets"):
-        tm_metric.horizontal_divergence(RN, p, lambda m, pt, o: np.zeros(4))
+        geo.divergence(lifted[:3], geo.n_conn)
 
 
 # -- curvature of N and tidal tensor ---------------------------------------------------
@@ -378,20 +376,19 @@ def test_decomposition_divergence_convention_frozen():
     alpha = 1.0
     p = BundlePoint(X_FLAT, [2.0, 0.3, -0.2, 0.1])
 
-    def b_contraction(model, pt, order):
-        geo = BundleGeometry(model, pt, order=order, alpha=alpha)
-        out = [None] * 4
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                for k in range(4):
-                    term = geo.ginv[j, k] * geo.b_jk[i, j, k]
-                    acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+    geo, geo0 = BundleGeometry(UNI, p, order=3, alpha=alpha), BundleGeometry(UNI, p, order=3, alpha=0.0)
+    out = [None] * 4
+    for i in range(4):
+        acc = None
+        for j in range(4):
+            for k in range(4):
+                term = geo.ginv[j, k] * geo.b_jk[i, j, k]
+                acc = term if acc is None else acc + term
+        out[i] = acc
+    b_contraction, _ = concat(*out)
 
-    div_frozen = tm_metric.horizontal_divergence(UNI, p, b_contraction, order=3, alpha=0.0)
-    div_variant = tm_metric.horizontal_divergence(UNI, p, b_contraction, order=3, alpha=alpha)
+    div_frozen = geo0.divergence(b_contraction, geo0.n_conn)
+    div_variant = geo.divergence(b_contraction, geo.n_conn)
     dec = bun.ricci_decomposition(UNI, p, alpha=alpha)
     assert div_frozen == pytest.approx(dec["div_term"], abs=1e-14)
     assert abs(dec["R"] - dec["r"] - div_variant - dec["quad_term"]) > 1e-4

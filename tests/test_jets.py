@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tbgrav import jet_arrays
 from tbgrav.errors import ConfigError, SingularEvaluationError, UsageError
 from tbgrav.exprlang import evaluate, parse
-from tbgrav.jet_arrays import JetArray, contract, products, sum_of_products
+from tbgrav.jet_arrays import JetArray, concat, contract, products, sum_of_products
 from tbgrav.jets import (
     INLINE_NAMES, MAX_ORDER, SERIES, Jet, _monomials, compose_rows, cos_series, horner, inline_series, jet_space,
     mul_rows, reciprocal_series, series_table, sin_series, sqrt_series,
@@ -151,23 +151,17 @@ def test_strict_arith_rejects_nvars_mismatch():
         _ev("a + b", a=a, b=b)
 
 
-def test_stack_takes_a_jet_array_or_a_list_of_them():
-    """``JetArray.stack`` returns a jet array as it is and stacks a list of
-    jet arrays of one shape (the form in which a field callable hands over its
-    components) at their lowest order; anything else, a ``Jet`` or an object
-    array among it, raises ``UsageError``.  A ``Jet`` takes no part in
-    jet-array arithmetic."""
+def test_concat_joins_components_and_a_jet_is_no_operand():
+    """``concat`` joins 0-d jet arrays (the components of a field, say) into
+    one vector at their lowest order, each entry holding its array's bytes
+    there.  A ``Jet`` takes no part in jet-array arithmetic."""
     x, y = _var(0, 1.5, 3, 2), _var(1, -0.5, 2, 2)
-    assert JetArray.stack(x) is x
-    both = JetArray.stack([x, y])
-    assert both.shape == (2,) and both.order == 2
+    both, offsets = concat(x, y)
+    assert both.shape == (2,) and both.order == 2 and offsets == [0, 1]
     assert both[0].c.tobytes() == x.truncate(2).c.tobytes() and both[1].c.tobytes() == y.c.tobytes()
-    objects = np.empty(2, dtype=object)
-    objects[0], objects[1] = x, y
+    with pytest.raises(UsageError):
+        concat(x, _var(0, 1.5, 3, 3))
     jet = Jet.constant(1.0, 3, 2)
-    for bad in (jet, [jet], [], [x, 1.0], (x, y), [x, both], objects):
-        with pytest.raises(UsageError):
-            JetArray.stack(bad)
     for op in (lambda: x + jet, lambda: jet * x, lambda: x / jet, lambda: jet - x):
         with pytest.raises(TypeError):
             op()

@@ -457,6 +457,24 @@ def test_every_function_evaluates_on_a_batch(order):
             assert got.c[p].tobytes() == evaluate(parse(source), model.coord_env(x, order)).c.tobytes(), source
 
 
+def test_coordinate_dependent_power_keeps_its_value_at_every_order():
+    """A_t = r^(2t) of the ``powers`` document, whose exponent's jet has
+    derivatives, holds at orders 1-4 the value bits it holds at order 0: on
+    ``Tape.values``, on ``Tape.jets`` and on the tree walk over a batched
+    ``coord_env``, and on the float kernels of orders 1 and 2.  At
+    (t, r) = (-2, 6), exp(2t ln r) is one bit off r^(2t)."""
+    model = load_model(json.dumps(POWER_DOC))
+    xs = np.array([[-2.0, 6.0, 1.1, 0.7], [0.3, 6.0, 1.1, 0.7]])
+    want = np.array([model.potential_tape.values(x)[0] for x in xs])
+    for order in range(MAX_ORDER + 1):
+        assert model.potential_tape.jets(xs, order).values[:, 0].tobytes() == want.tobytes()
+        assert evaluate(model.a_exprs[0], model.coord_env(xs, order)).values.tobytes() == want.tobytes()
+    for order in (1, 2):
+        size = jet_space(order, 4).size
+        got = [_kernel(model, order)(x)[10 * size] for x in xs]  # A_t follows the metric's ten roots
+        assert np.array(got).tobytes() == want.tobytes()
+
+
 def test_tape_singular_points_raise():
     probe, weak = load_model(json.dumps(TAPE_DOC)), catalog("weak_field", {"M": 1.0})
     for model, x, reason in zip((probe, weak, probe, probe), SINGULAR_POINTS, ("division", "sqrt", "ln", "abs")):

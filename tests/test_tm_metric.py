@@ -18,6 +18,7 @@ from tbgrav import cli, exprlang, verify
 from tbgrav import tm_metric as tm
 from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import SingularEvaluationError, UsageError
+from tbgrav.jet_arrays import concat
 from tbgrav.spacetime import catalog, load_model, metric_jet
 
 MINK = catalog("minkowski")
@@ -174,22 +175,30 @@ def test_tm_integral_linear_in_f():
     assert c == pytest.approx(2 * a + 3 * b, rel=1e-12)
 
 
+def _lift(geo, component_fn):
+    """The horizontal lift of the base field ``component_fn(env)`` (its 4
+    components on ``coord_env``'s jets): the field on the joint jets of
+    the geometry's points, as one jet array."""
+    return concat(*component_fn(geo.model.coord_env(geo.p.x, geo.order, nvars=8)))[0]
+
+
 def test_horizontal_divergence_constant_field_flat():
-    field = tm.lift_base_field(lambda env: [env["t"] * 0 + 1.0, env["t"] * 0, env["t"] * 0, env["t"] * 0])
-    div = tm.horizontal_divergence(MINK, BundlePoint(X_FLAT, [1.5, 0, 0, 0]), field)
+    geo = BundleGeometry(MINK, BundlePoint(X_FLAT, [1.5, 0, 0, 0]), order=2)
+    field = _lift(geo, lambda env: [env["t"] * 0 + 1.0, env["t"] * 0, env["t"] * 0, env["t"] * 0])
+    div = geo.divergence(field, geo.n_conn)
     assert div == pytest.approx(0.0, abs=1e-14)
 
 
 def test_horizontal_divergence_radial_field_closed_form():
-    field = tm.lift_base_field(lambda env: [env["r"] * 0, env["r"] * env["r"], env["r"] * 0, env["r"] * 0])
-    p = BundlePoint(X_SCHW, [1.2, 0.0, 0.0, 0.0])
-    div = tm.horizontal_divergence(SCHW, p, field)
+    geo = BundleGeometry(SCHW, BundlePoint(X_SCHW, [1.2, 0.0, 0.0, 0.0]), order=2)
+    field = _lift(geo, lambda env: [env["r"] * 0, env["r"] * env["r"], env["r"] * 0, env["r"] * 0])
+    div = geo.divergence(field, geo.n_conn)
     assert div == pytest.approx(4.0 * 10.0, rel=1e-12)
 
 
 def test_divergence_lift_commutation_random_polynomials():
     rng = np.random.default_rng(34)
-    p = BundlePoint(X_SCHW, [1.2, 0.02, 0.0, 0.01])
+    geo = BundleGeometry(SCHW, BundlePoint(X_SCHW, [1.2, 0.02, 0.0, 0.01]), order=2)
     for _ in range(5):
         coeffs = rng.uniform(-1, 1, size=(4, 4))
 
@@ -203,8 +212,8 @@ def test_divergence_lift_commutation_random_polynomials():
                 out.append(acc)
             return out
 
-        lifted = tm.horizontal_divergence(SCHW, p, tm.lift_base_field(components))
-        base = tm.base_divergence_values(SCHW, p.x, components)
+        lifted = geo.divergence(_lift(geo, components), geo.n_conn)
+        base = tm.base_divergence_values(SCHW, geo.p.x, concat(*components(SCHW.coord_env(geo.p.x, 1)))[0])
         assert lifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
@@ -213,18 +222,17 @@ def test_divergence_matches_decomposition_div_term():
     # divergence of X^i = g^{jk} B^i_jk
     p = BundlePoint([0.2, 6.0, 1.2, 0.5], [1.4, 0.05, 0.01, 0.02])
 
-    def b_contraction(model, pt, order):
-        geo = BundleGeometry(model, pt, order=order)
-        out = [None] * 4
-        for i in range(4):
-            acc = None
-            for j in range(4):
-                for k in range(4):
-                    term = geo.ginv[j, k] * geo.b_jk[i, j, k]
-                    acc = term if acc is None else acc + term
-            out[i] = acc
-        return out
+    geo, geo0 = BundleGeometry(RN, p, order=3), BundleGeometry(RN, p, order=3, alpha=0.0)
+    out = [None] * 4
+    for i in range(4):
+        acc = None
+        for j in range(4):
+            for k in range(4):
+                term = geo.ginv[j, k] * geo.b_jk[i, j, k]
+                acc = term if acc is None else acc + term
+        out[i] = acc
+    b_contraction, _ = concat(*out)
 
-    div = tm.horizontal_divergence(RN, p, b_contraction, order=3, alpha=0.0)
+    div = geo0.divergence(b_contraction, geo0.n_conn)
     dec = bun.ricci_decomposition(RN, p)
     assert div == pytest.approx(dec["div_term"], rel=1e-9, abs=1e-14)
