@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,8 +117,8 @@ def _resolve_model(args):
                 alpha = float(alpha)
             except ValueError:
                 raise UsageError(f'--alpha expects a number or "star", got {args.alpha!r}') from None
-        model.alpha = checked_alpha(UsageError, {}, alpha, model.c, model.k)
-        model.alpha_is_star = alpha == "star"
+        checked = checked_alpha(UsageError, {}, alpha, model.c, model.k)
+        model = replace(model, alpha=checked, alpha_is_star=alpha == "star")
     return model
 
 

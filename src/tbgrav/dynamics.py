@@ -394,14 +394,14 @@ def integrate_deviation(
     """Integrate the deviation system along a base worldline.
 
     Initial data: either the covariant rate W0 = dw/dt + N w (preferred) or
-    the plain coordinate rate dw0.  State layout (w, W).
+    the plain coordinate rate dw0, not both.  State layout (w, W).
     """
+    if (W0 is None) == (dw0 is None):
+        raise UsageError("provide either W0 (covariant rate) or dw0 (coordinate rate), not both")
     w0 = np.asarray(w0, dtype=float)
-    s0 = base.sample(0.0)
-    n0, _, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
-    if W0 is None and dw0 is None:
-        raise UsageError("provide either W0 (covariant rate) or dw0 (coordinate rate)")
     if W0 is None:
+        s0 = base.sample(0.0)
+        n0, _, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
         W0 = np.asarray(dw0, dtype=float) + n0 @ w0
     else:
         W0 = np.asarray(W0, dtype=float)

@@ -20,8 +20,6 @@ from .exprlang import Expr, Tape, evaluate, free_symbols, parse, print_expr
 from .jet_arrays import JetArray
 from .jets import Jet, jet_space, variable_rows
 
-CATALOG_NAMES = ("minkowski", "uniform_field", "schwarzschild", "reissner_nordstrom", "weak_field")
-
 PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]  # the ten (i, j >= i), row-major: the metric tape's roots
 UPPER = tuple(np.array(PAIRS).T)  # the pairs as an index into 4x4 arrays
 ROOT = np.empty((4, 4), dtype=int)  # ROOT[i, j]: the metric tape's root for g_ij, the pair of (i, j) or (j, i)
@@ -55,10 +53,10 @@ class SpacetimeModel:
     """A spacetime and its expressions.
 
     The metric's upper triangle, the potential and the chart guard are each
-    compiled to a ``Tape`` on first use and cached.  Nothing changes a model's
-    coordinates, parameters or expressions after construction (only ``alpha``
-    is reassigned, by the CLI); a model whose expressions were changed would
-    keep evaluating its old tapes.
+    compiled to a ``Tape`` on first use and cached.  Nothing changes a model
+    after construction (``dataclasses.replace`` makes one at another
+    ``alpha``); a model whose expressions were changed would keep evaluating
+    its old tapes.
     """
 
     name: str
@@ -117,89 +115,6 @@ class SpacetimeModel:
 
 # -- catalog ------------------------------------------------------------------
 
-_REQUIRED_PARAMS = {
-    "minkowski": (),
-    "uniform_field": ("E0",),
-    "schwarzschild": ("M",),
-    "reissner_nordstrom": ("M", "Q"),
-    "weak_field": ("M",),
-}
-
-
-def catalog(name: str, params: dict[str, float] | None = None) -> SpacetimeModel:
-    """Built-in spacetimes with signature (+,-,-,-)."""
-    params = dict(params or {})
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown catalog model {name!r}; choose from {CATALOG_NAMES}")
-    required = _REQUIRED_PARAMS[name]
-    missing = [p for p in required if p not in params]
-    if missing:
-        raise ConfigError(f"model {name!r} requires parameters {missing}")
-    extra = [p for p in params if p not in required]
-    if extra:
-        raise ConfigError(f"model {name!r} does not accept parameters {extra}")
-    c = k = 1.0
-    alpha = checked_alpha(ConfigError, params, "star", c, k)
-
-    if name in ("schwarzschild", "reissner_nordstrom", "weak_field"):
-        if params["M"] <= 0:
-            raise ConfigError(f"mass must be positive, got M={params['M']}")
-    if name == "reissner_nordstrom" and params["Q"] ** 2 > params["M"] ** 2:
-        raise ConfigError("reissner_nordstrom requires Q^2 <= M^2 (no naked singularity)")
-
-    flat = [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
-    zero_pot = ["0", "0", "0", "0"]
-
-    if name == "minkowski":
-        spec = ("t", "x", "y", "z"), flat, zero_pot, None
-    elif name == "uniform_field":
-        spec = ("t", "x", "y", "z"), flat, ["-E0*x", "0", "0", "0"], None
-    elif name == "schwarzschild":
-        f = "1 - 2*M/r"
-        g = [
-            [f, "0", "0", "0"],
-            ["0", f"-1/({f})", "0", "0"],
-            ["0", "0", "-r^2", "0"],
-            ["0", "0", "0", "-r^2*sin(theta)^2"],
-        ]
-        spec = ("t", "r", "theta", "phi"), g, zero_pot, _outside_horizon_guard("2*M")
-    elif name == "reissner_nordstrom":
-        f = "1 - 2*M/r + Q^2/r^2"
-        g = [
-            [f, "0", "0", "0"],
-            ["0", f"-1/({f})", "0", "0"],
-            ["0", "0", "-r^2", "0"],
-            ["0", "0", "0", "-r^2*sin(theta)^2"],
-        ]
-        pot = ["Q/r", "0", "0", "0"]
-        spec = ("t", "r", "theta", "phi"), g, pot, _outside_horizon_guard("(M + sqrt(M^2 - Q^2))")
-    else:  # weak_field
-        rho = "sqrt(x^2 + y^2 + z^2)"
-        g = [
-            [f"1 - 2*M/{rho}", "0", "0", "0"],
-            ["0", f"-(1 + 2*M/{rho})", "0", "0"],
-            ["0", "0", f"-(1 + 2*M/{rho})", "0"],
-            ["0", "0", "0", f"-(1 + 2*M/{rho})"],
-        ]
-        spec = ("t", "x", "y", "z"), g, zero_pot, f"{rho} - 2*M"
-
-    coords, g_src, a_src, guard_src = spec
-    g_exprs = _parse_symmetric([[parse(s) for s in row] for row in g_src])
-    a_exprs = [parse(s) for s in a_src]
-    guard = parse(guard_src) if guard_src else None
-    return SpacetimeModel(
-        name=name,
-        coords=coords,
-        params=params,
-        g_exprs=g_exprs,
-        a_exprs=a_exprs,
-        alpha=alpha,
-        c=c,
-        k=k,
-        chart_guard=guard,
-        alpha_is_star=True,
-    )
-
 
 def _outside_horizon_guard(r_plus: str) -> str:
     """Positive exactly when r > r_plus AND sin(theta) > 0.
@@ -211,12 +126,55 @@ def _outside_horizon_guard(r_plus: str) -> str:
     return f"{u} + sin(theta) - sqrt({u}^2 + sin(theta)^2)"
 
 
-def _parse_symmetric(g: list[list[Expr]]) -> list[list[Expr]]:
-    """Share the upper-triangle expression objects across the diagonal."""
-    for i in range(4):
-        for j in range(i):
-            g[i][j] = g[j][i]
-    return g
+def _diag(*entries: str) -> list[list[str]]:
+    """The diagonal metric with these four entries."""
+    return [[e if i == j else "0" for j in range(4)] for i, e in enumerate(entries)]
+
+
+def _static_spherical(f: str) -> list[list[str]]:
+    """diag(f, -1/f, -r^2, -r^2 sin^2(theta))."""
+    return _diag(f, f"-1/({f})", "-r^2", "-r^2*sin(theta)^2")
+
+
+_CARTESIAN, _SPHERICAL = ["t", "x", "y", "z"], ["t", "r", "theta", "phi"]
+_FLAT, _RHO = _diag("1", "-1", "-1", "-1"), "sqrt(x^2 + y^2 + z^2)"
+
+# name -> (required parameters, model document without its name and params)
+_CATALOG = {
+    "minkowski": ((), {"coords": _CARTESIAN, "metric": _FLAT}),
+    "uniform_field": (("E0",), {"coords": _CARTESIAN, "metric": _FLAT, "potential": ["-E0*x", "0", "0", "0"]}),
+    "schwarzschild": (("M",), {"coords": _SPHERICAL, "metric": _static_spherical("1 - 2*M/r"),
+                               "chart_guard": _outside_horizon_guard("2*M")}),
+    "reissner_nordstrom": (("M", "Q"), {"coords": _SPHERICAL, "metric": _static_spherical("1 - 2*M/r + Q^2/r^2"),
+                                        "potential": ["Q/r", "0", "0", "0"],
+                                        "chart_guard": _outside_horizon_guard("(M + sqrt(M^2 - Q^2))")}),
+    "weak_field": (("M",), {"coords": _CARTESIAN, "metric": _diag(f"1 - 2*M/{_RHO}", *[f"-(1 + 2*M/{_RHO})"] * 3),
+                            "chart_guard": f"{_RHO} - 2*M"}),
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
+def catalog(name: str, params: dict[str, float] | None = None) -> SpacetimeModel:
+    """A built-in spacetime with signature (+,-,-,-): its model document in
+    ``_CATALOG`` at alpha "star" and these parameters (each required one,
+    finite, M > 0, Q^2 <= M^2), stored as floats, built and checked by the
+    code that builds a model file."""
+    params = dict(params or {})
+    if name not in _CATALOG:
+        raise ConfigError(f"unknown catalog model {name!r}; choose from {CATALOG_NAMES}")
+    required, doc = _CATALOG[name]
+    missing = [p for p in required if p not in params]
+    if missing:
+        raise ConfigError(f"model {name!r} requires parameters {missing}")
+    extra = [p for p in params if p not in required]
+    if extra:
+        raise ConfigError(f"model {name!r} does not accept parameters {extra}")
+    checked_alpha(ConfigError, params, "star", 1.0, 1.0)
+    if "M" in params and params["M"] <= 0:
+        raise ConfigError(f"mass must be positive, got M={params['M']}")
+    if "Q" in params and params["Q"] ** 2 > params["M"] ** 2:
+        raise ConfigError(f"{name} requires Q^2 <= M^2 (no naked singularity)")
+    return _model({"name": name, "params": {p: float(v) for p, v in params.items()}, **doc})
 
 
 # -- document ingestion --------------------------------------------------------
@@ -232,6 +190,11 @@ def load_model(document: str) -> SpacetimeModel:
         raise ModelError(f"model document is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
+    return _model(doc)
+
+
+def _model(doc: dict) -> SpacetimeModel:
+    """The model of a parsed document: every model is built here."""
     unknown = set(doc) - _ALLOWED_KEYS
     if unknown:
         raise ModelError(f"unknown model keys {sorted(unknown)}")
@@ -274,20 +237,16 @@ def load_model(document: str) -> SpacetimeModel:
     for i in range(4):
         for j in range(i, 4):
             g_exprs[i][j] = parse(_entry(metric_src[i][j]))
-    probe_rng = np.random.default_rng(20230917)
+    probe_rng = None  # made on first use: importing numpy.random takes about 6 MB
     for i in range(4):
         for j in range(i):
             src = metric_src[i][j]
-            if src in (None, ""):
-                g_exprs[i][j] = g_exprs[j][i]
-                continue
-            lower = parse(_entry(src))
-            if lower == g_exprs[j][i] or _numerically_equal(
-                lower, g_exprs[j][i], coords, params, probe_rng
-            ):
-                g_exprs[i][j] = g_exprs[j][i]
-            else:
-                raise ModelError(f"metric entries ({i},{j}) and ({j},{i}) are not symmetric")
+            lower = None if src in (None, "") else parse(_entry(src))
+            if lower is not None and lower != g_exprs[j][i]:
+                probe_rng = probe_rng or np.random.default_rng(20230917)
+                if not _numerically_equal(lower, g_exprs[j][i], coords, params, probe_rng):
+                    raise ModelError(f"metric entries ({i},{j}) and ({j},{i}) are not symmetric")
+            g_exprs[i][j] = g_exprs[j][i]
 
     a_exprs = [parse(_entry(src)) for src in pot_src]
     guard_src = doc.get("chart_guard")

@@ -26,7 +26,7 @@ import numpy as np
 from . import base_geom, bundle_geom, tm_metric
 from .base_geom import BaseGeometry
 from .bundle_geom import BundleGeometry, BundlePoint
-from .errors import EngineError
+from .errors import EngineError, UsageError
 from .jet_arrays import concat
 from .spacetime import SpacetimeModel, metric_values, signature_signs
 
@@ -35,8 +35,6 @@ DEFAULT_TIERS = {1: 1e-10, 2: 1e-9, 3: 1e-7}
 SAFE_BOXES = {
     "minkowski": [(-1, 1)] * 4,
     "uniform_field": [(-1, 1)] * 4,
-    "schwarzschild": [(-1, 1), (4, 20), (0.45, math.pi - 0.45), (0, 2 * math.pi)],
-    "reissner_nordstrom": [(-1, 1), (4, 20), (0.45, math.pi - 0.45), (0, 2 * math.pi)],
     "weak_field": [(-1, 1), (3, 8), (3, 8), (3, 8)],
 }
 
@@ -78,7 +76,7 @@ def _conventions(model: SpacetimeModel) -> dict:
 def _default_box(model: SpacetimeModel):
     if model.name in SAFE_BOXES:
         return SAFE_BOXES[model.name]
-    # heuristic for file models on spherical-type charts
+    # a spherical-type chart: Schwarzschild, RN and model files alike
     if "r" in model.coords and "theta" in model.coords:
         box = []
         for name in model.coords:
@@ -399,6 +397,11 @@ def run_suite(
     tiers: dict | None = None,
 ) -> list[ResidualReport]:
     """Run the (selected) checks with deterministic seeded sampling."""
+    if n_points < 1:
+        raise UsageError(f"n_points must be at least 1, got {n_points}")
+    unknown = [name for name in selection or () if name not in CHECK_NAMES]
+    if unknown:
+        raise UsageError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")
     tiers = {**DEFAULT_TIERS, **(tiers or {})}
     reports = []
     for index, (name, tol, fn) in enumerate(REGISTRY):

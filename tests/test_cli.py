@@ -124,6 +124,13 @@ def test_deviation_csv_has_w_columns(capsys):
     assert last[10] == pytest.approx(0.2)  # w1 = 0.1 + 0.05*2
 
 
+def test_deviation_refuses_both_rates(capsys):
+    """--W0 and --dw0 together is a usage error (exit 2), not a run that
+    silently ignores --dw0."""
+    code, out, err = run_cli(capsys, *_DEVIATION, "--w0", "0,0.5,0,0", "--W0", "0,0,0,0", "--dw0", "1,1,1,1")
+    assert code == 2 and out == "" and err.startswith("error:") and "not both" in err
+
+
 def test_efe_rn(capsys):
     code, out, _ = run_cli(
         capsys,

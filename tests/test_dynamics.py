@@ -220,6 +220,16 @@ def test_deviation_accepts_coordinate_rate():
     assert np.allclose(via_W.sample(2.0), via_dw.sample(2.0), atol=1e-12)
 
 
+
+def test_deviation_refuses_both_rates():
+    """W0 and dw0 are two ways to give one initial rate: both at once is a
+    usage error, not a silent choice of W0."""
+    base = dyn.integrate_worldline(SCHW, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=2.0)
+    with pytest.raises(UsageError, match="not both"):
+        dyn.integrate_deviation(SCHW, base, [0, 0.1, 0, 0], W0=np.zeros(4), dw0=np.ones(4), alpha=0.0)
+    with pytest.raises(UsageError, match="either W0"):
+        dyn.integrate_deviation(SCHW, base, [0, 0.1, 0, 0], alpha=0.0)
+
 # the charged black hole in ingoing Eddington-Finkelstein coordinates: every
 # catalog metric is diagonal, this one has off-diagonal entries and g_rr = 0
 RN_INGOING_EF = spacetime.load_model(json.dumps({

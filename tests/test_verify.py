@@ -10,7 +10,7 @@ import pytest
 from tbgrav import exprlang, tm_metric, verify
 from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
-from tbgrav.errors import SingularEvaluationError
+from tbgrav.errors import SingularEvaluationError, UsageError
 from tbgrav.spacetime import catalog, load_model, metric_jet, print_model
 
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
@@ -102,6 +102,19 @@ def test_csv_flatten():
     lines = csv.strip().split("\n")
     assert lines[0].startswith("check,model,seed,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_points": 0}, "n_points"),
+    ({"n_points": -1}, "n_points"),
+    ({"selection": ["metric_symetry"]}, "metric_symetry"),
+    ({"selection": ["metric_symmetry", "bianchi"]}, "bianchi"),
+])
+def test_run_suite_refuses_what_it_cannot_run(kwargs, match):
+    """No points, or a selected check that is not registered, is a usage
+    error: neither a crash nor an empty report that a typo would pass."""
+    with pytest.raises(UsageError, match=match):
+        verify.run_suite(MINK, **kwargs)
 
 
 def test_selection_subsets_registry():
