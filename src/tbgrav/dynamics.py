@@ -27,11 +27,16 @@ the order-2 deviation kernel (``bundle_geom.deviation_kernel``).
 
 Integrator: Dormand-Prince embedded 5(4) pair, PI step control, cubic
 Hermite dense output on accepted steps (interpolation accuracy one order
-below the integrator).  It runs on plain floats: the state, the seven
-stages and the error norm are lists of Python floats, the stage sums are
-written out over the components, and each right-hand side is a closure that
-reads its kernels once per integration and builds lists, with no NumPy call
-per stage.
+below the integrator).  The first step follows the starting-step rule of
+Hairer, Norsett & Wanner (Solving ODEs I, II.4), which costs one Euler probe
+call of the right-hand side (counted in ``n_rhs``; none when t_end = 0), so a
+run starts at the size of step its tolerance allows instead of climbing to
+it.  It runs on plain floats: the state, the seven stages and the error norm
+are lists of Python floats, the stage sums are written out over the
+components, and each right-hand side is a closure that reads its kernels once
+per integration and builds lists, with no NumPy call per stage.  The
+worldline's guard on accepted states, and ``norm_drift``, form g(y,y) from
+the metric tape's ten float values (``_norm2``).
 """
 
 from __future__ import annotations
@@ -130,6 +135,36 @@ class Trajectory:
         return sample
 
 
+def _rms(v, scale) -> float:
+    """The integrator's error norm: the RMS of v_i / scale_i, a component
+    whose scale is 0 counted as 0."""
+    return math.sqrt(sum((p / s) ** 2 for p, s in zip(v, scale) if s > 0.0) / len(v))
+
+
+def _start_step(rhs, y, f, t_end, rtol, atol) -> tuple[float, int]:
+    """The first step size of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+    and the number of RHS calls it made (0 or 1).
+
+    With scale_i = atol + rtol |y_i| and d0 = |y|, d1 = |f| in ``_rms``: an
+    Euler step h0 = 0.01 d0 / d1 (1e-6 when d0 or d1 is below 1e-5 or not
+    finite, so that h0 is a positive float), capped at t_end, probes
+    d2 = |f(h0) - f| / h0, and the step is min(100 h0, h1) with
+    h1 = (0.01 / max(d1, d2))^(1/5), the step whose local error estimate is
+    about 0.01.  A probe that meets a singular evaluation starts at h0, which
+    the step loop then shrinks as it does any such step."""
+    scale = [atol + rtol * abs(p) for p in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h0 = min(0.01 * d0 / d1 if 1e-5 <= d0 < math.inf and 1e-5 <= d1 < math.inf else 1e-6, t_end)
+    try:
+        f1 = rhs(h0, [p + h0 * q for p, q in zip(y, f)])
+    except (SingularEvaluationError, IntegrationError):
+        return h0, 0
+    d2 = _rms([q1 - q for q, q1 in zip(f, f1)], scale) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100.0 * h0, h1), 1
+
+
 def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) with PI step control from t=0 to t_end.
 
@@ -148,12 +183,8 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     t = 0.0
     y = np.asarray(y0, dtype=float).tolist()
     f = rhs(t, y)
-    n_rhs = 1
-    scale0 = atol + rtol * max(map(abs, y))
-    h = min(1e-2, t_end / 10.0) if t_end > 0 else 1e-2
-    f_max = max(map(abs, f))
-    if f_max > 0:
-        h = min(h, 0.1 * scale0 / f_max)
+    h, probes = _start_step(rhs, y, f, t_end, rtol, atol) if t_end > 0 else (0.0, 0)
+    n_rhs = 1 + probes
     blocks = [np.empty((_BLOCK, 1 + 2 * len(y)))]
     blocks[0][0] = [t, *y, *f]
     n_steps = n_rejected = n_singular_retries = 0
@@ -269,15 +300,30 @@ def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
     return y / base_geom.timelike_norm(metric_values(model, x), y)
 
 
+def _norm2(model: SpacetimeModel):
+    """The function ``(x, y) -> g(y,y)`` on floats, from the ten values of the
+    metric tape (``spacetime.PAIRS`` order), an off-diagonal pair counted twice."""
+    metric = model.metric_tape.values
+
+    def norm2(x, y):
+        g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = metric(x)
+        y0, y1, y2, y3 = y
+        return (g00 * y0 * y0 + g11 * y1 * y1 + g22 * y2 * y2 + g33 * y3 * y3
+                + 2.0 * (y0 * (g01 * y1 + g02 * y2 + g03 * y3) + y1 * (g12 * y2 + g13 * y3) + g23 * y2 * y3))
+
+    return norm2
+
+
 def _chart_and_cone_guard(model: SpacetimeModel):
+    norm2 = _norm2(model)
+
     def guard(t, state):
-        x, y = state[:4], state[4:8]
+        x = state[:4]
         try:
             model.check_chart(x)
         except ChartError as err:
             raise IntegrationError(f"worldline left the chart at t={t} ({err})") from None
-        g = metric_values(model, x, check=False)
-        n2 = float(y @ g @ y)
+        n2 = norm2(x, state[4:8])
         if not NULL_CONE_GUARD <= n2 < math.inf:  # a NaN g(y,y) fails too
             raise IntegrationError(f"worldline approached the null cone at t={t} (g(y,y) = {n2})")
 
@@ -315,14 +361,9 @@ def integrate_worldline(
 
 def norm_drift(model: SpacetimeModel, traj: Trajectory) -> float:
     """max |g(y,y)(t) - g(y,y)(0)| over uniformly sampled times."""
-    ts = np.linspace(traj.times[0], traj.t_end, DRIFT_SAMPLES)
-    vals = []
-    for t in ts:
-        s = traj.sample(t)
-        g = metric_values(model, s[:4], check=False)
-        vals.append(float(s[4:8] @ g @ s[4:8]))
-    vals = np.array(vals)
-    return float(np.max(np.abs(vals - vals[0])))
+    norm2, sample = _norm2(model), traj.sampler()
+    vals = [norm2(s[:4], s[4:8]) for s in map(sample, np.linspace(traj.times[0], traj.t_end, DRIFT_SAMPLES))]
+    return max(abs(v - vals[0]) for v in vals)
 
 
 def compare_classical(

@@ -34,13 +34,18 @@ def alpha_star(c: float, k: float) -> float:
 
 def checked_alpha(error: type[EngineError], params: dict[str, float], alpha: float | str, c: float, k: float) -> float:
     """The coupling ``alpha`` (``alpha_star(c, k)`` for "star"), once every
-    parameter, alpha, c and k is a finite number (not a bool) and c and k are
-    positive; else ``error`` names the first constant that is not."""
+    parameter, alpha, c and k is a finite number (not a bool, nor an int too
+    large for a float) and c and k are positive; else ``error`` names the
+    first constant that is not."""
     named = [*params.items(), ("c", c), ("k", k)] + ([] if alpha == "star" else [("alpha", alpha)])
     for name, value in named:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise error(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise error(f"{name} must be finite, got {value}")
     for name, value in (("c", c), ("k", k)):
         if value <= 0:

@@ -280,6 +280,14 @@ def test_bad_model_constants_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error:"), change
 
 
+def test_model_constant_too_large_for_a_float_exits_two(tmp_path, capsys):
+    # valid JSON: a 401-digit c is an int that no float holds
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(json.loads(print_model(catalog("minkowski"))) | {"c": 10**400}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "inspect", "--model", str(path), "--x", "0,0.1,0,0")
+    assert code == 2 and out == "" and err.startswith("error: c must be finite") and "Traceback" not in err
+
+
 def test_singular_exit_three(capsys):
     # spacelike fiber vector
     code, _, err = run_cli(

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal
 from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
 from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import Jet
-from tbgrav.spacetime import catalog, metric_jet
+from tbgrav.spacetime import catalog, load_model, metric_jet
 
 MINK = catalog("minkowski")
 UNI = catalog("uniform_field", {"E0": 0.1})
@@ -32,6 +33,7 @@ RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
 X0_ORBIT = np.array([0.0, 10.0, math.pi / 2, 0.0])
 OMEGA = math.sqrt(1e-3)
 Y0_PERTURBED = np.array([1.0, 0.005, 0.0, 0.98 * OMEGA])
+DENSE = Path(__file__).resolve().parents[1] / "tools" / "dense_model.json"
 
 
 def test_lagrangian_flat_unit():
@@ -286,6 +288,36 @@ def test_float_kernel_matches_jet_route(name, alpha):
             assert np.max(np.abs(fast - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
+# the five catalog models, and two whose metrics have the off-diagonal
+# entries that the guard's pair weight 2 multiplies
+GUARD_MODELS = {**KERNEL_MODELS, "minkowski": MINK, "dense": load_model(DENSE.read_text())}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MODELS))
+def test_guard_norm_matches_metric_matrix(name):
+    """The guard's g(y,y), formed from the metric tape's ten floats, is
+    y @ g @ y up to rounding."""
+    model = GUARD_MODELS[name]
+    norm2 = dyn._norm2(model)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        x, y = _timelike_point(model, rng)
+        g = spacetime.metric_values(model, x)
+        ref, terms = float(y @ g @ y), float(np.abs(y) @ np.abs(g) @ np.abs(y))
+        assert ref > 0.0 and abs(norm2(x.tolist(), y.tolist()) - ref) <= 1e-15 * terms
+
+
+def test_guard_refuses_a_null_vector_of_an_off_diagonal_metric():
+    guard = dyn._chart_and_cone_guard(RN_INGOING_EF)
+    x = [0.0, 5.0, 1.2, 0.3]
+    guard(0.0, x + [1.0, -0.1, 0.0, 0.0])  # g(y,y) = f + 0.2 > 0
+    for y in ([0.0, 1.0, 0.0, 0.0], [1.0, 0.5 * (1 - 2 / 5 + 0.09 / 25), 0.0, 0.0], [math.nan] * 4):
+        with pytest.raises(IntegrationError, match="null cone"):  # g_rr = 0, then f - 2 y^r = 0, then NaN
+            guard(1.0, x + y)
+    with pytest.raises(IntegrationError, match="left the chart"):
+        guard(1.0, [0.0, -1.0, 1.2, 0.3, 1.0, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("model", [MINK, UNI], ids=["minkowski", "uniform_field"])
 def test_float_kernel_rejects_null_vector(model):
     with pytest.raises(SingularEvaluationError):
@@ -426,15 +458,15 @@ def test_spray_kernel_shares_the_tapes_subexpressions(monkeypatch):
 def test_integrator_counts_smooth_orbit():
     traj = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
     assert traj.n_singular_retries == 0
-    # the first stage, then six per attempted step (first same as last)
-    assert traj.n_rhs == 1 + 6 * (traj.n_steps + traj.n_rejected)
+    # the first stage and the start rule's probe, then six per attempted step (first same as last)
+    assert traj.n_rhs == 2 + 6 * (traj.n_steps + traj.n_rejected)
     assert traj.h_min == pytest.approx(np.diff(traj.times).min(), rel=1e-6)
 
 
 def test_integrator_counts_rejections_and_singular_retries():
     chirp = dyn._integrate(lambda t, y: [math.cos(10 * t * t)], [0.0], 5.0, 1e-9, 1e-9)
     assert chirp.n_rejected > 0 and chirp.n_singular_retries == 0
-    assert chirp.n_rhs == 1 + 6 * (chirp.n_steps + chirp.n_rejected)
+    assert chirp.n_rhs == 2 + 6 * (chirp.n_steps + chirp.n_rejected)
 
     failed = []
 
@@ -447,6 +479,72 @@ def test_integrator_counts_rejections_and_singular_retries():
     decay = dyn._integrate(rhs, [1.0], 1.0, 1e-8, 1e-8)
     assert decay.n_singular_retries == 1
     assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
+
+
+def test_start_rule_starts_at_a_real_step():
+    """Hairer, Norsett & Wanner's start rule: the first accepted step of a
+    smooth orbit is of the size its later steps are, so h_min does not read a
+    crawl up from 1e-10."""
+    traj = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
+    assert traj.times[1] >= 1e-3 and traj.h_min >= 1e-3
+
+
+def test_start_rule_leaves_out_a_component_without_scale():
+    # atol = 0 and the time coordinate starting at 0: that component's scale is 0
+    traj = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0, rtol=1e-10, atol=0.0)
+    assert traj.h_min >= 1e-3 and dyn.norm_drift(RN, traj) <= 1e-9
+
+
+def test_start_rule_makes_no_probe_at_t_end_zero():
+    calls = []
+    point = dyn._integrate(lambda t, y: calls.append(t) or [-v for v in y], [1.0], 0.0, 1e-8, 1e-8)
+    assert calls == [0.0] and point.n_rhs == 1 and point.n_steps == 0
+
+
+def test_start_rule_probes_no_later_than_t_end():
+    # the deviation RHS samples its base worldline, which refuses a time past its end
+    base = dyn.integrate_worldline(SCHW, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=1e-3)
+    dev = dyn.integrate_deviation(SCHW, base, [0.0, 0.1, 0.0, 0.0], W0=np.zeros(4), alpha=0.0)
+    assert dev.t_end == pytest.approx(1e-3, abs=1e-15) and dev.n_rhs == 2 + 6 * dev.n_steps
+
+
+def test_start_rule_survives_a_singular_probe():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 2:
+            raise SingularEvaluationError("singular probe")
+        return [-v for v in y]
+
+    decay = dyn._integrate(rhs, [1.0], 1.0, 1e-8, 1e-8)
+    assert decay.t_end == pytest.approx(1.0, abs=1e-14) and decay.n_rhs == len(calls) - 1 == 1 + 6 * decay.n_steps
+    assert decay.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-7)
+
+
+def test_start_rule_on_a_rhs_that_is_not_finite_ends():
+    """A right-hand side that gives NaN or inf without raising ends in a step
+    size underflow, as it did before the start rule: no NaN step size, which
+    no rejection could shrink, and no division by a zero h0."""
+    for bad in (math.nan, math.inf):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            assert len(calls) <= 1000, "the integration did not stop"
+            return [bad]
+
+        with pytest.raises(IntegrationError, match="step size underflow"):
+            dyn._integrate(rhs, [1.0], 1.0, 1e-8, 1e-8)
+
+
+def test_plunge_steps_do_not_depend_on_its_azimuth():
+    """The start rule scales each component by its own size, so the azimuth
+    of the plunge (constant along it) must not move a single step: the
+    benchmark seeds the azimuth and relies on the same steps for every seed."""
+    times = [dyn.integrate_worldline(SCHW, [0.0, 3.0, math.pi / 2, phi], [2.0, -0.5, 0.0, 0.0],
+                                     alpha=0.0, t_end=0.5).times for phi in (0.0, 2.4)]
+    assert len(times[0]) > 10 and times[0].tobytes() == times[1].tobytes()
 
 
 def _capped_rhs():

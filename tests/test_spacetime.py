@@ -63,6 +63,17 @@ def test_catalog_errors():
             catalog(name, params)
 
 
+def test_catalog_refuses_an_int_too_large_for_a_float():
+    with pytest.raises(ConfigError, match="M must be finite"):
+        catalog("schwarzschild", {"M": 10**400})
+
+
+def test_load_model_refuses_an_int_too_large_for_a_float():
+    for change in ({"c": 10**400}, {"alpha": -(10**400)}, {"params": {"M": 10**400}}):
+        with pytest.raises(ModelError, match="must be finite"):
+            load_model(json.dumps(dict(SCHW_DOC, **change)))
+
+
 def test_metric_jet_constant_for_minkowski():
     m = catalog("minkowski")
     g = metric_jet(m, [0.1, 0.2, 0.3, 0.4], order=2)
