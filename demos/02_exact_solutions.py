@@ -38,7 +38,7 @@ f_low, _ = rn_geo.faraday
 print("F_tr =", f_low[0, 1].values[0], " (Q/r^2 =", 0.3 / 25, ")")
 
 # both Maxwell identities hold: dF = 0 and no sources
-h, j = maxwell_cyclic_residual(rn, x_rn), maxwell_current(rn, x_rn)
+h, j = maxwell_cyclic_residual(rn_geo), maxwell_current(rn_geo)
 print("max|dF identity| =", np.max(np.abs(h)), " max|current| =", np.max(np.abs(j)))
 
 # the electromagnetic stress-energy is trace-free and feeds the field equations

@@ -40,7 +40,7 @@ print("tidal tensor diagonal:", np.diag(e))
 print("bundle Ricci scalar R(x,y) =", geo.d_ricci_scalar[0])
 
 # the scalar-curvature split closes pointwise
-dec = ricci_decomposition(rn, p)
+dec = ricci_decomposition(geo)
 print("R =", dec["R"][0])
 print("  base r      =", dec["r"][0])
 print("  divergence  =", dec["div_term"][0])
@@ -48,7 +48,7 @@ print("  quad term   =", dec["quad_term"][0], " vs (3a^2/2)F^2 =", 1.5 * dec["al
 print("  residual    =", dec["residual"][0])
 
 # at alpha*, the variational field tensor vanishes on the exact solution
-ge = generalized_einstein(rn, p)
+ge = generalized_einstein(geo)
 print("max|generalized Einstein tensor| =", ge["max_abs_variational"][0])
 print("literal bundle assembly differs by", ge["difference"][0], "(reported, not asserted)")
 

@@ -255,10 +255,10 @@ class BaseGeometry:
 # -- residuals -------------------------------------------------------------------
 
 
-def maxwell_cyclic_residual(model: SpacetimeModel, x) -> np.ndarray:
+def maxwell_cyclic_residual(geo: BaseGeometry) -> np.ndarray:
     """H_ijk = nabla_i F_jk + nabla_k F_ij + nabla_j F_ki from explicit
-    covariant derivatives (the Christoffel terms must cancel)."""
-    geo = BaseGeometry(model, x, 3)
+    covariant derivatives (the Christoffel terms must cancel), at each of the
+    geometry's points (carrier order 2 or more)."""
     f_low, _ = geo.faraday
     df = f_low.partials(range(4))  # df[i, j, k] = d_i F_jk
     gamma, f_low = geo.gamma.truncate(df.order), f_low.truncate(df.order)
@@ -282,13 +282,13 @@ def densitized_divergence(s: JetArray, v_up: JetArray) -> np.ndarray:
     return sequential_sum(np.moveaxis(prod.c[..., range(4), first], -1, 0))
 
 
-def maxwell_current(model: SpacetimeModel, x) -> np.ndarray:
-    """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized form."""
-    geo = BaseGeometry(model, x, 3)
+def maxwell_current(geo: BaseGeometry) -> np.ndarray:
+    """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized
+    form, at each of the geometry's points (carrier order 2 or more)."""
     _, f_mix = geo.faraday
     s = sqrt_minus_det(geo.g)
     f_up = contract(f_mix, geo.ginv.T)
-    coeff = -model.c / (4.0 * math.pi)
+    coeff = -geo.model.c / (4.0 * math.pi)
     return coeff * densitized_divergence(s, f_up) / s.values[..., None]
 
 

@@ -338,10 +338,9 @@ def _fiber_hessian(f: JetArray) -> np.ndarray:
 # -- public operations ------------------------------------------------------------
 
 
-def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
-    """(B^i_.j, B^i_.jk, B^i_.jkl) values from one geometry, twice: via the
+def fiber_derivs_B(geo: BundleGeometry):
+    """(B^i_.j, B^i_.jk, B^i_.jkl) values of a geometry, twice: via the
     closed forms and via pure fiber jets of B^i, returned as (closed, jets)."""
-    geo = BundleGeometry(model, p, alpha=alpha)
     fiber = range(Y_SLOT0, Y_SLOT0 + 4)
     firsts = geo.b_up.partials(fiber)  # [j, i]
     seconds = firsts.partials(fiber)  # [k, j, i]
@@ -350,10 +349,10 @@ def fiber_derivs_B(model: SpacetimeModel, p, alpha: float | None = None):
     return closed, jets
 
 
-def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
-    """Split of the bundle Ricci scalar into base curvature, a divergence term,
-    and the quadratic field-strength term; residual should vanish pointwise."""
-    geo = BundleGeometry(model, p, alpha=alpha)
+def ricci_decomposition(geo: BundleGeometry) -> dict:
+    """Split of a geometry's bundle Ricci scalar into base curvature, a
+    divergence term, and the quadratic field-strength term; residual should
+    vanish pointwise."""
     r_bundle = geo.d_ricci_scalar
     r_base = geo.base.ricci_scalar
     div_term = geo.div_term
@@ -369,8 +368,8 @@ def ricci_decomposition(model: SpacetimeModel, p, alpha: float | None = None) ->
     }
 
 
-def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -> dict:
-    """Generalized Einstein tensor.
+def generalized_einstein(geo: BundleGeometry) -> dict:
+    """Generalized Einstein tensor of a geometry.
 
     'variational' is the metric variation of the equivalent base Lagrangian
     (the classical Einstein tensor minus the alpha-scaled electromagnetic
@@ -378,7 +377,6 @@ def generalized_einstein(model: SpacetimeModel, p, alpha: float | None = None) -
     sym(R_jl) - (1/2) Rtilde g_jl + Hess(B-scalar).  Their difference is
     reported, not asserted.
     """
-    geo = BundleGeometry(model, p, alpha=alpha)
     a, base = geo.alpha, geo.base
     coupling = 8.0 * math.pi * (1.5 * a**2)
     variational = base.einstein.values - coupling * base.em_stress.values

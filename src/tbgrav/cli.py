@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import base_geom, bundle_geom, dynamics, tm_metric, verify
-from .bundle_geom import BundlePoint
+from .bundle_geom import BundleGeometry, BundlePoint
 from .errors import (
     ChartError,
     ConfigError,
@@ -213,7 +213,7 @@ def _cmd_theorem1(args) -> int:
     model = _resolve_model(args)
     p = BundlePoint(_vec(args.x, "--x"), _vec(args.y, "--y"))
     dec = {key: value if key == "alpha" else float(value[0])
-           for key, value in bundle_geom.ricci_decomposition(model, p).items()}
+           for key, value in bundle_geom.ricci_decomposition(BundleGeometry(model, p)).items()}
     dec["quad_closed_form"] = 1.5 * dec["alpha"] ** 2 * dec["f_squared"]
     _dump(dec)
     return 0
@@ -222,7 +222,8 @@ def _cmd_theorem1(args) -> int:
 def _cmd_efe(args) -> int:
     model = _resolve_model(args)
     p = BundlePoint(_vec(args.x, "--x"), _vec(args.y, "--y"))
-    ge = bundle_geom.generalized_einstein(model, p)
+    geo = BundleGeometry(model, p)
+    ge = bundle_geom.generalized_einstein(geo)
     payload = {
         "alpha": ge["alpha"],
         "r_tilde": float(ge["r_tilde"][0]),
@@ -230,7 +231,7 @@ def _cmd_efe(args) -> int:
         "assembled": ge["assembled"][0].tolist(),
         "difference": float(ge["difference"][0]),
         "max_abs_variational": float(ge["max_abs_variational"][0]),
-        "conservation_residual": verify.conservation_residual(model, p.x)[0].tolist(),
+        "conservation_residual": verify.conservation_residual(geo.base)[0].tolist(),
     }
     _dump(payload)
     return 0
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--samples", type=_count, default=5, help="points per check")
+    p.add_argument("--samples", type=_count, default=5, help="points per suite")
     p.add_argument("--tol-tier1", type=_tolerance, default=None, help="first-derivative tolerance")
     p.add_argument("--tol-tier2", type=_tolerance, default=None, help="curvature tolerance")
     p.add_argument("--tol-tier3", type=_tolerance, default=None, help="third-derivative tolerance")

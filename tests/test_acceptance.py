@@ -16,7 +16,7 @@ from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import EngineError
 from tbgrav.jet_arrays import concat
 from tbgrav.jets import Jet
-from tbgrav.spacetime import alpha_star, catalog, metric_jet
+from tbgrav.spacetime import alpha_star, catalog, metric_jet, metric_values
 
 MODELS = {
     "minkowski": catalog("minkowski"),
@@ -48,6 +48,12 @@ def _rn_box_points(rng, n):
     ]
 
 
+def _points(model, rng, n):
+    """n bundle points of the verify suite's sampler, one BundlePoint each."""
+    p = verify.sample_bundle_points(model, rng, n)
+    return [BundlePoint(x, y) for x, y in zip(p.x, p.y)]
+
+
 def test_criterion_1_rn_anchor():
     """Generalized Einstein tensor vanishes on the exact charged solution at
     the distinguished coupling; vacuum/flat anchors are one notch tighter."""
@@ -56,15 +62,14 @@ def test_criterion_1_rn_anchor():
     assert rn.alpha == pytest.approx(alpha_star(1.0, 1.0))
     worst_rn = 0.0
     for x in _rn_box_points(rng, 20):
-        y = verify.sample_timelike(rn, rng, x)
-        ge = bundle_geom.generalized_einstein(rn, BundlePoint(x, y))
+        y = verify.sample_timelike(metric_values(rn, x), rng)
+        ge = bundle_geom.generalized_einstein(BundleGeometry(rn, BundlePoint(x, y)))
         worst_rn = max(worst_rn, ge["max_abs_variational"][0])
     worst_other = 0.0
     for name in ("schwarzschild", "minkowski"):
         model = MODELS[name]
-        for x in verify.sample_points(model, rng, 10):
-            y = verify.sample_timelike(model, rng, x)
-            ge = bundle_geom.generalized_einstein(model, BundlePoint(x, y))
+        for p in _points(model, rng, 10):
+            ge = bundle_geom.generalized_einstein(BundleGeometry(model, p))
             worst_other = max(worst_other, ge["max_abs_variational"][0])
     _report(
         1,
@@ -80,11 +85,12 @@ def test_criterion_2_scalar_curvature_split():
     rng = np.random.default_rng(1002)
     worst_spread = worst_closed = worst_residual = 0.0
     for model in MODELS.values():
-        for x in verify.sample_points(model, rng, 3):
+        for x in verify.sample_bundle_points(model, rng, 3).x:
+            g = metric_values(model, x)
             quads = []
             for _ in range(3):
-                y = verify.sample_timelike(model, rng, x)
-                dec = bundle_geom.ricci_decomposition(model, BundlePoint(x, y))
+                y = verify.sample_timelike(g, rng)
+                dec = bundle_geom.ricci_decomposition(BundleGeometry(model, BundlePoint(x, y)))
                 quad, f_squared, residual = dec["quad_term"][0], dec["f_squared"][0], dec["residual"][0]
                 quads.append(quad)
                 closed = 1.5 * dec["alpha"] ** 2 * f_squared
@@ -105,7 +111,7 @@ def test_criterion_3_tidal_reconstruction():
     rng = np.random.default_rng(1003)
     worst = 0.0
     for model in MODELS.values():
-        for p in verify.sample_bundle_points(model, rng, 50):
+        for p in _points(model, rng, 50):
             geo = BundleGeometry(model, p, order=4)
             e, y = geo.tidal.values[0], p.y[0]
             scale = np.max(np.abs(e)) + 1e-12
@@ -121,7 +127,7 @@ def test_criterion_4_alpha_zero_collapse():
     rng = np.random.default_rng(1004)
     worst = 0.0
     for model in MODELS.values():
-        for p in verify.sample_bundle_points(model, rng, 5):
+        for p in _points(model, rng, 5):
             base = base_geom.BaseGeometry(model, p.x, 2)
             gamma = base.gamma.values[0]
             riem = base.riemann.values[0]
@@ -139,16 +145,17 @@ def test_criterion_4_alpha_zero_collapse():
 
 
 def test_criterion_5_homogeneity_ladder():
-    """Euler identities at lambda=2 for degrees (2,1,0,2,0,0) of (spray,
+    """Euler identities at lambda=1.5 for degrees (2,1,0,2,0,0) of (spray,
     connection, Berwald coefficients, tidal tensor, d-Ricci, B-Hessian), plus
     closed-form vs fiber-jet agreement for the spray-perturbation derivatives."""
     rng = np.random.default_rng(1005)
     worst_euler = worst_agree = 0.0
     for name in ("uniform_field", "reissner_nordstrom", "schwarzschild"):
         model = MODELS[name]
-        for p in verify.sample_bundle_points(model, rng, 3):
-            worst_euler = max(worst_euler, *(defect[0] for defect in verify.homogeneity_defects(model, p)))
-            closed, jets = bundle_geom.fiber_derivs_B(model, p)
+        for p in _points(model, rng, 3):
+            geo = BundleGeometry(model, p)
+            worst_euler = max(worst_euler, *(defect[0] for defect in verify.homogeneity_defects(geo)))
+            closed, jets = bundle_geom.fiber_derivs_B(geo)
             for c, j in zip(closed, jets):
                 worst_agree = max(worst_agree, np.max(np.abs(c - j)) / (np.max(np.abs(c)) + 1.0))
     _report(
@@ -165,7 +172,7 @@ def test_criterion_6_volume_structure():
     rng = np.random.default_rng(1006)
     worst_det = 0.0
     for model in MODELS.values():
-        for x in verify.sample_points(model, rng, 10):
+        for x in verify.sample_bundle_points(model, rng, 10).x:
             ball = tm_metric.fiber_ball(model, x)
             g = metric_jet(model, x, order=0).values[0]
             worst_det = max(worst_det, abs(np.linalg.det(ball.v) + np.linalg.det(g)) / abs(np.linalg.det(g)))
@@ -174,7 +181,7 @@ def test_criterion_6_volume_structure():
     worst_vol = 0.0
     for model_name in ("minkowski", "schwarzschild", "reissner_nordstrom"):
         model = MODELS[model_name]
-        for x in verify.sample_points(model, rng, 2):
+        for x in verify.sample_bundle_points(model, rng, 2).x:
             worst_vol = max(worst_vol, abs(tm_metric.fiber_integral(model, x, lambda ys: np.ones(len(ys))) - 1.0))
 
     box = [(0.0, 0.5), (9.0, 11.0), (1.2, 1.8), (0.0, 0.5)]
@@ -185,7 +192,7 @@ def test_criterion_6_volume_structure():
 
     worst_div = 0.0
     names = list(schw.coords)
-    for p in verify.sample_bundle_points(schw, rng, 5):
+    for p in _points(schw, rng, 5):
         coeffs = rng.uniform(-1, 1, size=(4, 5))
 
         def components(env, c=coeffs):
@@ -264,8 +271,8 @@ def test_criterion_8_conservation():
     worst = 0.0
     for name in ("reissner_nordstrom", "schwarzschild"):
         model = MODELS[name]
-        for x in verify.sample_points(model, rng, 10):
-            worst = max(worst, float(np.max(np.abs(verify.conservation_residual(model, x)))))
+        base = base_geom.BaseGeometry(model, verify.sample_bundle_points(model, rng, 10).x, 3)
+        worst = max(worst, float(np.max(np.abs(verify.conservation_residual(base)))))
     _report(8, "conservation divergence of the field tensor", worst <= 1e-7, f"max {worst:.2e}")
 
 

@@ -129,14 +129,14 @@ def test_faraday_antisymmetric_exactly():
 
 @pytest.mark.parametrize("model,x", [(MINK, X_FLAT), (UNI, X_FLAT), (SCHW, X_SCHW), (RN, X_RN)])
 def test_maxwell_homogeneous_identity(model, x):
-    h = bg.maxwell_cyclic_residual(model, x)
+    h = bg.maxwell_cyclic_residual(BaseGeometry(model, x, 3))
     assert np.max(np.abs(h)) <= 1e-11
 
 
 def test_maxwell_source_free_models():
-    j_rn = bg.maxwell_current(RN, X_RN)
+    j_rn = bg.maxwell_current(BaseGeometry(RN, X_RN, 3))
     assert np.max(np.abs(j_rn)) <= 1e-10
-    j_uni = bg.maxwell_current(UNI, X_FLAT)
+    j_uni = bg.maxwell_current(BaseGeometry(UNI, X_FLAT, 3))
     assert np.max(np.abs(j_uni)) <= 1e-12
 
 
@@ -146,9 +146,9 @@ def test_maxwell_current_builds_no_christoffel(monkeypatch):
         raise AssertionError("christoffel_jets called")
 
     monkeypatch.setattr(bg, "christoffel_jets", forbidden)
-    assert np.max(np.abs(bg.maxwell_current(RN, X_RN))) <= 1e-10
+    assert np.max(np.abs(bg.maxwell_current(BaseGeometry(RN, X_RN, 3)))) <= 1e-10
     with pytest.raises(AssertionError, match="christoffel_jets"):
-        bg.maxwell_cyclic_residual(RN, X_RN)
+        bg.maxwell_cyclic_residual(BaseGeometry(RN, X_RN, 3))
 
 
 def test_stress_energy_zero_potential():
@@ -239,7 +239,7 @@ def test_base_values_independent_of_carrier_order(name):
     the MAX_ORDER bytes (the sign of every zero as well)."""
     model = catalog(name, CATALOG_PARAMS.get(name))
     rng = np.random.default_rng(33)
-    for x in verify.sample_points(model, rng, 3):
+    for x in verify.sample_bundle_points(model, rng, 3).x:
         full = BaseGeometry(model, x, MAX_ORDER)
         for order in range(MAX_ORDER):
             geo = BaseGeometry(model, x, order)

@@ -1,6 +1,6 @@
 """The point axis of the jet route: a batch of points gives every point the
-bytes it has alone, and the verify suite's batches keep the per-point
-residuals, skips, notes and random stream."""
+bytes it has alone, and the verify suite's retry of a batch keeps the
+per-point residuals, skips and random stream."""
 
 from functools import cached_property
 from pathlib import Path
@@ -54,8 +54,8 @@ def test_batch_equals_single_point_geometries(name):
     zero masks differ from point to point)."""
     model = _model(name)
     points = verify.sample_bundle_points(model, np.random.default_rng(5), 5)
-    batch = _objects(BundleGeometry(model, verify._batch(points)))
-    singles = [_objects(BundleGeometry(model, p)) for p in points]
+    batch = _objects(BundleGeometry(model, points))
+    singles = [_objects(BundleGeometry(model, BundlePoint(x, y))) for x, y in zip(points.x, points.y)]
     for attr, value in batch.items():
         for k, single in enumerate(singles):
             assert _point_bytes(value, k) == _point_bytes(single[attr], 0), (attr, k)
@@ -117,80 +117,61 @@ def test_compose_raises_where_the_jet_does():
         JetArray(space, c).reciprocal()
 
 
-def _per_point_check(residual, sample):
-    """The check the suite ran before batches: one residual per point."""
-
-    def check(model, rng, n):
-        residuals, skipped = [], 0
-        for point in sample(model, rng, n):
-            try:
-                residuals.append(float(residual(model, point, rng)))
-            except SingularEvaluationError:
-                skipped += 1
-        return residuals, skipped, "notes"
-
-    return check
+def _per_point_run(residual, geo, rng):
+    """The check the suite ran before batches: one residual per point, each
+    on the point's own geometry."""
+    residuals, skipped = [], 0
+    for x, y in zip(geo.p.x, geo.p.y):
+        try:
+            residuals += [float(r) for r in residual(BundleGeometry(geo.model, BundlePoint(x, y)), rng)]
+        except EngineError:
+            skipped += 1
+    return residuals, skipped
 
 
 def test_batch_with_a_singular_point_redoes_it_point_by_point():
     """A batch holding one singular point gives exactly the residuals, skip
-    count, notes and later random draws of the per-point loop, with draws
-    inside the residual made before the point fails."""
+    count and later random draws of the per-point loop, with draws inside
+    the residual made before the point fails."""
     bad = 2
 
-    def residual(model, x, rng):
-        draw = rng.uniform()
-        if x[0] == bad:
-            raise SingularEvaluationError("singular", value=0.0)
-        return x[0] + draw + rng.uniform()
-
-    def batch(model, xs, rng):
+    def batch(geo, rng):
         draws = []
-        for x in xs:
+        for x in geo.p.x:
             draws.append(rng.uniform())
             if x[0] == bad:
                 raise SingularEvaluationError("singular", value=0.0)
             draws.append(rng.uniform())
-        return [x[0] + a + b for x, a, b in zip(xs, draws[0::2], draws[1::2])]
+        return [x[0] + a + b for x, a, b in zip(geo.p.x, draws[0::2], draws[1::2])]
 
-    def sample(model, rng, n):
-        rng.uniform(size=n)
-        return [np.array([float(k), 0.0, 0.0, 0.0]) for k in range(n)]
-
+    x = np.zeros((5, 4))
+    x[:, 0] = np.arange(5)
+    geo = BundleGeometry(_model("minkowski"), BundlePoint(x, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))))
     outcomes = []
-    for check in (verify._check(batch, sample, "notes"), _per_point_check(residual, sample)):
+    for run in (lambda rng: verify._evaluate(batch, geo, rng, []), lambda rng: _per_point_run(batch, geo, rng)):
         rng = np.random.default_rng(9)
-        outcomes.append((check(_model("minkowski"), rng, 5), rng.uniform(size=3).tobytes()))
+        outcomes.append((run(rng), rng.uniform(size=3).tobytes()))
     assert outcomes[0] == outcomes[1]
-    (residuals, skipped, notes), _ = outcomes[0]
-    assert len(residuals) == 4 and skipped == 1 and notes == "notes"
+    (residuals, skipped), _ = outcomes[0]
+    assert len(residuals) == 4 and skipped == 1
 
 
 @pytest.mark.parametrize("residual", ["_riemann_symmetries", "_contracted_bianchi", "_quad_y_independent"])
 def test_registry_batch_with_a_singular_point_matches_per_point_runs(residual):
     """On the registry's own residuals: a batch with a point outside the
     chart gives the residuals, skip count and later random draws of the
-    same points evaluated one at a time (``_quad_y_independent`` draws three
+    same points evaluated one at a time (``_quad_y_independent`` draws two
     fiber vectors per point)."""
     model = _model("schwarzschild")
     fn = getattr(verify, residual)
-
-    def with_singular(model, rng, n):
-        points = verify.sample_points(model, rng, n)
-        points[1] = points[1].copy()
-        points[1][1] = 2.0  # on the horizon: outside the chart
-        return points
-
+    points = verify.sample_bundle_points(model, np.random.default_rng(4), 4)
+    points.x[1, 1] = 2.0  # on the horizon: outside the chart
+    geo = BundleGeometry(model, points)
     rng = np.random.default_rng(4)
-    got = verify._check(fn, with_singular)(model, rng, 4), rng.uniform(size=3).tobytes()
+    got = verify._evaluate(fn, geo, rng, []), rng.uniform(size=3).tobytes()
     rng = np.random.default_rng(4)
-    residuals, skipped = [], 0
-    for x in with_singular(model, rng, 4):
-        try:
-            residuals += [float(r) for r in fn(model, x[None], rng)]
-        except EngineError:
-            skipped += 1
-    assert got == (([float(r) for r in residuals], skipped, ""), rng.uniform(size=3).tobytes())
+    residuals, skipped = _per_point_run(fn, geo, rng)
+    assert got == ((residuals, skipped), rng.uniform(size=3).tobytes())
     assert skipped == 1 and len(residuals) == 3
 
 

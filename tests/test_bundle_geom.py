@@ -145,7 +145,7 @@ def test_at_fiber_is_the_geometry_at_the_new_fiber_vector():
 def test_fiber_derivs_euler_identities():
     p = BundlePoint(X_RN, Y_RN)
     b = BundleGeometry(RN, p).b_up.values[0]
-    (b1, b2, b3), _ = (tuple(v[0] for v in part) for part in bun.fiber_derivs_B(RN, p))
+    (b1, b2, b3), _ = (tuple(v[0] for v in part) for part in bun.fiber_derivs_B(BundleGeometry(RN, p)))
     y = p.y[0]
     assert np.allclose(b1 @ y, 2 * b, rtol=1e-10)
     assert np.allclose(np.einsum("ijk,k->ij", b2, y), b1, rtol=1e-10)
@@ -155,7 +155,7 @@ def test_fiber_derivs_euler_identities():
 def test_fiber_derivs_trace_vanishes():
     # B^j_.ij = 0, hence N^j_.ij = gamma^j_ij
     p = BundlePoint(X_RN, Y_RN)
-    (_, b2, _), _ = bun.fiber_derivs_B(RN, p)
+    (_, b2, _), _ = bun.fiber_derivs_B(BundleGeometry(RN, p))
     assert np.max(np.abs(np.einsum("jij->i", b2[0]))) <= 1e-12
     geo = BundleGeometry(RN, p, order=2)
     gamma = geo.gamma.values[0]
@@ -166,7 +166,7 @@ def test_fiber_derivs_trace_vanishes():
 
 
 def test_fiber_derivs_alpha_zero():
-    (b1, b2, b3), _ = bun.fiber_derivs_B(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
+    (b1, b2, b3), _ = bun.fiber_derivs_B(BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.0))
     assert np.max(np.abs(b1)) == np.max(np.abs(b2)) == np.max(np.abs(b3)) == 0.0
 
 
@@ -174,7 +174,7 @@ def test_fiber_derivs_closed_vs_jets():
     rng = np.random.default_rng(24)
     for model in (UNI, RN):
         for p in _rand_bundle_points(model, rng, 3):
-            closed, jets = bun.fiber_derivs_B(model, p)
+            closed, jets = bun.fiber_derivs_B(BundleGeometry(model, p))
             for c, j in zip(closed, jets):
                 scale = np.max(np.abs(c)) + 1.0
                 assert np.max(np.abs(c - j)) <= 1e-10 * scale
@@ -349,13 +349,14 @@ def test_d_ricci_homogeneity_degree_zero():
 
 
 def test_decomposition_alpha_zero():
-    dec = bun.ricci_decomposition(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [1.2, 0.01, 0, 0]), alpha=0.0)
+    dec = bun.ricci_decomposition(BundleGeometry(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [1.2, 0.01, 0, 0]),
+                                                 alpha=0.0))
     assert dec["div_term"] == 0.0 and dec["quad_term"] == 0.0
     assert dec["R"] == pytest.approx(dec["r"], abs=1e-12)
 
 
 def test_decomposition_uniform_field_closed_form():
-    dec = bun.ricci_decomposition(UNI, BundlePoint(X_FLAT, [2.0, 0.3, -0.2, 0.1]), alpha=1.0)
+    dec = bun.ricci_decomposition(BundleGeometry(UNI, BundlePoint(X_FLAT, [2.0, 0.3, -0.2, 0.1]), alpha=1.0))
     assert dec["f_squared"] == pytest.approx(-0.02, rel=1e-12)  # -2 E0^2
     assert dec["quad_term"] == pytest.approx(1.5 * -0.02, rel=1e-12)  # (3 a^2/2) F^2
     assert abs(dec["residual"]) <= 1e-12
@@ -363,7 +364,7 @@ def test_decomposition_uniform_field_closed_form():
 
 def test_decomposition_rn_at_star_coupling():
     p = BundlePoint([0.0, 5.0, math.pi / 2, 0.3], [1.4, 0.0, 0.0, 0.02])
-    dec = bun.ricci_decomposition(RN, p)  # model alpha defaults to star
+    dec = bun.ricci_decomposition(BundleGeometry(RN, p))  # model alpha defaults to star
     # (3 a*^2/2) F^2 = (k/c^4) * (-2 Q^2 / r^4)
     assert dec["quad_term"] == pytest.approx(-2 * 0.09 / 625.0, rel=1e-9)
     assert abs(dec["residual"]) <= 1e-8
@@ -389,7 +390,7 @@ def test_decomposition_divergence_convention_frozen():
 
     div_frozen = geo0.divergence(b_contraction, geo0.n_conn)
     div_variant = geo.divergence(b_contraction, geo.n_conn)
-    dec = bun.ricci_decomposition(UNI, p, alpha=alpha)
+    dec = bun.ricci_decomposition(BundleGeometry(UNI, p, alpha=alpha))
     assert div_frozen == pytest.approx(dec["div_term"], abs=1e-14)
     assert abs(dec["R"] - dec["r"] - div_variant - dec["quad_term"]) > 1e-4
     assert div_variant == pytest.approx(1.25 * alpha**2 * dec["f_squared"], rel=1e-10)
@@ -398,7 +399,7 @@ def test_decomposition_divergence_convention_frozen():
 def test_decomposition_quad_term_y_independent():
     quads = []
     for y in ([1.5, 0, 0, 0], [1.3, 0.2, -0.1, 0.05], [2.0, -0.3, 0.2, 0.1]):
-        quads.append(bun.ricci_decomposition(RN, BundlePoint(X_RN, y))["quad_term"])
+        quads.append(bun.ricci_decomposition(BundleGeometry(RN, BundlePoint(X_RN, y)))["quad_term"])
     assert max(quads) - min(quads) <= 1e-9 * (abs(quads[0]) + 1.0)
 
 
@@ -459,17 +460,18 @@ def test_b_hessian_symmetric():
 def test_generalized_einstein_rn_electrovacuum():
     rng = np.random.default_rng(27)
     for p in _rand_bundle_points(RN, rng, 5):
-        ge = bun.generalized_einstein(RN, p)
+        ge = bun.generalized_einstein(BundleGeometry(RN, p))
         assert ge["max_abs_variational"] <= 1e-9
 
 
 def test_generalized_einstein_schwarzschild_any_alpha():
-    ge = bun.generalized_einstein(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [1.2, 0, 0, 0]), alpha=0.37)
+    ge = bun.generalized_einstein(BundleGeometry(SCHW, BundlePoint([0, 10, math.pi / 2, 0.3], [1.2, 0, 0, 0]),
+                                                 alpha=0.37))
     assert ge["max_abs_variational"] <= 1e-10
 
 
 def test_generalized_einstein_minkowski():
-    ge = bun.generalized_einstein(MINK, BundlePoint(X_FLAT, Y_TIME))
+    ge = bun.generalized_einstein(BundleGeometry(MINK, BundlePoint(X_FLAT, Y_TIME)))
     assert ge["max_abs_variational"] == 0.0
     assert ge["difference"] <= 1e-12
 
@@ -501,10 +503,10 @@ def test_jet_operation_budget(monkeypatch):
         return kernel(space, a, b, ta, tb)
 
     p = BundlePoint(X_RN, Y_RN)
-    bun.ricci_decomposition(RN, p)  # the model's tapes are compiled on first use
+    bun.ricci_decomposition(BundleGeometry(RN, p))  # the model's tapes are compiled on first use
     monkeypatch.setattr(jet_arrays, "_coefficients", counted_kernel)
-    bun.ricci_decomposition(RN, p)
-    bun.generalized_einstein(RN, p)
+    bun.ricci_decomposition(BundleGeometry(RN, p))
+    bun.generalized_einstein(BundleGeometry(RN, p))
     assert counts == {"calls": 64, "terms": 665, "products": 72084}
 
 
@@ -530,18 +532,23 @@ def _value_bytes(geo, attr):
 def test_values_independent_of_carrier_order(name):
     """BundleGeometry defaults to MAX_ORDER because no object's values depend
     on the carrier order: every lower order that holds an object gives the
-    MAX_ORDER bytes."""
+    MAX_ORDER bytes.  So does ``divergence_lift`` (the divergence of lifted
+    random affine base fields) from budget 2, its x-partial, on: the verify
+    suite reads it at MAX_ORDER."""
     model = catalog(name, CATALOG_PARAMS[name])
     rng = np.random.default_rng(28)
     for alpha in (0.0, 0.5):
-        for p in verify.sample_bundle_points(model, rng, 2):
-            full = BundleGeometry(model, p, alpha=alpha)
-            assert full.order == MAX_ORDER
-            for order in range(1, MAX_ORDER):
-                geo = BundleGeometry(model, p, order=order, alpha=alpha)
-                for attr, lowest in LADDER_OBJECTS:
-                    if order >= lowest:
-                        assert _value_bytes(geo, attr) == _value_bytes(full, attr), (attr, order, alpha)
+        p = verify.sample_bundle_points(model, rng, 2)
+        full = BundleGeometry(model, p, alpha=alpha)
+        assert full.order == MAX_ORDER
+        for order in range(1, MAX_ORDER):
+            geo = BundleGeometry(model, p, order=order, alpha=alpha)
+            for attr, lowest in LADDER_OBJECTS:
+                if order >= lowest:
+                    assert _value_bytes(geo, attr) == _value_bytes(full, attr), (attr, order, alpha)
+            if order >= 2:
+                lifts = [verify._divergence_lift(g, np.random.default_rng(order)).tobytes() for g in (geo, full)]
+                assert lifts[0] == lifts[1], (order, alpha)
 
 
 def _joint_space_route(model, x, order):
@@ -568,7 +575,8 @@ def test_lifted_base_fields_match_joint_space_route(name):
     model = catalog(name, CATALOG_PARAMS[name])
     rng = np.random.default_rng(31)
     for alpha in (0.0, 0.5):
-        for p in verify.sample_bundle_points(model, rng, 2):
+        points = verify.sample_bundle_points(model, rng, 2)
+        for p in (BundlePoint(x, y) for x, y in zip(points.x, points.y)):
             for order in range(1, MAX_ORDER + 1):
                 geo = BundleGeometry(model, p, order=order, alpha=alpha)
                 lifted = {"g": geo.g, "ginv": geo.ginv, "gamma": geo.gamma, "a_pot": geo.base.a_pot.lift(geo.space),
@@ -608,5 +616,5 @@ def test_geometry_evaluates_no_joint_space_tape(monkeypatch):
 
 
 def test_homogeneity_ladder():
-    defects = verify.homogeneity_defects(RN, BundlePoint(X_RN, Y_RN))
+    defects = verify.homogeneity_defects(BundleGeometry(RN, BundlePoint(X_RN, Y_RN)))
     assert len(defects) == 6 and max(defects) <= 1e-9

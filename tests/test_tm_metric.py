@@ -134,7 +134,7 @@ def test_one_metric_evaluation_per_fiber_point(monkeypatch, capsys):
         (lambda: cli.main(["integrate-volume", "--catalog", "schwarzschild", "--x", "0,10,1.5707963,0.3"]), 1),
         (lambda: cli.main(["integrate-volume", "--catalog", "schwarzschild", "--x", "0,10,1.5707963,0.3",
                            "--box", "0:0.5,9:11,1.2:1.8,0:0.5"]), 1 + 4**4),
-        (lambda: [verify._det_fiber_metric(SCHW, x, None) for x in xs], 3),
+        (lambda: verify._det_fiber_metric(BundleGeometry(SCHW, BundlePoint(xs, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))), None), 3),
     ):
         runs.clear()
         work()
@@ -234,5 +234,5 @@ def test_divergence_matches_decomposition_div_term():
     b_contraction, _ = concat(*out)
 
     div = geo0.divergence(b_contraction, geo0.n_conn)
-    dec = bun.ricci_decomposition(RN, p)
+    dec = bun.ricci_decomposition(BundleGeometry(RN, p))
     assert div == pytest.approx(dec["div_term"], rel=1e-9, abs=1e-14)

@@ -9,9 +9,9 @@ import pytest
 
 from tbgrav import exprlang, tm_metric, verify
 from tbgrav.base_geom import BaseGeometry
-from tbgrav.bundle_geom import BundleGeometry
+from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import SingularEvaluationError, UsageError
-from tbgrav.spacetime import catalog, load_model, metric_jet, print_model
+from tbgrav.spacetime import catalog, load_model, metric_jet, metric_values, print_model
 
 RN = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
 MINK = catalog("minkowski")
@@ -90,10 +90,17 @@ def test_registry_completeness():
 
 
 def test_report_serialization_round_trip():
-    reports = verify.run_suite(MINK, seed=5, n_points=2, selection=["metric_symmetry"])
+    """A report carries the points it requested, evaluated and skipped as
+    ints, and round-trips through JSON."""
+    reports = verify.run_suite(MINK, seed=5, n_points=2, selection=["metric_symmetry", "fiber_ball_volume"])
     text = verify.reports_to_json(reports)
     back = verify.reports_from_json(text)
     assert verify.reports_to_json(back) == text
+    counts = [(d["requested"], d["evaluated"], d["skipped"]) for d in json.loads(text)]
+    assert counts == [(2, 2, 0), (2, 2, 0)]
+    assert all(type(n) is int for n in counts[0]) and "points" not in json.loads(text)[0]
+    [ball] = verify.run_suite(MINK, seed=5, n_points=5, selection=["fiber_ball_volume"])
+    assert (ball.requested, ball.evaluated, ball.skipped) == (verify.BALL_POINTS, verify.BALL_POINTS, 0)
 
 
 def test_csv_flatten():
@@ -127,7 +134,7 @@ def test_fiber_ball_volume_reads_the_model():
     model's fiber metric v: on the dense model, whose v is not diagonal, a
     change of variables by L^-1 in place of L^-T fails it."""
     dense = load_model((Path(__file__).resolve().parents[1] / "tools" / "dense_model.json").read_text())
-    for x in verify.sample_points(dense, np.random.default_rng(42), 3):
+    for x in verify.sample_bundle_points(dense, np.random.default_rng(42), 3).x:
         v = tm_metric.fiber_ball(dense, x).v
         assert np.max(np.abs(v - np.diag(np.diag(v)))) > 0.01 * np.max(np.abs(v))
     (report,) = verify.run_suite(dense, seed=42, n_points=3, selection=["fiber_ball_volume"])
@@ -135,22 +142,21 @@ def test_fiber_ball_volume_reads_the_model():
 
 
 def test_sampled_y_is_timelike():
-    rng = np.random.default_rng(11)
-    for x in verify.sample_points(RN, rng, 5):
-        y = verify.sample_timelike(RN, rng, x)
+    p = verify.sample_bundle_points(RN, np.random.default_rng(11), 5)
+    for x, y in zip(p.x, p.y, strict=True):
         g = metric_jet(RN, x, order=0).values
         assert y @ g @ y > 0.1
 
 
 def test_sampling_evaluates_g_once_per_point(monkeypatch):
     """``sample_bundle_points`` runs the metric tape once per point (the chart
-    test's g draws its y) and ``theorem1_quad_y_independent`` once per x for
-    its three draws, with the draws of ``sample_points`` then
-    ``sample_timelike`` on one random stream."""
-    xs = verify.sample_points(RN, np.random.default_rng(9), 5)
+    test's g draws its y), drawing every x and then a y at each on one random
+    stream, and ``theorem1_quad_y_independent`` draws its two more fiber
+    vectors per point from the geometry's g without running it again."""
     ref = np.random.default_rng(9)
-    ref_xs = verify.sample_points(RN, ref, 5)
-    ref_ys = [verify.sample_timelike(RN, ref, x) for x in ref_xs]
+    box = verify._default_box(RN)
+    ref_xs = [np.array([ref.uniform(lo, hi) for lo, hi in box]) for _ in range(5)]  # RN's box is all chart
+    ref_ys = [verify.sample_timelike(metric_values(RN, x), ref) for x in ref_xs]
     runs = []
     values = exprlang.Tape.values
 
@@ -161,94 +167,102 @@ def test_sampling_evaluates_g_once_per_point(monkeypatch):
     monkeypatch.setattr(exprlang.Tape, "values", counted)
     points = verify.sample_bundle_points(RN, np.random.default_rng(9), 5)
     assert sum(runs) == 5
-    assert all(p.x.tobytes() == x.tobytes() and p.y.tobytes() == y.tobytes()
-               for p, x, y in zip(points, ref_xs, ref_ys, strict=True))
+    assert points.x.tobytes() == np.array(ref_xs).tobytes() and points.y.tobytes() == np.array(ref_ys).tobytes()
     runs.clear()
-    verify._quad_y_independent(RN, np.array(xs), np.random.default_rng(9))
-    assert sum(runs) == 5
+    verify._quad_y_independent(BundleGeometry(RN, points), np.random.default_rng(9))
+    assert sum(runs) == 0
 
 
 def test_conservation_residual_values():
-    assert np.max(np.abs(verify.conservation_residual(MINK, [0, 0, 0, 0]))) == 0.0
-    assert np.max(np.abs(verify.conservation_residual(RN, [0.0, 5.0, 1.2, 0.5]))) <= 1e-7
-    schw = catalog("schwarzschild", {"M": 1.0})
-    assert np.max(np.abs(verify.conservation_residual(schw, [0.0, 10.0, 1.2, 0.5]))) <= 1e-7
+    def residual(model, x):
+        return np.max(np.abs(verify.conservation_residual(BaseGeometry(model, x, 3))))
+
+    assert residual(MINK, [0, 0, 0, 0]) == 0.0
+    assert residual(RN, [0.0, 5.0, 1.2, 0.5]) <= 1e-7
+    assert residual(catalog("schwarzschild", {"M": 1.0}), [0.0, 10.0, 1.2, 0.5]) <= 1e-7
 
 
-def test_singular_points_recorded_not_fatal():
-    """A batch with singular points is run again point by point; each
-    singular point is counted as skipped."""
+def _fixed_sample(monkeypatch, n):
+    """Make the suite's sample the Minkowski points (k, 0, 0, 0), k < n, with
+    y the time axis."""
+    x = np.zeros((n, 4))
+    x[:, 0] = np.arange(n)
+    points = BundlePoint(x, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
+    monkeypatch.setattr(verify, "sample_bundle_points", lambda model, rng, n_points: points)
+
+
+def test_singular_points_recorded_not_fatal(monkeypatch):
+    """A batch with singular points is run again point by point, on one-point
+    geometries; each singular point is counted as skipped, and a skip fails
+    its check."""
     calls = []
 
-    def flaky(model, xs, rng):
-        calls.append(list(xs))
-        if any(x % 2 for x in xs):
+    def flaky(geo, rng):
+        calls.append(geo.p.x[:, 0].tolist())
+        if (geo.p.x[:, 0] % 2).any():
             raise SingularEvaluationError("boom", value=0.0)
-        return [1e-12] * len(xs)
+        return [1e-12] * len(geo.p.x)
 
-    check = verify._check(flaky, sample=lambda model, rng, n: list(range(n)))
-    residuals, skipped, notes = check(MINK, np.random.default_rng(0), 6)
-    assert calls == [list(range(6))] + [[k] for k in range(6)]
-    assert residuals == [1e-12] * 3
-    assert skipped == 3
-    assert notes == ""
+    _fixed_sample(monkeypatch, 6)
+    monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, flaky)])
+    (report,) = verify.run_suite(MINK, seed=0, n_points=6)
+    assert calls == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]] + [[float(k)] for k in range(6)]
+    assert report.residuals == [1e-12] * 3
+    assert (report.requested, report.evaluated, report.skipped) == (6, 3, 3)
+    assert report.passed is False
+    assert report.notes == verify.NOTES["metric_symmetry"]
 
 
 def test_skipped_point_fails_check(monkeypatch):
-    def residual(model, xs, rng):
-        if (xs[:, 0] == 0).any():
+    def residual(geo, rng):
+        if (geo.p.x[:, 0] == 0).any():
             raise SingularEvaluationError("boom", value=0.0)
-        return [0.0] * len(xs)
+        return [0.0] * len(geo.p.x)
 
-    one_singular = verify._check(
-        residual, sample=lambda model, rng, n: [[k] for k in range(n)], notes="stub check"
-    )
-    monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, one_singular)])
+    _fixed_sample(monkeypatch, 5)
+    monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, residual)])
     (report,) = verify.run_suite(MINK, seed=0, n_points=5, selection=["metric_symmetry"])
     assert report.residuals == [0.0] * 4
-    assert report.notes == "1 point(s) skipped: singular evaluation; stub check"
+    assert (report.requested, report.evaluated, report.skipped) == (5, 4, 1)
     assert report.passed is False
 
 
 def test_registry_entries_keep_check_contract():
-    """Each entry is (name, tolerance, check) and check(model, rng, n) returns
-    (residuals, skipped, notes); the benchmark's tracer wraps these triples."""
+    """Each entry is (name, tolerance, check), and check(geo, rng) gives one
+    float per point of the suite's geometry; the benchmark's tracer wraps
+    these triples."""
+    geo = BundleGeometry(MINK, verify.sample_bundle_points(MINK, np.random.default_rng(0), 2))
     for entry in verify.REGISTRY:
         assert isinstance(entry, tuple) and len(entry) == 3
         name, _, check = entry
-        out = check(MINK, np.random.default_rng(0), 1)
-        assert isinstance(out, tuple) and len(out) == 3, name
-        residuals, skipped, notes = out
-        assert isinstance(residuals, list) and residuals, name
-        assert all(type(r) is float for r in residuals), name
-        assert type(skipped) is int and isinstance(notes, str), name
+        residuals = [float(r) for r in check(geo, np.random.default_rng(0))]
+        assert len(residuals) == 2, name
 
 
-def test_check_draws_every_point_before_first_residual():
-    """The seeded reports depend on the rng order: all sample draws, then the
-    batch's residuals, which may draw more point by point
-    (theorem1_quad_y_independent, divergence_lift)."""
+def test_check_draws_every_point_before_first_residual(monkeypatch):
+    """The seeded reports depend on the rng order: the suite draws every x,
+    then a y at each, on its sample stream before the first residual runs,
+    and each check makes its own draws on its stream [seed, index]."""
     log = []
+    sample = verify.sample_bundle_points
 
-    class RecordingRng:
-        def __init__(self, seed):
-            self.rng = np.random.default_rng(seed)
-            self.bit_generator = self.rng.bit_generator  # saved before each batch
+    def logged_sample(model, rng, n):
+        log.append("sample")
+        return sample(model, rng, n)
 
-        def uniform(self, *args, **kwargs):
-            log.append("draw")
-            return self.rng.uniform(*args, **kwargs)
+    def residual(geo, rng):
+        log.append(geo.p)
+        return [rng.uniform() for _ in geo.p.x]
 
-    def residual(model, xs, rng):
-        log.append("residual")
-        return [rng.uniform() for _ in xs]
-
-    residuals, skipped, _ = verify._check(residual)(MINK, RecordingRng(3), 3)
-    assert log == ["draw"] * 12 + ["residual"] + ["draw"] * 3
-    plain = np.random.default_rng(3)
-    points = verify.sample_points(MINK, plain, 3)
-    assert residuals == [plain.uniform() for _ in points]
-    assert skipped == 0
+    monkeypatch.setattr(verify, "sample_bundle_points", logged_sample)
+    monkeypatch.setattr(verify, "REGISTRY", [("metric_symmetry", 1, residual), ("riemann_symmetries", 2, residual)])
+    reports = verify.run_suite(MINK, seed=3, n_points=3)
+    assert log[0] == "sample" and len(log) == 3 and log[1] is log[2]
+    ref = sample(MINK, np.random.default_rng([3, verify.SAMPLE_STREAM]), 3)
+    assert log[1].x.tobytes() == ref.x.tobytes() and log[1].y.tobytes() == ref.y.tobytes()
+    for index, report in enumerate(reports):
+        plain = np.random.default_rng([3, index])
+        assert report.residuals == [plain.uniform() for _ in range(3)]
 
 
 def test_reports_carry_conventions_and_seed():
@@ -258,36 +272,42 @@ def test_reports_carry_conventions_and_seed():
     assert r.conventions["em_stress_sign"] == 1.0
 
 
-@pytest.mark.parametrize(
-    "check, per_point_axis",
-    [("alpha_zero_collapse", 1), ("fiber_derivs_agreement", 1), ("homogeneity_ladder", 2),
-     ("theorem1_quad_y_independent", 3)],
-)
-def test_geometry_builds_per_point(monkeypatch, check, per_point_axis):
-    """The points of a check share one geometry with a point axis: one
-    BundleGeometry per batch (two for the y -> 2y ladder, three fiber vectors
-    per x for the quadratic term) and one BaseGeometry, for any number of
-    points."""
+@pytest.mark.parametrize("n", [1, 4])
+def test_geometry_builds_per_suite(monkeypatch, n):
+    """A suite builds two BundleGeometry, its own and alpha_zero_collapse's at
+    alpha 0, and a BaseGeometry for each, whatever the number of points;
+    every other check reads the suite's (``at_fiber`` shares it)."""
     builds, bases = [], []
-    init, at_fiber, base_init = BundleGeometry.__init__, BundleGeometry.at_fiber, BaseGeometry.__init__
+    init, base_init = BundleGeometry.__init__, BaseGeometry.__init__
 
     def counted_init(self, *args, **kwargs):
-        builds.append(check)
+        builds.append(kwargs.get("alpha"))
         init(self, *args, **kwargs)
 
-    def counted_at_fiber(self, y):
-        builds.append(check)
-        return at_fiber(self, y)
-
     def counted_base_init(self, *args, **kwargs):
-        bases.append(check)
+        bases.append(args[-1])
         base_init(self, *args, **kwargs)
 
     monkeypatch.setattr(BundleGeometry, "__init__", counted_init)
-    monkeypatch.setattr(BundleGeometry, "at_fiber", counted_at_fiber)
     monkeypatch.setattr(BaseGeometry, "__init__", counted_base_init)
-    n = 2
-    [report] = verify.run_suite(RN, seed=42, n_points=n, selection=[check])
-    assert report.passed
-    assert len(builds) == per_point_axis
-    assert len(bases) == 1
+    reports = verify.run_suite(RN, seed=42, n_points=n)
+    assert all(r.passed for r in reports)
+    assert builds == [None, 0.0]
+    assert bases == [3, 3]
+
+
+def test_selection_reads_the_suite_points():
+    """Each check run alone gives the bytes of its row of the whole suite:
+    the same points, geometry values and random draws."""
+    suite = verify.run_suite(RN, seed=42, n_points=5)
+    for report in suite:
+        [alone] = verify.run_suite(RN, seed=42, n_points=5, selection=[report.check])
+        assert np.array(alone.residuals).tobytes() == np.array(report.residuals).tobytes(), report.check
+
+
+def test_homogeneity_ladder_reads_rounding():
+    """Under y -> 1.5 y the ladder's floats round, so the check reads a
+    defect above zero (y -> 2 y scaled them exactly and read 0.0) that
+    passes its tolerance."""
+    [report] = verify.run_suite(RN, seed=42, n_points=5, selection=["homogeneity_ladder"])
+    assert report.max_residual > 0.0 and report.passed

@@ -33,16 +33,15 @@ DENSE = Path(__file__).with_name("dense_model.json")
 
 def dump(path: str) -> None:
     from tbgrav import load_model, verify
-    from tbgrav.bundle_geom import BundleGeometry, BundlePoint
+    from tbgrav.bundle_geom import BundleGeometry
     from tbgrav.spacetime import CATALOG_NAMES, catalog
 
     models = [catalog(name, PARAMS.get(name)) for name in CATALOG_NAMES] + [load_model(DENSE.read_text())]
     out = {}
     for model in models:
         points = verify.sample_bundle_points(model, np.random.default_rng(11), 3)
-        x, y = np.array([p.x[0] for p in points]), np.array([p.y[0] for p in points])
         for alpha in (0.0, 0.5):
-            geo = BundleGeometry(model, BundlePoint(x, y), alpha=alpha)
+            geo = BundleGeometry(model, points, alpha=alpha)
             for attr in OBJECTS:
                 arr = getattr(geo, attr)
                 key = f"{model.name}/alpha{alpha}/{attr}"
