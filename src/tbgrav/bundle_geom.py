@@ -112,6 +112,14 @@ class BundleGeometry:
         geo.p = BundlePoint(self.p.x, y)
         return geo
 
+    def at_alpha(self, alpha: float) -> "BundleGeometry":
+        """The geometry at the same points and order for the coupling alpha;
+        like ``at_fiber`` it shares the base geometry and the lifted fields of
+        x alone, none of which depends on alpha."""
+        geo = self.at_fiber(self.p.y)
+        geo.alpha = float(alpha)
+        return geo
+
     # -- base fields (full carrier budget) ----------------------------------------
     #
     # g, A and what they give depend on x alone: each is built on 4-variable

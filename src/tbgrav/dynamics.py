@@ -25,11 +25,14 @@ a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
 with connection and tidal tensor evaluated along the base worldline, from
 the order-2 deviation kernel (``bundle_geom.deviation_kernel``).
 
-Integrator: Dormand-Prince embedded 5(4) pair, PI step control, cubic
-Hermite dense output on accepted steps (interpolation accuracy one order
-below the integrator).  The first step follows the starting-step rule of
-Hairer, Norsett & Wanner (Solving ODEs I, II.4), which costs one Euler probe
-call of the right-hand side (counted in ``n_rhs``; none when t_end = 0), so a
+Integrator: Dormand-Prince embedded 5(4) pair with the PI step control of
+Hairer, Norsett & Wanner (Solving ODEs I, II.4: exponents 0.17 and 0.04,
+growth capped at 10), and Dormand-Prince's own 4th-order continuous extension
+as dense output (Shampine 1986; HNW II.6): cubic Hermite on each accepted
+step plus a quartic term that the step's stages give, so a sample costs no
+RHS call and is accurate to one order below the integrator.  The first step
+follows HNW's starting-step rule (II.4), which costs one Euler probe call of
+the right-hand side (counted in ``n_rhs``; none when t_end = 0), so a
 run starts at the size of step its tolerance allows instead of climbing to
 it.  It runs on plain floats: the state, the seven stages and the error norm
 are lists of Python floats, the stage sums are written out over the
@@ -75,6 +78,20 @@ _A = (
 )
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _E = tuple(b - b4 for b, b4 in zip((*_A[-1], 0.0), _B4))
+# the weights d of the quartic term of the continuous extension of Dormand and
+# Prince (Shampine 1986; Hairer, Norsett & Wanner, Solving ODEs I, II.6, and
+# their code DOPRI5): over a step from y0 to y1 it is the cubic Hermite
+# interpolant of y0, y1, h f0 and h f1 plus s^2 (1 - s)^2 h sum_i d_i k_i,
+# s the fraction of the step (d2 = 0)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+      701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+# PI step control (Hairer, Norsett & Wanner, Solving ODEs I, II.4, and DOPRI5):
+# after an accepted step h changes by the factor 0.9 err^-alpha err_prev^beta,
+# kept in [0.2, 10], with beta = 0.04 and alpha = 1/5 - 0.75 beta = 0.17;
+# err_prev is the last accepted step's error, floored at 1e-4, and 1 before
+# the first (no history), so the first step's factor is 0.9 err^-alpha
+_BETA = 0.04
+_ALPHA = 0.2 - 0.75 * _BETA
 # accepted steps per buffer block of the integrator: small enough that a
 # block is not a memory map of its own, so no run maps and unmaps large ones
 _BLOCK = 256
@@ -82,14 +99,21 @@ _BLOCK = 256
 
 @dataclass
 class Trajectory:
-    """Accepted steps with cubic Hermite dense output, and the integrator's
-    counts: accepted steps, RHS calls, steps rejected by the error test,
-    attempts abandoned on a singular stage, and the smallest accepted step
-    (inf when none was accepted)."""
+    """Accepted steps with Dormand-Prince's continuous extension as dense
+    output, and the integrator's counts: accepted steps, RHS calls, steps
+    rejected by the error test, attempts abandoned on a singular stage, and
+    the smallest accepted step (inf when none was accepted).
+
+    Between times[k] and times[k + 1], at s = (t - times[k]) / h, the sample
+    is the cubic Hermite interpolant of the two states and of h times their
+    derivatives, plus s^2 (1 - s)^2 quartic[k + 1]: a polynomial of degree 4
+    with local error O(h^5), one order below the integrator, built from the
+    step's stages with no extra RHS call."""
 
     times: np.ndarray  # accepted step times, shape (n,)
     states: np.ndarray  # shape (n, dim)
     derivs: np.ndarray  # shape (n, dim)
+    quartic: np.ndarray  # shape (n, dim): row k + 1 for the step from times[k], row 0 zero
     n_steps: int
     n_rhs: int
     n_rejected: int
@@ -101,19 +125,20 @@ class Trajectory:
         return float(self.times[-1])
 
     def sample(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation between accepted steps: the floats of
-        ``sampler`` as an array."""
-        return np.array(self._hermite(t))
+        """Dormand-Prince's continuous extension between accepted steps: the
+        floats of ``sampler`` as an array."""
+        return np.array(self._dense(t))
 
     def sampler(self):
         """``t -> list``: ``sample`` on Python floats, for a right-hand side
         that samples this trajectory on every call."""
-        return self._hermite
+        return self._dense
 
     @cached_property
-    def _hermite(self):
-        """The Hermite sampler on the arrays read as lists, built once."""
+    def _dense(self):
+        """The sampler on the arrays read as lists, built once."""
         times, states, derivs = self.times.tolist(), self.states.tolist(), self.derivs.tolist()
+        quartic = self.quartic.tolist()
         first, last = times[0], times[-1]
 
         def sample(t: float) -> list[float]:
@@ -129,8 +154,9 @@ class Trajectory:
             h10 = s * (1 - s) ** 2
             h01 = s * s * (3 - 2 * s)
             h11 = s * s * (s - 1)
-            return [h00 * y0 + h10 * (d0 * h) + h01 * y1 + h11 * (d1 * h)
-                    for y0, d0, y1, d1 in zip(states[k], derivs[k], states[k + 1], derivs[k + 1])]
+            q = s * h10  # s^2 (1 - s)^2
+            return [h00 * y0 + h10 * (d0 * h) + h01 * y1 + h11 * (d1 * h) + q * r
+                    for y0, d0, y1, d1, r in zip(states[k], derivs[k], states[k + 1], derivs[k + 1], quartic[k + 1])]
 
         return sample
 
@@ -170,8 +196,10 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
 
     The state is a list of floats, and ``rhs(t, state)`` returns one; the
     stage sums are written out over the components.  Each accepted step is
-    one row (t, state, derivative) of a float block of ``_BLOCK`` rows, and
-    the trajectory's arrays are joined from the blocks at the end."""
+    one row (t, state, derivative, quartic term) of a float block of
+    ``_BLOCK`` rows, and the trajectory's arrays are joined from the blocks at
+    the end.  The quartic term is summed in the loop of the error norm, which
+    reads the same stages."""
     if not 0.0 <= t_end < math.inf:
         raise UsageError(f"t_end must be finite and >= 0, got {t_end}")
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf) or rtol == atol == 0.0:
@@ -180,13 +208,14 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     a71, _, a73, a74, a75, a76 = a7
     c2, c3, c4, c5 = _C
     e1, _, e3, e4, e5, e6, e7 = _E
+    d1, _, d3, d4, d5, d6, d7 = _D
     t = 0.0
     y = np.asarray(y0, dtype=float).tolist()
     f = rhs(t, y)
     h, probes = _start_step(rhs, y, f, t_end, rtol, atol) if t_end > 0 else (0.0, 0)
     n_rhs = 1 + probes
-    blocks = [np.empty((_BLOCK, 1 + 2 * len(y)))]
-    blocks[0][0] = [t, *y, *f]
+    blocks = [np.empty((_BLOCK, 1 + 3 * len(y)))]
+    blocks[0][0] = [t, *y, *f, *[0.0] * len(y)]
     n_steps = n_rejected = n_singular_retries = 0
     h_min = math.inf
     err_prev = 1.0
@@ -225,10 +254,12 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
             continue
         consecutive_failures = 0
         total = 0.0  # sum of squares of the scaled error estimate
+        quartic = []  # the quartic term of the step's continuous extension
         for p, r, q1, q3, q4, q5, q6, q7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
             scaled = (h * (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
                       / (atol + rtol * max(abs(p), abs(r))))
             total += scaled * scaled
+            quartic.append(h * (d1 * q1 + d3 * q3 + d4 * q4 + d5 * q5 + d6 * q6 + d7 * q7))
         err = max(math.sqrt(total / len(y)), 1e-16)
         if err <= 1.0:
             t += h
@@ -236,13 +267,12 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
             n_steps += 1
             if n_steps % _BLOCK == 0:
                 blocks.append(np.empty_like(blocks[0]))
-            blocks[-1][n_steps % _BLOCK] = [t, *y, *f]
+            blocks[-1][n_steps % _BLOCK] = [t, *y, *f, *quartic]
             h_min = min(h_min, h)
             if guard is not None:
                 guard(t, y)
-            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-            h *= min(5.0, max(0.2, fac))
-            err_prev = max(err, 1e-10)
+            h *= min(10.0, max(0.2, 0.9 * err ** -_ALPHA * err_prev ** _BETA))
+            err_prev = max(err, 1e-4)
         else:
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** (-1.0 / 5.0))
@@ -250,7 +280,8 @@ def _integrate(rhs, y0, t_end, rtol, atol, guard=None) -> Trajectory:
     return Trajectory(
         times=np.concatenate([b[:, 0] for b in blocks])[:n],
         states=np.concatenate([b[:, 1 : dim + 1] for b in blocks])[:n],
-        derivs=np.concatenate([b[:, dim + 1 :] for b in blocks])[:n],
+        derivs=np.concatenate([b[:, dim + 1 : 2 * dim + 1] for b in blocks])[:n],
+        quartic=np.concatenate([b[:, 2 * dim + 1 :] for b in blocks])[:n],
         n_steps=n_steps,
         n_rhs=n_rhs,
         n_rejected=n_rejected,

@@ -209,7 +209,7 @@ def _tidal_reconstruction(geo, rng):
 
 
 def _alpha_zero_collapse(geo, rng):
-    geo = BundleGeometry(geo.model, geo.p, alpha=0.0)
+    geo = geo.at_alpha(0.0)
     base = geo.base
     objects = (base.gamma.values, geo.n_conn.values, geo.berwald.values, geo.tidal.values,
                base.riemann.values, geo.d_ricci, base.ricci.values, geo.d_ricci_scalar, base.ricci_scalar)

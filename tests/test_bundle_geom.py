@@ -139,6 +139,18 @@ def test_at_fiber_is_the_geometry_at_the_new_fiber_vector():
     assert moved.quad_term == fresh.quad_term and np.array_equal(moved.b_hessian, fresh.b_hessian)
 
 
+def test_at_alpha_is_the_geometry_at_the_new_coupling():
+    geo = BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.5)
+    geo.tidal  # the x-only fields are built and cached
+    moved, fresh = geo.at_alpha(0.0), BundleGeometry(RN, BundlePoint(X_RN, Y_RN), alpha=0.0)
+    assert moved.alpha == 0.0 and geo.alpha == 0.5
+    assert moved.base is geo.base and moved.gamma is geo.gamma and moved.faraday is geo.faraday
+    for attr in ("n_conn", "tidal", "berwald"):
+        assert [j.c.tobytes() for j in getattr(moved, attr).flat] == [j.c.tobytes() for j in getattr(fresh, attr).flat]
+    for attr in ("d_ricci", "d_ricci_scalar", "quad_term"):
+        assert np.asarray(getattr(moved, attr)).tobytes() == np.asarray(getattr(fresh, attr)).tobytes(), attr
+
+
 # -- fiber derivatives of B --------------------------------------------------------
 
 

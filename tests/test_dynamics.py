@@ -673,17 +673,68 @@ def test_list_sampler_matches_sample_bit_for_bit():
     assert point.sampler()(0.0) == point.sample(0.0).tolist()
 
 
-def test_sampler_is_built_once_and_gives_the_hermite_formula():
+def test_sampler_is_built_once_and_gives_the_continuous_extension():
     """A trajectory builds its list sampler once, and ``sample`` gives the
-    bits of the cubic Hermite formula on its arrays, written here with
-    NumPy rows as a reference."""
+    bits of Dormand-Prince's continuous extension on its arrays: cubic Hermite
+    on the states and derivatives plus s^2 (1 - s)^2 times the step's quartic
+    row, written here with NumPy rows as a reference."""
     base = dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=10.0)
     assert base.sampler() is base.sampler()
+    assert base.quartic.shape == base.states.shape and not base.quartic[0].any()
     times = base.times
     for t in np.linspace(0.0, base.t_end, 37):
         k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
         h = times[k + 1] - times[k]
         s = (t - times[k]) / h
         ref = ((1 + 2 * s) * (1 - s) ** 2 * base.states[k] + s * (1 - s) ** 2 * (base.derivs[k] * h)
-               + s * s * (3 - 2 * s) * base.states[k + 1] + s * s * (s - 1) * (base.derivs[k + 1] * h))
+               + s * s * (3 - 2 * s) * base.states[k + 1] + s * s * (s - 1) * (base.derivs[k + 1] * h)
+               + s * (s * (1 - s) ** 2) * base.quartic[k + 1])
         assert base.sample(t).tobytes() == ref.tobytes(), t
+
+
+def test_dense_output_is_exact_on_a_quartic():
+    """The continuous extension has order 4, so on y' = 4 t^3 it samples t^4
+    to rounding between the accepted steps (cubic Hermite missed by
+    s^2 (1 - s)^2 h^4)."""
+    traj = dyn._integrate(lambda t, y: [4.0 * t**3], [0.0], 2.0, 1e-10, 1e-10)
+    assert traj.n_steps >= 3
+    ts = np.linspace(0.0, 2.0, 101)
+    assert max(abs(traj.sample(t)[0] - t**4) for t in ts) <= 1e-12
+
+
+def test_step_growth_is_capped_at_ten():
+    """On y' = 1 the error estimate is rounding, so the steps grow by the cap
+    of the PI control, a factor of 10 (Hairer, Norsett & Wanner), until the
+    rounding of a large y holds them back."""
+    steps = np.diff(dyn._integrate(lambda t, y: [1.0], [0.0], 10.0, 1e-10, 1e-10).times)
+    assert steps[1:5] / steps[:4] == pytest.approx(10.0, rel=1e-9)
+
+
+def _near_circular(rng):
+    """The benchmark's bound orbit draw (``near_circular`` of the orbits
+    workload): equatorial, near the circular orbit of the M = 1 hole at r ~ 10."""
+    r0 = 10.0 + rng.uniform(-0.5, 0.5)
+    omega = math.sqrt(1.0 / r0**3)
+    y0 = [1.0, rng.uniform(-0.005, 0.005), rng.uniform(-2e-4, 2e-4), rng.uniform(0.97, 0.99) * omega]
+    return np.array([0.0, r0, math.pi / 2, 0.0]), np.array(y0)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_sampled_outputs_keep_the_integrators_accuracy(seed):
+    """Sampled between accepted steps, the outputs hold the accuracy of the
+    steps themselves: the unit-speed drift of t = 100 orbits stays within
+    2e-11 (cubic Hermite read about 2e-10), and a deviation at rtol = atol =
+    1e-10 stays within 2e-10 of one at 1e-13 at 41 sampled times (Hermite:
+    about 2e-9)."""
+    rng = np.random.default_rng([seed, 0])
+    for model, alpha in ((SCHW, 0.0), (RN, 0.5)):
+        x0, y0 = _near_circular(rng)
+        orbit = dyn.integrate_worldline(model, x0, y0, alpha=alpha, t_end=100.0)
+        assert dyn.norm_drift(model, orbit) <= 2e-11
+        w0, W0 = [0.0, rng.uniform(0.08, 0.12), rng.uniform(0.04, 0.08), 0.0], [0.0, 0.0, 0.0, 1e-3]
+        fine = dict(rtol=1e-13, atol=1e-13)
+        dev = dyn.integrate_deviation(model, dyn.integrate_worldline(model, X0_ORBIT, Y0_PERTURBED, alpha=alpha),
+                                      w0, W0=W0, alpha=alpha)
+        ref = dyn.integrate_deviation(model, dyn.integrate_worldline(model, X0_ORBIT, Y0_PERTURBED, alpha=alpha, **fine),
+                                      w0, W0=W0, alpha=alpha, **fine)
+        assert max(np.max(np.abs(dev.sample(t) - ref.sample(t))) for t in np.linspace(0.0, 10.0, 41)) <= 2e-10

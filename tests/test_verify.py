@@ -274,9 +274,9 @@ def test_reports_carry_conventions_and_seed():
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_geometry_builds_per_suite(monkeypatch, n):
-    """A suite builds two BundleGeometry, its own and alpha_zero_collapse's at
-    alpha 0, and a BaseGeometry for each, whatever the number of points;
-    every other check reads the suite's (``at_fiber`` shares it)."""
+    """A suite builds one BundleGeometry and one BaseGeometry of order 3,
+    whatever the number of points: every check reads them, at other fibers
+    (``at_fiber``) or at alpha 0 (``at_alpha``, for alpha_zero_collapse)."""
     builds, bases = [], []
     init, base_init = BundleGeometry.__init__, BaseGeometry.__init__
 
@@ -292,8 +292,8 @@ def test_geometry_builds_per_suite(monkeypatch, n):
     monkeypatch.setattr(BaseGeometry, "__init__", counted_base_init)
     reports = verify.run_suite(RN, seed=42, n_points=n)
     assert all(r.passed for r in reports)
-    assert builds == [None, 0.0]
-    assert bases == [3, 3]
+    assert builds == [None]
+    assert bases == [3]
 
 
 def test_selection_reads_the_suite_points():
