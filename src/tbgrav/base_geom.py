@@ -117,11 +117,6 @@ def det_jet_matrix(g: JetArray) -> JetArray:
     return contract(g[0], JetArray(minor.space, cofactors))
 
 
-def sqrt_minus_det(g: JetArray) -> JetArray:
-    """sqrt(-det g), a 0-d jet array (one entry per point)."""
-    return (-det_jet_matrix(g)).sqrt()
-
-
 # -- connection and curvature kernels --------------------------------------------
 
 
@@ -196,6 +191,11 @@ class BaseGeometry:
     @cached_property
     def a_pot(self) -> JetArray:
         return potential_jet(self.model, self.x, order=self.order)
+
+    @cached_property
+    def sqrt_minus_det(self) -> JetArray:
+        """sqrt(-det g), a 0-d jet array (one entry per point)."""
+        return (-det_jet_matrix(self.g)).sqrt()
 
     @cached_property
     def gamma(self) -> JetArray:
@@ -286,7 +286,7 @@ def maxwell_current(geo: BaseGeometry) -> np.ndarray:
     """Source current J^i = -(c/4pi) (1/sqrt(-g)) d_j(sqrt(-g) F^ij), densitized
     form, at each of the geometry's points (carrier order 2 or more)."""
     _, f_mix = geo.faraday
-    s = sqrt_minus_det(geo.g)
+    s = geo.sqrt_minus_det
     f_up = contract(f_mix, geo.ginv.T)
     coeff = -geo.model.c / (4.0 * math.pi)
     return coeff * densitized_divergence(s, f_up) / s.values[..., None]
@@ -323,6 +323,20 @@ def _not_timelike(n2: float):
     raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
 
 
+def four_vector(v, name: str) -> np.ndarray:
+    """v as a float array of shape (4,); raises ``UsageError`` otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4,):
+        raise UsageError(f"{name} needs 4 components, got shape {v.shape}")
+    return v
+
+
+def fiber_state(x, y) -> list[float]:
+    """The bundle point (x, y) as the list s = (x^0..x^3, y^0..y^3) of floats
+    that the kernels of ``FiberWriter`` read."""
+    return [*four_vector(x, "x").tolist(), *four_vector(y, "y").tolist()]
+
+
 def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
     """|y| = sqrt(g_ij y^i y^j); fails fast unless 0 < g(y,y) < inf, as the
     kernels of ``FiberWriter`` do, so a NaN g(y,y) fails too.  A y that is
@@ -336,9 +350,11 @@ def timelike_norm(g: np.ndarray, y: np.ndarray) -> float:
 
 
 class FiberWriter(_KernelWriter):
-    """Writer of a float kernel of (x, y, ...) on a metric tape run at
-    ``order`` (1 or 2).  The constructor writes what each such kernel starts
-    with: y, the tape (``g[i][j]`` the coefficient list of g_ij), g(y,y) with
+    """Writer of a float kernel of (s, ...) on a metric tape run at ``order``
+    (1 or 2), s the bundle point as one list (x^0..x^3, y^0..y^3), which may
+    go on with entries the kernel does not read.  The constructor writes what
+    each such kernel starts with: y from s[4:8], the tape on x = s[0:4]
+    (``g[i][j]`` the coefficient list of g_ij), g(y,y) with
     the test of ``timelike_norm``, and g^-1 from the cofactors and
     determinant of g (Laplace expansion along first rows, each minor once).
 
@@ -352,10 +368,12 @@ class FiberWriter(_KernelWriter):
     cached on its metric tape (``Tape.kernel``).
     """
 
+    point = "s"
+
     def __init__(self, order: int, metric: Tape):
         super().__init__(order)
         self.first = self.space.first_index.tolist()
-        self.y = self.unpack("y", 4)
+        self.y = self.unpack("s[4:8]", 4)
         coeffs = self.run(metric)
         self.g = [[coeffs[ROOT[i, j]] for j in range(4)] for i in range(4)]
         g = [[c[0] for c in row] for row in self.g]
@@ -429,10 +447,12 @@ class FiberWriter(_KernelWriter):
 
 
 def _write_spray(metric: Tape, potential: Tape | None):
-    """The worldline kernel ``(x, y) -> [g(y,y), -gamma^i_jk y^j y^k for i in
-    0..3, F^i_j y^j for i in 0..3]``, the last four only with a potential
-    tape: -gamma^i_jk y^j y^k from the Christoffel symbols of the first kind
-    and F^i_j y^j from the first partials of the tapes at order 1."""
+    """The worldline kernel ``(s, c1, c2) -> [y^i for i in 0..3, a^i for i in
+    0..3]``, the rates of the worldline state s: a^i = -gamma^i_jk y^j y^k
+    from the Christoffel symbols of the first kind, and with a potential tape
+    a^i = -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j, F^i_j y^j from the
+    first partials of the tapes at order 1, each component one sum written
+    term for term (a known-zero F^i_j y^j kept as 0.0)."""
     w = FiberWriter(1, metric)
     dg = [[[w.g[i][j][w.first[k]] for j in range(4)] for i in range(4)] for k in range(4)]  # d_k g_ij
     # low[h] = -gamma_hjk y^j y^k (first kind) summed over j <= k: the terms
@@ -447,41 +467,31 @@ def _write_spray(metric: Tape, potential: Tape | None):
                 terms += [(c, (entry, w.pair[j, k])) for c, entry in ((-1.0, dg[k][h][j]), (-1.0, dg[j][h][k]),
                                                                        (1.0, dg[h][j][k]))]
         low.append(w.combine(w.merged(terms)))
-    flat = [w.n2, *w.raise_index(low)]
+    accel = w.raise_index(low)
     if potential is not None:
         a = w.run(potential)
         da = [[a[j][w.first[i]] for j in range(4)] for i in range(4)]  # d_i A_j
         f_y = [w.combine([(1.0, [da[h][j], w.y[j]]) for j in range(4) if j != h]
                          + [(-1.0, [da[j][h], w.y[j]]) for j in range(4) if j != h]) for h in range(4)]
-        flat += w.raise_index(f_y)
-    return w.compile("x, y", flat, "<spray kernel>")
+        coupling = w.let(f"c1 * {w.let(w.call(math.sqrt, w.n2))} + c2")
+        accel = [w.let(f"{w.ref(acc)} + {coupling} * {w.ref(f)}") for acc, f in zip(accel, w.raise_index(f_y))]
+    return w.compile("s, c1, c2", w.y + accel, "<spray kernel>")
 
 
-def spray_kernel(model: SpacetimeModel, field: bool):
-    """The model's one straight-line worldline kernel ``(x, y) -> [g(y,y),
-    -gamma^i_jk y^j y^k for i = 0..3]``, then F^i_j y^j for i = 0..3 when
-    ``field``, y a list of floats (``_write_spray``, written once per model
-    and field switch); it raises ``SingularEvaluationError`` unless y is
-    timelike.  No jet is built."""
-    return model.metric_tape.kernel(_write_spray, model.potential_tape if field else None)
-
-
-def lorentz_acceleration(model: SpacetimeModel, charge_ratio: float):
-    """The function ``(x, y) -> [a^i]`` on float lists, a^i = -gamma^i_jk y^j
-    y^k + (q/(m c^2)) F^i_j y^j (unit-speed gauge), on the worldline kernel
-    read once."""
-    field = has_field(model, charge_ratio)
-    kernel = spray_kernel(model, field)
-    if not field:
-        return lambda x, y: kernel(x, y)[1:]
-
-    def acceleration(x, y):
-        _, a0, a1, a2, a3, f0, f1, f2, f3 = kernel(x, y)
-        return [a0 + charge_ratio * f0, a1 + charge_ratio * f1, a2 + charge_ratio * f2, a3 + charge_ratio * f3]
-
-    return acceleration
+def spray_kernel(model: SpacetimeModel, alpha: float | None):
+    """(kernel, alpha): the model's one straight-line worldline kernel ``(s,
+    c1, c2) -> [y^i, -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j]``, s a
+    list of floats (x, y, ...), the F term only where the coupling alpha lets
+    the field in (``_write_spray``, written once per model and field switch),
+    and alpha as a float, the model's when None.  Couplings (alpha, 0) give
+    the Randers worldline, (0, q/(m c^2)) the classical Lorentz force.  The
+    kernel raises ``SingularEvaluationError`` unless y is timelike."""
+    alpha = model.alpha if alpha is None else float(alpha)
+    potential = model.potential_tape if has_field(model, alpha) else None
+    return model.metric_tape.kernel(_write_spray, potential), alpha
 
 
 def classical_lorentz_rhs(model: SpacetimeModel, x, y, charge_ratio: float) -> np.ndarray:
     """a^i = -gamma^i_jk y^j y^k + (q/(m c^2)) F^i_j y^j  (unit-speed gauge)."""
-    return np.array(lorentz_acceleration(model, charge_ratio)(x, np.asarray(y, dtype=float).tolist()))
+    kernel, charge_ratio = spray_kernel(model, charge_ratio)
+    return np.array(kernel(fiber_state(x, y), 0.0, charge_ratio)[4:])

@@ -411,22 +411,23 @@ def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None
     neighbour-oracle right-hand sides call directly); no jet is built.  Raises
     ``SingularEvaluationError`` unless 0 < g(y,y) < inf."""
     kernel, coef = deviation_kernel(model, alpha)
-    out = np.array(kernel(x, np.asarray(y, dtype=float).tolist(), coef))
+    out = np.array(kernel(base_geom.fiber_state(x, y), coef))
     return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
 
 
 def deviation_kernel(model: SpacetimeModel, alpha: float | None):
-    """(kernel, coef): the model's deviation kernel ``(x, y, coef) -> [N^i_j
-    (16, row-major), E^i_j (16), -2 G^i (4)]`` for the coupling alpha, y a
-    list of floats, and its argument coef = -alpha/2 (``_write_deviation``,
-    written once per model and field switch)."""
+    """(kernel, coef): the model's deviation kernel ``(s, coef) -> [N^i_j
+    (16, row-major), E^i_j (16), -2 G^i (4)]`` for the coupling alpha, s the
+    list of floats (x, y, ...) that the worldline kernel reads too, and its
+    argument coef = -alpha/2 (``_write_deviation``, written once per model
+    and field switch)."""
     alpha = model.alpha if alpha is None else float(alpha)
     potential = model.potential_tape if base_geom.has_field(model, alpha) else None
     return model.metric_tape.kernel(_write_deviation, potential), -0.5 * alpha
 
 
 def _write_deviation(metric, potential):
-    """The deviation kernel ``(x, y, coef) -> [N^i_j (16), E^i_j (16), -N^i_j
+    """The deviation kernel ``(s, coef) -> [N^i_j (16), E^i_j (16), -N^i_j
     y^j (4)]``, coef = -alpha/2, from the metric tape and, unless None, the
     potential tape at order 2.  Each term is formed with a lower index and
     raised by g^-1 last.  N lowered is
@@ -509,4 +510,4 @@ def _write_deviation(metric, potential):
     e_low = [[combine(e_terms(h, j)) for j in four] for h in four]
     e = [list(row) for row in zip(*(w.raise_index([e_low[h][j] for h in four]) for j in four))]
     flat = [n[i][j] for i in four for j in four] + [e[i][j] for i in four for j in four]
-    return w.compile("x, y, coef", flat + [combine([(-1.0, [s[i]])]) for i in four], "<deviation kernel>")
+    return w.compile("s, coef", flat + [combine([(-1.0, [s[i]])]) for i in four], "<deviation kernel>")

@@ -9,12 +9,14 @@ g(y,y) is an exact invariant of this flow (metric compatibility plus the
 antisymmetry of F), which the adaptive integrator must preserve to ~1e-8
 over t in [0, 100] at default tolerances.
 
-The right-hand side reads g(y,y), -gamma^i_jk y^j y^k and F^i_j y^j from one
-straight-line float kernel per model and field switch (``base_geom.spray_kernel``,
-written from the model's tapes and cached on them), which leaves out
-every term with a factor that folds to zero and rejects a y that is not
-timelike; the classical Lorentz-force RHS shares it.  The tests cross-check it
-against the jet route (``BaseGeometry``, ``BundleGeometry``).
+The right-hand side is one straight-line float kernel per model and field
+switch (``base_geom.spray_kernel``, written from the model's tapes and cached
+on them): it takes the state s = (x, y) and the couplings (c1, c2) and
+returns the rates [y^i, -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j],
+leaves out every term with a factor that folds to zero and rejects a y that
+is not timelike.  Couplings (alpha, 0) give this worldline, (0, q/(m c^2))
+the classical Lorentz force.  The tests cross-check it against the jet route
+(``BaseGeometry``, ``BundleGeometry``).
 
 The deviation of a neighboring worldline with the same coupling evolves as
 a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
@@ -23,7 +25,8 @@ a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
     dW^i/dt = E^i_k(x,y) w^k - N^i_k(x,y) W^k
 
 with connection and tidal tensor evaluated along the base worldline, from
-the order-2 deviation kernel (``bundle_geom.deviation_kernel``).
+the order-2 deviation kernel (``bundle_geom.deviation_kernel``), which reads
+the same state list.
 
 Integrator: Dormand-Prince embedded 5(4) pair with the PI step control of
 Hairer, Norsett & Wanner (Solving ODEs I, II.4: exponents 0.17 and 0.04,
@@ -36,10 +39,11 @@ the right-hand side (counted in ``n_rhs``; none when t_end = 0), so a
 run starts at the size of step its tolerance allows instead of climbing to
 it.  It runs on plain floats: the state, the seven stages and the error norm
 are lists of Python floats, the stage sums are written out over the
-components, and each right-hand side is a closure that reads its kernels once
-per integration and builds lists, with no NumPy call per stage.  The
-worldline's guard on accepted states, and ``norm_drift``, form g(y,y) from
-the metric tape's ten float values (``_norm2``).
+components, and each right-hand side hands the state list to kernels it reads
+once per integration, with no NumPy call per stage.  Every vector a caller
+passes has 4 components, or ``UsageError`` is raised.  The worldline's guard
+on accepted states, and ``norm_drift``, form g(y,y) from the metric tape's
+ten float values (``_norm2``).
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import base_geom
+from .base_geom import fiber_state, four_vector
 from .bundle_geom import connection_and_tidal_values, deviation_kernel
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
 from .spacetime import SpacetimeModel, metric_values, potential_jet
@@ -303,26 +308,10 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     return norm + alpha * float(a_vals @ y)
 
 
-def _acceleration(model: SpacetimeModel, alpha: float | None):
-    """The function ``(x, y) -> [dy^i/dt]`` on float lists, on the worldline
-    kernel read once."""
-    alpha = model.alpha if alpha is None else float(alpha)
-    field = base_geom.has_field(model, alpha)
-    kernel = base_geom.spray_kernel(model, field)
-    if not field:
-        return lambda x, y: kernel(x, y)[1:]
-
-    def acceleration(x, y):
-        n2, a0, a1, a2, a3, f0, f1, f2, f3 = kernel(x, y)
-        coupling = alpha * math.sqrt(n2)
-        return [a0 + coupling * f0, a1 + coupling * f1, a2 + coupling * f2, a3 + coupling * f3]
-
-    return acceleration
-
-
 def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
     """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
-    return np.array(_acceleration(model, alpha)(x, np.asarray(y, dtype=float).tolist()))
+    kernel, alpha = base_geom.spray_kernel(model, alpha)
+    return np.array(kernel(fiber_state(x, y), alpha, 0.0)[4:])
 
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
@@ -371,23 +360,12 @@ def integrate_worldline(
     atol: float = 1e-10,
 ) -> Trajectory:
     """Integrate the worldline ODE from (x0, y0), y0 scaled to unit speed."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = four_vector(x0, "x0")
     model.check_chart(x0)
-    y0 = normalize_unit_speed(model, x0, y0)
-    acceleration = _acceleration(model, alpha)
-
-    def rhs(t, state):
-        y = state[4:]
-        return y + acceleration(state[:4], y)
-
-    return _integrate(
-        rhs,
-        np.concatenate([x0, y0]),
-        t_end,
-        rtol,
-        atol,
-        guard=_chart_and_cone_guard(model),
-    )
+    y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
+    kernel, alpha = base_geom.spray_kernel(model, alpha)
+    return _integrate(lambda t, s: kernel(s, alpha, 0.0), np.concatenate([x0, y0]), t_end, rtol, atol,
+                      guard=_chart_and_cone_guard(model))
 
 
 def norm_drift(model: SpacetimeModel, traj: Trajectory) -> float:
@@ -405,19 +383,14 @@ def compare_classical(
     t_end: float = 10.0,
 ) -> float:
     """Max position/velocity gap to the classical Lorentz-force worldline with
-    q/(m c^2) = alpha and unit-speed initial data (the two ODEs then agree)."""
-    alpha = model.alpha if alpha is None else float(alpha)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = normalize_unit_speed(model, x0, y0)
-    acceleration = _acceleration(model, alpha)
-    lorentz = base_geom.lorentz_acceleration(model, alpha)
-
-    def rhs(t, state):
-        y, yc = state[4:8], state[12:]
-        return y + acceleration(state[:4], y) + yc + lorentz(state[8:12], yc)
-
+    q/(m c^2) = alpha and unit-speed initial data (the two ODEs then agree):
+    one worldline kernel with the couplings (alpha, 0) and then (0, alpha)."""
+    x0 = four_vector(x0, "x0")
+    y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
+    kernel, alpha = base_geom.spray_kernel(model, alpha)
     # one joint system so both worldlines share the accepted steps
-    joint = _integrate(rhs, np.concatenate([x0, y0, x0, y0]), t_end, CLASSICAL_TOL, CLASSICAL_TOL)
+    joint = _integrate(lambda t, s: kernel(s, alpha, 0.0) + kernel(s[8:], 0.0, alpha),
+                       np.concatenate([x0, y0, x0, y0]), t_end, CLASSICAL_TOL, CLASSICAL_TOL)
     ts = np.linspace(0.0, t_end, CLASSICAL_SAMPLES)
     gap = 0.0
     for t in ts:
@@ -470,22 +443,18 @@ def integrate_deviation(
     """
     if (W0 is None) == (dw0 is None):
         raise UsageError("provide either W0 (covariant rate) or dw0 (coordinate rate), not both")
-    w0 = np.asarray(w0, dtype=float)
+    w0 = four_vector(w0, "w0")
     if W0 is None:
         s0 = base.sample(0.0)
         n0, _, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
-        W0 = np.asarray(dw0, dtype=float) + n0 @ w0
+        W0 = four_vector(dw0, "dw0") + n0 @ w0
     else:
-        W0 = np.asarray(W0, dtype=float)
+        W0 = four_vector(W0, "W0")
 
     kernel, coef = deviation_kernel(model, alpha)
     sample = base.sampler()
-
-    def rhs(t, state):
-        s = sample(t)
-        return _deviation_rates(kernel(s[:4], s[4:], coef), state)
-
-    return _integrate(rhs, np.concatenate([w0, W0]), base.t_end, rtol, atol)
+    return _integrate(lambda t, state: _deviation_rates(kernel(sample(t), coef), state),
+                      np.concatenate([w0, W0]), base.t_end, rtol, atol)
 
 
 def neighbor_oracle(
@@ -506,23 +475,18 @@ def neighbor_oracle(
     deviation are integrated as one joint system on shared steps, so the
     integration errors of the two worldlines cancel in the finite difference.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = normalize_unit_speed(model, x0, y0)
-    w0 = np.asarray(w0, dtype=float)
-    W0 = np.asarray(W0, dtype=float)
+    x0 = four_vector(x0, "x0")
+    y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
+    w0, W0 = four_vector(w0, "w0"), four_vector(W0, "W0")
     n0, _, _ = _connection_and_tidal(model, x0, y0, alpha)
-    x0_eps = x0 + eps * w0
-    y0_eps = y0 + eps * (W0 - n0 @ w0)
-
     kernel, coef = deviation_kernel(model, alpha)
-    acceleration = _acceleration(model, alpha)
+    spray, alpha = base_geom.spray_kernel(model, alpha)
 
-    def rhs(t, state):
-        y, ye = state[4:8], state[12:16]
-        nte = kernel(state[:4], y, coef)
-        return y + nte[32:] + ye + acceleration(state[8:12], ye) + _deviation_rates(nte, state[16:])
+    def rhs(t, state):  # the state (x, y, x_eps, y_eps, w, W)
+        nte = kernel(state, coef)
+        return state[4:8] + nte[32:] + spray(state[8:], alpha, 0.0) + _deviation_rates(nte, state[16:])
 
-    state0 = np.concatenate([x0, y0, x0_eps, y0_eps, w0, W0])
+    state0 = np.concatenate([x0, y0, x0 + eps * w0, y0 + eps * (W0 - n0 @ w0), w0, W0])
     joint = _integrate(rhs, state0, t_end, ORACLE_TOL, ORACLE_TOL)
     ts = np.linspace(0.0, t_end, ORACLE_SAMPLES)
     worst = 0.0

@@ -39,10 +39,10 @@ on the float Taylor coefficients of an order <= 2, the operations
 ``Tape.jets`` makes on coefficient rows, in the same order, so its
 coefficients match ``evaluate`` bit for bit, down to the sign of a zero, and
 it raises the same errors at the same points.  Writers elsewhere run a
-metric tape and a potential tape into one function of (x, y), with geometric
-terms that are not bit-identical to any jet route
-(``base_geom.FiberWriter``).  Every kernel is cached on its tape
-(``Tape.kernel``).
+metric tape and a potential tape into one function of the bundle point
+s = (x, y) as one list, with geometric terms that are not bit-identical to
+any jet route (``base_geom.FiberWriter``).  Every kernel is cached on its
+tape (``Tape.kernel``).
 """
 
 from __future__ import annotations
@@ -500,6 +500,8 @@ class _KernelWriter:
     statements is compiled block by block (``compile``).
     """
 
+    point = "x"  # the kernel's argument whose first four entries the seeds read
+
     def __init__(self, order: int):
         self.order = order
         self.space = jet_space(order, KERNEL_NVARS)
@@ -518,7 +520,7 @@ class _KernelWriter:
             regs[r] = [regs[r] if self.order == 0 else float(row[0, 0])] + [float(row[0, 1])] * (size - 1)
         for k in tape._seeds:
             if k not in self.seeds:
-                self.seeds[k] = [self.let(f"float(x[{k}])")] + [0.0] * (size - 1)
+                self.seeds[k] = [self.let(f"float({self.point}[{k}])")] + [0.0] * (size - 1)
                 if self.order >= 1:
                     self.seeds[k][self.space.first_index[k]] = 1.0
             regs[k] = self.seeds[k]

@@ -356,14 +356,12 @@ def potential_jet(model: SpacetimeModel, x, order: int) -> JetArray:
     return model.potential_tape.jets(_points(x), order)
 
 
-def metric_values(model: SpacetimeModel, x, check: bool = True) -> np.ndarray:
+def metric_values(model: SpacetimeModel, x) -> np.ndarray:
     """Plain float matrix g_ij(x), from the metric tape's order-0 kernel."""
     x = np.asarray(x, dtype=float)
-    if check:
-        model.check_chart(x)
+    model.check_chart(x)
     g = np.array(model.metric_tape.values(x))[ROOT]
-    if check:
-        _check_determinant(g, x)
+    _check_determinant(g, x)
     return g
 
 

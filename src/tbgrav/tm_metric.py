@@ -23,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base_geom import densitized_divergence, sqrt_minus_det, timelike_norm
+from .base_geom import BaseGeometry, densitized_divergence, timelike_norm
 from .errors import SingularEvaluationError, UsageError
 from .jet_arrays import JetArray
-from .spacetime import SpacetimeModel, metric_jet, metric_values
+from .spacetime import SpacetimeModel, metric_values
 
 BALL_BOUND = math.sqrt(2.0) / math.pi  # unit-volume normalization: the ball is v(y, y) <= BALL_BOUND
 BALL_RADIUS = math.sqrt(BALL_BOUND)  # its Euclidean radius in v-orthonormal coordinates
@@ -213,10 +213,10 @@ def base_integral(model: SpacetimeModel, box, f, base_nodes: int = 4) -> float:
     return total
 
 
-def base_divergence_values(model: SpacetimeModel, x, comps: JetArray) -> np.ndarray:
+def base_divergence_values(geo: BaseGeometry, comps: JetArray) -> np.ndarray:
     """Classical divergence (1/sqrt(-g)) d_i(sqrt(-g) Y^i) via base jets, at
-    each point of a batch x (a point x being a batch of one), for Y's
+    each of the geometry's points (carrier order 1 or more), for Y's
     components ``comps``, a (4,) jet array on 4-variable jets of order 1 or
-    more (as Y evaluated on ``coord_env(x, 1)`` gives them)."""
-    s = sqrt_minus_det(metric_jet(model, x, order=1))
+    more (as Y evaluated on ``coord_env(geo.x, 1)`` gives them)."""
+    s = geo.sqrt_minus_det
     return densitized_divergence(s, comps) / s.values

@@ -280,7 +280,7 @@ def _divergence_lift(geo, rng):
         return concat(*vals)[0]
 
     lifted = geo.divergence(components(model.coord_env(xs, geo.order, nvars=8)), geo.n_conn)
-    base = tm_metric.base_divergence_values(model, xs, components(model.coord_env(xs, 1)))
+    base = tm_metric.base_divergence_values(geo.base, components(model.coord_env(xs, 1)))
     return abs(lifted - base) / (abs(base) + 1.0)
 
 

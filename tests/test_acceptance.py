@@ -206,7 +206,7 @@ def test_criterion_6_volume_structure():
 
         geo = BundleGeometry(schw, p, order=2)  # the horizontal lift: the field on the joint jets
         lifted = geo.divergence(components(schw.coord_env(p.x, geo.order, nvars=8)), geo.n_conn)[0]
-        base = tm_metric.base_divergence_values(schw, p.x, components(schw.coord_env(p.x, 1)))[0]
+        base = tm_metric.base_divergence_values(geo.base, components(schw.coord_env(p.x, 1)))[0]
         worst_div = max(worst_div, abs(lifted - base) / (abs(base) + 1.0))
 
     _report(

@@ -81,6 +81,33 @@ def test_rhs_rejects_null_vector():
         dyn.worldline_rhs(MINK, [0, 0, 0, 0], [1, 1, 0, 0], alpha=0.0)
 
 
+X5, W = [*X0_ORBIT, 0.0], [0.0, 0.5, 0.3, 0.0]  # an x with a fifth component, a deviation vector
+
+
+def _short_base():
+    return dyn.integrate_worldline(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dyn.worldline_rhs(RN, X5, Y0_PERTURBED, alpha=0.5),
+    lambda: dyn.worldline_rhs(RN, X0_ORBIT, [*Y0_PERTURBED, 0.0], alpha=0.5),
+    lambda: base_geom.classical_lorentz_rhs(RN, X5, Y0_PERTURBED, 0.5),
+    lambda: connection_and_tidal_values(RN, X5, Y0_PERTURBED, 0.5),
+    lambda: dyn.integrate_worldline(RN, X5, Y0_PERTURBED, alpha=0.5, t_end=0.1),
+    lambda: dyn.compare_classical(RN, X5, Y0_PERTURBED, alpha=0.5, t_end=0.1),
+    lambda: dyn.neighbor_oracle(RN, X0_ORBIT, Y0_PERTURBED, w0=[*W, 0.0], W0=W, eps=1e-4, alpha=0.5, t_end=0.1),
+    lambda: dyn.integrate_deviation(RN, _short_base(), [*W, 0.0], W0=W, alpha=0.5),
+    lambda: dyn.integrate_deviation(RN, _short_base(), W, W0=[*W, 0.0], alpha=0.5),
+    lambda: dyn.integrate_deviation(RN, _short_base(), W, dw0=[*W, 0.0], alpha=0.5),
+], ids=["worldline_rhs.x", "worldline_rhs.y", "classical_lorentz_rhs", "connection_and_tidal_values",
+        "integrate_worldline", "compare_classical", "neighbor_oracle", "deviation.w0", "deviation.W0",
+        "deviation.dw0"])
+def test_vectors_without_four_components_are_refused(call):
+    # the kernels read y from slots 4-7 of one list, so a fifth x component would shift it
+    with pytest.raises(UsageError, match="needs 4 components"):
+        call()
+
+
 @pytest.mark.parametrize("big", [math.inf, -math.inf, math.nan, 1e200])
 def test_fiber_vector_too_large_fails_without_numpy_warning(big):
     x, y = [0.0, 10.0, math.pi / 2, 0.0], [big, 0.0, 0.0, 0.0]
@@ -450,7 +477,7 @@ def test_spray_kernel_shares_the_tapes_subexpressions(monkeypatch):
     kernel = rn.metric_tape.kernel(base_geom._write_spray, rn.potential_tape)
     recip, calls = kernel.__globals__["reciprocal_value"], []
     monkeypatch.setitem(kernel.__globals__, "reciprocal_value", lambda *args: calls.append(args) or recip(*args))
-    kernel(X0_ORBIT.tolist(), Y0_PERTURBED.tolist())
+    kernel(np.concatenate([X0_ORBIT, Y0_PERTURBED]).tolist(), 0.5, 0.0)
     # 1/r, 1/r^2 and 1/f for the metric, then 1/det g for g^-1; A_t = Q/r reuses the metric's 1/r
     assert len(calls) == 4
 

@@ -13,6 +13,7 @@ from tbgrav.jet_arrays import concat
 from tbgrav.jets import MAX_ORDER, jet_space
 from tbgrav.spacetime import (
     CATALOG_NAMES,
+    ROOT,
     alpha_star,
     catalog,
     load_model,
@@ -204,7 +205,7 @@ def test_lower_triangle_filled_from_upper():
     doc["metric"][0][1] = "M/r^3"
     doc["metric"][1][0] = ""
     m = load_model(json.dumps(doc))
-    g = metric_values(m, SCHW_POINT, check=False)
+    g = np.array(m.metric_tape.values(SCHW_POINT))[ROOT]
     assert g[1, 0] == g[0, 1] == pytest.approx(1e-3)
 
 
@@ -390,7 +391,7 @@ def test_tape_matches_tree_bit_for_bit(model, order, nvars):
     if order == 0:
         upper, g = np.triu_indices(4), np.empty((4, 4))
         g[upper] = g.T[upper] = [jet.value for jet in tree[:10]]
-        assert metric_values(model, x, check=False).tobytes() == g.tobytes()
+        assert np.array(model.metric_tape.values(x))[ROOT].tobytes() == g.tobytes()
     kernel = _kernel(model, order) if nvars == 4 and order <= 2 else None  # the float program of both tapes
     if kernel:
         assert np.array(kernel(x)).tobytes() == _coefficient_bytes(tree)

@@ -213,7 +213,7 @@ def test_divergence_lift_commutation_random_polynomials():
             return out
 
         lifted = geo.divergence(_lift(geo, components), geo.n_conn)
-        base = tm.base_divergence_values(SCHW, geo.p.x, concat(*components(SCHW.coord_env(geo.p.x, 1)))[0])
+        base = tm.base_divergence_values(geo.base, concat(*components(SCHW.coord_env(geo.p.x, 1)))[0])
         assert lifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 

@@ -14,7 +14,10 @@ and, where the model has a potential, with it, the line gives
 - ``compile_ms``: the time CPython takes to compile and define the written
   body (``_KernelWriter.compile``), not the time taken to write it;
 - ``us_per_call``: the best of three timings of the kernel at the model's
-  base point of ``output_digest.py``, in microseconds per call.
+  base point of ``output_digest.py`` and the digest's fiber vector, as the
+  one list s = (x, y) both kernels take, with the worldline kernel's
+  couplings (alpha, 0) and the deviation kernel's coef = -alpha/2, in
+  microseconds per call.
 
 Timings depend on the host; the counts depend only on the source.  It lives
 outside the package so that importing ``tbgrav`` stays as it was.
@@ -62,18 +65,17 @@ def us_per_call(call) -> float:
 
 def main() -> None:
     print("model kernel field statements parts series_calls compile_ms us_per_call")
-    y = Y.tolist()
     for name in CATALOG_NAMES:
         model = catalog(name, PARAMS.get(name))
-        x = POINTS[name]
+        s = base_geom.fiber_state(POINTS[name], Y)
         fields = (False, True) if base_geom.has_field(model, ALPHA) else (False,)
-        for label, write, extra in (("spray", base_geom._write_spray, ()),
+        for label, write, extra in (("spray", base_geom._write_spray, (ALPHA, 0.0)),
                                     ("deviation", bundle_geom._write_deviation, (-0.5 * ALPHA,))):
             for field in fields:
                 kernel, lines, seconds = written(write, model, model.potential_tape if field else None)
                 parts = sum(1 for key in kernel.__globals__ if re.fullmatch(r"part\d+", key)) or 1
                 series = sum(len(SERIES_CALL.findall(line)) for line in lines)
-                cost = us_per_call(lambda: kernel(x, y, *extra))
+                cost = us_per_call(lambda: kernel(s, *extra))
                 print(f"{name} {label} {int(field)} {len(lines)} {parts} {series} {seconds * 1e3:.1f} {cost:.1f}",
                       flush=True)
 

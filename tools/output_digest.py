@@ -26,7 +26,8 @@ leave byte for byte as they were:
   document), whose metric has off-diagonal entries and a zero diagonal one;
 - on the jet route, at the same points: SHA-256 of the order, variable count
   and coefficient bytes (at the array's lowest order) of every jet of ``BaseGeometry(model, x, 4)``'s
-  ``ginv``, ``gamma``, ``riemann``, ``ricci`` and ``einstein_maxwell``, and of
+  ``ginv``, ``gamma``, ``riemann``, ``ricci``, ``einstein_maxwell`` and
+  ``sqrt_minus_det``, and of
   ``BundleGeometry``'s ``n_conn``, ``berwald`` and ``tidal`` at alpha 0 and
   0.5, with the bytes of its ``b_hessian`` and the ``float.hex`` of its
   ``div_term``, ``quad_term`` and ``d_ricci_scalar`` (a tree whose joint
@@ -56,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from tbgrav import base_geom, bundle_geom, cli, dynamics, verify
-from tbgrav.base_geom import BaseGeometry, sqrt_minus_det
+from tbgrav.base_geom import BaseGeometry
 from tbgrav.bundle_geom import BundleGeometry
 from tbgrav.errors import IntegrationError
 from tbgrav.spacetime import CATALOG_NAMES, catalog, load_model
@@ -95,7 +96,7 @@ RN_INGOING_EF = json.dumps({
 PLUNGE_X0, PLUNGE_Y0 = [0.0, 3.0, math.pi / 2, 0.0], [2.0, -0.5, 0.0, 0.0]
 ORACLE_X0, ORACLE_Y0 = [0.0, 10.0, math.pi / 2, 0.0], [1.0, 0.005, 0.0, 0.98 * math.sqrt(1e-3)]
 ORACLE_W0, ORACLE_BIG_W0 = [0.0, 0.5, 0.3, 0.0], [0.0, 0.0, 0.0, 0.01]
-BASE_JETS = ("g", "ginv", "a_pot", "gamma", "riemann", "ricci", "einstein_maxwell")
+BASE_JETS = ("g", "ginv", "a_pot", "gamma", "riemann", "ricci", "einstein_maxwell", "sqrt_minus_det")
 BUNDLE_JETS = ("n_conn", "berwald", "tidal", "norm2", "norm", "inv_norm", "b_trace2", "b_scalar")
 
 
@@ -173,12 +174,11 @@ def jet_bytes(arr) -> bytes:
 def jet_route_lines():
     for name, points in seeded_points().items():
         model = catalog(name, PARAMS.get(name))
-        digests = {attr: hashlib.sha256() for attr in (*BASE_JETS, "sqrt_minus_det")}
+        digests = {attr: hashlib.sha256() for attr in BASE_JETS}
         for x in points:
             base = BaseGeometry(model, x, 4)
             for attr in BASE_JETS:
                 digests[attr].update(jet_bytes(getattr(base, attr)))
-            digests["sqrt_minus_det"].update(jet_bytes(sqrt_minus_det(base.g)))
         for attr, digest in digests.items():
             yield f"BaseGeometry.{attr}.{name}", digest.hexdigest()
         for alpha in (0.0, 0.5):
