@@ -5,7 +5,6 @@ worldlines, and a residual-check suite anchored on exact solutions."""
 
 from .base_geom import (
     BaseGeometry,
-    classical_lorentz_rhs,
     covariant_divergence,
     maxwell_current,
     maxwell_cyclic_residual,

@@ -312,13 +312,6 @@ def covariant_divergence(geo: BaseGeometry, s_upper: JetArray) -> np.ndarray:
 # -- float helpers of the dynamics' right-hand sides --------------------------------
 
 
-def has_field(model: SpacetimeModel, coupling: float) -> bool:
-    """False when F cannot enter the dynamics: zero coupling or a potential
-    whose every component folds to 0 on its compiled tape."""
-    constants = model.potential_tape.constants
-    return coupling != 0.0 and constants.count(0.0) != len(constants)
-
-
 def _not_timelike(n2: float):
     raise SingularEvaluationError(f"fiber vector is not timelike: g(y,y) = {n2}", value=n2)
 
@@ -329,6 +322,13 @@ def four_vector(v, name: str) -> np.ndarray:
     if v.shape != (4,):
         raise UsageError(f"{name} needs 4 components, got shape {v.shape}")
     return v
+
+
+def whole_number(n, name: str, least: int) -> int:
+    """n as an int; ``UsageError`` unless it is an int (not a bool) >= least."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise UsageError(f"{name} must be a whole number >= {least}, got {n!r}")
+    return int(n)
 
 
 def fiber_state(x, y) -> list[float]:
@@ -452,7 +452,9 @@ def _write_spray(metric: Tape, potential: Tape | None):
     from the Christoffel symbols of the first kind, and with a potential tape
     a^i = -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j, F^i_j y^j from the
     first partials of the tapes at order 1, each component one sum written
-    term for term (a known-zero F^i_j y^j kept as 0.0)."""
+    term for term (a known-zero F^i_j y^j kept as 0.0).  Couplings (alpha, 0)
+    give the Randers worldline, (0, q/(m c^2)) the classical Lorentz force.
+    The kernel raises ``SingularEvaluationError`` unless y is timelike."""
     w = FiberWriter(1, metric)
     dg = [[[w.g[i][j][w.first[k]] for j in range(4)] for i in range(4)] for k in range(4)]  # d_k g_ij
     # low[h] = -gamma_hjk y^j y^k (first kind) summed over j <= k: the terms
@@ -478,20 +480,13 @@ def _write_spray(metric: Tape, potential: Tape | None):
     return w.compile("s, c1, c2", w.y + accel, "<spray kernel>")
 
 
-def spray_kernel(model: SpacetimeModel, alpha: float | None):
-    """(kernel, alpha): the model's one straight-line worldline kernel ``(s,
-    c1, c2) -> [y^i, -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j]``, s a
-    list of floats (x, y, ...), the F term only where the coupling alpha lets
-    the field in (``_write_spray``, written once per model and field switch),
-    and alpha as a float, the model's when None.  Couplings (alpha, 0) give
-    the Randers worldline, (0, q/(m c^2)) the classical Lorentz force.  The
-    kernel raises ``SingularEvaluationError`` unless y is timelike."""
+def field_kernel(model: SpacetimeModel, write, alpha: float | None):
+    """(kernel, alpha): ``write``'s kernel (``_write_spray`` or
+    ``bundle_geom._write_deviation``) of the model's metric tape, cached on
+    it, with the potential tape where the coupling alpha lets the field in
+    (alpha nonzero, a potential that does not fold to 0), alpha a float, the
+    model's when None.  At a point a kernel reads ``fiber_state(x, y)``."""
     alpha = model.alpha if alpha is None else float(alpha)
-    potential = model.potential_tape if has_field(model, alpha) else None
-    return model.metric_tape.kernel(_write_spray, potential), alpha
-
-
-def classical_lorentz_rhs(model: SpacetimeModel, x, y, charge_ratio: float) -> np.ndarray:
-    """a^i = -gamma^i_jk y^j y^k + (q/(m c^2)) F^i_j y^j  (unit-speed gauge)."""
-    kernel, charge_ratio = spray_kernel(model, charge_ratio)
-    return np.array(kernel(fiber_state(x, y), 0.0, charge_ratio)[4:])
+    constants = model.potential_tape.constants
+    field = alpha != 0.0 and constants.count(0.0) != len(constants)
+    return model.metric_tape.kernel(write, model.potential_tape if field else None), alpha

@@ -30,8 +30,8 @@ of its batch at once, with a leading point axis (one point is a batch of
 one), and gives every point the bits it has alone.  ``np.einsum`` is used on
 float arrays only, one point at a time.
 The deviation and oracle right-hand sides read N, E and the spray from a
-float twin of this route, one straight-line kernel written from the model's
-tapes (``deviation_kernel``; at a point, ``connection_and_tidal_values``).
+float twin of this route, the kernel ``base_geom.field_kernel`` gets from
+``_write_deviation``, at a point ``kernel(fiber_state(x, y), alpha)``.
 
 Frozen convention for the scalar-curvature split (see the decisions note and
 the flat constant-field derivation in the tests): the divergence term uses the
@@ -403,34 +403,13 @@ def generalized_einstein(geo: BundleGeometry) -> dict:
     }
 
 
-def connection_and_tidal_values(model: SpacetimeModel, x, y, alpha: float | None = None):
-    """(N^i_j, E^i_j, -2 G^i) as floats at (x, y): the float twin of
-    ``BundleGeometry``'s ``n_conn``, ``tidal`` and ``-2 spray``, cross-checked
-    against them in the tests.  One straight-line kernel per model and field
-    switch, alpha its argument (``deviation_kernel``, which the deviation and
-    neighbour-oracle right-hand sides call directly); no jet is built.  Raises
-    ``SingularEvaluationError`` unless 0 < g(y,y) < inf."""
-    kernel, coef = deviation_kernel(model, alpha)
-    out = np.array(kernel(base_geom.fiber_state(x, y), coef))
-    return out[:16].reshape(4, 4), out[16:32].reshape(4, 4), out[32:]
-
-
-def deviation_kernel(model: SpacetimeModel, alpha: float | None):
-    """(kernel, coef): the model's deviation kernel ``(s, coef) -> [N^i_j
-    (16, row-major), E^i_j (16), -2 G^i (4)]`` for the coupling alpha, s the
-    list of floats (x, y, ...) that the worldline kernel reads too, and its
-    argument coef = -alpha/2 (``_write_deviation``, written once per model
-    and field switch)."""
-    alpha = model.alpha if alpha is None else float(alpha)
-    potential = model.potential_tape if base_geom.has_field(model, alpha) else None
-    return model.metric_tape.kernel(_write_deviation, potential), -0.5 * alpha
-
-
 def _write_deviation(metric, potential):
-    """The deviation kernel ``(s, coef) -> [N^i_j (16), E^i_j (16), -N^i_j
-    y^j (4)]``, coef = -alpha/2, from the metric tape and, unless None, the
-    potential tape at order 2.  Each term is formed with a lower index and
-    raised by g^-1 last.  N lowered is
+    """The deviation kernel ``(s, alpha) -> [N^i_j (16, row-major), E^i_j
+    (16), -N^i_j y^j (4)]``, the float twin of ``BundleGeometry``'s
+    ``n_conn``, ``tidal`` and ``-2 spray``, from the metric tape and, unless
+    None, the potential tape (whose terms open with coef = -alpha/2) at
+    order 2.  Each term is formed with a lower index and raised by g^-1
+    last.  N lowered is
 
         M_hj = gamma_hjk y^k + coef (F_h l_j + |y| F_hj),   F_h = F_hk y^k,  l_j = g_jk y^k / |y|,
 
@@ -469,7 +448,8 @@ def _write_deviation(metric, potential):
              for h in four]  # F_hj = d_h A_j - d_j A_h
         f_y = [combine([(1.0, [f[h][j], y[j]]) for j in four]) for h in four]
         norm = w.let(w.call(math.sqrt, w.n2))
-        cr, cnorm = w.let(f"coef / {norm}"), w.let(f"coef * {norm}")
+        coef = w.let("-0.5 * alpha")
+        cr, cnorm = w.let(f"{coef} / {norm}"), w.let(f"{coef} * {norm}")
         gy = [combine([(1.0, [g[j][k][0], y[k]]) for k in four]) for j in four]
         cl = [combine([(1.0, [cr, gy[j]])]) for j in four]  # coef l_j
         for h in four:
@@ -510,4 +490,4 @@ def _write_deviation(metric, potential):
     e_low = [[combine(e_terms(h, j)) for j in four] for h in four]
     e = [list(row) for row in zip(*(w.raise_index([e_low[h][j] for h in four]) for j in four))]
     flat = [n[i][j] for i in four for j in four] + [e[i][j] for i in four for j in four]
-    return w.compile("s, coef", flat + [combine([(-1.0, [s[i]])]) for i in four], "<deviation kernel>")
+    return w.compile("s, alpha", flat + [combine([(-1.0, [s[i]])]) for i in four], "<deviation kernel>")

@@ -10,8 +10,8 @@ antisymmetry of F), which the adaptive integrator must preserve to ~1e-8
 over t in [0, 100] at default tolerances.
 
 The right-hand side is one straight-line float kernel per model and field
-switch (``base_geom.spray_kernel``, written from the model's tapes and cached
-on them): it takes the state s = (x, y) and the couplings (c1, c2) and
+switch (``base_geom.field_kernel`` of ``_write_spray``): it takes the state
+s = (x, y), at a point ``fiber_state(x, y)``, and the couplings (c1, c2) and
 returns the rates [y^i, -gamma^i_jk y^j y^k + (c1 |y| + c2) F^i_j y^j],
 leaves out every term with a factor that folds to zero and rejects a y that
 is not timelike.  Couplings (alpha, 0) give this worldline, (0, q/(m c^2))
@@ -25,8 +25,8 @@ a linear first-order system in (w, W) with W^i = dw^i/dt + N^i_j w^j:
     dW^i/dt = E^i_k(x,y) w^k - N^i_k(x,y) W^k
 
 with connection and tidal tensor evaluated along the base worldline, from
-the order-2 deviation kernel (``bundle_geom.deviation_kernel``), which reads
-the same state list.
+the order-2 deviation kernel ``(s, alpha)`` (``bundle_geom._write_deviation``),
+whose first 16 entries at the initial point are the N of the initial data.
 
 Integrator: Dormand-Prince embedded 5(4) pair with the PI step control of
 Hairer, Norsett & Wanner (Solving ODEs I, II.4: exponents 0.17 and 0.04,
@@ -55,9 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import base_geom
-from .base_geom import fiber_state, four_vector
-from .bundle_geom import connection_and_tidal_values, deviation_kernel
+from .base_geom import _write_spray, fiber_state, field_kernel, four_vector, timelike_norm
+from .bundle_geom import _write_deviation
 from .errors import ChartError, IntegrationError, SingularEvaluationError, UsageError
 from .spacetime import SpacetimeModel, metric_values, potential_jet
 
@@ -303,21 +302,21 @@ def randers_lagrangian(model: SpacetimeModel, x, y, alpha: float | None = None) 
     alpha = model.alpha if alpha is None else float(alpha)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    norm = base_geom.timelike_norm(metric_values(model, x), y)
+    norm = timelike_norm(metric_values(model, x), y)
     a_vals = potential_jet(model, x, order=0).values[0]
     return norm + alpha * float(a_vals @ y)
 
 
 def worldline_rhs(model: SpacetimeModel, x, y, alpha: float | None = None) -> np.ndarray:
     """dy^i/dt = -gamma^i_jk y^j y^k + alpha |y| F^i_j y^j."""
-    kernel, alpha = base_geom.spray_kernel(model, alpha)
+    kernel, alpha = field_kernel(model, _write_spray, alpha)
     return np.array(kernel(fiber_state(x, y), alpha, 0.0)[4:])
 
 
 def normalize_unit_speed(model: SpacetimeModel, x, y) -> np.ndarray:
     """Scale y so that g(y,y) = 1 (the affine gauge used throughout)."""
     y = np.asarray(y, dtype=float)
-    return y / base_geom.timelike_norm(metric_values(model, x), y)
+    return y / timelike_norm(metric_values(model, x), y)
 
 
 def _norm2(model: SpacetimeModel):
@@ -363,7 +362,7 @@ def integrate_worldline(
     x0 = four_vector(x0, "x0")
     model.check_chart(x0)
     y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
-    kernel, alpha = base_geom.spray_kernel(model, alpha)
+    kernel, alpha = field_kernel(model, _write_spray, alpha)
     return _integrate(lambda t, s: kernel(s, alpha, 0.0), np.concatenate([x0, y0]), t_end, rtol, atol,
                       guard=_chart_and_cone_guard(model))
 
@@ -387,24 +386,15 @@ def compare_classical(
     one worldline kernel with the couplings (alpha, 0) and then (0, alpha)."""
     x0 = four_vector(x0, "x0")
     y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
-    kernel, alpha = base_geom.spray_kernel(model, alpha)
+    kernel, alpha = field_kernel(model, _write_spray, alpha)
     # one joint system so both worldlines share the accepted steps
     joint = _integrate(lambda t, s: kernel(s, alpha, 0.0) + kernel(s[8:], 0.0, alpha),
                        np.concatenate([x0, y0, x0, y0]), t_end, CLASSICAL_TOL, CLASSICAL_TOL)
-    ts = np.linspace(0.0, t_end, CLASSICAL_SAMPLES)
-    gap = 0.0
-    for t in ts:
-        s = joint.sample(t)
-        gap = max(gap, float(np.max(np.abs(s[:8] - s[8:]))))
-    return gap
+    s = np.array([joint.sample(t) for t in np.linspace(0.0, t_end, CLASSICAL_SAMPLES)])
+    return float(np.max(np.abs(s[:, :8] - s[:, 8:])))  # a NaN gap stays NaN
 
 
 # -- worldline deviation ----------------------------------------------------------------
-
-
-# (N^i_j, E^i_j, dy^i/dt) at a point, for the initial data; the alias stays
-# because bench/tracing.py hooks it by this name
-_connection_and_tidal = connection_and_tidal_values
 
 
 def _deviation_rates(nte, state):
@@ -444,16 +434,14 @@ def integrate_deviation(
     if (W0 is None) == (dw0 is None):
         raise UsageError("provide either W0 (covariant rate) or dw0 (coordinate rate), not both")
     w0 = four_vector(w0, "w0")
+    kernel, alpha = field_kernel(model, _write_deviation, alpha)
+    sample = base.sampler()
     if W0 is None:
-        s0 = base.sample(0.0)
-        n0, _, _ = _connection_and_tidal(model, s0[:4], s0[4:8], alpha)
+        n0 = np.array(kernel(sample(0.0), alpha)[:16]).reshape(4, 4)
         W0 = four_vector(dw0, "dw0") + n0 @ w0
     else:
         W0 = four_vector(W0, "W0")
-
-    kernel, coef = deviation_kernel(model, alpha)
-    sample = base.sampler()
-    return _integrate(lambda t, state: _deviation_rates(kernel(sample(t), coef), state),
+    return _integrate(lambda t, state: _deviation_rates(kernel(sample(t), alpha), state),
                       np.concatenate([w0, W0]), base.t_end, rtol, atol)
 
 
@@ -475,26 +463,23 @@ def neighbor_oracle(
     deviation are integrated as one joint system on shared steps, so the
     integration errors of the two worldlines cancel in the finite difference.
     """
+    if not (eps != 0.0 and math.isfinite(eps)):
+        raise UsageError(f"eps must be finite and nonzero, got {eps}")
     x0 = four_vector(x0, "x0")
     y0 = normalize_unit_speed(model, x0, four_vector(y0, "y0"))
     w0, W0 = four_vector(w0, "w0"), four_vector(W0, "W0")
-    n0, _, _ = _connection_and_tidal(model, x0, y0, alpha)
-    kernel, coef = deviation_kernel(model, alpha)
-    spray, alpha = base_geom.spray_kernel(model, alpha)
+    kernel, alpha = field_kernel(model, _write_deviation, alpha)
+    spray, _ = field_kernel(model, _write_spray, alpha)
+    n0 = np.array(kernel(fiber_state(x0, y0), alpha)[:16]).reshape(4, 4)
 
     def rhs(t, state):  # the state (x, y, x_eps, y_eps, w, W)
-        nte = kernel(state, coef)
+        nte = kernel(state, alpha)
         return state[4:8] + nte[32:] + spray(state[8:], alpha, 0.0) + _deviation_rates(nte, state[16:])
 
     state0 = np.concatenate([x0, y0, x0 + eps * w0, y0 + eps * (W0 - n0 @ w0), w0, W0])
     joint = _integrate(rhs, state0, t_end, ORACLE_TOL, ORACLE_TOL)
-    ts = np.linspace(0.0, t_end, ORACLE_SAMPLES)
-    worst = 0.0
-    for t in ts:
-        s = joint.sample(t)
-        fd = (s[8:12] - s[:4]) / eps
-        worst = max(worst, float(np.max(np.abs(fd - s[16:20]))))
-    return worst
+    s = np.array([joint.sample(t) for t in np.linspace(0.0, t_end, ORACLE_SAMPLES)])
+    return float(np.max(np.abs((s[:, 8:12] - s[:, :4]) / eps - s[:, 16:20])))  # a NaN gap stays NaN
 
 
 # -- export -----------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base_geom import BaseGeometry, densitized_divergence, timelike_norm
+from .base_geom import BaseGeometry, densitized_divergence, timelike_norm, whole_number
 from .errors import SingularEvaluationError, UsageError
 from .jet_arrays import JetArray
 from .spacetime import SpacetimeModel, metric_values
@@ -115,9 +115,11 @@ def _ball_nodes(counts: tuple[int, int, int, int]):
 def fiber_rule(model: SpacetimeModel, x, nodes: tuple[int, int, int, int]):
     """(ball, ys, w, shifted): the canonical fiber ball at x, its (n, 4) nodes
     and weights (``np.sum(w * f(ys))`` integrates f with the fiber volume
-    density), and the count of nodes shifted radially by 1e-9 off g's null cone."""
+    density), and the count of nodes shifted radially by 1e-9 off g's null cone.
+    A node count that is not a positive int raises ``UsageError``."""
+    counts = tuple(whole_number(n, "fiber node count", 1) for n in nodes)
     ball = fiber_ball(model, x)
-    z, w = _ball_nodes(nodes)
+    z, w = _ball_nodes(counts)
     # v(y,y) = z.z under y = L^{-T} z; d^4y sqrt(det v) = d^4z
     linv_t = np.linalg.inv(ball.cholesky).T
     ys = z @ linv_t.T
@@ -155,8 +157,10 @@ def _weighted_sum(w: np.ndarray, values) -> float:
 
 
 def _box_rule(box, base_nodes: int):
-    """Yield (x, weight) of the tensor-product Gauss-Legendre rule over a box of
-    four (lo, hi) coordinate intervals, first coordinate outermost."""
+    """Yield (x, weight) of the tensor-product Gauss-Legendre rule of
+    ``base_nodes`` (a positive int) nodes per axis over a box of four (lo, hi)
+    coordinate intervals, first coordinate outermost."""
+    base_nodes = whole_number(base_nodes, "base node count", 1)
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != 4:
         raise UsageError("box must give four coordinate intervals")

@@ -361,9 +361,10 @@ def run_suite(
     tiers: dict | None = None,
 ) -> list[ResidualReport]:
     """Run the (selected) checks on one seeded sample of n_points bundle
-    points and the one geometry built on it (``SAMPLE_STREAM``)."""
-    if n_points < 1:
-        raise UsageError(f"n_points must be at least 1, got {n_points}")
+    points and the one geometry built on it (``SAMPLE_STREAM``), seed an int
+    >= 0 and n_points one >= 1 (not bools)."""
+    seed = base_geom.whole_number(seed, "seed", 0)
+    n_points = base_geom.whole_number(n_points, "n_points", 1)
     unknown = [name for name in selection or () if name not in CHECK_NAMES]
     if unknown:
         raise UsageError(f"unknown checks {unknown}; choose from {CHECK_NAMES}")

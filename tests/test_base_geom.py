@@ -277,13 +277,20 @@ def test_divergence_rejects_bad_handle():
         bg.covariant_divergence(geo, geo.ginv)
 
 
+def _lorentz(model, y, q):
+    """The classical Lorentz force at X_FLAT: the worldline kernel's
+    acceleration at the couplings (0, q)."""
+    kernel, q = bg.field_kernel(model, bg._write_spray, q)
+    return np.array(kernel(bg.fiber_state(X_FLAT, y), 0.0, q)[4:])
+
+
 def test_lorentz_rhs_neutral_flat():
-    a = bg.classical_lorentz_rhs(MINK, X_FLAT, [1, 0, 0, 0], 0.0)
+    a = _lorentz(MINK, [1, 0, 0, 0], 0.0)
     assert np.max(np.abs(a)) == 0.0
 
 
 def test_lorentz_rhs_uniform_field():
-    a = bg.classical_lorentz_rhs(UNI, X_FLAT, [1, 0, 0, 0], 1.0)
+    a = _lorentz(UNI, [1, 0, 0, 0], 1.0)
     assert a[1] == pytest.approx(0.1)
     assert np.max(np.abs(np.delete(a, 1))) <= 1e-15
 
@@ -293,5 +300,5 @@ def test_lorentz_force_orthogonal_to_velocity():
     g = np.diag([1.0, -1.0, -1.0, -1.0])
     for _ in range(5):
         y = np.array([rng.uniform(1.5, 2.5), *rng.uniform(-0.5, 0.5, size=3)])
-        a = bg.classical_lorentz_rhs(UNI, X_FLAT, y, 0.7)  # flat: pure Lorentz force
+        a = _lorentz(UNI, y, 0.7)  # flat: pure Lorentz force
         assert abs(a @ g @ y) <= 1e-14

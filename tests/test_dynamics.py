@@ -19,7 +19,7 @@ import pytest
 from tbgrav import base_geom, bundle_geom, exprlang, spacetime
 from tbgrav import dynamics as dyn
 from tbgrav.base_geom import BaseGeometry
-from tbgrav.bundle_geom import BundleGeometry, BundlePoint, connection_and_tidal_values
+from tbgrav.bundle_geom import BundleGeometry, BundlePoint
 from tbgrav.errors import IntegrationError, SingularEvaluationError, UsageError
 from tbgrav.jet_arrays import JetArray
 from tbgrav.jets import Jet
@@ -34,6 +34,14 @@ X0_ORBIT = np.array([0.0, 10.0, math.pi / 2, 0.0])
 OMEGA = math.sqrt(1e-3)
 Y0_PERTURBED = np.array([1.0, 0.005, 0.0, 0.98 * OMEGA])
 DENSE = Path(__file__).resolve().parents[1] / "tools" / "dense_model.json"
+
+
+def _kernels(model, alpha):
+    """(spray, deviation, alpha): the model's worldline and deviation kernels
+    at the coupling alpha, each read on ``fiber_state(x, y)`` at a point."""
+    spray, _ = base_geom.field_kernel(model, base_geom._write_spray, alpha)
+    deviation, alpha = base_geom.field_kernel(model, bundle_geom._write_deviation, alpha)
+    return spray, deviation, alpha
 
 
 def test_lagrangian_flat_unit():
@@ -91,17 +99,14 @@ def _short_base():
 @pytest.mark.parametrize("call", [
     lambda: dyn.worldline_rhs(RN, X5, Y0_PERTURBED, alpha=0.5),
     lambda: dyn.worldline_rhs(RN, X0_ORBIT, [*Y0_PERTURBED, 0.0], alpha=0.5),
-    lambda: base_geom.classical_lorentz_rhs(RN, X5, Y0_PERTURBED, 0.5),
-    lambda: connection_and_tidal_values(RN, X5, Y0_PERTURBED, 0.5),
     lambda: dyn.integrate_worldline(RN, X5, Y0_PERTURBED, alpha=0.5, t_end=0.1),
     lambda: dyn.compare_classical(RN, X5, Y0_PERTURBED, alpha=0.5, t_end=0.1),
     lambda: dyn.neighbor_oracle(RN, X0_ORBIT, Y0_PERTURBED, w0=[*W, 0.0], W0=W, eps=1e-4, alpha=0.5, t_end=0.1),
     lambda: dyn.integrate_deviation(RN, _short_base(), [*W, 0.0], W0=W, alpha=0.5),
     lambda: dyn.integrate_deviation(RN, _short_base(), W, W0=[*W, 0.0], alpha=0.5),
     lambda: dyn.integrate_deviation(RN, _short_base(), W, dw0=[*W, 0.0], alpha=0.5),
-], ids=["worldline_rhs.x", "worldline_rhs.y", "classical_lorentz_rhs", "connection_and_tidal_values",
-        "integrate_worldline", "compare_classical", "neighbor_oracle", "deviation.w0", "deviation.W0",
-        "deviation.dw0"])
+], ids=["worldline_rhs.x", "worldline_rhs.y", "integrate_worldline", "compare_classical", "neighbor_oracle",
+        "deviation.w0", "deviation.W0", "deviation.dw0"])
 def test_vectors_without_four_components_are_refused(call):
     # the kernels read y from slots 4-7 of one list, so a fifth x component would shift it
     with pytest.raises(UsageError, match="needs 4 components"):
@@ -242,7 +247,8 @@ def test_deviation_linearity():
 
 def test_deviation_accepts_coordinate_rate():
     base = dyn.integrate_worldline(SCHW, X0_ORBIT, Y0_PERTURBED, alpha=0.0, t_end=2.0)
-    n0, _, _ = dyn._connection_and_tidal(SCHW, base.states[0][:4], base.states[0][4:8], 0.0)
+    _, deviation, alpha = _kernels(SCHW, 0.0)
+    n0 = np.array(deviation(base.states[0].tolist(), alpha)[:16]).reshape(4, 4)
     w0 = np.array([0, 0.1, 0.0, 0.0])
     via_W = dyn.integrate_deviation(SCHW, base, w0, W0=n0 @ w0, alpha=0.0)
     via_dw = dyn.integrate_deviation(SCHW, base, w0, dw0=[0, 0, 0, 0], alpha=0.0)
@@ -294,12 +300,15 @@ def _timelike_point(model, rng):
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_float_kernel_matches_jet_route(name, alpha):
-    # every RHS runs a float kernel (the spray kernel or connection_and_tidal_values); the jet route is the reference
+    # every RHS runs a float kernel (the spray or the deviation kernel); the jet route is the reference
     model = KERNEL_MODELS[name]
+    spray, deviation, alpha = _kernels(model, alpha)
     rng = np.random.default_rng(17)
     for _ in range(3):
         x, y = _timelike_point(model, rng)
-        n, e, acc = dyn._connection_and_tidal(model, x, y, alpha)
+        s = base_geom.fiber_state(x, y)
+        nte = np.array(deviation(s, alpha))
+        n, e, acc = nte[:16].reshape(4, 4), nte[16:32].reshape(4, 4), nte[32:]
         geo = BundleGeometry(model, BundlePoint(x, y), order=2, alpha=alpha)
         base = BaseGeometry(model, x, 1)
         gamma, f_mix = base.gamma.values[0], base.faraday[1].values[0]
@@ -309,7 +318,7 @@ def test_float_kernel_matches_jet_route(name, alpha):
             (e, geo.tidal.values[0]),
             (acc, -2 * geo.spray.values[0]),
             (dyn.worldline_rhs(model, x, y, alpha=alpha), -2 * geo.spray.values[0]),
-            (base_geom.classical_lorentz_rhs(model, x, y, alpha), lorentz),
+            (np.array(spray(s, 0.0, alpha)[4:]), lorentz),
         )
         for fast, ref in pairs:
             assert np.max(np.abs(fast - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
@@ -347,21 +356,23 @@ def test_guard_refuses_a_null_vector_of_an_off_diagonal_metric():
 
 @pytest.mark.parametrize("model", [MINK, UNI], ids=["minkowski", "uniform_field"])
 def test_float_kernel_rejects_null_vector(model):
+    _, deviation, alpha = _kernels(model, 0.5)
     with pytest.raises(SingularEvaluationError):
-        dyn._connection_and_tidal(model, [0, 0, 0, 0], [1, 1, 0, 0], 0.5)
+        deviation(base_geom.fiber_state([0, 0, 0, 0], [1, 1, 0, 0]), alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_rhs_rejects_spacelike_vector(alpha):
     x = [0.0, 10.0, 1.2, 0.3]
+    spray, deviation, alpha = _kernels(SCHW, alpha)
     # g(y,y) = 0.008 - 1.25 < 0, then NaN and inf: every route refuses all three
     for y in ([0.1, 1.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]):
         with pytest.raises(SingularEvaluationError, match="not timelike"):
             dyn.worldline_rhs(SCHW, x, y, alpha=alpha)
         with pytest.raises(SingularEvaluationError, match="not timelike"):
-            base_geom.classical_lorentz_rhs(SCHW, x, y, alpha)
+            spray(base_geom.fiber_state(x, y), 0.0, alpha)
         with pytest.raises(SingularEvaluationError, match="not timelike"):
-            connection_and_tidal_values(SCHW, x, y, alpha)
+            deviation(base_geom.fiber_state(x, y), alpha)
         with pytest.raises(SingularEvaluationError, match="not timelike"), warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any jet product can warn
             BundleGeometry(SCHW, BundlePoint(x, y), alpha=alpha).spray  # the jet route
@@ -391,12 +402,14 @@ def test_rhs_not_finite_where_a_tape_coefficient_is_not():
     nan_metric = _flat_model("1 + 0*x^400", "0")  # g(y,y) is NaN
     with pytest.raises(SingularEvaluationError, match="not timelike"):
         dyn.worldline_rhs(nan_metric, x, y, alpha=0.0)
+    _, deviation, alpha = _kernels(nan_metric, 0.0)
     with pytest.raises(SingularEvaluationError, match="not timelike"):
-        connection_and_tidal_values(nan_metric, x, y, 0.0)
+        deviation(base_geom.fiber_state(x, y), alpha)
     charged = _flat_model("1", "-0.1*x + 0*x^400")  # only F is NaN
     assert np.all(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.0)))  # F does not enter
     assert not np.any(np.isfinite(dyn.worldline_rhs(charged, x, y, alpha=0.5)))
-    assert not np.any(np.isfinite(base_geom.classical_lorentz_rhs(charged, x, y, 0.5)))
+    spray, _, q = _kernels(charged, 0.5)
+    assert not np.any(np.isfinite(spray(base_geom.fiber_state(x, y), 0.0, q)[4:]))
 
 
 def test_deviation_hot_path_builds_no_bundle_geometry(monkeypatch):
@@ -435,8 +448,9 @@ def test_hot_paths_build_no_jet(monkeypatch):
     rn = catalog("reissner_nordstrom", {"M": 1.0, "Q": 0.3})
     # compile the tapes and whatever each right-hand side compiles on first use
     dyn.worldline_rhs(rn, X0_ORBIT, Y0_PERTURBED, alpha=0.5)
-    base_geom.classical_lorentz_rhs(rn, X0_ORBIT, Y0_PERTURBED, 0.5)
-    connection_and_tidal_values(rn, X0_ORBIT, Y0_PERTURBED, 0.5)
+    spray, deviation, alpha = _kernels(rn, 0.5)
+    spray(base_geom.fiber_state(X0_ORBIT, Y0_PERTURBED), 0.0, alpha)
+    deviation(base_geom.fiber_state(X0_ORBIT, Y0_PERTURBED), alpha)
     spacetime.metric_values(rn, X0_ORBIT)
 
     def forbidden(self, *args, **kwargs):
@@ -460,6 +474,25 @@ def test_hot_paths_build_no_jet(monkeypatch):
         rn, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=1e-4, alpha=0.5, t_end=1.0
     )
     assert math.isfinite(err)
+
+
+@pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+def test_neighbor_oracle_refuses_a_zero_or_non_finite_eps(eps):
+    """The finite difference divides by eps: eps = 0 must not read as a
+    passing gap of 0.0, nor eps = NaN as a vector that is not timelike."""
+    with pytest.raises(UsageError, match="eps"):
+        dyn.neighbor_oracle(RN, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01], eps=eps,
+                            alpha=0.5, t_end=0.1)
+
+
+def test_oracle_gaps_stay_nan_where_a_sample_is_nan(monkeypatch):
+    """A NaN gap at one sampled time makes the oracle's result NaN, which no
+    tolerance passes, instead of being dropped by a running max."""
+    sample = dyn.Trajectory.sample
+    monkeypatch.setattr(dyn.Trajectory, "sample", lambda self, t: sample(self, t) * (1.0 if t == 0.0 else math.nan))
+    assert math.isnan(dyn.compare_classical(RN, X0_ORBIT, Y0_PERTURBED, alpha=0.5, t_end=0.1))
+    assert math.isnan(dyn.neighbor_oracle(RN, X0_ORBIT, Y0_PERTURBED, w0=[0, 0.5, 0.3, 0], W0=[0, 0, 0, 0.01],
+                                          eps=1e-4, alpha=0.5, t_end=0.1))
 
 
 def test_deviation_kernel_compiles_in_blocks():

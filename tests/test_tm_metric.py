@@ -175,6 +175,32 @@ def test_tm_integral_linear_in_f():
     assert c == pytest.approx(2 * a + 3 * b, rel=1e-12)
 
 
+ONE = lambda ys: np.ones(len(ys))  # a fiber integrand
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tm.fiber_rule(MINK, X_FLAT, (0, 4, 4, 8)),
+    lambda: tm.fiber_rule(MINK, X_FLAT, (4, 4, 4, 0)),  # a phi count of 0
+    lambda: tm.fiber_rule(MINK, X_FLAT, (4, 4, 2.5, 8)),
+    lambda: tm.fiber_rule(MINK, X_FLAT, (4, True, 4, 8)),
+    lambda: tm.fiber_integral(MINK, X_FLAT, ONE, nodes=(0, 4, 4, 8)),
+    lambda: tm.fiber_integral(MINK, X_FLAT, ONE, nodes=(4, 4, 4, -8)),
+    lambda: tm.tm_integral(MINK, [(0, 1)] * 4, lambda x, ys: ONE(ys), base_nodes=0),
+    lambda: tm.tm_integral(MINK, [(0, 1)] * 4, lambda x, ys: ONE(ys), base_nodes=2.5),
+    lambda: tm.tm_integral(MINK, [(0, 1)] * 4, lambda x, ys: ONE(ys), base_nodes=1, fiber_nodes=(4, 4, 4, 0)),
+    lambda: tm.base_integral(MINK, [(0, 1)] * 4, lambda x: 1.0, base_nodes=0),
+    lambda: tm.base_integral(MINK, [(0, 1)] * 4, lambda x: 1.0, base_nodes=2.5),
+], ids=["fiber_rule.rho0", "fiber_rule.phi0", "fiber_rule.float", "fiber_rule.bool",
+        "fiber_integral.rho0", "fiber_integral.negative", "tm_integral.base0", "tm_integral.float",
+        "tm_integral.phi0", "base_integral.base0", "base_integral.float"])
+def test_node_counts_must_be_positive_whole_numbers(call):
+    """A node count that is not a positive int is refused up front, not met
+    deep inside the rule as NumPy's ValueError, a ZeroDivisionError or a
+    TypeError."""
+    with pytest.raises(UsageError, match="node count"):
+        call()
+
+
 def _lift(geo, component_fn):
     """The horizontal lift of the base field ``component_fn(env)`` (its 4
     components on ``coord_env``'s jets): the field on the joint jets of

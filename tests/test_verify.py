@@ -116,10 +116,17 @@ def test_csv_flatten():
     ({"n_points": -1}, "n_points"),
     ({"selection": ["metric_symetry"]}, "metric_symetry"),
     ({"selection": ["metric_symmetry", "bianchi"]}, "bianchi"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"n_points": 2.5}, "n_points"),
+    ({"n_points": True}, "n_points"),
 ])
 def test_run_suite_refuses_what_it_cannot_run(kwargs, match):
-    """No points, or a selected check that is not registered, is a usage
-    error: neither a crash nor an empty report that a typo would pass."""
+    """No points, a selected check that is not registered, or a seed or
+    point count that is not a whole number (>= 0, >= 1) is a usage error:
+    neither a crash nor an empty report that a typo would pass, nor NumPy's
+    ValueError, a bool written as the seed or 2.5 points run as 3."""
     with pytest.raises(UsageError, match=match):
         verify.run_suite(MINK, **kwargs)
 

@@ -19,9 +19,12 @@ leave byte for byte as they were:
   ``tools/dense_model.json`` (whose fiber metric is not diagonal, so the
   line pins the ball's change of variables), and of ``inspect`` on each of
   the five catalog models at its base point in ``POINTS``;
-- SHA-256 of the bytes of ``worldline_rhs``, ``classical_lorentz_rhs`` and
-  ``connection_and_tidal_values`` on the five catalog models at alpha 0 and
-  0.5, three seeded points each, and on the charged black hole in ingoing
+- SHA-256 of the bytes of ``worldline_rhs``, of the worldline kernel's
+  acceleration at the couplings (0, alpha) (the classical Lorentz force,
+  named ``classical_lorentz_rhs``) and of the deviation kernel's N, E and
+  -2 G rows (named ``connection_and_tidal_values``), each kernel read on
+  ``fiber_state(x, y)``, on the five catalog models at alpha 0 and 0.5, three
+  seeded points each, and on the charged black hole in ingoing
   Eddington-Finkelstein coordinates (``rn_ingoing_ef``, loaded from its model
   document), whose metric has off-diagonal entries and a zero diagonal one;
 - on the jet route, at the same points: SHA-256 of the order, variable count
@@ -151,11 +154,13 @@ def rhs_lines():
         for alpha in (0.0, 0.5):
             digests = {"worldline_rhs": hashlib.sha256(), "classical_lorentz_rhs": hashlib.sha256(),
                        "connection_and_tidal_values": hashlib.sha256()}
+            spray, _ = base_geom.field_kernel(model, base_geom._write_spray, alpha)
+            deviation, _ = base_geom.field_kernel(model, bundle_geom._write_deviation, alpha)
             for x in points[name]:
+                s = base_geom.fiber_state(x, Y)
                 digests["worldline_rhs"].update(dynamics.worldline_rhs(model, x, Y, alpha=alpha).tobytes())
-                digests["classical_lorentz_rhs"].update(base_geom.classical_lorentz_rhs(model, x, Y, alpha).tobytes())
-                for part in bundle_geom.connection_and_tidal_values(model, x, Y, alpha):
-                    digests["connection_and_tidal_values"].update(part.tobytes())
+                digests["classical_lorentz_rhs"].update(np.array(spray(s, 0.0, alpha)[4:]).tobytes())
+                digests["connection_and_tidal_values"].update(np.array(deviation(s, alpha)).tobytes())
             for fn, digest in digests.items():
                 yield f"{fn}.{name}.alpha{alpha}", digest.hexdigest()
 
